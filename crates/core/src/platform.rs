@@ -159,8 +159,10 @@ fn ingest_batch(
     stage: &str,
     batch: Vec<Quad>,
 ) -> IngestStats {
-    let stats = store.extend_stats(batch);
+    // opened before the load: the span times the bulk load itself,
+    // copy-on-write clone included
     let span = obs.tracer.child(parent, "ingest");
+    let stats = store.extend_stats(batch);
     obs.tracer.set_attr(span, "stage", stage);
     obs.tracer.set_attr(span, "quads_in", stats.quads_in);
     obs.tracer.add_count(span, "quads_added", stats.quads_added as u64);
@@ -1101,6 +1103,7 @@ impl KgLids {
         let mut stats = DeltaStats::default();
         let mut delta_report = BootstrapReport::default();
         let root = self.obs.tracer.root("delta");
+        let cow_before = self.store.cow_stats();
         self.store.begin_delta();
 
         // ---- retraction: withdraw removed datasets first ----
@@ -1253,8 +1256,14 @@ impl KgLids {
         let _ = self.obs.tracer.close(span);
 
         // ---- Graph Linker over the new pipelines' predictions ----
+        // Every pass consumes all `predictedRead` literals, so only a
+        // delta that abstracted a pipeline can have left any to link.
         let span = self.obs.tracer.child(root, "link.pipelines");
-        stats.links = link_pipelines(&mut self.store);
+        let scan = stats.pipelines_abstracted > 0;
+        if scan {
+            stats.links = link_pipelines(&mut self.store);
+        }
+        self.obs.tracer.set_attr(span, "scanned", scan);
         self.obs.tracer.add_count(span, "tables_linked", stats.links.tables_linked as u64);
         self.obs.tracer.add_count(span, "columns_linked", stats.links.columns_linked as u64);
         let _ = self.obs.tracer.close(span);
@@ -1293,6 +1302,12 @@ impl KgLids {
         metrics.counter_add("ingest.delta.quads_retracted", stats.quads_retracted as u64);
         metrics.counter_add("ingest.delta.relink_candidates", stats.relink_candidates as u64);
         metrics.gauge_set("ingest.quarantine.artifacts", self.report.len() as f64);
+        // the store's monotonic totals, and this delta's share of them
+        let cow = self.store.cow_stats();
+        metrics.gauge_set("store.cow.clones", cow.clones as f64);
+        metrics.gauge_set("store.cow.secs", cow.secs);
+        stats.cow_clones = cow.clones - cow_before.clones;
+        stats.cow_secs = cow.secs - cow_before.secs;
         self.obs.tracer.set_attr(root, "generation", self.store.generation());
         let _ = self.obs.tracer.close(root);
         stats.generation = self.store.generation();
@@ -1382,6 +1397,12 @@ pub struct DeltaStats {
     pub profiling_secs: f64,
     pub linking_secs: f64,
     pub abstraction_secs: f64,
+    /// Copy-on-write store clones this delta paid (one, at its first
+    /// write, when a reader pins the previous snapshot; none otherwise)
+    /// and the seconds they took — already inside whichever stage wrote
+    /// first, not an extra stage.
+    pub cow_clones: u64,
+    pub cow_secs: f64,
     /// Store generation after the delta committed (exactly base + 1 when
     /// the delta mutated anything).
     pub generation: u64,

@@ -23,7 +23,7 @@ pub mod term;
 pub use dictionary::{Dictionary, TermId};
 pub use pattern::QuadPattern;
 pub use store::{
-    EncodedPattern, EncodedQuad, IndexOrder, IngestStats, QuadStore, RunCursor, ScanSpec,
+    CowStats, EncodedPattern, EncodedQuad, IndexOrder, IngestStats, QuadStore, RunCursor, ScanSpec,
     StoreReader, StoreSnapshot,
 };
 pub use term::{GraphName, Literal, Quad, Term, Triple};

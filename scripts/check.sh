@@ -315,6 +315,19 @@ kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 rm -f "$serve_log"
 
+# The end-to-end benchmark is a workspace of its own, so nothing above
+# builds it: its unit tests (order statistics, deck determinism, catalogue
+# = BENCHMARK.json), then a short `churn` run on the smoke lake — a writer
+# applying deltas under a snapshot reader. The binary exits 1 on a torn
+# read, a wrong row count or a store fingerprint that does not return to
+# the bootstrap's; a hung reader or writer trips the timeout (the binary
+# is built first, so the timeout bounds the run and not the compile).
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+timeout 120 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+  --workload churn --smoke --seconds 6 >/dev/null
+echo "lids-e2e churn smoke ok"
+
 # The ingestion-path and query-path crates deny unwrap/expect outside tests;
 # make sure the crate-root opt-ins are still in place so clippy keeps
 # enforcing it.

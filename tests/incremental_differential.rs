@@ -15,7 +15,9 @@ use kglids_repro::kg::schema::data_global_schema_quads_seeded;
 use kglids_repro::kg::{
     build_data_global_schema, LinkIndex, LinkingConfig, LinkingMode, SchemaConfig,
 };
-use kglids_repro::kglids::{DeltaBatch, KgLids, KgLidsBuilder, PipelineScript};
+use kglids_repro::kg::linker::LinkStats;
+use kglids_repro::kglids::{DeltaBatch, DeltaStats, KgLids, KgLidsBuilder, PipelineScript};
+use kglids_repro::obs::AttrValue;
 use kglids_repro::profiler::table::{Column, Dataset, Table};
 use kglids_repro::rdf::QuadStore;
 
@@ -62,6 +64,17 @@ fn gen_dataset(name: &str, seed: u64) -> Dataset {
         })
         .collect();
     Dataset::new(name, tables)
+}
+
+/// Whether the delta's `link.pipelines` stage scanned the store for
+/// predictions (it reports so on its span).
+fn link_scanned(stats: &DeltaStats) -> bool {
+    let delta = stats.trace.roots.last().expect("delta root span");
+    let span = delta.child("link.pipelines").expect("link.pipelines span");
+    match span.attr("scanned") {
+        Some(AttrValue::Bool(scanned)) => *scanned,
+        other => panic!("link.pipelines reports scanned = {other:?}"),
+    }
 }
 
 fn pipeline_for(dataset: &Dataset, id: &str, score: f64) -> PipelineScript {
@@ -177,14 +190,20 @@ fn retraction_equals_never_ingested_baseline_including_quarantine() {
     );
     assert_eq!(added.pipelines_abstracted, 1);
     assert_eq!(added.pipelines_failed, 1, "broken script quarantined, batch kept");
+    assert!(link_scanned(&added), "an abstracted pipeline leaves predictions to link");
+    assert!(added.links.tables_linked > 0);
     assert_eq!(platform.quarantine_report().len(), 1);
     assert_eq!(
         platform.obs().metrics.snapshot().gauge("ingest.quarantine.artifacts"),
         Some(1.0)
     );
 
+    // a removal-only delta abstracts no pipeline, and every earlier pass
+    // consumed its predictions: the Graph Linker has nothing to scan for
     let removed = platform.apply_delta(DeltaBatch::new().remove_dataset("gone"));
     assert!(removed.quads_retracted > 0);
+    assert!(!link_scanned(&removed), "removal-only delta scanned for predictions");
+    assert_eq!(removed.links, LinkStats::default());
     assert_eq!(
         dump_platform(&baseline),
         dump_platform(&platform),

@@ -3,8 +3,9 @@
 //! `BootstrapStats`, the `lids-obs/v1` snapshot is well-formed, and the
 //! instrumented evaluator stays within the overhead budget.
 
-use kglids_repro::kglids::{KgLidsBuilder, PipelineScript, SEARCH_TABLES_QUERY};
+use kglids_repro::kglids::{DeltaBatch, KgLidsBuilder, PipelineScript, SEARCH_TABLES_QUERY};
 use kglids_repro::kg::abstraction::PipelineMetadata;
+use kglids_repro::obs::{AttrValue, SpanSnapshot};
 use kglids_repro::profiler::table::{Column, Dataset, Table};
 use kglids_repro::rdf::{Quad, QuadStore, Term};
 use kglids_repro::sparql::{evaluate_explained, evaluate_with, parse_query, EvalOptions};
@@ -142,6 +143,48 @@ fn bootstrap_trace_and_snapshot_schema() {
     let json = platform.obs_snapshot_json();
     assert!(json.contains("\"lids-obs/v1\""));
     assert!(json.contains("memory.peak_bytes"));
+}
+
+/// An `ingest` span covers the bulk load it reports on: its wall time is
+/// at least the phase timings (`IngestStats::total_secs`) it carries, in
+/// a bootstrap and — where a copy-on-write clone precedes the phases — in
+/// a delta applied under a pinned reader.
+#[test]
+fn ingest_span_times_the_load_it_reports() {
+    fn check(stage: &SpanSnapshot) {
+        let ingest = stage.child("ingest").expect("ingest span");
+        let phases: f64 = ["extract_secs", "encode_secs", "index_secs"]
+            .iter()
+            .map(|key| match ingest.attr(key) {
+                Some(AttrValue::F64(secs)) => *secs,
+                other => panic!("ingest span carries {key} = {other:?}"),
+            })
+            .sum();
+        assert!(phases > 0.0, "ingest span of {} loaded nothing", stage.name);
+        assert!(
+            ingest.wall_secs >= phases,
+            "ingest span of {} lasted {} s, its phases {phases} s",
+            stage.name,
+            ingest.wall_secs
+        );
+    }
+    let column = |name: &str| Column::new(name, (0..200).map(|i| (i * 7).to_string()).collect());
+    let dataset =
+        |name: &str| Dataset::new(name, vec![Table::new("t", vec![column("age"), column("size")])]);
+    let (mut platform, stats) = KgLidsBuilder::new().with_dataset(dataset("d")).bootstrap();
+    check(stats.trace.root("bootstrap").and_then(|r| r.child("link.schema")).expect("stage"));
+
+    let reader = platform.reader();
+    let pinned = reader.snapshot();
+    let delta = platform.apply_delta(DeltaBatch::new().add_dataset(dataset("e")));
+    check(delta.trace.roots.last().and_then(|r| r.child("link.schema")).expect("stage"));
+    // the pinned snapshot forced exactly one clone, at the delta's first write
+    assert_eq!(delta.cow_clones, 1);
+    assert!(delta.cow_secs > 0.0 && delta.cow_secs <= delta.linking_secs);
+    let metrics = platform.obs().metrics.snapshot();
+    assert_eq!(metrics.gauge("store.cow.clones"), Some(1.0));
+    assert_eq!(metrics.gauge("store.cow.secs"), Some(delta.cow_secs));
+    assert!(pinned.len() < platform.store().len());
 }
 
 /// Conformance-style corpus: the instrumented evaluator must stay within

@@ -3,7 +3,9 @@
 //! Contract under test:
 //!
 //! - a snapshot taken at any point is *bit-identical* to a frozen copy of
-//!   the store at acquisition, no matter what writes happen afterwards;
+//!   the store at acquisition, no matter what writes happen afterwards —
+//!   its quads and its dictionary alike, which later snapshots share
+//!   structurally (term chunks, the frozen hash map) rather than copy;
 //! - with no intervening writes, snapshot and live store agree exactly;
 //! - concurrent readers under a writing thread never observe torn or
 //!   partially-published state: every published snapshot has internally
@@ -17,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use kglids_repro::rdf::{Quad, QuadStore, StoreSnapshot, Term};
+use kglids_repro::rdf::{Quad, QuadStore, StoreSnapshot, Term, TermId};
 use kglids_repro::sparql::PlanCache;
 use proptest::prelude::*;
 
@@ -30,8 +32,37 @@ enum Op {
     Insert(u8, u8, u8),
     /// Remove a single quad (may be a no-op miss).
     Remove(u8, u8, u8),
+    /// Extend with `n` rows of terms no earlier step has interned: IRIs,
+    /// string literals, quoted triples and their scores — four new
+    /// dictionary entries a row, where the small universe above stops
+    /// growing the dictionary after some twenty.
+    Bulk(usize),
     /// Acquire a snapshot and remember what the store looked like.
     Snapshot,
+}
+
+/// Rows `from..from + n` of the bulk universe.
+fn bulk(from: usize, n: usize) -> Vec<Quad> {
+    let row = |k: usize| Term::iri(format!("urn:row:{k}"));
+    let mut quads = Vec::with_capacity(2 * n);
+    for k in from..from + n {
+        quads.push(Quad::new(row(k), Term::iri("urn:p:cell"), Term::string(format!("cell {k}"))));
+        quads.push(Quad::new(
+            Term::quoted(row(k), Term::iri("urn:p:similar"), row(k + 1)),
+            Term::iri("urn:p:score"),
+            Term::double(k as f64 / 1e4),
+        ));
+    }
+    quads
+}
+
+/// A pinned snapshot with what the store looked like at acquisition.
+struct Pinned {
+    snap: Arc<StoreSnapshot>,
+    contents: BTreeSet<String>,
+    generation: u64,
+    /// Every interned term, in id order.
+    terms: Vec<Term>,
 }
 
 fn quad(s: u8, p: u8, o: u8) -> Quad {
@@ -52,6 +83,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => proptest::collection::vec((0u8..6, 0u8..4, 0u8..8), 0..12).prop_map(Op::Extend),
         2 => (0u8..6, 0u8..4, 0u8..8).prop_map(|(s, p, o)| Op::Insert(s, p, o)),
         2 => (0u8..6, 0u8..4, 0u8..8).prop_map(|(s, p, o)| Op::Remove(s, p, o)),
+        1 => (100usize..300).prop_map(Op::Bulk),
         3 => Just(Op::Snapshot),
     ]
 }
@@ -61,14 +93,21 @@ proptest! {
 
     /// (a) Snapshots are frozen at acquisition: after the whole schedule
     /// runs, every snapshot still matches the deep copy of the store
-    /// taken at the same step — writes after acquisition are invisible.
+    /// taken at the same step — writes after acquisition are invisible,
+    /// to its quad set and to its dictionary (`term_count`, `id_of`).
     /// (b) With no writes in between, a snapshot equals the live store.
+    ///
+    /// Every schedule opens with bulk loads between pins, so the
+    /// dictionary crosses several term-chunk boundaries and outgrows the
+    /// shared hash map (forcing a fold) while snapshots hold the old one.
     #[test]
     fn snapshots_are_frozen_copies(ops in proptest::collection::vec(op_strategy(), 1..40)) {
+        let prologue =
+            [Op::Bulk(350), Op::Snapshot, Op::Bulk(350), Op::Snapshot, Op::Bulk(350), Op::Snapshot];
         let mut store = QuadStore::new();
-        // (snapshot, frozen copy of logical contents, generation at acquisition)
-        let mut pinned: Vec<(Arc<StoreSnapshot>, BTreeSet<String>, u64)> = Vec::new();
-        for op in ops {
+        let mut pinned: Vec<Pinned> = Vec::new();
+        let mut next_row = 0usize;
+        for op in prologue.into_iter().chain(ops) {
             match op {
                 Op::Extend(batch) => {
                     store.extend(batch.iter().map(|&(s, p, o)| quad(s, p, o)));
@@ -79,24 +118,47 @@ proptest! {
                 Op::Remove(s, p, o) => {
                     store.remove(&quad(s, p, o));
                 }
+                Op::Bulk(n) => {
+                    store.extend(bulk(next_row, n));
+                    next_row += n;
+                }
                 Op::Snapshot => {
                     let snap = store.snapshot();
                     // (b) no writes since the deref'd live view: exact match
                     prop_assert_eq!(snap.len(), store.len());
                     prop_assert_eq!(snap.generation(), store.generation());
-                    prop_assert_eq!(contents(&snap), contents(&store));
+                    prop_assert_eq!(snap.term_count(), store.term_count());
                     let frozen = contents(&snap);
-                    let generation = snap.generation();
-                    pinned.push((snap, frozen, generation));
+                    prop_assert_eq!(&frozen, &contents(&store));
+                    pinned.push(Pinned {
+                        contents: frozen,
+                        generation: snap.generation(),
+                        terms: snap.dictionary().iter().map(|(_, t)| t.clone()).collect(),
+                        snap,
+                    });
                 }
             }
         }
         // (a) every pinned snapshot is still bit-identical to its frozen
         // copy, regardless of the writes that followed
-        for (snap, frozen, generation) in &pinned {
-            prop_assert_eq!(&contents(snap), frozen);
-            prop_assert_eq!(snap.generation(), *generation);
-            prop_assert!(snap.validate_indexes(), "snapshot indexes disagree");
+        let live: Vec<&Term> = store.dictionary().iter().map(|(_, t)| t).collect();
+        for pin in &pinned {
+            prop_assert_eq!(&contents(&pin.snap), &pin.contents);
+            prop_assert_eq!(pin.snap.generation(), pin.generation);
+            prop_assert!(pin.snap.validate_indexes(), "snapshot indexes disagree");
+            prop_assert_eq!(pin.snap.term_count(), pin.terms.len());
+            for (i, term) in pin.terms.iter().enumerate() {
+                prop_assert_eq!(pin.snap.id_of(term), Some(TermId(i as u32)));
+                prop_assert_eq!(pin.snap.term(TermId(i as u32)), term);
+            }
+            // ids are append-only: the live dictionary extends the pinned
+            // one, and nothing it interned since resolves in the snapshot
+            for (i, term) in live.iter().enumerate() {
+                match pin.terms.get(i) {
+                    Some(frozen) => prop_assert_eq!(*term, frozen),
+                    None => prop_assert_eq!(pin.snap.id_of(term), None),
+                }
+            }
         }
         prop_assert!(store.validate_indexes(), "live store indexes disagree");
     }
