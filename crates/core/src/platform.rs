@@ -19,12 +19,14 @@ use lids_exec::{
 };
 use lids_kg::abstraction::{emit_pipeline_quads, AbstractionStats, PipelineMetadata};
 use lids_kg::docs::LibraryDocs;
-use lids_kg::incremental::{retraction_quads, DeltaLinkStats, LinkIndex};
+use lids_kg::incremental::{retraction_ids, LinkIndex};
 use lids_kg::library_graph::library_graph_quads;
 use lids_kg::linker::{link_pipelines, LinkStats};
 use lids_kg::ontology::Vocab;
 use lids_kg::provenance::{push_quarantine, QuarantineRecord};
-use lids_kg::schema::{data_global_schema_quads_seeded, LinkingConfig, SchemaConfig, SchemaStats};
+use lids_kg::schema::{
+    emit_schema, link_schema, EncodedBatch, LinkingConfig, SchemaConfig, SchemaStats,
+};
 use lids_obs::{Obs, SpanId, TraceSnapshot};
 use lids_profiler::table::Dataset;
 use lids_profiler::{
@@ -151,7 +153,10 @@ where
 }
 
 /// Bulk-load a stage's accumulated quad batch and record the ingest
-/// telemetry as an `ingest` child span of the stage.
+/// telemetry as an `ingest` child span of the stage. This is how metadata
+/// of pipelines, the library graph and quarantine records arrive — terms
+/// that mostly occur once; the schema stage, whose column nodes recur in
+/// hundreds of edges each, goes through [`ingest_encoded`].
 fn ingest_batch(
     store: &mut QuadStore,
     obs: &Obs,
@@ -163,6 +168,47 @@ fn ingest_batch(
     // copy-on-write clone included
     let span = obs.tracer.child(parent, "ingest");
     let stats = store.extend_stats(batch);
+    close_ingest_span(obs, span, stage, &stats);
+    stats
+}
+
+/// Let `emit` write a stage's quads as id tuples over the store's own
+/// dictionary, bulk-load them, and record the same `ingest` child span as
+/// [`ingest_batch`]: `encode_secs` is the emission (every term interned
+/// once, where the emitter first names it), `index_secs` the load of the
+/// finished tuples, and there is no extract phase to pay.
+fn ingest_encoded(
+    store: &mut QuadStore,
+    obs: &Obs,
+    parent: SpanId,
+    stage: &str,
+    emit: impl FnOnce(&mut EncodedBatch<'_>),
+) -> IngestStats {
+    // opened before the emission: the first interned term pays the
+    // copy-on-write clone
+    let span = obs.tracer.child(parent, "ingest");
+    let terms_before = store.term_count();
+    let t = Instant::now();
+    let mut batch = EncodedBatch::new(store);
+    emit(&mut batch);
+    let quads = batch.into_quads();
+    let encode_secs = t.elapsed().as_secs_f64();
+    let quads_in = quads.len();
+    let t = Instant::now();
+    let quads_added = store.extend_encoded(quads);
+    let stats = IngestStats {
+        quads_in,
+        quads_added,
+        new_terms: store.term_count() - terms_before,
+        extract_secs: 0.0,
+        encode_secs,
+        index_secs: t.elapsed().as_secs_f64(),
+    };
+    close_ingest_span(obs, span, stage, &stats);
+    stats
+}
+
+fn close_ingest_span(obs: &Obs, span: SpanId, stage: &str, stats: &IngestStats) {
     obs.tracer.set_attr(span, "stage", stage);
     obs.tracer.set_attr(span, "quads_in", stats.quads_in);
     obs.tracer.add_count(span, "quads_added", stats.quads_added as u64);
@@ -173,7 +219,6 @@ fn ingest_batch(
     obs.tracer.set_attr(span, "index_secs", stats.index_secs);
     obs.tracer.set_attr(span, "quads_per_sec", stats.quads_per_sec());
     let _ = obs.tracer.close(span);
-    stats
 }
 
 /// The derived embedding stores: the Faiss-substitute column index plus
@@ -503,10 +548,10 @@ impl KgLidsBuilder {
         // ---- Algorithm 3: data global schema ----
         let span = obs.tracer.child(root, "link.schema");
         let mut sw = Stopwatch::started();
-        let mut batch: Vec<Quad> = Vec::new();
-        let (schema_stats, link_seed) =
-            data_global_schema_quads_seeded(&mut batch, &profiles, &schema_config, &we);
-        ingest_batch(&mut store, &obs, span, "link.schema", batch);
+        let (schema_stats, link_seed, edges) = link_schema(&profiles, &schema_config, &we);
+        ingest_encoded(&mut store, &obs, span, "link.schema", |batch| {
+            emit_schema(batch, &profiles, &edges);
+        });
         sw.stop();
         stats.schema_secs = sw.secs();
         obs.tracer.add_count(span, "label_edges", schema_stats.label_edges as u64);
@@ -1086,7 +1131,10 @@ impl KgLids {
     /// Removals withdraw the dataset's metadata subgraph, its similarity
     /// edges (both directions plus RDF-star annotations), its pipelines'
     /// graphs, and its quarantine provenance via one batch
-    /// [`QuadStore::retract`].
+    /// [`QuadStore::retract_encoded`]. Both directions stay in id space:
+    /// new edges are emitted as id tuples over the store's dictionary and
+    /// victims are collected as id tuples, so no similarity edge is ever
+    /// built, hashed or decoded as a [`Quad`].
     ///
     /// Re-adding a dataset name that is still present (and not in
     /// `remove_datasets` of the same batch) is a caller error: the store
@@ -1109,14 +1157,19 @@ impl KgLids {
         // ---- retraction: withdraw removed datasets first ----
         let span = self.obs.tracer.child(root, "retract");
         let mut sw = Stopwatch::started();
+        let (mut collect_secs, mut index_secs, mut victims_in) = (0.0, 0.0, 0usize);
         for ds in &remove_datasets {
-            let ds_profiles: Vec<ColumnProfile> =
-                self.profiles.iter().filter(|p| &p.meta.dataset == ds).cloned().collect();
-            let victims = retraction_quads(&self.store, ds, &ds_profiles);
-            let r = self.store.retract(victims);
-            stats.quads_retracted += r.quads_removed;
+            let (gone, kept): (Vec<ColumnProfile>, Vec<ColumnProfile>) =
+                std::mem::take(&mut self.profiles).into_iter().partition(|p| &p.meta.dataset == ds);
+            self.profiles = kept;
+            let t = Instant::now();
+            let victims = retraction_ids(&self.store, ds, &gone);
+            collect_secs += t.elapsed().as_secs_f64();
+            victims_in += victims.len();
+            let t = Instant::now();
+            stats.quads_retracted += self.store.retract_encoded(victims);
+            index_secs += t.elapsed().as_secs_f64();
             stats.columns_retracted += self.link_index.remove_dataset(ds);
-            self.profiles.retain(|p| &p.meta.dataset != ds);
             // ghost-free ledger: drop the dataset's quarantine entries
             let prefix = format!("{ds}/");
             self.report.quarantined.retain(|e| !e.artifact.starts_with(&prefix));
@@ -1125,6 +1178,11 @@ impl KgLids {
         sw.stop();
         stats.retraction_secs = sw.secs();
         self.obs.tracer.set_attr(span, "datasets", remove_datasets.len());
+        // where a removal's store time goes: scanning for the victims (id
+        // space, no term decoded) against dropping them from the indexes
+        self.obs.tracer.set_attr(span, "collect_secs", collect_secs);
+        self.obs.tracer.set_attr(span, "index_secs", index_secs);
+        self.obs.tracer.add_count(span, "victims", victims_in as u64);
         self.obs.tracer.add_count(span, "quads_retracted", stats.quads_retracted as u64);
         self.obs.tracer.add_count(span, "columns_retracted", stats.columns_retracted as u64);
         let _ = self.obs.tracer.close(span);
@@ -1195,9 +1253,10 @@ impl KgLids {
         // ---- link new columns against the persisted index ----
         let span = self.obs.tracer.child(root, "link.schema");
         let mut sw = Stopwatch::started();
-        let mut batch: Vec<Quad> = Vec::new();
-        let link: DeltaLinkStats = self.link_index.add_columns(&mut batch, &new_profiles, &self.we);
-        let ingested = ingest_batch(&mut self.store, &self.obs, span, "link.schema", batch);
+        let (link, edges) = self.link_index.link_columns(&new_profiles, &self.we);
+        let ingested = ingest_encoded(&mut self.store, &self.obs, span, "link.schema", |batch| {
+            self.link_index.emit_columns(batch, &new_profiles, &edges);
+        });
         stats.quads_added += ingested.quads_added;
         sw.stop();
         stats.linking_secs = sw.secs();
@@ -1287,14 +1346,22 @@ impl KgLids {
         }
 
         // ---- refresh derived state, commit, publish once ----
+        let span = self.obs.tracer.child(root, "embed");
         self.profiles.extend(new_profiles);
         let embeddings = build_embedding_store(&self.profiles);
         self.column_index = embeddings.column_index;
         self.table_embeddings = embeddings.table_embeddings;
         self.dataset_embeddings = embeddings.dataset_embeddings;
         self.dataset_embeddings_missing = embeddings.dataset_embeddings_missing;
+        self.obs.tracer.set_attr(span, "table_embeddings", self.table_embeddings.len());
+        self.obs.tracer.set_attr(span, "indexed_columns", self.column_index.len());
+        let _ = self.obs.tracer.close(span);
         self.report.quarantined.extend(delta_report.quarantined.iter().cloned());
+        // publication, and the release of the snapshot it supersedes when
+        // no reader still pins it
+        let span = self.obs.tracer.child(root, "commit");
         self.store.commit_delta();
+        let _ = self.obs.tracer.close(span);
 
         let metrics = &self.obs.metrics;
         metrics.counter_add("ingest.delta.datasets_added", stats.datasets_added as u64);

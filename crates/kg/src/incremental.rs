@@ -32,18 +32,29 @@
 //!    yet covered by cells are scored unconditionally. HNSW recall
 //!    therefore affects cell *shape* (speed), never the edge set.
 //!
-//! Since [`crate::schema::push_edge_with`] materialises each edge
-//! symmetrically (both directions plus both RDF-star annotations), the
-//! emitted quad set is independent of pair orientation, and the store
-//! deduplicates re-emitted metadata — so `apply_delta` and full rebuild
-//! converge on bit-identical decoded quad sets (pinned by the
-//! `incremental_differential` suite).
+//! Since [`QuadSink::edge`] materialises each edge symmetrically (both
+//! directions plus both RDF-star annotations), the emitted quad set is
+//! independent of pair orientation, and the store deduplicates re-emitted
+//! metadata — so `apply_delta` and full rebuild converge on bit-identical
+//! decoded quad sets (pinned by the `incremental_differential` suite).
 //!
-//! Retraction runs the other way: [`retraction_quads`] regenerates a
-//! removed dataset's metadata quads, collects its similarity edges and
-//! RDF-star annotations, its pipelines' named graphs and default-graph
-//! metadata, and its quarantine provenance records, producing the batch a
-//! single [`lids_rdf::QuadStore::retract`] withdraws.
+//! # Linking decides, emission writes
+//!
+//! [`LinkIndex::link_columns`] only decides: it returns the delta's
+//! similarity edges as `(column id, column id, predicate, score)` and
+//! builds no quad. [`LinkIndex::emit_columns`] writes them — with the new
+//! columns' metadata — through the one emitter body of
+//! [`crate::schema`] into a [`QuadSink`]: an
+//! [`crate::schema::EncodedBatch`] of id tuples on the platform's write
+//! path, a `Vec<Quad>` ([`LinkIndex::add_columns`]) for tests and replays.
+//!
+//! Retraction runs the other way, and in id space throughout:
+//! [`retraction_ids`] regenerates a removed dataset's metadata quads and
+//! resolves them to ids, collects its similarity edges and RDF-star
+//! annotations, its pipelines' named graphs and default-graph metadata,
+//! and its quarantine provenance records with id-level scans, producing
+//! the batch a single [`lids_rdf::QuadStore::retract_encoded`] withdraws.
+//! [`retraction_quads`] is that batch decoded.
 
 // This module sits on the always-on ingestion path: a panic here would
 // take down delta ingest for every live reader, so recoverable paths may
@@ -54,13 +65,13 @@ use std::collections::{HashMap, HashSet};
 
 use lids_embed::{FineGrainedType, LabelEmbeddingCache, LabelId, WordEmbeddings};
 use lids_profiler::ColumnProfile;
-use lids_rdf::{GraphName, Quad, QuadPattern, StoreSnapshot, Term};
+use lids_rdf::{EncodedPattern, EncodedQuad, Quad, StoreSnapshot, TermId};
 use lids_vector::{dot_lanes, HnswConfig, Metric, RowMatrix, SearchStats, ShardedHnsw};
 
-use crate::ontology::{data_prop, object_prop, res, Vocab};
+use crate::ontology::{object_prop, res};
 use crate::provenance::{artifact_iri, QUARANTINE_GRAPH};
 use crate::schema::{
-    components, euclidean, push_edge_with, push_profile_metadata, CellSet, LinkSeed, SchemaConfig,
+    components, emit_metadata, emit_quads, euclidean, CellSet, Edge, LinkSeed, QuadSink, SchemaConfig,
     GEOM_MARGIN, HNSW_SEED, RADIUS_MARGIN,
 };
 
@@ -194,37 +205,51 @@ impl LinkIndex {
     /// Link a batch of new column profiles against the lake: appends
     /// their metadata quads and every similarity edge involving a new
     /// column to `out`, and registers the columns for future deltas.
-    /// Columns are processed in order, so intra-batch pairs are covered
-    /// exactly once (each column is scored against all columns registered
-    /// before it).
+    /// [`LinkIndex::link_columns`] + [`LinkIndex::emit_columns`] with a
+    /// `Vec<Quad>` as the target.
     pub fn add_columns(
         &mut self,
         out: &mut Vec<Quad>,
         profiles: &[ColumnProfile],
         we: &WordEmbeddings,
     ) -> DeltaLinkStats {
+        let (mut stats, edges) = self.link_columns(profiles, we);
+        stats.metadata_triples = self.emit_columns(out, profiles, &edges);
+        stats
+    }
+
+    /// Emit what [`LinkIndex::link_columns`] decided over `profiles` (the
+    /// same slice): their metadata subgraph (idempotent against what
+    /// bootstrap already emitted; the store deduplicates), then `edges`.
+    /// Returns the number of metadata triples.
+    pub fn emit_columns<S: QuadSink>(
+        &self,
+        sink: &mut S,
+        profiles: &[ColumnProfile],
+        edges: &[Edge],
+    ) -> usize {
+        emit_quads(sink, profiles, edges, self.cols.len(), |c| &self.cols[c].iri)
+    }
+
+    /// The linking half of a delta: scores each new column against the
+    /// lake and registers it for future deltas — no quad is built. Returns
+    /// the work counters (all but `metadata_triples`, which emission
+    /// counts) and every similarity edge involving a new column, endpoints
+    /// as column ids, for [`LinkIndex::emit_columns`]. Columns are
+    /// processed in order, so intra-batch pairs are covered exactly once
+    /// (each column is scored against all columns registered before it).
+    pub fn link_columns(
+        &mut self,
+        profiles: &[ColumnProfile],
+        we: &WordEmbeddings,
+    ) -> (DeltaLinkStats, Vec<Edge>) {
         let mut stats = DeltaLinkStats { columns_added: profiles.len(), ..Default::default() };
-        let vocab = Vocab::new();
-        let label_pred = Term::iri(object_prop::iri(object_prop::HAS_LABEL_SIMILARITY));
-        let content_pred = Term::iri(object_prop::iri(object_prop::HAS_CONTENT_SIMILARITY));
-        let certainty = Term::iri(data_prop::iri(data_prop::WITH_CERTAINTY));
+        let mut edges: Vec<Edge> = Vec::new();
         let r_max =
             ((2.0 * (1.0 - self.config.theta as f64)).sqrt() + GEOM_MARGIN as f64) as f32;
-        let mut seen_datasets: HashSet<String> = HashSet::new();
-        let mut seen_tables: HashSet<(String, String)> = HashSet::new();
         let mut touched: HashSet<FineGrainedType> = HashSet::new();
 
         for p in profiles {
-            // Metadata (idempotent against what bootstrap already
-            // emitted; the store deduplicates).
-            push_profile_metadata(
-                out,
-                &mut stats.metadata_triples,
-                &vocab,
-                p,
-                &mut seen_datasets,
-                &mut seen_tables,
-            );
             let iri = res::column(&p.meta.dataset, &p.meta.table, &p.meta.column);
             let next_table = self.table_ids.len() as u32;
             let table = *self
@@ -246,7 +271,12 @@ impl LinkIndex {
                         let col = &self.cols[c as usize];
                         if self.alive[c as usize] && col.table != table {
                             stats.label_edges += 1;
-                            push_edge_with(out, &iri, &col.iri, &label_pred, &certainty, sim as f64);
+                            edges.push(Edge {
+                                a: cid,
+                                b: c,
+                                predicate: object_prop::HAS_LABEL_SIMILARITY,
+                                score: sim as f64,
+                            });
                         }
                     }
                 }
@@ -268,7 +298,12 @@ impl LinkIndex {
                         let sim = 1.0 - (ratio - other).abs();
                         if sim >= self.config.beta {
                             stats.content_edges += 1;
-                            push_edge_with(out, &iri, &col.iri, &content_pred, &certainty, sim);
+                            edges.push(Edge {
+                                a: cid,
+                                b: c as u32,
+                                predicate: object_prop::HAS_CONTENT_SIMILARITY,
+                                score: sim,
+                            });
                         }
                     }
                 }
@@ -323,14 +358,12 @@ impl LinkIndex {
                     let score = dot_lanes(q, bucket.matrix.row(j)).clamp(-1.0, 1.0);
                     if score >= self.config.theta {
                         stats.content_edges += 1;
-                        push_edge_with(
-                            out,
-                            &iri,
-                            &self.cols[cj].iri,
-                            &content_pred,
-                            &certainty,
-                            score as f64,
-                        );
+                        edges.push(Edge {
+                            a: cid,
+                            b: cj as u32,
+                            predicate: object_prop::HAS_CONTENT_SIMILARITY,
+                            score: score as f64,
+                        });
                     }
                 }
             }
@@ -356,7 +389,7 @@ impl LinkIndex {
         for fgt in touched {
             self.maybe_rebuild(fgt, &mut stats);
         }
-        stats
+        (stats, edges)
     }
 
     /// Tombstone every column of `dataset`: drops it from the label
@@ -482,94 +515,102 @@ impl LinkIndex {
     }
 }
 
-/// Collect every quad a dataset's removal must withdraw:
+/// Collect every quad a dataset's removal must withdraw, as id tuples of
+/// `snap` — the batch one [`lids_rdf::QuadStore::retract_encoded`] drops:
 ///
 /// - its metadata subgraph, regenerated from the retained `profiles` via
 ///   the same emitter bootstrap used (dataset/table/column hierarchy and
-///   statistics);
+///   statistics) and resolved against the dictionary — a regenerated quad
+///   naming a term the store never saw cannot be present and is left out;
 /// - every similarity edge incident to one of its columns, in both
-///   directions, plus the matching RDF-star score annotations;
+///   directions, plus the matching RDF-star score annotations, whose
+///   quoted subject costs one dictionary probe by the edge's own ids;
 /// - each of its pipelines (found via `aboutDataset`): the default-graph
 ///   metadata quads and the pipeline's entire named graph (statements and
-///   verified `readsTable`/`readsColumn` edges);
+///   verified `readsTable`/`readsColumn` edges), scanned by graph id;
 /// - its quarantine provenance records (artifact ids prefixed
 ///   `<dataset>/` inside [`QUARANTINE_GRAPH`]).
 ///
-/// The result may contain duplicates (an edge between two removed
-/// columns is collected from both endpoints); batch retraction
-/// deduplicates.
-pub fn retraction_quads(
+/// No term is decoded or re-hashed on the way, bar the quarantine
+/// subjects' prefix test. The result may contain duplicates (an edge
+/// between two removed columns is collected from both endpoints); batch
+/// retraction deduplicates.
+pub fn retraction_ids(
     snap: &StoreSnapshot,
     dataset: &str,
     profiles: &[ColumnProfile],
-) -> Vec<Quad> {
-    let mut out: Vec<Quad> = Vec::new();
-    let vocab = Vocab::new();
+) -> Vec<EncodedQuad> {
+    let dict = snap.dictionary();
 
     // metadata subgraph, regenerated with fresh dedup state
-    let mut triples = 0usize;
-    let mut seen_datasets: HashSet<String> = HashSet::new();
-    let mut seen_tables: HashSet<(String, String)> = HashSet::new();
-    for p in profiles {
-        push_profile_metadata(&mut out, &mut triples, &vocab, p, &mut seen_datasets, &mut seen_tables);
-    }
+    let mut metadata: Vec<Quad> = Vec::new();
+    emit_metadata(&mut metadata, profiles);
+    let mut out: Vec<EncodedQuad> =
+        metadata.iter().filter_map(|quad| snap.encode_quad(quad)).collect();
 
     // similarity edges touching this dataset's columns, plus their
     // RDF-star annotations
-    let preds = [
-        Term::iri(object_prop::iri(object_prop::HAS_CONTENT_SIMILARITY)),
-        Term::iri(object_prop::iri(object_prop::HAS_LABEL_SIMILARITY)),
-    ];
-    for p in profiles {
-        let c = Term::iri(res::column(&p.meta.dataset, &p.meta.table, &p.meta.column));
-        for pred in &preds {
-            let outgoing: Vec<Quad> = snap
-                .match_pattern(
-                    &QuadPattern::any().with_subject(c.clone()).with_predicate(pred.clone()),
-                )
-                .collect();
-            let incoming: Vec<Quad> = snap
-                .match_pattern(
-                    &QuadPattern::any().with_predicate(pred.clone()).with_object(c.clone()),
-                )
-                .collect();
-            for quad in outgoing.into_iter().chain(incoming) {
-                let star = Term::quoted(
-                    quad.subject.clone(),
-                    quad.predicate.clone(),
-                    quad.object.clone(),
-                );
-                out.extend(snap.match_pattern(&QuadPattern::any().with_subject(star)));
+    let preds = [object_prop::HAS_CONTENT_SIMILARITY, object_prop::HAS_LABEL_SIMILARITY]
+        .map(|name| dict.id_of_iri(&object_prop::iri(name)));
+    for profile in profiles {
+        let meta = &profile.meta;
+        let column = res::column(&meta.dataset, &meta.table, &meta.column);
+        let Some(c) = dict.id_of_iri(&column) else { continue };
+        for pred in preds.into_iter().flatten() {
+            let outgoing =
+                EncodedPattern { subject: Some(c), predicate: Some(pred), ..Default::default() };
+            let incoming =
+                EncodedPattern { predicate: Some(pred), object: Some(c), ..Default::default() };
+            for quad in snap.match_ids(&outgoing).chain(snap.match_ids(&incoming)) {
+                let [s, p, o, _] = quad.map(TermId);
+                if let Some(star) = dict.id_of_quoted(s, p, o) {
+                    let annotations = EncodedPattern { subject: Some(star), ..Default::default() };
+                    out.extend(snap.match_ids(&annotations));
+                }
                 out.push(quad);
             }
         }
     }
 
     // pipelines about this dataset: default-graph metadata + named graph
-    let about = Term::iri(object_prop::iri(object_prop::ABOUT_DATASET));
-    let ds = Term::iri(res::dataset(dataset));
-    let pipelines: Vec<Term> = snap
-        .match_pattern(&QuadPattern::any().with_predicate(about).with_object(ds))
-        .map(|q| q.subject)
-        .collect();
-    for pipe in pipelines {
-        out.extend(snap.match_pattern(
-            &QuadPattern::any().with_subject(pipe.clone()).with_graph(GraphName::Default),
-        ));
-        if let Some(iri) = pipe.as_iri() {
-            out.extend(
-                snap.match_pattern(&QuadPattern::any().with_graph(GraphName::named(iri))),
-            );
+    // (whose id in the graph slot is the pipeline IRI's own)
+    let about = dict.id_of_iri(&object_prop::iri(object_prop::ABOUT_DATASET));
+    let ds = dict.id_of_iri(&res::dataset(dataset));
+    if let (Some(about), Some(ds)) = (about, ds) {
+        let default_graph = snap.default_graph_id();
+        let of_dataset =
+            EncodedPattern { predicate: Some(about), object: Some(ds), ..Default::default() };
+        for [pipe, ..] in snap.match_ids(&of_dataset) {
+            let pipe = TermId(pipe);
+            if default_graph.is_some() {
+                let metadata =
+                    EncodedPattern { subject: Some(pipe), graph: default_graph, ..Default::default() };
+                out.extend(snap.match_ids(&metadata));
+            }
+            if snap.term(pipe).as_iri().is_some() {
+                let graph = EncodedPattern { graph: Some(pipe), ..Default::default() };
+                out.extend(snap.match_ids(&graph));
+            }
         }
     }
 
     // quarantine provenance whose artifact id starts with "<dataset>/"
-    let prefix = format!("{}/", artifact_iri(dataset));
-    out.extend(
-        snap.match_pattern(
-            &QuadPattern::any().with_graph(GraphName::named(QUARANTINE_GRAPH)),
-        )
-        .filter(|q| q.subject.as_iri().is_some_and(|iri| iri.starts_with(&prefix))),
-    );
+    if let Some(quarantine) = dict.id_of_iri(QUARANTINE_GRAPH) {
+        let prefix = format!("{}/", artifact_iri(dataset));
+        let records = EncodedPattern { graph: Some(quarantine), ..Default::default() };
+        out.extend(snap.match_ids(&records).filter(|&[s, ..]| {
+            snap.term(TermId(s)).as_iri().is_some_and(|iri| iri.starts_with(&prefix))
+        }));
+    }
     out
+}
+
+/// [`retraction_ids`], decoded: the removal batch as [`Quad`]s, for
+/// callers without a store to retract from in id space.
+pub fn retraction_quads(
+    snap: &StoreSnapshot,
+    dataset: &str,
+    profiles: &[ColumnProfile],
+) -> Vec<Quad> {
+    retraction_ids(snap, dataset, profiles).into_iter().map(|quad| snap.decode_quad(quad)).collect()
 }

@@ -21,13 +21,13 @@ pub use abstraction::{
     abstract_pipeline, emit_pipeline_quads, AbstractionStats, Aspect, PipelineMetadata,
 };
 pub use docs::{DocEntry, LibraryDocs};
-pub use incremental::{retraction_quads, DeltaLinkStats, LinkIndex};
+pub use incremental::{retraction_ids, retraction_quads, DeltaLinkStats, LinkIndex};
 pub use library_graph::{build_library_graph, library_graph_quads};
 pub use linker::link_pipelines;
 pub use ontology::Vocab;
 pub use provenance::{emit_quarantine, push_quarantine, QuarantineRecord};
 pub use schema::{
     build_data_global_schema, data_global_schema_quads, data_global_schema_quads_seeded,
-    insert_similarity_edge, BucketStats, LinkSeed, LinkingConfig, LinkingMode, SchemaConfig,
-    SchemaStats,
+    emit_schema, insert_similarity_edge, link_schema, BucketStats, Edge, EncodedBatch, LinkSeed,
+    LinkingConfig, LinkingMode, QuadSink, SchemaConfig, SchemaStats,
 };

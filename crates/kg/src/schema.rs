@@ -35,13 +35,33 @@
 //! Label edges keep the exhaustive pass but computed over label
 //! *equivalence classes*: one cached similarity per distinct label pair,
 //! fanned out to the matching column pairs.
+//!
+//! # Linking decides, emission writes
+//!
+//! The stages above end in a list of [`Edge`]s — two column positions, a
+//! predicate, a score ([`link_schema`]) — and build no quad. Writing is a
+//! second step with one body, [`emit_schema`] (metadata subgraph, then four
+//! quads per edge), generic over a [`QuadSink`]:
+//!
+//! - [`EncodedBatch`] is how the platform writes. Similarity edges are
+//!   ≈ 98 % of a lake's quads and name the same few thousand column IRIs
+//!   over and over, so each column IRI, the two predicates and
+//!   `withCertainty` are interned once, each edge interns its score literal
+//!   and its two quoted triples (built from the ids in hand), and the quads
+//!   are `[u32; 4]` tuples loaded with `QuadStore::extend_encoded`. No
+//!   [`Quad`] exists at any point.
+//! - `Vec<Quad>` is the reference: [`data_global_schema_quads_seeded`] and
+//!   [`build_data_global_schema`] emit decoded quads for
+//!   `QuadStore::extend`, which is what tests, the benches' per-layer
+//!   replays and anything that wants N-Quads use. Both targets load the
+//!   same decoded store (`tests/encoded_emitter.rs`); `TermId`s may differ.
 
 use std::time::Instant;
 
 use lids_embed::{FineGrainedType, LabelEmbeddingCache, WordEmbeddings};
 use lids_exec::parallel_blocks;
 use lids_profiler::ColumnProfile;
-use lids_rdf::{Quad, QuadStore, Term};
+use lids_rdf::{EncodedQuad, Quad, QuadStore, Term, TermId};
 use lids_vector::{
     dot_lanes, scan_pairs_above, HnswConfig, Metric, RowMatrix, SearchStats, ShardedHnsw,
 };
@@ -185,12 +205,133 @@ pub struct BucketStats {
     pub hnsw: SearchStats,
 }
 
-/// One similarity edge produced by a comparison worker.
-struct Edge {
-    a: String,
-    b: String,
-    predicate: &'static str,
-    score: f64,
+/// One similarity edge the linking stages decided on. The endpoints are
+/// positions: profile indexes out of the batch pass, column ids out of
+/// [`crate::incremental::LinkIndex`].
+#[derive(Debug, Clone, Copy)]
+pub struct Edge {
+    pub(crate) a: u32,
+    pub(crate) b: u32,
+    /// Short object-property name: [`object_prop::HAS_LABEL_SIMILARITY`] or
+    /// [`object_prop::HAS_CONTENT_SIMILARITY`].
+    pub(crate) predicate: &'static str,
+    pub(crate) score: f64,
+}
+
+/// Where the schema emitter puts its quads. There is one emitter body
+/// ([`emit_schema`] and its incremental twin) and two targets: a
+/// `Vec<Quad>` of decoded quads — the reference that tests, the N-Quads
+/// route and per-layer replays load with [`QuadStore::extend`] — and an
+/// [`EncodedBatch`] of id tuples over one store's dictionary, which is how
+/// the platform writes.
+pub trait QuadSink {
+    /// An IRI node as this sink names it, obtained once and reused in every
+    /// edge the node takes part in.
+    type Node: Clone;
+
+    /// The handle of the node with this IRI.
+    fn node(&mut self, iri: &str) -> Self::Node;
+
+    /// One default-graph triple of the metadata subgraph.
+    fn triple(&mut self, subject: Term, predicate: Term, object: Term);
+
+    /// One similarity edge, as four default-graph quads: `a pred b` and
+    /// `b pred a` (symmetric, for cheap BGP queries), each annotated
+    /// RDF-star style with `<< … >> certainty score`.
+    fn edge(
+        &mut self,
+        a: &Self::Node,
+        pred: &Self::Node,
+        b: &Self::Node,
+        certainty: &Self::Node,
+        score: f64,
+    );
+}
+
+impl QuadSink for Vec<Quad> {
+    type Node = Term;
+
+    fn node(&mut self, iri: &str) -> Term {
+        Term::iri(iri)
+    }
+
+    fn triple(&mut self, subject: Term, predicate: Term, object: Term) {
+        self.push(Quad::new(subject, predicate, object));
+    }
+
+    /// The reverse direction reuses the forward quads' terms via an
+    /// in-place swap instead of fresh string allocations.
+    fn edge(&mut self, a: &Term, pred: &Term, b: &Term, certainty: &Term, score: f64) {
+        let mut plain = Quad::new(a.clone(), pred.clone(), b.clone());
+        let mut star = Quad::new(
+            Term::quoted(a.clone(), pred.clone(), b.clone()),
+            certainty.clone(),
+            Term::double(score),
+        );
+        self.push(plain.clone());
+        self.push(star.clone());
+        std::mem::swap(&mut plain.subject, &mut plain.object);
+        if let Term::Quoted(t) = &mut star.subject {
+            std::mem::swap(&mut t.subject, &mut t.object);
+        }
+        self.push(plain);
+        self.push(star);
+    }
+}
+
+/// The id-space target: terms are interned into `store`'s dictionary where
+/// the emitter first names them and quads accumulate as id tuples, to be
+/// loaded with one [`QuadStore::extend_encoded`]. Per edge that is one
+/// score literal and two quoted triples built from ids in hand — no term is
+/// hashed once per quad it occurs in, and no [`Quad`] is ever built.
+///
+/// Nothing touches the store before the first node, triple or edge, so an
+/// emitter with nothing to say costs a reader-pinned store no copy.
+pub struct EncodedBatch<'a> {
+    store: &'a mut QuadStore,
+    graph: Option<TermId>,
+    quads: Vec<EncodedQuad>,
+}
+
+impl<'a> EncodedBatch<'a> {
+    pub fn new(store: &'a mut QuadStore) -> Self {
+        EncodedBatch { store, graph: None, quads: Vec::new() }
+    }
+
+    /// The accumulated id tuples, for [`QuadStore::extend_encoded`] on the
+    /// store this batch was opened on.
+    pub fn into_quads(self) -> Vec<EncodedQuad> {
+        self.quads
+    }
+
+    fn push(&mut self, [s, p, o]: [TermId; 3]) {
+        let store = &mut *self.store;
+        let g = *self.graph.get_or_insert_with(|| store.intern_default_graph());
+        self.quads.push([s.0, p.0, o.0, g.0]);
+    }
+}
+
+impl QuadSink for EncodedBatch<'_> {
+    type Node = TermId;
+
+    fn node(&mut self, iri: &str) -> TermId {
+        self.store.intern(Term::iri(iri))
+    }
+
+    fn triple(&mut self, subject: Term, predicate: Term, object: Term) {
+        let spo = [subject, predicate, object].map(|term| self.store.intern(term));
+        self.push(spo);
+    }
+
+    fn edge(&mut self, &a: &TermId, &pred: &TermId, &b: &TermId, &certainty: &TermId, score: f64) {
+        let score = self.store.intern(Term::double(score));
+        let forward = self.store.intern_quoted(a, pred, b);
+        let backward = self.store.intern_quoted(b, pred, a);
+        self.push([a, pred, b]);
+        self.push([forward, certainty, score]);
+        self.push([b, pred, a]);
+        self.push([backward, certainty, score]);
+    }
 }
 
 /// Build the data global schema into the store's default graph.
@@ -209,75 +350,115 @@ pub fn build_data_global_schema(
     stats
 }
 
-/// Append the metadata quads of one column profile (Algorithm 3 lines
+/// Emit the metadata triples of one column profile (Algorithm 3 lines
 /// 2–5): the dataset/table hierarchy nodes on first sight, then the
 /// column node with its type and statistics. Shared by the batch schema
 /// pass, the incremental delta path, and retraction-set regeneration, so
-/// the three always agree on the exact quad shapes.
-pub(crate) fn push_profile_metadata(
-    out: &mut Vec<Quad>,
-    triples: &mut usize,
+/// the three always agree on the exact quad shapes. Returns how many
+/// triples it emitted.
+fn emit_profile_metadata<S: QuadSink>(
+    sink: &mut S,
     vocab: &Vocab,
     p: &ColumnProfile,
     seen_datasets: &mut std::collections::HashSet<String>,
     seen_tables: &mut std::collections::HashSet<(String, String)>,
-) {
-    let mut emit = |out: &mut Vec<Quad>, s: Term, pr: Term, o: Term| {
-        out.push(Quad::new(s, pr, o));
-        *triples += 1;
+) -> usize {
+    let mut triples = 0usize;
+    let mut emit = |s: Term, pr: Term, o: Term| {
+        sink.triple(s, pr, o);
+        triples += 1;
     };
     let is_part_of = vocab.obj(object_prop::IS_PART_OF);
     let has_table = vocab.obj(object_prop::HAS_TABLE);
     let has_column = vocab.obj(object_prop::HAS_COLUMN);
     let d_iri = res::dataset(&p.meta.dataset);
     if seen_datasets.insert(p.meta.dataset.clone()) {
-        emit(out, Term::iri(d_iri.clone()), vocab.rdf_type.clone(), vocab.class(class::DATASET));
-        emit(out, Term::iri(d_iri.clone()), vocab.rdfs_label.clone(), Term::string(p.meta.dataset.clone()));
+        emit(Term::iri(d_iri.clone()), vocab.rdf_type.clone(), vocab.class(class::DATASET));
+        emit(Term::iri(d_iri.clone()), vocab.rdfs_label.clone(), Term::string(p.meta.dataset.clone()));
     }
     let t_iri = res::table(&p.meta.dataset, &p.meta.table);
     if seen_tables.insert((p.meta.dataset.clone(), p.meta.table.clone())) {
-        emit(out, Term::iri(t_iri.clone()), vocab.rdf_type.clone(), vocab.class(class::TABLE));
-        emit(out, Term::iri(t_iri.clone()), vocab.rdfs_label.clone(), Term::string(p.meta.table.clone()));
-        emit(out, Term::iri(t_iri.clone()), is_part_of.clone(), Term::iri(d_iri.clone()));
-        emit(out, Term::iri(d_iri.clone()), has_table.clone(), Term::iri(t_iri.clone()));
+        emit(Term::iri(t_iri.clone()), vocab.rdf_type.clone(), vocab.class(class::TABLE));
+        emit(Term::iri(t_iri.clone()), vocab.rdfs_label.clone(), Term::string(p.meta.table.clone()));
+        emit(Term::iri(t_iri.clone()), is_part_of.clone(), Term::iri(d_iri.clone()));
+        emit(Term::iri(d_iri.clone()), has_table.clone(), Term::iri(t_iri.clone()));
     }
     let c_iri = res::column(&p.meta.dataset, &p.meta.table, &p.meta.column);
     let c = Term::iri(c_iri);
-    emit(out, c.clone(), vocab.rdf_type.clone(), vocab.class(class::COLUMN));
-    emit(out, c.clone(), vocab.rdfs_label.clone(), Term::string(p.meta.column.clone()));
-    emit(out, c.clone(), is_part_of.clone(), Term::iri(t_iri.clone()));
-    emit(out, Term::iri(t_iri), has_column.clone(), c.clone());
-    emit(out, c.clone(), vocab.data(data_prop::HAS_DATA_TYPE), Term::string(p.fgt.label()));
+    emit(c.clone(), vocab.rdf_type.clone(), vocab.class(class::COLUMN));
+    emit(c.clone(), vocab.rdfs_label.clone(), Term::string(p.meta.column.clone()));
+    emit(c.clone(), is_part_of.clone(), Term::iri(t_iri.clone()));
+    emit(Term::iri(t_iri), has_column.clone(), c.clone());
+    emit(c.clone(), vocab.data(data_prop::HAS_DATA_TYPE), Term::string(p.fgt.label()));
+    emit(c.clone(), vocab.data(data_prop::HAS_TOTAL_VALUE_COUNT), Term::integer(p.stats.count as i64));
+    emit(c.clone(), vocab.data(data_prop::HAS_MISSING_VALUE_COUNT), Term::integer(p.stats.nulls as i64));
     emit(
-        out,
-        c.clone(),
-        vocab.data(data_prop::HAS_TOTAL_VALUE_COUNT),
-        Term::integer(p.stats.count as i64),
-    );
-    emit(
-        out,
-        c.clone(),
-        vocab.data(data_prop::HAS_MISSING_VALUE_COUNT),
-        Term::integer(p.stats.nulls as i64),
-    );
-    emit(
-        out,
         c.clone(),
         vocab.data(data_prop::HAS_DISTINCT_VALUE_COUNT),
         Term::integer(p.stats.distinct as i64),
     );
     if let Some(v) = p.stats.mean {
-        emit(out, c.clone(), vocab.data(data_prop::HAS_MEAN_VALUE), Term::double(v));
+        emit(c.clone(), vocab.data(data_prop::HAS_MEAN_VALUE), Term::double(v));
     }
     if let Some(v) = p.stats.min {
-        emit(out, c.clone(), vocab.data(data_prop::HAS_MIN_VALUE), Term::double(v));
+        emit(c.clone(), vocab.data(data_prop::HAS_MIN_VALUE), Term::double(v));
     }
     if let Some(v) = p.stats.max {
-        emit(out, c.clone(), vocab.data(data_prop::HAS_MAX_VALUE), Term::double(v));
+        emit(c.clone(), vocab.data(data_prop::HAS_MAX_VALUE), Term::double(v));
     }
     if let Some(v) = p.stats.true_ratio {
-        emit(out, c, vocab.data(data_prop::HAS_TRUE_RATIO), Term::double(v));
+        emit(c, vocab.data(data_prop::HAS_TRUE_RATIO), Term::double(v));
     }
+    triples
+}
+
+/// The metadata subgraph of `profiles`, in order, with fresh dedup state
+/// (every dataset and table node comes out on first sight). Returns how
+/// many triples it emitted.
+pub(crate) fn emit_metadata<S: QuadSink>(sink: &mut S, profiles: &[ColumnProfile]) -> usize {
+    let vocab = Vocab::new();
+    let mut seen_datasets: std::collections::HashSet<String> = Default::default();
+    let mut seen_tables: std::collections::HashSet<(String, String)> = Default::default();
+    profiles
+        .iter()
+        .map(|p| emit_profile_metadata(sink, &vocab, p, &mut seen_datasets, &mut seen_tables))
+        .sum()
+}
+
+/// The one emitter body: the metadata subgraph of `profiles`, then `edges`,
+/// whose endpoint positions `iri_of` resolves to column IRIs. Each position
+/// among `0..positions` that an edge touches becomes a sink node once.
+/// Returns how many metadata triples it emitted.
+pub(crate) fn emit_quads<'a, S: QuadSink>(
+    sink: &mut S,
+    profiles: &[ColumnProfile],
+    edges: &[Edge],
+    positions: usize,
+    iri_of: impl Fn(usize) -> &'a str,
+) -> usize {
+    let triples = emit_metadata(sink, profiles);
+    if edges.is_empty() {
+        return triples;
+    }
+    // Predicate and annotation nodes are shared by every edge.
+    let label = sink.node(&object_prop::iri(object_prop::HAS_LABEL_SIMILARITY));
+    let content = sink.node(&object_prop::iri(object_prop::HAS_CONTENT_SIMILARITY));
+    let certainty = sink.node(&data_prop::iri(data_prop::WITH_CERTAINTY));
+    let mut nodes: Vec<Option<S::Node>> = vec![None; positions];
+    for edge in edges {
+        for i in [edge.a as usize, edge.b as usize] {
+            if nodes[i].is_none() {
+                nodes[i] = Some(sink.node(iri_of(i)));
+            }
+        }
+        let (Some(a), Some(b)) = (&nodes[edge.a as usize], &nodes[edge.b as usize]) else {
+            unreachable!("both endpoints were resolved just above")
+        };
+        let pred =
+            if edge.predicate == object_prop::HAS_LABEL_SIMILARITY { &label } else { &content };
+        sink.edge(a, pred, b, &certainty, edge.score);
+    }
+    triples
 }
 
 /// Append the data global schema quads (default graph) to a batch.
@@ -302,31 +483,37 @@ pub fn data_global_schema_quads_seeded(
     config: &SchemaConfig,
     we: &WordEmbeddings,
 ) -> (SchemaStats, LinkSeed) {
-    let mut stats = SchemaStats { columns: profiles.len(), ..Default::default() };
-    let vocab = Vocab::new();
+    let (mut stats, seed, edges) = link_schema(profiles, config, we);
+    stats.metadata_triples = emit_schema(out, profiles, &edges);
+    (stats, seed)
+}
 
-    // ---- metadata subgraph (Algorithm 3 lines 2–5) ----
-    let mut seen_tables: std::collections::HashSet<(String, String)> = Default::default();
-    let mut seen_datasets: std::collections::HashSet<String> = Default::default();
-    for p in profiles {
-        push_profile_metadata(
-            out,
-            &mut stats.metadata_triples,
-            &vocab,
-            p,
-            &mut seen_datasets,
-            &mut seen_tables,
-        );
-    }
-
-    // ---- pairwise similarity (Algorithm 3 lines 6–19) ----
-
-    // Stage 1: embedding preparation. Column IRIs, dense table ids, and
-    // one cached label embedding per *distinct* label.
+/// Emit what [`link_schema`] decided over `profiles` (the same slice):
+/// their metadata subgraph, then `edges`. Returns the number of metadata
+/// triples, the pass's [`SchemaStats::metadata_triples`].
+pub fn emit_schema<S: QuadSink>(sink: &mut S, profiles: &[ColumnProfile], edges: &[Edge]) -> usize {
     let col_iris: Vec<String> = profiles
         .iter()
         .map(|p| res::column(&p.meta.dataset, &p.meta.table, &p.meta.column))
         .collect();
+    emit_quads(sink, profiles, edges, col_iris.len(), |i| &col_iris[i])
+}
+
+/// The linking half of the batch pass (Algorithm 3 lines 6–19): which
+/// column pairs are similar, with what score — no quad is built. Returns
+/// the statistics (all but `metadata_triples`, which emission counts), the
+/// [`LinkSeed`], and the edges for [`emit_schema`].
+pub fn link_schema(
+    profiles: &[ColumnProfile],
+    config: &SchemaConfig,
+    we: &WordEmbeddings,
+) -> (SchemaStats, LinkSeed, Vec<Edge>) {
+    let mut stats = SchemaStats { columns: profiles.len(), ..Default::default() };
+
+    // ---- pairwise similarity (Algorithm 3 lines 6–19) ----
+
+    // Stage 1: embedding preparation. Dense table ids, and one cached
+    // label embedding per *distinct* label.
     let mut table_ids: std::collections::HashMap<(&str, &str), u32> = Default::default();
     let table_of: Vec<u32> = profiles
         .iter()
@@ -401,13 +588,14 @@ pub fn data_global_schema_quads_seeded(
         });
         for (i, j, sim) in found.into_iter().flatten() {
             edges.push(Edge {
-                a: col_iris[i].clone(),
-                b: col_iris[j].clone(),
+                a: i as u32,
+                b: j as u32,
                 predicate: object_prop::HAS_LABEL_SIMILARITY,
                 score: sim as f64,
             });
         }
     }
+    stats.label_edges = edges.len();
     stats.label_secs = label_start.elapsed().as_secs_f64();
 
     // Content pass: candidate generation + exact re-check (lines 13–18).
@@ -419,9 +607,9 @@ pub fn data_global_schema_quads_seeded(
     bucket_order.sort_by_key(|(fgt, _)| fgt.label());
     for (fgt, members) in bucket_order {
         if *fgt == FineGrainedType::Boolean {
-            boolean_content(profiles, members, &col_iris, &table_of, config, &mut edges, &mut stats, fgt.label());
+            boolean_content(profiles, members, &table_of, config, &mut edges, &mut stats, fgt.label());
         } else {
-            embeddable_content(profiles, members, &col_iris, &table_of, config, &mut edges, &mut stats, *fgt, &mut captures);
+            embeddable_content(profiles, members, &table_of, config, &mut edges, &mut stats, *fgt, &mut captures);
         }
     }
     for b in &stats.buckets {
@@ -429,20 +617,7 @@ pub fn data_global_schema_quads_seeded(
     }
     stats.content_secs = content_start.elapsed().as_secs_f64();
 
-    // Predicate and annotation terms are shared by every edge — build them
-    // once instead of re-formatting the IRIs per insertion.
-    let label_pred = Term::iri(object_prop::iri(object_prop::HAS_LABEL_SIMILARITY));
-    let content_pred = Term::iri(object_prop::iri(object_prop::HAS_CONTENT_SIMILARITY));
-    let certainty = Term::iri(data_prop::iri(data_prop::WITH_CERTAINTY));
-    for edge in edges {
-        if edge.predicate == object_prop::HAS_LABEL_SIMILARITY {
-            stats.label_edges += 1;
-            push_edge_with(out, &edge.a, &edge.b, &label_pred, &certainty, edge.score);
-        } else {
-            stats.content_edges += 1;
-            push_edge_with(out, &edge.a, &edge.b, &content_pred, &certainty, edge.score);
-        }
-    }
+    stats.content_edges = edges.len() - stats.label_edges;
     let seed = LinkSeed {
         cache,
         table_ids: table_ids
@@ -453,7 +628,7 @@ pub fn data_global_schema_quads_seeded(
         label_of,
         buckets: captures,
     };
-    (stats, seed)
+    (stats, seed, edges)
 }
 
 /// The stage-1/2 structures one batch schema pass built, handed over via
@@ -517,40 +692,13 @@ pub fn insert_similarity_edge(
     predicate: &str,
     score: f64,
 ) {
-    let pred = Term::iri(object_prop::iri(predicate));
-    let certainty = Term::iri(data_prop::iri(data_prop::WITH_CERTAINTY));
-    let mut batch = Vec::with_capacity(4);
-    push_edge_with(&mut batch, a_iri, b_iri, &pred, &certainty, score);
-    store.extend(batch);
-}
-
-/// [`insert_similarity_edge`] with the shared terms pre-built: the subject
-/// and object terms are constructed once and the reverse direction reuses
-/// them via an in-place swap instead of fresh string allocations.
-pub(crate) fn push_edge_with(
-    out: &mut Vec<Quad>,
-    a_iri: &str,
-    b_iri: &str,
-    pred: &Term,
-    certainty: &Term,
-    score: f64,
-) {
-    let a = Term::iri(a_iri.to_string());
-    let b = Term::iri(b_iri.to_string());
-    let mut plain = Quad::new(a.clone(), pred.clone(), b.clone());
-    let mut star = Quad::new(
-        Term::quoted(a, pred.clone(), b),
-        certainty.clone(),
-        Term::double(score),
-    );
-    out.push(plain.clone());
-    out.push(star.clone());
-    std::mem::swap(&mut plain.subject, &mut plain.object);
-    if let Term::Quoted(t) = &mut star.subject {
-        std::mem::swap(&mut t.subject, &mut t.object);
-    }
-    out.push(plain);
-    out.push(star);
+    let mut batch = EncodedBatch::new(store);
+    let [a, b] = [a_iri, b_iri].map(|iri| batch.node(iri));
+    let pred = batch.node(&object_prop::iri(predicate));
+    let certainty = batch.node(&data_prop::iri(data_prop::WITH_CERTAINTY));
+    batch.edge(&a, &pred, &b, &certainty, score);
+    let quads = batch.into_quads();
+    store.extend_encoded(quads);
 }
 
 /// Euclidean distance between two raw f32 vectors.
@@ -615,7 +763,6 @@ fn cross_table_pair_count(rows: &[usize], table_of: &[u32]) -> usize {
 fn boolean_content(
     profiles: &[ColumnProfile],
     members: &[usize],
-    col_iris: &[String],
     table_of: &[u32],
     config: &SchemaConfig,
     edges: &mut Vec<Edge>,
@@ -636,8 +783,8 @@ fn boolean_content(
 
     let push = |out: &mut Vec<Edge>, i: usize, j: usize, score: f64| {
         out.push(Edge {
-            a: col_iris[i].clone(),
-            b: col_iris[j].clone(),
+            a: i as u32,
+            b: j as u32,
             predicate: object_prop::HAS_CONTENT_SIMILARITY,
             score,
         });
@@ -729,7 +876,6 @@ fn boolean_content(
 fn embeddable_content(
     profiles: &[ColumnProfile],
     members: &[usize],
-    col_iris: &[String],
     table_of: &[u32],
     config: &SchemaConfig,
     edges: &mut Vec<Edge>,
@@ -918,8 +1064,8 @@ fn embeddable_content(
 
     for (i, j, score) in hits {
         edges.push(Edge {
-            a: col_iris[rows[i as usize]].clone(),
-            b: col_iris[rows[j as usize]].clone(),
+            a: rows[i as usize] as u32,
+            b: rows[j as usize] as u32,
             predicate: object_prop::HAS_CONTENT_SIMILARITY,
             score: score as f64,
         });

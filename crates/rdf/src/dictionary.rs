@@ -149,6 +149,12 @@ impl Dictionary {
             self.intern(&q.predicate);
             self.intern(&q.object);
         }
+        self.push_new(hash, term)
+    }
+
+    /// Append a term known to be absent, whose inner terms (if it is a
+    /// quoted triple) are known to be interned.
+    fn push_new(&mut self, hash: u64, term: Term) -> TermId {
         let Ok(raw) = u32::try_from(self.len()) else {
             // ids are dense u32s by design; 2^32 interned terms is beyond
             // any supported store size
@@ -248,6 +254,45 @@ impl Dictionary {
         self.find(h.finish(), |t| matches!(t, Term::Iri(s) if s == iri))
     }
 
+    /// Id of the quoted triple `<< s p o >>` over three interned terms, if
+    /// it is interned: one probe, hashed and compared against the stored
+    /// constituents, so nothing is allocated. Panics on a foreign id.
+    pub fn id_of_quoted(&self, s: TermId, p: TermId, o: TermId) -> Option<TermId> {
+        self.find_quoted(self.hash_quoted(s, p, o), s, p, o)
+    }
+
+    /// Intern the quoted triple `<< s p o >>` over three interned terms.
+    /// Same result as [`Dictionary::intern_owned`] on the built term, but
+    /// the term is built only when it is new, and its constituents — whose
+    /// ids the caller holds — are not probed again.
+    pub fn intern_quoted(&mut self, s: TermId, p: TermId, o: TermId) -> TermId {
+        let hash = self.hash_quoted(s, p, o);
+        if let Some(id) = self.find_quoted(hash, s, p, o) {
+            return id;
+        }
+        let term =
+            Term::quoted(self.term(s).clone(), self.term(p).clone(), self.term(o).clone());
+        self.push_new(hash, term)
+    }
+
+    /// `hash_of` of the quoted triple over three interned terms.
+    fn hash_quoted(&self, s: TermId, p: TermId, o: TermId) -> u64 {
+        let mut h = self.hasher.build_hasher();
+        h.write_u8(QUOTED_TAG);
+        for id in [s, p, o] {
+            write_term(&mut h, self.term(id));
+        }
+        h.finish()
+    }
+
+    fn find_quoted(&self, hash: u64, s: TermId, p: TermId, o: TermId) -> Option<TermId> {
+        self.find(hash, |t| {
+            matches!(t, Term::Quoted(q) if q.subject == *self.term(s)
+                && q.predicate == *self.term(p)
+                && q.object == *self.term(o))
+        })
+    }
+
     fn hash_term(&self, term: &Term) -> u64 {
         let mut h = self.hasher.build_hasher();
         write_term(&mut h, term);
@@ -307,6 +352,9 @@ impl Dictionary {
     }
 }
 
+/// Variant tag a quoted triple's hash starts with, before its three terms.
+const QUOTED_TAG: u8 = 3;
+
 /// Feed a term's content to a hasher with variant tags and terminators, so
 /// prefix-sharing values of different shapes cannot alias.
 fn write_term<H: Hasher>(h: &mut H, term: &Term) {
@@ -333,7 +381,7 @@ fn write_term<H: Hasher>(h: &mut H, term: &Term) {
             }
         }
         Term::Quoted(q) => {
-            h.write_u8(3);
+            h.write_u8(QUOTED_TAG);
             write_term(h, &q.subject);
             write_term(h, &q.predicate);
             write_term(h, &q.object);
@@ -418,6 +466,29 @@ mod tests {
         assert!(d.id_of(&Term::iri("p")).unwrap() < qid);
         assert!(d.id_of(&Term::iri("y")).unwrap() < qid);
         assert_eq!(d.id_of(&q), Some(qid));
+    }
+
+    #[test]
+    fn quoted_by_ids_is_quoted_by_term() {
+        let mut d = Dictionary::new();
+        let s = d.intern(&Term::iri("s"));
+        let p = d.intern(&Term::iri("p"));
+        let o = d.intern(&Term::double(0.5));
+        assert_eq!(d.id_of_quoted(s, p, o), None);
+        let q = d.intern_quoted(s, p, o);
+        let built = Term::quoted(Term::iri("s"), Term::iri("p"), Term::double(0.5));
+        assert_eq!(d.term(q), &built);
+        assert_eq!(d.id_of(&built), Some(q));
+        assert_eq!(d.intern_owned(built), q);
+        assert_eq!(d.id_of_quoted(s, p, o), Some(q));
+        assert_eq!(d.intern_quoted(s, p, o), q);
+        // the other orientation is another term
+        assert_eq!(d.id_of_quoted(o, p, s), None);
+        // and a triple interned by term resolves by ids
+        let other = d.intern_owned(Term::quoted(Term::iri("a"), Term::iri("p"), Term::iri("s")));
+        let a = d.id_of(&Term::iri("a")).unwrap();
+        assert_eq!(d.id_of_quoted(a, p, s), Some(other));
+        assert_eq!(d.len(), 6);
     }
 
     #[test]

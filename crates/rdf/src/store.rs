@@ -36,6 +36,20 @@
 //! trees plus whatever dictionary only it still held.
 //! [`QuadStore::cow_stats`] counts the copies and their seconds.
 //!
+//! # Writing in id space
+//!
+//! [`QuadStore::extend`] takes decoded [`Quad`]s and resolves every term
+//! occurrence itself (hash, sort, one probe per distinct term). An emitter
+//! that knows its terms — the similarity-edge emitter names a few thousand
+//! column IRIs hundreds of times each — skips that: it interns each term
+//! once through [`QuadStore::intern`] / [`QuadStore::intern_quoted`] /
+//! [`QuadStore::intern_default_graph`], assembles [`EncodedQuad`]s and
+//! loads them with [`QuadStore::extend_encoded`], which is phase 3 alone.
+//! Removal mirrors it: victims collected with [`StoreSnapshot::match_ids`]
+//! go to [`QuadStore::retract_encoded`] without a decode/encode round
+//! trip. `TermId`s then follow the emitter's interning order rather than
+//! first occurrence in a batch; nothing may depend on either.
+//!
 //! Writers serving live readers should still batch their mutations
 //! ([`QuadStore::extend`] / [`QuadStore::extend_encoded`], or several
 //! calls inside [`QuadStore::begin_delta`] / [`QuadStore::commit_delta`]):
@@ -722,23 +736,16 @@ impl StoreSnapshot {
 
         // Phase 3: sorted-run construction / merge of the four indexes.
         let t = Instant::now();
-        self.merge_encoded(&encoded, threads);
+        self.merge_encoded(encoded, threads);
         stats.index_secs = t.elapsed().as_secs_f64();
         stats.quads_added = self.spog.len() - quads_before;
         stats
     }
 
-    /// In-place encoded bulk insert on the private copy; see
-    /// [`QuadStore::extend_encoded`].
-    fn extend_encoded_batch(&mut self, encoded: &[EncodedQuad]) -> usize {
+    /// True when every id of every quad names a term of this dictionary.
+    fn ids_in_range(&self, encoded: &[EncodedQuad]) -> bool {
         let terms = self.dict.len() as u32;
-        assert!(
-            encoded.iter().all(|q| q.iter().all(|&id| id < terms)),
-            "extend_encoded: id outside this store's dictionary"
-        );
-        let before = self.spog.len();
-        self.merge_encoded(encoded, Self::ingest_threads(encoded.len()));
-        self.spog.len() - before
+        encoded.iter().all(|q| q.iter().all(|&id| id < terms))
     }
 
     /// Worker count for a batch of `n` quads: one thread per ~2k quads,
@@ -751,14 +758,13 @@ impl StoreSnapshot {
 
     /// Phase 3: permute the batch into the four index orders, sort and
     /// dedup each run in parallel, then bulk-build or merge per index.
-    fn merge_encoded(&mut self, encoded: &[EncodedQuad], threads: usize) {
+    fn merge_encoded(&mut self, mut spog_run: Vec<EncodedQuad>, threads: usize) {
         // bulk loads may intern terms even when every quad is a duplicate
         // of a pending batch member, so invalidate unconditionally
         self.generation += 1;
         // Sort + dedup the batch once in spog order; the other three
         // permutations sort the already-deduplicated run, not the raw
         // batch, so batch-internal duplicates are paid for only once.
-        let mut spog_run: Vec<[u32; 4]> = encoded.to_vec();
         spog_run.sort_unstable();
         spog_run.dedup();
         let perms: [fn(EncodedQuad) -> [u32; 4]; 3] = [
@@ -823,12 +829,23 @@ impl StoreSnapshot {
 
     /// `quad` as ids. `None` when it names a term the dictionary has never
     /// seen — such a quad cannot be in the store.
-    fn encode_quad(&self, quad: &Quad) -> Option<EncodedQuad> {
+    pub fn encode_quad(&self, quad: &Quad) -> Option<EncodedQuad> {
         let s = self.dict.id_of(&quad.subject)?;
         let p = self.dict.id_of(&quad.predicate)?;
         let o = self.dict.id_of(&quad.object)?;
         let g = self.graph_id(&quad.graph)?;
         Some([s.0, p.0, o.0, g.0])
+    }
+
+    /// The quad an id tuple of this store stands for. Panics on a foreign
+    /// id.
+    pub fn decode_quad(&self, [s, p, o, g]: EncodedQuad) -> Quad {
+        Quad {
+            subject: self.dict.term(TermId(s)).clone(),
+            predicate: self.dict.term(TermId(p)).clone(),
+            object: self.dict.term(TermId(o)).clone(),
+            graph: self.graph_of(TermId(g)),
+        }
     }
 
     /// In-place encoded batch retraction on the private copy; see
@@ -1124,12 +1141,7 @@ impl StoreSnapshot {
         &'a self,
         pattern: &QuadPattern,
     ) -> impl Iterator<Item = Quad> + 'a {
-        self.match_encoded(pattern).map(move |[s, p, o, g]| Quad {
-            subject: self.dict.term(TermId(s)).clone(),
-            predicate: self.dict.term(TermId(p)).clone(),
-            object: self.dict.term(TermId(o)).clone(),
-            graph: self.graph_of(TermId(g)),
-        })
+        self.match_encoded(pattern).map(move |quad| self.decode_quad(quad))
     }
 
     /// All quads in the store.
@@ -1312,20 +1324,56 @@ impl QuadStore {
         stats
     }
 
-    /// Bulk-insert already-encoded quads: the phase-3 fast path.
+    /// Bulk-insert already-encoded quads: the phase-3 fast path, and the
+    /// load every id-space emitter ends with (see [`QuadStore::intern`]).
     ///
     /// Every id must come from **this** store's dictionary and the graph
     /// slot must hold a graph IRI id — i.e. tuples shaped like the output
     /// of [`StoreSnapshot::match_ids`] on this same store. Returns how
-    /// many quads were new.
+    /// many quads were new; a batch whose quads are all present leaves the
+    /// store, its generation and its readers' snapshot exactly as they
+    /// were.
     pub fn extend_encoded(&mut self, quads: impl IntoIterator<Item = EncodedQuad>) -> usize {
         let encoded: Vec<EncodedQuad> = quads.into_iter().collect();
-        if encoded.is_empty() {
+        assert!(
+            self.snap.ids_in_range(&encoded),
+            "extend_encoded: id outside this store's dictionary"
+        );
+        if encoded.iter().all(|key| self.snap.spog.contains(key)) {
             return 0;
         }
-        let added = self.write().extend_encoded_batch(&encoded);
+        let threads = StoreSnapshot::ingest_threads(encoded.len());
+        let snap = self.write();
+        let before = snap.spog.len();
+        snap.merge_encoded(encoded, threads);
+        let added = snap.spog.len() - before;
         self.maybe_publish();
         added
+    }
+
+    /// Intern a term on the writer's private copy and return its id, for
+    /// callers that assemble [`EncodedQuad`]s themselves and load them
+    /// with [`QuadStore::extend_encoded`] — a term is then hashed once
+    /// where the caller first names it, not once per quad it occurs in.
+    ///
+    /// A write like any other: under a reader the first call copies the
+    /// snapshot. Interning alone adds no quad, so it neither bumps the
+    /// generation nor publishes; the terms reach readers with the next
+    /// publication.
+    pub fn intern(&mut self, term: Term) -> TermId {
+        self.write().dict.intern_owned(term)
+    }
+
+    /// [`QuadStore::intern`] for the quoted triple `<< s p o >>` over
+    /// three ids of this store: see [`Dictionary::intern_quoted`].
+    pub fn intern_quoted(&mut self, s: TermId, p: TermId, o: TermId) -> TermId {
+        self.write().dict.intern_quoted(s, p, o)
+    }
+
+    /// [`QuadStore::intern`] for the id that stands for the default graph
+    /// in an [`EncodedQuad`]'s graph slot.
+    pub fn intern_default_graph(&mut self) -> TermId {
+        self.intern(Term::iri(DEFAULT_GRAPH_IRI))
     }
 
     /// Remove a quad. Returns `true` when it was present.
@@ -1366,9 +1414,8 @@ impl QuadStore {
     /// store's dictionary. Returns how many quads were present and left.
     pub fn retract_encoded(&mut self, quads: impl IntoIterator<Item = EncodedQuad>) -> usize {
         let encoded: Vec<EncodedQuad> = quads.into_iter().collect();
-        let terms = self.snap.dict.len() as u32;
         assert!(
-            encoded.iter().all(|q| q.iter().all(|&id| id < terms)),
+            self.snap.ids_in_range(&encoded),
             "retract_encoded: id outside this store's dictionary"
         );
         self.retract_run(&encoded)
@@ -1844,6 +1891,40 @@ mod tests {
     }
 
     #[test]
+    fn interned_ids_load_what_decoded_quads_load() {
+        let edge = |a: &str, b: &str| Term::quoted(Term::iri(a), Term::iri("sim"), Term::iri(b));
+        let mut decoded = QuadStore::new();
+        decoded.extend([
+            q("a", "sim", "b"),
+            Quad::new(edge("a", "b"), Term::iri("score"), Term::double(0.5)),
+            q("b", "sim", "a"),
+            Quad::new(edge("b", "a"), Term::iri("score"), Term::double(0.5)),
+        ]);
+
+        // the same four quads, each term interned once
+        let mut ids = estimate_store();
+        let base = ids.len();
+        let generation = ids.generation();
+        let [a, b, sim, score] = ["a", "b", "sim", "score"].map(|t| ids.intern(Term::iri(t)));
+        let half = ids.intern(Term::double(0.5));
+        let g = ids.intern_default_graph();
+        assert_eq!(Some(g), ids.default_graph_id());
+        let (ab, ba) = (ids.intern_quoted(a, sim, b), ids.intern_quoted(b, sim, a));
+        assert_eq!(ids.intern_quoted(a, sim, b), ab);
+        // interning adds no quad and invalidates nothing
+        assert_eq!((ids.len(), ids.generation()), (base, generation));
+        let batch = [[a, sim, b, g], [ab, score, half, g], [b, sim, a, g], [ba, score, half, g]];
+        assert_eq!(ids.extend_encoded(batch.map(|quad| quad.map(|t| t.0))), 4);
+        assert!(ids.generation() > generation);
+        assert!(ids.validate_indexes());
+        for quad in decoded.iter() {
+            assert!(ids.contains(&quad), "{quad} not loaded");
+            assert_eq!(ids.encode_quad(&quad).map(|key| ids.decode_quad(key)), Some(quad));
+        }
+        assert_eq!(ids.len(), base + decoded.len());
+    }
+
+    #[test]
     #[should_panic(expected = "outside this store's dictionary")]
     fn extend_encoded_rejects_foreign_ids() {
         let mut store = estimate_store();
@@ -2269,6 +2350,9 @@ mod tests {
         assert_eq!(store.retract([q("a", "p", "d"), q("x", "y", "z")]).quads_removed, 0);
         assert_eq!(store.retract_encoded([[b, b, b, b]]), 0);
         assert_eq!(store.retract_encoded([]), 0);
+        let present: Vec<EncodedQuad> = store.match_ids(&EncodedPattern::any()).collect();
+        assert_eq!(store.extend_encoded(present.iter().chain(&present).copied()), 0);
+        assert_eq!(store.extend_encoded([]), 0);
         store.begin_delta();
         store.retract([q("c", "p", "b")]);
         store.commit_delta();

@@ -94,9 +94,11 @@ proptest! {
         let mut store = QuadStore::new();
         store.extend(quads);
         let before = store.len();
+        let generation = store.generation();
         let encoded: Vec<EncodedQuad> = store.match_ids(&EncodedPattern::any()).collect();
         prop_assert_eq!(store.extend_encoded(encoded), 0);
         prop_assert_eq!(store.len(), before);
+        prop_assert_eq!(store.generation(), generation);
         prop_assert!(store.validate_indexes());
     }
 }

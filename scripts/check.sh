@@ -317,16 +317,23 @@ rm -f "$serve_log"
 
 # The end-to-end benchmark is a workspace of its own, so nothing above
 # builds it: its unit tests (order statistics, deck determinism, catalogue
-# = BENCHMARK.json), then a short `churn` run on the smoke lake — a writer
-# applying deltas under a snapshot reader. The binary exits 1 on a torn
-# read, a wrong row count or a store fingerprint that does not return to
-# the bootstrap's; a hung reader or writer trips the timeout (the binary
-# is built first, so the timeout bounds the run and not the compile).
+# = BENCHMARK.json), then a short run of each workload on the smoke lake.
+# The build proves the benchmark — which this repository's changes leave
+# alone — still compiles against the kg/rdf signatures it replays.
+# `churn` is a writer applying deltas under a snapshot reader (every
+# publish copies on write); `ingest_serve` applies them with no reader
+# attached, the only run of the in-place write path against the store
+# fingerprint. The binary exits 1 on a torn read, a wrong row count or a
+# store fingerprint that does not return to the bootstrap's; a hung reader
+# or writer trips the timeout (the binary is built first, so the timeout
+# bounds the run and not the compile).
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
-timeout 120 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
-  --workload churn --smoke --seconds 6 >/dev/null
-echo "lids-e2e churn smoke ok"
+for workload in churn ingest_serve; do
+  timeout 120 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --smoke --seconds 6 >/dev/null
+  echo "lids-e2e $workload smoke ok"
+done
 
 # The ingestion-path and query-path crates deny unwrap/expect outside tests;
 # make sure the crate-root opt-ins are still in place so clippy keeps

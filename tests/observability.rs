@@ -187,6 +187,52 @@ fn ingest_span_times_the_load_it_reports() {
     assert!(pinned.len() < platform.store().len());
 }
 
+/// The `retract` twin: the span covers the removal it reports on — its
+/// wall time is at least the victim collection plus the index drop it
+/// carries, under a pinned reader too (the clone precedes the drop) — and
+/// what follows the stages of a delta, the embedding rebuild and the
+/// commit, has spans of its own.
+#[test]
+fn retract_span_times_the_removal_it_reports() {
+    let column = |name: &str| Column::new(name, (0..200).map(|i| (i * 7).to_string()).collect());
+    let dataset =
+        |name: &str| Dataset::new(name, vec![Table::new("t", vec![column("age"), column("size")])]);
+    let (mut platform, _) =
+        KgLidsBuilder::new().with_datasets([dataset("d"), dataset("e")]).bootstrap();
+    let reader = platform.reader();
+    let pinned = reader.snapshot();
+    let delta = platform.apply_delta(DeltaBatch::new().remove_dataset("e"));
+
+    let root = delta.trace.roots.last().expect("delta root span");
+    let retract = root.child("retract").expect("retract span");
+    let secs = |key: &str| match retract.attr(key) {
+        Some(AttrValue::F64(secs)) => *secs,
+        other => panic!("retract span carries {key} = {other:?}"),
+    };
+    let (collect, index) = (secs("collect_secs"), secs("index_secs"));
+    assert!(collect > 0.0 && index > 0.0, "collect {collect} s, index {index} s");
+    assert!(
+        retract.wall_secs >= collect + index,
+        "retract span lasted {} s, its phases {} s",
+        retract.wall_secs,
+        collect + index
+    );
+    assert!(delta.retraction_secs >= collect + index);
+    // similarity edges between d and e are collected from both endpoints'
+    // scans once each, so victims (duplicates included) >= quads dropped
+    let count = |key: &str| retract.counts.iter().find(|(k, _)| k == key).map(|(_, n)| *n);
+    assert_eq!(count("quads_retracted"), Some(delta.quads_retracted as u64));
+    assert!(count("victims") >= count("quads_retracted") && delta.quads_retracted > 0);
+    // the pinned snapshot forced exactly one clone, inside the index drop
+    assert_eq!(delta.cow_clones, 1);
+    assert!(delta.cow_secs > 0.0 && delta.cow_secs <= index);
+    assert_eq!(pinned.len(), platform.store().len() + delta.quads_retracted);
+
+    for stage in ["embed", "commit"] {
+        assert!(root.child(stage).is_some_and(|span| span.closed), "missing stage span {stage}");
+    }
+}
+
 /// Conformance-style corpus: the instrumented evaluator must stay within
 /// 10% of the uninstrumented one. Interleaved min-of-N per attempt, with
 /// retries, so scheduler noise can't fail the build spuriously.
