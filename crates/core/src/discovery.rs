@@ -2,22 +2,30 @@
 //! discovery, and join-path discovery. The discovery queries run as SPARQL
 //! against the LiDS graph, leveraging the store's indexes (§6.1.2).
 //!
-//! The [`Discovery`] builder ([`KgLids::discovery`]) is the one entry
-//! point: shared options (`k`, `min_score`, similarity `mode`, path
-//! `hops`) plus per-call resource governance ([`Discovery::limits`]) set
-//! once and applied to every search, with every result surfaced as a
-//! typed [`LidsResult`]. The old free-standing `KgLids::find_*` methods
-//! survive as thin deprecated wrappers over the same implementations.
+//! The [`Discovery`] builder is the one entry point: shared options (`k`,
+//! `min_score`, similarity `mode`, path `hops`) plus per-call resource
+//! governance ([`Discovery::limits`]) set once and applied to every
+//! search, with every result surfaced as a typed [`LidsResult`]. A search
+//! is SPARQL over one pinned [`StoreSnapshot`] plus the two thresholds the
+//! lake is linked under, so [`KgLids::discovery`] and
+//! [`LidsReader::discovery`] build the same thing — the platform over its
+//! own store, a reader over the latest published generation.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use lids_exec::{ErrorKind, LidsError, LidsResult, QueryLimits};
 use lids_kg::ontology::{object_prop, res};
 use lids_profiler::Table;
+use lids_rdf::StoreSnapshot;
+use lids_sparql::EvalOptions;
 use lids_vector::cosine_similarity;
 
 use crate::dataframe::DataFrame;
 use crate::platform::KgLids;
+#[cfg(doc)]
+use crate::query::QueryGuardrails;
+use crate::query::{LidsReader, QueryEnv};
 
 /// Which similarity edges drive union search — the configurations of the
 /// Figure 6 ablation.
@@ -114,15 +122,24 @@ fn table_hit(iri: &str, score: f64) -> TableHit {
 }
 
 /// Fluent entry point for the §5 discovery operations
-/// ([`KgLids::discovery`]): shared options (`k`, `min_score`, similarity
-/// `mode`, path `hops`) set once, then applied to every search. Resource
-/// governance rides along the same way — [`Self::limits`] threads a
-/// [`QueryLimits`] (deadline, memory budget, cancellation) through every
-/// SPARQL query a search runs, exactly like `query_with` takes
-/// [`EvalOptions`](lids_sparql::EvalOptions) on the ad-hoc path.
+/// ([`KgLids::discovery`], [`LidsReader::discovery`]): shared options
+/// (`k`, `min_score`, similarity `mode`, path `hops`) set once, then
+/// applied to every search. Resource governance rides along the same way —
+/// [`Self::limits`] threads a [`QueryLimits`] (deadline, memory budget,
+/// cancellation) through every SPARQL query a search runs, exactly like
+/// `query_with` takes [`EvalOptions`] on the ad-hoc path.
+///
+/// A `Discovery` is a view of one store generation, pinned when it is
+/// obtained: a union search is two SPARQL queries, and under a live
+/// writer both must see the same lake. [`Self::generation`] names it;
+/// obtain a fresh `Discovery` to see newer writes.
 #[derive(Clone)]
 pub struct Discovery<'a> {
-    platform: &'a KgLids,
+    snapshot: Arc<StoreSnapshot>,
+    env: &'a QueryEnv,
+    /// Where table embeddings live — the two embedding-backed searches
+    /// ([`Self::paths_for`], [`Self::most_similar_table`]) need it.
+    platform: Option<&'a KgLids>,
     k: usize,
     min_score: f64,
     mode: UnionMode,
@@ -131,6 +148,24 @@ pub struct Discovery<'a> {
 }
 
 impl<'a> Discovery<'a> {
+    fn new(snapshot: Arc<StoreSnapshot>, env: &'a QueryEnv, platform: Option<&'a KgLids>) -> Self {
+        Discovery {
+            snapshot,
+            env,
+            platform,
+            k: 10,
+            min_score: 0.0,
+            mode: UnionMode::default(),
+            hops: 2,
+            limits: QueryLimits::default(),
+        }
+    }
+
+    /// The store generation every search of this `Discovery` answers from.
+    pub fn generation(&self) -> u64 {
+        self.snapshot.generation()
+    }
+
     /// Keep at most `k` results per search (default 10).
     pub fn k(mut self, k: usize) -> Self {
         self.k = k;
@@ -158,8 +193,8 @@ impl<'a> Discovery<'a> {
 
     /// Resource-governance limits (deadline, memory budget, cancellation)
     /// applied to every SPARQL query this discovery runs. Defaults to
-    /// unlimited; the platform's [`QueryGuardrails`]
-    /// (crate::platform::QueryGuardrails) still fill unset limits.
+    /// unlimited; the platform's [`QueryGuardrails`] still fill unset
+    /// limits.
     pub fn limits(mut self, limits: QueryLimits) -> Self {
         self.limits = limits;
         self
@@ -186,81 +221,239 @@ impl<'a> Discovery<'a> {
         Ok(())
     }
 
-    /// Tables unionable with `(dataset, table)`, best first.
+    /// One platform-authored SPARQL query on the pinned snapshot, under
+    /// this discovery's limits, with every failure — parse, evaluation,
+    /// or governed stop — surfaced as a typed [`LidsError`] rather than a
+    /// panic. This is what lets a network front end map a discovery
+    /// failure to the right HTTP status.
+    fn frame(&self, sparql: &str) -> LidsResult<DataFrame> {
+        let solutions =
+            self.env.query(&self.snapshot, sparql, EvalOptions::default(), Some(&self.limits))?;
+        Ok(DataFrame::from_solutions(&solutions))
+    }
+
+    /// Tables unionable with `(dataset, table)`, best first: "the
+    /// similarity score between two tables is based on both the number of
+    /// similar columns and the similarity scores between them."
     pub fn unionable_tables(&self, dataset: &str, table: &str) -> LidsResult<Vec<TableHit>> {
         self.validate()?;
-        Ok(self
-            .platform
-            .unionable_tables_impl(dataset, table, self.k, self.mode, &self.limits)?
-            .into_iter()
-            .filter(|h| h.score >= self.min_score)
-            .collect())
+        self.ranked_tables(dataset, table, self.mode)
     }
 
     /// Tables joinable with `(dataset, table)` (content similarity only).
     pub fn joinable_tables(&self, dataset: &str, table: &str) -> LidsResult<Vec<TableHit>> {
         self.validate()?;
-        Ok(self
-            .platform
-            .unionable_tables_impl(dataset, table, self.k, UnionMode::ContentOnly, &self.limits)?
-            .into_iter()
-            .filter(|h| h.score >= self.min_score)
-            .collect())
+        self.ranked_tables(dataset, table, UnionMode::ContentOnly)
     }
 
-    /// Matched column pairs between two tables.
+    fn ranked_tables(&self, dataset: &str, table: &str, mode: UnionMode) -> LidsResult<Vec<TableHit>> {
+        let t_iri = res::table(dataset, table);
+        let preds: &[&str] = match mode {
+            UnionMode::ContentAndLabel => {
+                &[object_prop::HAS_LABEL_SIMILARITY, object_prop::HAS_CONTENT_SIMILARITY]
+            }
+            UnionMode::ContentOnly => &[object_prop::HAS_CONTENT_SIMILARITY],
+            UnionMode::LabelOnly => &[object_prop::HAS_LABEL_SIMILARITY],
+        };
+        let mut scores: HashMap<String, (usize, f64)> = HashMap::new();
+        for pred in preds {
+            // Edge scores are rescaled by *sharpness above the
+            // materialisation threshold*: an edge at exactly α/θ carries no
+            // evidence (it barely cleared the bar), a perfect match carries
+            // full weight. This keeps borderline content edges from
+            // drowning out exact label matches when combining both kinds.
+            let threshold = if *pred == object_prop::HAS_LABEL_SIMILARITY {
+                self.env.alpha
+            } else {
+                self.env.theta
+            };
+            let q = format!(
+                "PREFIX k: <http://kglids.org/ontology/> \
+                 SELECT ?other ?s WHERE {{ \
+                    <{t_iri}> k:hasColumn ?ca . \
+                    ?ca k:{pred} ?cb . \
+                    ?cb k:isPartOf ?other . \
+                    << ?ca k:{pred} ?cb >> k:withCertainty ?s . \
+                 }}"
+            );
+            let rows = self.frame(&q)?;
+            for i in 0..rows.len() {
+                let other = rows.get(i, "other").unwrap_or_default().to_string();
+                if other == t_iri {
+                    continue;
+                }
+                let s: f64 = rows.get_f64(i, "s").unwrap_or(0.0);
+                let sharpness = ((s - threshold) / (1.0 - threshold).max(1e-9)).clamp(0.0, 1.0);
+                let entry = scores.entry(other).or_insert((0, 0.0));
+                entry.0 += 1;
+                entry.1 += sharpness;
+            }
+        }
+        let mut ranked: Vec<TableHit> = scores
+            .into_iter()
+            // "based on both the number of similar columns and the
+            // similarity scores between them"
+            .map(|(iri, (n, total))| table_hit(&iri, 0.25 * n as f64 + total))
+            .collect();
+        // ties broken by name, so the answer is a function of the snapshot
+        // (equal twins are common: a re-uploaded table scores the same)
+        ranked.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| (&a.dataset, &a.table).cmp(&(&b.dataset, &b.table)))
+        });
+        ranked.truncate(self.k);
+        ranked.retain(|h| h.score >= self.min_score);
+        Ok(ranked)
+    }
+
+    /// §5 "Discover Unionable Columns": matched (unionable) column pairs
+    /// between two tables, with similarity kind and score.
     pub fn unionable_columns(
         &self,
         a: (&str, &str),
         b: (&str, &str),
     ) -> LidsResult<Vec<ColumnHit>> {
         self.validate()?;
-        Ok(self
-            .platform
-            .unionable_columns_impl(a, b, &self.limits)?
-            .into_iter()
-            .filter(|h| h.score >= self.min_score)
-            .collect())
+        let a_iri = res::table(a.0, a.1);
+        let b_iri = res::table(b.0, b.1);
+        let mut out = Vec::new();
+        for (pred, kind) in [
+            (object_prop::HAS_LABEL_SIMILARITY, "label"),
+            (object_prop::HAS_CONTENT_SIMILARITY, "content"),
+        ] {
+            let q = format!(
+                "PREFIX k: <http://kglids.org/ontology/> \
+                 PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#> \
+                 SELECT ?la ?lb ?s WHERE {{ \
+                    <{a_iri}> k:hasColumn ?ca . \
+                    ?ca k:{pred} ?cb . \
+                    ?cb k:isPartOf <{b_iri}> . \
+                    << ?ca k:{pred} ?cb >> k:withCertainty ?s . \
+                    ?ca rdfs:label ?la . ?cb rdfs:label ?lb . \
+                 }} ORDER BY DESC(?s)"
+            );
+            let rows = self.frame(&q)?;
+            for i in 0..rows.len() {
+                let score = rows.get_f64(i, "s").unwrap_or(0.0);
+                if score >= self.min_score {
+                    out.push(ColumnHit {
+                        column_a: rows.get(i, "la").unwrap_or_default().to_string(),
+                        column_b: rows.get(i, "lb").unwrap_or_default().to_string(),
+                        kind,
+                        score,
+                    });
+                }
+            }
+        }
+        Ok(out)
     }
 
-    /// Join paths from `from` to `to` within the configured hop limit.
+    /// §5 "Join Path Discovery": paths of content-similar (joinable)
+    /// tables from `from` to `to`, up to the configured number of
+    /// intermediate joins, shortest first. Each path is a list of table
+    /// names.
     pub fn paths(&self, from: (&str, &str), to: (&str, &str)) -> LidsResult<Vec<JoinPath>> {
         self.validate()?;
-        self.platform.join_paths_impl(from, to, self.hops, &self.limits)
+        let adjacency = self.join_graph()?;
+        let start = res::table(from.0, from.1);
+        let goal = res::table(to.0, to.1);
+        let mut paths: Vec<JoinPath> = Vec::new();
+        let mut stack: Vec<(String, Vec<String>)> = vec![(start.clone(), vec![start.clone()])];
+        while let Some((node, path)) = stack.pop() {
+            if node == goal && path.len() > 1 {
+                paths.push(JoinPath {
+                    tables: path.iter().map(|iri| short_name(iri)).collect(),
+                });
+                continue;
+            }
+            if path.len() > self.hops + 1 {
+                continue;
+            }
+            if let Some(next) = adjacency.get(&node) {
+                for n in next {
+                    if !path.contains(n) {
+                        let mut p = path.clone();
+                        p.push(n.clone());
+                        stack.push((n.clone(), p));
+                    }
+                }
+            }
+        }
+        paths.sort_by_key(|p| p.tables.len());
+        Ok(paths)
     }
 
     /// Join paths from an *unseen* DataFrame to `to`: embed the frame,
     /// find its most similar profiled table, and search paths from there
-    /// (§5 `get_path_to_table(df, hops)`).
+    /// (§5 `get_path_to_table(df, hops)`). Platform-only, like
+    /// [`Self::most_similar_table`].
     pub fn paths_for(&self, df: &Table, to: (&str, &str)) -> LidsResult<Vec<JoinPath>> {
-        self.validate()?;
-        let Some(hit) = self.platform.most_similar_table_impl(df) else {
-            return Ok(Vec::new());
-        };
-        self.platform.join_paths_impl(
-            (&hit.dataset, &hit.table),
-            to,
-            self.hops,
-            &self.limits,
-        )
+        match self.most_similar_table(df)? {
+            Some(hit) => self.paths((&hit.dataset, &hit.table), to),
+            None => Ok(Vec::new()),
+        }
     }
 
-    /// Shortest join path between two tables.
+    /// §5 "shortest path between two given tables": BFS over the join
+    /// graph.
     pub fn shortest_path(
         &self,
         from: (&str, &str),
         to: (&str, &str),
     ) -> LidsResult<Option<JoinPath>> {
         self.validate()?;
-        self.platform.shortest_path_impl(from, to, &self.limits)
+        let adjacency = self.join_graph()?;
+        let start = res::table(from.0, from.1);
+        let goal = res::table(to.0, to.1);
+        let mut queue = VecDeque::from([vec![start.clone()]]);
+        let mut visited: HashSet<String> = HashSet::from([start]);
+        while let Some(path) = queue.pop_front() {
+            // paths are seeded non-empty and only ever grow
+            let Some(node) = path.last() else { continue };
+            if *node == goal {
+                return Ok(Some(JoinPath {
+                    tables: path.iter().map(|iri| short_name(iri)).collect(),
+                }));
+            }
+            if let Some(next) = adjacency.get(node) {
+                for n in next {
+                    if visited.insert(n.clone()) {
+                        let mut p = path.clone();
+                        p.push(n.clone());
+                        queue.push_back(p);
+                    }
+                }
+            }
+        }
+        Ok(None)
     }
 
     /// The most similar profiled table to an unseen one (by
     /// table-embedding cosine) — the first step of path discovery for
-    /// unseen DataFrames.
+    /// unseen DataFrames. Table embeddings live on the platform, not in
+    /// the snapshot: on a `Discovery` obtained from a [`LidsReader`] this
+    /// is a typed [`ErrorKind::InvalidArgument`].
     pub fn most_similar_table(&self, table: &Table) -> LidsResult<Option<TableHit>> {
         self.validate()?;
-        Ok(self.platform.most_similar_table_impl(table))
+        let Some(platform) = self.platform else {
+            return Err(LidsError::new(
+                ErrorKind::InvalidArgument,
+                "table embeddings live on the platform: use KgLids::discovery for this search",
+            ));
+        };
+        let probe = platform.embed_table(table);
+        Ok(platform
+            .embeddings
+            .table_embeddings
+            .iter()
+            .map(|((d, t), e)| TableHit {
+                dataset: d.clone(),
+                table: t.clone(),
+                score: cosine_similarity(&probe, e) as f64,
+            })
+            .max_by(|a, b| a.score.partial_cmp(&b.score).unwrap_or(std::cmp::Ordering::Equal)))
     }
 
     /// §5 "Search Tables Based on Specific Columns": keyword search with
@@ -270,41 +463,10 @@ impl<'a> Discovery<'a> {
     /// patients. Conditions match table, dataset, and column labels.
     pub fn search(&self, conditions: &[&[&str]]) -> LidsResult<DataFrame> {
         self.validate()?;
-        self.platform.search_tables_impl(conditions, &self.limits)
-    }
-}
-
-impl KgLids {
-    /// Fluent discovery with shared options — `platform.discovery().k(5)
-    /// .min_score(0.5).unionable_tables("lake", "people")`.
-    pub fn discovery(&self) -> Discovery<'_> {
-        Discovery {
-            platform: self,
-            k: 10,
-            min_score: 0.0,
-            mode: UnionMode::default(),
-            hops: 2,
-            limits: QueryLimits::default(),
-        }
-    }
-
-    /// §5 keyword table search (see [`Discovery::search`] for the
-    /// condition semantics). Returns a typed [`LidsResult`] like every
-    /// other query path; a governed stop (deadline, budget) surfaces as
-    /// its `ErrorKind`, never a panic.
-    pub fn search_tables(&self, conditions: &[&[&str]]) -> LidsResult<DataFrame> {
-        self.search_tables_impl(conditions, &QueryLimits::default())
-    }
-
-    pub(crate) fn search_tables_impl(
-        &self,
-        conditions: &[&[&str]],
-        limits: &QueryLimits,
-    ) -> LidsResult<DataFrame> {
         // One star join per table with the column labels pulled in through
         // OPTIONAL; ORDER BY keeps each table's rows contiguous so they can
         // be folded in a single pass.
-        let rows = self.governed_frame(SEARCH_TABLES_QUERY, limits)?;
+        let rows = self.frame(SEARCH_TABLES_QUERY)?;
 
         let mut out = DataFrame::new(vec![
             "dataset".into(),
@@ -345,297 +507,14 @@ impl KgLids {
         Ok(out)
     }
 
-    /// §5 "Discover Unionable Columns": matched (unionable) column pairs
-    /// between two tables, with similarity kind and score.
-    pub fn find_unionable_columns(&self, a: (&str, &str), b: (&str, &str)) -> Vec<ColumnHit> {
-        self.unionable_columns_impl(a, b, &QueryLimits::default())
-            .unwrap_or_default()
-    }
-
-    pub(crate) fn unionable_columns_impl(
-        &self,
-        a: (&str, &str),
-        b: (&str, &str),
-        limits: &QueryLimits,
-    ) -> LidsResult<Vec<ColumnHit>> {
-        let a_iri = res::table(a.0, a.1);
-        let b_iri = res::table(b.0, b.1);
-        let mut out = Vec::new();
-        for (pred, kind) in [
-            (object_prop::HAS_LABEL_SIMILARITY, "label"),
-            (object_prop::HAS_CONTENT_SIMILARITY, "content"),
-        ] {
-            let q = format!(
-                "PREFIX k: <http://kglids.org/ontology/> \
-                 PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#> \
-                 SELECT ?la ?lb ?s WHERE {{ \
-                    <{a_iri}> k:hasColumn ?ca . \
-                    ?ca k:{pred} ?cb . \
-                    ?cb k:isPartOf <{b_iri}> . \
-                    << ?ca k:{pred} ?cb >> k:withCertainty ?s . \
-                    ?ca rdfs:label ?la . ?cb rdfs:label ?lb . \
-                 }} ORDER BY DESC(?s)"
-            );
-            let rows = self.governed_frame(&q, limits)?;
-            for i in 0..rows.len() {
-                out.push(ColumnHit {
-                    column_a: rows.get(i, "la").unwrap_or_default().to_string(),
-                    column_b: rows.get(i, "lb").unwrap_or_default().to_string(),
-                    kind,
-                    score: rows.get_f64(i, "s").unwrap_or(0.0),
-                });
-            }
-        }
-        Ok(out)
-    }
-
-    /// Union search over the LiDS graph (§5). Deprecated free-standing
-    /// form — the fluent [`Discovery`] entry point is the surface.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `platform.discovery().k(k).mode(mode).unionable_tables(dataset, table)`"
-    )]
-    pub fn find_unionable_tables(
-        &self,
-        dataset: &str,
-        table: &str,
-        k: usize,
-        mode: UnionMode,
-    ) -> Vec<TableHit> {
-        self.unionable_tables_impl(dataset, table, k, mode, &QueryLimits::default())
-            .unwrap_or_default()
-    }
-
-    /// Union search over the LiDS graph: rank tables unionable with the
-    /// given (profiled) table. "The similarity score between two tables is
-    /// based on both the number of similar columns and the similarity
-    /// scores between them."
-    pub(crate) fn unionable_tables_impl(
-        &self,
-        dataset: &str,
-        table: &str,
-        k: usize,
-        mode: UnionMode,
-        limits: &QueryLimits,
-    ) -> LidsResult<Vec<TableHit>> {
-        let t_iri = res::table(dataset, table);
-        let preds: &[&str] = match mode {
-            UnionMode::ContentAndLabel => {
-                &[object_prop::HAS_LABEL_SIMILARITY, object_prop::HAS_CONTENT_SIMILARITY]
-            }
-            UnionMode::ContentOnly => &[object_prop::HAS_CONTENT_SIMILARITY],
-            UnionMode::LabelOnly => &[object_prop::HAS_LABEL_SIMILARITY],
-        };
-        let mut scores: HashMap<String, (usize, f64)> = HashMap::new();
-        for pred in preds {
-            // Edge scores are rescaled by *sharpness above the
-            // materialisation threshold*: an edge at exactly α/θ carries no
-            // evidence (it barely cleared the bar), a perfect match carries
-            // full weight. This keeps borderline content edges from
-            // drowning out exact label matches when combining both kinds.
-            let threshold = if *pred == object_prop::HAS_LABEL_SIMILARITY {
-                self.schema_config.alpha as f64
-            } else {
-                self.schema_config.theta as f64
-            };
-            let q = format!(
-                "PREFIX k: <http://kglids.org/ontology/> \
-                 SELECT ?other ?s WHERE {{ \
-                    <{t_iri}> k:hasColumn ?ca . \
-                    ?ca k:{pred} ?cb . \
-                    ?cb k:isPartOf ?other . \
-                    << ?ca k:{pred} ?cb >> k:withCertainty ?s . \
-                 }}"
-            );
-            let rows = self.governed_frame(&q, limits)?;
-            for i in 0..rows.len() {
-                let other = rows.get(i, "other").unwrap_or_default().to_string();
-                if other == t_iri {
-                    continue;
-                }
-                let s: f64 = rows.get_f64(i, "s").unwrap_or(0.0);
-                let sharpness = ((s - threshold) / (1.0 - threshold).max(1e-9)).clamp(0.0, 1.0);
-                let entry = scores.entry(other).or_insert((0, 0.0));
-                entry.0 += 1;
-                entry.1 += sharpness;
-            }
-        }
-        let mut ranked: Vec<TableHit> = scores
-            .into_iter()
-            .map(|(iri, (n, total))| {
-                // "based on both the number of similar columns and the
-                // similarity scores between them"
-                table_hit(&iri, 0.25 * n as f64 + total)
-            })
-            .collect();
-        ranked.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
-        ranked.truncate(k);
-        Ok(ranked)
-    }
-
-    /// Joinable-table discovery. Deprecated free-standing form.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `platform.discovery().k(k).joinable_tables(dataset, table)`"
-    )]
-    pub fn find_joinable_tables(&self, dataset: &str, table: &str, k: usize) -> Vec<TableHit> {
-        self.unionable_tables_impl(dataset, table, k, UnionMode::ContentOnly, &QueryLimits::default())
-            .unwrap_or_default()
-    }
-
-    /// §5 "Join Path Discovery". Deprecated free-standing form.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `platform.discovery().hops(hops).paths(from, to)`"
-    )]
-    pub fn get_path_to_table(
-        &self,
-        from: (&str, &str),
-        to: (&str, &str),
-        hops: usize,
-    ) -> Vec<JoinPath> {
-        self.join_paths_impl(from, to, hops, &QueryLimits::default())
-            .unwrap_or_default()
-    }
-
-    /// Paths of content-similar (joinable) tables from `from` to `to`, up
-    /// to `hops` intermediate joins. Each path is a list of table names.
-    pub(crate) fn join_paths_impl(
-        &self,
-        from: (&str, &str),
-        to: (&str, &str),
-        hops: usize,
-        limits: &QueryLimits,
-    ) -> LidsResult<Vec<JoinPath>> {
-        let adjacency = self.join_graph(limits)?;
-        let start = res::table(from.0, from.1);
-        let goal = res::table(to.0, to.1);
-        let mut paths: Vec<JoinPath> = Vec::new();
-        let mut stack: Vec<(String, Vec<String>)> = vec![(start.clone(), vec![start.clone()])];
-        while let Some((node, path)) = stack.pop() {
-            if node == goal && path.len() > 1 {
-                paths.push(JoinPath {
-                    tables: path.iter().map(|iri| short_name(iri)).collect(),
-                });
-                continue;
-            }
-            if path.len() > hops + 1 {
-                continue;
-            }
-            if let Some(next) = adjacency.get(&node) {
-                for n in next {
-                    if !path.contains(n) {
-                        let mut p = path.clone();
-                        p.push(n.clone());
-                        stack.push((n.clone(), p));
-                    }
-                }
-            }
-        }
-        paths.sort_by_key(|p| p.tables.len());
-        Ok(paths)
-    }
-
-    /// §5 "shortest path between two given tables". Deprecated
-    /// free-standing form.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `platform.discovery().shortest_path(from, to)`"
-    )]
-    pub fn shortest_path_between_tables(
-        &self,
-        from: (&str, &str),
-        to: (&str, &str),
-    ) -> Option<JoinPath> {
-        self.shortest_path_impl(from, to, &QueryLimits::default())
-            .unwrap_or_default()
-    }
-
-    /// BFS over the join graph.
-    pub(crate) fn shortest_path_impl(
-        &self,
-        from: (&str, &str),
-        to: (&str, &str),
-        limits: &QueryLimits,
-    ) -> LidsResult<Option<JoinPath>> {
-        let adjacency = self.join_graph(limits)?;
-        let start = res::table(from.0, from.1);
-        let goal = res::table(to.0, to.1);
-        let mut queue = VecDeque::from([vec![start.clone()]]);
-        let mut visited: HashSet<String> = HashSet::from([start]);
-        while let Some(path) = queue.pop_front() {
-            // paths are seeded non-empty and only ever grow
-            let Some(node) = path.last() else { continue };
-            if *node == goal {
-                return Ok(Some(JoinPath {
-                    tables: path.iter().map(|iri| short_name(iri)).collect(),
-                }));
-            }
-            if let Some(next) = adjacency.get(node) {
-                for n in next {
-                    if visited.insert(n.clone()) {
-                        let mut p = path.clone();
-                        p.push(n.clone());
-                        queue.push_back(p);
-                    }
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    /// §5 `get_path_to_table(df, hops)` for an *unseen* DataFrame.
-    /// Deprecated free-standing form.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `platform.discovery().hops(hops).paths_for(df, to)`"
-    )]
-    pub fn get_path_to_table_for(
-        &self,
-        df: &Table,
-        to: (&str, &str),
-        hops: usize,
-    ) -> Vec<JoinPath> {
-        let Some(hit) = self.most_similar_table_impl(df) else {
-            return Vec::new();
-        };
-        self.join_paths_impl((&hit.dataset, &hit.table), to, hops, &QueryLimits::default())
-            .unwrap_or_default()
-    }
-
-    /// The most similar profiled table to an unseen one. Deprecated
-    /// free-standing form.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `platform.discovery().most_similar_table(table)`"
-    )]
-    pub fn most_similar_table(&self, table: &Table) -> Option<TableHit> {
-        self.most_similar_table_impl(table)
-    }
-
-    /// Most similar table by table-embedding cosine — the first step of
-    /// `get_path_to_table(df, …)` in §5.
-    pub(crate) fn most_similar_table_impl(&self, table: &Table) -> Option<TableHit> {
-        let probe = self.embed_table(table);
-        self.table_embeddings
-            .iter()
-            .map(|((d, t), e)| TableHit {
-                dataset: d.clone(),
-                table: t.clone(),
-                score: cosine_similarity(&probe, e) as f64,
-            })
-            .max_by(|a, b| a.score.partial_cmp(&b.score).unwrap_or(std::cmp::Ordering::Equal))
-    }
-
     /// Adjacency over tables connected by content-similar columns.
-    fn join_graph(&self, limits: &QueryLimits) -> LidsResult<HashMap<String, Vec<String>>> {
-        let rows = self.governed_frame(
+    fn join_graph(&self) -> LidsResult<HashMap<String, Vec<String>>> {
+        let rows = self.frame(
             "PREFIX k: <http://kglids.org/ontology/> \
              SELECT DISTINCT ?ta ?tb WHERE { \
                 ?ca k:hasContentSimilarity ?cb . \
                 ?ca k:isPartOf ?ta . ?cb k:isPartOf ?tb . \
              }",
-            limits,
         )?;
         let mut adjacency: HashMap<String, Vec<String>> = HashMap::new();
         for i in 0..rows.len() {
@@ -646,6 +525,38 @@ impl KgLids {
             }
         }
         Ok(adjacency)
+    }
+}
+
+impl KgLids {
+    /// Fluent discovery with shared options — `platform.discovery().k(5)
+    /// .min_score(0.5).unionable_tables("lake", "people")` — over the
+    /// platform's current state.
+    pub fn discovery(&self) -> Discovery<'_> {
+        Discovery::new(self.store.snapshot(), &self.env, Some(self))
+    }
+
+    /// §5 keyword table search (see [`Discovery::search`] for the
+    /// condition semantics). Returns a typed [`LidsResult`] like every
+    /// other query path; a governed stop (deadline, budget) surfaces as
+    /// its `ErrorKind`, never a panic.
+    pub fn search_tables(&self, conditions: &[&[&str]]) -> LidsResult<DataFrame> {
+        self.discovery().search(conditions)
+    }
+
+    /// §5 "Discover Unionable Columns" (see
+    /// [`Discovery::unionable_columns`]); a failed query reads as no match.
+    pub fn find_unionable_columns(&self, a: (&str, &str), b: (&str, &str)) -> Vec<ColumnHit> {
+        self.discovery().unionable_columns(a, b).unwrap_or_default()
+    }
+}
+
+impl LidsReader {
+    /// Fluent discovery over the latest published snapshot — every search
+    /// but the two embedding-backed ones ([`Discovery::paths_for`],
+    /// [`Discovery::most_similar_table`]), under a live writer too.
+    pub fn discovery(&self) -> Discovery<'_> {
+        Discovery::new(self.store.snapshot(), &self.env, None)
     }
 }
 
@@ -928,39 +839,6 @@ mod tests {
             .unionable_tables("health", "patients")
             .unwrap();
         assert!(ranked.iter().any(|h| h.table == "people"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_answer() {
-        // the legacy free-standing methods stay source-compatible: same
-        // signatures, same results, now thin shims over Discovery
-        let p = platform();
-        let ranked = p.find_unionable_tables("health", "patients", 5, UnionMode::default());
-        assert_eq!(ranked, p.discovery().k(5).unionable_tables("health", "patients").unwrap());
-        let joinable = p.find_joinable_tables("health", "patients", 5);
-        assert_eq!(
-            joinable,
-            p.discovery().k(5).joinable_tables("health", "patients").unwrap()
-        );
-        let paths = p.get_path_to_table(("health", "patients"), ("travel", "trips"), 2);
-        assert_eq!(
-            paths,
-            p.discovery().hops(2).paths(("health", "patients"), ("travel", "trips")).unwrap()
-        );
-        let shortest = p.shortest_path_between_tables(("health", "patients"), ("travel", "trips"));
-        assert_eq!(
-            shortest,
-            p.discovery().shortest_path(("health", "patients"), ("travel", "trips")).unwrap()
-        );
-        let probe = lids_profiler::Table::new(
-            "probe",
-            vec![Column::new("age", (25..55).map(|i| i.to_string()).collect())],
-        );
-        assert_eq!(
-            p.most_similar_table(&probe),
-            p.discovery().most_similar_table(&probe).unwrap()
-        );
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //! automation on top of it:
 //!
 //! - [`KgLids`]: the platform façade. Bootstrap it with datasets and
-//!   pipeline scripts (the KG Governor profiles, abstracts, links — §2.1/§3)
-//!   and query it through the §5 interfaces.
-//! - [`discovery`]: `search_tables`, `find_unionable_columns`/`tables`,
-//!   `find_joinable_tables`, `get_path_to_table`, shortest join paths.
+//!   pipeline scripts (the KG Governor profiles, abstracts, links — §2.1/§3),
+//!   keep it in sync with [`KgLids::apply_delta`] — the one ingest path,
+//!   of which bootstrap is the first run (§2.1: "KGLiDS continuously and
+//!   incrementally maintains our KG") — and query it through the §5
+//!   interfaces. [`LidsReader`] is the same query surface detached from
+//!   the writer, for serving under live ingest.
+//! - [`discovery`]: the fluent [`Discovery`] entry point — keyword table
+//!   search, unionable columns/tables, joinable tables, join paths — on
+//!   the platform or a reader.
 //! - [`insights`]: `get_top_k_libraries_used`, `get_top_used_libraries`,
 //!   `get_pipelines_calling_libraries` (Figure 4's data).
 //! - [`automation`]: `recommend_cleaning_operations`, `apply_cleaning_
@@ -17,9 +22,9 @@
 //!   `recommend_hyperparameters` (§4, §5).
 //! - [`dataframe`]: query results materialise as a [`DataFrame`] ("KGLiDS
 //!   exports query results as Pandas DataFrame" — §2.2).
-//! - [`maintenance`]: incremental additions — `add_dataset` /
-//!   `add_pipeline` keep the KG in sync without a rebuild (§2.1).
-//! - Ad-hoc SPARQL via [`KgLids::query`].
+//! - [`query`]: ad-hoc SPARQL ([`KgLids::query`], [`LidsReader::query`]) —
+//!   the one governed query path every handle and every discovery search
+//!   runs through.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -28,9 +33,9 @@ pub mod dataframe;
 pub mod discovery;
 pub mod export;
 pub mod insights;
-pub mod maintenance;
 pub mod manager;
 pub mod platform;
+pub mod query;
 pub mod report;
 
 pub use dataframe::DataFrame;
@@ -39,9 +44,9 @@ pub use lids_exec::{CancelToken, ErrorKind, LidsError, LidsResult, QueryLimits};
 pub use lids_kg::{LinkingConfig, LinkingMode};
 pub use lids_obs::{Obs, ObsSnapshot};
 pub use lids_sparql::{EvalOptions, ExplainReport};
-pub use maintenance::IncrementStats;
 pub use platform::{
-    BootstrapStats, DeltaBatch, DeltaStats, IngestOptions, KgLids, KgLidsBuilder, LidsReader,
-    PipelineScript, QueryGuardrails, SchemaStatsLite,
+    BootstrapStats, DeltaBatch, DeltaStats, IngestOptions, KgLids, KgLidsBuilder, PipelineScript,
+    SchemaStatsLite,
 };
+pub use query::{LidsReader, QueryGuardrails};
 pub use report::{ArtifactKind, BootstrapReport, QuarantineEntry};

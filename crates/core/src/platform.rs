@@ -1,12 +1,18 @@
-//! The platform façade: bootstrap (KG Governor) + storage + ad-hoc queries.
+//! The platform façade: storage plus the one ingest path (KG Governor).
+//! (The one query path is [`crate::query`].)
 //!
-//! Bootstrap is fault-tolerant end to end: raw artifacts are parsed in
-//! strict mode, every per-artifact stage (parsing, profiling, script
-//! analysis) runs under panic isolation with an optional soft budget,
-//! transient failures get bounded retry with exponential backoff over an
-//! injectable clock, and artifacts that still fail are quarantined into
-//! the [`BootstrapReport`] and recorded as provenance triples — bootstrap
-//! never aborts on a bad artifact.
+//! The LiDS graph is built and maintained by one stage sequence — retract
+//! → parse → profile → link.schema → abstract → link.pipelines →
+//! quarantine → embed → commit ([`KgLids::apply_delta`]).
+//! [`KgLidsBuilder::bootstrap`] is that sequence run once on a platform
+//! that holds nothing yet, with the builder's inputs as one
+//! [`DeltaBatch`]. It is fault-tolerant end to end: raw artifacts are
+//! parsed in strict mode, every per-artifact stage (parsing, profiling,
+//! script analysis) runs under panic isolation with an optional soft
+//! budget, transient failures get bounded retry with exponential backoff
+//! over an injectable clock, and artifacts that still fail are quarantined
+//! into the [`BootstrapReport`] and recorded as provenance triples — a bad
+//! artifact never aborts a run.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,7 +21,7 @@ use std::time::{Duration, Instant};
 use lids_embed::{table_embedding, ColrModels, FineGrainedType, WordEmbeddings};
 use lids_exec::{
     parallel_try_map_with, Clock, ErrorKind, IsolationConfig, LidsError, LidsResult, MemoryMeter,
-    QueryLimits, RetryPolicy, Stopwatch, SystemClock, TripReason,
+    RetryPolicy, Stopwatch, SystemClock,
 };
 use lids_kg::abstraction::{emit_pipeline_quads, AbstractionStats, PipelineMetadata};
 use lids_kg::docs::LibraryDocs;
@@ -24,22 +30,19 @@ use lids_kg::library_graph::library_graph_quads;
 use lids_kg::linker::{link_pipelines, LinkStats};
 use lids_kg::ontology::Vocab;
 use lids_kg::provenance::{push_quarantine, QuarantineRecord};
-use lids_kg::schema::{
-    emit_schema, link_schema, EncodedBatch, LinkingConfig, SchemaConfig, SchemaStats,
-};
+use lids_kg::schema::{EncodedBatch, LinkingConfig, SchemaConfig, SchemaStats};
 use lids_obs::{Obs, SpanId, TraceSnapshot};
 use lids_profiler::table::Dataset;
 use lids_profiler::{
     parse_csv_bytes, profile_table, ColumnProfile, CsvMode, ProfilerConfig, RawDataset, Table,
 };
 use lids_py::analysis::AnalyzedScript;
-use lids_rdf::{IngestStats, Quad, QuadStore, StoreReader, StoreSnapshot};
-use lids_sparql::{
-    EvalOptions, ExecStats, ExplainReport, PlanCache, PlanCacheStats, Solutions, SparqlError,
-};
+use lids_rdf::{IngestStats, Quad, QuadStore, StoreSnapshot};
 use lids_vector::{BruteForceIndex, Metric, VectorIndex};
 
-use crate::dataframe::DataFrame;
+use crate::query::{QueryEnv, QueryGuardrails};
+#[cfg(doc)]
+use crate::query::LidsReader;
 use crate::report::{ArtifactKind, BootstrapReport, QuarantineEntry};
 
 /// A pipeline script plus its metadata (`S` and `MD` of Algorithm 1).
@@ -223,23 +226,43 @@ fn close_ingest_span(obs: &Obs, span: SpanId, stage: &str, stats: &IngestStats) 
 
 /// The derived embedding stores: the Faiss-substitute column index plus
 /// the table/dataset aggregate embeddings. Rebuilt from the current
-/// profile set after bootstrap and after every delta (aggregation is
-/// linear in the number of columns — noise next to profiling/linking).
-struct EmbeddingStore {
-    column_index: BruteForceIndex,
-    table_embeddings: HashMap<(String, String), Vec<f32>>,
-    dataset_embeddings: HashMap<String, Vec<f32>>,
-    dataset_embeddings_missing: HashMap<String, Vec<f32>>,
+/// profile set at the end of every ingest run (aggregation is linear in
+/// the number of columns — noise next to profiling/linking).
+pub(crate) struct EmbeddingStore {
+    /// Column embeddings; vector ids index into [`KgLids::profiles`].
+    pub(crate) column_index: BruteForceIndex,
+    pub(crate) table_embeddings: HashMap<(String, String), Vec<f32>>,
+    pub(crate) dataset_embeddings: HashMap<String, Vec<f32>>,
+    /// §4.2 cleaning embeddings: per-type averages over the columns that
+    /// contain missing values (falls back to all columns when none do).
+    pub(crate) dataset_embeddings_missing: HashMap<String, Vec<f32>>,
+}
+
+impl EmbeddingStore {
+    /// The store of a lake with no columns.
+    fn empty() -> Self {
+        EmbeddingStore {
+            column_index: BruteForceIndex::new(lids_embed::EMBEDDING_DIM, Metric::Cosine),
+            table_embeddings: HashMap::new(),
+            dataset_embeddings: HashMap::new(),
+            dataset_embeddings_missing: HashMap::new(),
+        }
+    }
+
+    /// What the platform's [`MemoryMeter`] holds this store at.
+    fn approx_bytes(&self) -> u64 {
+        self.table_embeddings.values().map(|e| (e.len() * 4) as u64).sum::<u64>()
+            + self.column_index.approx_bytes()
+    }
 }
 
 fn build_embedding_store(profiles: &[ColumnProfile]) -> EmbeddingStore {
-    let mut column_index = BruteForceIndex::new(lids_embed::EMBEDDING_DIM, Metric::Cosine);
+    let mut store = EmbeddingStore::empty();
     for (i, p) in profiles.iter().enumerate() {
         if !p.embedding.is_empty() {
-            column_index.add(i as u64, &p.embedding);
+            store.column_index.add(i as u64, &p.embedding);
         }
     }
-    let mut table_embeddings: HashMap<(String, String), Vec<f32>> = HashMap::new();
     let mut missing_table_embeddings: HashMap<(String, String), Vec<f32>> = HashMap::new();
     // (type, embedding, has-nulls) per column, grouped by table
     type ColumnEntry = (FineGrainedType, Vec<f32>, bool);
@@ -260,16 +283,14 @@ fn build_embedding_store(profiles: &[ColumnProfile]) -> EmbeddingStore {
             .filter(|(_, _, has_nulls)| *has_nulls)
             .map(|(t, e, _)| (*t, e.clone()))
             .collect();
-        table_embeddings.insert(key.clone(), table_embedding(&all));
+        store.table_embeddings.insert(key.clone(), table_embedding(&all));
         // §4.2: average only the columns containing missing values
         let source = if with_missing.is_empty() { &all } else { &with_missing };
         missing_table_embeddings.insert(key, table_embedding(source));
     }
-    let mut dataset_embeddings: HashMap<String, Vec<f32>> = HashMap::new();
-    let mut dataset_embeddings_missing: HashMap<String, Vec<f32>> = HashMap::new();
     for (map, out) in [
-        (&table_embeddings, &mut dataset_embeddings),
-        (&missing_table_embeddings, &mut dataset_embeddings_missing),
+        (&store.table_embeddings, &mut store.dataset_embeddings),
+        (&missing_table_embeddings, &mut store.dataset_embeddings_missing),
     ] {
         let mut by_dataset: HashMap<String, Vec<Vec<f32>>> = HashMap::new();
         for ((d, _), e) in map {
@@ -280,46 +301,7 @@ fn build_embedding_store(profiles: &[ColumnProfile]) -> EmbeddingStore {
             out.insert(d, lids_vector::mean_vector(embs.iter().map(|e| e.as_slice()), dim));
         }
     }
-    EmbeddingStore {
-        column_index,
-        table_embeddings,
-        dataset_embeddings,
-        dataset_embeddings_missing,
-    }
-}
-
-/// Platform-wide resource-governance defaults for the query path.
-///
-/// Per-call [`EvalOptions`] win when set; these fill the gaps so every
-/// ad-hoc and discovery query runs under the same deadline/budget policy
-/// without callers having to thread options everywhere. Shapes that keep
-/// tripping the governor are quarantined in the plan cache and fail fast
-/// (typed `QueryBudgetExceeded`) until their TTL expires.
-#[derive(Debug, Clone)]
-pub struct QueryGuardrails {
-    /// Default wall-clock deadline per query (`None` = unlimited).
-    pub deadline: Option<Duration>,
-    /// Default logical memory budget per query in bytes (`None` = unlimited).
-    pub memory_budget: Option<u64>,
-    /// Row cap applied when a budget trip degrades a query to the
-    /// streaming row engine; the partial result is marked truncated.
-    pub degraded_row_cap: usize,
-    /// Governor trips of the same query shape before it is quarantined.
-    pub poison_threshold: u32,
-    /// How long a quarantined shape keeps failing fast.
-    pub poison_ttl: Duration,
-}
-
-impl Default for QueryGuardrails {
-    fn default() -> Self {
-        QueryGuardrails {
-            deadline: None,
-            memory_budget: None,
-            degraded_row_cap: 100_000,
-            poison_threshold: 3,
-            poison_ttl: Duration::from_secs(60),
-        }
-    }
+    store
 }
 
 /// Copyable subset of [`SchemaStats`].
@@ -447,265 +429,56 @@ impl KgLidsBuilder {
         self
     }
 
-    /// Run the KG Governor: ingest → profile → schema → library graph →
-    /// abstract → link. Returns the platform and bootstrap statistics.
+    /// Run the KG Governor over the builder's inputs: the first delta into
+    /// a platform that holds nothing yet (see [`KgLids::apply_delta`] for
+    /// the stage sequence), traced under a `bootstrap` root. Returns the
+    /// platform and bootstrap statistics.
     ///
     /// Never aborts on a bad artifact: damaged tables and scripts are
     /// quarantined into `stats.report` (and the provenance named graph)
     /// while the rest of the lake bootstraps normally.
     pub fn bootstrap(self) -> (KgLids, BootstrapStats) {
-        let KgLidsBuilder {
-            datasets,
-            raw_datasets,
-            pipelines,
-            profiler_config,
-            schema_config,
-            ingest,
-            custom_profiles,
-            guardrails,
-        } = self;
-        let mut stats = BootstrapStats::default();
-        let mut report = BootstrapReport::default();
-        let mut store = QuadStore::new();
-        let docs = LibraryDocs::builtin();
-        let vocab = Vocab::new();
-        let we = WordEmbeddings::new();
-        let models = ColrModels::pretrained();
-        let meter = MemoryMeter::new();
-        let obs = Obs::new();
-        let root = obs.tracer.root("bootstrap");
-
-        // ---- ingestion: parse raw artifacts under the fault policy ----
-        let span = obs.tracer.child(root, "parse");
-        let mut sw = Stopwatch::started();
-        let mut datasets = datasets;
-        for raw in &raw_datasets {
-            let outcomes = quarantine_map(&raw.tables, &ingest, |t| {
-                parse_csv_bytes(&t.name, &t.bytes, ingest.csv_mode)
-            });
-            let mut tables = Vec::new();
-            for (table, (result, retries)) in raw.tables.iter().zip(outcomes) {
-                match result {
-                    Ok(t) => tables.push(t),
-                    Err(error) => report.quarantined.push(QuarantineEntry {
-                        artifact: format!("{}/{}", raw.name, table.name),
-                        kind: ArtifactKind::Table,
-                        error,
-                        retries,
-                    }),
-                }
-            }
-            datasets.push(Dataset::new(raw.name.clone(), tables));
-        }
-        sw.stop();
-        stats.ingestion_secs = sw.secs();
-        obs.tracer.set_attr(span, "raw_datasets", raw_datasets.len());
-        obs.tracer.add_count(span, "quarantined", report.quarantined.len() as u64);
-        let _ = obs.tracer.close(span);
-
-        // ---- Algorithm 2: profile all datasets (panic-isolated) ----
-        let span = obs.tracer.child(root, "profile");
-        let mut sw = Stopwatch::started();
-        let profiles: Vec<ColumnProfile> = match custom_profiles {
-            Some(profiles) => profiles,
-            None => {
-                let units: Vec<(&str, &Table)> = datasets
-                    .iter()
-                    .flat_map(|d| d.tables.iter().map(move |t| (d.name.as_str(), t)))
-                    .collect();
-                let outcomes = quarantine_map(&units, &ingest, |unit| {
-                    let (dataset, table) = *unit;
-                    Ok(profile_table(
-                        dataset,
-                        table,
-                        models,
-                        &we,
-                        &profiler_config,
-                        Some(&meter),
-                    ))
-                });
-                let mut profiles = Vec::new();
-                for ((dataset, table), (result, retries)) in units.iter().zip(outcomes) {
-                    match result {
-                        Ok(p) => profiles.extend(p),
-                        Err(error) => report.quarantined.push(QuarantineEntry {
-                            artifact: format!("{dataset}/{}", table.name),
-                            kind: ArtifactKind::Table,
-                            error,
-                            retries,
-                        }),
-                    }
-                }
-                profiles
-            }
+        let mut platform =
+            KgLids::blank(self.profiler_config, self.schema_config, self.ingest, self.guardrails);
+        // custom profiles stand in for profiling the datasets
+        let (add_datasets, add_raw_datasets, add_profiles) = match self.custom_profiles {
+            Some(profiles) => (Vec::new(), Vec::new(), profiles),
+            None => (self.datasets, self.raw_datasets, Vec::new()),
         };
-        sw.stop();
-        stats.profiling_secs = sw.secs();
-        stats.columns_profiled = profiles.len();
-        obs.tracer.set_attr(span, "columns", profiles.len());
-        let _ = obs.tracer.close(span);
-
-        // ---- Algorithm 3: data global schema ----
-        let span = obs.tracer.child(root, "link.schema");
-        let mut sw = Stopwatch::started();
-        let (schema_stats, link_seed, edges) = link_schema(&profiles, &schema_config, &we);
-        ingest_encoded(&mut store, &obs, span, "link.schema", |batch| {
-            emit_schema(batch, &profiles, &edges);
-        });
-        sw.stop();
-        stats.schema_secs = sw.secs();
-        obs.tracer.add_count(span, "label_edges", schema_stats.label_edges as u64);
-        obs.tracer.add_count(span, "content_edges", schema_stats.content_edges as u64);
-        obs.tracer.add_count(span, "pairs_pruned", schema_stats.pairs_pruned as u64);
-        for bucket in &schema_stats.buckets {
-            let b = obs.tracer.child(span, "bucket");
-            obs.tracer.set_attr(b, "fgt", bucket.fgt);
-            obs.tracer.set_attr(b, "strategy", bucket.strategy);
-            obs.tracer.set_attr(b, "rows", bucket.rows);
-            obs.tracer.add_count(b, "eligible_pairs", bucket.eligible_pairs as u64);
-            obs.tracer.add_count(b, "candidates", bucket.candidates as u64);
-            obs.tracer.add_count(b, "pruned", bucket.pruned as u64);
-            obs.tracer.add_count(b, "hnsw_hops", bucket.hnsw.hops);
-            obs.tracer.add_count(b, "hnsw_dist_evals", bucket.hnsw.dist_evals);
-            obs.tracer.add_count(b, "hnsw_searches", bucket.hnsw.searches);
-            let _ = obs.tracer.close(b);
-        }
-        let _ = obs.tracer.close(span);
-        stats.schema = Some(SchemaStatsLite::from(&schema_stats));
-
-        // ---- Algorithm 1: library graph + pipeline abstraction ----
-        let span = obs.tracer.child(root, "abstract");
-        let mut sw = Stopwatch::started();
-        let mut abstraction = AbstractionStats::default();
-        // the library graph and every abstracted pipeline accumulate into
-        // one batch, bulk-loaded once at the end of the stage
-        let mut batch: Vec<Quad> = Vec::new();
-        library_graph_quads(&mut batch, &docs, &mut abstraction, &vocab);
-        // analysis is the parallel worker phase (panic-isolated); emission
-        // is serial
-        let analyzed: Vec<(LidsResult<AnalyzedScript>, u32)> =
-            quarantine_map(&pipelines, &ingest, |p| {
-                lids_py::analyze(&p.source).map_err(LidsError::from)
-            });
-        for (pipeline, (analysis, retries)) in pipelines.iter().zip(analyzed) {
-            match analysis {
-                Ok(a) => {
-                    emit_pipeline_quads(
-                        &mut batch,
-                        &mut abstraction,
-                        &docs,
-                        &pipeline.metadata,
-                        &a,
-                        &vocab,
-                    );
-                    stats.pipelines_abstracted += 1;
-                }
-                Err(error) => {
-                    stats.pipelines_failed += 1;
-                    // qualified by dataset: bare pipeline ids need not be
-                    // unique across datasets
-                    let artifact =
-                        format!("{}/{}", pipeline.metadata.dataset, pipeline.metadata.id);
-                    report.quarantined.push(QuarantineEntry {
-                        artifact: artifact.clone(),
-                        kind: ArtifactKind::Pipeline,
-                        error: error.with_artifact(artifact.clone()),
-                        retries,
-                    });
-                }
-            }
-        }
-        ingest_batch(&mut store, &obs, span, "abstract", batch);
-        sw.stop();
-        stats.abstraction_secs = sw.secs();
-        stats.abstraction = abstraction;
-        obs.tracer.set_attr(span, "pipelines", pipelines.len());
-        obs.tracer.add_count(span, "abstracted", stats.pipelines_abstracted as u64);
-        obs.tracer.add_count(span, "failed", stats.pipelines_failed as u64);
-        let _ = obs.tracer.close(span);
-
-        // ---- Graph Linker ----
-        let span = obs.tracer.child(root, "link.pipelines");
-        let mut sw = Stopwatch::started();
-        stats.links = link_pipelines(&mut store);
-        sw.stop();
-        stats.linking_secs = sw.secs();
-        obs.tracer.add_count(span, "tables_linked", stats.links.tables_linked as u64);
-        obs.tracer.add_count(span, "columns_linked", stats.links.columns_linked as u64);
-        let _ = obs.tracer.close(span);
-
-        // ---- quarantine provenance: record *why* artifacts are missing ----
-        if ingest.record_provenance && !report.quarantined.is_empty() {
-            let mut batch: Vec<Quad> = Vec::with_capacity(report.quarantined.len() * 5);
-            for entry in &report.quarantined {
-                push_quarantine(
-                    &mut batch,
-                    &QuarantineRecord {
-                        artifact_id: &entry.artifact,
-                        artifact_kind: entry.kind.name(),
-                        error: &entry.error,
-                        retries: entry.retries,
-                    },
-                );
-            }
-            ingest_batch(&mut store, &obs, root, "quarantine", batch);
-        }
-        stats.report = report;
-        stats.triples = store.len();
-
-        // ---- embedding store ----
-        let span = obs.tracer.child(root, "embed");
-        let embeddings = build_embedding_store(&profiles);
-        meter.alloc(
-            embeddings.table_embeddings.values().map(|e| (e.len() * 4) as u64).sum::<u64>()
-                + embeddings.column_index.approx_bytes(),
+        let delta = platform.ingest(
+            "bootstrap",
+            DeltaBatch {
+                add_datasets,
+                add_raw_datasets,
+                add_profiles,
+                add_pipelines: self.pipelines,
+                remove_datasets: Vec::new(),
+            },
         );
-        obs.tracer.set_attr(span, "table_embeddings", embeddings.table_embeddings.len());
-        obs.tracer.set_attr(span, "indexed_columns", embeddings.column_index.len());
-        let _ = obs.tracer.close(span);
-
-        obs.tracer.set_attr(root, "triples", stats.triples);
-        let _ = obs.tracer.close(root);
-        obs.metrics.gauge_set("memory.peak_bytes", meter.peak() as f64);
-        obs.metrics.gauge_set("bootstrap.ingestion_secs", stats.ingestion_secs);
-        obs.metrics.gauge_set("bootstrap.profiling_secs", stats.profiling_secs);
-        obs.metrics.gauge_set("bootstrap.schema_secs", stats.schema_secs);
-        obs.metrics.gauge_set("bootstrap.abstraction_secs", stats.abstraction_secs);
-        obs.metrics.gauge_set("bootstrap.linking_secs", stats.linking_secs);
-        obs.metrics.counter_add("bootstrap.triples", stats.triples as u64);
-        obs.metrics.counter_add("bootstrap.columns_profiled", stats.columns_profiled as u64);
-        obs.metrics.counter_add("linking.label_edges", schema_stats.label_edges as u64);
-        obs.metrics.counter_add("linking.content_edges", schema_stats.content_edges as u64);
-        obs.metrics.counter_add("linking.pairs_pruned", schema_stats.pairs_pruned as u64);
-        obs.metrics.counter_add("linking.hnsw_dist_evals", schema_stats.hnsw.dist_evals);
-        obs.metrics.gauge_set("ingest.quarantine.artifacts", stats.report.len() as f64);
-        stats.trace = obs.tracer.snapshot();
-
-        // keep the stage-2 linking structures alive for incremental deltas
-        let link_index = LinkIndex::from_seed(link_seed, &profiles, schema_config);
-
-        let platform = KgLids {
-            store,
-            docs,
-            we,
-            profiler_config,
-            schema_config,
-            ingest,
-            profiles,
-            link_index,
-            report: stats.report.clone(),
-            column_index: embeddings.column_index,
-            table_embeddings: embeddings.table_embeddings,
-            dataset_embeddings: embeddings.dataset_embeddings,
-            dataset_embeddings_missing: embeddings.dataset_embeddings_missing,
-            meter,
-            obs,
-            plan_cache: Arc::new(PlanCache::new()),
-            guardrails,
-            cleaning_model: None,
-            scaling_model: None,
-            column_model: None,
+        let stats = BootstrapStats {
+            ingestion_secs: delta.parse_secs,
+            profiling_secs: delta.profiling_secs,
+            schema_secs: delta.linking_secs,
+            abstraction_secs: delta.abstraction_secs,
+            linking_secs: delta.pipeline_linking_secs,
+            columns_profiled: delta.columns_profiled,
+            pipelines_abstracted: delta.pipelines_abstracted,
+            pipelines_failed: delta.pipelines_failed,
+            triples: platform.store.len(),
+            schema: delta.schema,
+            abstraction: delta.abstraction,
+            links: delta.links,
+            report: delta.report,
+            trace: delta.trace,
         };
+        let metrics = &platform.env.obs.metrics;
+        metrics.gauge_set("bootstrap.ingestion_secs", stats.ingestion_secs);
+        metrics.gauge_set("bootstrap.profiling_secs", stats.profiling_secs);
+        metrics.gauge_set("bootstrap.schema_secs", stats.schema_secs);
+        metrics.gauge_set("bootstrap.abstraction_secs", stats.abstraction_secs);
+        metrics.gauge_set("bootstrap.linking_secs", stats.linking_secs);
+        metrics.counter_add("bootstrap.triples", stats.triples as u64);
+        metrics.counter_add("bootstrap.columns_profiled", stats.columns_profiled as u64);
         (platform, stats)
     }
 }
@@ -716,44 +489,62 @@ pub struct KgLids {
     pub(crate) docs: LibraryDocs,
     pub(crate) we: WordEmbeddings,
     pub(crate) profiler_config: ProfilerConfig,
-    #[allow(dead_code)]
-    pub(crate) schema_config: SchemaConfig,
-    /// Fault-tolerance policy bootstrap ran under; deltas reuse it.
+    /// Fault-tolerance policy every ingest run works under.
     pub(crate) ingest: IngestOptions,
     pub(crate) profiles: Vec<ColumnProfile>,
     /// The persistent stage-2 linking structures (label cache, per-bucket
-    /// matrices, sharded HNSW, cell geometry) kept alive after bootstrap
-    /// so deltas link new columns without touching old-old pairs.
+    /// matrices, sharded HNSW, cell geometry): built by the first run's
+    /// batch pass, kept alive so later deltas link new columns without
+    /// touching old-old pairs.
     pub(crate) link_index: LinkIndex,
-    /// Cumulative quarantine ledger: bootstrap's report plus every
-    /// delta's, minus entries withdrawn by dataset retraction.
+    /// Cumulative quarantine ledger: every run's report, minus entries
+    /// withdrawn by dataset retraction.
     pub(crate) report: BootstrapReport,
-    /// Faiss-substitute embedding store over column embeddings; vector ids
-    /// index into `profiles`.
-    pub(crate) column_index: BruteForceIndex,
-    pub(crate) table_embeddings: HashMap<(String, String), Vec<f32>>,
-    pub(crate) dataset_embeddings: HashMap<String, Vec<f32>>,
-    /// §4.2 cleaning embeddings: per-type averages over the columns that
-    /// contain missing values (falls back to all columns when none do).
-    pub(crate) dataset_embeddings_missing: HashMap<String, Vec<f32>>,
+    pub(crate) embeddings: EmbeddingStore,
     pub(crate) meter: MemoryMeter,
-    pub(crate) obs: Obs,
-    /// Prepared-query cache: every API/discovery query text is lexed,
-    /// parsed, and planned at most once per shape and store snapshot.
-    /// Behind an `Arc` so detached [`LidsReader`] handles share parses
-    /// (and cache counters) with the platform.
-    pub(crate) plan_cache: Arc<PlanCache>,
-    /// Resource-governance defaults for every query through the platform.
-    pub(crate) guardrails: QueryGuardrails,
+    /// What every query through this platform and its [`LidsReader`]s
+    /// runs under; also owns the platform's [`Obs`].
+    pub(crate) env: QueryEnv,
     pub(crate) cleaning_model: Option<lids_gnn::CleaningModel>,
     pub(crate) scaling_model: Option<lids_gnn::ScalingModel>,
     pub(crate) column_model: Option<lids_gnn::ColumnTransformModel>,
 }
 
+/// Delta span trees the tracer keeps besides the `bootstrap` one: enough
+/// to look back over the last few changes, bounded so a churning lake's
+/// tracer does not grow for the life of the process.
+const RECENT_DELTA_TRACES: usize = 16;
+
 impl KgLids {
-    /// Bootstrap an empty platform (no artifacts).
+    /// Bootstrap an empty platform (no artifacts; the library graph only).
     pub fn empty() -> Self {
         KgLidsBuilder::new().bootstrap().0
+    }
+
+    /// A platform that holds nothing yet — not even the library graph,
+    /// which its first [`Self::ingest`] run loads.
+    fn blank(
+        profiler_config: ProfilerConfig,
+        schema_config: SchemaConfig,
+        ingest: IngestOptions,
+        guardrails: QueryGuardrails,
+    ) -> Self {
+        KgLids {
+            store: QuadStore::new(),
+            docs: LibraryDocs::builtin(),
+            we: WordEmbeddings::new(),
+            profiler_config,
+            ingest,
+            profiles: Vec::new(),
+            link_index: LinkIndex::new(schema_config),
+            report: BootstrapReport::default(),
+            embeddings: EmbeddingStore::empty(),
+            meter: MemoryMeter::new(),
+            env: QueryEnv::new(guardrails, &schema_config),
+            cleaning_model: None,
+            scaling_model: None,
+            column_model: None,
+        }
     }
 
     /// The LiDS graph (read-only).
@@ -766,22 +557,6 @@ impl KgLids {
     /// consistent view even if the platform's store mutates afterwards.
     pub fn store_snapshot(&self) -> Arc<StoreSnapshot> {
         self.store.snapshot()
-    }
-
-    /// A detached query handle over the LiDS graph, safe to move to
-    /// other threads while a writer keeps mutating the platform's
-    /// store. The handle shares the platform's plan cache, so repeated
-    /// query texts parse once across all readers and the platform
-    /// itself.
-    ///
-    /// Use this when one thread owns the `KgLids` mutably (live
-    /// ingest); for a read-only platform, sharing `Arc<KgLids>` across
-    /// threads and calling [`KgLids::query`] directly works too.
-    pub fn reader(&self) -> LidsReader {
-        LidsReader {
-            store: self.store.reader(),
-            plan_cache: Arc::clone(&self.plan_cache),
-        }
     }
 
     /// All column profiles.
@@ -799,244 +574,34 @@ impl KgLids {
         self.store.len()
     }
 
-    /// Ad-hoc SPARQL query returning a [`DataFrame`] (§5, Ad-hoc Queries).
-    /// Failures surface as the platform-wide [`LidsError`] taxonomy
-    /// (`ErrorKind::SparqlError`).
-    pub fn query(&self, sparql: &str) -> LidsResult<DataFrame> {
-        self.query_with(sparql, EvalOptions::default())
-    }
-
-    /// [`Self::query`] with explicit evaluation options, e.g.
-    /// `EvalOptions::builder().deadline(..).memory_budget(..).build()`.
-    ///
-    /// Runs under the platform's [`QueryGuardrails`]: per-call options
-    /// win, guardrails fill unset limits. On a budget trip the query is
-    /// retried once on the streaming row engine under a row cap and the
-    /// partial result is surfaced with [`DataFrame::truncated`] set;
-    /// shapes that keep tripping are quarantined and fail fast.
-    pub fn query_with(&self, sparql: &str, options: EvalOptions) -> LidsResult<DataFrame> {
-        let solutions = self.governed_query(sparql, options)?;
-        Ok(DataFrame::from_solutions(&solutions))
-    }
-
-    /// The governed query path shared by [`Self::query`],
-    /// [`Self::query_with`], and [`Self::ask`]: quarantine fail-fast →
-    /// governed (vectorized) execution → graceful degradation on budget
-    /// pressure, with `query.*` governance counters throughout.
-    pub(crate) fn governed_query(
-        &self,
-        sparql: &str,
-        options: EvalOptions,
-    ) -> LidsResult<Solutions> {
-        self.governed_query_limited(sparql, options, None)
-    }
-
-    /// [`Self::governed_query`] with an extra [`QueryLimits`] layered in —
-    /// the plumbing behind [`Discovery::limits`](crate::Discovery::limits)
-    /// and the server's per-request limits. Precedence: per-call
-    /// [`EvalOptions`] win, then `extra` fills deadline/budget, then the
-    /// platform [`QueryGuardrails`] fill whatever is still unset. The
-    /// extra limits also contribute cancellation (token, fault-injection
-    /// checkpoint, clock) to the armed governor, which plain
-    /// `EvalOptions` cannot carry.
-    pub(crate) fn governed_query_limited(
-        &self,
-        sparql: &str,
-        options: EvalOptions,
-        extra: Option<&QueryLimits>,
-    ) -> LidsResult<Solutions> {
-        // an empty query can never be meant: fail typed (→ HTTP 400)
-        // before touching the plan cache, whose tokenizer would otherwise
-        // report it as a bare parse failure
-        if sparql.trim().is_empty() {
-            return Err(LidsError::new(
-                ErrorKind::InvalidArgument,
-                "empty SPARQL query (no patterns to evaluate)",
-            ));
-        }
-        let g = &self.guardrails;
-        let metrics = &self.obs.metrics;
-        if self.plan_cache.is_poisoned(sparql) {
-            metrics.counter_add("query.quarantine_denials", 1);
-            return Err(LidsError::new(
-                ErrorKind::QueryBudgetExceeded,
-                "query shape quarantined after repeated resource-limit violations",
-            ));
-        }
-        // per-call options win; extra limits next; guardrails fill the rest
-        let mut effective = options;
-        if let Some(extra) = extra {
-            if effective.deadline.is_none() {
-                effective.deadline = extra.deadline;
-            }
-            if effective.memory_budget.is_none() {
-                effective.memory_budget = extra.memory_budget_bytes;
-            }
-        }
-        if effective.deadline.is_none() {
-            effective.deadline = g.deadline;
-        }
-        if effective.memory_budget.is_none() {
-            effective.memory_budget = g.memory_budget;
-        }
-        self.timed_query(|| {
-            let prepared = self.plan_cache.prepare(sparql)?;
-            let stats = ExecStats::default();
-            let governor = merged_limits(&effective, extra).arm();
-            let mut result =
-                prepared.execute_governed(&self.store, effective, governor.as_ref(), Some(&stats));
-            if let Some(gov) = &governor {
-                if let Some(headroom) = gov.headroom_bytes() {
-                    metrics.gauge_set("query.budget_headroom_bytes", headroom as f64);
-                }
-            }
-            if let Err(SparqlError::Governed(trip)) = &result {
-                match trip.reason {
-                    TripReason::Timeout => metrics.counter_add("query.timeouts", 1),
-                    TripReason::Cancelled => metrics.counter_add("query.cancelled", 1),
-                    TripReason::BudgetExceeded => metrics.counter_add("query.budget_denials", 1),
-                }
-                if self.plan_cache.record_offense(sparql, g.poison_threshold, g.poison_ttl) {
-                    metrics.counter_add("query.shapes_poisoned", 1);
-                }
-                // graceful degradation: budget pressure → streaming row
-                // engine where the row cap replaces the byte budget as
-                // the memory bound (the deadline still applies); partial
-                // results beat no results
-                if trip.reason == TripReason::BudgetExceeded {
-                    metrics.counter_add("query.degraded", 1);
-                    let degraded = EvalOptions {
-                        vectorize: false,
-                        memory_budget: None,
-                        row_cap: Some(effective.row_cap.unwrap_or(g.degraded_row_cap)),
-                        ..effective
-                    };
-                    let retry_governor = merged_limits(&degraded, extra).arm();
-                    result = prepared.execute_governed(
-                        &self.store,
-                        degraded,
-                        retry_governor.as_ref(),
-                        Some(&stats),
-                    );
-                }
-            }
-            self.record_query_obs(&stats);
-            if let Ok(solutions) = &result {
-                if solutions.truncated {
-                    metrics.counter_add("query.truncated", 1);
-                }
-            }
-            result
-        })
-    }
-
-    /// Evaluate `sparql` with per-pattern instrumentation and return the
-    /// executed plan: join order, estimated vs actual rows per triple
-    /// pattern, decode counts, parallel-vs-serial join decisions.
-    pub fn explain(&self, sparql: &str) -> LidsResult<ExplainReport> {
-        let (_, report) = self.timed_query(|| {
-            let parsed = lids_sparql::parse_query(sparql)?;
-            lids_sparql::evaluate_explained(&self.store, &parsed, EvalOptions::default())
-        })?;
-        Ok(report)
-    }
-
-    /// Ask query (governed like [`Self::query`]).
-    pub fn ask(&self, sparql: &str) -> LidsResult<bool> {
-        let solutions = self.governed_query(sparql, EvalOptions::default())?;
-        Ok(solutions.ask.unwrap_or(false))
-    }
-
-    /// Prepared-query cache counters (hits, misses, parses, compiles).
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plan_cache.stats()
-    }
-
-    /// Fold per-query operator counts and the current plan-cache
-    /// counters into the obs registry: `query.ops.*` counters accumulate
-    /// operator executions, `sparql.plan_cache.*` gauges carry the
-    /// cache's monotonic totals.
-    fn record_query_obs(&self, stats: &ExecStats) {
-        let metrics = &self.obs.metrics;
-        metrics.counter_add("query.ops.merge", stats.merge_joins());
-        metrics.counter_add("query.ops.probe", stats.probe_joins());
-        metrics.counter_add("query.ops.leapfrog", stats.leapfrog_joins());
-        let cache = self.plan_cache.stats();
-        metrics.gauge_set("sparql.plan_cache.hits", cache.hits() as f64);
-        metrics.gauge_set("sparql.plan_cache.misses", cache.misses as f64);
-        metrics.gauge_set("sparql.plan_cache.parses", cache.parses as f64);
-        metrics.gauge_set("sparql.plan_cache.compiles", cache.compiles as f64);
-        metrics.gauge_set("sparql.plan_cache.evictions", cache.evictions as f64);
-        metrics.gauge_set("sparql.plan_cache.texts", cache.texts_len as f64);
-        metrics.gauge_set("sparql.plan_cache.shapes", cache.shapes_len as f64);
-    }
-
-    /// Run a query closure under the `query.*` metrics: every call counts
-    /// and records wall time; failures also bump `query.errors`.
-    fn timed_query<T>(
-        &self,
-        run: impl FnOnce() -> Result<T, SparqlError>,
-    ) -> LidsResult<T> {
-        let start = Instant::now();
-        self.obs.metrics.counter_add("query.count", 1);
-        let result = run();
-        self.obs.metrics.observe_duration("query.wall_us", start.elapsed());
-        result.map_err(|e| {
-            self.obs.metrics.counter_add("query.errors", 1);
-            LidsError::from(e)
-        })
-    }
-
-    /// Run one of the platform's own discovery/insight queries. These are
-    /// compile-time constants (modulo IRI interpolation), so a parse error
-    /// is a platform bug, not an input error.
-    #[allow(clippy::expect_used)]
-    pub(crate) fn internal_query(&self, sparql: &str) -> DataFrame {
-        self.query(sparql).expect("well-formed internal query")
-    }
-
-    /// The discovery query path: a platform-authored SPARQL query run
-    /// under caller-supplied [`QueryLimits`], with every failure — parse,
-    /// evaluation, or governed stop — surfaced as a typed [`LidsError`]
-    /// rather than a panic. This is what lets a network front end map a
-    /// discovery failure to the right HTTP status.
-    pub(crate) fn governed_frame(
-        &self,
-        sparql: &str,
-        limits: &QueryLimits,
-    ) -> LidsResult<DataFrame> {
-        let solutions =
-            self.governed_query_limited(sparql, EvalOptions::default(), Some(limits))?;
-        Ok(DataFrame::from_solutions(&solutions))
-    }
-
     /// The platform's observability handle: span tracer + metrics registry.
     pub fn obs(&self) -> &Obs {
-        &self.obs
+        &self.env.obs
     }
 
     /// Current observability state serialized to the `lids-obs/v1` JSON
     /// schema.
     pub fn obs_snapshot_json(&self) -> String {
-        self.obs.snapshot().to_json()
+        self.env.obs.snapshot().to_json()
     }
 
     /// Stored 1800-d embedding of a profiled table.
     pub fn table_embedding(&self, dataset: &str, table: &str) -> Option<&[f32]> {
-        self.table_embeddings
+        self.embeddings
+            .table_embeddings
             .get(&(dataset.to_string(), table.to_string()))
             .map(|e| e.as_slice())
     }
 
     /// Stored dataset embedding (mean of its tables').
     pub fn dataset_embedding(&self, dataset: &str) -> Option<&[f32]> {
-        self.dataset_embeddings.get(dataset).map(|e| e.as_slice())
+        self.embeddings.dataset_embeddings.get(dataset).map(|e| e.as_slice())
     }
 
     /// §4.2 cleaning embedding of a dataset: per-type averages over the
     /// columns that contain missing values.
     pub fn dataset_embedding_missing(&self, dataset: &str) -> Option<&[f32]> {
-        self.dataset_embeddings_missing.get(dataset).map(|e| e.as_slice())
+        self.embeddings.dataset_embeddings_missing.get(dataset).map(|e| e.as_slice())
     }
 
     /// §4.2 cleaning embedding of an *unseen* table: per-type averages over
@@ -1100,7 +665,8 @@ impl KgLids {
     /// Nearest profiled columns to an embedding (the Faiss-style search of
     /// §2.2). Returns `(profile index, similarity)`.
     pub fn similar_columns(&self, embedding: &[f32], k: usize) -> Vec<(usize, f32)> {
-        self.column_index
+        self.embeddings
+            .column_index
             .search(embedding, k)
             .into_iter()
             .map(|n| (n.id as usize, 1.0 - n.distance))
@@ -1112,22 +678,26 @@ impl KgLids {
         &self.docs
     }
 
-    /// The cumulative quarantine ledger: bootstrap's entries plus every
-    /// delta's, minus artifacts withdrawn by dataset retraction.
+    /// The cumulative quarantine ledger: every ingest run's entries, minus
+    /// artifacts withdrawn by dataset retraction.
     pub fn quarantine_report(&self) -> &BootstrapReport {
         &self.report
     }
 
     /// Apply one incremental change to the lake — the "pay for what
-    /// changed" path. Removals run first, then additions, all inside one
-    /// store delta: live [`LidsReader`]s observe the whole delta or
-    /// nothing, and the plan-cache generation bumps exactly once.
+    /// changed" path, and the only ingest path: bootstrap is this same
+    /// sequence run on a platform that holds nothing yet. Removals run
+    /// first, then additions, all inside one store delta: live
+    /// [`LidsReader`]s observe the whole delta or nothing, and the
+    /// plan-cache generation bumps exactly once.
     ///
-    /// Additions profile only the new artifacts (under the same
-    /// fault-tolerance policy as bootstrap) and link them against the
-    /// persisted [`LinkIndex`] with the batch pass's exact kernels and a
-    /// lossless triangle-inequality candidate bound — the resulting graph
-    /// is identical to a from-scratch bootstrap of the final lake.
+    /// Additions profile only the new artifacts (under the platform's
+    /// fault-tolerance policy) and link them through the persisted
+    /// [`LinkIndex`]: with the batch pass's exact kernels and a lossless
+    /// triangle-inequality candidate bound against the columns it holds,
+    /// or — when it has never held one — with the batch pass itself. The
+    /// resulting graph is identical to a from-scratch bootstrap of the
+    /// final lake.
     /// Removals withdraw the dataset's metadata subgraph, its similarity
     /// edges (both directions plus RDF-star annotations), its pipelines'
     /// graphs, and its quarantine provenance via one batch
@@ -1141,6 +711,11 @@ impl KgLids {
     /// deduplicates quads, so metadata merges silently, but columns would
     /// be linked twice.
     pub fn apply_delta(&mut self, delta: DeltaBatch) -> DeltaStats {
+        self.ingest("delta", delta)
+    }
+
+    /// The stage sequence, traced under a root span named `root_name`.
+    fn ingest(&mut self, root_name: &str, delta: DeltaBatch) -> DeltaStats {
         let DeltaBatch {
             add_datasets,
             add_raw_datasets,
@@ -1149,13 +724,17 @@ impl KgLids {
             remove_datasets,
         } = delta;
         let mut stats = DeltaStats::default();
-        let mut delta_report = BootstrapReport::default();
-        let root = self.obs.tracer.root("delta");
+        let mut report = BootstrapReport::default();
+        let obs: &Obs = &self.env.obs;
+        let tracer = &obs.tracer;
+        let root = tracer.root(root_name);
         let cow_before = self.store.cow_stats();
+        // a store that holds nothing yet lacks the library graph too
+        let first_fill = self.store.is_empty();
         self.store.begin_delta();
 
         // ---- retraction: withdraw removed datasets first ----
-        let span = self.obs.tracer.child(root, "retract");
+        let span = tracer.child(root, "retract");
         let mut sw = Stopwatch::started();
         let (mut collect_secs, mut index_secs, mut victims_in) = (0.0, 0.0, 0usize);
         for ds in &remove_datasets {
@@ -1177,18 +756,19 @@ impl KgLids {
         stats.datasets_removed = remove_datasets.len();
         sw.stop();
         stats.retraction_secs = sw.secs();
-        self.obs.tracer.set_attr(span, "datasets", remove_datasets.len());
+        tracer.set_attr(span, "datasets", remove_datasets.len());
         // where a removal's store time goes: scanning for the victims (id
         // space, no term decoded) against dropping them from the indexes
-        self.obs.tracer.set_attr(span, "collect_secs", collect_secs);
-        self.obs.tracer.set_attr(span, "index_secs", index_secs);
-        self.obs.tracer.add_count(span, "victims", victims_in as u64);
-        self.obs.tracer.add_count(span, "quads_retracted", stats.quads_retracted as u64);
-        self.obs.tracer.add_count(span, "columns_retracted", stats.columns_retracted as u64);
-        let _ = self.obs.tracer.close(span);
+        tracer.set_attr(span, "collect_secs", collect_secs);
+        tracer.set_attr(span, "index_secs", index_secs);
+        tracer.add_count(span, "victims", victims_in as u64);
+        tracer.add_count(span, "quads_retracted", stats.quads_retracted as u64);
+        tracer.add_count(span, "columns_retracted", stats.columns_retracted as u64);
+        let _ = tracer.close(span);
 
         // ---- parse raw artifacts under the fault policy ----
-        let span = self.obs.tracer.child(root, "parse");
+        let span = tracer.child(root, "parse");
+        let mut sw = Stopwatch::started();
         let mut datasets = add_datasets;
         for raw in &add_raw_datasets {
             let outcomes = quarantine_map(&raw.tables, &self.ingest, |t| {
@@ -1198,7 +778,7 @@ impl KgLids {
             for (table, (result, retries)) in raw.tables.iter().zip(outcomes) {
                 match result {
                     Ok(t) => tables.push(t),
-                    Err(error) => delta_report.quarantined.push(QuarantineEntry {
+                    Err(error) => report.quarantined.push(QuarantineEntry {
                         artifact: format!("{}/{}", raw.name, table.name),
                         kind: ArtifactKind::Table,
                         error,
@@ -1209,11 +789,14 @@ impl KgLids {
             datasets.push(Dataset::new(raw.name.clone(), tables));
         }
         stats.datasets_added = datasets.len();
-        self.obs.tracer.set_attr(span, "raw_datasets", add_raw_datasets.len());
-        let _ = self.obs.tracer.close(span);
+        sw.stop();
+        stats.parse_secs = sw.secs();
+        tracer.set_attr(span, "raw_datasets", add_raw_datasets.len());
+        tracer.add_count(span, "quarantined", report.quarantined.len() as u64);
+        let _ = tracer.close(span);
 
-        // ---- profile only the new artifacts (panic-isolated) ----
-        let span = self.obs.tracer.child(root, "profile");
+        // ---- Algorithm 2: profile the new artifacts (panic-isolated) ----
+        let span = tracer.child(root, "profile");
         let mut sw = Stopwatch::started();
         let models = ColrModels::pretrained();
         let units: Vec<(&str, &Table)> = datasets
@@ -1235,7 +818,7 @@ impl KgLids {
         for ((dataset, table), (result, retries)) in units.iter().zip(outcomes) {
             match result {
                 Ok(p) => new_profiles.extend(p),
-                Err(error) => delta_report.quarantined.push(QuarantineEntry {
+                Err(error) => report.quarantined.push(QuarantineEntry {
                     artifact: format!("{dataset}/{}", table.name),
                     kind: ArtifactKind::Table,
                     error,
@@ -1247,14 +830,14 @@ impl KgLids {
         sw.stop();
         stats.profiling_secs = sw.secs();
         stats.columns_profiled = new_profiles.len();
-        self.obs.tracer.set_attr(span, "columns", new_profiles.len());
-        let _ = self.obs.tracer.close(span);
+        tracer.set_attr(span, "columns", new_profiles.len());
+        let _ = tracer.close(span);
 
-        // ---- link new columns against the persisted index ----
-        let span = self.obs.tracer.child(root, "link.schema");
+        // ---- Algorithm 3: link the new columns into the global schema ----
+        let span = tracer.child(root, "link.schema");
         let mut sw = Stopwatch::started();
         let (link, edges) = self.link_index.link_columns(&new_profiles, &self.we);
-        let ingested = ingest_encoded(&mut self.store, &self.obs, span, "link.schema", |batch| {
+        let ingested = ingest_encoded(&mut self.store, obs, span, "link.schema", |batch| {
             self.link_index.emit_columns(batch, &new_profiles, &edges);
         });
         stats.quads_added += ingested.quads_added;
@@ -1263,18 +846,44 @@ impl KgLids {
         stats.relink_candidates = link.candidates;
         stats.label_edges = link.label_edges;
         stats.content_edges = link.content_edges;
-        self.obs.tracer.add_count(span, "label_edges", link.label_edges as u64);
-        self.obs.tracer.add_count(span, "content_edges", link.content_edges as u64);
-        self.obs.tracer.add_count(span, "candidates", link.candidates as u64);
-        self.obs.tracer.add_count(span, "cell_rebuilds", link.cell_rebuilds as u64);
-        let _ = self.obs.tracer.close(span);
+        tracer.add_count(span, "label_edges", link.label_edges as u64);
+        tracer.add_count(span, "content_edges", link.content_edges as u64);
+        tracer.add_count(span, "candidates", link.candidates as u64);
+        tracer.add_count(span, "cell_rebuilds", link.cell_rebuilds as u64);
+        // the index took the batch pass: its pruning, bucket by bucket
+        if let Some(batch) = &link.batch {
+            stats.schema = Some(SchemaStatsLite::from(batch));
+            tracer.add_count(span, "pairs_pruned", batch.pairs_pruned as u64);
+            obs.metrics.counter_add("linking.pairs_pruned", batch.pairs_pruned as u64);
+            for bucket in &batch.buckets {
+                let b = tracer.child(span, "bucket");
+                tracer.set_attr(b, "fgt", bucket.fgt);
+                tracer.set_attr(b, "strategy", bucket.strategy);
+                tracer.set_attr(b, "rows", bucket.rows);
+                tracer.add_count(b, "eligible_pairs", bucket.eligible_pairs as u64);
+                tracer.add_count(b, "candidates", bucket.candidates as u64);
+                tracer.add_count(b, "pruned", bucket.pruned as u64);
+                tracer.add_count(b, "hnsw_hops", bucket.hnsw.hops);
+                tracer.add_count(b, "hnsw_dist_evals", bucket.hnsw.dist_evals);
+                tracer.add_count(b, "hnsw_searches", bucket.hnsw.searches);
+                let _ = tracer.close(b);
+            }
+        }
+        let _ = tracer.close(span);
 
-        // ---- abstract new pipelines (panic-isolated, quarantining) ----
-        let span = self.obs.tracer.child(root, "abstract");
+        // ---- Algorithm 1: library graph + pipeline abstraction ----
+        let span = tracer.child(root, "abstract");
         let mut sw = Stopwatch::started();
-        let mut abstraction = AbstractionStats::default();
+        // the library graph (first fill only) and every abstracted
+        // pipeline accumulate into one batch, bulk-loaded once at the end
+        // of the stage
         let mut batch: Vec<Quad> = Vec::new();
         let vocab = Vocab::new();
+        if first_fill {
+            library_graph_quads(&mut batch, &self.docs, &mut stats.abstraction, &vocab);
+        }
+        // analysis is the parallel worker phase (panic-isolated); emission
+        // is serial
         let analyzed: Vec<(LidsResult<AnalyzedScript>, u32)> =
             quarantine_map(&add_pipelines, &self.ingest, |p| {
                 lids_py::analyze(&p.source).map_err(LidsError::from)
@@ -1284,7 +893,7 @@ impl KgLids {
                 Ok(a) => {
                     emit_pipeline_quads(
                         &mut batch,
-                        &mut abstraction,
+                        &mut stats.abstraction,
                         &self.docs,
                         &pipeline.metadata,
                         &a,
@@ -1294,9 +903,11 @@ impl KgLids {
                 }
                 Err(error) => {
                     stats.pipelines_failed += 1;
+                    // qualified by dataset: bare pipeline ids need not be
+                    // unique across datasets
                     let artifact =
                         format!("{}/{}", pipeline.metadata.dataset, pipeline.metadata.id);
-                    delta_report.quarantined.push(QuarantineEntry {
+                    report.quarantined.push(QuarantineEntry {
                         artifact: artifact.clone(),
                         kind: ArtifactKind::Pipeline,
                         error: error.with_artifact(artifact.clone()),
@@ -1305,32 +916,35 @@ impl KgLids {
                 }
             }
         }
-        let ingested = ingest_batch(&mut self.store, &self.obs, span, "abstract", batch);
+        let ingested = ingest_batch(&mut self.store, obs, span, "abstract", batch);
         stats.quads_added += ingested.quads_added;
         sw.stop();
         stats.abstraction_secs = sw.secs();
-        self.obs.tracer.set_attr(span, "pipelines", add_pipelines.len());
-        self.obs.tracer.add_count(span, "abstracted", stats.pipelines_abstracted as u64);
-        self.obs.tracer.add_count(span, "failed", stats.pipelines_failed as u64);
-        let _ = self.obs.tracer.close(span);
+        tracer.set_attr(span, "pipelines", add_pipelines.len());
+        tracer.add_count(span, "abstracted", stats.pipelines_abstracted as u64);
+        tracer.add_count(span, "failed", stats.pipelines_failed as u64);
+        let _ = tracer.close(span);
 
         // ---- Graph Linker over the new pipelines' predictions ----
         // Every pass consumes all `predictedRead` literals, so only a
-        // delta that abstracted a pipeline can have left any to link.
-        let span = self.obs.tracer.child(root, "link.pipelines");
+        // run that abstracted a pipeline can have left any to link.
+        let span = tracer.child(root, "link.pipelines");
+        let mut sw = Stopwatch::started();
         let scan = stats.pipelines_abstracted > 0;
         if scan {
             stats.links = link_pipelines(&mut self.store);
         }
-        self.obs.tracer.set_attr(span, "scanned", scan);
-        self.obs.tracer.add_count(span, "tables_linked", stats.links.tables_linked as u64);
-        self.obs.tracer.add_count(span, "columns_linked", stats.links.columns_linked as u64);
-        let _ = self.obs.tracer.close(span);
+        sw.stop();
+        stats.pipeline_linking_secs = sw.secs();
+        tracer.set_attr(span, "scanned", scan);
+        tracer.add_count(span, "tables_linked", stats.links.tables_linked as u64);
+        tracer.add_count(span, "columns_linked", stats.links.columns_linked as u64);
+        let _ = tracer.close(span);
 
-        // ---- quarantine provenance for this delta's failures ----
-        if self.ingest.record_provenance && !delta_report.quarantined.is_empty() {
-            let mut batch: Vec<Quad> = Vec::with_capacity(delta_report.quarantined.len() * 5);
-            for entry in &delta_report.quarantined {
+        // ---- quarantine provenance: record *why* artifacts are missing ----
+        if self.ingest.record_provenance && !report.quarantined.is_empty() {
+            let mut batch: Vec<Quad> = Vec::with_capacity(report.quarantined.len() * 5);
+            for entry in &report.quarantined {
                 push_quarantine(
                     &mut batch,
                     &QuarantineRecord {
@@ -1341,45 +955,49 @@ impl KgLids {
                     },
                 );
             }
-            let ingested = ingest_batch(&mut self.store, &self.obs, root, "quarantine", batch);
+            let ingested = ingest_batch(&mut self.store, obs, root, "quarantine", batch);
             stats.quads_added += ingested.quads_added;
         }
 
         // ---- refresh derived state, commit, publish once ----
-        let span = self.obs.tracer.child(root, "embed");
+        let span = tracer.child(root, "embed");
         self.profiles.extend(new_profiles);
-        let embeddings = build_embedding_store(&self.profiles);
-        self.column_index = embeddings.column_index;
-        self.table_embeddings = embeddings.table_embeddings;
-        self.dataset_embeddings = embeddings.dataset_embeddings;
-        self.dataset_embeddings_missing = embeddings.dataset_embeddings_missing;
-        self.obs.tracer.set_attr(span, "table_embeddings", self.table_embeddings.len());
-        self.obs.tracer.set_attr(span, "indexed_columns", self.column_index.len());
-        let _ = self.obs.tracer.close(span);
-        self.report.quarantined.extend(delta_report.quarantined.iter().cloned());
+        self.meter.free(self.embeddings.approx_bytes());
+        self.embeddings = build_embedding_store(&self.profiles);
+        self.meter.alloc(self.embeddings.approx_bytes());
+        tracer.set_attr(span, "table_embeddings", self.embeddings.table_embeddings.len());
+        tracer.set_attr(span, "indexed_columns", self.embeddings.column_index.len());
+        let _ = tracer.close(span);
+        self.report.quarantined.extend(report.quarantined.iter().cloned());
         // publication, and the release of the snapshot it supersedes when
         // no reader still pins it
-        let span = self.obs.tracer.child(root, "commit");
+        let span = tracer.child(root, "commit");
         self.store.commit_delta();
-        let _ = self.obs.tracer.close(span);
+        let _ = tracer.close(span);
 
-        let metrics = &self.obs.metrics;
+        let metrics = &obs.metrics;
         metrics.counter_add("ingest.delta.datasets_added", stats.datasets_added as u64);
         metrics.counter_add("ingest.delta.datasets_removed", stats.datasets_removed as u64);
         metrics.counter_add("ingest.delta.quads_retracted", stats.quads_retracted as u64);
         metrics.counter_add("ingest.delta.relink_candidates", stats.relink_candidates as u64);
+        metrics.counter_add("linking.label_edges", link.label_edges as u64);
+        metrics.counter_add("linking.content_edges", link.content_edges as u64);
+        metrics.counter_add("linking.hnsw_dist_evals", link.hnsw.dist_evals);
         metrics.gauge_set("ingest.quarantine.artifacts", self.report.len() as f64);
-        // the store's monotonic totals, and this delta's share of them
+        metrics.gauge_set("memory.peak_bytes", self.meter.peak() as f64);
+        // the store's monotonic totals, and this run's share of them
         let cow = self.store.cow_stats();
         metrics.gauge_set("store.cow.clones", cow.clones as f64);
         metrics.gauge_set("store.cow.secs", cow.secs);
         stats.cow_clones = cow.clones - cow_before.clones;
         stats.cow_secs = cow.secs - cow_before.secs;
-        self.obs.tracer.set_attr(root, "generation", self.store.generation());
-        let _ = self.obs.tracer.close(root);
         stats.generation = self.store.generation();
-        stats.report = delta_report;
-        stats.trace = self.obs.tracer.snapshot();
+        tracer.set_attr(root, "generation", stats.generation);
+        tracer.set_attr(root, "triples", self.store.len());
+        let _ = tracer.close(root);
+        stats.report = report;
+        stats.trace = TraceSnapshot { roots: tracer.snapshot_span(root).into_iter().collect() };
+        tracer.retain_roots(1, RECENT_DELTA_TRACES);
         stats
     }
 }
@@ -1445,7 +1063,8 @@ impl DeltaBatch {
     }
 }
 
-/// What one [`KgLids::apply_delta`] call did.
+/// What one run of the ingest sequence did: one [`KgLids::apply_delta`]
+/// call, or the bootstrap (whose [`BootstrapStats`] are read off this).
 #[derive(Debug, Clone, Default)]
 pub struct DeltaStats {
     pub datasets_added: usize,
@@ -1456,14 +1075,19 @@ pub struct DeltaStats {
     pub pipelines_failed: usize,
     pub quads_added: usize,
     pub quads_retracted: usize,
-    /// Column pairs the incremental linker exact-scored.
+    /// Column pairs the linker exact-scored.
     pub relink_candidates: usize,
     pub label_edges: usize,
     pub content_edges: usize,
     pub retraction_secs: f64,
+    /// Parsing of raw artifacts.
+    pub parse_secs: f64,
     pub profiling_secs: f64,
+    /// The schema stage: linking the new columns and loading their quads.
     pub linking_secs: f64,
     pub abstraction_secs: f64,
+    /// The graph linker over the new pipelines' predicted reads.
+    pub pipeline_linking_secs: f64,
     /// Copy-on-write store clones this delta paid (one, at its first
     /// write, when a reader pins the previous snapshot; none otherwise)
     /// and the seconds they took — already inside whichever stage wrote
@@ -1473,163 +1097,28 @@ pub struct DeltaStats {
     /// Store generation after the delta committed (exactly base + 1 when
     /// the delta mutated anything).
     pub generation: u64,
+    /// The batch schema pass's counters, when the link index took it (it
+    /// had never held a column).
+    pub schema: Option<SchemaStatsLite>,
+    /// Triples emitted per abstraction aspect (library graph included,
+    /// on the run that loaded it).
+    pub abstraction: AbstractionStats,
     /// Graph-linker outcome over the delta's pipelines.
     pub links: LinkStats,
     /// This delta's quarantined artifacts (the cumulative ledger lives on
     /// the platform: [`KgLids::quarantine_report`]).
     pub report: BootstrapReport,
-    /// Span tree including the `delta` root of this call.
+    /// This run's span tree: one root, `delta` (`bootstrap` for the
+    /// first), with one child per stage.
     pub trace: TraceSnapshot,
 }
 
-/// The [`QueryLimits`] to arm for one governed execution: deadline and
-/// budget come from the (already-merged) [`EvalOptions`]; the extra limits
-/// contribute what options cannot carry — the cancellation token, the
-/// fault-injection checkpoint, and the clock.
-fn merged_limits(options: &EvalOptions, extra: Option<&QueryLimits>) -> QueryLimits {
-    let mut limits = options.limits();
-    if let Some(extra) = extra {
-        limits.cancel = extra.cancel.clone();
-        limits.cancel_after_checks = extra.cancel_after_checks;
-        limits.clock = extra.clock.clone();
-    }
-    limits
-}
-
-/// A detached, thread-safe query handle over the LiDS graph.
-///
-/// Obtained from [`KgLids::reader`]. Each call to [`Self::snapshot`]
-/// observes the store's latest *published* state — the store publishes
-/// after every committed mutation, so a reader sees whole batches or
-/// nothing, never a torn intermediate. Query texts are parsed and
-/// planned through the platform's shared [`PlanCache`], so a query
-/// shape parses once across every reader and the platform itself.
-///
-/// The handle is `Clone + Send + Sync`: clone it once per serving
-/// thread.
-#[derive(Debug, Clone)]
-pub struct LidsReader {
-    store: StoreReader,
-    plan_cache: Arc<PlanCache>,
-}
-
-impl LidsReader {
-    /// A reader over a bare [`QuadStore`] (no platform), with its own
-    /// plan cache. For serving a store that is being written by a
-    /// non-platform writer — benches, tests, replication receivers.
-    pub fn for_store(store: &QuadStore) -> LidsReader {
-        LidsReader {
-            store: store.reader(),
-            plan_cache: Arc::new(PlanCache::new()),
-        }
-    }
-
-    /// The latest published store snapshot: O(1), no index copy.
-    ///
-    /// Hold the returned `Arc` to pin a consistent view across several
-    /// queries; call again to observe newer writes.
-    pub fn snapshot(&self) -> Arc<StoreSnapshot> {
-        self.store.snapshot()
-    }
-
-    /// Ad-hoc SPARQL query against the latest published snapshot.
-    pub fn query(&self, sparql: &str) -> LidsResult<DataFrame> {
-        self.query_with(sparql, EvalOptions::default())
-    }
-
-    /// [`Self::query`] with explicit evaluation options.
-    pub fn query_with(&self, sparql: &str, options: EvalOptions) -> LidsResult<DataFrame> {
-        let snapshot = self.store.snapshot();
-        self.query_at(&snapshot, sparql, options)
-    }
-
-    /// Run `sparql` against a pinned snapshot (from [`Self::snapshot`]).
-    /// The query runs to completion on that consistent view even while
-    /// the writer publishes newer generations.
-    pub fn query_at(
-        &self,
-        snapshot: &StoreSnapshot,
-        sparql: &str,
-        options: EvalOptions,
-    ) -> LidsResult<DataFrame> {
-        self.query_limited(snapshot, sparql, options, None)
-    }
-
-    /// [`Self::query_at`] with an extra [`QueryLimits`] layered in (the
-    /// server's per-request governance path): options win for
-    /// deadline/budget, the limits contribute the cancellation handle and
-    /// clock that options cannot carry.
-    pub fn query_limited(
-        &self,
-        snapshot: &StoreSnapshot,
-        sparql: &str,
-        options: EvalOptions,
-        extra: Option<&QueryLimits>,
-    ) -> LidsResult<DataFrame> {
-        // typed pre-flight (→ HTTP 400), same as the platform path: an
-        // empty query is a caller mistake, not a platform invariant
-        // violation
-        if sparql.trim().is_empty() {
-            return Err(LidsError::new(
-                ErrorKind::InvalidArgument,
-                "empty SPARQL query (no patterns to evaluate)",
-            ));
-        }
-        let mut effective = options;
-        if let Some(extra) = extra {
-            if effective.deadline.is_none() {
-                effective.deadline = extra.deadline;
-            }
-            if effective.memory_budget.is_none() {
-                effective.memory_budget = extra.memory_budget_bytes;
-            }
-        }
-        let prepared = self.plan_cache.prepare(sparql).map_err(LidsError::from)?;
-        let governor = merged_limits(&effective, extra).arm();
-        let solutions = prepared
-            .execute_governed(snapshot, effective, governor.as_ref(), None)
-            .map_err(LidsError::from)?;
-        Ok(DataFrame::from_solutions(&solutions))
-    }
-
-    /// Evaluate `sparql` against the latest published snapshot with
-    /// per-pattern instrumentation (the reader-side [`KgLids::explain`]).
-    pub fn explain(&self, sparql: &str) -> LidsResult<ExplainReport> {
-        let snapshot = self.store.snapshot();
-        self.explain_at(&snapshot, sparql)
-    }
-
-    /// [`Self::explain`] against a pinned snapshot.
-    pub fn explain_at(
-        &self,
-        snapshot: &StoreSnapshot,
-        sparql: &str,
-    ) -> LidsResult<ExplainReport> {
-        if sparql.trim().is_empty() {
-            return Err(LidsError::new(
-                ErrorKind::InvalidArgument,
-                "empty SPARQL query (no patterns to evaluate)",
-            ));
-        }
-        let parsed = lids_sparql::parse_query(sparql).map_err(LidsError::from)?;
-        let (_, report) =
-            lids_sparql::evaluate_explained(snapshot, &parsed, EvalOptions::default())
-                .map_err(LidsError::from)?;
-        Ok(report)
-    }
-
-    /// Shared plan-cache counters (hits, misses, parses, compiles).
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plan_cache.stats()
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lids_profiler::table::Column;
 
-    fn titanic() -> Dataset {
+    pub(crate) fn titanic() -> Dataset {
         Dataset::new(
             "titanic",
             vec![Table::new(
@@ -1652,7 +1141,7 @@ clf = RandomForestClassifier(50, max_depth=10)
 clf.fit(X, y)
 "#;
 
-    fn script() -> PipelineScript {
+    pub(crate) fn script() -> PipelineScript {
         PipelineScript {
             metadata: PipelineMetadata {
                 id: "p1".into(),
@@ -1680,25 +1169,6 @@ clf.fit(X, y)
         assert!(stats.links.tables_linked >= 1);
         assert!(platform.triple_count() > 100);
         assert!(platform.meter().peak() > 0);
-    }
-
-    #[test]
-    fn adhoc_sparql_works() {
-        let (platform, _) = KgLidsBuilder::new()
-            .with_dataset(titanic())
-            .with_pipelines([script()])
-            .bootstrap();
-        let df = platform
-            .query(
-                "PREFIX k: <http://kglids.org/ontology/> \
-                 SELECT ?t WHERE { ?t a k:Table . }",
-            )
-            .unwrap();
-        assert_eq!(df.len(), 1);
-        assert!(df.get(0, "t").unwrap().contains("titanic/train"));
-        assert!(platform
-            .ask("PREFIX k: <http://kglids.org/ontology/> ASK { ?p a k:Pipeline . }")
-            .unwrap());
     }
 
     #[test]
@@ -1762,126 +1232,6 @@ clf.fit(X, y)
     }
 
     #[test]
-    fn query_errors_are_lids_errors_and_counted() {
-        let platform = KgLids::empty();
-        let err = platform.query("SELECT broken {{{").unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::SparqlError);
-        let metrics = platform.obs().metrics.snapshot();
-        assert_eq!(metrics.counter("query.errors"), Some(1));
-    }
-
-    #[test]
-    fn query_with_and_explain() {
-        let (platform, _) = KgLidsBuilder::new().with_dataset(titanic()).bootstrap();
-        let q = "PREFIX k: <http://kglids.org/ontology/> \
-                 SELECT ?c WHERE { ?t a k:Table . ?t k:hasColumn ?c . }";
-        let opts = EvalOptions::builder().reorder_joins(false).build();
-        let df = platform.query_with(q, opts).unwrap();
-        assert_eq!(df.len(), 3);
-        let report = platform.explain(q).unwrap();
-        assert_eq!(report.rows, 3);
-        assert_eq!(report.patterns.len(), 2);
-        assert!(report.patterns.iter().all(|p| p.satisfiable && p.order.is_some()));
-    }
-
-    #[test]
-    fn deadline_guardrail_times_out_queries() {
-        let (platform, _) = KgLidsBuilder::new()
-            .with_dataset(titanic())
-            .with_query_guardrails(QueryGuardrails {
-                deadline: Some(Duration::ZERO),
-                ..QueryGuardrails::default()
-            })
-            .bootstrap();
-        let err = platform
-            .query(
-                "PREFIX k: <http://kglids.org/ontology/> \
-                 SELECT ?c WHERE { ?t a k:Table . ?t k:hasColumn ?c . }",
-            )
-            .unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::QueryTimeout);
-        let metrics = platform.obs().metrics.snapshot();
-        assert!(metrics.counter("query.timeouts").unwrap_or(0) >= 1);
-        assert!(metrics.counter("query.errors").unwrap_or(0) >= 1);
-    }
-
-    #[test]
-    fn budget_trip_degrades_to_truncated_partial_result() {
-        let (platform, _) = KgLidsBuilder::new()
-            .with_dataset(titanic())
-            .with_query_guardrails(QueryGuardrails {
-                memory_budget: Some(64),
-                degraded_row_cap: 1,
-                ..QueryGuardrails::default()
-            })
-            .bootstrap();
-        let df = platform
-            .query(
-                "PREFIX k: <http://kglids.org/ontology/> \
-                 SELECT ?c WHERE { ?t a k:Table . ?t k:hasColumn ?c . }",
-            )
-            .unwrap();
-        assert!(df.truncated, "degraded result must be marked truncated");
-        assert!(df.len() <= 1, "degraded result must respect the row cap");
-        let metrics = platform.obs().metrics.snapshot();
-        assert!(metrics.counter("query.budget_denials").unwrap_or(0) >= 1);
-        assert!(metrics.counter("query.degraded").unwrap_or(0) >= 1);
-        assert!(metrics.counter("query.truncated").unwrap_or(0) >= 1);
-    }
-
-    #[test]
-    fn repeat_offender_shapes_fail_fast() {
-        let (platform, _) = KgLidsBuilder::new()
-            .with_dataset(titanic())
-            .with_query_guardrails(QueryGuardrails {
-                deadline: Some(Duration::ZERO),
-                poison_threshold: 2,
-                poison_ttl: Duration::from_secs(3600),
-                ..QueryGuardrails::default()
-            })
-            .bootstrap();
-        let q = "PREFIX k: <http://kglids.org/ontology/> \
-                 SELECT ?c WHERE { ?t a k:Table . ?t k:hasColumn ?c . }";
-        assert_eq!(platform.query(q).unwrap_err().kind(), ErrorKind::QueryTimeout);
-        assert_eq!(platform.query(q).unwrap_err().kind(), ErrorKind::QueryTimeout);
-        // two trips crossed the threshold: the shape now fails fast
-        let err = platform.query(q).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::QueryBudgetExceeded);
-        assert!(err.to_string().contains("quarantined"), "err: {err}");
-        let metrics = platform.obs().metrics.snapshot();
-        assert!(metrics.counter("query.shapes_poisoned").unwrap_or(0) >= 1);
-        assert!(metrics.counter("query.quarantine_denials").unwrap_or(0) >= 1);
-        // a different, well-behaved shape still runs normally
-        assert!(platform
-            .query("PREFIX k: <http://kglids.org/ontology/> SELECT ?t WHERE { ?t a k:Table . }")
-            .is_err()); // (deadline 0 still times it out, but NOT as a quarantine)
-    }
-
-    #[test]
-    fn generous_guardrails_leave_queries_exact() {
-        let (platform, _) = KgLidsBuilder::new()
-            .with_dataset(titanic())
-            .with_query_guardrails(QueryGuardrails {
-                deadline: Some(Duration::from_secs(60)),
-                memory_budget: Some(256 << 20),
-                ..QueryGuardrails::default()
-            })
-            .bootstrap();
-        let df = platform
-            .query(
-                "PREFIX k: <http://kglids.org/ontology/> \
-                 SELECT ?c WHERE { ?t a k:Table . ?t k:hasColumn ?c . }",
-            )
-            .unwrap();
-        assert_eq!(df.len(), 3);
-        assert!(!df.truncated);
-        let metrics = platform.obs().metrics.snapshot();
-        assert_eq!(metrics.counter("query.degraded").unwrap_or(0), 0);
-        // headroom gauge was exported for the governed run
-        assert!(metrics.gauge("query.budget_headroom_bytes").is_some());
-    }
-
-    #[test]
     fn empty_platform() {
         let platform = KgLids::empty();
         // no artifacts, but the library graph (from the docs KB) is always
@@ -1897,64 +1247,4 @@ clf.fit(X, y)
         assert!(platform.triple_count() > 0);
     }
 
-    #[test]
-    fn platform_and_reader_are_thread_safe() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<KgLids>();
-        assert_send_sync::<LidsReader>();
-        assert_send_sync::<Arc<KgLids>>();
-    }
-
-    #[test]
-    fn shared_platform_queries_from_many_threads() {
-        let platform = Arc::new(KgLids::empty());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let p = Arc::clone(&platform);
-                std::thread::spawn(move || {
-                    let df = p
-                        .query(
-                            "PREFIX k: <http://kglids.org/ontology/> \
-                             SELECT ?t WHERE { ?t a k:Table . }",
-                        )
-                        .unwrap();
-                    df.len()
-                })
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 0);
-        }
-        // all four queries hit the same cache: one parse, three text hits
-        let stats = platform.plan_cache_stats();
-        assert_eq!(stats.parses, 1);
-    }
-
-    #[test]
-    fn reader_sees_writes_published_after_acquisition() {
-        use lids_rdf::{Quad, Term};
-        let mut platform = KgLids::empty();
-        let reader = platform.reader();
-        let before = reader.snapshot().len();
-        platform.store.insert(&Quad::new(
-            Term::iri("urn:ex:s"),
-            Term::iri("urn:ex:p"),
-            Term::iri("urn:ex:o"),
-        ));
-        // a fresh snapshot observes the committed write...
-        assert_eq!(reader.snapshot().len(), before + 1);
-        let df = reader
-            .query("SELECT ?o WHERE { <urn:ex:s> <urn:ex:p> ?o . }")
-            .unwrap();
-        assert_eq!(df.len(), 1);
-        // ...while a snapshot pinned before the write stays frozen
-        let pinned = reader.snapshot();
-        platform.store.insert(&Quad::new(
-            Term::iri("urn:ex:s2"),
-            Term::iri("urn:ex:p"),
-            Term::iri("urn:ex:o"),
-        ));
-        assert_eq!(pinned.len(), before + 1);
-        assert_eq!(reader.snapshot().len(), before + 2);
-    }
 }

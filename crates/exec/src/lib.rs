@@ -11,7 +11,7 @@
 //!
 //! It also hosts the fault-tolerance substrate for ingestion: the
 //! [`LidsError`] taxonomy, the panic-isolating [`parallel_try_map`], and
-//! bounded [`retry`] with exponential backoff over an injectable [`Clock`].
+//! bounded [`retry()`] with exponential backoff over an injectable [`Clock`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -6,7 +6,10 @@
 //! sharded HNSW, and candidate-component geometry (adopted verbatim via
 //! [`crate::schema::data_global_schema_quads_seeded`]) — so a delta of new
 //! columns links against the existing lake without re-scoring old-old
-//! pairs.
+//! pairs. An index that has never held a column ([`LinkIndex::new`]) runs
+//! that batch pass itself on its first [`LinkIndex::link_columns`] and
+//! adopts the seed: bootstrap is the first delta, and which pass a delta
+//! takes is decided here, from the index's own state.
 //!
 //! # Exactness
 //!
@@ -71,8 +74,8 @@ use lids_vector::{dot_lanes, HnswConfig, Metric, RowMatrix, SearchStats, Sharded
 use crate::ontology::{object_prop, res};
 use crate::provenance::{artifact_iri, QUARANTINE_GRAPH};
 use crate::schema::{
-    components, emit_metadata, emit_quads, euclidean, CellSet, Edge, LinkSeed, QuadSink, SchemaConfig,
-    GEOM_MARGIN, HNSW_SEED, RADIUS_MARGIN,
+    components, emit_metadata, emit_quads, euclidean, link_schema, CellSet, Edge, LinkSeed, QuadSink,
+    SchemaConfig, SchemaStats, GEOM_MARGIN, HNSW_SEED, RADIUS_MARGIN,
 };
 
 /// Identity of one column the index has ever seen (dead ones stay, so row
@@ -131,8 +134,12 @@ pub struct DeltaLinkStats {
     pub candidates: usize,
     /// Buckets whose cell geometry was recomputed this call.
     pub cell_rebuilds: usize,
-    /// ANN work spent on cell rebuilds.
+    /// ANN work spent on cell rebuilds (on the batch pass: on candidate
+    /// generation).
     pub hnsw: SearchStats,
+    /// The batch pass's own statistics, when this call took it (see
+    /// [`LinkIndex::link_columns`]).
+    pub batch: Option<SchemaStats>,
 }
 
 /// The persistent linking index: everything stage 2 needs to link a new
@@ -150,6 +157,20 @@ pub struct LinkIndex {
 }
 
 impl LinkIndex {
+    /// An index that has never held a column — what a platform starts
+    /// from. Its first [`LinkIndex::link_columns`] is a batch pass.
+    pub fn new(config: SchemaConfig) -> Self {
+        LinkIndex {
+            config,
+            cache: LabelEmbeddingCache::new(),
+            table_ids: HashMap::new(),
+            cols: Vec::new(),
+            alive: Vec::new(),
+            label_groups: HashMap::new(),
+            embed: HashMap::new(),
+        }
+    }
+
     /// Adopt the structures a batch schema pass built over `profiles`
     /// (the same slice, in the same order, that produced `seed`).
     pub fn from_seed(seed: LinkSeed, profiles: &[ColumnProfile], config: SchemaConfig) -> Self {
@@ -238,11 +259,33 @@ impl LinkIndex {
     /// as column ids, for [`LinkIndex::emit_columns`]. Columns are
     /// processed in order, so intra-batch pairs are covered exactly once
     /// (each column is scored against all columns registered before it).
+    ///
+    /// An index that has never held a column has no structure to link
+    /// against, and every row of its first batch would be pending: scored
+    /// serially against all rows before it. That batch is the batch pass's
+    /// problem — [`link_schema`], parallel and pruned — whose seed the
+    /// index then adopts. Profile positions are column ids there, so the
+    /// edges read the same either way, and which pass ran shows only in
+    /// [`DeltaLinkStats::batch`].
     pub fn link_columns(
         &mut self,
         profiles: &[ColumnProfile],
         we: &WordEmbeddings,
     ) -> (DeltaLinkStats, Vec<Edge>) {
+        if self.cols.is_empty() {
+            let (batch, seed, edges) = link_schema(profiles, &self.config, we);
+            *self = LinkIndex::from_seed(seed, profiles, self.config);
+            let stats = DeltaLinkStats {
+                columns_added: profiles.len(),
+                label_edges: batch.label_edges,
+                content_edges: batch.content_edges,
+                candidates: batch.candidates_generated,
+                hnsw: batch.hnsw,
+                batch: Some(batch),
+                ..Default::default()
+            };
+            return (stats, edges);
+        }
         let mut stats = DeltaLinkStats { columns_added: profiles.len(), ..Default::default() };
         let mut edges: Vec<Edge> = Vec::new();
         let r_max =

@@ -674,7 +674,7 @@ pub struct CellSet {
     pub members: Vec<Vec<u32>>,
     /// Flat `cells × dim` centroid matrix.
     pub centroids: Vec<f32>,
-    /// Max member distance to the centroid, plus [`GEOM_MARGIN`].
+    /// Max member distance to the centroid, plus `GEOM_MARGIN`.
     pub radii: Vec<f32>,
     /// Squared centroid norms, for the sqrt-free bound check.
     pub norms_sq: Vec<f32>,

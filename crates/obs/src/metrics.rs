@@ -140,7 +140,7 @@ struct RegistryInner {
 /// Thread-safe registry of named metrics.
 ///
 /// Internally sharded: each metric name hashes to one of
-/// [`REGISTRY_SHARDS`] independently locked shards, so concurrent
+/// `REGISTRY_SHARDS` independently locked shards, so concurrent
 /// threads recording different metrics (the serving-bench reader pool,
 /// for instance) don't serialize on a single registry lock.
 /// [`Self::snapshot`] takes all shard locks *simultaneously* before
@@ -244,6 +244,17 @@ impl MetricsSnapshot {
 
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+    }
+
+    /// Fold in the metrics of another registry whose names are disjoint
+    /// from this one's, keeping each family sorted by name.
+    pub fn merge(&mut self, other: MetricsSnapshot) {
+        self.counters.extend(other.counters);
+        self.gauges.extend(other.gauges);
+        self.histograms.extend(other.histograms);
+        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
+        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
+        self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
     }
 
     pub(crate) fn write_json(&self, buf: &mut String) {

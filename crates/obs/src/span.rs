@@ -7,6 +7,7 @@
 //! loops) never touch spans — they use atomic counters and fold the
 //! totals into span attributes once at stage end.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -133,8 +134,28 @@ pub struct Tracer {
 
 #[derive(Debug, Default)]
 struct TracerInner {
-    spans: Vec<SpanRec>,
+    /// Live spans by id. Ids are never reused, so a handle to a span that
+    /// [`Tracer::retain_roots`] dropped resolves to nothing.
+    spans: HashMap<usize, SpanRec>,
+    next_id: usize,
     roots: Vec<usize>,
+}
+
+impl TracerInner {
+    fn open(&mut self, name: &str) -> usize {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.spans.insert(id, SpanRec::new(name));
+        id
+    }
+
+    fn drop_tree(&mut self, id: usize) {
+        if let Some(rec) = self.spans.remove(&id) {
+            for child in rec.children {
+                self.drop_tree(child);
+            }
+        }
+    }
 }
 
 impl Tracer {
@@ -152,19 +173,18 @@ impl Tracer {
     /// Open a top-level span.
     pub fn root(&self, name: &str) -> SpanId {
         let mut inner = self.lock();
-        let id = inner.spans.len();
-        inner.spans.push(SpanRec::new(name));
+        let id = inner.open(name);
         inner.roots.push(id);
         SpanId(id)
     }
 
-    /// Open a span nested under `parent`. An id from a different
-    /// tracer falls back to opening a root span (never panics).
+    /// Open a span nested under `parent`. An id this tracer does not
+    /// hold (another tracer's, or a dropped span's) falls back to opening
+    /// a root span (never panics).
     pub fn child(&self, parent: SpanId, name: &str) -> SpanId {
         let mut inner = self.lock();
-        let id = inner.spans.len();
-        inner.spans.push(SpanRec::new(name));
-        if let Some(p) = inner.spans.get_mut(parent.0) {
+        let id = inner.open(name);
+        if let Some(p) = inner.spans.get_mut(&parent.0) {
             p.children.push(id);
         } else {
             inner.roots.push(id);
@@ -176,7 +196,7 @@ impl Tracer {
     pub fn set_attr(&self, span: SpanId, key: &str, value: impl Into<AttrValue>) {
         let value = value.into();
         let mut inner = self.lock();
-        let Some(rec) = inner.spans.get_mut(span.0) else { return };
+        let Some(rec) = inner.spans.get_mut(&span.0) else { return };
         if let Some(slot) = rec.attrs.iter_mut().find(|(k, _)| k == key) {
             slot.1 = value;
         } else {
@@ -187,7 +207,7 @@ impl Tracer {
     /// Add `delta` to the named counter on `span` (created at 0).
     pub fn add_count(&self, span: SpanId, key: &str, delta: u64) {
         let mut inner = self.lock();
-        let Some(rec) = inner.spans.get_mut(span.0) else { return };
+        let Some(rec) = inner.spans.get_mut(&span.0) else { return };
         if let Some(slot) = rec.counts.iter_mut().find(|(k, _)| k == key) {
             slot.1 += delta;
         } else {
@@ -199,7 +219,7 @@ impl Tracer {
     /// it almost always means two owners think they hold the span.
     pub fn close(&self, span: SpanId) -> Result<(), ObsError> {
         let mut inner = self.lock();
-        let Some(rec) = inner.spans.get_mut(span.0) else {
+        let Some(rec) = inner.spans.get_mut(&span.0) else {
             return Err(ObsError::UnknownSpan);
         };
         if rec.wall_secs.is_some() {
@@ -214,21 +234,41 @@ impl Tracer {
     pub fn snapshot(&self) -> TraceSnapshot {
         let inner = self.lock();
         let roots =
-            inner.roots.iter().map(|&id| snapshot_rec(&inner.spans, id)).collect();
+            inner.roots.iter().filter_map(|&id| snapshot_rec(&inner.spans, id)).collect();
         TraceSnapshot { roots }
+    }
+
+    /// Snapshot one span and its subtree; `None` once the span is dropped.
+    pub fn snapshot_span(&self, span: SpanId) -> Option<SpanSnapshot> {
+        snapshot_rec(&self.lock().spans, span.0)
+    }
+
+    /// Keep the `head` oldest and the `tail` newest root spans and drop
+    /// every root in between with its subtree — what bounds a tracer that
+    /// opens one root per unit of work for the life of the process.
+    pub fn retain_roots(&self, head: usize, tail: usize) {
+        let mut inner = self.lock();
+        let end = inner.roots.len().saturating_sub(tail);
+        if head >= end {
+            return;
+        }
+        let dropped: Vec<usize> = inner.roots.drain(head..end).collect();
+        for id in dropped {
+            inner.drop_tree(id);
+        }
     }
 }
 
-fn snapshot_rec(spans: &[SpanRec], id: usize) -> SpanSnapshot {
-    let rec = &spans[id];
-    SpanSnapshot {
+fn snapshot_rec(spans: &HashMap<usize, SpanRec>, id: usize) -> Option<SpanSnapshot> {
+    let rec = spans.get(&id)?;
+    Some(SpanSnapshot {
         name: rec.name.clone(),
         wall_secs: rec.wall_secs.unwrap_or_else(|| rec.started.elapsed().as_secs_f64()),
         closed: rec.wall_secs.is_some(),
         attrs: rec.attrs.clone(),
         counts: rec.counts.clone(),
-        children: rec.children.iter().map(|&c| snapshot_rec(spans, c)).collect(),
-    }
+        children: rec.children.iter().filter_map(|&c| snapshot_rec(spans, c)).collect(),
+    })
 }
 
 /// Immutable copy of one span and its subtree.
@@ -384,6 +424,32 @@ mod tests {
         // parent spans run at least as long as their children
         assert!(root.wall_secs >= parse.wall_secs);
         assert!(parse.wall_secs >= csv.wall_secs);
+    }
+
+    #[test]
+    fn retain_roots_drops_the_middle_and_its_handles() {
+        let t = Tracer::new();
+        let first = t.root("bootstrap");
+        let ids: Vec<SpanId> = (0..10)
+            .map(|i| {
+                let root = t.root("delta");
+                t.set_attr(root, "seq", i as u64);
+                let _ = t.close(t.child(root, "stage"));
+                root
+            })
+            .collect();
+        t.retain_roots(1, 3);
+        let snap = t.snapshot();
+        let seqs: Vec<_> = snap.roots.iter().filter_map(|r| r.attr("seq").cloned()).collect();
+        assert_eq!(snap.roots[0].name, "bootstrap");
+        assert_eq!(seqs, vec![AttrValue::U64(7), AttrValue::U64(8), AttrValue::U64(9)]);
+        assert!(t.snapshot_span(first).is_some());
+        assert!(t.snapshot_span(ids[0]).is_none(), "dropped root still resolves");
+        assert_eq!(t.close(ids[0]), Err(ObsError::UnknownSpan));
+        assert_eq!(t.snapshot_span(ids[9]).map(|s| s.children.len()), Some(1));
+        // nothing to drop: a no-op
+        t.retain_roots(1, 3);
+        assert_eq!(t.snapshot().roots.len(), 4);
     }
 
     #[test]

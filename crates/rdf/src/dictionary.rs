@@ -21,7 +21,7 @@
 //! cost what the *delta* interns, not what the lake holds (0.45 M
 //! heap-owning terms took 100–160 ms to deep-copy and ≈ 100 ms to free):
 //!
-//! - **Terms** live in fixed-size chunks of [`CHUNK`] terms, each behind an
+//! - **Terms** live in fixed-size chunks of `CHUNK` terms, each behind an
 //!   `Arc`. A full chunk is sealed and never written again; an append
 //!   `make_mut`s the growing tail chunk only, which copies it (< `CHUNK`
 //!   terms) when a clone still shares it and writes in place otherwise.

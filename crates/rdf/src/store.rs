@@ -9,7 +9,7 @@
 //! - Reads go through `Deref<Target = StoreSnapshot>`, so every read
 //!   method is callable on both a live store and a detached snapshot.
 //! - [`QuadStore::snapshot`] is one `Arc` clone: O(1), no index copy.
-//! - Writes go through one `Arc::make_mut` ([`QuadStore::write`]): with
+//! - Writes go through one `Arc::make_mut` (`QuadStore::write`): with
 //!   no snapshot outstanding (refcount 1) they mutate in place and cost
 //!   exactly what they did before; with a snapshot held, the *first*
 //!   write copies the snapshot once (copy-on-write) and then mutates the
@@ -19,7 +19,7 @@
 //!   nothing.
 //! - Concurrent serving uses detached [`StoreReader`] handles
 //!   ([`QuadStore::reader`]): the writer *publishes* each committed
-//!   version into a shared [`SnapshotCell`] slot at the end of every
+//!   version into a shared `SnapshotCell` slot at the end of every
 //!   mutating call, and readers on other threads pick up the latest
 //!   published snapshot with one mutex-guarded `Arc` clone — no lock is
 //!   held during query execution. Publication only happens while
@@ -161,8 +161,8 @@ pub type EncodedQuad = [u32; 4];
 /// A quad pattern over term ids: `None` positions are wildcards.
 ///
 /// This is the fully-resolved form of a [`QuadPattern`] — constants are
-/// already dictionary ids, so matching ([`QuadStore::match_ids`]) and
-/// cardinality estimation ([`QuadStore::estimate_pattern`]) never touch
+/// already dictionary ids, so matching ([`StoreSnapshot::match_ids`]) and
+/// cardinality estimation ([`StoreSnapshot::estimate_pattern`]) never touch
 /// [`Term`] values. The graph slot holds the id of the graph IRI term
 /// (the default graph's sentinel IRI included).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -276,7 +276,7 @@ const ESTIMATE_WALK_CAP: usize = 4096;
 
 /// A forward-only, seekable cursor over one sorted index run.
 ///
-/// Obtained from [`QuadStore::run_cursor`]; yields raw index keys in the
+/// Obtained from [`StoreSnapshot::run_cursor`]; yields raw index keys in the
 /// chosen [`IndexOrder`] (use [`IndexOrder::decode`] to recover
 /// `[s, p, o, g]`). [`RunCursor::seek_ge`] skips ahead with a bounded
 /// linear gallop first and a `BTreeSet::range` re-anchor only when the
@@ -286,7 +286,7 @@ const ESTIMATE_WALK_CAP: usize = 4096;
 ///
 /// A cursor may carry an interrupt flag
 /// ([`RunCursor::with_interrupt`]): once the flag flips, the cursor
-/// reports itself exhausted within [`INTERRUPT_STRIDE`] operations, so a
+/// reports itself exhausted within `INTERRUPT_STRIDE` operations, so a
 /// cancelled or over-deadline query stops galloping without the caller
 /// reaching a batch-boundary check first. The caller is responsible for
 /// turning the early exhaustion into a typed error.
@@ -1063,7 +1063,7 @@ impl StoreSnapshot {
 
     /// Cardinality estimate for an id-level pattern: the number of index
     /// entries inside the best B-tree range. See
-    /// [`QuadStore::estimate_pattern_exact`] for the exactness contract.
+    /// [`StoreSnapshot::estimate_pattern_exact`] for the exactness contract.
     pub fn estimate_pattern(&self, pattern: &EncodedPattern) -> usize {
         self.estimate_pattern_exact(pattern).0
     }
@@ -1084,7 +1084,7 @@ impl StoreSnapshot {
     /// over range counts replaces the previous single-range count,
     /// whose capped tie-break probe could settle on a far larger range.
     ///
-    /// Range walks are capped at [`ESTIMATE_WALK_CAP`] entries so the
+    /// Range walks are capped at `ESTIMATE_WALK_CAP` entries so the
     /// planner never pays more than a bounded probe per estimate: a
     /// range at least that large reports the cap with `exact = false` —
     /// at that magnitude the join orderer only needs "huge", not the
@@ -1125,7 +1125,7 @@ impl StoreSnapshot {
     /// Match a pattern, returning encoded quads `[s, p, o, g]`.
     ///
     /// Resolves the pattern's constant terms to ids (an unresolvable bound
-    /// term matches nothing) and delegates to [`QuadStore::match_ids`].
+    /// term matches nothing) and delegates to [`StoreSnapshot::match_ids`].
     pub fn match_encoded<'a>(
         &'a self,
         pattern: &QuadPattern,
@@ -1196,6 +1196,12 @@ impl QuadStore {
     /// only once they know the write changes something, so a no-op never
     /// pays the clone or bumps the generation.
     fn write(&mut self) -> &mut StoreSnapshot {
+        // The last reader handle may have gone since the last publication
+        // (a server over this store shut down): what it left in the slot
+        // pins the current snapshot for nobody, and would cost a copy.
+        if Arc::strong_count(&self.snap) > 1 && Arc::strong_count(&self.published) == 1 {
+            self.published.store(None);
+        }
         if Arc::strong_count(&self.snap) == 1 {
             return Arc::make_mut(&mut self.snap);
         }
@@ -1311,7 +1317,7 @@ impl QuadStore {
     }
 
     /// Bulk-insert a batch of quads, returning per-phase statistics.
-    /// See [`StoreSnapshot::extend_batch`] for the phase breakdown; the
+    /// See `StoreSnapshot::extend_batch` for the phase breakdown; the
     /// batch is built on the writer's private copy and published as one
     /// new snapshot, so concurrent readers never observe it half-applied.
     pub fn extend_stats(&mut self, quads: impl IntoIterator<Item = Quad>) -> IngestStats {

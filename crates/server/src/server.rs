@@ -9,10 +9,12 @@
 //! stops, workers finish their in-flight request (answering with
 //! `Connection: close`), drain any queued connections, and join.
 //!
-//! Every read endpoint answers from one pinned
-//! [`StoreSnapshot`](lids_rdf::StoreSnapshot) — the copy-on-write
-//! snapshot layer is what makes "many network clients + one live
-//! writer" safe without a read lock.
+//! Every read endpoint answers from one pinned store snapshot
+//! ([`LidsReader::snapshot`]) through the platform's one governed query
+//! path — the copy-on-write snapshot layer is what makes "many network
+//! clients + one live writer" safe without a read lock. Either
+//! [`Backend`] becomes a [`LidsReader`] at [`LidsServer::start`]; no
+//! handler knows which it was.
 
 use crate::api::{
     ErrorResponse, ExplainRequest, ExplainResponse, HealthResponse, PathsRequest, PathsResponse,
@@ -20,9 +22,7 @@ use crate::api::{
     WirePattern, WireTableHit, API_VERSION,
 };
 use crate::http::{self, HttpReadError, HttpRequest};
-use kglids::{
-    DataFrame, ErrorKind, KgLids, LidsError, LidsReader, LidsResult, UnionMode,
-};
+use kglids::{DataFrame, ErrorKind, KgLids, LidsError, LidsReader, UnionMode};
 use lids_obs::Obs;
 use serde::Serialize;
 use std::io::BufReader;
@@ -33,28 +33,22 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What the server serves from.
+/// What the server serves from. Both answer every endpoint: queries,
+/// explain and discovery are SPARQL over a pinned snapshot either way.
 #[derive(Clone)]
 pub enum Backend {
-    /// A full platform: SPARQL, explain, and the discovery surface.
+    /// A platform nobody is writing to, shared as is.
     Platform(Arc<KgLids>),
-    /// A bare snapshot reader (no profiles ⇒ no discovery endpoints):
-    /// SPARQL and explain against the latest published generation.
+    /// A detached reader ([`KgLids::reader`]), for serving the latest
+    /// published generation while a writer applies deltas.
     Reader(LidsReader),
 }
 
-impl Backend {
-    fn generation(&self) -> u64 {
-        match self {
-            Backend::Platform(p) => p.store().generation(),
-            Backend::Reader(r) => r.snapshot().generation(),
-        }
-    }
-
-    fn triples(&self) -> u64 {
-        match self {
-            Backend::Platform(p) => p.store().len() as u64,
-            Backend::Reader(r) => r.snapshot().len() as u64,
+impl From<Backend> for LidsReader {
+    fn from(backend: Backend) -> LidsReader {
+        match backend {
+            Backend::Platform(platform) => platform.reader(),
+            Backend::Reader(reader) => reader,
         }
     }
 }
@@ -96,6 +90,7 @@ impl LidsServer {
     pub fn start(backend: Backend, addr: &str, config: ServerConfig) -> std::io::Result<LidsServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let backend = LidsReader::from(backend);
         let shutdown = Arc::new(AtomicBool::new(false));
         let obs = Arc::new(Obs::new());
         let next_id = Arc::new(AtomicU64::new(1));
@@ -169,8 +164,8 @@ impl LidsServer {
         self.addr
     }
 
-    /// This server's observability handle (the same registry `/metrics`
-    /// serves).
+    /// This server's own observability handle: the `server.*` half of
+    /// what `/metrics` serves (the other half is the backend's registry).
     pub fn obs(&self) -> &Arc<Obs> {
         &self.obs
     }
@@ -217,7 +212,7 @@ fn error_body(request_id: &str, error: &str, message: &str, status: u16) -> Stri
 /// or shutdown begins.
 fn serve_connection(
     stream: TcpStream,
-    backend: &Backend,
+    backend: &LidsReader,
     obs: &Obs,
     shutdown: &AtomicBool,
     next_id: &AtomicU64,
@@ -310,23 +305,31 @@ fn parse_body<T: for<'de> serde::Deserialize<'de>>(
 
 /// Route and execute one request. Returns `(status, body, metric label)`.
 fn handle(
-    backend: &Backend,
+    backend: &LidsReader,
     obs: &Obs,
     req: &HttpRequest,
     request_id: &str,
 ) -> (u16, String, &'static str) {
     match (req.method.as_str(), req.target.as_str()) {
         ("GET", "/healthz") => {
+            let snapshot = backend.snapshot();
             let resp = HealthResponse {
                 api: API_VERSION.to_string(),
                 status: "ok".to_string(),
-                generation: backend.generation(),
-                triples: backend.triples(),
+                generation: snapshot.generation(),
+                triples: snapshot.len() as u64,
             };
             let (status, body) = to_json(request_id, &resp);
             (status, body, "healthz")
         }
-        ("GET", "/metrics") => (200, obs.snapshot().to_json(), "metrics"),
+        ("GET", "/metrics") => {
+            // this server's registry and span trees, plus the metrics of
+            // the platform behind the backend (`query.*`, `ingest.delta.*`,
+            // `store.cow.*`, …) — the name families are disjoint
+            let mut snapshot = obs.snapshot();
+            snapshot.metrics.merge(backend.obs().metrics.snapshot());
+            (200, snapshot.to_json(), "metrics")
+        }
         ("POST", "/v1/query") => {
             let (status, body) = handle_query(backend, &req.body, request_id);
             (status, body, "query")
@@ -359,25 +362,6 @@ fn handle(
     }
 }
 
-fn run_query(
-    backend: &Backend,
-    query: &str,
-    options: kglids::EvalOptions,
-) -> LidsResult<(DataFrame, u64)> {
-    match backend {
-        Backend::Platform(p) => {
-            let generation = p.store().generation();
-            let df = p.query_with(query, options)?;
-            Ok((df, generation))
-        }
-        Backend::Reader(r) => {
-            let snapshot = r.snapshot();
-            let df = r.query_limited(&snapshot, query, options, None)?;
-            Ok((df, snapshot.generation()))
-        }
-    }
-}
-
 fn query_response(request_id: &str, df: DataFrame, generation: u64, started: Instant) -> (u16, String) {
     let resp = QueryResponse {
         api: API_VERSION.to_string(),
@@ -391,29 +375,26 @@ fn query_response(request_id: &str, df: DataFrame, generation: u64, started: Ins
     to_json(request_id, &resp)
 }
 
-fn handle_query(backend: &Backend, body: &[u8], request_id: &str) -> (u16, String) {
+fn handle_query(backend: &LidsReader, body: &[u8], request_id: &str) -> (u16, String) {
     let started = Instant::now();
     let req: QueryRequest = match parse_body(body, request_id) {
         Ok(req) => req,
         Err(err) => return err,
     };
     let options = req.limits.clone().unwrap_or_default().to_eval_options();
-    match run_query(backend, &req.query, options) {
-        Ok((df, generation)) => query_response(request_id, df, generation, started),
+    let snapshot = backend.snapshot();
+    match backend.query_at(&snapshot, &req.query, options) {
+        Ok(df) => query_response(request_id, df, snapshot.generation(), started),
         Err(e) => lids_error_response(request_id, &e),
     }
 }
 
-fn handle_explain(backend: &Backend, body: &[u8], request_id: &str) -> (u16, String) {
+fn handle_explain(backend: &LidsReader, body: &[u8], request_id: &str) -> (u16, String) {
     let req: ExplainRequest = match parse_body(body, request_id) {
         Ok(req) => req,
         Err(err) => return err,
     };
-    let report = match backend {
-        Backend::Platform(p) => p.explain(&req.query),
-        Backend::Reader(r) => r.explain(&req.query),
-    };
-    match report {
+    match backend.explain(&req.query) {
         Ok(report) => {
             let resp = ExplainResponse {
                 api: API_VERSION.to_string(),
@@ -448,26 +429,8 @@ fn handle_explain(backend: &Backend, body: &[u8], request_id: &str) -> (u16, Str
     }
 }
 
-fn platform_backend<'a>(
-    backend: &'a Backend,
-    request_id: &str,
-) -> Result<&'a Arc<KgLids>, (u16, String)> {
-    match backend {
-        Backend::Platform(p) => Ok(p),
-        Backend::Reader(_) => Err((
-            400,
-            error_body(
-                request_id,
-                ErrorKind::InvalidArgument.name(),
-                "discovery endpoints require a platform backend (profiles + embeddings)",
-                400,
-            ),
-        )),
-    }
-}
-
 fn handle_table_hits(
-    backend: &Backend,
+    backend: &LidsReader,
     body: &[u8],
     request_id: &str,
     unionable: bool,
@@ -477,11 +440,7 @@ fn handle_table_hits(
         Ok(req) => req,
         Err(err) => return err,
     };
-    let platform = match platform_backend(backend, request_id) {
-        Ok(p) => p,
-        Err(err) => return err,
-    };
-    let mut d = platform.discovery();
+    let mut d = backend.discovery();
     if let Some(k) = req.k {
         d = d.k(k as usize);
     }
@@ -507,7 +466,7 @@ fn handle_table_hits(
     if let Some(limits) = &req.limits {
         d = d.limits(limits.to_query_limits());
     }
-    let generation = backend.generation();
+    let generation = d.generation();
     let hits = if unionable {
         d.unionable_tables(&req.dataset, &req.table)
     } else {
@@ -531,24 +490,20 @@ fn handle_table_hits(
     }
 }
 
-fn handle_paths(backend: &Backend, body: &[u8], request_id: &str) -> (u16, String) {
+fn handle_paths(backend: &LidsReader, body: &[u8], request_id: &str) -> (u16, String) {
     let started = Instant::now();
     let req: PathsRequest = match parse_body(body, request_id) {
         Ok(req) => req,
         Err(err) => return err,
     };
-    let platform = match platform_backend(backend, request_id) {
-        Ok(p) => p,
-        Err(err) => return err,
-    };
-    let mut d = platform.discovery();
+    let mut d = backend.discovery();
     if let Some(hops) = req.hops {
         d = d.hops(hops as usize);
     }
     if let Some(limits) = &req.limits {
         d = d.limits(limits.to_query_limits());
     }
-    let generation = backend.generation();
+    let generation = d.generation();
     let from = (req.from_dataset.as_str(), req.from_table.as_str());
     let to = (req.to_dataset.as_str(), req.to_table.as_str());
     let paths = if req.shortest.unwrap_or(false) {
@@ -571,21 +526,17 @@ fn handle_paths(backend: &Backend, body: &[u8], request_id: &str) -> (u16, Strin
     }
 }
 
-fn handle_search(backend: &Backend, body: &[u8], request_id: &str) -> (u16, String) {
+fn handle_search(backend: &LidsReader, body: &[u8], request_id: &str) -> (u16, String) {
     let started = Instant::now();
     let req: SearchRequest = match parse_body(body, request_id) {
         Ok(req) => req,
         Err(err) => return err,
     };
-    let platform = match platform_backend(backend, request_id) {
-        Ok(p) => p,
-        Err(err) => return err,
-    };
-    let mut d = platform.discovery();
+    let mut d = backend.discovery();
     if let Some(limits) = &req.limits {
         d = d.limits(limits.to_query_limits());
     }
-    let generation = backend.generation();
+    let generation = d.generation();
     let groups: Vec<Vec<&str>> =
         req.conditions.iter().map(|g| g.iter().map(String::as_str).collect()).collect();
     let refs: Vec<&[&str]> = groups.iter().map(Vec::as_slice).collect();

@@ -8,7 +8,7 @@
 //! `Vec<Option<TermId>>`: four-byte slots, integer comparisons, no decoding.
 //!
 //! Terms are materialised only at the solution-modifier boundary
-//! ([`crate::project`]) and, lazily per referenced variable, inside FILTER
+//! (`crate::project`) and, lazily per referenced variable, inside FILTER
 //! expressions. Join ordering is cardinality-based: each candidate pattern
 //! is costed with [`StoreSnapshot::estimate_pattern`], which answers from the
 //! store's B-tree range bounds. Large intermediate binding sets are joined

@@ -42,6 +42,21 @@ timeout 300 cargo test -q --release --test snapshot_isolation
 # failure.
 timeout 300 cargo test -q --release --test server_e2e
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc gate over the repo's own crates (vendored path dependencies are
+# workspace members too, hence the package list): a doc comment that links
+# to a deleted or private item fails here, not on docs.rs.
+own_crates="$(cargo metadata --no-deps --offline --format-version 1 | python3 -c '
+import json, sys
+packages = json.load(sys.stdin)["packages"]
+print(" ".join("-p " + p["name"] for p in packages if "/vendor/" not in p["manifest_path"]))')"
+# shellcheck disable=SC2086
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline $own_crates
+# Dead public surface is deleted, not deprecated. (`! grep` would not trip
+# `set -e`: an inverted status never does.)
+if grep -rn '#\[deprecated' crates/*/src; then
+    echo "deprecated items under crates/*/src: delete them instead" >&2
+    exit 1
+fi
 
 # Smoke-run the linking benchmark: both modes complete, edge sets match
 # (asserted inside the binary), and the report is well-formed JSON with the

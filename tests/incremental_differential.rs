@@ -224,6 +224,63 @@ fn retraction_equals_never_ingested_baseline_including_quarantine() {
         .unwrap());
 }
 
+/// Bootstrap is the first delta: the builder and `KgLids::empty()` + one
+/// delta of the whole lake run the same stage sequence, the link index of
+/// either has never held a column and takes the batch pass, and the two
+/// platforms are indistinguishable — store, profiles, quarantine ledger —
+/// now and after one more delta on top of each.
+#[test]
+fn bootstrap_equals_one_delta_into_an_empty_platform() {
+    let lake: Vec<Dataset> = (0..4).map(|i| gen_dataset(&format!("d{i}"), 40 + i)).collect();
+    let mut pipelines: Vec<PipelineScript> =
+        lake.iter().enumerate().map(|(i, d)| pipeline_for(d, &format!("p{i}"), 0.5)).collect();
+    let mut corruptor = Corruptor::new(17);
+    pipelines.push(PipelineScript {
+        source: corruptor.corrupt_py(&pipelines[0].source),
+        metadata: PipelineMetadata { id: "broken".into(), ..pipelines[0].metadata.clone() },
+    });
+
+    let (mut built, bootstrap) = KgLidsBuilder::new()
+        .with_datasets(lake.clone())
+        .with_pipelines(pipelines.clone())
+        .bootstrap();
+    let mut grown = KgLids::empty();
+    let mut whole_lake = DeltaBatch::new().add_pipelines(pipelines);
+    whole_lake.add_datasets = lake;
+    let delta = grown.apply_delta(whole_lake);
+
+    // one linker for both: the pruned batch pass, with equal work counters
+    let (batch, first) = (bootstrap.schema.expect("batch pass"), delta.schema.expect("batch pass"));
+    assert_eq!(
+        (batch.pairs_compared, batch.candidates_generated, batch.pairs_pruned),
+        (first.pairs_compared, first.candidates_generated, first.pairs_pruned)
+    );
+    assert_eq!((batch.label_edges, batch.content_edges), (delta.label_edges, delta.content_edges));
+    assert_eq!(bootstrap.pipelines_failed, 1);
+    assert_eq!(delta.pipelines_failed, 1);
+
+    let ledger = |p: &KgLids| -> Vec<(String, String, u32)> {
+        let entries = &p.quarantine_report().quarantined;
+        entries.iter().map(|e| (e.artifact.clone(), e.error.to_string(), e.retries)).collect()
+    };
+    assert_eq!(dump_platform(&built), dump_platform(&grown));
+    assert_eq!(built.profiles(), grown.profiles());
+    assert_eq!(ledger(&built), ledger(&grown));
+    assert_eq!(ledger(&built).len(), 1);
+
+    // the adopted seed serves later deltas the same on both
+    let extra = gen_dataset("extra", 77);
+    let extra_pipe = pipeline_for(&extra, "late", 0.4);
+    for platform in [&mut built, &mut grown] {
+        let stats = platform.apply_delta(
+            DeltaBatch::new().add_dataset(extra.clone()).add_pipelines([extra_pipe.clone()]),
+        );
+        assert!(stats.schema.is_none(), "a filled index links incrementally");
+    }
+    assert_eq!(dump_platform(&built), dump_platform(&grown));
+    assert_eq!(built.profiles(), grown.profiles());
+}
+
 /// A syntactically broken script inside a `DeltaBatch` quarantines that
 /// script (typed `PyParseError` + provenance quad) without dropping the
 /// rest of the batch — `lids_datagen::faults` py-syntax corruption.

@@ -1,0 +1,137 @@
+//! Incremental maintenance (§2.1: "as more datasets and pipelines are
+//! added, KGLiDS continuously and incrementally maintains our KG"), through
+//! the one ingest path: what `KgLids::apply_delta` adds is linked, embedded
+//! and discoverable at once, what it cannot ingest is quarantined, and what
+//! it removes leaves no trace.
+
+use kglids_repro::kg::abstraction::PipelineMetadata;
+use kglids_repro::kglids::{DeltaBatch, KgLids, KgLidsBuilder, PipelineScript};
+use kglids_repro::profiler::table::{Column, Dataset, Table};
+
+fn ages_dataset(name: &str, table: &str) -> Dataset {
+    let values: Vec<String> = (20..60).map(|i| i.to_string()).collect();
+    Dataset::new(name, vec![Table::new(table, vec![Column::new("age", values)])])
+}
+
+fn metadata(id: &str, dataset: &str) -> PipelineMetadata {
+    PipelineMetadata {
+        id: id.into(),
+        dataset: dataset.into(),
+        title: "late pipeline".into(),
+        author: "zed".into(),
+        votes: 5,
+        score: 0.6,
+        task: "classification".into(),
+    }
+}
+
+#[test]
+fn incremental_dataset_links_to_existing() {
+    let (mut platform, _) =
+        KgLidsBuilder::new().with_dataset(ages_dataset("base", "people")).bootstrap();
+    let before_cols = platform.profiles().len();
+
+    let stats = platform
+        .apply_delta(DeltaBatch::new().add_dataset(ages_dataset("newcomer", "patients")));
+    assert_eq!(stats.columns_profiled, 1);
+    assert!(stats.relink_candidates >= 1);
+    // identical age columns → content + label edges across datasets
+    assert!(stats.content_edges >= 1, "{stats:?}");
+    assert!(stats.label_edges >= 1);
+    assert_eq!(platform.profiles().len(), before_cols + 1);
+
+    // discovery sees the new table immediately
+    let ranked = platform.discovery().k(5).unionable_tables("base", "people").unwrap();
+    assert!(ranked.iter().any(|h| h.table == "patients"));
+    // and so does keyword search
+    let hits = platform.search_tables(&[&["newcomer"]]).unwrap();
+    assert_eq!(hits.len(), 1);
+}
+
+#[test]
+fn incremental_dataset_embeddings_registered() {
+    let mut platform = KgLids::empty();
+    platform.apply_delta(DeltaBatch::new().add_dataset(ages_dataset("solo", "t")));
+    assert!(platform.table_embedding("solo", "t").is_some());
+    assert!(platform.dataset_embedding("solo").is_some());
+    assert!(platform.dataset_embedding_missing("solo").is_some());
+}
+
+#[test]
+fn incremental_pipeline_links_against_schema() {
+    let (mut platform, _) =
+        KgLidsBuilder::new().with_dataset(ages_dataset("titanic", "train")).bootstrap();
+    let late = PipelineScript {
+        metadata: metadata("late", "titanic"),
+        source: "import pandas as pd\ndf = pd.read_csv('titanic/train.csv')\nx = df['age']\n"
+            .into(),
+    };
+    let stats = platform.apply_delta(DeltaBatch::new().add_pipelines([late]));
+    assert_eq!(stats.pipelines_failed, 0);
+    assert_eq!(stats.links.tables_linked, 1);
+    assert_eq!(stats.links.columns_linked, 1);
+    // the pipeline shows up in library queries
+    let libs = platform.get_top_k_libraries_used(3);
+    assert_eq!(libs.get(0, "library"), Some("pandas"));
+}
+
+#[test]
+fn broken_pipeline_is_quarantined_not_dropped() {
+    let mut platform = KgLids::empty();
+    let broken =
+        PipelineScript { metadata: metadata("bad", "d"), source: "def broken(:\n".into() };
+    let stats = platform.apply_delta(DeltaBatch::new().add_pipelines([broken]));
+    assert_eq!(stats.pipelines_failed, 1);
+    // the failure is recorded, typed, and visible as provenance
+    let report = platform.quarantine_report();
+    assert_eq!(report.len(), 1);
+    assert_eq!(report.quarantined[0].artifact, "d/bad");
+    assert_eq!(report.quarantined[0].error.kind(), kglids_repro::exec::ErrorKind::PyParseError);
+    assert!(platform
+        .ask(
+            "PREFIX p: <http://kglids.org/provenance/> \
+             ASK { GRAPH <http://kglids.org/provenance/quarantine> \
+             { ?a a p:QuarantinedArtifact . } }"
+        )
+        .unwrap());
+}
+
+#[test]
+fn no_edges_for_unrelated_types() {
+    let (mut platform, _) =
+        KgLidsBuilder::new().with_dataset(ages_dataset("base", "people")).bootstrap();
+    // a text dataset: same label never matches "age", types differ
+    let text = Dataset::new(
+        "texts",
+        vec![Table::new(
+            "reviews",
+            vec![Column::new(
+                "comment",
+                (0..20).map(|i| format!("great product number {i} works well")).collect(),
+            )],
+        )],
+    );
+    let stats = platform.apply_delta(DeltaBatch::new().add_dataset(text));
+    assert_eq!(stats.relink_candidates, 0); // different fine-grained type
+    assert_eq!(stats.content_edges, 0);
+}
+
+#[test]
+fn remove_dataset_restores_prior_graph() {
+    let (mut platform, _) =
+        KgLidsBuilder::new().with_dataset(ages_dataset("base", "people")).bootstrap();
+    let mut before: Vec<String> = platform.store().iter().map(|q| q.to_string()).collect();
+    before.sort();
+
+    platform.apply_delta(DeltaBatch::new().add_dataset(ages_dataset("guest", "visitors")));
+    assert!(platform.table_embedding("guest", "visitors").is_some());
+    let delta = platform.apply_delta(DeltaBatch::new().remove_dataset("guest"));
+    assert_eq!(delta.datasets_removed, 1);
+    assert!(delta.quads_retracted > 0);
+
+    let mut after: Vec<String> = platform.store().iter().map(|q| q.to_string()).collect();
+    after.sort();
+    assert_eq!(before, after, "retraction must restore the prior graph");
+    assert!(platform.table_embedding("guest", "visitors").is_none());
+    assert!(platform.dataset_embedding("guest").is_none());
+}

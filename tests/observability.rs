@@ -145,6 +145,71 @@ fn bootstrap_trace_and_snapshot_schema() {
     assert!(json.contains("memory.peak_bytes"));
 }
 
+/// One ingest path, one query path: a bootstrap and a delta are the same
+/// stage sequence under differently named roots, and the empty-query
+/// guard answers the same typed error whichever handle is asked.
+#[test]
+fn bootstrap_and_delta_share_stages_and_handles_share_the_query_guard() {
+    let ages: Vec<String> = (20..30).map(|i| i.to_string()).collect();
+    let dataset = |name: &str| {
+        Dataset::new(name, vec![Table::new("t", vec![Column::new("age", ages.clone())])])
+    };
+    let (mut platform, stats) = KgLidsBuilder::new().with_dataset(dataset("d")).bootstrap();
+    let delta = platform.apply_delta(DeltaBatch::new().add_dataset(dataset("e")));
+    let stages = |root: &SpanSnapshot| -> Vec<String> {
+        root.children.iter().map(|stage| stage.name.clone()).collect()
+    };
+    let bootstrap = stats.trace.root("bootstrap").expect("bootstrap root");
+    let delta = delta.trace.root("delta").expect("delta root");
+    assert_eq!(stages(bootstrap), stages(delta));
+    assert_eq!(
+        stages(delta),
+        ["retract", "parse", "profile", "link.schema", "abstract", "link.pipelines", "embed", "commit"]
+    );
+
+    let reader = platform.reader();
+    for err in [
+        platform.explain("").unwrap_err(),
+        reader.explain(" \n").unwrap_err(),
+        platform.query("").unwrap_err(),
+        reader.query("\t").unwrap_err(),
+    ] {
+        assert_eq!(err.kind(), kglids_repro::exec::ErrorKind::InvalidArgument, "{err}");
+    }
+}
+
+/// Every delta opens a span tree; a lake that churns for the life of the
+/// process must not keep them all, nor hand every tree since bootstrap
+/// back with each delta's stats.
+#[test]
+fn a_churning_lake_keeps_a_bounded_trace() {
+    let ages: Vec<String> = (20..30).map(|i| i.to_string()).collect();
+    let dataset = |name: &str| {
+        Dataset::new(name, vec![Table::new("t", vec![Column::new("age", ages.clone())])])
+    };
+    let (mut platform, _) = KgLidsBuilder::new().with_dataset(dataset("d")).bootstrap();
+    let mut kept = Vec::new();
+    for i in 0..200 {
+        let stats = platform.apply_delta(if i % 2 == 0 {
+            DeltaBatch::new().add_dataset(dataset("guest"))
+        } else {
+            DeltaBatch::new().remove_dataset("guest")
+        });
+        // a delta reports its own tree, not every tree since bootstrap
+        assert_eq!(stats.trace.roots.len(), 1);
+        assert_eq!(stats.trace.roots[0].name, "delta");
+        kept.push(platform.obs().tracer.snapshot().roots.len());
+    }
+    // the tracer settles at the bootstrap tree plus a fixed number of the
+    // most recent delta trees
+    let settled = kept[100];
+    assert!(settled < 100, "tracer holds {settled} trees after 100 deltas");
+    assert!(kept[100..].iter().all(|&roots| roots == settled), "tracer keeps growing: {kept:?}");
+    let trees = platform.obs().tracer.snapshot().roots;
+    assert_eq!(trees[0].name, "bootstrap");
+    assert!(trees[1..].iter().all(|r| r.name == "delta" && r.closed));
+}
+
 /// An `ingest` span covers the bulk load it reports on: its wall time is
 /// at least the phase timings (`IngestStats::total_secs`) it carries, in
 /// a bootstrap and — where a copy-on-write clone precedes the phases — in

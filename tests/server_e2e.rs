@@ -11,13 +11,15 @@
 //! - under a live writer, clients observe whole ingest batches or
 //!   nothing (snapshot isolation over the wire).
 
-use kglids::{KgLids, KgLidsBuilder};
+use kglids::{DeltaBatch, KgLids, KgLidsBuilder};
 use lids_profiler::table::{Column, Dataset, Table};
 use lids_rdf::{Quad, QuadStore, Term};
 use lids_server::{
     Backend, Client, ClientError, LidsServer, PathsRequest, SearchRequest, ServerConfig,
     TableHitsRequest, API_VERSION,
 };
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -165,7 +167,10 @@ fn health_and_metrics_report_the_server() {
     assert!(health.triples > 0);
     assert_eq!(health.generation, p.store().generation());
 
-    client.query(TABLES_QUERY, None).expect("query");
+    const QUERIES: i64 = 3;
+    for _ in 0..QUERIES {
+        client.query(TABLES_QUERY, None).expect("query");
+    }
     let metrics = client.metrics_json().expect("metrics");
     let v: serde_json::Value = serde_json::from_str(&metrics).expect("metrics is JSON");
     fn field<'a>(v: &'a serde_json::Value, key: &str) -> &'a serde_json::Value {
@@ -193,6 +198,15 @@ fn health_and_metrics_report_the_server() {
         "server.latency_us.query",
     );
     assert!(as_i64(field(latency, "count")) >= 1, "query latency histogram missing");
+    // the platform's own registry rides along: what ran behind the socket
+    // is visible from outside the process
+    assert!(
+        as_i64(field(counters, "query.count")) >= QUERIES,
+        "platform query counters missing from /metrics: {counters:?}"
+    );
+    let gauges = field(field(&v, "metrics"), "gauges");
+    assert!(as_i64(field(gauges, "sparql.plan_cache.parses")) >= 1);
+    field(counters, "ingest.delta.datasets_added");
 }
 
 /// Satellite regression: error taxonomy over the wire. Bad requests are
@@ -393,4 +407,118 @@ fn concurrent_clients_observe_whole_batches_during_ingest() {
         }
     });
     server.shutdown();
+}
+
+/// Discovery over `Backend::Reader` under a live writer: while one dataset
+/// is added and removed in turn, every `unionable-tables` and `search`
+/// response equals the in-process answer of the lake state its
+/// `generation` names — with the dataset or without it, never a mix of
+/// the two SPARQL queries a union search runs — and generations only move
+/// forward on a connection.
+#[test]
+fn reader_backend_answers_discovery_under_live_deltas() {
+    const DELTAS: usize = 24;
+    type Hits = Vec<(String, String, f64)>;
+    type Rows = Vec<Vec<String>>;
+    enum Payload {
+        Hits(Hits),
+        Rows(Rows),
+    }
+
+    let mut platform = Arc::try_unwrap(platform()).ok().expect("sole owner");
+    let guest = || {
+        let ages = (20..60).map(|i| i.to_string()).collect();
+        Dataset::new("guest", vec![Table::new("visitors", vec![Column::new("age", ages)])])
+    };
+    let in_process = |p: &KgLids| -> (Hits, Rows) {
+        let hits = p.discovery().unionable_tables("health", "patients").expect("in process");
+        let search = p.discovery().search(&[&["age"]]).expect("in process");
+        (hits.into_iter().map(|h| (h.dataset, h.table, h.score)).collect(), sorted(search.rows))
+    };
+    let without = in_process(&platform);
+    platform.apply_delta(DeltaBatch::new().add_dataset(guest()));
+    let with = in_process(&platform);
+    platform.apply_delta(DeltaBatch::new().remove_dataset("guest"));
+    assert_eq!(without, in_process(&platform));
+    assert_eq!(with.0.len(), without.0.len() + 1, "the guest table is unionable");
+    assert_eq!(with.1.len(), without.1.len() + 1, "the guest table matches the keyword");
+
+    let server = LidsServer::start(
+        Backend::Reader(platform.reader()),
+        "127.0.0.1:0",
+        ServerConfig { workers: 2, ..ServerConfig::default() },
+    )
+    .expect("server binds");
+    let addr = server.addr().to_string();
+
+    // which lake state each generation is; responses are judged once the
+    // writer is done and the map is complete
+    let mut guest_at: HashMap<u64, bool> = HashMap::from([(platform.store().generation(), false)]);
+    let answered = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    let responses = std::thread::scope(|scope| {
+        let client = scope.spawn(|| {
+            let mut client = Client::connect(addr.clone());
+            let mut seen: Vec<(u64, Payload)> = Vec::new();
+            while !done.load(Ordering::SeqCst) {
+                let hits = client
+                    .unionable_tables(&TableHitsRequest {
+                        dataset: "health".into(),
+                        table: "patients".into(),
+                        ..TableHitsRequest::default()
+                    })
+                    .expect("unionable-tables on a reader backend");
+                let hit_rows = hits.hits.into_iter().map(|h| (h.dataset, h.table, h.score));
+                seen.push((hits.generation, Payload::Hits(hit_rows.collect())));
+                let search = client
+                    .search(&SearchRequest { conditions: vec![vec!["age".into()]], limits: None })
+                    .expect("search on a reader backend");
+                let rows = sorted(search.to_dataframe().rows);
+                seen.push((search.generation, Payload::Rows(rows)));
+                answered.fetch_add(1, Ordering::SeqCst);
+            }
+            seen
+        });
+        // the writer waits for a full exchange between deltas, so every
+        // generation is served at least once while it is the latest
+        for i in 0..DELTAS {
+            let add = i % 2 == 0;
+            let stats = platform.apply_delta(if add {
+                DeltaBatch::new().add_dataset(guest())
+            } else {
+                DeltaBatch::new().remove_dataset("guest")
+            });
+            guest_at.insert(stats.generation, add);
+            let before = answered.load(Ordering::SeqCst);
+            let waited = Instant::now();
+            while answered.load(Ordering::SeqCst) < before + 2 {
+                assert!(waited.elapsed() < Duration::from_secs(60), "client stalled");
+                std::thread::yield_now();
+            }
+        }
+        done.store(true, Ordering::SeqCst);
+        client.join().expect("client thread")
+    });
+    server.shutdown();
+
+    let mut last_generation = 0;
+    let mut states = [0usize; 2];
+    for (generation, payload) in responses {
+        assert!(generation >= last_generation, "generation went backwards");
+        last_generation = generation;
+        let has_guest = *guest_at.get(&generation).expect("a committed generation");
+        states[usize::from(has_guest)] += 1;
+        let want = if has_guest { &with } else { &without };
+        match payload {
+            Payload::Hits(hits) => {
+                assert_eq!(hits.len(), want.0.len(), "generation {generation}: mixed union search");
+                for (got, want) in hits.iter().zip(&want.0) {
+                    assert_eq!((&got.0, &got.1), (&want.0, &want.1), "generation {generation}");
+                    assert!((got.2 - want.2).abs() < 1e-12, "generation {generation}");
+                }
+            }
+            Payload::Rows(rows) => assert_eq!(&rows, &want.1, "generation {generation}"),
+        }
+    }
+    assert!(states[0] > 0 && states[1] > 0, "both lake states were served: {states:?}");
 }
