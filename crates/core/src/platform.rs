@@ -969,8 +969,8 @@ impl KgLids {
         tracer.set_attr(span, "indexed_columns", self.embeddings.column_index.len());
         let _ = tracer.close(span);
         self.report.quarantined.extend(report.quarantined.iter().cloned());
-        // publication, and the release of the snapshot it supersedes when
-        // no reader still pins it
+        // the overlay fold when one is due, publication, and the release
+        // of the snapshot it supersedes when no reader still pins it
         let span = tracer.child(root, "commit");
         self.store.commit_delta();
         let _ = tracer.close(span);
@@ -989,8 +989,13 @@ impl KgLids {
         let cow = self.store.cow_stats();
         metrics.gauge_set("store.cow.clones", cow.clones as f64);
         metrics.gauge_set("store.cow.secs", cow.secs);
+        metrics.gauge_set("store.folds", cow.folds as f64);
+        metrics.gauge_set("store.fold.secs", cow.fold_secs);
+        metrics.gauge_set("store.overlay_quads", self.store.overlay_len() as f64);
         stats.cow_clones = cow.clones - cow_before.clones;
         stats.cow_secs = cow.secs - cow_before.secs;
+        stats.folds = cow.folds - cow_before.folds;
+        stats.fold_secs = cow.fold_secs - cow_before.fold_secs;
         stats.generation = self.store.generation();
         tracer.set_attr(root, "generation", stats.generation);
         tracer.set_attr(root, "triples", self.store.len());
@@ -1090,10 +1095,16 @@ pub struct DeltaStats {
     pub pipeline_linking_secs: f64,
     /// Copy-on-write store clones this delta paid (one, at its first
     /// write, when a reader pins the previous snapshot; none otherwise)
-    /// and the seconds they took — already inside whichever stage wrote
-    /// first, not an extra stage.
+    /// and the seconds they took — the store's overlay and the
+    /// dictionary's tail, already inside whichever stage wrote first, not
+    /// an extra stage.
     pub cow_clones: u64,
     pub cow_secs: f64,
+    /// Overlay folds at this delta's commit (one when what the store
+    /// holds unfolded outgrew its fold threshold, none otherwise) and the
+    /// seconds they took, inside the `commit` span.
+    pub folds: u64,
+    pub fold_secs: f64,
     /// Store generation after the delta committed (exactly base + 1 when
     /// the delta mutated anything).
     pub generation: u64,

@@ -27,9 +27,10 @@ pub struct LinkStats {
 ///
 /// Mutations are batched: verified edges accumulate in a `Vec<Quad>` that
 /// is bulk-loaded once at the end ([`QuadStore::extend`]), and consumed
-/// predictions are removed afterwards. The read side (schema index,
-/// pipeline metadata, per-graph predictions) only touches quads disjoint
-/// from both batches, so deferral preserves the per-quad semantics.
+/// predictions leave in one [`QuadStore::retract`] after it. The read
+/// side (schema index, pipeline metadata, per-graph predictions) only
+/// touches quads disjoint from both batches, so deferral preserves the
+/// per-quad semantics.
 pub fn link_pipelines(store: &mut QuadStore) -> LinkStats {
     let mut stats = LinkStats::default();
 
@@ -101,9 +102,7 @@ pub fn link_pipelines(store: &mut QuadStore) -> LinkStats {
         }
     }
     store.extend(edges);
-    for quad in &consumed {
-        store.remove(quad);
-    }
+    store.retract(consumed);
     stats
 }
 

@@ -17,6 +17,7 @@
 pub mod dictionary;
 pub mod nquads;
 pub mod pattern;
+mod run;
 pub mod store;
 pub mod term;
 

@@ -1,40 +1,64 @@
-//! Dictionary-encoded quad store with multiple B-tree orderings.
+//! Dictionary-encoded quad store: four index orderings, each a sorted run.
+//!
+//! # Representation
+//!
+//! Every ordering (`SPOG`, `POSG`, `OSPG`, `GSPO`) is an immutable *base
+//! run* — an `Arc<[[u32; 4]]>` of ascending keys, shared by every snapshot
+//! that has not outlived it — plus a small *overlay* of keys added since
+//! and tombstones over base keys, both sorted too (`adds ∩ base = ∅`,
+//! `dels ⊆ base`, live = `(base ∖ dels) ∪ adds`; the private `run` module
+//! keeps the invariants). A read is a cursor over the base slice that
+//! consults the overlay once per overlay key; a range count is binary
+//! searches; a write merges a sorted batch into the overlay — adding a
+//! tombstoned key lifts the tombstone, removing an overlay add drops it,
+//! so an add and its removal leave no trace.
 //!
 //! # Snapshot isolation
 //!
-//! All store data — the dictionary and the four index permutations —
-//! lives in an immutable [`StoreSnapshot`] behind an `Arc`. The
-//! [`QuadStore`] is a thin *writer handle* over that `Arc`:
+//! All store data — the dictionary and the four runs — lives in an
+//! immutable [`StoreSnapshot`] behind an `Arc`. The [`QuadStore`] is a thin
+//! *writer handle* over that `Arc`:
 //!
 //! - Reads go through `Deref<Target = StoreSnapshot>`, so every read
 //!   method is callable on both a live store and a detached snapshot.
 //! - [`QuadStore::snapshot`] is one `Arc` clone: O(1), no index copy.
-//! - Writes go through one `Arc::make_mut` (`QuadStore::write`): with
-//!   no snapshot outstanding (refcount 1) they mutate in place and cost
-//!   exactly what they did before; with a snapshot held, the *first*
-//!   write copies the snapshot once (copy-on-write) and then mutates the
-//!   private copy, so snapshot holders keep reading the frozen version.
-//!   A write that changes nothing — a duplicate insert, a removal of
-//!   absent quads — is recognised on the shared snapshot and copies
-//!   nothing.
+//! - Writes go through one `Arc::make_mut` (`QuadStore::write`): with no
+//!   snapshot outstanding (refcount 1) they mutate in place; with a
+//!   snapshot held, the *first* write clones the snapshot and then mutates
+//!   the private clone, so snapshot holders keep reading the frozen
+//!   version. Either way the write itself is the same overlay merge. A
+//!   write that changes nothing — a duplicate insert, a removal of absent
+//!   quads — is recognised on the shared snapshot and copies nothing.
 //! - Concurrent serving uses detached [`StoreReader`] handles
 //!   ([`QuadStore::reader`]): the writer *publishes* each committed
 //!   version into a shared `SnapshotCell` slot at the end of every
 //!   mutating call, and readers on other threads pick up the latest
 //!   published snapshot with one mutex-guarded `Arc` clone — no lock is
-//!   held during query execution. Publication only happens while
-//!   readers exist, so single-threaded use never pays copy-on-write.
+//!   held during query execution, and a superseded snapshot is never freed
+//!   under the lock.
 //!
-//! # What a copy costs
+//! # What a copy costs, and what a fold costs
 //!
-//! The copy is the four index trees — ≈ 5 ms each at 0.78 M quads, the
-//! whole of what grows with the lake — plus O(delta) of dictionary: the
-//! [`Dictionary`] is append-only and shares its term chunks and its
-//! frozen hash map with its clones (see its module docs), so a publish
-//! copies chunk pointers, the tail chunk and the map entries interned
-//! since the last fold, and releasing a superseded snapshot frees the
-//! trees plus whatever dictionary only it still held.
-//! [`QuadStore::cow_stats`] counts the copies and their seconds.
+//! The clone bumps four base refcounts and copies the overlays plus
+//! O(delta) of dictionary (the [`Dictionary`] is append-only and shares
+//! its term chunks and its frozen hash map with its clones; see its module
+//! docs) — nothing that grows with the lake. Releasing a superseded
+//! snapshot frees its overlays, whatever dictionary only it still held,
+//! and a base run only when it was the last to share it.
+//!
+//! What does grow with the lake is paid rarely: at a *publish point* — the
+//! end of a mutating call outside a delta, or [`QuadStore::commit_delta`] —
+//! an overlay holding more than 1/`FOLD_DIVISOR` of the base's keys is
+//! *folded*, each ordering's base and overlay merged into a fresh base in
+//! one linear pass; snapshots that share the old base keep it. So is one
+//! whose upkeep has outweighed a fold: every write merges past the overlay,
+//! and once the writes since the last fold have together passed
+//! `FOLD_UPKEEP` × base overlay entries the publish point folds as well. A
+//! store that only grows by batches folds once per 1/`FOLD_DIVISOR` of
+//! growth, a constant per quad written; one that takes a delta and its
+//! inverse by turns folds once in some hundreds of deltas; a loop of point
+//! writes folds every ≈ 11·√base of them.
+//! [`QuadStore::cow_stats`] counts clones and folds and their seconds.
 //!
 //! # Writing in id space
 //!
@@ -50,14 +74,20 @@
 //! trip. `TermId`s then follow the emitter's interning order rather than
 //! first occurrence in a batch; nothing may depend on either.
 //!
-//! Writers serving live readers should still batch their mutations
-//! ([`QuadStore::extend`] / [`QuadStore::extend_encoded`], or several
-//! calls inside [`QuadStore::begin_delta`] / [`QuadStore::commit_delta`]):
-//! each mutating call that follows a publication pays one copy, so
-//! per-quad insert loops under live readers cost four tree copies per
-//! quad while batches amortize them to one per batch.
+//! # Batch your writes
+//!
+//! A batch of n quads costs O(n log n) to sort plus one pass over the
+//! overlay. A single [`QuadStore::insert`] or [`QuadStore::remove`] is a
+//! batch of one: it moves the overlay's tail in all four orderings and
+//! pays its share of the folds that keep that tail short — O(√n)
+//! amortised where a B-tree paid O(log n), about twice a B-tree's point
+//! insert at a million quads. Loops over more than a few thousand quads
+//! belong in [`QuadStore::extend`] / [`QuadStore::retract`] or their
+//! `_encoded` twins (a quarter of the loop's time at that size); calls that
+//! should reach readers together go between [`QuadStore::begin_delta`] and
+//! [`QuadStore::commit_delta`] — where nothing folds until the commit, so
+//! a long loop of point writes inside one delta is O(overlay) each.
 
-use std::collections::BTreeSet;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -67,6 +97,7 @@ use lids_exec::{parallel_map_with, ParallelConfig};
 
 use crate::dictionary::{Dictionary, TermId};
 use crate::pattern::QuadPattern;
+use crate::run::{Key, Run, RunIter};
 use crate::term::{GraphName, Quad, Term};
 
 /// Per-phase timings and counts for one [`QuadStore::extend_stats`] call.
@@ -86,7 +117,7 @@ pub struct IngestStats {
     pub extract_secs: f64,
     /// Phase 2: per-group dictionary resolution, interning, id scatter.
     pub encode_secs: f64,
-    /// Phase 3: sorted-run construction / merge of the four indexes.
+    /// Phase 3: sort, split against the store, merge into the four overlays.
     pub index_secs: f64,
 }
 
@@ -121,8 +152,8 @@ impl IngestStats {
 ///
 /// The retraction mirror of [`IngestStats`]: encode resolves terms
 /// against the dictionary (a quad naming any un-interned term cannot be
-/// present and is skipped), index runs the sorted anti-merge over the
-/// four permutations.
+/// present and is skipped), index sorts the batch, splits it against the
+/// store and edits the four overlays.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RetractStats {
     /// Quads offered to the batch, duplicates and absentees included.
@@ -131,7 +162,7 @@ pub struct RetractStats {
     pub quads_removed: usize,
     /// Phase 1: dictionary resolution of the batch's terms.
     pub encode_secs: f64,
-    /// Phase 2: sorted-run anti-merge of the four indexes.
+    /// Phase 2: sort, split against the store, edit the four overlays.
     pub index_secs: f64,
 }
 
@@ -191,11 +222,11 @@ impl EncodedPattern {
 
 /// One (index, permuted pattern, ordering) contender for an encoded
 /// pattern's scan.
-type IndexCandidate<'a> = (&'a BTreeSet<[u32; 4]>, [Option<u32>; 4], IndexOrder);
+type IndexCandidate<'a> = (&'a Run, [Option<u32>; 4], IndexOrder);
 
 /// A chosen index plus the range bounds for one encoded pattern.
 struct ScanPlan<'a> {
-    index: &'a BTreeSet<[u32; 4]>,
+    index: &'a Run,
     lo: [u32; 4],
     hi: [u32; 4],
     prefix_len: usize,
@@ -259,30 +290,32 @@ impl IndexOrder {
     }
 }
 
-/// How far [`RunCursor::seek_ge`] gallops linearly before falling back
-/// to a logarithmic B-tree re-range. Nearby targets (the common case in
-/// merge joins over correlated runs) are reached without paying a
-/// root-to-leaf descent.
-const GALLOP_STEPS: usize = 8;
-
 /// How many cursor operations pass between loads of an attached
 /// interrupt flag — cheap enough to leave on, responsive enough that a
 /// cancelled query stops scanning within a few dozen keys.
 const INTERRUPT_STRIDE: u32 = 64;
 
-/// Ceiling on index entries walked per cardinality estimate — bounds
-/// planner cost on huge ranges; see [`QuadStore::estimate_pattern_exact`].
+/// The overlay is folded into the base at a publish point once it holds
+/// more than `1 / FOLD_DIVISOR` of the base's keys, or once the writes since
+/// the last fold have together merged past `FOLD_UPKEEP` times the base's
+/// keys in overlay entries. Measured, not tuned per deployment: see
+/// DESIGN.md ("When the overlay folds") for both sweeps.
+const FOLD_DIVISOR: usize = 8;
+const FOLD_UPKEEP: usize = 64;
+
+/// Ceiling on what a cardinality estimate reports; see
+/// [`StoreSnapshot::estimate_pattern_exact`].
 const ESTIMATE_WALK_CAP: usize = 4096;
 
 /// A forward-only, seekable cursor over one sorted index run.
 ///
 /// Obtained from [`StoreSnapshot::run_cursor`]; yields raw index keys in the
 /// chosen [`IndexOrder`] (use [`IndexOrder::decode`] to recover
-/// `[s, p, o, g]`). [`RunCursor::seek_ge`] skips ahead with a bounded
-/// linear gallop first and a `BTreeSet::range` re-anchor only when the
-/// target is far, so sort-merge consumers pay O(1) amortised per nearby
-/// key and O(log n) only on long skips. Seeking backwards is a no-op:
-/// the cursor never moves left.
+/// `[s, p, o, g]`). [`RunCursor::seek_ge`] skips ahead by doubling steps and
+/// a binary search inside the last one, so sort-merge consumers pay
+/// O(log d) for a target d keys away — near O(1) on the correlated runs
+/// merge joins walk. Seeking backwards is a no-op: the cursor never moves
+/// left.
 ///
 /// A cursor may carry an interrupt flag
 /// ([`RunCursor::with_interrupt`]): once the flag flips, the cursor
@@ -291,18 +324,18 @@ const ESTIMATE_WALK_CAP: usize = 4096;
 /// reaching a batch-boundary check first. The caller is responsible for
 /// turning the early exhaustion into a typed error.
 pub struct RunCursor<'a> {
-    set: &'a BTreeSet<[u32; 4]>,
-    iter: std::collections::btree_set::Range<'a, [u32; 4]>,
-    current: Option<[u32; 4]>,
+    /// The keys after `current`.
+    rest: RunIter<'a>,
+    current: Option<Key>,
     interrupt: Option<Arc<AtomicBool>>,
     ops: u32,
 }
 
 impl<'a> RunCursor<'a> {
-    fn new(set: &'a BTreeSet<[u32; 4]>) -> Self {
-        let mut iter = set.range([0, 0, 0, 0]..);
-        let current = iter.next().copied();
-        RunCursor { set, iter, current, interrupt: None, ops: 0 }
+    fn new(run: &'a Run) -> Self {
+        let mut rest = run.iter();
+        let current = rest.next();
+        RunCursor { rest, current, interrupt: None, ops: 0 }
     }
 
     /// Attach a cooperative interrupt flag (see the type docs).
@@ -334,7 +367,7 @@ impl<'a> RunCursor<'a> {
         if self.interrupted() {
             return;
         }
-        self.current = self.iter.next().copied();
+        self.current = self.rest.next();
     }
 
     /// Position the cursor on the first key `>= target` at or after the
@@ -343,29 +376,10 @@ impl<'a> RunCursor<'a> {
         if self.interrupted() {
             return;
         }
-        match self.current {
-            None => return,
-            Some(cur) if cur >= target => return,
-            Some(_) => {}
+        if self.current.is_some_and(|cur| cur < target) {
+            self.rest.skip_to(&target);
+            self.current = self.rest.next();
         }
-        // bounded linear gallop: nearby targets avoid the tree descent
-        for _ in 0..GALLOP_STEPS {
-            match self.iter.next() {
-                Some(&key) => {
-                    if key >= target {
-                        self.current = Some(key);
-                        return;
-                    }
-                }
-                None => {
-                    self.current = None;
-                    return;
-                }
-            }
-        }
-        // far target: re-anchor with a logarithmic range query
-        self.iter = self.set.range(target..);
-        self.current = self.iter.next().copied();
     }
 }
 
@@ -390,21 +404,18 @@ pub struct ScanSpec {
     pub residual: [Option<u32>; 4],
 }
 
-/// Index orderings maintained by the store.
-///
-/// Each is a `BTreeSet` of the quad's ids permuted so a range scan over a
-/// bound prefix enumerates matches:
-/// - `spog`: subject-bound scans and full scans
-/// - `posg`: predicate(+object)-bound scans — the workhorse for `?x rdf:type C`
-/// - `ospg`: object-bound scans — reverse traversal
-/// - `gspo`: graph-scoped scans — per-pipeline named-graph queries
+/// One immutable version of the store: the dictionary and the four index
+/// orderings, each a sorted run of the quad's ids permuted so a range scan
+/// over a bound prefix enumerates matches:
+/// - `Spog`: subject-bound scans and full scans
+/// - `Posg`: predicate(+object)-bound scans — the workhorse for `?x rdf:type C`
+/// - `Ospg`: object-bound scans — reverse traversal
+/// - `Gspo`: graph-scoped scans — per-pipeline named-graph queries
 #[derive(Debug, Clone)]
 pub struct StoreSnapshot {
     dict: Dictionary,
-    spog: BTreeSet<[u32; 4]>,
-    posg: BTreeSet<[u32; 4]>,
-    ospg: BTreeSet<[u32; 4]>,
-    gspo: BTreeSet<[u32; 4]>,
+    /// Indexed by `IndexOrder as usize`; all four hold the same quads.
+    runs: [Run; 4],
     /// Process-unique identity, so caches keyed on a store never confuse
     /// two stores that happen to share an address. Shared by every
     /// snapshot of one store lineage.
@@ -432,7 +443,13 @@ impl SnapshotCell {
     }
 
     fn store(&self, snap: Option<Arc<StoreSnapshot>>) {
-        *self.slot.lock().unwrap_or_else(|e| e.into_inner()) = snap;
+        let superseded = {
+            let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+            std::mem::replace(&mut *slot, snap)
+        };
+        // Freed, when this was its last reference, with the lock released:
+        // no reader's `load` waits on a deallocation.
+        drop(superseded);
     }
 }
 
@@ -475,18 +492,24 @@ pub struct QuadStore {
     /// ([`QuadStore::begin_delta`]): publication is suppressed and the
     /// commit collapses all interim generation bumps to `base + 1`.
     delta: Option<u64>,
+    /// Overlay entries the writes since the last fold had to merge past,
+    /// summed: what keeping the overlay has cost, against what a fold would.
+    shifted: usize,
     cow: CowStats,
 }
 
-/// What copy-on-write has cost a [`QuadStore`] so far: how many writes
-/// found their snapshot shared and had to copy it first, and the seconds
-/// those copies took (the four index trees plus O(delta) of dictionary).
-/// The superseded snapshot is freed by whoever drops it last, which is
-/// not counted here.
+/// What keeping readers isolated has cost a [`QuadStore`] so far: how
+/// many writes found their snapshot shared and had to copy it first (the
+/// four overlays plus O(delta) of dictionary) with the seconds those
+/// copies took, and how many publish points folded the overlay into fresh
+/// base runs with the seconds of those passes. Freeing what either
+/// supersedes falls to whoever drops it last and is not counted here.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CowStats {
     pub clones: u64,
     pub secs: f64,
+    pub folds: u64,
+    pub fold_secs: f64,
 }
 
 impl Deref for QuadStore {
@@ -503,15 +526,13 @@ impl Default for QuadStore {
         QuadStore {
             snap: Arc::new(StoreSnapshot {
                 dict: Dictionary::default(),
-                spog: BTreeSet::new(),
-                posg: BTreeSet::new(),
-                ospg: BTreeSet::new(),
-                gspo: BTreeSet::new(),
+                runs: Default::default(),
                 id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
                 generation: 0,
             }),
             published: Arc::new(SnapshotCell { slot: Mutex::new(None) }),
             delta: None,
+            shifted: 0,
             cow: CowStats::default(),
         }
     }
@@ -523,12 +544,22 @@ const DEFAULT_GRAPH_IRI: &str = "urn:lids:default-graph";
 impl StoreSnapshot {
     /// Number of quads in the store.
     pub fn len(&self) -> usize {
-        self.spog.len()
+        self.run(IndexOrder::Spog).len()
     }
 
     /// True when the store holds no quads.
     pub fn is_empty(&self) -> bool {
-        self.spog.is_empty()
+        self.len() == 0
+    }
+
+    /// Overlay entries (adds plus tombstones) not yet folded into the
+    /// base runs: what the next copy-on-write clone copies per ordering.
+    pub fn overlay_len(&self) -> usize {
+        self.run(IndexOrder::Spog).overlay_len()
+    }
+
+    fn run(&self, order: IndexOrder) -> &Run {
+        &self.runs[order as usize]
     }
 
     /// Number of distinct interned terms (≈ distinct nodes + literals).
@@ -568,16 +599,6 @@ impl StoreSnapshot {
         }
     }
 
-    /// In-place insert of a quad known to be absent; see
-    /// [`QuadStore::insert`].
-    fn insert_key(&mut self, [s, p, o, g]: EncodedQuad) {
-        self.spog.insert([s, p, o, g]);
-        self.posg.insert([p, o, s, g]);
-        self.ospg.insert([o, s, p, g]);
-        self.gspo.insert([g, s, p, o]);
-        self.generation += 1;
-    }
-
     /// In-place bulk insert on the private copy; see
     /// [`QuadStore::extend_stats`].
     ///
@@ -592,10 +613,9 @@ impl StoreSnapshot {
     ///    occurrence — reproducing the insert-order-dense [`TermId`]
     ///    assignment of a sequential loop — and the resolved ids are
     ///    scattered into `[s, p, o, g]` tuples.
-    /// 3. **Index** — the four index permutations are built as sorted,
-    ///    deduplicated runs in parallel, then bulk-built
-    ///    (`BTreeSet::from_iter` over a sorted run, empty store) or merged
-    ///    into the existing trees (incremental).
+    /// 3. **Index** — the batch is sorted and deduplicated, split against
+    ///    the SPOG run into what it changes, and that is merged into the
+    ///    four overlays ([`StoreSnapshot::split`] / [`StoreSnapshot::shift`]).
     ///
     /// Small batches run the same phases serially, so semantics never
     /// depend on batch size.
@@ -603,7 +623,6 @@ impl StoreSnapshot {
         let mut stats = IngestStats { quads_in: quads.len(), ..IngestStats::default() };
         assert!(quads.len() <= (u32::MAX / 4) as usize, "extend: batch too large");
         let terms_before = self.dict.len();
-        let quads_before = self.spog.len();
         let threads = Self::ingest_threads(quads.len());
 
         // Phase 1: hash every occurrence once (parallel), then sort the
@@ -734,11 +753,14 @@ impl StoreSnapshot {
         stats.new_terms = self.dict.len() - terms_before;
         stats.encode_secs = t.elapsed().as_secs_f64();
 
-        // Phase 3: sorted-run construction / merge of the four indexes.
+        // Phase 3: merge what the batch changes into the four overlays.
+        // A bulk load may have interned terms even when every quad is a
+        // duplicate, so it shifts (and invalidates) unconditionally.
         let t = Instant::now();
-        self.merge_encoded(encoded, threads);
+        let (join, leave) = self.split(encoded, true);
+        stats.quads_added = join.len() + leave.len();
+        self.shift(true, join, leave, threads);
         stats.index_secs = t.elapsed().as_secs_f64();
-        stats.quads_added = self.spog.len() - quads_before;
         stats
     }
 
@@ -750,81 +772,57 @@ impl StoreSnapshot {
 
     /// Worker count for a batch of `n` quads: one thread per ~2k quads,
     /// capped at available parallelism. Small batches get 1 (fully serial —
-    /// `parallel_map_with` spawns nothing for a single thread).
+    /// `parallel_map_with` spawns nothing for a single thread) without
+    /// asking: the parallelism query reads cgroup files, and a point write
+    /// is a batch of one.
     fn ingest_threads(n: usize) -> usize {
         const SHARD_MIN: usize = 2048;
-        ParallelConfig::default().threads.min(n / SHARD_MIN).max(1)
-    }
-
-    /// Phase 3: permute the batch into the four index orders, sort and
-    /// dedup each run in parallel, then bulk-build or merge per index.
-    fn merge_encoded(&mut self, mut spog_run: Vec<EncodedQuad>, threads: usize) {
-        // bulk loads may intern terms even when every quad is a duplicate
-        // of a pending batch member, so invalidate unconditionally
-        self.generation += 1;
-        // Sort + dedup the batch once in spog order; the other three
-        // permutations sort the already-deduplicated run, not the raw
-        // batch, so batch-internal duplicates are paid for only once.
-        spog_run.sort_unstable();
-        spog_run.dedup();
-        let perms: [fn(EncodedQuad) -> [u32; 4]; 3] = [
-            |[s, p, o, g]| [p, o, s, g],
-            |[s, p, o, g]| [o, s, p, g],
-            |[s, p, o, g]| [g, s, p, o],
-        ];
-        let perm_ids: [usize; 3] = [0, 1, 2];
-        let deduped = &spog_run;
-        let mut runs: Vec<Vec<[u32; 4]>> = parallel_map_with(
-            ParallelConfig { threads: threads.min(3), chunk: 1 },
-            &perm_ids,
-            |&i| {
-                let mut run: Vec<[u32; 4]> = deduped.iter().map(|&q| perms[i](q)).collect();
-                run.sort_unstable();
-                run
-            },
-        );
-        let (Some(gspo_run), Some(ospg_run), Some(posg_run)) =
-            (runs.pop(), runs.pop(), runs.pop())
-        else {
-            unreachable!("parallel_map_with returns one run per permutation")
-        };
-        if threads > 1 {
-            std::thread::scope(|scope| {
-                scope.spawn(|| merge_sorted_run(&mut self.posg, posg_run));
-                scope.spawn(|| merge_sorted_run(&mut self.ospg, ospg_run));
-                scope.spawn(|| merge_sorted_run(&mut self.gspo, gspo_run));
-                merge_sorted_run(&mut self.spog, spog_run);
-            });
-        } else {
-            merge_sorted_run(&mut self.spog, spog_run);
-            merge_sorted_run(&mut self.posg, posg_run);
-            merge_sorted_run(&mut self.ospg, ospg_run);
-            merge_sorted_run(&mut self.gspo, gspo_run);
+        if n < 2 * SHARD_MIN {
+            return 1;
         }
-        debug_assert!(self.validate_indexes());
+        ParallelConfig::default().threads.min(n / SHARD_MIN)
     }
 
-    /// Check that the four orderings agree: equal sizes, and every spog
-    /// entry present (permuted) in posg/ospg/gspo. Test and debug aid.
-    pub fn validate_indexes(&self) -> bool {
-        self.posg.len() == self.spog.len()
-            && self.ospg.len() == self.spog.len()
-            && self.gspo.len() == self.spog.len()
-            && self.spog.iter().all(|&[s, p, o, g]| {
-                self.posg.contains(&[p, o, s, g])
-                    && self.ospg.contains(&[o, s, p, g])
-                    && self.gspo.contains(&[g, s, p, o])
-            })
+    /// Sort and deduplicate a batch of `[s, p, o, g]` tuples and split it
+    /// against the SPOG run into what writing it would change; see
+    /// [`Run::split`]. Both halves empty: the write is a no-op.
+    fn split(&self, mut batch: Vec<EncodedQuad>, adding: bool) -> (Vec<Key>, Vec<Key>) {
+        batch.sort_unstable();
+        batch.dedup();
+        self.run(IndexOrder::Spog).split(&batch, adding)
     }
 
-    /// In-place remove of a quad known to be present; see
-    /// [`QuadStore::remove`].
-    fn remove_key(&mut self, [s, p, o, g]: EncodedQuad) {
-        self.spog.remove(&[s, p, o, g]);
-        self.posg.remove(&[p, o, s, g]);
-        self.ospg.remove(&[o, s, p, g]);
-        self.gspo.remove(&[g, s, p, o]);
+    /// Apply a [`StoreSnapshot::split`] to the four overlays. The halves
+    /// arrive ascending in SPOG order; the other three orderings permute
+    /// and sort them (in parallel for a large batch) — the base runs are
+    /// never consulted again, so the write costs O(batch + overlay).
+    fn shift(&mut self, adding: bool, join: Vec<Key>, leave: Vec<Key>, threads: usize) {
         self.generation += 1;
+        let permuted = |order: IndexOrder, keys: &[Key]| {
+            let mut run: Vec<Key> = keys.iter().map(|&quad| order.key(quad)).collect();
+            run.sort_unstable();
+            run
+        };
+        let halves: Vec<(Vec<Key>, Vec<Key>)> = parallel_map_with(
+            ParallelConfig { threads: threads.min(3), chunk: 1 },
+            &IndexOrder::ALL[1..],
+            |&order| (permuted(order, &join), permuted(order, &leave)),
+        );
+        self.runs[0].shift(adding, &join, &leave);
+        for (run, (join, leave)) in self.runs[1..].iter_mut().zip(&halves) {
+            run.shift(adding, join, leave);
+        }
+    }
+
+    /// Check that every run keeps its invariants (ascending, adds outside
+    /// the base, tombstones inside it) and that the four orderings hold
+    /// the same quads. Test and debug aid.
+    pub fn validate_indexes(&self) -> bool {
+        let spog = self.run(IndexOrder::Spog);
+        self.runs.iter().all(|run| run.is_consistent() && run.len() == spog.len())
+            && spog.iter().all(|quad| {
+                IndexOrder::ALL[1..].iter().all(|&order| self.run(order).contains(&order.key(quad)))
+            })
     }
 
     /// `quad` as ids. `None` when it names a term the dictionary has never
@@ -848,65 +846,9 @@ impl StoreSnapshot {
         }
     }
 
-    /// In-place encoded batch retraction on the private copy; see
-    /// [`QuadStore::retract_encoded`].
-    ///
-    /// The anti-merge mirror of [`StoreSnapshot::merge_encoded`]: the
-    /// batch is sorted and deduplicated once in spog order, permuted into
-    /// the other three key orders, and each index drops the run via a
-    /// sorted two-stream difference (rebuild for big runs, point removes
-    /// for small ones), in parallel across the four trees.
-    ///
-    /// The caller has checked that at least one quad of the batch is
-    /// present, so the batch always changes the store.
-    fn retract_encoded_batch(&mut self, encoded: &[EncodedQuad], threads: usize) -> usize {
-        let before = self.spog.len();
-        // batch-level invalidation, mirroring merge_encoded
-        self.generation += 1;
-        let mut spog_run: Vec<[u32; 4]> = encoded.to_vec();
-        spog_run.sort_unstable();
-        spog_run.dedup();
-        let perms: [fn(EncodedQuad) -> [u32; 4]; 3] = [
-            |[s, p, o, g]| [p, o, s, g],
-            |[s, p, o, g]| [o, s, p, g],
-            |[s, p, o, g]| [g, s, p, o],
-        ];
-        let perm_ids: [usize; 3] = [0, 1, 2];
-        let deduped = &spog_run;
-        let mut runs: Vec<Vec<[u32; 4]>> = parallel_map_with(
-            ParallelConfig { threads: threads.min(3), chunk: 1 },
-            &perm_ids,
-            |&i| {
-                let mut run: Vec<[u32; 4]> = deduped.iter().map(|&q| perms[i](q)).collect();
-                run.sort_unstable();
-                run
-            },
-        );
-        let (Some(gspo_run), Some(ospg_run), Some(posg_run)) =
-            (runs.pop(), runs.pop(), runs.pop())
-        else {
-            unreachable!("parallel_map_with returns one run per permutation")
-        };
-        if threads > 1 {
-            std::thread::scope(|scope| {
-                scope.spawn(|| anti_merge_sorted_run(&mut self.posg, posg_run));
-                scope.spawn(|| anti_merge_sorted_run(&mut self.ospg, ospg_run));
-                scope.spawn(|| anti_merge_sorted_run(&mut self.gspo, gspo_run));
-                anti_merge_sorted_run(&mut self.spog, spog_run);
-            });
-        } else {
-            anti_merge_sorted_run(&mut self.spog, spog_run);
-            anti_merge_sorted_run(&mut self.posg, posg_run);
-            anti_merge_sorted_run(&mut self.ospg, ospg_run);
-            anti_merge_sorted_run(&mut self.gspo, gspo_run);
-        }
-        debug_assert!(self.validate_indexes());
-        before - self.spog.len()
-    }
-
     /// True when the quad is present.
     pub fn contains(&self, quad: &Quad) -> bool {
-        self.encode_quad(quad).is_some_and(|key| self.spog.contains(&key))
+        self.encode_quad(quad).is_some_and(|key| self.run(IndexOrder::Spog).contains(&key))
     }
 
     /// Resolve a term id (delegates to the dictionary).
@@ -948,27 +890,20 @@ impl StoreSnapshot {
         self.dict.id_of(&Self::graph_term(graph))
     }
 
+    /// The four (index, permuted pattern, ordering) candidates for a
+    /// pattern's ids in `[s, p, o, g]` order.
+    fn candidates(&self, ids: [Option<u32>; 4]) -> [IndexCandidate<'_>; 4] {
+        IndexOrder::ALL.map(|order| (self.run(order), order.positions().map(|p| ids[p]), order))
+    }
+
     /// Pick the index with the longest bound prefix for `ids` (in
     /// `[s, p, o, g]` order) and compute its range bounds.
     ///
-    /// Orderings: spog=(s,p,o,g) posg=(p,o,s,g) ospg=(o,s,p,g) gspo=(g,s,p,o)
-    ///
     /// Equal-length prefixes (e.g. a `(p, g)` pattern reaches prefix 1 in
-    /// both posg and gspo) are tie-broken by estimated range size: each
-    /// contender's range is probed up to [`TIE_SCAN_CAP`] entries and the
-    /// smallest wins, so a selective object bound beats an unselective
-    /// subject bound instead of falling back to declaration order.
-    /// The four (index, permuted pattern, ordering) candidates for a
-    /// pattern's ids in `[s, p, o, g]` order.
-    fn candidates(&self, [s, p, o, g]: [Option<u32>; 4]) -> [IndexCandidate<'_>; 4] {
-        [
-            (&self.spog, [s, p, o, g], IndexOrder::Spog),
-            (&self.posg, [p, o, s, g], IndexOrder::Posg),
-            (&self.ospg, [o, s, p, g], IndexOrder::Ospg),
-            (&self.gspo, [g, s, p, o], IndexOrder::Gspo),
-        ]
-    }
-
+    /// both posg and gspo) are tie-broken by range size, counted up to
+    /// `TIE_SCAN_CAP` entries: the smallest wins, so a selective object
+    /// bound beats an unselective subject bound instead of falling back
+    /// to declaration order.
     fn plan(&self, ids: [Option<u32>; 4]) -> ScanPlan<'_> {
         let candidates = self.candidates(ids);
         let prefix = |key: &[Option<u32>; 4]| key.iter().take_while(|b| b.is_some()).count();
@@ -992,7 +927,7 @@ impl StoreSnapshot {
                     continue;
                 }
                 let (lo, hi) = Self::range_bounds(key, best_len);
-                let count = index.range(lo..=hi).take(TIE_SCAN_CAP).count();
+                let count = index.count(&lo, &hi).min(TIE_SCAN_CAP);
                 if count < best_count {
                     best_count = count;
                     best = i;
@@ -1013,16 +948,7 @@ impl StoreSnapshot {
 
     /// A seekable forward cursor over one index ordering's sorted run.
     pub fn run_cursor(&self, order: IndexOrder) -> RunCursor<'_> {
-        RunCursor::new(self.index_set(order))
-    }
-
-    fn index_set(&self, order: IndexOrder) -> &BTreeSet<[u32; 4]> {
-        match order {
-            IndexOrder::Spog => &self.spog,
-            IndexOrder::Posg => &self.posg,
-            IndexOrder::Ospg => &self.ospg,
-            IndexOrder::Gspo => &self.gspo,
-        }
+        RunCursor::new(self.run(order))
     }
 
     fn range_bounds(key: &[Option<u32>; 4], prefix_len: usize) -> ([u32; 4], [u32; 4]) {
@@ -1050,7 +976,7 @@ impl StoreSnapshot {
     ) -> impl Iterator<Item = EncodedQuad> + 'a {
         let ScanPlan { index, lo, hi, prefix_len, residual, order } = self.plan(pattern.ids());
         index
-            .range(lo..=hi)
+            .range(&lo, &hi)
             .filter(move |k| {
                 residual
                     .iter()
@@ -1058,11 +984,11 @@ impl StoreSnapshot {
                     .skip(prefix_len)
                     .all(|(i, b)| b.is_none_or(|v| k[i] == v))
             })
-            .map(move |&k| order.decode(k))
+            .map(move |k| order.decode(k))
     }
 
     /// Cardinality estimate for an id-level pattern: the number of index
-    /// entries inside the best B-tree range. See
+    /// entries inside the best index range. See
     /// [`StoreSnapshot::estimate_pattern_exact`] for the exactness contract.
     pub fn estimate_pattern(&self, pattern: &EncodedPattern) -> usize {
         self.estimate_pattern_exact(pattern).0
@@ -1084,20 +1010,21 @@ impl StoreSnapshot {
     /// over range counts replaces the previous single-range count,
     /// whose capped tie-break probe could settle on a far larger range.
     ///
-    /// Range walks are capped at `ESTIMATE_WALK_CAP` entries so the
-    /// planner never pays more than a bounded probe per estimate: a
-    /// range at least that large reports the cap with `exact = false` —
-    /// at that magnitude the join orderer only needs "huge", not the
-    /// digits. The all-wildcard pattern answers from `len()` directly.
+    /// A range count is binary searches over the run, whatever its size,
+    /// but estimates stay capped at `ESTIMATE_WALK_CAP` — the contract the
+    /// join orderer's plans were settled under, from when a count was a
+    /// bounded walk: a range at least that large reports the cap with
+    /// `exact = false` — at that magnitude the join orderer only needs
+    /// "huge", not the digits. The all-wildcard pattern answers from
+    /// `len()` directly.
     pub fn estimate_pattern_exact(&self, pattern: &EncodedPattern) -> (usize, bool) {
         let ids = pattern.ids();
         let bound = ids.iter().filter(|b| b.is_some()).count();
         if bound == 0 {
             return (self.len(), true);
         }
-        let capped_count = |index: &BTreeSet<[u32; 4]>, lo, hi| {
-            index.range(lo..=hi).take(ESTIMATE_WALK_CAP).count()
-        };
+        let capped_count =
+            |index: &Run, lo: Key, hi: Key| index.count(&lo, &hi).min(ESTIMATE_WALK_CAP);
         let candidates = self.candidates(ids);
         let prefix = |key: &[Option<u32>; 4]| key.iter().take_while(|b| b.is_some()).count();
         // exact pass: a prefix covering all bound positions counts the
@@ -1156,24 +1083,23 @@ impl StoreSnapshot {
     /// rather than a walk over every index entry.
     pub fn named_graphs(&self) -> Vec<String> {
         let mut graphs: Vec<String> = Vec::new();
-        let mut cursor = self.gspo.iter().next();
-        while let Some(k) = cursor {
-            let gid = k[0];
+        let mut cursor = self.run_cursor(IndexOrder::Gspo);
+        while let Some([gid, ..]) = cursor.current() {
             if let GraphName::Named(g) = self.graph_of(TermId(gid)) {
                 graphs.push(g);
             }
             let Some(next) = gid.checked_add(1) else {
                 break;
             };
-            cursor = self.gspo.range([next, 0, 0, 0]..).next();
+            cursor.seek_ge([next, 0, 0, 0]);
         }
         graphs
     }
 
-    /// Approximate logical footprint in bytes (indexes + dictionary).
+    /// Approximate footprint in bytes: the runs as they are (base plus
+    /// overlay, four orderings) and the dictionary.
     pub fn approx_bytes(&self) -> u64 {
-        let per_quad = std::mem::size_of::<[u32; 4]>() as u64;
-        self.spog.len() as u64 * per_quad * 4 + self.dict.approx_bytes()
+        self.runs.iter().map(Run::bytes).sum::<u64>() + self.dict.approx_bytes()
     }
 }
 
@@ -1184,8 +1110,8 @@ impl QuadStore {
 
     /// The store's current state as an immutable snapshot: one `Arc`
     /// clone, no index copy. The snapshot stays frozen while the store
-    /// keeps mutating (the first write after acquisition pays one
-    /// copy-on-write snapshot copy; see the module docs).
+    /// keeps mutating (the first write after acquisition clones the
+    /// overlays, not the base runs; see the module docs).
     pub fn snapshot(&self) -> Arc<StoreSnapshot> {
         Arc::clone(&self.snap)
     }
@@ -1212,7 +1138,8 @@ impl QuadStore {
         snap
     }
 
-    /// Copy-on-write clones this store has paid since it was created.
+    /// Copy-on-write clones and overlay folds this store has paid since it
+    /// was created.
     pub fn cow_stats(&self) -> CowStats {
         self.cow
     }
@@ -1220,29 +1147,43 @@ impl QuadStore {
     /// A detached read handle that tracks this store across future
     /// mutations, safe to hand to other threads. Creating (or keeping)
     /// a reader switches the writer into publish mode: every mutating
-    /// call ends by publishing its committed snapshot, and each write
-    /// after a publication copies the snapshot once — batch writes while
-    /// readers are attached.
+    /// call ends by publishing its committed snapshot, and the first
+    /// write after a publication clones the snapshot's overlays.
     pub fn reader(&self) -> StoreReader {
         self.published.store(Some(Arc::clone(&self.snap)));
         StoreReader { cell: Arc::clone(&self.published) }
     }
 
-    /// Publish the current snapshot for detached readers. With no
-    /// reader handle alive, empties the slot instead — superseded
-    /// snapshots are reclaimed and the next write stays copy-free.
-    fn publish(&self) {
-        if Arc::strong_count(&self.published) > 1 {
-            self.published.store(Some(Arc::clone(&self.snap)));
-        } else {
-            self.published.store(None);
+    /// A publish point: fold the overlay if it has outgrown its share of
+    /// the base or cost more upkeep than the fold would, then publish the
+    /// current snapshot for detached readers. With no reader
+    /// handle alive, empties the slot instead — superseded snapshots are
+    /// reclaimed and the next write stays copy-free.
+    fn publish(&mut self) {
+        // Only a snapshot this writer holds alone can have changed since
+        // the last publish point; a shared one was judged there.
+        if let Some(snap) = Arc::get_mut(&mut self.snap) {
+            let (base, overlay) = (snap.run(IndexOrder::Spog).base_len(), snap.overlay_len());
+            let upkeep = overlay > 0 && self.shifted > base * FOLD_UPKEEP;
+            if overlay * FOLD_DIVISOR > base || upkeep {
+                let t = Instant::now();
+                for run in &mut snap.runs {
+                    *run = run.folded();
+                }
+                self.shifted = 0;
+                self.cow.folds += 1;
+                self.cow.fold_secs += t.elapsed().as_secs_f64();
+            }
         }
+        let readers = Arc::strong_count(&self.published) > 1;
+        self.published.store(readers.then(|| Arc::clone(&self.snap)));
     }
 
     /// Publication gate every mutator goes through: while a delta is
     /// open, committed-but-unpublished states stay private to the writer
     /// so detached readers see whole deltas or nothing.
-    fn maybe_publish(&self) {
+    fn maybe_publish(&mut self) {
+        self.shifted += self.snap.overlay_len();
         if self.delta.is_none() {
             self.publish();
         }
@@ -1286,19 +1227,17 @@ impl QuadStore {
         let dict = &self.snap.dict;
         let hashes = terms.map(|term| dict.hash_of(term));
         let known = [0, 1, 2, 3].map(|i| dict.id_by_hash(hashes[i], terms[i]));
-        if let [Some(s), Some(p), Some(o), Some(g)] = known {
-            if self.snap.spog.contains(&[s.0, p.0, o.0, g.0]) {
-                return false;
+        let key = match known {
+            [Some(s), Some(p), Some(o), Some(g)] => [s.0, p.0, o.0, g.0],
+            _ => {
+                let snap = self.write();
+                [0, 1, 2, 3].map(|i| match known[i] {
+                    Some(id) => id.0,
+                    None => snap.dict.intern_hashed(hashes[i], terms[i]).0,
+                })
             }
-        }
-        let snap = self.write();
-        let key = [0, 1, 2, 3].map(|i| match known[i] {
-            Some(id) => id.0,
-            None => snap.dict.intern_hashed(hashes[i], terms[i]).0,
-        });
-        snap.insert_key(key);
-        self.maybe_publish();
-        true
+        };
+        self.apply(vec![key], true) > 0
     }
 
     /// Insert a triple into the default graph.
@@ -1345,16 +1284,23 @@ impl QuadStore {
             self.snap.ids_in_range(&encoded),
             "extend_encoded: id outside this store's dictionary"
         );
-        if encoded.iter().all(|key| self.snap.spog.contains(key)) {
-            return 0;
+        self.apply(encoded, true)
+    }
+
+    /// Write an encoded batch — add it or drop it — and publish. Returns
+    /// how many quads that changed. What the batch changes is decided on
+    /// the shared snapshot, so one that changes nothing (every quad
+    /// already present, or none) copies nothing and leaves the store, its
+    /// generation and its readers' snapshot exactly as they were.
+    fn apply(&mut self, batch: Vec<EncodedQuad>, adding: bool) -> usize {
+        let threads = StoreSnapshot::ingest_threads(batch.len());
+        let (join, leave) = self.snap.split(batch, adding);
+        let changed = join.len() + leave.len();
+        if changed > 0 {
+            self.write().shift(adding, join, leave, threads);
+            self.maybe_publish();
         }
-        let threads = StoreSnapshot::ingest_threads(encoded.len());
-        let snap = self.write();
-        let before = snap.spog.len();
-        snap.merge_encoded(encoded, threads);
-        let added = snap.spog.len() - before;
-        self.maybe_publish();
-        added
+        changed
     }
 
     /// Intern a term on the writer's private copy and return its id, for
@@ -1384,22 +1330,16 @@ impl QuadStore {
 
     /// Remove a quad. Returns `true` when it was present.
     pub fn remove(&mut self, quad: &Quad) -> bool {
-        let snap = &self.snap;
-        let Some(key) = snap.encode_quad(quad).filter(|key| snap.spog.contains(key)) else {
-            return false;
-        };
-        self.write().remove_key(key);
-        self.maybe_publish();
-        true
+        self.snap.encode_quad(quad).is_some_and(|key| self.apply(vec![key], false) > 0)
     }
 
     /// Batch-retract quads, returning per-phase statistics.
     ///
     /// Equivalent to calling [`QuadStore::remove`] on each quad, but runs
-    /// as the anti-merge mirror of the bulk loader: one dictionary
-    /// resolution pass (quads naming unknown terms are skipped — they
-    /// cannot be present), then a sorted-run set difference over the four
-    /// index permutations in parallel, published as one snapshot.
+    /// as the mirror of the bulk loader: one dictionary resolution pass
+    /// (quads naming unknown terms are skipped — they cannot be present),
+    /// then one sorted batch that drops overlay adds and tombstones base
+    /// keys in the four orderings, published as one snapshot.
     /// Retraction never shrinks the dictionary; term ids stay stable.
     pub fn retract(&mut self, quads: impl IntoIterator<Item = Quad>) -> RetractStats {
         let quads: Vec<Quad> = quads.into_iter().collect();
@@ -1409,7 +1349,7 @@ impl QuadStore {
             quads.iter().filter_map(|quad| self.snap.encode_quad(quad)).collect();
         stats.encode_secs = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        stats.quads_removed = self.retract_run(&encoded);
+        stats.quads_removed = self.apply(encoded, false);
         stats.index_secs = t.elapsed().as_secs_f64();
         stats
     }
@@ -1424,20 +1364,7 @@ impl QuadStore {
             self.snap.ids_in_range(&encoded),
             "retract_encoded: id outside this store's dictionary"
         );
-        self.retract_run(&encoded)
-    }
-
-    /// Drop a batch of encoded quads from the four indexes and publish.
-    /// A batch none of whose quads is present leaves the store, its
-    /// generation and its readers' snapshot exactly as they were.
-    fn retract_run(&mut self, encoded: &[EncodedQuad]) -> usize {
-        if !encoded.iter().any(|key| self.snap.spog.contains(key)) {
-            return 0;
-        }
-        let threads = StoreSnapshot::ingest_threads(encoded.len());
-        let removed = self.write().retract_encoded_batch(encoded, threads);
-        self.maybe_publish();
-        removed
+        self.apply(encoded, false)
     }
 }
 
@@ -1493,119 +1420,6 @@ enum PendingMembers {
 /// Scatter a resolved id back into its quad's encoded slot.
 fn write(enc: &mut [EncodedQuad], flat: u32, id: u32) {
     enc[(flat / 4) as usize][(flat % 4) as usize] = id;
-}
-
-/// Merge a sorted, deduplicated run of index keys into one index tree.
-///
-/// Empty tree: bulk-build straight from the run (`BTreeSet`'s
-/// `FromIterator` detects the sorted input and packs leaves directly).
-/// Sizeable run vs. existing tree: rebuild from the merge of the two
-/// sorted streams, which stays O(n) per element instead of paying a
-/// root-to-leaf walk per key. Small run: plain inserts.
-fn merge_sorted_run(set: &mut BTreeSet<[u32; 4]>, run: Vec<[u32; 4]>) {
-    if run.is_empty() {
-        return;
-    }
-    if set.is_empty() {
-        *set = run.into_iter().collect();
-        return;
-    }
-    if run.len() >= set.len() / 8 {
-        let old = std::mem::take(set);
-        *set = MergeSorted { a: old.into_iter().peekable(), b: run.into_iter().peekable() }
-            .collect();
-        return;
-    }
-    for key in run {
-        set.insert(key);
-    }
-}
-
-/// Drop a sorted, deduplicated run of index keys from one index tree.
-///
-/// The anti-merge mirror of [`merge_sorted_run`]: a sizeable run
-/// rebuilds the tree from the sorted difference of the two streams
-/// (O(n) per element, `BTreeSet`'s `FromIterator` packs the sorted
-/// output directly); a small run pays per-key point removes instead of a
-/// full rebuild. Keys absent from the tree are ignored.
-fn anti_merge_sorted_run(set: &mut BTreeSet<[u32; 4]>, run: Vec<[u32; 4]>) {
-    if run.is_empty() || set.is_empty() {
-        return;
-    }
-    if run.len() >= set.len() / 8 {
-        let old = std::mem::take(set);
-        *set = DiffSorted { a: old.into_iter().peekable(), b: run.into_iter().peekable() }
-            .collect();
-        return;
-    }
-    for key in run {
-        set.remove(&key);
-    }
-}
-
-/// Deduplicating merge of two sorted streams of index keys.
-struct MergeSorted<A: Iterator, B: Iterator> {
-    a: std::iter::Peekable<A>,
-    b: std::iter::Peekable<B>,
-}
-
-impl<A, B> Iterator for MergeSorted<A, B>
-where
-    A: Iterator<Item = [u32; 4]>,
-    B: Iterator<Item = [u32; 4]>,
-{
-    type Item = [u32; 4];
-
-    fn next(&mut self) -> Option<[u32; 4]> {
-        match (self.a.peek(), self.b.peek()) {
-            (Some(&x), Some(&y)) => {
-                if x < y {
-                    self.a.next()
-                } else if y < x {
-                    self.b.next()
-                } else {
-                    self.a.next();
-                    self.b.next()
-                }
-            }
-            (Some(_), None) => self.a.next(),
-            (None, _) => self.b.next(),
-        }
-    }
-}
-
-/// Sorted set difference of two sorted streams: yields keys of `a` that
-/// do not appear in `b`.
-struct DiffSorted<A: Iterator, B: Iterator> {
-    a: std::iter::Peekable<A>,
-    b: std::iter::Peekable<B>,
-}
-
-impl<A, B> Iterator for DiffSorted<A, B>
-where
-    A: Iterator<Item = [u32; 4]>,
-    B: Iterator<Item = [u32; 4]>,
-{
-    type Item = [u32; 4];
-
-    fn next(&mut self) -> Option<[u32; 4]> {
-        loop {
-            let x = *self.a.peek()?;
-            match self.b.peek() {
-                None => return self.a.next(),
-                Some(&y) => {
-                    if x < y {
-                        return self.a.next();
-                    } else if x == y {
-                        self.a.next();
-                        self.b.next();
-                    } else {
-                        self.b.next();
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2230,10 +2044,67 @@ mod tests {
         assert_eq!(store.len(), 501);
     }
 
+    /// The base run allocations of a snapshot, one per ordering.
+    fn bases(snap: &StoreSnapshot) -> [*const Key; 4] {
+        IndexOrder::ALL.map(|order| snap.run(order).base().as_ptr())
+    }
+
+    #[test]
+    fn small_write_under_a_pin_shares_all_four_base_runs() {
+        let mut store = QuadStore::new();
+        store.extend((0..400).map(|i| q(&format!("s{i}"), "p", "o")));
+        let pinned = store.snapshot();
+        // below the fold threshold, additions and tombstones alike
+        store.extend((400..410).map(|i| q(&format!("s{i}"), "p", "o")));
+        store.retract((0..10).map(|i| q(&format!("s{i}"), "p", "o")));
+        assert_eq!(store.cow_stats().clones, 1);
+        assert_eq!(store.overlay_len(), 20);
+        for (pin, live) in IndexOrder::ALL.map(|order| (pinned.run(order), store.run(order))) {
+            assert!(Arc::ptr_eq(pin.base(), live.base()));
+        }
+        assert_eq!((pinned.len(), pinned.overlay_len()), (400, 0));
+        assert_eq!(store.len(), 400);
+    }
+
+    #[test]
+    fn fold_under_a_pin_leaves_the_pins_runs_untouched() {
+        let mut store = QuadStore::new();
+        store.extend((0..400).map(|i| q(&format!("s{i}"), "p", "o")));
+        store.retract((0..10).map(|i| q(&format!("s{i}"), "p", "o")));
+        let pinned = store.snapshot();
+        let (before, quads) = (bases(&pinned), pinned.iter().collect::<Vec<Quad>>());
+        let folds = store.cow_stats().folds;
+        // far above the threshold: the publish point folds
+        store.extend((400..800).map(|i| q(&format!("s{i}"), "p", "o")));
+        assert_eq!(store.cow_stats().folds, folds + 1);
+        assert_eq!((store.len(), store.overlay_len()), (790, 0));
+        assert!(bases(&store).iter().zip(&before).all(|(live, pin)| live != pin));
+        // the pin still holds its base runs and its ten tombstones
+        assert_eq!(bases(&pinned), before);
+        assert_eq!((pinned.len(), pinned.overlay_len()), (390, 10));
+        assert_eq!(pinned.iter().collect::<Vec<Quad>>(), quads);
+        assert!(pinned.validate_indexes() && store.validate_indexes());
+    }
+
+    #[test]
+    fn point_writes_fold_before_the_overlay_grows_long() {
+        let mut store = QuadStore::new();
+        store.extend((0..40_000).map(|i| q(&format!("s{i}"), "p", "o")));
+        // its size alone would let the overlay reach 5,000 entries; the
+        // upkeep rule folds once 64 × 40,000 have been merged past
+        for i in 40_000..43_000 {
+            store.insert(&q(&format!("s{i}"), "p", "o"));
+            assert!(store.overlay_len() < 2264);
+        }
+        assert_eq!((store.cow_stats().folds, store.len()), (1, 43_000));
+        assert!(store.validate_indexes());
+    }
+
     #[test]
     fn batch_retract_matches_per_quad_remove() {
-        // big enough to take the rebuild path (run >= set/8) and — via
-        // the small tail batch below — the point-remove path too
+        // big enough that its tombstones fold at the publish point (more
+        // than base/8) and — via the small tail batch below — small enough
+        // that they stay in the overlay too
         let quads: Vec<Quad> = (0..600)
             .map(|i| q(&format!("s{}", i % 30), &format!("p{}", i % 7), &format!("o{i}")))
             .collect();
@@ -2259,7 +2130,7 @@ mod tests {
         assert_eq!(dump(&batch), dump(&serial));
         assert!(batch.validate_indexes());
 
-        // small tail: run < set/8 exercises the point-remove path;
+        // small tail: run < set/8 stays below the fold threshold;
         // stride 99 from index 1 never lands on an already-removed victim
         let tail: Vec<Quad> = quads.iter().skip(1).step_by(99).cloned().collect();
         assert!(tail.len() < batch.len() / 8);

@@ -19,6 +19,19 @@ timeout 600 cargo test -q --release --test incremental_differential
 # Bulk loading must be indistinguishable from sequential insertion:
 # identical quad sets, identical insert-order-dense TermId assignment.
 cargo test -q -p lids-rdf --test bulk_load_differential
+# The sorted-run store against the representation it replaced: every write
+# path (single, batch, encoded, in and out of a delta, under pins and a
+# reader, on both sides of the fold threshold) mirrored on a BTreeSet
+# oracle, every read path compared after every operation. The suite raises
+# its own case count in release.
+cargo test -q --release -p lids-rdf --test store_properties
+# The oracle stays in the tests: one representation in the store itself.
+for module in crates/rdf/src/store.rs crates/rdf/src/run.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$module" | grep -n 'BTreeSet'; then
+        echo "BTreeSet in non-test code of $module: the store is sorted runs" >&2
+        exit 1
+    fi
+done
 # Span tree, explain cardinalities, and the <10% instrumentation budget.
 cargo test -q --test observability
 # Vectorized operators (probe/merge/leapfrog) and the plan cache must agree

@@ -5,6 +5,8 @@
 use kglids_repro::datagen::pipelines::{generate_corpus, CorpusSpec};
 use kglids_repro::datagen::LakeSpec;
 use kglids_repro::kg::abstraction::PipelineMetadata;
+use kglids_repro::kg::linker::LinkStats;
+use kglids_repro::kg::ontology::object_prop;
 use kglids_repro::kglids::discovery::UnionMode;
 use kglids_repro::kglids::{KgLidsBuilder, PipelineScript};
 use kglids_repro::ml::precision_recall_at_k;
@@ -105,8 +107,16 @@ fn corpus_bootstrap_links_pipelines_to_datasets() {
         .bootstrap();
     assert_eq!(stats.pipelines_abstracted, 12);
     assert_eq!(stats.pipelines_failed, 0);
-    assert!(stats.links.tables_linked > 0, "no table links");
-    assert!(stats.links.columns_linked > 0, "no column links");
+    // the graph linker's outcome and the store it leaves, as they were
+    // when consumed predictions were removed one quad at a time
+    assert_eq!(
+        stats.links,
+        LinkStats { tables_linked: 12, columns_linked: 13, predictions_dropped: 0 }
+    );
+    let predicted = Term::iri(object_prop::iri(object_prop::PREDICTED_READ));
+    let store = platform.store();
+    assert_eq!(store.match_pattern(&QuadPattern::any().with_predicate(predicted)).count(), 0);
+    assert_eq!((store.len(), store.term_count()), (3274, 1377));
 
     // every pipeline is its own named graph
     assert_eq!(platform.store().named_graphs().len(), 12);

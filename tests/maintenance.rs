@@ -5,8 +5,11 @@
 //! it removes leaves no trace.
 
 use kglids_repro::kg::abstraction::PipelineMetadata;
+use kglids_repro::kg::linker::LinkStats;
+use kglids_repro::kg::ontology::object_prop;
 use kglids_repro::kglids::{DeltaBatch, KgLids, KgLidsBuilder, PipelineScript};
 use kglids_repro::profiler::table::{Column, Dataset, Table};
+use kglids_repro::rdf::{QuadPattern, Term};
 
 fn ages_dataset(name: &str, table: &str) -> Dataset {
     let values: Vec<String> = (20..60).map(|i| i.to_string()).collect();
@@ -68,8 +71,16 @@ fn incremental_pipeline_links_against_schema() {
     };
     let stats = platform.apply_delta(DeltaBatch::new().add_pipelines([late]));
     assert_eq!(stats.pipelines_failed, 0);
-    assert_eq!(stats.links.tables_linked, 1);
-    assert_eq!(stats.links.columns_linked, 1);
+    assert_eq!(
+        stats.links,
+        LinkStats { tables_linked: 1, columns_linked: 1, predictions_dropped: 0 }
+    );
+    // the consumed predictions left in one batch, exactly as they used to
+    // leave one by one: none remains, and the store is the size it was
+    let predicted = Term::iri(object_prop::iri(object_prop::PREDICTED_READ));
+    let store = platform.store();
+    assert_eq!(store.match_pattern(&QuadPattern::any().with_predicate(predicted)).count(), 0);
+    assert_eq!((store.len(), store.term_count()), (290, 239));
     // the pipeline shows up in library queries
     let libs = platform.get_top_k_libraries_used(3);
     assert_eq!(libs.get(0, "library"), Some("pandas"));

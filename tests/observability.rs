@@ -236,12 +236,21 @@ fn ingest_span_times_the_load_it_reports() {
     let column = |name: &str| Column::new(name, (0..200).map(|i| (i * 7).to_string()).collect());
     let dataset =
         |name: &str| Dataset::new(name, vec![Table::new("t", vec![column("age"), column("size")])]);
-    let (mut platform, stats) = KgLidsBuilder::new().with_dataset(dataset("d")).bootstrap();
+    // a lake wide enough that one small dataset is a small delta
+    let wide = |name: &str| {
+        let columns = (0..24).map(|i| column(&format!("c{i}"))).collect();
+        Dataset::new(name, vec![Table::new("t", columns)])
+    };
+    let (mut platform, stats) =
+        KgLidsBuilder::new().with_datasets([dataset("d"), wide("w")]).bootstrap();
     check(stats.trace.root("bootstrap").and_then(|r| r.child("link.schema")).expect("stage"));
 
     let reader = platform.reader();
     let pinned = reader.snapshot();
-    let delta = platform.apply_delta(DeltaBatch::new().add_dataset(dataset("e")));
+    // one column unlike any in the lake: metadata quads, no edges
+    let note = Column::new("note", (0..200).map(|i| format!("remark {}", i % 17)).collect());
+    let small = Dataset::new("e", vec![Table::new("t", vec![note])]);
+    let delta = platform.apply_delta(DeltaBatch::new().add_dataset(small));
     check(delta.trace.roots.last().and_then(|r| r.child("link.schema")).expect("stage"));
     // the pinned snapshot forced exactly one clone, at the delta's first write
     assert_eq!(delta.cow_clones, 1);
@@ -250,6 +259,21 @@ fn ingest_span_times_the_load_it_reports() {
     assert_eq!(metrics.gauge("store.cow.clones"), Some(1.0));
     assert_eq!(metrics.gauge("store.cow.secs"), Some(delta.cow_secs));
     assert!(pinned.len() < platform.store().len());
+    // what replaced the tree copy: one small dataset stays in the overlay
+    // (the clone above copied that, not the lake), and only a delta that
+    // outgrows the fold threshold pays the pass over the base runs
+    let overlay = platform.store().overlay_len();
+    assert_eq!((delta.folds, delta.fold_secs), (0, 0.0));
+    assert!(overlay >= delta.quads_added && overlay * 8 <= platform.store().len());
+    assert_eq!(metrics.gauge("store.overlay_quads"), Some(overlay as f64));
+    let big = platform.apply_delta(DeltaBatch::new().add_dataset(wide("x")));
+    assert!(big.quads_added * 8 > pinned.len());
+    assert_eq!(big.folds, 1);
+    assert!(big.fold_secs > 0.0);
+    assert_eq!(platform.store().overlay_len(), 0);
+    let metrics = platform.obs().metrics.snapshot();
+    assert_eq!(metrics.gauge("store.folds"), Some(2.0), "the bootstrap's first fill, and this");
+    assert_eq!(metrics.gauge("store.overlay_quads"), Some(0.0));
 }
 
 /// The `retract` twin: the span covers the removal it reports on — its
