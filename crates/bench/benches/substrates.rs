@@ -149,7 +149,7 @@ fn bench_join_ordering(c: &mut Criterion) {
 /// Discovery-shaped star join over column profiles (the access pattern of
 /// `KgLids::search_tables`): a hub column variable fanning out to several
 /// property patterns, a join up to the table level, and a numeric filter.
-/// The encoded engine is compared against the retained decoded reference
+/// The executor is compared against the retained decoded reference
 /// evaluator on the same parsed query.
 fn bench_discovery_star_join(c: &mut Criterion) {
     let mut store = QuadStore::new();
@@ -191,19 +191,12 @@ fn bench_discovery_star_join(c: &mut Criterion) {
            ?c <http://kglids/distinct> ?dc . FILTER(?dc > 900) }";
     let query = lids_sparql::parse_query(query_text).unwrap();
     let mut group = c.benchmark_group("sparql_discovery_star_join");
-    // PR 1 row-at-a-time engine on the pre-parsed query
-    group.bench_function("encoded_rows", |b| {
-        let opts = lids_sparql::EvalOptions { vectorize: false, ..Default::default() };
-        b.iter(|| {
-            black_box(lids_sparql::evaluate_with(&store, &query, opts).unwrap().len())
-        })
-    });
-    // vectorized operators (merge/probe/leapfrog) on the pre-parsed query
-    group.bench_function("vectorized", |b| {
+    // the executor (merge/probe/leapfrog) on the pre-parsed query
+    group.bench_function("executor", |b| {
         b.iter(|| black_box(lids_sparql::evaluate(&store, &query).unwrap().len()))
     });
     // full end-to-end path through the plan cache: text hit, compiled
-    // plan reused, vectorized execution
+    // plan reused, execution
     group.bench_function("cached_plan", |b| {
         let cache = lids_sparql::PlanCache::new();
         cache.prepare(query_text).unwrap();

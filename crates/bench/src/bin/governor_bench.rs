@@ -71,8 +71,8 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Same column-profile store shape as `sparql_bench` (the discovery
-/// access pattern), so the overhead leg measures a realistic query.
+/// A column-profile store (the discovery access pattern), so the
+/// overhead leg measures a realistic query.
 fn build_store(tables: usize) -> QuadStore {
     let pred = |p: &str| Term::iri(format!("http://kglids/{p}"));
     let mut quads = Vec::with_capacity(tables * 25 * 5 + tables);

@@ -34,8 +34,9 @@ pub struct QueryGuardrails {
     pub deadline: Option<Duration>,
     /// Default logical memory budget per query in bytes (`None` = unlimited).
     pub memory_budget: Option<u64>,
-    /// Row cap applied when a budget trip degrades a query to the
-    /// streaming row engine; the partial result is marked truncated.
+    /// Row cap applied when a budget trip degrades a query: the retry runs
+    /// the same executor with this cap in place of the byte budget, and the
+    /// partial result is marked truncated.
     pub degraded_row_cap: usize,
     /// Governor trips of the same query shape before it is quarantined.
     pub poison_threshold: u32,
@@ -82,32 +83,27 @@ impl QueryEnv {
         }
     }
 
-    /// The governed query path: quarantine fail-fast → governed
-    /// (vectorized) execution → graceful degradation on budget pressure,
-    /// with `query.*` governance counters throughout.
+    /// Admission, the same for [`Self::query`] and [`Self::explain`]: a
+    /// quarantined shape fails fast, everything else gets its limits.
     ///
     /// Limit precedence: per-call [`EvalOptions`] win, then `extra` fills
     /// deadline/budget, then the [`QueryGuardrails`] fill whatever is
-    /// still unset. The extra limits also contribute cancellation (token,
-    /// fault-injection checkpoint, clock) to the armed governor, which
-    /// plain `EvalOptions` cannot carry.
-    pub(crate) fn query(
+    /// still unset.
+    fn admit(
         &self,
-        snapshot: &StoreSnapshot,
         sparql: &str,
         options: EvalOptions,
         extra: Option<&QueryLimits>,
-    ) -> LidsResult<Solutions> {
+    ) -> LidsResult<EvalOptions> {
         non_empty(sparql)?;
-        let g = &self.guardrails;
-        let metrics = &self.obs.metrics;
         if self.plan_cache.is_poisoned(sparql) {
-            metrics.counter_add("query.quarantine_denials", 1);
+            self.obs.metrics.counter_add("query.quarantine_denials", 1);
             return Err(LidsError::new(
                 ErrorKind::QueryBudgetExceeded,
                 "query shape quarantined after repeated resource-limit violations",
             ));
         }
+        let g = &self.guardrails;
         let mut effective = options;
         effective.deadline =
             effective.deadline.or(extra.and_then(|e| e.deadline)).or(g.deadline);
@@ -115,6 +111,40 @@ impl QueryEnv {
             .memory_budget
             .or(extra.and_then(|e| e.memory_budget_bytes))
             .or(g.memory_budget);
+        Ok(effective)
+    }
+
+    /// Count a governor trip under `query.*` and hold it against the
+    /// query's shape, which is quarantined once it has tripped too often.
+    fn record_trip(&self, sparql: &str, reason: TripReason) {
+        let g = &self.guardrails;
+        let metrics = &self.obs.metrics;
+        match reason {
+            TripReason::Timeout => metrics.counter_add("query.timeouts", 1),
+            TripReason::Cancelled => metrics.counter_add("query.cancelled", 1),
+            TripReason::BudgetExceeded => metrics.counter_add("query.budget_denials", 1),
+        }
+        if self.plan_cache.record_offense(sparql, g.poison_threshold, g.poison_ttl) {
+            metrics.counter_add("query.shapes_poisoned", 1);
+        }
+    }
+
+    /// The governed query path: quarantine fail-fast → governed execution
+    /// → graceful degradation on budget pressure, with `query.*`
+    /// governance counters throughout.
+    ///
+    /// Limits are filled as [`Self::admit`] describes. The extra limits
+    /// also contribute cancellation (token, fault-injection checkpoint,
+    /// clock) to the armed governor, which plain `EvalOptions` cannot carry.
+    pub(crate) fn query(
+        &self,
+        snapshot: &StoreSnapshot,
+        sparql: &str,
+        options: EvalOptions,
+        extra: Option<&QueryLimits>,
+    ) -> LidsResult<Solutions> {
+        let effective = self.admit(sparql, options, extra)?;
+        let metrics = &self.obs.metrics;
         self.timed(|| {
             let prepared = self.plan_cache.prepare(sparql)?;
             let stats = ExecStats::default();
@@ -125,26 +155,17 @@ impl QueryEnv {
                 metrics.gauge_set("query.budget_headroom_bytes", headroom as f64);
             }
             if let Err(SparqlError::Governed(trip)) = &result {
-                match trip.reason {
-                    TripReason::Timeout => metrics.counter_add("query.timeouts", 1),
-                    TripReason::Cancelled => metrics.counter_add("query.cancelled", 1),
-                    TripReason::BudgetExceeded => metrics.counter_add("query.budget_denials", 1),
-                }
-                if self.plan_cache.record_offense(sparql, g.poison_threshold, g.poison_ttl) {
-                    metrics.counter_add("query.shapes_poisoned", 1);
-                }
-                // graceful degradation: budget pressure → streaming row
-                // engine where the row cap replaces the byte budget as
-                // the memory bound (the deadline still applies); partial
-                // results beat no results
+                self.record_trip(sparql, trip.reason);
+                // graceful degradation: budget pressure → the same
+                // executor once more, with a row cap in place of the byte
+                // budget as the memory bound (operators stop producing at
+                // the cap; the deadline still applies); partial results
+                // beat no results
                 if trip.reason == TripReason::BudgetExceeded {
                     metrics.counter_add("query.degraded", 1);
-                    let degraded = EvalOptions {
-                        vectorize: false,
-                        memory_budget: None,
-                        row_cap: Some(effective.row_cap.unwrap_or(g.degraded_row_cap)),
-                        ..effective
-                    };
+                    let row_cap = effective.row_cap.unwrap_or(self.guardrails.degraded_row_cap);
+                    let degraded =
+                        EvalOptions { memory_budget: None, row_cap: Some(row_cap), ..effective };
                     let governor = merged_limits(&degraded, extra).arm();
                     result = prepared.execute_governed(
                         snapshot,
@@ -163,16 +184,23 @@ impl QueryEnv {
     }
 
     /// Evaluate `sparql` with per-pattern instrumentation and return the
-    /// executed plan.
+    /// executed plan. Explaining a query runs it, so it is admitted and
+    /// governed as [`Self::query`] is — quarantine, guardrail deadline and
+    /// budget, trip accounting — short of the degraded retry: a plan of a
+    /// different run would explain nothing.
     pub(crate) fn explain(
         &self,
         snapshot: &StoreSnapshot,
         sparql: &str,
     ) -> LidsResult<ExplainReport> {
-        non_empty(sparql)?;
+        let effective = self.admit(sparql, EvalOptions::default(), None)?;
         let (_, report) = self.timed(|| {
             let parsed = lids_sparql::parse_query(sparql)?;
-            lids_sparql::evaluate_explained(snapshot, &parsed, EvalOptions::default())
+            let result = lids_sparql::evaluate_explained(snapshot, &parsed, effective);
+            if let Err(SparqlError::Governed(trip)) = &result {
+                self.record_trip(sparql, trip.reason);
+            }
+            result
         })?;
         Ok(report)
     }
@@ -265,7 +293,7 @@ impl KgLids {
     ///
     /// Runs under the platform's [`QueryGuardrails`]: per-call options
     /// win, guardrails fill unset limits. On a budget trip the query is
-    /// retried once on the streaming row engine under a row cap and the
+    /// retried once under a row cap instead of the byte budget and the
     /// partial result is surfaced with [`DataFrame::truncated`] set;
     /// shapes that keep tripping are quarantined and fail fast.
     pub fn query_with(&self, sparql: &str, options: EvalOptions) -> LidsResult<DataFrame> {
@@ -274,8 +302,10 @@ impl KgLids {
     }
 
     /// Evaluate `sparql` with per-pattern instrumentation and return the
-    /// executed plan: join order, estimated vs actual rows per triple
-    /// pattern, decode counts, parallel-vs-serial join decisions.
+    /// executed plan: join order, estimated vs actual rows and the join
+    /// operator per triple pattern, decode counts. Governed like
+    /// [`Self::query`] (explaining a query runs it), without the degraded
+    /// retry.
     pub fn explain(&self, sparql: &str) -> LidsResult<ExplainReport> {
         self.env.explain(&self.store, sparql)
     }
@@ -459,16 +489,14 @@ mod tests {
                 ..QueryGuardrails::default()
             })
             .bootstrap();
-        let err = platform
-            .query(
-                "PREFIX k: <http://kglids.org/ontology/> \
-                 SELECT ?c WHERE { ?t a k:Table . ?t k:hasColumn ?c . }",
-            )
-            .unwrap_err();
+        let err = platform.query(COLUMNS_QUERY).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::QueryTimeout);
+        // explaining a query runs it: same guardrail, same refusal
+        let err = platform.explain(COLUMNS_QUERY).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::QueryTimeout);
         let metrics = platform.obs().metrics.snapshot();
-        assert!(metrics.counter("query.timeouts").unwrap_or(0) >= 1);
-        assert!(metrics.counter("query.errors").unwrap_or(0) >= 1);
+        assert_eq!(metrics.counter("query.timeouts"), Some(2));
+        assert!(metrics.counter("query.errors").unwrap_or(0) >= 2);
     }
 
     const COLUMNS_QUERY: &str = "PREFIX k: <http://kglids.org/ontology/> \

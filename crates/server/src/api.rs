@@ -87,7 +87,9 @@ impl QueryResponse {
     }
 }
 
-/// `POST /v1/explain` — instrumented evaluation.
+/// `POST /v1/explain` — instrumented evaluation. The query runs, under the
+/// platform's guardrails and shape quarantine like `POST /v1/query` (a trip
+/// is a typed 503; there is no degraded retry).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExplainRequest {
     pub query: String,
@@ -105,7 +107,9 @@ pub struct WirePattern {
     pub satisfiable: bool,
 }
 
-/// `POST /v1/explain` response: the executed plan.
+/// `POST /v1/explain` response: the executed plan — per pattern the join
+/// operator (`"probe"`, `"merge"` or `"leapfrog"`), estimated and actual
+/// rows; evaluator-wide decode and per-operator join counts.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExplainResponse {
     pub api: String,
@@ -115,8 +119,6 @@ pub struct ExplainResponse {
     pub wall_secs: f64,
     pub patterns: Vec<WirePattern>,
     pub decoded_terms: u64,
-    pub parallel_joins: u64,
-    pub serial_joins: u64,
     pub merge_joins: u64,
     pub probe_joins: u64,
     pub leapfrog_joins: u64,

@@ -416,8 +416,6 @@ fn handle_explain(backend: &LidsReader, body: &[u8], request_id: &str) -> (u16, 
                     })
                     .collect(),
                 decoded_terms: report.decoded_terms,
-                parallel_joins: report.parallel_joins,
-                serial_joins: report.serial_joins,
                 merge_joins: report.merge_joins,
                 probe_joins: report.probe_joins,
                 leapfrog_joins: report.leapfrog_joins,

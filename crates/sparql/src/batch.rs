@@ -1,13 +1,11 @@
-//! Columnar binding batches and vectorized join operators.
+//! Columnar binding batches and the join operators over them.
 //!
-//! The row engine in [`crate::eval`] extends one `Vec<Option<TermId>>`
-//! at a time, re-planning an index scan and cloning the binding for
-//! every candidate quad. This module replaces that hot path with
-//! *batch-at-a-time* execution over a struct-of-arrays binding table
-//! ([`Batch`]): one `Vec<u32>` column per query variable, unbound slots
-//! holding the [`UNBOUND`] sentinel.
-//!
-//! Three operators, selected per pattern:
+//! [`Batch`] is the executor's only binding table: a struct-of-arrays with
+//! one `Vec<u32>` column per query variable, unbound slots holding the
+//! [`UNBOUND`] sentinel. [`crate::eval`] carries one from the query's
+//! all-unbound root row through every group element to the projection; this
+//! module joins a basic graph pattern into it ([`join_pipeline`]), one
+//! pattern at a time, cheapest first, with three operators:
 //! - **leapfrog** — worst-case-optimal star intersection for the
 //!   root-level multi-pattern star shapes that dominate discovery
 //!   queries: all patterns sharing one subject variable advance
@@ -18,25 +16,28 @@
 //!   is sorted by the key column and one forward cursor sweeps the
 //!   sorted run, scanning each distinct key's range exactly once
 //!   (galloping over the gaps) instead of once per row.
-//! - **probe** — per-row index probe (the row engine's scan, emitting
-//!   into columns); the fallback for small batches, keyless patterns,
-//!   and mixed-boundness columns.
+//! - **probe** — one index scan per row, pinned by everything the row
+//!   binds; for small batches, keyless patterns, and mixed-boundness
+//!   columns.
 //!
-//! Operator choice is recorded per pattern in the explain
-//! instrumentation and counted in [`ExecStats`]. Everything here is
-//! gated by exact-result parity against [`crate::reference`] in the
-//! differential property suite; BGP shapes the operators do not cover
-//! (quoted-triple patterns, `GRAPH ?g` scopes) return `None` from
-//! [`try_vectorized`] and fall back to the row engine.
+//! Merge and probe share one unifier ([`Matcher`]), which covers every
+//! pattern shape the compiler emits: quoted-triple patterns (a row that
+//! binds every constituent pins the quoted term's id with one allocation-free
+//! dictionary probe; otherwise the stored triple's constituents are unified
+//! back into the id domain) and `GRAPH ?g` scopes (bound: the graph is
+//! pinned; unbound: bound from the quad, named graphs only). Operator choice
+//! is recorded per pattern in the explain instrumentation and counted in
+//! [`ExecStats`](crate::eval::ExecStats); exact-result parity against
+//! [`crate::reference`] is held by the differential property suite.
 
 use std::collections::HashSet;
 
-use lids_rdf::{EncodedPattern, IndexOrder, RunCursor, StoreSnapshot, TermId};
+use lids_rdf::{EncodedPattern, IndexOrder, RunCursor, StoreSnapshot, Term, TermId};
 
 use crate::ast::VarId;
 use crate::eval::{
-    collect_triple_vars, const_of, EncElement, EncGroup, EncNode, EncTriple, Evaluator, GraphCtx,
-    IdBinding, Operator, GOVERNOR_ROW_INTERVAL,
+    collect_triple_vars, const_of, EncNode, EncTriple, Evaluator, GraphCtx, Operator,
+    GOVERNOR_ROW_INTERVAL,
 };
 use crate::results::SparqlError;
 
@@ -51,28 +52,22 @@ pub(crate) const MERGE_MIN: usize = 32;
 
 /// Columnar binding table: `cols[v][i]` is the binding of variable `v`
 /// in row `i`, or [`UNBOUND`].
+#[derive(Clone)]
 pub(crate) struct Batch {
     cols: Vec<Vec<u32>>,
-    /// Input-row provenance for left-outer (OPTIONAL) joins: the index
-    /// of the original input row each row descends from.
+    /// Inside an OPTIONAL: the index of the OPTIONAL's input row each row
+    /// descends from (left-outer join by provenance).
     prov: Option<Vec<u32>>,
     len: usize,
 }
 
 impl Batch {
-    fn from_rows(rows: &[IdBinding], with_prov: bool) -> Batch {
-        let nvars = rows.first().map_or(0, |r| r.len());
-        let mut cols = vec![Vec::with_capacity(rows.len()); nvars];
-        for row in rows {
-            for (v, slot) in row.iter().enumerate() {
-                cols[v].push(slot.map_or(UNBOUND, |id| id.0));
-            }
-        }
-        let prov = with_prov.then(|| (0..rows.len() as u32).collect());
-        Batch { cols, prov, len: rows.len() }
+    /// The single all-unbound row a query starts from.
+    pub(crate) fn root(nvars: usize) -> Batch {
+        Batch { cols: vec![vec![UNBOUND]; nvars], prov: None, len: 1 }
     }
 
-    fn empty_like(&self) -> Batch {
+    pub(crate) fn empty_like(&self) -> Batch {
         Batch {
             cols: vec![Vec::new(); self.cols.len()],
             prov: self.prov.as_ref().map(|_| Vec::new()),
@@ -80,11 +75,15 @@ impl Batch {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    fn get(&self, var: VarId, row: usize) -> u32 {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    pub(crate) fn get(&self, var: VarId, row: usize) -> u32 {
         self.cols[var.0 as usize][row]
     }
 
@@ -104,25 +103,51 @@ impl Batch {
         self.len += 1;
     }
 
-    /// Append a fresh row that binds only `updates` (everything else
-    /// unbound). Root-star emission.
-    fn push_fresh_row(&mut self, updates: &[(VarId, u32)]) {
-        for (v, col) in self.cols.iter_mut().enumerate() {
-            let update = updates.iter().find(|(u, _)| u.0 as usize == v);
-            col.push(update.map_or(UNBOUND, |&(_, id)| id));
+    /// Append every row of `other` (UNION's branch concatenation).
+    pub(crate) fn append(&mut self, other: Batch) {
+        for (col, tail) in self.cols.iter_mut().zip(other.cols) {
+            col.extend(tail);
         }
-        self.len += 1;
+        if let (Some(prov), Some(tail)) = (&mut self.prov, other.prov) {
+            prov.extend(tail);
+        }
+        self.len += other.len;
     }
 
-    fn to_rows(&self) -> Vec<IdBinding> {
-        (0..self.len)
-            .map(|i| {
-                self.cols
-                    .iter()
-                    .map(|col| (col[i] != UNBOUND).then(|| TermId(col[i])))
-                    .collect()
-            })
-            .collect()
+    /// Keep the rows whose `keep` flag is set (FILTER).
+    pub(crate) fn retain(&mut self, keep: &[bool]) {
+        for col in self.cols.iter_mut().chain(&mut self.prov) {
+            let mut flags = keep.iter();
+            col.retain(|_| flags.next().copied().unwrap_or(false));
+        }
+        self.len = keep.iter().filter(|&&k| k).count();
+    }
+
+    /// Tag every row with its own index — the provenance an OPTIONAL's
+    /// inner group carries — and hand back the enclosing OPTIONAL's tags.
+    pub(crate) fn tag_rows(&mut self) -> Option<Vec<u32>> {
+        self.prov.replace((0..self.len as u32).collect())
+    }
+
+    /// Left-outer completion: append the rows of `input` (tagged by
+    /// [`Batch::tag_rows`]) that no row of `self` descends from.
+    pub(crate) fn append_unmatched(&mut self, input: &Batch) {
+        let mut matched = vec![false; input.len];
+        for &p in self.prov.iter().flatten() {
+            matched[p as usize] = true;
+        }
+        for i in (0..input.len).filter(|&i| !matched[i]) {
+            self.push_row(input, i, &[]);
+        }
+    }
+
+    /// Leave an OPTIONAL: translate each row's tag into the tag its input
+    /// row carried for the enclosing OPTIONAL (`None` outside any).
+    pub(crate) fn untag_rows(&mut self, outer: Option<Vec<u32>>) {
+        self.prov = match (self.prov.take(), outer) {
+            (Some(prov), Some(outer)) => Some(prov.iter().map(|&p| outer[p as usize]).collect()),
+            _ => None,
+        };
     }
 
     /// True for the single all-unbound row a query root starts from.
@@ -142,17 +167,11 @@ impl Batch {
     }
 
     /// Keep only the first `cap` rows (graceful-degradation row cap).
-    fn truncate(&mut self, cap: usize) {
-        if self.len <= cap {
-            return;
-        }
-        for col in &mut self.cols {
+    pub(crate) fn truncate(&mut self, cap: usize) {
+        for col in self.cols.iter_mut().chain(&mut self.prov) {
             col.truncate(cap);
         }
-        if let Some(prov) = &mut self.prov {
-            prov.truncate(cap);
-        }
-        self.len = cap;
+        self.len = self.len.min(cap);
     }
 }
 
@@ -196,33 +215,18 @@ fn governed_cursor<'s>(ev: &Evaluator<'s>, order: IndexOrder) -> RunCursor<'s> {
     }
 }
 
-// ------------------------------------------------------------ entry points
+// ---------------------------------------------------------------- pipeline
 
-/// Whether the vectorized operators cover this BGP: simple nodes only
-/// (no quoted-triple patterns) under a default or fixed graph scope.
-fn vectorizable(patterns: &[EncTriple], ctx: GraphCtx) -> bool {
-    if matches!(ctx, GraphCtx::Var(_)) {
-        return false;
-    }
-    patterns.iter().all(|p| {
-        [&p.subject, &p.predicate, &p.object]
-            .into_iter()
-            .all(|n| !matches!(n, EncNode::Quoted(_)))
-    })
-}
-
-/// Vectorized BGP evaluation, or `None` when the shape is not covered
-/// and the caller should fall back to the row engine.
-pub(crate) fn try_vectorized(
+/// Join a basic graph pattern into the batch: a root-level star by
+/// leapfrog intersection, then every remaining pattern cheapest first
+/// (greedy on [`Evaluator::pattern_cost`]; textual order with
+/// `reorder_joins` off), merge or probe per step.
+pub(crate) fn join_pipeline(
     ev: &Evaluator<'_>,
     patterns: &[EncTriple],
-    bindings: &[IdBinding],
+    mut batch: Batch,
     ctx: GraphCtx,
-) -> Result<Option<Vec<IdBinding>>, SparqlError> {
-    if patterns.is_empty() || bindings.is_empty() || !vectorizable(patterns, ctx) {
-        return Ok(None);
-    }
-    let mut batch = Batch::from_rows(bindings, false);
+) -> Result<Batch, SparqlError> {
     let mut done = vec![false; patterns.len()];
     let mut position = 0usize;
 
@@ -241,66 +245,14 @@ pub(crate) fn try_vectorized(
         }
     }
 
-    batch = join_pipeline(ev, patterns, &mut done, batch, ctx, &mut position)?;
-    Ok(Some(batch.to_rows()))
-}
-
-/// Vectorized left-outer join for `OPTIONAL { <single BGP> }`: joins
-/// the whole batch through the inner patterns once, then restores input
-/// rows that produced no extension. Returns `None` (row-engine
-/// fallback) for inner groups with filters/nesting, uncovered shapes,
-/// or batches too small to be worth it.
-pub(crate) fn try_vectorized_optional(
-    ev: &Evaluator<'_>,
-    inner: &EncGroup,
-    bindings: &[IdBinding],
-    ctx: GraphCtx,
-) -> Result<Option<Vec<IdBinding>>, SparqlError> {
-    let [EncElement::Triples(patterns)] = inner.elements.as_slice() else {
-        return Ok(None);
-    };
-    if bindings.len() < 2 || patterns.is_empty() || !vectorizable(patterns, ctx) {
-        return Ok(None);
-    }
-    let mut done = vec![false; patterns.len()];
-    let mut position = 0usize;
-    let batch = Batch::from_rows(bindings, true);
-    let joined = join_pipeline(ev, patterns, &mut done, batch, ctx, &mut position)?;
-    // left-outer semantics: an input row with no extension survives as-is
-    let mut matched = vec![false; bindings.len()];
-    if let Some(prov) = &joined.prov {
-        for &p in prov {
-            matched[p as usize] = true;
-        }
-    }
-    let mut rows = joined.to_rows();
-    for (i, row) in bindings.iter().enumerate() {
-        if !matched[i] {
-            rows.push(row.clone());
-        }
-    }
-    Ok(Some(rows))
-}
-
-/// Join every not-yet-done pattern into the batch, cheapest first
-/// (same greedy cardinality rule as the row engine), choosing merge or
-/// probe per step.
-fn join_pipeline(
-    ev: &Evaluator<'_>,
-    patterns: &[EncTriple],
-    done: &mut [bool],
-    mut batch: Batch,
-    ctx: GraphCtx,
-    position: &mut usize,
-) -> Result<Batch, SparqlError> {
     let graph_slot = match ctx {
         GraphCtx::Fixed(id) => Some(id),
         _ => None,
     };
-    // variables bound so far, seeded from the first row (the same
-    // heuristic seed the row engine's join_order uses)
+    // variables bound so far, seeded from the first row (a heuristic: rows
+    // past an OPTIONAL or UNION may bind fewer)
     let mut bound: HashSet<VarId> = HashSet::new();
-    if batch.len() > 0 {
+    if !batch.is_empty() {
         for v in 0..batch.cols.len() {
             if batch.cols[v][0] != UNBOUND {
                 bound.insert(VarId(v as u16));
@@ -323,6 +275,7 @@ fn join_pipeline(
             } else {
                 idx as f64 // textual order
             };
+            // strict `<`: ties go to the textually earlier pattern
             if best.is_none_or(|(_, c)| cost < c) {
                 best = Some((idx, cost));
             }
@@ -332,20 +285,15 @@ fn join_pipeline(
         };
         done[idx] = true;
         let pattern = &patterns[idx];
-        if batch.len() > 0 {
+        if !batch.is_empty() {
             ev.guard()?;
             let (mut next, op, precharged) = execute_pattern(ev, pattern, &batch, ctx)?;
             // budget: the new binding table's logical bytes, charged
             // before the old batch is dropped (cumulative accounting);
             // the operator already charged `precharged` while producing
             ev.charge(next.logical_bytes().saturating_sub(precharged))?;
-            if let Some(cap) = ev.options.row_cap {
-                if next.len() > cap {
-                    next.truncate(cap);
-                    ev.truncated.store(true, std::sync::atomic::Ordering::Relaxed);
-                }
-            }
-            record(ev, pattern, *position, op);
+            ev.cap(&mut next);
+            record(ev, pattern, position, op);
             if let Some(stats) = ev.stats {
                 stats.count(op);
             }
@@ -354,7 +302,7 @@ fn join_pipeline(
             }
             batch = next;
         }
-        *position += 1;
+        position += 1;
         collect_triple_vars(pattern, &mut bound);
     }
     ev.guard()?;
@@ -375,88 +323,194 @@ fn execute_pattern(
     batch: &Batch,
     ctx: GraphCtx,
 ) -> Result<(Batch, Operator, u64), SparqlError> {
+    // only an unbound `GRAPH ?g` asks which id is the default graph's
+    let graph_var = matches!(ctx, GraphCtx::Var(_));
+    let default_graph = graph_var.then(|| ev.store.default_graph_id()).flatten().map(|id| id.0);
+    let matcher = Matcher { store: ev.store, pattern, ctx, default_graph };
     if batch.len() >= MERGE_MIN {
-        if let Some(plan) = merge_plan(ev.store, pattern, batch, ctx) {
-            let (out, charged) = merge_join(ev, pattern, batch, ctx, &plan)?;
+        if let Some(plan) = merge_plan(pattern, batch, ctx) {
+            let (out, charged) = merge_join(ev, &matcher, batch, &plan)?;
             return Ok((out, Operator::Merge, charged));
         }
     }
-    let (out, charged) = probe_join(ev, pattern, batch, ctx)?;
+    let (out, charged) = probe_join(ev, &matcher, batch)?;
     Ok((out, Operator::Probe, charged))
 }
 
 // ------------------------------------------------------------- unification
 
-/// Compute the variable updates joining `quad` onto row `i`, or `None`
-/// when a bound position disagrees (covers repeated variables).
-fn bind_updates(
-    pattern: &EncTriple,
-    batch: &Batch,
-    i: usize,
-    quad: [u32; 4],
-) -> Option<Vec<(VarId, u32)>> {
-    let mut updates: Vec<(VarId, u32)> = Vec::new();
-    for (node, val) in [
-        (&pattern.subject, quad[0]),
-        (&pattern.predicate, quad[1]),
-        (&pattern.object, quad[2]),
-    ] {
+/// Joins the quads of one pattern onto batch rows, entirely in the id
+/// domain. Shared by probe and merge.
+struct Matcher<'a> {
+    store: &'a StoreSnapshot,
+    pattern: &'a EncTriple,
+    ctx: GraphCtx,
+    default_graph: Option<u32>,
+}
+
+/// What one row fixes of a pattern's quad before any quad is seen.
+struct Pins {
+    /// Ids the row pins at `[s, p, o, g]`: constants, bound variables,
+    /// quoted patterns whose constituents are all bound, the GRAPH scope.
+    /// `None` positions are open and bind from the quad.
+    ids: [Option<u32>; 4],
+    /// `GRAPH ?g` with `?g` unbound in this row: bind it from the quad.
+    graph_var: Option<VarId>,
+}
+
+impl Pins {
+    fn scan(&self) -> EncodedPattern {
+        let [subject, predicate, object, graph] = self.ids.map(|id| id.map(TermId));
+        EncodedPattern { subject, predicate, object, graph }
+    }
+}
+
+impl Matcher<'_> {
+    /// The pins of row `i`, or `None` when the row cannot match: its
+    /// bindings spell a quoted triple the store never interned, or bind a
+    /// `GRAPH ?g` to something other than an IRI.
+    fn pins(&self, batch: &Batch, i: usize) -> Option<Pins> {
+        let mut graph_var = None;
+        let graph = match self.ctx {
+            GraphCtx::Default => None,
+            GraphCtx::Fixed(id) => Some(id.0),
+            GraphCtx::Var(v) => match batch.get(v, i) {
+                UNBOUND => {
+                    graph_var = Some(v);
+                    None
+                }
+                id if matches!(self.store.term(TermId(id)), Term::Iri(_)) => Some(id),
+                _ => return None,
+            },
+        };
+        let ids = [
+            self.pin(&self.pattern.subject, batch, i)?,
+            self.pin(&self.pattern.predicate, batch, i)?,
+            self.pin(&self.pattern.object, batch, i)?,
+            graph,
+        ];
+        Some(Pins { ids, graph_var })
+    }
+
+    /// The id row `i` fixes for `node`; `Some(None)` when a variable of it
+    /// is still unbound, `None` when it denotes a term the store lacks.
+    fn pin(&self, node: &EncNode, batch: &Batch, i: usize) -> Option<Option<u32>> {
+        Some(match node {
+            EncNode::Const(id) => Some(id.0),
+            EncNode::Var(v) => Some(batch.get(*v, i)).filter(|&id| id != UNBOUND),
+            EncNode::Quoted(q) => {
+                let s = self.pin(&q.subject, batch, i)?;
+                let p = self.pin(&q.predicate, batch, i)?;
+                let o = self.pin(&q.object, batch, i)?;
+                match (s, p, o) {
+                    // every constituent is known: the quoted term matches
+                    // iff it is itself interned
+                    (Some(s), Some(p), Some(o)) => {
+                        let dict = self.store.dictionary();
+                        Some(dict.id_of_quoted(TermId(s), TermId(p), TermId(o))?.0)
+                    }
+                    _ => None,
+                }
+            }
+        })
+    }
+
+    /// Join `quad` onto row `i`: `true` with the variable bindings it adds
+    /// left in `updates`, `false` when a pinned or repeated position
+    /// disagrees.
+    fn unify(
+        &self,
+        pins: &Pins,
+        batch: &Batch,
+        i: usize,
+        quad: [u32; 4],
+        updates: &mut Vec<(VarId, u32)>,
+    ) -> bool {
+        updates.clear();
+        let nodes = [&self.pattern.subject, &self.pattern.predicate, &self.pattern.object];
+        for (slot, node) in nodes.into_iter().enumerate() {
+            let agrees = match pins.ids[slot] {
+                Some(id) => id == quad[slot],
+                None => self.unify_id(node, quad[slot], batch, i, updates),
+            };
+            if !agrees {
+                return false;
+            }
+        }
+        if pins.ids[3].is_some_and(|g| g != quad[3]) {
+            return false;
+        }
+        if let Some(v) = pins.graph_var {
+            // GRAPH ?g ranges over named graphs only
+            if Some(quad[3]) == self.default_graph {
+                return false;
+            }
+            // as in `reference`, the graph wins over a binding the same
+            // quad gave ?g in another position
+            updates.retain(|(u, _)| *u != v);
+            updates.push((v, quad[3]));
+        }
+        true
+    }
+
+    /// Unify an open node with the id a quad holds in its position. A
+    /// quoted pattern descends into the stored triple; the dictionary
+    /// interns quoted constituents, so their bindings stay in the id domain.
+    fn unify_id(
+        &self,
+        node: &EncNode,
+        id: u32,
+        batch: &Batch,
+        i: usize,
+        updates: &mut Vec<(VarId, u32)>,
+    ) -> bool {
         match node {
-            EncNode::Const(c) => {
-                if c.0 != val {
-                    return None;
-                }
-            }
-            EncNode::Var(v) => {
-                let existing = batch.get(*v, i);
-                if existing != UNBOUND {
-                    if existing != val {
-                        return None;
-                    }
-                } else {
-                    match updates.iter().find(|(u, _)| u == v) {
-                        Some(&(_, prev)) => {
-                            if prev != val {
-                                return None;
-                            }
-                        }
-                        None => updates.push((*v, val)),
-                    }
-                }
-            }
-            // excluded by `vectorizable`
-            EncNode::Quoted(_) => return None,
+            EncNode::Const(c) => c.0 == id,
+            EncNode::Var(v) => bind(*v, id, batch, i, updates),
+            EncNode::Quoted(q) => match self.store.term(TermId(id)) {
+                Term::Quoted(t) => [
+                    (&q.subject, &t.subject),
+                    (&q.predicate, &t.predicate),
+                    (&q.object, &t.object),
+                ]
+                .into_iter()
+                .all(|(inner, term)| {
+                    let id = self.store.id_of(term);
+                    id.is_some_and(|id| self.unify_id(inner, id.0, batch, i, updates))
+                }),
+                _ => false,
+            },
         }
     }
-    Some(updates)
+}
+
+/// Bind `var` to `id` for row `i`, or check it against the binding the row
+/// or an earlier position of the same quad already gave it.
+fn bind(var: VarId, id: u32, batch: &Batch, i: usize, updates: &mut Vec<(VarId, u32)>) -> bool {
+    let existing = batch.get(var, i);
+    if existing != UNBOUND {
+        return existing == id;
+    }
+    match updates.iter().find(|(u, _)| *u == var) {
+        Some(&(_, prev)) => prev == id,
+        None => {
+            updates.push((var, id));
+            true
+        }
+    }
 }
 
 // ------------------------------------------------------------------- probe
 
-/// Per-row index probe, emitting matches into fresh columns. Same scan
-/// the row engine runs, minus the per-candidate binding clone.
+/// Per-row index probe: scan the index with everything the row pins, emit
+/// the matches into fresh columns.
 fn probe_join(
     ev: &Evaluator<'_>,
-    pattern: &EncTriple,
+    matcher: &Matcher<'_>,
     batch: &Batch,
-    ctx: GraphCtx,
 ) -> Result<(Batch, u64), SparqlError> {
-    let store = ev.store;
-    let graph = match ctx {
-        GraphCtx::Fixed(id) => Some(id),
-        _ => None,
-    };
-    let resolve = |node: &EncNode, i: usize| -> Option<TermId> {
-        match node {
-            EncNode::Const(id) => Some(*id),
-            EncNode::Var(v) => {
-                let val = batch.get(*v, i);
-                (val != UNBOUND).then_some(TermId(val))
-            }
-            EncNode::Quoted(_) => None,
-        }
-    };
     let mut out = batch.empty_like();
+    let mut updates = Vec::new();
     let mut since_check = 0usize;
     let mut charged = 0u64;
     'rows: for i in 0..batch.len() {
@@ -467,14 +521,11 @@ fn probe_join(
                 ev.guard()?;
             }
         }
-        let scan = EncodedPattern {
-            subject: resolve(&pattern.subject, i),
-            predicate: resolve(&pattern.predicate, i),
-            object: resolve(&pattern.object, i),
-            graph,
+        let Some(pins) = matcher.pins(batch, i) else {
+            continue;
         };
-        for quad in store.match_ids(&scan) {
-            if let Some(updates) = bind_updates(pattern, batch, i, quad) {
+        for quad in ev.store.match_ids(&pins.scan()) {
+            if matcher.unify(&pins, batch, i, quad, &mut updates) {
                 out.push_row(batch, i, &updates);
                 // a low-selectivity pattern (worst case: a cartesian
                 // product) explodes in this inner loop — govern the
@@ -507,12 +558,7 @@ struct MergePlan {
 /// constants plus the key form the longest possible index prefix.
 /// `None` when no pattern variable is fully bound across the batch (or
 /// a candidate key repeats inside the pattern) — probe territory.
-fn merge_plan(
-    store: &StoreSnapshot,
-    pattern: &EncTriple,
-    batch: &Batch,
-    ctx: GraphCtx,
-) -> Option<MergePlan> {
+fn merge_plan(pattern: &EncTriple, batch: &Batch, ctx: GraphCtx) -> Option<MergePlan> {
     // constants in [s, p, o, g] slot order
     let mut slot_const: [Option<u32>; 4] = [
         const_of(&pattern.subject).map(|t| t.0),
@@ -580,8 +626,6 @@ fn merge_plan(
             }
         }
     }
-    // sanity: a usable plan must exist on a real index of this store
-    let _ = store;
     best
 }
 
@@ -590,9 +634,8 @@ fn merge_plan(
 /// key's range once and cross-joining it with the key's row group.
 fn merge_join(
     ev: &Evaluator<'_>,
-    pattern: &EncTriple,
+    matcher: &Matcher<'_>,
     batch: &Batch,
-    ctx: GraphCtx,
     plan: &MergePlan,
 ) -> Result<(Batch, u64), SparqlError> {
     let key_col = &batch.cols[plan.key.0 as usize];
@@ -602,11 +645,7 @@ fn merge_join(
     let mut out = batch.empty_like();
     let mut cursor = governed_cursor(ev, plan.order);
     let mut scratch: Vec<[u32; 4]> = Vec::new();
-    let graph = match ctx {
-        GraphCtx::Fixed(id) => Some(id.0),
-        _ => None,
-    };
-    let _ = graph; // graph constant already folded into plan.consts
+    let mut updates = Vec::new();
     let mut g = 0usize;
     let mut groups_since_check = 0usize;
     let mut charged = 0u64;
@@ -647,8 +686,13 @@ fn merge_join(
         }
         if !scratch.is_empty() {
             for &row in &rows[g..g_end] {
+                // the sweep pinned the key and the constants only: the rest
+                // of what the row pins is checked per quad
+                let Some(pins) = matcher.pins(batch, row as usize) else {
+                    continue;
+                };
                 for &quad in &scratch {
-                    if let Some(updates) = bind_updates(pattern, batch, row as usize, quad) {
+                    if matcher.unify(&pins, batch, row as usize, quad, &mut updates) {
                         out.push_row(batch, row as usize, &updates);
                         // many-to-many keys explode here: govern the
                         // output as it grows
@@ -813,7 +857,7 @@ impl StarIter<'_> {
 /// Leapfrog star intersection over the store's sorted runs. Every leg
 /// proposes its smallest subject ≥ the current candidate; subjects all
 /// legs agree on are emitted with the cross product of their per-leg
-/// quads (so quad multiplicity across graphs matches the row engine).
+/// quads (so quad multiplicity across graphs matches a per-pattern join).
 fn leapfrog_star(
     ev: &Evaluator<'_>,
     patterns: &[EncTriple],
@@ -882,15 +926,12 @@ fn leapfrog_star(
             }
         }
         let mut updates: Vec<(VarId, u32)> = vec![(star.subject, t)];
-        emit_cross(&mut out, &iters, &legs, 0, &mut updates);
+        emit_cross(&mut out, batch, &iters, &legs, 0, &mut updates);
         // govern the accumulated output (per-subject granularity); a
         // row-cap hit truncates here because this batch does not pass
         // through the pipeline's cap site
         if governed_progress(ev, &out, &mut subjects_since_check, &mut charged)? {
-            if let Some(cap) = ev.options.row_cap {
-                out.truncate(cap);
-                ev.truncated.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
+            ev.cap(&mut out);
             break 'leapfrog;
         }
         match t.checked_add(1) {
@@ -906,17 +947,18 @@ fn leapfrog_star(
     Ok(out)
 }
 
-/// Recursive odometer over per-leg quad lists, pushing one fresh row
-/// per combination.
+/// Recursive odometer over per-leg quad lists, pushing one copy of the
+/// root row per combination.
 fn emit_cross(
     out: &mut Batch,
+    root: &Batch,
     iters: &[StarIter<'_>],
     legs: &[Vec<u32>],
     depth: usize,
     updates: &mut Vec<(VarId, u32)>,
 ) {
     if depth == legs.len() {
-        out.push_fresh_row(updates);
+        out.push_row(root, 0, updates);
         return;
     }
     for &val in &legs[depth] {
@@ -927,7 +969,7 @@ fn emit_cross(
             }
             StarLeg::ConstObj { .. } => false,
         };
-        emit_cross(out, iters, legs, depth + 1, updates);
+        emit_cross(out, root, iters, legs, depth + 1, updates);
         if pushed {
             updates.pop();
         }

@@ -1,31 +1,36 @@
-//! Encoded query evaluation over a [`StoreSnapshot`].
+//! Query compilation and evaluation over a [`StoreSnapshot`].
 //!
-//! The engine never joins over decoded [`Term`]s. A query is *compiled*
-//! once against the store — every constant node is resolved to its
-//! dictionary [`TermId`] up front (a constant the store has never interned
-//! short-circuits its whole BGP to empty) — and evaluation then runs
-//! binding-at-a-time nested-loop joins where a binding is a
-//! `Vec<Option<TermId>>`: four-byte slots, integer comparisons, no decoding.
+//! One executor, never joining over decoded [`Term`]s. A query is
+//! *compiled* once against the store — every constant node is resolved to
+//! its dictionary [`TermId`] up front (a constant the store has never
+//! interned short-circuits its whole BGP to empty) — and evaluated as a
+//! flow of columnar binding batches (`batch.rs`): from the single
+//! all-unbound root row, each group element maps a batch to a batch. A basic
+//! graph pattern is joined in by the batch operators (leapfrog, merge,
+//! probe), OPTIONAL is one left-outer join by row provenance over whatever
+//! its inner group holds, UNION concatenates its branches' batches, FILTER
+//! retains rows, GRAPH narrows the scope its inner group scans under.
 //!
 //! Terms are materialised only at the solution-modifier boundary
 //! (`crate::project`) and, lazily per referenced variable, inside FILTER
 //! expressions. Join ordering is cardinality-based: each candidate pattern
 //! is costed with [`StoreSnapshot::estimate_pattern`], which answers from the
-//! store's B-tree range bounds. Large intermediate binding sets are joined
-//! in parallel chunks via [`lids_exec::parallel_map`].
+//! store's index range bounds.
 //!
-//! The naive decoded engine survives as [`crate::reference`]; the
-//! `encoded_vs_reference` property tests hold this engine to its semantics.
+//! The naive decoded engine survives as [`crate::reference`], the oracle:
+//! the `encoded_vs_reference` property tests hold this executor to its
+//! semantics.
 
 use std::cell::Cell;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
-use lids_exec::{parallel_map, QueryGovernor, QueryLimits};
-use lids_rdf::{EncodedPattern, GraphName, StoreSnapshot, Term, TermId, Triple};
+use lids_exec::{QueryGovernor, QueryLimits};
+use lids_rdf::{EncodedPattern, GraphName, StoreSnapshot, Term, TermId};
 
 use crate::ast::*;
+use crate::batch::{join_pipeline, Batch, UNBOUND};
 use crate::explain::{ExplainReport, PatternPlan};
 use crate::project::{project, used_variables};
 use crate::results::{Solutions, SparqlError};
@@ -37,24 +42,14 @@ pub fn evaluate(store: &StoreSnapshot, query: &Query) -> Result<Solutions, Sparq
     evaluate_with(store, query, EvalOptions::default())
 }
 
-/// Evaluation knobs (benchmarking/ablation).
+/// Evaluation knobs: one planning ablation and the resource limits.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalOptions {
-    /// Cardinality-based join ordering. Disabling it evaluates patterns in
-    /// textual order — the ablation arm of the `sparql/join_ordering`
-    /// bench, and the mode whose row order matches [`crate::reference`]
-    /// exactly.
+    /// Cardinality-based join ordering. Disabling it joins each BGP's
+    /// patterns in textual order over the same operators — the ablation
+    /// arm of the `sparql/join_ordering` bench, and the second plan the
+    /// differential suites hold to [`crate::reference`].
     pub reorder_joins: bool,
-    /// Intermediate binding sets at least this large are joined in
-    /// parallel chunks. `usize::MAX` disables parallelism.
-    pub parallel_threshold: usize,
-    /// Vectorized execution: batched columnar joins over sorted index
-    /// runs (sort-merge, leapfrog star intersection) where the BGP shape
-    /// allows, with the row-at-a-time nested loop as the fallback.
-    /// Disabling it forces the PR 1 row engine everywhere — the ablation
-    /// arm of the `sparql` bench, and the mode whose row order matches
-    /// [`crate::reference`] exactly.
-    pub vectorize: bool,
     /// Wall-clock ceiling for one evaluation. When set (and no external
     /// governor is supplied) a local [`QueryGovernor`] is armed; past
     /// the deadline the query returns [`SparqlError::Governed`] with
@@ -74,8 +69,6 @@ impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             reorder_joins: true,
-            parallel_threshold: 1024,
-            vectorize: true,
             deadline: None,
             memory_budget: None,
             row_cap: None,
@@ -113,18 +106,6 @@ impl EvalOptionsBuilder {
         self
     }
 
-    /// Minimum intermediate binding-set size for parallel join/decode.
-    pub fn parallel_threshold(mut self, threshold: usize) -> Self {
-        self.inner.parallel_threshold = threshold;
-        self
-    }
-
-    /// Enable/disable vectorized (batched columnar) join execution.
-    pub fn vectorize(mut self, on: bool) -> Self {
-        self.inner.vectorize = on;
-        self
-    }
-
     /// Wall-clock ceiling for the evaluation.
     pub fn deadline(mut self, limit: Duration) -> Self {
         self.inner.deadline = Some(limit);
@@ -148,9 +129,6 @@ impl EvalOptionsBuilder {
         self.inner
     }
 }
-
-/// A partial solution: one optional term *id* per query variable.
-pub(crate) type IdBinding = Vec<Option<TermId>>;
 
 /// Always-on per-evaluation operator counters (relaxed atomics, added
 /// once per operator execution — never per row). [`evaluate_with_stats`]
@@ -182,9 +160,6 @@ impl ExecStats {
 
     pub(crate) fn count(&self, op: Operator) {
         match op {
-            // the row engine is visible through explain's per-pattern
-            // operator labels; these counters track vectorized ops only
-            Operator::NestedLoop => return,
             Operator::Probe => &self.probe_joins,
             Operator::Merge => &self.merge_joins,
             Operator::Leapfrog => &self.leapfrog_joins,
@@ -193,11 +168,9 @@ impl ExecStats {
     }
 }
 
-/// Which join operator executed a pattern. `NestedLoop` is the row
-/// engine; the rest are the vectorized operators in [`crate::batch`].
+/// Which of the join operators in [`crate::batch`] executed a pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Operator {
-    NestedLoop,
     Probe,
     Merge,
     Leapfrog,
@@ -206,7 +179,6 @@ pub(crate) enum Operator {
 impl Operator {
     pub(crate) fn label(self) -> &'static str {
         match self {
-            Operator::NestedLoop => "nested-loop",
             Operator::Probe => "probe",
             Operator::Merge => "merge",
             Operator::Leapfrog => "leapfrog",
@@ -215,7 +187,6 @@ impl Operator {
 
     fn code(self) -> u8 {
         match self {
-            Operator::NestedLoop => 1,
             Operator::Probe => 2,
             Operator::Merge => 3,
             Operator::Leapfrog => 4,
@@ -224,7 +195,6 @@ impl Operator {
 
     fn from_code(code: u8) -> Option<Operator> {
         match code {
-            1 => Some(Operator::NestedLoop),
             2 => Some(Operator::Probe),
             3 => Some(Operator::Merge),
             4 => Some(Operator::Leapfrog),
@@ -308,8 +278,6 @@ pub fn evaluate_explained(
         wall_secs,
         patterns,
         decoded_terms: instr.decoded.load(Relaxed),
-        parallel_joins: instr.parallel_joins.load(Relaxed),
-        serial_joins: instr.serial_joins.load(Relaxed),
         merge_joins: stats.merge_joins(),
         probe_joins: stats.probe_joins(),
         leapfrog_joins: stats.leapfrog_joins(),
@@ -335,46 +303,51 @@ pub(crate) fn eval_compiled(
         None => options.limits().arm(),
     };
     let governor = governor.or(local.as_ref());
-    let ev = Evaluator { store, options, instr, stats, governor, truncated: AtomicBool::new(false) };
-    let nvars = query.variables.len();
-    let root = vec![vec![None; nvars]];
-    match &query.form {
-        QueryForm::Ask(_) => {
-            let bindings = ev.eval_group(compiled, root, GraphCtx::Default)?;
-            Ok(Solutions {
-                columns: Vec::new(),
-                rows: Vec::new(),
-                ask: Some(!bindings.is_empty()),
-                truncated: ev.truncated.load(Relaxed),
-            })
-        }
+    let ev = Evaluator {
+        store,
+        options,
+        instr,
+        stats,
+        governor,
+        truncated: Cell::new(false),
+        decoded: Cell::new(0),
+    };
+    let root = Batch::root(query.variables.len());
+    let bindings = ev.eval_group(compiled, root, GraphCtx::Default)?;
+    let mut solutions = match &query.form {
+        QueryForm::Ask(_) => Solutions {
+            columns: Vec::new(),
+            rows: Vec::new(),
+            ask: Some(!bindings.is_empty()),
+            truncated: false,
+        },
         QueryForm::Select(select) => {
-            let bindings = ev.eval_group(compiled, root, GraphCtx::Default)?;
-            let decoded = ev.decode_bindings(query, select, bindings)?;
-            let mut solutions = project(query, select, decoded)?;
-            solutions.truncated = ev.truncated.load(Relaxed);
-            Ok(solutions)
+            let decoded = ev.decode_bindings(query, select, &bindings)?;
+            project(query, select, decoded)?
         }
+    };
+    solutions.truncated = ev.truncated.get();
+    if let Some(instr) = instr {
+        instr.decoded.fetch_add(ev.decoded.get(), Relaxed);
     }
+    Ok(solutions)
 }
 
 // -------------------------------------------------------- instrumentation
 
 /// Per-pattern atomic counters, written on the evaluator's hot path
-/// with relaxed ordering: one add per `match_rows` *call* (never per
+/// with relaxed ordering: one add per operator execution (never per
 /// row), so instrumented evaluation stays within a few percent of
 /// uninstrumented.
 pub(crate) struct Instr {
     cells: Vec<InstrCell>,
     decoded: AtomicU64,
-    parallel_joins: AtomicU64,
-    serial_joins: AtomicU64,
 }
 
 struct InstrCell {
     /// Position in the executed join order; `usize::MAX` = never
-    /// joined. First recording wins — nested re-evaluations (OPTIONAL
-    /// per-row seeding) keep the plan of their first execution.
+    /// joined. First recording wins — a BGP evaluated again (once per
+    /// UNION branch input, say) keeps the plan of its first execution.
     order: AtomicUsize,
     actual: AtomicU64,
     scans: AtomicU64,
@@ -395,8 +368,6 @@ impl Instr {
                 })
                 .collect(),
             decoded: AtomicU64::new(0),
-            parallel_joins: AtomicU64::new(0),
-            serial_joins: AtomicU64::new(0),
         }
     }
 
@@ -481,23 +452,6 @@ pub(crate) enum GraphCtx {
     Default,
     Fixed(TermId),
     Var(VarId),
-}
-
-/// Outcome of resolving a node under a binding before a scan.
-enum Resolved {
-    Bound(TermId),
-    Unbound,
-    /// The node denotes a term the store cannot contain — no quad matches.
-    Dead,
-}
-
-impl Resolved {
-    fn id(&self) -> Option<TermId> {
-        match self {
-            Resolved::Bound(id) => Some(*id),
-            _ => None,
-        }
-    }
 }
 
 // --------------------------------------------------------------- compile
@@ -659,15 +613,13 @@ pub(crate) struct Evaluator<'a> {
     /// Resource governor for this evaluation; `None` skips every
     /// checkpoint with one predictable branch.
     pub(crate) governor: Option<&'a QueryGovernor>,
-    /// Latched when a row cap truncated an intermediate binding set.
-    pub(crate) truncated: AtomicBool,
+    /// Latched when a row cap truncated a binding table.
+    truncated: Cell<bool>,
+    /// Terms materialised from ids so far (FILTER operands, projection).
+    decoded: Cell<u64>,
 }
 
-/// Logical bytes of an encoded binding row: one `Option<TermId>` slot
-/// per variable (8 bytes with niche-free accounting).
-const ID_SLOT_BYTES: u64 = 8;
-
-/// Governed row loops run a boundary check every this many input rows,
+/// Governed row loops run a boundary check every this many rows,
 /// bounding the window between a trip and the loop observing it without
 /// paying an atomic read per row.
 pub(crate) const GOVERNOR_ROW_INTERVAL: usize = 1024;
@@ -692,20 +644,13 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn charge_rows(&self, rows: &[IdBinding]) -> Result<(), SparqlError> {
-        if self.governor.is_some() && !rows.is_empty() {
-            self.charge(rows.len() as u64 * rows[0].len() as u64 * ID_SLOT_BYTES)?;
-        }
-        Ok(())
-    }
-
     /// Apply the graceful-degradation row cap, latching the truncated
     /// flag when it bites.
-    pub(crate) fn cap_rows(&self, rows: &mut Vec<IdBinding>) {
+    pub(crate) fn cap(&self, batch: &mut Batch) {
         if let Some(cap) = self.options.row_cap {
-            if rows.len() > cap {
-                rows.truncate(cap);
-                self.truncated.store(true, Relaxed);
+            if batch.len() > cap {
+                batch.truncate(cap);
+                self.truncated.set(true);
             }
         }
     }
@@ -715,282 +660,79 @@ impl<'a> Evaluator<'a> {
     fn eval_group(
         &self,
         group: &EncGroup,
-        mut bindings: Vec<IdBinding>,
+        mut batch: Batch,
         ctx: GraphCtx,
-    ) -> Result<Vec<IdBinding>, SparqlError> {
+    ) -> Result<Batch, SparqlError> {
         for element in &group.elements {
-            if bindings.is_empty() {
-                return Ok(bindings);
+            if batch.is_empty() {
+                break;
             }
             self.guard()?;
-            bindings = self.apply_element(element, bindings, ctx)?;
-            self.cap_rows(&mut bindings);
-        }
-        Ok(bindings)
-    }
-
-    fn apply_element(
-        &self,
-        element: &EncElement,
-        bindings: Vec<IdBinding>,
-        ctx: GraphCtx,
-    ) -> Result<Vec<IdBinding>, SparqlError> {
-        Ok(match element {
-            EncElement::Triples(patterns) => self.eval_triples(patterns, bindings, ctx)?,
-            EncElement::Empty => Vec::new(),
-            EncElement::Filter(expr) => {
-                let mut bindings = bindings;
-                bindings.retain(|b| self.filter_passes(b, expr));
-                bindings
-            }
-            EncElement::Optional(inner) => {
-                if self.options.vectorize {
-                    if let Some(done) = crate::batch::try_vectorized_optional(
-                        self, inner, &bindings, ctx,
-                    )? {
-                        return Ok(done);
+            batch = match element {
+                EncElement::Triples(patterns) => join_pipeline(self, patterns, batch, ctx)?,
+                EncElement::Empty => batch.empty_like(),
+                EncElement::Filter(expr) => {
+                    let keep: Vec<bool> =
+                        (0..batch.len()).map(|i| self.filter_passes(&batch, i, expr)).collect();
+                    batch.retain(&keep);
+                    batch
+                }
+                EncElement::Optional(inner) => self.eval_optional(inner, batch, ctx)?,
+                EncElement::Graph(spec, inner) => {
+                    let inner_ctx = match spec {
+                        GraphSpec::Fixed(id) => GraphCtx::Fixed(*id),
+                        GraphSpec::Var(v) => GraphCtx::Var(*v),
+                    };
+                    self.eval_group(inner, batch, inner_ctx)?
+                }
+                EncElement::Union(branches) => {
+                    let mut all = batch.empty_like();
+                    if let Some((last, init)) = branches.split_last() {
+                        for branch in init {
+                            all.append(self.eval_group(branch, batch.clone(), ctx)?);
+                        }
+                        all.append(self.eval_group(last, batch, ctx)?);
                     }
+                    all
                 }
-                let mut next = Vec::new();
-                for binding in bindings {
-                    self.guard()?;
-                    let extended = self.eval_group_seeded(inner, &binding, ctx)?;
-                    if extended.is_empty() {
-                        // inner group matched nothing: the row survives
-                        // unchanged, moved rather than cloned
-                        next.push(binding);
-                    } else {
-                        next.extend(extended);
-                    }
-                }
-                next
-            }
-            EncElement::Graph(spec, inner) => {
-                let inner_ctx = match spec {
-                    GraphSpec::Fixed(id) => GraphCtx::Fixed(*id),
-                    GraphSpec::Var(v) => GraphCtx::Var(*v),
-                };
-                self.eval_group(inner, bindings, inner_ctx)?
-            }
-            EncElement::Union(branches) => {
-                let mut next = Vec::new();
-                if let Some((last, init)) = branches.split_last() {
-                    for branch in init {
-                        next.extend(self.eval_group(branch, bindings.clone(), ctx)?);
-                    }
-                    next.extend(self.eval_group(last, bindings, ctx)?);
-                }
-                next
-            }
-        })
+            };
+            self.cap(&mut batch);
+        }
+        Ok(batch)
     }
 
-    /// Evaluate a group for a single input row without cloning it up
-    /// front: the first element matches `seed` by reference, so OPTIONAL
-    /// only pays for rows its inner group actually produces.
-    fn eval_group_seeded(
+    /// OPTIONAL as one left-outer join: the inner group runs once over the
+    /// whole batch, every row tagged with the input row it descends from,
+    /// and input rows nothing descends from survive as they came.
+    fn eval_optional(
         &self,
-        group: &EncGroup,
-        seed: &IdBinding,
+        inner: &EncGroup,
+        mut input: Batch,
         ctx: GraphCtx,
-    ) -> Result<Vec<IdBinding>, SparqlError> {
-        let Some((first, rest)) = group.elements.split_first() else {
-            return Ok(vec![seed.clone()]);
-        };
-        let mut bindings = match first {
-            EncElement::Triples(patterns) => self.eval_triples_seeded(patterns, seed, ctx)?,
-            EncElement::Empty => Vec::new(),
-            EncElement::Filter(expr) => {
-                if self.filter_passes(seed, expr) {
-                    vec![seed.clone()]
-                } else {
-                    Vec::new()
-                }
-            }
-            EncElement::Optional(inner) => {
-                let extended = self.eval_group_seeded(inner, seed, ctx)?;
-                if extended.is_empty() {
-                    vec![seed.clone()]
-                } else {
-                    extended
-                }
-            }
-            EncElement::Graph(spec, inner) => {
-                let inner_ctx = match spec {
-                    GraphSpec::Fixed(id) => GraphCtx::Fixed(*id),
-                    GraphSpec::Var(v) => GraphCtx::Var(*v),
-                };
-                self.eval_group_seeded(inner, seed, inner_ctx)?
-            }
-            EncElement::Union(branches) => {
-                let mut out = Vec::new();
-                for branch in branches {
-                    out.extend(self.eval_group_seeded(branch, seed, ctx)?);
-                }
-                out
-            }
-        };
-        for element in rest {
-            if bindings.is_empty() {
-                break;
-            }
-            bindings = self.apply_element(element, bindings, ctx)?;
+    ) -> Result<Batch, SparqlError> {
+        let outer_tags = input.tag_rows();
+        let cut_before = self.truncated.replace(false);
+        let mut joined = self.eval_group(inner, input.clone(), ctx)?;
+        let cut = self.truncated.get();
+        self.truncated.set(cut_before || cut);
+        // A row cap that bit inside the inner group may have cut every
+        // extension of some input row: restoring that row unextended would
+        // report a solution the exact answer does not contain.
+        if !cut {
+            joined.append_unmatched(&input);
         }
-        Ok(bindings)
-    }
-
-    fn eval_triples(
-        &self,
-        patterns: &[EncTriple],
-        bindings: Vec<IdBinding>,
-        ctx: GraphCtx,
-    ) -> Result<Vec<IdBinding>, SparqlError> {
-        if self.options.vectorize {
-            if let Some(result) = crate::batch::try_vectorized(self, patterns, &bindings, ctx)? {
-                return Ok(result);
-            }
-        }
-        let order = self.join_order(patterns, bindings.first(), ctx);
-        let mut current = bindings;
-        for &idx in &order {
-            current = self.join_step(&patterns[idx], current, ctx)?;
-            self.cap_rows(&mut current);
-            if current.is_empty() {
-                break;
-            }
-        }
-        Ok(current)
-    }
-
-    /// Like [`Evaluator::eval_triples`] for a single borrowed input row.
-    fn eval_triples_seeded(
-        &self,
-        patterns: &[EncTriple],
-        seed: &IdBinding,
-        ctx: GraphCtx,
-    ) -> Result<Vec<IdBinding>, SparqlError> {
-        let order = self.join_order(patterns, Some(seed), ctx);
-        let Some((&head, tail)) = order.split_first() else {
-            return Ok(vec![seed.clone()]);
-        };
-        let mut current = Vec::new();
-        self.match_rows(&patterns[head], seed, ctx, &mut current);
-        for &idx in tail {
-            if current.is_empty() {
-                break;
-            }
-            current = self.join_step(&patterns[idx], current, ctx)?;
-            self.cap_rows(&mut current);
-        }
-        Ok(current)
-    }
-
-    /// Extend every binding in `current` with matches of `pattern`,
-    /// parallelising over rows when the set is large enough. Governed:
-    /// one checkpoint at entry, binding-table bytes charged on exit.
-    fn join_step(
-        &self,
-        pattern: &EncTriple,
-        current: Vec<IdBinding>,
-        ctx: GraphCtx,
-    ) -> Result<Vec<IdBinding>, SparqlError> {
-        self.guard()?;
-        let next = if current.len() >= self.options.parallel_threshold {
-            if let Some(instr) = self.instr {
-                instr.parallel_joins.fetch_add(1, Relaxed);
-            }
-            parallel_map(&current, |b| {
-                let mut out = Vec::new();
-                self.match_rows(pattern, b, ctx, &mut out);
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            if let Some(instr) = self.instr {
-                instr.serial_joins.fetch_add(1, Relaxed);
-            }
-            let mut next = Vec::new();
-            for (i, b) in current.iter().enumerate() {
-                if self.governor.is_some() && i % GOVERNOR_ROW_INTERVAL == GOVERNOR_ROW_INTERVAL - 1
-                {
-                    self.guard()?;
-                }
-                self.match_rows(pattern, b, ctx, &mut next);
-            }
-            next
-        };
-        self.charge_rows(&next)?;
-        Ok(next)
+        joined.untag_rows(outer_tags);
+        Ok(joined)
     }
 
     // --------------------------------------------------------- join ordering
 
-    /// Decide the order in which a BGP's patterns are joined.
-    ///
-    /// Greedy cardinality-based ordering: at each step pick the cheapest
-    /// remaining pattern, where cost is the store's index-range estimate of
+    /// Cost of joining `pattern` next, for the greedy cardinality-based
+    /// ordering in [`join_pipeline`]: the store's index-range estimate of
     /// the pattern's constants, discounted for positions whose variables
     /// are already bound (they act as extra constraints once joined) and
     /// heavily penalised when the pattern shares no variable with the
     /// bound set (a cartesian product).
-    fn join_order(
-        &self,
-        patterns: &[EncTriple],
-        first: Option<&IdBinding>,
-        ctx: GraphCtx,
-    ) -> Vec<usize> {
-        if !self.options.reorder_joins || patterns.len() <= 1 {
-            let order: Vec<usize> = (0..patterns.len()).collect();
-            self.record_order(patterns, &order);
-            return order;
-        }
-        let mut bound: HashSet<VarId> = HashSet::new();
-        if let Some(b) = first {
-            for (i, slot) in b.iter().enumerate() {
-                if slot.is_some() {
-                    bound.insert(VarId(i as u16));
-                }
-            }
-        }
-        let graph_slot = match ctx {
-            GraphCtx::Fixed(id) => Some(id),
-            _ => None,
-        };
-        let mut remaining: Vec<usize> = (0..patterns.len()).collect();
-        let mut order = Vec::with_capacity(patterns.len());
-        while remaining.len() > 1 {
-            let mut best_pos = 0;
-            let mut best_cost = f64::INFINITY;
-            for (pos, &idx) in remaining.iter().enumerate() {
-                let cost = self.pattern_cost(&patterns[idx], &bound, graph_slot);
-                // strict `<`: ties go to the textually earlier pattern
-                if cost < best_cost {
-                    best_cost = cost;
-                    best_pos = pos;
-                }
-            }
-            let idx = remaining.remove(best_pos);
-            collect_triple_vars(&patterns[idx], &mut bound);
-            order.push(idx);
-        }
-        order.push(remaining[0]);
-        self.record_order(patterns, &order);
-        order
-    }
-
-    /// Record each pattern's executed join position (first execution of
-    /// its BGP wins). Row-engine call sites; also marks the operator.
-    fn record_order(&self, patterns: &[EncTriple], order: &[usize]) {
-        if let Some(instr) = self.instr {
-            for (position, &idx) in order.iter().enumerate() {
-                instr.record_order(patterns[idx].pid, position);
-                instr.record_operator(patterns[idx].pid, Operator::NestedLoop);
-            }
-        }
-    }
-
     pub(crate) fn pattern_cost(
         &self,
         pattern: &EncTriple,
@@ -1023,229 +765,46 @@ impl<'a> Evaluator<'a> {
         cost
     }
 
-    // --------------------------------------------------------------- matching
-
-    /// Extend `binding` with every quad matching `pattern` under the graph
-    /// context. Runs entirely in the id domain: the scan pattern is built
-    /// from ids, candidates come back as `[u32; 4]`, and unification
-    /// compares/binds ids.
-    fn match_rows(
-        &self,
-        pattern: &EncTriple,
-        binding: &IdBinding,
-        ctx: GraphCtx,
-        out: &mut Vec<IdBinding>,
-    ) {
-        let s = self.resolve_node(&pattern.subject, binding);
-        let p = self.resolve_node(&pattern.predicate, binding);
-        let o = self.resolve_node(&pattern.object, binding);
-        if matches!(s, Resolved::Dead) || matches!(p, Resolved::Dead) || matches!(o, Resolved::Dead)
-        {
-            return;
-        }
-
-        // Graph scoping
-        let mut graph_var: Option<VarId> = None;
-        let graph = match ctx {
-            GraphCtx::Default => None,
-            GraphCtx::Fixed(id) => Some(id),
-            GraphCtx::Var(v) => match binding[v.0 as usize] {
-                Some(id) => {
-                    if !matches!(self.store.term(id), Term::Iri(_)) {
-                        return;
-                    }
-                    Some(id)
-                }
-                None => {
-                    graph_var = Some(v);
-                    None
-                }
-            },
-        };
-
-        let produced_before = out.len();
-        let scan = EncodedPattern { subject: s.id(), predicate: p.id(), object: o.id(), graph };
-        let default_graph = self.store.default_graph_id();
-        for [qs, qp, qo, qg] in self.store.match_ids(&scan) {
-            let mut candidate = binding.clone();
-            if !self.unify_node(&pattern.subject, TermId(qs), &mut candidate) {
-                continue;
-            }
-            if !self.unify_node(&pattern.predicate, TermId(qp), &mut candidate) {
-                continue;
-            }
-            if !self.unify_node(&pattern.object, TermId(qo), &mut candidate) {
-                continue;
-            }
-            if let Some(v) = graph_var {
-                // GRAPH ?g ranges over named graphs only
-                if Some(TermId(qg)) == default_graph {
-                    continue;
-                }
-                candidate[v.0 as usize] = Some(TermId(qg));
-            }
-            out.push(candidate);
-        }
-        if let Some(instr) = self.instr {
-            instr.record_match(pattern.pid, out.len() - produced_before);
-        }
-    }
-
-    fn resolve_node(&self, node: &EncNode, binding: &IdBinding) -> Resolved {
-        match node {
-            EncNode::Const(id) => Resolved::Bound(*id),
-            EncNode::Var(v) => match binding[v.0 as usize] {
-                Some(id) => Resolved::Bound(id),
-                None => Resolved::Unbound,
-            },
-            EncNode::Quoted(q) => {
-                let s = self.resolve_node(&q.subject, binding);
-                let p = self.resolve_node(&q.predicate, binding);
-                let o = self.resolve_node(&q.object, binding);
-                match (s, p, o) {
-                    (Resolved::Dead, _, _)
-                    | (_, Resolved::Dead, _)
-                    | (_, _, Resolved::Dead) => Resolved::Dead,
-                    (Resolved::Bound(s), Resolved::Bound(p), Resolved::Bound(o)) => {
-                        // every constituent is known: the quoted term
-                        // matches iff it is itself interned
-                        let term = Term::quoted(
-                            self.store.term(s).clone(),
-                            self.store.term(p).clone(),
-                            self.store.term(o).clone(),
-                        );
-                        match self.store.id_of(&term) {
-                            Some(id) => Resolved::Bound(id),
-                            None => Resolved::Dead,
-                        }
-                    }
-                    _ => Resolved::Unbound,
-                }
-            }
-        }
-    }
-
-    /// Unify a compiled node with a candidate quad position, purely by id.
-    fn unify_node(&self, node: &EncNode, id: TermId, binding: &mut IdBinding) -> bool {
-        match node {
-            EncNode::Const(c) => *c == id,
-            EncNode::Var(v) => {
-                let slot = &mut binding[v.0 as usize];
-                match slot {
-                    Some(existing) => *existing == id,
-                    None => {
-                        *slot = Some(id);
-                        true
-                    }
-                }
-            }
-            EncNode::Quoted(q) => match self.store.term(id) {
-                Term::Quoted(t) => self.unify_quoted(q, t, binding),
-                _ => false,
-            },
-        }
-    }
-
-    fn unify_quoted(&self, pattern: &EncTriple, triple: &Triple, binding: &mut IdBinding) -> bool {
-        self.unify_term(&pattern.subject, &triple.subject, binding)
-            && self.unify_term(&pattern.predicate, &triple.predicate, binding)
-            && self.unify_term(&pattern.object, &triple.object, binding)
-    }
-
-    /// Unify an encoded node against a decoded term (the inside of a
-    /// stored quoted triple). The dictionary interns quoted constituents,
-    /// so variable bindings still land in the id domain.
-    fn unify_term(&self, node: &EncNode, term: &Term, binding: &mut IdBinding) -> bool {
-        match node {
-            EncNode::Const(c) => self.store.term(*c) == term,
-            EncNode::Var(v) => {
-                let Some(id) = self.store.id_of(term) else {
-                    return false;
-                };
-                let slot = &mut binding[v.0 as usize];
-                match slot {
-                    Some(existing) => *existing == id,
-                    None => {
-                        *slot = Some(id);
-                        true
-                    }
-                }
-            }
-            EncNode::Quoted(q) => match term {
-                Term::Quoted(t) => self.unify_quoted(q, t, binding),
-                _ => false,
-            },
-        }
-    }
-
     // -------------------------------------------------------------- boundary
+
+    /// The term row `i` binds `var` to, materialised (and counted).
+    fn term_at(&self, batch: &Batch, var: VarId, i: usize) -> Option<Term> {
+        let id = batch.get(var, i);
+        (id != UNBOUND).then(|| {
+            self.decoded.set(self.decoded.get() + 1);
+            self.store.term(TermId(id)).clone()
+        })
+    }
 
     /// Lazy per-variable decoding for FILTER: only variables the
     /// expression actually references are materialised.
-    fn filter_passes(&self, binding: &IdBinding, expr: &Expr) -> bool {
-        match self.instr {
-            None => crate::expr::filter_passes(
-                &|v: VarId| binding[v.0 as usize].map(|id| self.store.term(id).clone()),
-                expr,
-            ),
-            Some(instr) => {
-                let decoded = Cell::new(0u64);
-                let passes = crate::expr::filter_passes(
-                    &|v: VarId| {
-                        binding[v.0 as usize].map(|id| {
-                            decoded.set(decoded.get() + 1);
-                            self.store.term(id).clone()
-                        })
-                    },
-                    expr,
-                );
-                instr.decoded.fetch_add(decoded.get(), Relaxed);
-                passes
-            }
-        }
+    fn filter_passes(&self, batch: &Batch, i: usize, expr: &Expr) -> bool {
+        crate::expr::filter_passes(&|v: VarId| self.term_at(batch, v, i), expr)
     }
 
-    /// Decode id bindings into term rows for the solution modifiers. Only
-    /// variables the modifiers can observe are materialised; the rest stay
-    /// `None`. Governed: decoded terms are charged against the memory
+    /// Decode the final batch into term rows for the solution modifiers.
+    /// Only variables the modifiers can observe are materialised; the rest
+    /// stay `None`. Governed: decoded terms are charged against the memory
     /// budget (48 logical bytes per materialised term) before decoding.
     fn decode_bindings(
         &self,
         query: &Query,
         select: &SelectQuery,
-        bindings: Vec<IdBinding>,
+        batch: &Batch,
     ) -> Result<Vec<Vec<Option<Term>>>, SparqlError> {
         let used = used_variables(query, select);
         if self.governor.is_some() {
             self.guard()?;
             let used_count = used.iter().filter(|&&u| u).count() as u64;
-            self.charge(bindings.len() as u64 * used_count * 48)?;
+            self.charge(batch.len() as u64 * used_count * 48)?;
         }
-        let decode_row = |b: &IdBinding| -> Vec<Option<Term>> {
-            b.iter()
-                .zip(&used)
-                .map(|(slot, &u)| {
-                    if u {
-                        slot.map(|id| self.store.term(id).clone())
-                    } else {
-                        None
-                    }
-                })
+        let decode_row = |i: usize| -> Vec<Option<Term>> {
+            used.iter()
+                .enumerate()
+                .map(|(v, &u)| if u { self.term_at(batch, VarId(v as u16), i) } else { None })
                 .collect()
         };
-        let decoded = if bindings.len() >= self.options.parallel_threshold {
-            parallel_map(&bindings, decode_row)
-        } else {
-            bindings.iter().map(decode_row).collect()
-        };
-        if let Some(instr) = self.instr {
-            let terms: u64 = decoded
-                .iter()
-                .map(|row| row.iter().filter(|slot| slot.is_some()).count() as u64)
-                .sum();
-            instr.decoded.fetch_add(terms, Relaxed);
-        }
-        Ok(decoded)
+        Ok((0..batch.len()).map(decode_row).collect())
     }
 }
 
@@ -1328,6 +887,13 @@ mod tests {
     fn run(q: &str) -> Solutions {
         let store = store();
         evaluate(&store, &parse_query(q).unwrap()).unwrap()
+    }
+
+    /// Row order is the operators' business: compare answers as multisets.
+    fn sorted_rows(s: &Solutions) -> Vec<String> {
+        let mut rows: Vec<String> = s.rows.iter().map(|r| format!("{r:?}")).collect();
+        rows.sort();
+        rows
     }
 
     #[test]
@@ -1495,47 +1061,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_join_matches_sequential() {
-        let store = store();
-        let query = parse_query(
-            "SELECT ?t ?n ?r WHERE { ?t <type> <Table> . ?t <name> ?n . ?t <rows> ?r . }",
-        )
-        .unwrap();
-        let sequential = evaluate_with(
-            &store,
-            &query,
-            EvalOptions {
-                reorder_joins: true,
-                parallel_threshold: usize::MAX,
-                vectorize: false,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
-        // threshold 1: every join step takes the parallel path
-        let parallel = evaluate_with(
-            &store,
-            &query,
-            EvalOptions {
-                reorder_joins: true,
-                parallel_threshold: 1,
-                vectorize: false,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(sequential.rows, parallel.rows);
-    }
-
-    #[test]
     fn options_builder_matches_literal() {
-        let built = EvalOptions::builder().reorder_joins(false).parallel_threshold(7).build();
+        let built = EvalOptions::builder().reorder_joins(false).row_cap(7).build();
         assert!(!built.reorder_joins);
-        assert_eq!(built.parallel_threshold, 7);
+        assert_eq!(built.row_cap, Some(7));
         // defaults flow through untouched knobs
         let default_built = EvalOptions::builder().build();
         assert!(default_built.reorder_joins);
-        assert_eq!(default_built.parallel_threshold, EvalOptions::default().parallel_threshold);
+        assert_eq!(default_built.row_cap, EvalOptions::default().row_cap);
     }
 
     #[test]
@@ -1545,10 +1078,7 @@ mod tests {
             "SELECT ?t ?n ?r WHERE { ?t <type> <Table> . ?t <name> ?n . ?t <rows> ?r . }",
         )
         .unwrap();
-        // row engine: the parallel/serial join counters below only move
-        // on the per-row path
-        let options = EvalOptions { vectorize: false, ..EvalOptions::default() };
-        let (sols, report) = evaluate_explained(&store, &query, options).unwrap();
+        let (sols, report) = evaluate_explained(&store, &query, EvalOptions::default()).unwrap();
         assert_eq!(sols.len(), 2);
         assert_eq!(report.rows, 2);
         assert_eq!(report.patterns.len(), 3);
@@ -1564,14 +1094,13 @@ mod tests {
         positions.sort_unstable();
         assert_eq!(positions, vec![0, 1, 2]);
         assert!(report.decoded_terms > 0);
-        assert_eq!(report.parallel_joins + report.serial_joins, 3);
         // instrumentation must not change the answer
         let plain = evaluate(&store, &query).unwrap();
         assert_eq!(sols.rows, plain.rows);
     }
 
     #[test]
-    fn explain_labels_vectorized_operators() {
+    fn explain_labels_operators() {
         let store = store();
         let query = parse_query(
             "SELECT ?t ?n ?r WHERE { ?t <type> <Table> . ?t <name> ?n . ?t <rows> ?r . }",
@@ -1585,19 +1114,9 @@ mod tests {
             assert_eq!(p.operator, Some("leapfrog"), "{}", p.pattern);
             assert!(p.actual_rows > 0, "{} matched nothing", p.pattern);
         }
-        // same answer as the row engine
-        let row = evaluate_with(
-            &store,
-            &query,
-            EvalOptions { vectorize: false, ..EvalOptions::default() },
-        )
-        .unwrap();
-        let norm = |s: &Solutions| {
-            let mut rows: Vec<String> = s.rows.iter().map(|r| format!("{r:?}")).collect();
-            rows.sort();
-            rows
-        };
-        assert_eq!(norm(&sols), norm(&row));
+        // same answer as the oracle
+        let reference = crate::reference::evaluate(&store, &query).unwrap();
+        assert_eq!(sorted_rows(&sols), sorted_rows(&reference));
     }
 
     #[test]
@@ -1641,19 +1160,12 @@ mod tests {
             "SELECT ?g ?s WHERE { GRAPH ?g { ?s <calls> ?lib . } }",
         ] {
             let query = parse_query(q).unwrap();
-            let encoded = evaluate_with(
-                &store,
-                &query,
-                EvalOptions {
-                    reorder_joins: false,
-                    parallel_threshold: usize::MAX,
-                    vectorize: false,
-                    ..EvalOptions::default()
-                },
-            )
-            .unwrap();
             let reference = crate::reference::evaluate(&store, &query).unwrap();
-            assert_eq!(encoded.rows, reference.rows, "query: {q}");
+            for reorder_joins in [false, true] {
+                let options = EvalOptions { reorder_joins, ..EvalOptions::default() };
+                let encoded = evaluate_with(&store, &query, options).unwrap();
+                assert_eq!(sorted_rows(&encoded), sorted_rows(&reference), "query: {q}");
+            }
         }
     }
 
@@ -1683,22 +1195,18 @@ mod tests {
         };
         let governor = limits.arm().unwrap();
         clock.advance(Duration::from_millis(51));
-        for vectorize in [false, true] {
-            let opts = EvalOptions { vectorize, ..EvalOptions::default() };
-            let err = evaluate_governed(&store, &query, opts, Some(&governor)).unwrap_err();
-            assert_eq!(trip_of(err), TripReason::Timeout);
-        }
+        let err = evaluate_governed(&store, &query, EvalOptions::default(), Some(&governor))
+            .unwrap_err();
+        assert_eq!(trip_of(err), TripReason::Timeout);
     }
 
     #[test]
     fn tiny_memory_budget_trips_budget_exceeded() {
         let store = store();
         let query = parse_query(JOIN_Q).unwrap();
-        for vectorize in [false, true] {
-            let opts = EvalOptions::builder().memory_budget(8).vectorize(vectorize).build();
-            let err = evaluate_with(&store, &query, opts).unwrap_err();
-            assert_eq!(trip_of(err), TripReason::BudgetExceeded);
-        }
+        let opts = EvalOptions::builder().memory_budget(8).build();
+        let err = evaluate_with(&store, &query, opts).unwrap_err();
+        assert_eq!(trip_of(err), TripReason::BudgetExceeded);
     }
 
     #[test]
@@ -1727,12 +1235,10 @@ mod tests {
     fn row_cap_truncates_and_flags() {
         let store = store();
         let query = parse_query(JOIN_Q).unwrap();
-        for vectorize in [false, true] {
-            let opts = EvalOptions::builder().row_cap(1).vectorize(vectorize).build();
-            let sols = evaluate_with(&store, &query, opts).unwrap();
-            assert!(sols.truncated, "cap must latch the truncated flag");
-            assert!(sols.len() <= 1, "capped run must not exceed the cap");
-        }
+        let opts = EvalOptions::builder().row_cap(1).build();
+        let sols = evaluate_with(&store, &query, opts).unwrap();
+        assert!(sols.truncated, "cap must latch the truncated flag");
+        assert!(sols.len() <= 1, "capped run must not exceed the cap");
         // uncapped control: exact result, flag clear
         let sols = evaluate_with(&store, &query, EvalOptions::default()).unwrap();
         assert!(!sols.truncated);

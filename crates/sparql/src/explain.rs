@@ -1,13 +1,12 @@
 //! Query plan reports for instrumented evaluation.
 //!
-//! [`crate::evaluate_explained`] runs the encoded evaluator with
-//! per-pattern atomic counters and folds them into an
-//! [`ExplainReport`]: for every triple pattern the plan shows the
-//! store's `estimate_pattern` guess (the number the greedy join
-//! orderer actually ranked on), the rows the pattern really produced,
-//! how many scans it was probed with, and its position in the chosen
-//! join order — plus evaluator-wide decode and parallel/serial join
-//! counts.
+//! [`crate::evaluate_explained`] runs the executor with per-pattern
+//! atomic counters and folds them into an [`ExplainReport`]: for every
+//! triple pattern the plan shows the store's `estimate_pattern` guess
+//! (the number the greedy join orderer actually ranked on), the rows the
+//! pattern really produced, how many operator executions joined it, its
+//! position in the chosen join order and the operator that ran it — plus
+//! evaluator-wide decode and per-operator join counts.
 
 use std::fmt;
 
@@ -21,14 +20,14 @@ pub struct PatternPlan {
     pub estimated_rows: usize,
     /// Rows the pattern actually produced across all scans.
     pub actual_rows: u64,
-    /// Number of times the pattern was probed (once per input binding
-    /// in a nested-loop join step).
+    /// Operator executions that joined the pattern: one per batch a merge
+    /// or probe step ran over, one per matching subject for a leapfrog leg.
     pub scans: u64,
     /// Position in the executed join order of its BGP, if the pattern
     /// was ever joined (`None` for patterns in branches never reached).
     pub order: Option<usize>,
-    /// Join operator that executed the pattern (`"nested-loop"`,
-    /// `"probe"`, `"merge"`, or `"leapfrog"`); `None` if never joined.
+    /// Join operator that executed the pattern (`"probe"`, `"merge"` or
+    /// `"leapfrog"`; first execution wins); `None` if never joined.
     pub operator: Option<&'static str>,
     /// `false` when the pattern references a constant the dictionary
     /// has never interned — its whole BGP compiled to empty.
@@ -48,13 +47,9 @@ pub struct ExplainReport {
     pub patterns: Vec<PatternPlan>,
     /// Terms materialised from ids (projection + lazy FILTER decodes).
     pub decoded_terms: u64,
-    /// Join steps that ran on the parallel path.
-    pub parallel_joins: u64,
-    /// Join steps that ran serially.
-    pub serial_joins: u64,
-    /// Vectorized sort-merge join steps executed.
+    /// Sort-merge join steps executed.
     pub merge_joins: u64,
-    /// Vectorized per-row probe join steps executed.
+    /// Per-row probe join steps executed.
     pub probe_joins: u64,
     /// Leapfrog star-intersection steps executed.
     pub leapfrog_joins: u64,
@@ -104,10 +99,8 @@ impl fmt::Display for ExplainReport {
         }
         write!(
             f,
-            "  decoded terms {} | joins: {} parallel, {} serial | ops: {} merge, {} probe, {} leapfrog",
+            "  decoded terms {} | ops: {} merge, {} probe, {} leapfrog",
             self.decoded_terms,
-            self.parallel_joins,
-            self.serial_joins,
             self.merge_joins,
             self.probe_joins,
             self.leapfrog_joins,
@@ -146,8 +139,6 @@ mod tests {
                 },
             ],
             decoded_terms: 4,
-            parallel_joins: 0,
-            serial_joins: 1,
             merge_joins: 0,
             probe_joins: 1,
             leapfrog_joins: 0,

@@ -14,6 +14,13 @@
 //! - `GROUP BY` with `COUNT`/`SUM`/`AVG`/`MIN`/`MAX`, `ORDER BY`,
 //!   `LIMIT`/`OFFSET`
 //!
+//! There is one executor ([`eval`]): a query compiled to dictionary ids flows
+//! as columnar binding batches from its root row to the projection, BGPs
+//! joined by the merge / probe / leapfrog operators, with [`PlanCache`] in
+//! front so a query shape parses and plans once. [`mod@reference`] is the naive
+//! decoded evaluator it is property-tested against, not a second way to run
+//! a query.
+//!
 //! Scoping note: patterns outside `GRAPH` match the union of the default and
 //! all named graphs (the GraphDB-style dataset the paper queries, where each
 //! pipeline lives in its own named graph but discovery queries span all of

@@ -4,11 +4,12 @@
 //! binding holds cloned [`Term`]s, patterns are matched through the store's
 //! decoding [`StoreSnapshot::match_pattern`] scan, and BGPs are evaluated in
 //! textual order with no join reordering. It is deliberately simple and
-//! kept as the semantic oracle for the encoded evaluator — the
-//! `encoded_vs_reference` property tests require the two to produce
-//! identical solutions — and as the baseline arm of the query benchmarks.
+//! kept as the semantic oracle for the executor in [`crate::eval`] — the
+//! `encoded_vs_reference` property tests require the two to produce the
+//! same solutions, as a multiset — and as the baseline arm of the query
+//! benchmarks.
 //!
-//! Like the encoded engine, it honours an optional [`QueryGovernor`]:
+//! Like the executor, it honours an optional [`QueryGovernor`]:
 //! the row loops call a boundary check per element and per scanned
 //! binding row, so even this worst-case engine terminates within a
 //! deadline or budget.

@@ -9,10 +9,13 @@
 //!   side effects on data);
 //! - a concurrent stream of well-behaved queries completes with exact
 //!   results while the adversarial load runs;
+//! - `explain` runs the query it explains, so it is held to the same
+//!   contract, in process and over the socket;
 //! - (proptest) cancelling at a random governor checkpoint is safe: the
 //!   interrupted query either errors `QueryCancelled` or completes, and a
 //!   re-run without the governor reproduces the ungoverned baseline.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kglids_repro::datagen::{AdversarialSuite, LakeSpec};
@@ -21,6 +24,7 @@ use kglids_repro::kglids::{KgLids, KgLidsBuilder, QueryGuardrails};
 use kglids_repro::profiler::table::Dataset;
 use kglids_repro::rdf::{QuadStore, Term};
 use kglids_repro::sparql::{EvalOptions, PlanCache, SparqlError};
+use lids_server::{Backend, Client, ClientError, ErrorResponse, LidsServer, ServerConfig};
 use proptest::prelude::*;
 
 const SEED: u64 = 41;
@@ -32,6 +36,11 @@ const SEED: u64 = 41;
 const HARD_WALL: Duration = Duration::from_secs(60);
 
 fn governed_platform() -> KgLids {
+    // high threshold: quarantine behaviour has its own tests below
+    platform_quarantining_after(u32::MAX)
+}
+
+fn platform_quarantining_after(poison_threshold: u32) -> KgLids {
     let lake = LakeSpec::tus_small().scaled(0.15).generate();
     let (platform, _) = KgLidsBuilder::new()
         .with_dataset(Dataset::new(lake.name.clone(), lake.tables))
@@ -39,8 +48,7 @@ fn governed_platform() -> KgLids {
             deadline: Some(Duration::from_millis(250)),
             memory_budget: Some(1 << 20),
             degraded_row_cap: 500,
-            // high threshold: quarantine behaviour has its own test below
-            poison_threshold: u32::MAX,
+            poison_threshold,
             ..QueryGuardrails::default()
         })
         .bootstrap();
@@ -112,6 +120,93 @@ fn adversarial_queries_terminate_with_typed_errors_or_truncation() {
         .expect("benign query after chaos");
     assert!(!benign.truncated);
     assert!(benign.get_f64(0, "n").unwrap_or(0.0) > 10.0);
+}
+
+/// Explaining a query runs it: every hostile query through `explain` — the
+/// platform's and a detached reader's by turns, one path behind both — stops
+/// at the guardrails with a typed error (there is no degraded retry to turn
+/// a trip into a partial answer), and the trips count where `query`'s do.
+#[test]
+fn explain_of_adversarial_queries_terminates_typed_in_process() {
+    let platform = governed_platform();
+    let reader = platform.reader();
+    let gen_before = platform.store().generation();
+    let queries = AdversarialSuite::new(SEED).generate(9);
+    for (i, q) in queries.iter().enumerate() {
+        let start = Instant::now();
+        let result = if i % 2 == 0 { platform.explain(&q.text) } else { reader.explain(&q.text) };
+        let elapsed = start.elapsed();
+        assert!(elapsed < HARD_WALL, "explain of {} ran {elapsed:?}", q.name);
+        match result {
+            Ok(report) => panic!("explain of {} ran ungoverned: {} rows", q.name, report.rows),
+            Err(e) => assert!(
+                is_governed_kind(e.kind()),
+                "explain of {} failed with untyped error: {e}",
+                q.name
+            ),
+        }
+    }
+    assert_eq!(platform.store().generation(), gen_before);
+    let metrics = platform.obs().metrics.snapshot();
+    let trips = metrics.counter("query.timeouts").unwrap_or(0)
+        + metrics.counter("query.budget_denials").unwrap_or(0);
+    assert_eq!(trips, queries.len() as u64, "every explain trip is counted");
+    assert_eq!(metrics.counter("query.degraded").unwrap_or(0), 0, "explain never degrades");
+}
+
+/// The same over the socket: `POST /v1/explain` answers a hostile query
+/// with the typed 503 a refusal on `/v1/query` carries, its trips count
+/// toward the shape's quarantine, and once the shape is quarantined both
+/// endpoints refuse it with the same status and error.
+#[test]
+fn explain_of_adversarial_queries_terminates_typed_over_the_socket() {
+    let platform = Arc::new(platform_quarantining_after(2));
+    let server = LidsServer::start(
+        Backend::Platform(Arc::clone(&platform)),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("server binds an ephemeral port");
+    let mut client = Client::connect(server.addr().to_string());
+    fn refusal<T>(result: Result<T, ClientError>, what: &str) -> ErrorResponse {
+        match result.map(|_| ()) {
+            Err(ClientError::Api(e)) => e,
+            other => panic!("{what}: expected a typed API error, got {other:?}"),
+        }
+    }
+
+    let queries = AdversarialSuite::new(SEED).generate(9);
+    for q in &queries {
+        for offence in 1..=2 {
+            let start = Instant::now();
+            let e = refusal(client.explain(&q.text), &q.name);
+            let elapsed = start.elapsed();
+            assert!(elapsed < HARD_WALL, "explain of {} ran {elapsed:?}", q.name);
+            assert_eq!(e.status, 503, "{} offence {offence}: {e:?}", q.name);
+            assert!(
+                matches!(e.error.as_str(), "QueryTimeout" | "QueryBudgetExceeded"),
+                "{} offence {offence}: {e:?}",
+                q.name
+            );
+        }
+        // two trips through explain alone quarantined the shape: the query
+        // endpoint refuses it, and explain answers exactly as it does
+        let by_query = refusal(client.query(&q.text, None), &q.name);
+        assert!(by_query.message.contains("quarantined"), "{}: {by_query:?}", q.name);
+        let by_explain = refusal(client.explain(&q.text), &q.name);
+        assert_eq!(
+            (by_explain.status, &by_explain.error, &by_explain.message),
+            (by_query.status, &by_query.error, &by_query.message),
+            "{}",
+            q.name
+        );
+    }
+    client.healthz().expect("the connection survived every refusal");
+    let metrics = platform.obs().metrics.snapshot();
+    // (the nine texts share a handful of shapes, and a shape quarantined by
+    // an earlier text is refused from the first request on)
+    assert!(metrics.counter("query.shapes_poisoned").unwrap_or(0) >= 1);
+    assert!(metrics.counter("query.quarantine_denials").unwrap_or(0) >= 2 * queries.len() as u64);
 }
 
 #[test]
