@@ -413,16 +413,21 @@ proptest::proptest! {
 /// then add the held-out tail incrementally — the union of quads must
 /// equal a from-scratch batch pass over everything. Exercises the
 /// triangle-inequality candidate bound, incremental HNSW inserts, and
-/// cell rebuilds, at `bucket_cutoff` 0 (everything pruned) and default.
+/// cell rebuilds, at `bucket_cutoff` 0 (everything pruned) and default —
+/// there on a text-skewed lake whose dominant bucket outgrows the cutoff
+/// while the tail is added, beside buckets that stay under it.
 #[test]
 fn link_index_matches_batch_pass_on_large_buckets() {
     let we = WordEmbeddings::new();
-    for (seed, cutoff) in [(11u64, 0usize), (12, 0), (13, 192), (14, 8)] {
+    for (seed, cutoff, dominant_share) in
+        [(11u64, 0usize, 0.0), (12, 0, 0.0), (13, 192, 0.85), (14, 8, 0.0)]
+    {
         let profiles = synthetic_profiles(&ProfileLakeSpec {
             seed,
             tables: 60,
             columns_per_table: 5,
             tables_per_dataset: 3,
+            dominant_share,
             ..Default::default()
         });
         let linking = LinkingConfig {

@@ -11,6 +11,7 @@ use kglids_repro::rdf::{Quad, QuadStore, Term};
 use kglids_repro::sparql::{evaluate_explained, evaluate_with, parse_query, EvalOptions};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use serde_json::Value;
 use std::time::Instant;
 
 fn platform() -> kglids_repro::kglids::KgLids {
@@ -166,9 +167,31 @@ fn bootstrap_trace_and_snapshot_schema() {
     for stage in ["parse", "profile", "link.schema", "abstract", "link.pipelines", "embed"] {
         assert!(root.child(stage).is_some(), "missing stage span {stage}");
     }
+    // one query, so the snapshot carries a populated latency histogram
+    platform.query(SEARCH_TABLES_QUERY).unwrap();
     let json = platform.obs_snapshot_json();
-    assert!(json.contains("\"lids-obs/v1\""));
-    assert!(json.contains("memory.peak_bytes"));
+    let Ok(Value::Object(snapshot)) = serde_json::from_str(&json) else {
+        panic!("snapshot is not a JSON object: {json}")
+    };
+    assert_eq!(snapshot.get("schema"), Some(&Value::String("lids-obs/v1".into())));
+    let Some(Value::Object(sections)) = snapshot.get("metrics") else {
+        panic!("snapshot has no metrics object: {json}")
+    };
+    for section in ["counters", "gauges", "histograms"] {
+        assert!(sections.get(section).is_some(), "missing section {section}");
+    }
+    let metrics = platform.obs().metrics.snapshot();
+    for counter in ["bootstrap.triples", "bootstrap.columns_profiled", "query.count"] {
+        assert!(metrics.counter(counter) > Some(0), "counter {counter}");
+    }
+    assert!(metrics.gauge("memory.peak_bytes").is_some());
+    assert!(metrics.histogram("query.wall_us").is_some());
+    // what a scraper relies on: no empty histogram, bucket bounds strictly
+    // increasing
+    for (name, hist) in &metrics.histograms {
+        assert!(hist.count > 0, "{name} is empty");
+        assert!(hist.buckets.windows(2).all(|w| w[0].0 < w[1].0), "{name}: {:?}", hist.buckets);
+    }
 }
 
 /// One ingest path, one query path: a bootstrap and a delta are the same
