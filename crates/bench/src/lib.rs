@@ -1,7 +1,11 @@
-//! `lids-bench` — the evaluation harness (Section 6).
+//! `lids-bench` — the paper's evaluation (Section 6).
 //!
 //! One module per experiment; each regenerates the rows/series of a table
-//! or figure from the paper. The `repro` binary drives them all:
+//! or figure from the paper. The `repro` binary drives them all (the
+//! crate's other binary, `lids_serve`, is the demo server). How fast the
+//! platform itself is — ingest, deltas, serving — is measured by `lids-e2e`
+//! in `benchmark/`, and what must hold is asserted by the differential
+//! suites under `tests/`; neither lives here.
 //!
 //! | module | reproduces |
 //! |---|---|
@@ -21,7 +25,6 @@ pub mod automl_exp;
 pub mod cleaning;
 pub mod corpus;
 pub mod discovery;
-pub mod serving;
 pub mod transform;
 
 /// Render a row-major text table with a header.

@@ -432,9 +432,10 @@ impl<'a> Discovery<'a> {
 
     /// The most similar profiled table to an unseen one (by
     /// table-embedding cosine) — the first step of path discovery for
-    /// unseen DataFrames. Table embeddings live on the platform, not in
-    /// the snapshot: on a `Discovery` obtained from a [`LidsReader`] this
-    /// is a typed [`ErrorKind::InvalidArgument`].
+    /// unseen DataFrames; equal scores (a table uploaded twice) go to the
+    /// first by `(dataset, table)`. Table embeddings live on the platform,
+    /// not in the snapshot: on a `Discovery` obtained from a [`LidsReader`]
+    /// this is a typed [`ErrorKind::InvalidArgument`].
     pub fn most_similar_table(&self, table: &Table) -> LidsResult<Option<TableHit>> {
         self.validate()?;
         let Some(platform) = self.platform else {
@@ -453,7 +454,12 @@ impl<'a> Discovery<'a> {
                 table: t.clone(),
                 score: cosine_similarity(&probe, e) as f64,
             })
-            .max_by(|a, b| a.score.partial_cmp(&b.score).unwrap_or(std::cmp::Ordering::Equal)))
+            .max_by(|a, b| {
+                a.score
+                    .partial_cmp(&b.score)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then_with(|| (&b.dataset, &b.table).cmp(&(&a.dataset, &a.table)))
+            }))
     }
 
     /// §5 "Search Tables Based on Specific Columns": keyword search with
@@ -827,6 +833,26 @@ mod tests {
         let hit = p.discovery().most_similar_table(&probe).unwrap().unwrap();
         assert!(hit.score > 0.5);
         assert!(hit.dataset == "health" || hit.dataset == "census");
+    }
+
+    /// The same table under two dataset names scores the same; which twin
+    /// wins — and with it where `paths_for` starts — must not depend on the
+    /// hash seed of one platform's embedding map.
+    #[test]
+    fn most_similar_table_breaks_ties_by_name() {
+        let ages: Vec<String> = (20..60).map(|i| i.to_string()).collect();
+        let upload = |dataset: &str| {
+            let age = Column::new("age", ages.clone());
+            Dataset::new(dataset, vec![lids_profiler::Table::new("people", vec![age])])
+        };
+        let probe = lids_profiler::Table::new("probe", vec![Column::new("age", ages.clone())]);
+        for _ in 0..12 {
+            let (p, _) = KgLidsBuilder::new()
+                .with_datasets([upload("second_upload"), upload("first_upload")])
+                .bootstrap();
+            let hit = p.discovery().most_similar_table(&probe).unwrap().unwrap();
+            assert_eq!((hit.dataset.as_str(), hit.table.as_str()), ("first_upload", "people"));
+        }
     }
 
     #[test]

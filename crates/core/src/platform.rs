@@ -14,11 +14,13 @@
 //! into the [`BootstrapReport`] and recorded as provenance triples — a bad
 //! artifact never aborts a run.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lids_embed::{table_embedding, ColrModels, FineGrainedType, WordEmbeddings};
+use lids_embed::{
+    table_embedding, ColrModels, FineGrainedType, WordEmbeddings, TABLE_EMBEDDING_DIM,
+};
 use lids_exec::{
     parallel_try_map_with, Clock, ErrorKind, IsolationConfig, LidsError, LidsResult, MemoryMeter,
     RetryPolicy, Stopwatch, SystemClock,
@@ -38,7 +40,7 @@ use lids_profiler::{
 };
 use lids_py::analysis::AnalyzedScript;
 use lids_rdf::{IngestStats, Quad, QuadStore, StoreSnapshot};
-use lids_vector::{BruteForceIndex, Metric, VectorIndex};
+use lids_vector::{cosine_similarity, mean_vector};
 
 use crate::query::{QueryEnv, QueryGuardrails};
 #[cfg(doc)]
@@ -224,13 +226,11 @@ fn close_ingest_span(obs: &Obs, span: SpanId, stage: &str, stats: &IngestStats) 
     let _ = obs.tracer.close(span);
 }
 
-/// The derived embedding stores: the Faiss-substitute column index plus
-/// the table/dataset aggregate embeddings. Rebuilt from the current
-/// profile set at the end of every ingest run (aggregation is linear in
-/// the number of columns — noise next to profiling/linking).
+/// The derived table and dataset embeddings (Equation 1 and its dataset
+/// mean). Each is a function of one dataset's profiles, so an ingest run
+/// refreshes the datasets it touched and leaves the rest alone.
+#[derive(Default)]
 pub(crate) struct EmbeddingStore {
-    /// Column embeddings; vector ids index into [`KgLids::profiles`].
-    pub(crate) column_index: BruteForceIndex,
     pub(crate) table_embeddings: HashMap<(String, String), Vec<f32>>,
     pub(crate) dataset_embeddings: HashMap<String, Vec<f32>>,
     /// §4.2 cleaning embeddings: per-type averages over the columns that
@@ -239,69 +239,61 @@ pub(crate) struct EmbeddingStore {
 }
 
 impl EmbeddingStore {
-    /// The store of a lake with no columns.
-    fn empty() -> Self {
-        EmbeddingStore {
-            column_index: BruteForceIndex::new(lids_embed::EMBEDDING_DIM, Metric::Cosine),
-            table_embeddings: HashMap::new(),
-            dataset_embeddings: HashMap::new(),
-            dataset_embeddings_missing: HashMap::new(),
-        }
-    }
-
     /// What the platform's [`MemoryMeter`] holds this store at.
     fn approx_bytes(&self) -> u64 {
-        self.table_embeddings.values().map(|e| (e.len() * 4) as u64).sum::<u64>()
-            + self.column_index.approx_bytes()
+        self.table_embeddings.values().map(|e| (e.len() * 4) as u64).sum()
+    }
+
+    /// Drop what is held for `datasets` and recompute it from their
+    /// columns in `profiles` (none, for a dataset that was removed).
+    /// Columns aggregate in profile order and tables in name order, so a
+    /// value maintained over any sequence of deltas equals, bit for bit,
+    /// the one a bootstrap of the same lake computes.
+    fn refresh(&mut self, datasets: &HashSet<&str>, profiles: &[ColumnProfile]) {
+        self.table_embeddings.retain(|(d, _), _| !datasets.contains(d.as_str()));
+        self.dataset_embeddings.retain(|d, _| !datasets.contains(d.as_str()));
+        self.dataset_embeddings_missing.retain(|d, _| !datasets.contains(d.as_str()));
+        let mut touched: BTreeMap<&str, BTreeMap<&str, Vec<&ColumnProfile>>> = BTreeMap::new();
+        for p in profiles {
+            if !p.embedding.is_empty() && datasets.contains(p.meta.dataset.as_str()) {
+                let tables = touched.entry(&p.meta.dataset).or_default();
+                tables.entry(&p.meta.table).or_default().push(p);
+            }
+        }
+        for (dataset, tables) in touched {
+            let all: Vec<Vec<f32>> = tables.values().map(|c| table_embedding_of(c)).collect();
+            let missing: Vec<Vec<f32>> =
+                tables.values().map(|c| table_embedding_missing_of(c)).collect();
+            for (of_tables, out) in [
+                (&all, &mut self.dataset_embeddings),
+                (&missing, &mut self.dataset_embeddings_missing),
+            ] {
+                let mean = mean_vector(of_tables.iter().map(Vec::as_slice), TABLE_EMBEDDING_DIM);
+                out.insert(dataset.to_string(), mean);
+            }
+            for (table, embedding) in tables.keys().zip(all) {
+                self.table_embeddings.insert((dataset.to_string(), table.to_string()), embedding);
+            }
+        }
     }
 }
 
-fn build_embedding_store(profiles: &[ColumnProfile]) -> EmbeddingStore {
-    let mut store = EmbeddingStore::empty();
-    for (i, p) in profiles.iter().enumerate() {
-        if !p.embedding.is_empty() {
-            store.column_index.add(i as u64, &p.embedding);
-        }
-    }
-    let mut missing_table_embeddings: HashMap<(String, String), Vec<f32>> = HashMap::new();
-    // (type, embedding, has-nulls) per column, grouped by table
-    type ColumnEntry = (FineGrainedType, Vec<f32>, bool);
-    let mut by_table: HashMap<(String, String), Vec<ColumnEntry>> = HashMap::new();
-    for p in profiles {
-        if !p.embedding.is_empty() {
-            by_table
-                .entry((p.meta.dataset.clone(), p.meta.table.clone()))
-                .or_default()
-                .push((p.fgt, p.embedding.clone(), p.stats.nulls > 0));
-        }
-    }
-    for (key, cols) in by_table {
-        let all: Vec<(FineGrainedType, Vec<f32>)> =
-            cols.iter().map(|(t, e, _)| (*t, e.clone())).collect();
-        let with_missing: Vec<(FineGrainedType, Vec<f32>)> = cols
-            .iter()
-            .filter(|(_, _, has_nulls)| *has_nulls)
-            .map(|(t, e, _)| (*t, e.clone()))
-            .collect();
-        store.table_embeddings.insert(key.clone(), table_embedding(&all));
-        // §4.2: average only the columns containing missing values
-        let source = if with_missing.is_empty() { &all } else { &with_missing };
-        missing_table_embeddings.insert(key, table_embedding(source));
-    }
-    for (map, out) in [
-        (&store.table_embeddings, &mut store.dataset_embeddings),
-        (&missing_table_embeddings, &mut store.dataset_embeddings_missing),
-    ] {
-        let mut by_dataset: HashMap<String, Vec<Vec<f32>>> = HashMap::new();
-        for ((d, _), e) in map {
-            by_dataset.entry(d.clone()).or_default().push(e.clone());
-        }
-        for (d, embs) in by_dataset {
-            let dim = embs[0].len();
-            out.insert(d, lids_vector::mean_vector(embs.iter().map(|e| e.as_slice()), dim));
-        }
-    }
-    store
+/// Equation 1 over the embedded columns among `columns`.
+fn table_embedding_of(columns: &[&ColumnProfile]) -> Vec<f32> {
+    let embedded: Vec<(FineGrainedType, &[f32])> = columns
+        .iter()
+        .filter(|p| !p.embedding.is_empty())
+        .map(|p| (p.fgt, p.embedding.as_slice()))
+        .collect();
+    table_embedding(&embedded)
+}
+
+/// §4.2: Equation 1 over the embedded columns that contain missing values
+/// (all embedded columns when none do).
+fn table_embedding_missing_of(columns: &[&ColumnProfile]) -> Vec<f32> {
+    let has_nulls = |p: &&ColumnProfile| !p.embedding.is_empty() && p.stats.nulls > 0;
+    let with_missing: Vec<&ColumnProfile> = columns.iter().copied().filter(has_nulls).collect();
+    table_embedding_of(if with_missing.is_empty() { columns } else { &with_missing })
 }
 
 /// Copyable subset of [`SchemaStats`].
@@ -538,7 +530,7 @@ impl KgLids {
             profiles: Vec::new(),
             link_index: LinkIndex::new(schema_config),
             report: BootstrapReport::default(),
-            embeddings: EmbeddingStore::empty(),
+            embeddings: EmbeddingStore::default(),
             meter: MemoryMeter::new(),
             env: QueryEnv::new(guardrails, &schema_config),
             cleaning_model: None,
@@ -604,73 +596,50 @@ impl KgLids {
         self.embeddings.dataset_embeddings_missing.get(dataset).map(|e| e.as_slice())
     }
 
+    /// Profile an *unseen* table with the pre-trained CoLR models (the
+    /// inference path of §4.1: "takes the unseen dataset in the form of a
+    /// DataFrame and calculates the CoLR embedding for each column").
+    fn profile_unseen(&self, table: &Table) -> Vec<ColumnProfile> {
+        let models = ColrModels::pretrained();
+        profile_table("__unseen__", table, models, &self.we, &self.profiler_config, None)
+    }
+
     /// §4.2 cleaning embedding of an *unseen* table: per-type averages over
     /// its null-containing columns (all columns when none have nulls).
     pub fn embed_table_missing(&self, table: &Table) -> Vec<f32> {
-        let models = ColrModels::pretrained();
-        let profiles = profile_table(
-            "__unseen__",
-            table,
-            models,
-            &self.we,
-            &self.profiler_config,
-            None,
-        );
-        let with_missing: Vec<(FineGrainedType, Vec<f32>)> = profiles
-            .iter()
-            .filter(|p| !p.embedding.is_empty() && p.stats.nulls > 0)
-            .map(|p| (p.fgt, p.embedding.clone()))
-            .collect();
-        if !with_missing.is_empty() {
-            return table_embedding(&with_missing);
-        }
-        let all: Vec<(FineGrainedType, Vec<f32>)> = profiles
-            .into_iter()
-            .filter(|p| !p.embedding.is_empty())
-            .map(|p| (p.fgt, p.embedding))
-            .collect();
-        table_embedding(&all)
+        table_embedding_missing_of(&self.profile_unseen(table).iter().collect::<Vec<_>>())
     }
 
-    /// Embed an *unseen* table with the pre-trained CoLR models (the
-    /// inference path of §4.1: "takes the unseen dataset in the form of a
-    /// DataFrame and calculates the CoLR embedding for each column").
+    /// Equation 1 embedding of an *unseen* table.
     pub fn embed_table(&self, table: &Table) -> Vec<f32> {
-        let models = ColrModels::pretrained();
-        let profiles = profile_table(
-            "__unseen__",
-            table,
-            models,
-            &self.we,
-            &self.profiler_config,
-            None,
-        );
-        let cols: Vec<(FineGrainedType, Vec<f32>)> = profiles
-            .into_iter()
-            .filter(|p| !p.embedding.is_empty())
-            .map(|p| (p.fgt, p.embedding))
-            .collect();
-        table_embedding(&cols)
+        table_embedding_of(&self.profile_unseen(table).iter().collect::<Vec<_>>())
     }
 
     /// Column-level embeddings of an unseen table (300-d each).
     pub fn embed_columns(&self, table: &Table) -> Vec<(String, FineGrainedType, Vec<f32>)> {
-        let models = ColrModels::pretrained();
-        profile_table("__unseen__", table, models, &self.we, &self.profiler_config, None)
-            .into_iter()
-            .map(|p| (p.meta.column, p.fgt, p.embedding))
-            .collect()
+        let profiles = self.profile_unseen(table).into_iter();
+        profiles.map(|p| (p.meta.column, p.fgt, p.embedding)).collect()
     }
 
-    /// Nearest profiled columns to an embedding (the Faiss-style search of
-    /// §2.2). Returns `(profile index, similarity)`.
+    /// Nearest profiled columns to an embedding by cosine similarity (the
+    /// Faiss-style search of §2.2), best first: an exact scan of the
+    /// embedded [`Self::profiles`]. Returns `(profile index, similarity)`.
     pub fn similar_columns(&self, embedding: &[f32], k: usize) -> Vec<(usize, f32)> {
-        self.embeddings
-            .column_index
-            .search(embedding, k)
-            .into_iter()
-            .map(|n| (n.id as usize, 1.0 - n.distance))
-            .collect()
+        let mut hits: Vec<(usize, f32)> = self
+            .profiles
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| !p.embedding.is_empty())
+            .map(|(i, p)| (i, cosine_similarity(embedding, &p.embedding)))
+            .collect();
+        let best_first =
+            |a: &(usize, f32), b: &(usize, f32)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+        if k < hits.len() {
+            hits.select_nth_unstable_by(k, best_first);
+            hits.truncate(k);
+        }
+        hits.sort_unstable_by(best_first);
+        hits
     }
 
     /// The documentation KB.
@@ -961,12 +930,17 @@ impl KgLids {
 
         // ---- refresh derived state, commit, publish once ----
         let span = tracer.child(root, "embed");
+        let first_new = self.profiles.len();
         self.profiles.extend(new_profiles);
+        let touched: HashSet<&str> = self.profiles[first_new..]
+            .iter()
+            .map(|p| p.meta.dataset.as_str())
+            .chain(remove_datasets.iter().map(String::as_str))
+            .collect();
         self.meter.free(self.embeddings.approx_bytes());
-        self.embeddings = build_embedding_store(&self.profiles);
+        self.embeddings.refresh(&touched, &self.profiles);
         self.meter.alloc(self.embeddings.approx_bytes());
         tracer.set_attr(span, "table_embeddings", self.embeddings.table_embeddings.len());
-        tracer.set_attr(span, "indexed_columns", self.embeddings.column_index.len());
         let _ = tracer.close(span);
         self.report.quarantined.extend(report.quarantined.iter().cloned());
         // the overlay fold when one is due, publication, and the release
@@ -1016,7 +990,7 @@ pub struct DeltaBatch {
     pub add_raw_datasets: Vec<RawDataset>,
     /// Pre-computed column profiles to ingest as-is, skipping the
     /// profiler (the delta-side mirror of
-    /// [`KgLidsBuilder::with_custom_profiles`] — ablations and benches).
+    /// [`KgLidsBuilder::with_custom_profiles`], which fills it — ablations).
     pub add_profiles: Vec<ColumnProfile>,
     pub add_pipelines: Vec<PipelineScript>,
     pub remove_datasets: Vec<String>,
@@ -1045,12 +1019,6 @@ impl DeltaBatch {
     /// Add a raw (unparsed) dataset; files parse under the fault policy.
     pub fn add_raw_dataset(mut self, raw: RawDataset) -> Self {
         self.add_raw_datasets.push(raw);
-        self
-    }
-
-    /// Add pre-computed column profiles (skips the profiler).
-    pub fn add_profiles(mut self, profiles: impl IntoIterator<Item = ColumnProfile>) -> Self {
-        self.add_profiles.extend(profiles);
         self
     }
 
@@ -1212,6 +1180,24 @@ clf.fit(X, y)
         let hits = platform.similar_columns(&emb, 1);
         assert_eq!(hits[0].0, age_idx);
         assert!(hits[0].1 > 0.999);
+    }
+
+    /// The scan ranks the embedded profiles only (a boolean column has no
+    /// embedding), best first, and `k` cuts that ranking.
+    #[test]
+    fn similar_columns_ranks_embedded_profiles_best_first() {
+        let mut lake = titanic();
+        let alive = ["true", "false", "false", "true"].map(String::from).to_vec();
+        lake.tables[0].columns.push(Column::new("Alive", alive));
+        let (platform, _) = KgLidsBuilder::new().with_dataset(lake).bootstrap();
+        let profiles = platform.profiles();
+        let embedded = profiles.iter().filter(|p| !p.embedding.is_empty()).count();
+        assert!(embedded < profiles.len());
+        let ranked = platform.similar_columns(&profiles[0].embedding, usize::MAX);
+        assert_eq!((ranked.len(), ranked[0].0), (embedded, 0));
+        assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1), "{ranked:?}");
+        assert!(ranked.iter().all(|hit| !profiles[hit.0].embedding.is_empty()));
+        assert_eq!(platform.similar_columns(&profiles[0].embedding, 2), ranked[..2]);
     }
 
     #[test]

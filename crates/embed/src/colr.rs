@@ -92,16 +92,11 @@ impl ColrModels {
 /// Equation 1: a table embedding is the concatenation, over the six
 /// embeddable fine-grained types, of the mean of that type's column
 /// embeddings (zero block when the table has no column of the type).
-pub fn table_embedding(columns: &[(FineGrainedType, Vec<f32>)]) -> Vec<f32> {
+pub fn table_embedding(columns: &[(FineGrainedType, &[f32])]) -> Vec<f32> {
     let mut out = Vec::with_capacity(TABLE_EMBEDDING_DIM);
     for fgt in FineGrainedType::EMBEDDABLE {
-        let members: Vec<&[f32]> = columns
-            .iter()
-            .filter(|(t, _)| *t == fgt)
-            .map(|(_, e)| e.as_slice())
-            .collect();
-        let mean = mean_vector(members.into_iter(), EMBEDDING_DIM);
-        out.extend_from_slice(&mean);
+        let members = columns.iter().filter(|(t, _)| *t == fgt).map(|(_, e)| *e);
+        out.extend_from_slice(&mean_vector(members, EMBEDDING_DIM));
     }
     out
 }
@@ -149,10 +144,7 @@ mod tests {
         let m = ColrModels::untrained(1);
         let c1 = m.embed_column(FineGrainedType::Int, ["1", "2"].into_iter());
         let c2 = m.embed_column(FineGrainedType::String, ["a", "b"].into_iter());
-        let t = table_embedding(&[
-            (FineGrainedType::Int, c1.clone()),
-            (FineGrainedType::String, c2.clone()),
-        ]);
+        let t = table_embedding(&[(FineGrainedType::Int, &c1), (FineGrainedType::String, &c2)]);
         assert_eq!(t.len(), TABLE_EMBEDDING_DIM);
         // Int block is first, String block is last; Float/Date/NE/NL blocks zero
         assert_eq!(&t[..EMBEDDING_DIM], c1.as_slice());
@@ -164,10 +156,7 @@ mod tests {
     fn table_embedding_averages_same_type() {
         let a = vec![1.0f32; EMBEDDING_DIM];
         let b = vec![3.0f32; EMBEDDING_DIM];
-        let t = table_embedding(&[
-            (FineGrainedType::Float, a),
-            (FineGrainedType::Float, b),
-        ]);
+        let t = table_embedding(&[(FineGrainedType::Float, &a), (FineGrainedType::Float, &b)]);
         // Float is the second embeddable block
         assert!((t[EMBEDDING_DIM] - 2.0).abs() < 1e-6);
     }

@@ -55,7 +55,13 @@ fn gen_dataset(name: &str, seed: u64) -> Dataset {
                         "active" => (0..30)
                             .map(|_| if rng.gen_bool(0.5) { "true" } else { "false" }.into())
                             .collect(),
-                        _ => (0..30).map(|i| format!("entry {i} of {name}")).collect(),
+                        // text columns miss a few values (§4.2 embeddings)
+                        _ => (0..30)
+                            .map(|i| match i % 10 {
+                                9 => String::new(),
+                                _ => format!("entry {i} of {name}"),
+                            })
+                            .collect(),
                     };
                     Column::new(format!("{label}_{c}"), values)
                 })
@@ -97,12 +103,28 @@ fn pipeline_for(dataset: &Dataset, id: &str, score: f64) -> PipelineScript {
     }
 }
 
+/// The table and dataset embeddings (plain and §4.2) a platform holds for
+/// `dataset`, as bit patterns.
+fn embedding_bits(platform: &KgLids, dataset: &Dataset) -> Vec<Option<Vec<u32>>> {
+    let bits = |e: Option<&[f32]>| e.map(|e| e.iter().map(|x| x.to_bits()).collect());
+    let mut all = vec![
+        bits(platform.dataset_embedding(&dataset.name)),
+        bits(platform.dataset_embedding_missing(&dataset.name)),
+    ];
+    let tables = dataset.tables.iter();
+    all.extend(tables.map(|t| bits(platform.table_embedding(&dataset.name, &t.name))));
+    all
+}
+
 /// The tentpole guarantee, across 10 random lakes and a nontrivial
 /// interleaving: bootstrap {d0,d1,d2} → +d3 → (−d2, +d4) must equal a
 /// from-scratch bootstrap of {d0,d1,d3,d4}, with the plan-cache
-/// generation bumping exactly once per delta.
+/// generation bumping exactly once per delta — in the store, and in the
+/// embeddings derived from the profiles, which each delta refreshes for
+/// the datasets it touched only.
 #[test]
 fn delta_interleavings_match_full_bootstrap() {
+    let mut missing_value_embeddings_differ = false;
     for seed in 0..10u64 {
         let ds: Vec<Dataset> =
             (0..5).map(|i| gen_dataset(&format!("ds{i}"), seed * 31 + i)).collect();
@@ -150,11 +172,19 @@ fn delta_interleavings_match_full_bootstrap() {
             dump_platform(&platform),
             "seed {seed}: incremental store differs from full rebuild"
         );
+        for d in &ds {
+            let rebuilt = embedding_bits(&full, d);
+            let name = &d.name;
+            assert_eq!(rebuilt, embedding_bits(&platform, d), "seed {seed}: embeddings of {name}");
+            assert_eq!(rebuilt.iter().all(Option::is_none), name == "ds2", "seed {seed}: {name}");
+            missing_value_embeddings_differ |= rebuilt[0] != rebuilt[1];
+        }
 
         // an empty delta leaves the generation untouched
         let d3 = platform.apply_delta(DeltaBatch::new());
         assert_eq!(d3.generation, base + 2, "seed {seed}: empty delta must not publish");
     }
+    assert!(missing_value_embeddings_differ, "no lake had a column with missing values");
 }
 
 /// Retraction leaves the store equal to a never-ingested baseline, and no
