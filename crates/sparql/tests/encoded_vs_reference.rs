@@ -9,14 +9,23 @@
 //!   and at most `k`, `truncated` is set whenever rows are missing, and an
 //!   unset `truncated` means the exact multiset.
 //!
-//! Queries avoid DISTINCT/ORDER BY/LIMIT/OFFSET so the raw row stream is
-//! comparable; those modifiers run in code shared by both engines anyway.
+//! Each WHERE clause is then run once more under generated solution
+//! modifiers — a projection or GROUP BY with aggregates, DISTINCT, a
+//! multi-key ORDER BY (plain, `STR(..)` and arithmetic keys, either
+//! direction), OFFSET/LIMIT — and held to the reference again:
+//! - without OFFSET/LIMIT the rows agree as a multiset;
+//! - under ORDER BY the sort keys read off the rows are non-decreasing and
+//!   the same sequence as the reference's (rows tying on every key may
+//!   permute: the two engines feed the sort in different orders);
+//! - under OFFSET/LIMIT the count is what slicing the unsliced answer
+//!   gives and the rows are a sub-multiset of it.
 
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 
 use lids_exec::QueryLimits;
 use lids_rdf::{GraphName, Quad, QuadStore, Term};
+use lids_sparql::results::term_text;
 use lids_sparql::{evaluate_with, parse_query, reference, EvalOptions, Solutions};
 
 /// Release runs (`scripts/check.sh`) are an order of magnitude faster per
@@ -28,7 +37,7 @@ const CASES: u32 = if cfg!(debug_assertions) { 192 } else { 20_000 };
 const REFERENCE_BUDGET: u64 = 4 << 20;
 
 /// `(subject, predicate, object-kind, object-index, graph)` — rendered as
-/// `node(s) p{p} (node(oi) | int oi)` in the default graph or `g{g}`.
+/// `node(s) p{p} object_term(kind, oi)` in the default graph or `g{g}`.
 type QuadSpec = (u8, u8, u8, u8, u8);
 
 /// `(a, b, score, extras)` — `<< node(a) <sim> node(b) >> <score> {score}`,
@@ -76,11 +85,14 @@ fn node(idx: u8) -> String {
     }
 }
 
+/// Objects are IRIs, integers, doubles of the same values (distinct terms
+/// that compare equal, so sort keys tie across them) and plain strings.
 fn object_term(okind: u8, oidx: u8) -> Term {
-    if okind == 0 {
-        Term::iri(node(oidx))
-    } else {
-        Term::integer(i64::from(oidx % 6))
+    match okind % 4 {
+        0 => Term::iri(node(oidx)),
+        1 => Term::integer(i64::from(oidx % 6)),
+        2 => Term::double(f64::from(oidx % 6)),
+        _ => Term::string(format!("s{}", oidx % 6)),
     }
 }
 
@@ -234,8 +246,209 @@ fn render_triple(t: &TripleSpec) -> String {
     Render { scope: None }.triple(t)
 }
 
-fn render_query(elems: &[ElemSpec]) -> String {
-    format!("SELECT * WHERE {{ {} }}", Render { scope: None }.group(elems))
+fn render_where(elems: &[ElemSpec]) -> String {
+    Render { scope: None }.group(elems)
+}
+
+// ------------------------------------------------------------- modifiers
+
+/// Solution modifiers laid over a generated WHERE clause.
+#[derive(Debug, Clone)]
+struct ModSpec {
+    /// 0: `SELECT *`; 1: a projection of `vars`; 2: `GROUP BY vars` with
+    /// `aggs`.
+    shape: u8,
+    vars: (u8, u8),
+    /// `(function, input variable)` per aggregate.
+    aggs: Vec<(u8, u8)>,
+    distinct: bool,
+    /// `(key kind, column selector, descending)` per ORDER BY key.
+    order: Vec<(u8, u8, bool)>,
+    offset: Option<usize>,
+    limit: Option<usize>,
+}
+
+fn mod_spec() -> impl Strategy<Value = ModSpec> {
+    (
+        (0..3u8, (0..4u8, 0..4u8), 0..2u8),
+        proptest::collection::vec((0..7u8, 0..4u8), 1..4),
+        proptest::collection::vec((0..3u8, 0..8u8, 0..2u8), 0..4),
+        (0..8usize, 0..10usize),
+    )
+        .prop_map(|((shape, vars, distinct), aggs, order, (offset, limit))| ModSpec {
+            shape,
+            vars,
+            aggs,
+            distinct: distinct == 1,
+            order: order.into_iter().map(|(kind, sel, desc)| (kind, sel, desc == 1)).collect(),
+            // the low draws leave the slice off
+            offset: offset.checked_sub(4),
+            limit: limit.checked_sub(4),
+        })
+}
+
+/// One ORDER BY key as the test reads it back off a result row.
+#[derive(Debug, Clone)]
+struct SortKey {
+    /// 0: `?c`; 1: `STR(?c)`; 2: `?c + 1`.
+    kind: u8,
+    /// Result column the key is computed from (always projected).
+    column: String,
+    descending: bool,
+}
+
+impl ModSpec {
+    fn aggregated(&self) -> bool {
+        self.shape == 2
+    }
+
+    /// Result columns other than aggregate aliases, without the `?`.
+    fn plain_columns(&self) -> Vec<String> {
+        let name = |idx: u8| format!("v{}", idx % 4);
+        match self.shape {
+            0 => (0..4).map(name).collect(),
+            _ if self.vars.0 % 4 == self.vars.1 % 4 => vec![name(self.vars.0)],
+            _ => vec![name(self.vars.0), name(self.vars.1)],
+        }
+    }
+
+    fn sort_keys(&self) -> Vec<SortKey> {
+        let mut columns = self.plain_columns();
+        if self.aggregated() {
+            columns.extend((0..self.aggs.len()).map(|i| format!("a{i}")));
+        }
+        self.order
+            .iter()
+            .map(|&(kind, sel, descending)| SortKey {
+                kind,
+                column: columns[sel as usize % columns.len()].clone(),
+                descending,
+            })
+            .collect()
+    }
+
+    /// The query text; `sliced: false` leaves OFFSET/LIMIT off.
+    fn render(&self, pattern: &str, sliced: bool) -> String {
+        let vars = |names: &[String]| {
+            names.iter().map(|n| format!("?{n}")).collect::<Vec<_>>().join(" ")
+        };
+        let plain = self.plain_columns();
+        let mut text = String::from("SELECT ");
+        if self.distinct {
+            text.push_str("DISTINCT ");
+        }
+        match self.shape {
+            0 => text.push('*'),
+            1 => text.push_str(&vars(&plain)),
+            _ => {
+                text.push_str(&vars(&plain));
+                for (i, &(func, input)) in self.aggs.iter().enumerate() {
+                    let input = var(input);
+                    let call = match func {
+                        0 => "COUNT(*)".to_string(),
+                        1 => format!("COUNT({input})"),
+                        2 => format!("COUNT(DISTINCT {input})"),
+                        3 => format!("SUM({input})"),
+                        4 => format!("AVG({input})"),
+                        5 => format!("MIN({input})"),
+                        _ => format!("MAX({input})"),
+                    };
+                    text.push_str(&format!(" ({call} AS ?a{i})"));
+                }
+            }
+        }
+        text.push_str(&format!(" WHERE {{ {pattern} }}"));
+        if self.aggregated() {
+            text.push_str(&format!(" GROUP BY {}", vars(&plain)));
+        }
+        let keys = self.sort_keys();
+        if !keys.is_empty() {
+            text.push_str(" ORDER BY");
+            for key in &keys {
+                let expr = match key.kind {
+                    0 => format!("?{}", key.column),
+                    1 => format!("STR(?{})", key.column),
+                    _ => format!("?{} + 1", key.column),
+                };
+                text.push_str(&match (key.kind, key.descending) {
+                    (0, false) => format!(" {expr}"),
+                    (_, false) => format!(" ASC({expr})"),
+                    (_, true) => format!(" DESC({expr})"),
+                });
+            }
+        }
+        if sliced {
+            if let Some(offset) = self.offset {
+                text.push_str(&format!(" OFFSET {offset}"));
+            }
+            if let Some(limit) = self.limit {
+                text.push_str(&format!(" LIMIT {limit}"));
+            }
+        }
+        text
+    }
+}
+
+/// A term as ORDER BY ranks it — unbound, then numbers by value, strings,
+/// IRIs, everything else by text (the derived order is that ranking).
+#[derive(Debug, Clone, PartialEq, PartialOrd)]
+enum KeyVal {
+    Unbound,
+    Num(f64),
+    Str(String),
+    Iri(String),
+    Other(String),
+}
+
+fn key_val(term: Option<&Term>) -> KeyVal {
+    match term {
+        None => KeyVal::Unbound,
+        Some(Term::Literal(l)) => match l.as_f64() {
+            Some(n) => KeyVal::Num(n),
+            None => KeyVal::Str(l.lexical.clone()),
+        },
+        Some(Term::Iri(iri)) => KeyVal::Iri(iri.clone()),
+        Some(other) => KeyVal::Other(term_text(other)),
+    }
+}
+
+/// The sort-key tuple of every row, in row order. An expression key that
+/// errors (unbound input, `+` on a non-number) sorts as unbound.
+fn key_sequence(solutions: &Solutions, keys: &[SortKey]) -> Vec<Vec<KeyVal>> {
+    let columns: Vec<usize> = keys
+        .iter()
+        .map(|k| solutions.column_index(&k.column).expect("sort keys are projected"))
+        .collect();
+    rows_of(solutions)
+        .iter()
+        .map(|row| {
+            keys.iter()
+                .zip(&columns)
+                .map(|(key, &c)| {
+                    let term = row[c].as_ref();
+                    match (key.kind, key_val(term)) {
+                        (0, val) => val,
+                        (1, KeyVal::Unbound) => KeyVal::Unbound,
+                        (1, _) => KeyVal::Str(term.map(term_text).unwrap_or_default()),
+                        (_, KeyVal::Num(n)) => KeyVal::Num(n + 1.0),
+                        _ => KeyVal::Unbound,
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Whether `b` may follow `a` under the keys' directions.
+fn in_order(a: &[KeyVal], b: &[KeyVal], keys: &[SortKey]) -> bool {
+    for ((x, y), key) in a.iter().zip(b).zip(keys) {
+        let ord = x.partial_cmp(y).expect("no NaN keys");
+        let ord = if key.descending { ord.reverse() } else { ord };
+        if ord != std::cmp::Ordering::Equal {
+            return ord == std::cmp::Ordering::Less;
+        }
+    }
+    true
 }
 
 fn triple_spec() -> impl Strategy<Value = TripleSpec> {
@@ -272,8 +485,24 @@ fn elem_spec(depth: u32) -> BoxedStrategy<ElemSpec> {
     .boxed()
 }
 
+fn rows_of(solutions: &Solutions) -> Vec<Vec<Option<Term>>> {
+    solutions.rows.clone()
+}
+
 fn sorted_rows(solutions: &Solutions) -> Vec<String> {
-    let mut rows: Vec<String> = solutions.rows.iter().map(|r| format!("{r:?}")).collect();
+    let mut rows: Vec<String> = rows_of(solutions).iter().map(|r| format!("{r:?}")).collect();
+    rows.sort();
+    rows
+}
+
+/// Rows of an aggregated answer, each cell as ORDER BY ranks it: MIN and
+/// MAX keep whichever of several equal-comparing terms (`3`, `3.0`) they
+/// met first, and the two engines meet them in different orders.
+fn sorted_ranked_rows(solutions: &Solutions) -> Vec<String> {
+    let mut rows: Vec<String> = rows_of(solutions)
+        .iter()
+        .map(|r| format!("{:?}", r.iter().map(|t| key_val(t.as_ref())).collect::<Vec<_>>()))
+        .collect();
     rows.sort();
     rows
 }
@@ -284,12 +513,79 @@ fn is_sub_multiset(part: &[String], whole: &[String]) -> bool {
     part.iter().all(|row| rest.any(|candidate| candidate == row))
 }
 
-/// The properties of the module doc for one store and query text.
+/// The properties of the module doc for one store and WHERE clause.
 fn check_against_reference(
     store: &QuadStore,
-    text: &str,
+    pattern: &str,
     cap: usize,
+    mods: &ModSpec,
 ) -> Result<(), TestCaseError> {
+    check_plain(store, &format!("SELECT * WHERE {{ {pattern} }}"), cap)?;
+    check_modifiers(store, pattern, mods)
+}
+
+/// The modifier properties of the module doc.
+fn check_modifiers(store: &QuadStore, pattern: &str, mods: &ModSpec) -> Result<(), TestCaseError> {
+    let keys = mods.sort_keys();
+    let render_rows = if mods.aggregated() { sorted_ranked_rows } else { sorted_rows };
+    let unsliced_text = mods.render(pattern, false);
+    let sliced_text = mods.render(pattern, true);
+    let unsliced = parse_query(&unsliced_text).unwrap();
+    let sliced = parse_query(&sliced_text).unwrap();
+    // the unsliced reference answer fitted the budget in `check_plain`
+    let oracle = reference::evaluate(store, &unsliced).unwrap();
+    let oracle_sliced = reference::evaluate(store, &sliced).unwrap();
+    for reorder_joins in [false, true] {
+        let options = EvalOptions { reorder_joins, ..EvalOptions::default() };
+        let full = evaluate_with(store, &unsliced, options).unwrap();
+        prop_assert_eq!(&full.columns, &oracle.columns, "columns differ for {}", unsliced_text);
+        prop_assert_eq!(
+            render_rows(&full),
+            render_rows(&oracle),
+            "row multiset differs (reorder_joins {}) for {}",
+            reorder_joins,
+            unsliced_text
+        );
+        let sequence = key_sequence(&full, &keys);
+        prop_assert!(
+            sequence.windows(2).all(|w| in_order(&w[0], &w[1], &keys)),
+            "rows out of order (reorder_joins {}) for {}",
+            reorder_joins,
+            unsliced_text
+        );
+        prop_assert_eq!(
+            &sequence,
+            &key_sequence(&oracle, &keys),
+            "sort keys differ from the reference's (reorder_joins {}) for {}",
+            reorder_joins,
+            unsliced_text
+        );
+
+        let part = evaluate_with(store, &sliced, options).unwrap();
+        let expected = full
+            .len()
+            .saturating_sub(mods.offset.unwrap_or(0))
+            .min(mods.limit.unwrap_or(usize::MAX));
+        prop_assert_eq!(part.len(), expected, "wrong slice length for {}", sliced_text);
+        prop_assert!(
+            is_sub_multiset(&render_rows(&part), &render_rows(&full)),
+            "sliced rows are not a sub-multiset of the unsliced answer for {}",
+            sliced_text
+        );
+        prop_assert_eq!(
+            key_sequence(&part, &keys),
+            key_sequence(&oracle_sliced, &keys),
+            "sliced sort keys differ from the reference's (reorder_joins {}) for {}",
+            reorder_joins,
+            sliced_text
+        );
+    }
+    Ok(())
+}
+
+/// The exact and row-capped properties of the module doc for a
+/// modifier-free query text.
+fn check_plain(store: &QuadStore, text: &str, cap: usize) -> Result<(), TestCaseError> {
     let query = parse_query(text).unwrap();
     let limits =
         QueryLimits { memory_budget_bytes: Some(REFERENCE_BUDGET), ..QueryLimits::default() };
@@ -335,13 +631,14 @@ proptest! {
     #[test]
     fn encoded_agrees_with_reference(
         // sizes on both sides of the sort-merge threshold (32 rows)
-        quads in proptest::collection::vec((0..8u8, 0..4u8, 0..2u8, 0..8u8, 0..3u8), 0..120),
+        quads in proptest::collection::vec((0..8u8, 0..4u8, 0..4u8, 0..8u8, 0..3u8), 0..120),
         edges in proptest::collection::vec((0..8u8, 0..8u8, 0..8u8, 0..30u8), 0..48),
         elems in proptest::collection::vec(elem_spec(2), 1..5),
         cap in 0..48usize,
+        mods in mod_spec(),
     ) {
         let store = build_store(&quads, &edges);
-        check_against_reference(&store, &render_query(&elems), cap)?;
+        check_against_reference(&store, &render_where(&elems), cap, &mods)?;
     }
 }
 
@@ -381,19 +678,20 @@ fn render_star(legs: &[LegSpec], tail: &Option<TripleSpec>, optional: &Option<Le
         };
         body.push_str(&format!("OPTIONAL {{ ?s <p{}> {} }} ", p % 4, object));
     }
-    format!("SELECT * WHERE {{ {body}}}")
+    body
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
     #[test]
     fn vectorized_star_shapes_agree_with_reference(
-        quads in proptest::collection::vec((0..8u8, 0..4u8, 0..2u8, 0..8u8, 0..3u8), 4..40),
+        quads in proptest::collection::vec((0..8u8, 0..4u8, 0..4u8, 0..8u8, 0..3u8), 4..40),
         dup_graphs in 1..4u8,
         legs in proptest::collection::vec((0..4u8, 0..3u8, 0..8u8), 2..5),
         tail_sel in (0..2u8, triple_spec()),
         opt_sel in (0..2u8, (0..4u8, 0..2u8, 0..8u8)),
         cap in 0..48usize,
+        mods in mod_spec(),
     ) {
         let tail = (tail_sel.0 == 1).then_some(tail_sel.1);
         let optional = (opt_sel.0 == 1).then_some(opt_sel.1);
@@ -410,6 +708,6 @@ proptest! {
                 ));
             }
         }
-        check_against_reference(&store, &render_star(&legs, &tail, &optional), cap)?;
+        check_against_reference(&store, &render_star(&legs, &tail, &optional), cap, &mods)?;
     }
 }
