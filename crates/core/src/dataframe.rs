@@ -5,7 +5,6 @@
 //! Rust equivalent: named string columns with typed accessors, built from
 //! SPARQL [`Solutions`] or directly.
 
-use lids_sparql::results::term_text;
 use lids_sparql::Solutions;
 
 /// Named columns of string cells (empty string = unbound/NULL).
@@ -73,20 +72,14 @@ impl DataFrame {
         }
     }
 
-    /// Build from SPARQL solutions (IRIs and literals rendered as text).
+    /// Build from SPARQL solutions (IRIs and literals rendered as text):
+    /// the one place an in-process caller pays for a `String` per cell.
     /// A truncated (gracefully degraded) result keeps its marker.
     pub fn from_solutions(solutions: &Solutions) -> Self {
+        let text = |&cell: &u32| solutions.text(cell).into_owned();
         DataFrame {
             columns: solutions.columns.clone(),
-            rows: solutions
-                .rows
-                .iter()
-                .map(|r| {
-                    r.iter()
-                        .map(|t| t.as_ref().map(term_text).unwrap_or_default())
-                        .collect()
-                })
-                .collect(),
+            rows: solutions.rows.iter().map(|row| row.iter().map(text).collect()).collect(),
             truncated: solutions.truncated,
         }
     }
@@ -147,12 +140,10 @@ mod tests {
 
     #[test]
     fn from_solutions() {
-        let s = Solutions {
-            columns: vec!["x".into()],
-            rows: vec![vec![Some(Term::iri("http://a"))], vec![None]],
-            ask: None,
-            truncated: false,
-        };
+        let s = Solutions::from_terms(
+            vec!["x".into()],
+            vec![vec![Some(Term::iri("http://a"))], vec![None]],
+        );
         let df = DataFrame::from_solutions(&s);
         assert_eq!(df.get(0, "x"), Some("http://a"));
         assert_eq!(df.get(1, "x"), Some(""));

@@ -17,8 +17,9 @@ use std::sync::Arc;
 use lids_exec::{ErrorKind, LidsError, LidsResult, QueryLimits};
 use lids_kg::ontology::{object_prop, res};
 use lids_profiler::Table;
-use lids_rdf::StoreSnapshot;
-use lids_sparql::EvalOptions;
+use lids_rdf::{StoreSnapshot, TermId};
+use lids_sparql::results::UNBOUND;
+use lids_sparql::{EvalOptions, Solutions};
 use lids_vector::cosine_similarity;
 
 use crate::dataframe::DataFrame;
@@ -225,11 +226,21 @@ impl<'a> Discovery<'a> {
     /// this discovery's limits, with every failure — parse, evaluation,
     /// or governed stop — surfaced as a typed [`LidsError`] rather than a
     /// panic. This is what lets a network front end map a discovery
-    /// failure to the right HTTP status.
-    fn frame(&self, sparql: &str) -> LidsResult<DataFrame> {
-        let solutions =
-            self.env.query(&self.snapshot, sparql, EvalOptions::default(), Some(&self.limits))?;
-        Ok(DataFrame::from_solutions(&solutions))
+    /// failure to the right HTTP status. The answer stays ids over the
+    /// snapshot's dictionary: a search groups and compares cells and
+    /// decodes only what it returns.
+    fn solutions(&self, sparql: &str) -> LidsResult<Solutions<'_>> {
+        self.env.query(&self.snapshot, sparql, EvalOptions::default(), Some(&self.limits))
+    }
+
+    /// The dictionary id of a table's IRI, if the lake has ever named it.
+    fn table_id(&self, dataset: &str, table: &str) -> Option<u32> {
+        self.snapshot.dictionary().id_of_iri(&res::table(dataset, table)).map(|id| id.0)
+    }
+
+    /// The IRI behind a cell the joins bound to a node.
+    fn iri(&self, cell: u32) -> &str {
+        self.snapshot.term(TermId(cell)).as_iri().unwrap_or_default()
     }
 
     /// Tables unionable with `(dataset, table)`, best first: "the
@@ -248,6 +259,7 @@ impl<'a> Discovery<'a> {
 
     fn ranked_tables(&self, dataset: &str, table: &str, mode: UnionMode) -> LidsResult<Vec<TableHit>> {
         let t_iri = res::table(dataset, table);
+        let probe = self.table_id(dataset, table);
         let preds: &[&str] = match mode {
             UnionMode::ContentAndLabel => {
                 &[object_prop::HAS_LABEL_SIMILARITY, object_prop::HAS_CONTENT_SIMILARITY]
@@ -255,7 +267,8 @@ impl<'a> Discovery<'a> {
             UnionMode::ContentOnly => &[object_prop::HAS_CONTENT_SIMILARITY],
             UnionMode::LabelOnly => &[object_prop::HAS_LABEL_SIMILARITY],
         };
-        let mut scores: HashMap<String, (usize, f64)> = HashMap::new();
+        // per `?other` cell: matched columns and their summed sharpness
+        let mut scores: HashMap<u32, (usize, f64)> = HashMap::new();
         for pred in preds {
             // Edge scores are rescaled by *sharpness above the
             // materialisation threshold*: an edge at exactly α/θ carries no
@@ -276,13 +289,13 @@ impl<'a> Discovery<'a> {
                     << ?ca k:{pred} ?cb >> k:withCertainty ?s . \
                  }}"
             );
-            let rows = self.frame(&q)?;
-            for i in 0..rows.len() {
-                let other = rows.get(i, "other").unwrap_or_default().to_string();
-                if other == t_iri {
+            let rows = self.solutions(&q)?;
+            for row in rows.rows.iter() {
+                let &[other, s] = row else { continue };
+                if Some(other) == probe || other == UNBOUND {
                     continue;
                 }
-                let s: f64 = rows.get_f64(i, "s").unwrap_or(0.0);
+                let s: f64 = rows.text(s).parse().unwrap_or(0.0);
                 let sharpness = ((s - threshold) / (1.0 - threshold).max(1e-9)).clamp(0.0, 1.0);
                 let entry = scores.entry(other).or_insert((0, 0.0));
                 entry.0 += 1;
@@ -293,7 +306,7 @@ impl<'a> Discovery<'a> {
             .into_iter()
             // "based on both the number of similar columns and the
             // similarity scores between them"
-            .map(|(iri, (n, total))| table_hit(&iri, 0.25 * n as f64 + total))
+            .map(|(other, (n, total))| table_hit(self.iri(other), 0.25 * n as f64 + total))
             .collect();
         // ties broken by name, so the answer is a function of the snapshot
         // (equal twins are common: a re-uploaded table scores the same)
@@ -334,13 +347,14 @@ impl<'a> Discovery<'a> {
                     ?ca rdfs:label ?la . ?cb rdfs:label ?lb . \
                  }} ORDER BY DESC(?s)"
             );
-            let rows = self.frame(&q)?;
-            for i in 0..rows.len() {
-                let score = rows.get_f64(i, "s").unwrap_or(0.0);
+            let rows = self.solutions(&q)?;
+            for row in rows.rows.iter() {
+                let &[la, lb, s] = row else { continue };
+                let score: f64 = rows.text(s).parse().unwrap_or(0.0);
                 if score >= self.min_score {
                     out.push(ColumnHit {
-                        column_a: rows.get(i, "la").unwrap_or_default().to_string(),
-                        column_b: rows.get(i, "lb").unwrap_or_default().to_string(),
+                        column_a: rows.text(la).into_owned(),
+                        column_b: rows.text(lb).into_owned(),
                         kind,
                         score,
                     });
@@ -357,15 +371,16 @@ impl<'a> Discovery<'a> {
     pub fn paths(&self, from: (&str, &str), to: (&str, &str)) -> LidsResult<Vec<JoinPath>> {
         self.validate()?;
         let adjacency = self.join_graph()?;
-        let start = res::table(from.0, from.1);
-        let goal = res::table(to.0, to.1);
+        // a table the lake has never named joins nothing
+        let (Some(start), Some(goal)) = (self.table_id(from.0, from.1), self.table_id(to.0, to.1))
+        else {
+            return Ok(Vec::new());
+        };
         let mut paths: Vec<JoinPath> = Vec::new();
-        let mut stack: Vec<(String, Vec<String>)> = vec![(start.clone(), vec![start.clone()])];
+        let mut stack: Vec<(u32, Vec<u32>)> = vec![(start, vec![start])];
         while let Some((node, path)) = stack.pop() {
             if node == goal && path.len() > 1 {
-                paths.push(JoinPath {
-                    tables: path.iter().map(|iri| short_name(iri)).collect(),
-                });
+                paths.push(self.join_path(&path));
                 continue;
             }
             if path.len() > self.hops + 1 {
@@ -375,14 +390,19 @@ impl<'a> Discovery<'a> {
                 for n in next {
                     if !path.contains(n) {
                         let mut p = path.clone();
-                        p.push(n.clone());
-                        stack.push((n.clone(), p));
+                        p.push(*n);
+                        stack.push((*n, p));
                     }
                 }
             }
         }
         paths.sort_by_key(|p| p.tables.len());
         Ok(paths)
+    }
+
+    /// The table names along a path of table cells.
+    fn join_path(&self, path: &[u32]) -> JoinPath {
+        JoinPath { tables: path.iter().map(|&t| short_name(self.iri(t))).collect() }
     }
 
     /// Join paths from an *unseen* DataFrame to `to`: embed the frame,
@@ -404,24 +424,28 @@ impl<'a> Discovery<'a> {
         to: (&str, &str),
     ) -> LidsResult<Option<JoinPath>> {
         self.validate()?;
+        // a table is at distance zero from itself, in the lake or not
+        if from == to {
+            return Ok(Some(JoinPath { tables: vec![short_name(&res::table(to.0, to.1))] }));
+        }
         let adjacency = self.join_graph()?;
-        let start = res::table(from.0, from.1);
-        let goal = res::table(to.0, to.1);
-        let mut queue = VecDeque::from([vec![start.clone()]]);
-        let mut visited: HashSet<String> = HashSet::from([start]);
+        let (Some(start), Some(goal)) = (self.table_id(from.0, from.1), self.table_id(to.0, to.1))
+        else {
+            return Ok(None);
+        };
+        let mut queue = VecDeque::from([vec![start]]);
+        let mut visited: HashSet<u32> = HashSet::from([start]);
         while let Some(path) = queue.pop_front() {
             // paths are seeded non-empty and only ever grow
             let Some(node) = path.last() else { continue };
             if *node == goal {
-                return Ok(Some(JoinPath {
-                    tables: path.iter().map(|iri| short_name(iri)).collect(),
-                }));
+                return Ok(Some(self.join_path(&path)));
             }
             if let Some(next) = adjacency.get(node) {
                 for n in next {
-                    if visited.insert(n.clone()) {
+                    if visited.insert(*n) {
                         let mut p = path.clone();
-                        p.push(n.clone());
+                        p.push(*n);
                         queue.push_back(p);
                     }
                 }
@@ -472,7 +496,7 @@ impl<'a> Discovery<'a> {
         // One star join per table with the column labels pulled in through
         // OPTIONAL; ORDER BY keeps each table's rows contiguous so they can
         // be folded in a single pass.
-        let rows = self.frame(SEARCH_TABLES_QUERY)?;
+        let rows = self.solutions(SEARCH_TABLES_QUERY)?;
 
         let mut out = DataFrame::new(vec![
             "dataset".into(),
@@ -481,19 +505,19 @@ impl<'a> Discovery<'a> {
         ]);
         let mut i = 0;
         while i < rows.len() {
-            let iri = rows.get(i, "table").unwrap_or_default().to_string();
-            let name = rows.get(i, "name").unwrap_or_default().to_string();
-            let dataset = rows.get(i, "dataset").unwrap_or_default().to_string();
+            let &[table, name, dataset, _] = rows.rows.row(i) else { break };
             let mut cols: Vec<String> = Vec::new();
             let mut j = i;
-            while j < rows.len() && rows.get(j, "table") == Some(iri.as_str()) {
-                // unbound OPTIONAL values surface as empty cells
-                match rows.get(j, "col") {
-                    Some(c) if !c.is_empty() => cols.push(c.to_lowercase()),
-                    _ => {}
+            // a table's rows are one run of its cell
+            while j < rows.len() && rows.rows.row(j)[0] == table {
+                // a table without columns leaves the OPTIONAL unbound
+                let col = rows.text(rows.rows.row(j)[3]);
+                if !col.is_empty() {
+                    cols.push(col.to_lowercase());
                 }
                 j += 1;
             }
+            let (name, dataset) = (rows.text(name), rows.text(dataset));
             let lower_name = name.to_lowercase();
             let lower_dataset = dataset.to_lowercase();
             let matches = conditions.is_empty()
@@ -506,26 +530,30 @@ impl<'a> Discovery<'a> {
                     })
                 });
             if matches {
-                out.push(vec![dataset, name, iri]);
+                out.push(vec![
+                    dataset.into_owned(),
+                    name.into_owned(),
+                    rows.text(table).into_owned(),
+                ]);
             }
             i = j;
         }
         Ok(out)
     }
 
-    /// Adjacency over tables connected by content-similar columns.
-    fn join_graph(&self) -> LidsResult<HashMap<String, Vec<String>>> {
-        let rows = self.frame(
+    /// Adjacency over tables connected by content-similar columns, by the
+    /// tables' dictionary ids.
+    fn join_graph(&self) -> LidsResult<HashMap<u32, Vec<u32>>> {
+        let rows = self.solutions(
             "PREFIX k: <http://kglids.org/ontology/> \
              SELECT DISTINCT ?ta ?tb WHERE { \
                 ?ca k:hasContentSimilarity ?cb . \
                 ?ca k:isPartOf ?ta . ?cb k:isPartOf ?tb . \
              }",
         )?;
-        let mut adjacency: HashMap<String, Vec<String>> = HashMap::new();
-        for i in 0..rows.len() {
-            let a = rows.get(i, "ta").unwrap_or_default().to_string();
-            let b = rows.get(i, "tb").unwrap_or_default().to_string();
+        let mut adjacency: HashMap<u32, Vec<u32>> = HashMap::new();
+        for row in rows.rows.iter() {
+            let &[a, b] = row else { continue };
             if a != b {
                 adjacency.entry(a).or_default().push(b);
             }

@@ -43,7 +43,7 @@ pub use discovery::{ColumnHit, Discovery, JoinPath, TableHit, UnionMode, SEARCH_
 pub use lids_exec::{CancelToken, ErrorKind, LidsError, LidsResult, QueryLimits};
 pub use lids_kg::{LinkingConfig, LinkingMode};
 pub use lids_obs::{Obs, ObsSnapshot};
-pub use lids_sparql::{EvalOptions, ExplainReport};
+pub use lids_sparql::{EvalOptions, ExplainReport, Solutions};
 pub use platform::{
     BootstrapStats, DeltaBatch, DeltaStats, IngestOptions, KgLids, KgLidsBuilder, PipelineScript,
     SchemaStatsLite,

@@ -136,13 +136,13 @@ impl QueryEnv {
     /// Limits are filled as [`Self::admit`] describes. The extra limits
     /// also contribute cancellation (token, fault-injection checkpoint,
     /// clock) to the armed governor, which plain `EvalOptions` cannot carry.
-    pub(crate) fn query(
+    pub(crate) fn query<'s>(
         &self,
-        snapshot: &StoreSnapshot,
+        snapshot: &'s StoreSnapshot,
         sparql: &str,
         options: EvalOptions,
         extra: Option<&QueryLimits>,
-    ) -> LidsResult<Solutions> {
+    ) -> LidsResult<Solutions<'s>> {
         let effective = self.admit(sparql, options, extra)?;
         let metrics = &self.obs.metrics;
         self.timed(|| {
@@ -405,6 +405,18 @@ impl LidsReader {
         Ok(DataFrame::from_solutions(&solutions))
     }
 
+    /// [`Self::query_at`] without the [`DataFrame`]: the answer as the
+    /// executor left it, ids over `snapshot`'s dictionary, for a caller that
+    /// writes cells somewhere itself (the server's response body).
+    pub fn solutions_at<'s>(
+        &self,
+        snapshot: &'s StoreSnapshot,
+        sparql: &str,
+        options: EvalOptions,
+    ) -> LidsResult<Solutions<'s>> {
+        self.env.query(snapshot, sparql, options, None)
+    }
+
     /// Evaluate `sparql` against the latest published snapshot with
     /// per-pattern instrumentation (the reader-side [`KgLids::explain`]).
     pub fn explain(&self, sparql: &str) -> LidsResult<ExplainReport> {
@@ -526,8 +538,9 @@ mod tests {
 
     #[test]
     fn budget_trip_degrades_to_truncated_partial_result() {
+        // three rows of two variables bind 36 logical bytes
         let guardrails = QueryGuardrails {
-            memory_budget: Some(64),
+            memory_budget: Some(16),
             degraded_row_cap: 1,
             ..QueryGuardrails::default()
         };

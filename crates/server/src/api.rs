@@ -13,6 +13,7 @@
 
 use kglids::{DataFrame, EvalOptions, QueryLimits};
 use serde::{Deserialize, Serialize};
+use serde_json::write_escaped_str;
 use std::time::Duration;
 
 /// Version tag stamped on every response.
@@ -85,6 +86,62 @@ impl QueryResponse {
             truncated: self.truncated,
         }
     }
+}
+
+/// The body of a [`QueryResponse`], written cell by cell: what the server
+/// sends for an answer it holds as ids or as a [`DataFrame`], without
+/// building the response struct (a `String` per cell) and serde's tree of
+/// it first. `rows` yields each row's cells as text, an unbound cell as
+/// `""`.
+///
+/// The contract is byte parity: the body is exactly
+/// `serde_json::to_string(&QueryResponse { .. })` of the same answer — the
+/// field order of the struct, the vendored `serde_json`'s own escaping —
+/// which the typed [`crate::Client`] decodes and the e2e suite compares.
+pub(crate) fn query_response_body<R, C>(
+    request_id: &str,
+    columns: &[String],
+    rows: R,
+    truncated: bool,
+    generation: u64,
+    elapsed_us: u64,
+) -> String
+where
+    R: Iterator<Item = C>,
+    C: Iterator,
+    C::Item: AsRef<str>,
+{
+    let cells = rows.size_hint().0 * columns.len();
+    let mut out = String::with_capacity(256 + cells * 32);
+    out.push_str("{\"api\":");
+    write_escaped_str(&mut out, API_VERSION);
+    out.push_str(",\"request_id\":");
+    write_escaped_str(&mut out, request_id);
+    out.push_str(",\"columns\":");
+    write_strings(&mut out, columns.iter());
+    out.push_str(",\"rows\":[");
+    for (i, row) in rows.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_strings(&mut out, row);
+    }
+    out.push_str("],\"truncated\":");
+    out.push_str(if truncated { "true" } else { "false" });
+    out.push_str(&format!(",\"generation\":{generation},\"elapsed_us\":{elapsed_us}}}"));
+    out
+}
+
+/// A JSON array of strings.
+fn write_strings<S: AsRef<str>>(out: &mut String, items: impl Iterator<Item = S>) {
+    out.push('[');
+    for (i, item) in items.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_escaped_str(out, item.as_ref());
+    }
+    out.push(']');
 }
 
 /// `POST /v1/explain` — instrumented evaluation. The query runs, under the
@@ -271,6 +328,36 @@ mod tests {
         let df = back.to_dataframe();
         assert_eq!(df.get(1, "a"), Some("2"));
         assert_eq!(df.len(), 2);
+    }
+
+    #[test]
+    fn written_body_is_the_serialized_response() {
+        let resp = QueryResponse {
+            api: API_VERSION.into(),
+            request_id: "req-\"7\"".into(),
+            columns: vec!["a\\b".into(), "n".into()],
+            rows: vec![
+                vec!["quote \" slash \\ tab \t".into(), String::new()],
+                vec!["line\nfeed\r bell \u{7} esc \u{1b}".into(), "é😀 << a b c >> _:b".into()],
+            ],
+            truncated: true,
+            generation: 7,
+            elapsed_us: 42,
+        };
+        let written = query_response_body(
+            &resp.request_id,
+            &resp.columns,
+            resp.rows.iter().map(|row| row.iter()),
+            resp.truncated,
+            resp.generation,
+            resp.elapsed_us,
+        );
+        assert_eq!(written, serde_json::to_string(&resp).unwrap());
+        // no rows, no columns (an ASK, an empty search)
+        let empty = QueryResponse { api: API_VERSION.into(), ..QueryResponse::default() };
+        let none: [&[String]; 0] = [];
+        let written = query_response_body("", &[], none.iter().map(|row| row.iter()), false, 0, 0);
+        assert_eq!(written, serde_json::to_string(&empty).unwrap());
     }
 
     #[test]

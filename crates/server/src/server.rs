@@ -17,12 +17,12 @@
 //! handler knows which it was.
 
 use crate::api::{
-    ErrorResponse, ExplainRequest, ExplainResponse, HealthResponse, PathsRequest, PathsResponse,
-    QueryRequest, QueryResponse, SearchRequest, TableHitsRequest, TableHitsResponse, WireJoinPath,
-    WirePattern, WireTableHit, API_VERSION,
+    query_response_body, ErrorResponse, ExplainRequest, ExplainResponse, HealthResponse,
+    PathsRequest, PathsResponse, QueryRequest, SearchRequest, TableHitsRequest, TableHitsResponse,
+    WireJoinPath, WirePattern, WireTableHit, API_VERSION,
 };
 use crate::http::{self, HttpReadError, HttpRequest};
-use kglids::{DataFrame, ErrorKind, KgLids, LidsError, LidsReader, UnionMode};
+use kglids::{ErrorKind, KgLids, LidsError, LidsReader, UnionMode};
 use lids_obs::Obs;
 use serde::Serialize;
 use std::io::BufReader;
@@ -362,17 +362,9 @@ fn handle(
     }
 }
 
-fn query_response(request_id: &str, df: DataFrame, generation: u64, started: Instant) -> (u16, String) {
-    let resp = QueryResponse {
-        api: API_VERSION.to_string(),
-        request_id: request_id.to_string(),
-        columns: df.columns,
-        rows: df.rows,
-        truncated: df.truncated,
-        generation,
-        elapsed_us: started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-    };
-    to_json(request_id, &resp)
+/// Server-side wall time of a request so far, microseconds.
+fn elapsed_us(started: Instant) -> u64 {
+    started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 fn handle_query(backend: &LidsReader, body: &[u8], request_id: &str) -> (u16, String) {
@@ -383,8 +375,20 @@ fn handle_query(backend: &LidsReader, body: &[u8], request_id: &str) -> (u16, St
     };
     let options = req.limits.clone().unwrap_or_default().to_eval_options();
     let snapshot = backend.snapshot();
-    match backend.query_at(&snapshot, &req.query, options) {
-        Ok(df) => query_response(request_id, df, snapshot.generation(), started),
+    // the answer stays ids until its cells are written into the body
+    match backend.solutions_at(&snapshot, &req.query, options) {
+        Ok(answer) => {
+            let rows = answer.rows.iter().map(|row| row.iter().map(|&cell| answer.text(cell)));
+            let body = query_response_body(
+                request_id,
+                &answer.columns,
+                rows,
+                answer.truncated,
+                snapshot.generation(),
+                elapsed_us(started),
+            );
+            (200, body)
+        }
         Err(e) => lids_error_response(request_id, &e),
     }
 }
@@ -480,7 +484,7 @@ fn handle_table_hits(
                     .map(|h| WireTableHit { dataset: h.dataset, table: h.table, score: h.score })
                     .collect(),
                 generation,
-                elapsed_us: started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
+                elapsed_us: elapsed_us(started),
             };
             to_json(request_id, &resp)
         }
@@ -516,7 +520,7 @@ fn handle_paths(backend: &LidsReader, body: &[u8], request_id: &str) -> (u16, St
                 request_id: request_id.to_string(),
                 paths: paths.into_iter().map(|p| WireJoinPath { tables: p.tables }).collect(),
                 generation,
-                elapsed_us: started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
+                elapsed_us: elapsed_us(started),
             };
             to_json(request_id, &resp)
         }
@@ -539,7 +543,18 @@ fn handle_search(backend: &LidsReader, body: &[u8], request_id: &str) -> (u16, S
         req.conditions.iter().map(|g| g.iter().map(String::as_str).collect()).collect();
     let refs: Vec<&[&str]> = groups.iter().map(Vec::as_slice).collect();
     match d.search(&refs) {
-        Ok(df) => query_response(request_id, df, generation, started),
+        Ok(df) => {
+            let rows = df.rows.iter().map(|row| row.iter());
+            let body = query_response_body(
+                request_id,
+                &df.columns,
+                rows,
+                df.truncated,
+                generation,
+                elapsed_us(started),
+            );
+            (200, body)
+        }
         Err(e) => lids_error_response(request_id, &e),
     }
 }

@@ -3,7 +3,8 @@
 //! [`Batch`] is the executor's only binding table: a struct-of-arrays with
 //! one `Vec<u32>` column per query variable, unbound slots holding the
 //! [`UNBOUND`] sentinel. [`crate::eval`] carries one from the query's
-//! all-unbound root row through every group element to the projection; this
+//! all-unbound root row through every group element to the solution
+//! modifiers; this
 //! module joins a basic graph pattern into it ([`join_pipeline`]), one
 //! pattern at a time, cheapest first, with three operators:
 //! - **leapfrog** — worst-case-optimal star intersection for the
@@ -39,10 +40,7 @@ use crate::eval::{
     collect_triple_vars, const_of, EncNode, EncTriple, Evaluator, GraphCtx, Operator,
     GOVERNOR_ROW_INTERVAL,
 };
-use crate::results::SparqlError;
-
-/// Sentinel marking an unbound variable slot in a batch column.
-pub(crate) const UNBOUND: u32 = u32::MAX;
+use crate::results::{SparqlError, UNBOUND};
 
 /// Minimum batch size for a sort-merge join; smaller batches probe
 /// (sorting and cursor setup don't pay for themselves below this).
@@ -85,6 +83,11 @@ impl Batch {
 
     pub(crate) fn get(&self, var: VarId, row: usize) -> u32 {
         self.cols[var.0 as usize][row]
+    }
+
+    /// Every row's binding of `var`.
+    pub(crate) fn col(&self, var: VarId) -> &[u32] {
+        &self.cols[var.0 as usize]
     }
 
     /// Append a copy of `src` row `i`, with `updates` overwriting the

@@ -11,11 +11,12 @@
 //! its inner group holds, UNION concatenates its branches' batches, FILTER
 //! retains rows, GRAPH narrows the scope its inner group scans under.
 //!
-//! Terms are materialised only at the solution-modifier boundary
-//! (`crate::project`) and, lazily per referenced variable, inside FILTER
-//! expressions. Join ordering is cardinality-based: each candidate pattern
-//! is costed with [`StoreSnapshot::estimate_pattern`], which answers from the
-//! store's index range bounds.
+//! No term is materialised here. FILTER expressions, sort keys and aggregate
+//! inputs look dictionary terms up by reference; the solution modifiers
+//! (`crate::project`) run on ids and the answer leaves as a [`Solutions`] of
+//! ids, decoded by whoever reads it. Join ordering is cardinality-based: each
+//! candidate pattern is costed with [`StoreSnapshot::estimate_pattern`],
+//! which answers from the store's index range bounds.
 //!
 //! The naive decoded engine survives as [`crate::reference`], the oracle:
 //! the `encoded_vs_reference` property tests hold this executor to its
@@ -23,22 +24,24 @@
 
 use std::cell::Cell;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 use lids_exec::{QueryGovernor, QueryLimits};
 use lids_rdf::{EncodedPattern, GraphName, StoreSnapshot, Term, TermId};
 
 use crate::ast::*;
-use crate::batch::{join_pipeline, Batch, UNBOUND};
+use crate::batch::{join_pipeline, Batch};
 use crate::explain::{ExplainReport, PatternPlan};
-use crate::project::{project, used_variables};
-use crate::results::{Solutions, SparqlError};
+use crate::project::project;
+use crate::results::{Solutions, SparqlError, UNBOUND};
 
 pub use crate::expr::simple_regex;
 
 /// Evaluate a parsed query against the store.
-pub fn evaluate(store: &StoreSnapshot, query: &Query) -> Result<Solutions, SparqlError> {
+pub fn evaluate<'a>(
+    store: &'a StoreSnapshot,
+    query: &Query,
+) -> Result<Solutions<'a>, SparqlError> {
     evaluate_with(store, query, EvalOptions::default())
 }
 
@@ -55,7 +58,7 @@ pub struct EvalOptions {
     /// the deadline the query returns [`SparqlError::Governed`] with
     /// [`TripReason::Timeout`](lids_exec::TripReason::Timeout).
     pub deadline: Option<Duration>,
-    /// Ceiling on cumulative binding-table / decode allocations in
+    /// Ceiling on cumulative binding-table / answer allocations in
     /// logical bytes. Exceeding it returns [`SparqlError::Governed`]
     /// instead of allocating without bound.
     pub memory_budget: Option<u64>,
@@ -112,7 +115,7 @@ impl EvalOptionsBuilder {
         self
     }
 
-    /// Ceiling on cumulative binding-table / decode allocation bytes.
+    /// Ceiling on cumulative binding-table / answer allocation bytes.
     pub fn memory_budget(mut self, bytes: u64) -> Self {
         self.inner.memory_budget = Some(bytes);
         self
@@ -130,41 +133,42 @@ impl EvalOptionsBuilder {
     }
 }
 
-/// Always-on per-evaluation operator counters (relaxed atomics, added
-/// once per operator execution — never per row). [`evaluate_with_stats`]
-/// and the prepared-query path fill one in so callers (the platform's
-/// obs registry) can attribute work to merge / probe / leapfrog
-/// operators without paying for full explain instrumentation.
+/// Always-on per-evaluation operator counters (added once per operator
+/// execution — never per row; one evaluation runs on one thread).
+/// [`evaluate_with_stats`] and the prepared-query path fill one in so
+/// callers (the platform's obs registry) can attribute work to merge /
+/// probe / leapfrog operators without paying for full explain
+/// instrumentation.
 #[derive(Debug, Default)]
 pub struct ExecStats {
-    merge_joins: AtomicU64,
-    probe_joins: AtomicU64,
-    leapfrog_joins: AtomicU64,
+    merge_joins: Cell<u64>,
+    probe_joins: Cell<u64>,
+    leapfrog_joins: Cell<u64>,
 }
 
 impl ExecStats {
     /// Sort-merge join executions.
     pub fn merge_joins(&self) -> u64 {
-        self.merge_joins.load(Relaxed)
+        self.merge_joins.get()
     }
 
     /// Per-row probe join executions.
     pub fn probe_joins(&self) -> u64 {
-        self.probe_joins.load(Relaxed)
+        self.probe_joins.get()
     }
 
     /// Leapfrog star-intersection executions.
     pub fn leapfrog_joins(&self) -> u64 {
-        self.leapfrog_joins.load(Relaxed)
+        self.leapfrog_joins.get()
     }
 
     pub(crate) fn count(&self, op: Operator) {
-        match op {
+        let counter = match op {
             Operator::Probe => &self.probe_joins,
             Operator::Merge => &self.merge_joins,
             Operator::Leapfrog => &self.leapfrog_joins,
-        }
-        .fetch_add(1, Relaxed);
+        };
+        counter.set(counter.get() + 1);
     }
 }
 
@@ -184,43 +188,26 @@ impl Operator {
             Operator::Leapfrog => "leapfrog",
         }
     }
-
-    fn code(self) -> u8 {
-        match self {
-            Operator::Probe => 2,
-            Operator::Merge => 3,
-            Operator::Leapfrog => 4,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<Operator> {
-        match code {
-            2 => Some(Operator::Probe),
-            3 => Some(Operator::Merge),
-            4 => Some(Operator::Leapfrog),
-            _ => None,
-        }
-    }
 }
 
 /// Evaluate with explicit options.
-pub fn evaluate_with(
-    store: &StoreSnapshot,
+pub fn evaluate_with<'a>(
+    store: &'a StoreSnapshot,
     query: &Query,
     options: EvalOptions,
-) -> Result<Solutions, SparqlError> {
+) -> Result<Solutions<'a>, SparqlError> {
     evaluate_governed(store, query, options, None)
 }
 
 /// Evaluate under an externally armed [`QueryGovernor`] (shared
 /// cancellation, cross-engine budgets). With `governor: None`, a local
 /// governor is armed from the options' deadline/budget fields when set.
-pub fn evaluate_governed(
-    store: &StoreSnapshot,
+pub fn evaluate_governed<'a>(
+    store: &'a StoreSnapshot,
     query: &Query,
     options: EvalOptions,
     governor: Option<&QueryGovernor>,
-) -> Result<Solutions, SparqlError> {
+) -> Result<Solutions<'a>, SparqlError> {
     let mut compiler = Compiler::new(store, &query.variables, false);
     let compiled = compiler.compile_query(query);
     eval_compiled(store, query, options, &compiled, None, None, governor)
@@ -228,12 +215,12 @@ pub fn evaluate_governed(
 
 /// Evaluate with explicit options, filling `stats` with per-operator
 /// execution counts.
-pub fn evaluate_with_stats(
-    store: &StoreSnapshot,
+pub fn evaluate_with_stats<'a>(
+    store: &'a StoreSnapshot,
     query: &Query,
     options: EvalOptions,
     stats: &ExecStats,
-) -> Result<Solutions, SparqlError> {
+) -> Result<Solutions<'a>, SparqlError> {
     let mut compiler = Compiler::new(store, &query.variables, false);
     let compiled = compiler.compile_query(query);
     eval_compiled(store, query, options, &compiled, None, Some(stats), None)
@@ -241,11 +228,11 @@ pub fn evaluate_with_stats(
 
 /// Evaluate with per-pattern instrumentation, returning the solutions
 /// plus an [`ExplainReport`] of the executed plan.
-pub fn evaluate_explained(
-    store: &StoreSnapshot,
+pub fn evaluate_explained<'a>(
+    store: &'a StoreSnapshot,
     query: &Query,
     options: EvalOptions,
-) -> Result<(Solutions, ExplainReport), SparqlError> {
+) -> Result<(Solutions<'a>, ExplainReport), SparqlError> {
     let start = Instant::now();
     let mut compiler = Compiler::new(store, &query.variables, true);
     let compiled = compiler.compile_query(query);
@@ -260,15 +247,14 @@ pub fn evaluate_explained(
         .enumerate()
         .map(|(i, meta)| {
             let cell = &instr.cells[i];
-            let order = cell.order.load(Relaxed);
             PatternPlan {
                 pattern: meta.text,
                 estimated_rows: meta.estimated,
-                actual_rows: cell.actual.load(Relaxed),
-                scans: cell.scans.load(Relaxed),
-                order: (order != usize::MAX).then_some(order),
+                actual_rows: cell.actual.get(),
+                scans: cell.scans.get(),
+                order: cell.order.get(),
                 satisfiable: meta.satisfiable,
-                operator: Operator::from_code(cell.operator.load(Relaxed)).map(Operator::label),
+                operator: cell.operator.get().map(Operator::label),
             }
         })
         .collect();
@@ -277,7 +263,7 @@ pub fn evaluate_explained(
         rows: solutions.len(),
         wall_secs,
         patterns,
-        decoded_terms: instr.decoded.load(Relaxed),
+        decoded_terms: instr.decoded.get(),
         merge_joins: stats.merge_joins(),
         probe_joins: stats.probe_joins(),
         leapfrog_joins: stats.leapfrog_joins(),
@@ -286,15 +272,15 @@ pub fn evaluate_explained(
     Ok((solutions, report))
 }
 
-pub(crate) fn eval_compiled(
-    store: &StoreSnapshot,
+pub(crate) fn eval_compiled<'a>(
+    store: &'a StoreSnapshot,
     query: &Query,
     options: EvalOptions,
     compiled: &EncGroup,
     instr: Option<&Instr>,
     stats: Option<&ExecStats>,
     governor: Option<&QueryGovernor>,
-) -> Result<Solutions, SparqlError> {
+) -> Result<Solutions<'a>, SparqlError> {
     // With no external governor, arm a local one from the options'
     // deadline/budget. All-`None` limits arm nothing: the ungoverned
     // fast path pays a single never-taken branch per checkpoint site.
@@ -315,78 +301,59 @@ pub(crate) fn eval_compiled(
     let root = Batch::root(query.variables.len());
     let bindings = ev.eval_group(compiled, root, GraphCtx::Default)?;
     let mut solutions = match &query.form {
-        QueryForm::Ask(_) => Solutions {
-            columns: Vec::new(),
-            rows: Vec::new(),
-            ask: Some(!bindings.is_empty()),
-            truncated: false,
-        },
-        QueryForm::Select(select) => {
-            let decoded = ev.decode_bindings(query, select, &bindings)?;
-            project(query, select, decoded)?
-        }
+        QueryForm::Ask(_) => Solutions::ask(!bindings.is_empty()),
+        QueryForm::Select(select) => project(&ev, store, query, select, &bindings)?,
     };
     solutions.truncated = ev.truncated.get();
     if let Some(instr) = instr {
-        instr.decoded.fetch_add(ev.decoded.get(), Relaxed);
+        instr.decoded.set(instr.decoded.get() + ev.decoded.get());
     }
     Ok(solutions)
 }
 
 // -------------------------------------------------------- instrumentation
 
-/// Per-pattern atomic counters, written on the evaluator's hot path
-/// with relaxed ordering: one add per operator execution (never per
-/// row), so instrumented evaluation stays within a few percent of
-/// uninstrumented.
+/// Per-pattern counters, written on the evaluator's hot path: one add per
+/// operator execution (never per row), so instrumented evaluation stays
+/// within a few percent of uninstrumented.
 pub(crate) struct Instr {
     cells: Vec<InstrCell>,
-    decoded: AtomicU64,
+    decoded: Cell<u64>,
 }
 
+#[derive(Default)]
 struct InstrCell {
-    /// Position in the executed join order; `usize::MAX` = never
-    /// joined. First recording wins — a BGP evaluated again (once per
-    /// UNION branch input, say) keeps the plan of its first execution.
-    order: AtomicUsize,
-    actual: AtomicU64,
-    scans: AtomicU64,
-    /// [`Operator::code`] of the operator that joined this pattern
-    /// (first execution wins); 0 = never executed.
-    operator: AtomicU8,
+    /// Position in the executed join order; `None` = never joined. First
+    /// recording wins — a BGP evaluated again (once per UNION branch
+    /// input, say) keeps the plan of its first execution.
+    order: Cell<Option<usize>>,
+    actual: Cell<u64>,
+    scans: Cell<u64>,
+    /// The operator that joined this pattern (first execution wins).
+    operator: Cell<Option<Operator>>,
 }
 
 impl Instr {
     fn new(n: usize) -> Self {
-        Instr {
-            cells: (0..n)
-                .map(|_| InstrCell {
-                    order: AtomicUsize::new(usize::MAX),
-                    actual: AtomicU64::new(0),
-                    scans: AtomicU64::new(0),
-                    operator: AtomicU8::new(0),
-                })
-                .collect(),
-            decoded: AtomicU64::new(0),
-        }
+        Instr { cells: (0..n).map(|_| InstrCell::default()).collect(), decoded: Cell::new(0) }
     }
 
     pub(crate) fn record_order(&self, pid: u32, position: usize) {
         if let Some(cell) = self.cells.get(pid as usize) {
-            let _ = cell.order.compare_exchange(usize::MAX, position, Relaxed, Relaxed);
+            cell.order.set(cell.order.get().or(Some(position)));
         }
     }
 
     pub(crate) fn record_match(&self, pid: u32, produced: usize) {
         if let Some(cell) = self.cells.get(pid as usize) {
-            cell.scans.fetch_add(1, Relaxed);
-            cell.actual.fetch_add(produced as u64, Relaxed);
+            cell.scans.set(cell.scans.get() + 1);
+            cell.actual.set(cell.actual.get() + produced as u64);
         }
     }
 
     pub(crate) fn record_operator(&self, pid: u32, op: Operator) {
         if let Some(cell) = self.cells.get(pid as usize) {
-            let _ = cell.operator.compare_exchange(0, op.code(), Relaxed, Relaxed);
+            cell.operator.set(cell.operator.get().or(Some(op)));
         }
     }
 }
@@ -615,7 +582,8 @@ pub(crate) struct Evaluator<'a> {
     pub(crate) governor: Option<&'a QueryGovernor>,
     /// Latched when a row cap truncated a binding table.
     truncated: Cell<bool>,
-    /// Terms materialised from ids so far (FILTER operands, projection).
+    /// Dictionary terms looked at so far (FILTER operands, sort keys,
+    /// aggregate inputs).
     decoded: Cell<u64>,
 }
 
@@ -767,44 +735,23 @@ impl<'a> Evaluator<'a> {
 
     // -------------------------------------------------------------- boundary
 
-    /// The term row `i` binds `var` to, materialised (and counted).
-    fn term_at(&self, batch: &Batch, var: VarId, i: usize) -> Option<Term> {
+    /// Count `n` dictionary terms looked at during evaluation.
+    pub(crate) fn count_decoded(&self, n: u64) {
+        self.decoded.set(self.decoded.get() + n);
+    }
+
+    /// The term row `i` binds `var` to, lent by the dictionary (and counted).
+    fn term_at(&self, batch: &Batch, var: VarId, i: usize) -> Option<&'a Term> {
         let id = batch.get(var, i);
         (id != UNBOUND).then(|| {
-            self.decoded.set(self.decoded.get() + 1);
-            self.store.term(TermId(id)).clone()
+            self.count_decoded(1);
+            self.store.term(TermId(id))
         })
     }
 
-    /// Lazy per-variable decoding for FILTER: only variables the
-    /// expression actually references are materialised.
+    /// FILTER looks up only the variables the expression references.
     fn filter_passes(&self, batch: &Batch, i: usize, expr: &Expr) -> bool {
         crate::expr::filter_passes(&|v: VarId| self.term_at(batch, v, i), expr)
-    }
-
-    /// Decode the final batch into term rows for the solution modifiers.
-    /// Only variables the modifiers can observe are materialised; the rest
-    /// stay `None`. Governed: decoded terms are charged against the memory
-    /// budget (48 logical bytes per materialised term) before decoding.
-    fn decode_bindings(
-        &self,
-        query: &Query,
-        select: &SelectQuery,
-        batch: &Batch,
-    ) -> Result<Vec<Vec<Option<Term>>>, SparqlError> {
-        let used = used_variables(query, select);
-        if self.governor.is_some() {
-            self.guard()?;
-            let used_count = used.iter().filter(|&&u| u).count() as u64;
-            self.charge(batch.len() as u64 * used_count * 48)?;
-        }
-        let decode_row = |i: usize| -> Vec<Option<Term>> {
-            used.iter()
-                .enumerate()
-                .map(|(v, &u)| if u { self.term_at(batch, VarId(v as u16), i) } else { None })
-                .collect()
-        };
-        Ok((0..batch.len()).map(decode_row).collect())
     }
 }
 
@@ -884,14 +831,18 @@ mod tests {
         s
     }
 
-    fn run(q: &str) -> Solutions {
+    /// The answer to `q` over the fixture, as terms (it outlives the store).
+    fn run(q: &str) -> Solutions<'static> {
         let store = store();
-        evaluate(&store, &parse_query(q).unwrap()).unwrap()
+        let answer = evaluate(&store, &parse_query(q).unwrap()).unwrap();
+        let mut owned = Solutions::from_terms(answer.columns.clone(), answer.to_terms());
+        owned.ask = answer.ask;
+        owned
     }
 
     /// Row order is the operators' business: compare answers as multisets.
     fn sorted_rows(s: &Solutions) -> Vec<String> {
-        let mut rows: Vec<String> = s.rows.iter().map(|r| format!("{r:?}")).collect();
+        let mut rows: Vec<String> = s.to_terms().iter().map(|r| format!("{r:?}")).collect();
         rows.sort();
         rows
     }
@@ -1093,7 +1044,8 @@ mod tests {
         let mut positions: Vec<usize> = report.patterns.iter().filter_map(|p| p.order).collect();
         positions.sort_unstable();
         assert_eq!(positions, vec![0, 1, 2]);
-        assert!(report.decoded_terms > 0);
+        // joins and projection run on ids: no term was looked at
+        assert_eq!(report.decoded_terms, 0);
         // instrumentation must not change the answer
         let plain = evaluate(&store, &query).unwrap();
         assert_eq!(sols.rows, plain.rows);
@@ -1148,6 +1100,8 @@ mod tests {
         // both the outer and the OPTIONAL pattern appear in the plan
         assert_eq!(report.patterns.len(), 2);
         assert!(report.patterns.iter().all(|p| p.order.is_some()));
+        // the FILTER looked ?c up where it was bound
+        assert!(report.decoded_terms > 0);
     }
 
     #[test]

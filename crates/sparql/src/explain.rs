@@ -1,12 +1,13 @@
 //! Query plan reports for instrumented evaluation.
 //!
 //! [`crate::evaluate_explained`] runs the executor with per-pattern
-//! atomic counters and folds them into an [`ExplainReport`]: for every
+//! counters and folds them into an [`ExplainReport`]: for every
 //! triple pattern the plan shows the store's `estimate_pattern` guess
 //! (the number the greedy join orderer actually ranked on), the rows the
 //! pattern really produced, how many operator executions joined it, its
 //! position in the chosen join order and the operator that ran it — plus
-//! evaluator-wide decode and per-operator join counts.
+//! evaluator-wide counts of dictionary terms looked at and of join operators
+//! run.
 
 use std::fmt;
 
@@ -45,7 +46,11 @@ pub struct ExplainReport {
     pub wall_secs: f64,
     /// One entry per triple pattern, in textual (compile) order.
     pub patterns: Vec<PatternPlan>,
-    /// Terms materialised from ids (projection + lazy FILTER decodes).
+    /// Dictionary terms *looked at* during evaluation: FILTER operands, sort
+    /// keys (one per distinct id of a plain-variable key), aggregate inputs
+    /// and group keys. The joins and the projection run on ids and look at
+    /// none; the answer is decoded by whoever reads it, which is not counted
+    /// here.
     pub decoded_terms: u64,
     /// Sort-merge join steps executed.
     pub merge_joins: u64,
@@ -99,7 +104,7 @@ impl fmt::Display for ExplainReport {
         }
         write!(
             f,
-            "  decoded terms {} | ops: {} merge, {} probe, {} leapfrog",
+            "  terms looked at {} (filters, sort keys, aggregates) | ops: {} merge, {} probe, {} leapfrog",
             self.decoded_terms,
             self.merge_joins,
             self.probe_joins,
@@ -149,6 +154,7 @@ mod tests {
         assert!(text.contains("actual"));
         assert!(text.contains("unsatisfiable"));
         assert!(text.contains("reordering on"));
+        assert!(text.contains("terms looked at 4"));
         // executed pattern printed before never-joined one
         let pos_joined = text.find("?t <type> <Table>").unwrap();
         let pos_dead = text.find("?t <missing> ?x").unwrap();

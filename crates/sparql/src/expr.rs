@@ -1,36 +1,45 @@
 //! Term-level expression evaluation, shared by both evaluators.
 //!
 //! Expressions always operate on decoded [`Term`]s — FILTER needs lexical
-//! values and numeric coercions that ids cannot answer. The encoded
-//! evaluator therefore hands this module a *resolver* closure that decodes
-//! a variable on demand, so only variables an expression actually touches
-//! are ever materialised.
+//! values and numeric coercions that ids cannot answer. The executor
+//! therefore hands this module a *resolver* closure that looks a variable's
+//! term up in the dictionary on demand and lends it out: a variable or
+//! constant operand is never cloned, only computed values are owned.
 //!
 //! `Err(())` models SPARQL's expression errors (unbound variables, type
 //! mismatches), which FILTER treats as false.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use lids_rdf::Term;
 
 use crate::ast::{BinOp, Expr, Func, VarId};
-use crate::results::term_text;
+use crate::results::term_str;
+
+/// An expression's value: lent by the resolver or the expression itself,
+/// or computed.
+type Value<'t> = Result<Cow<'t, Term>, ()>;
+
+fn computed<'t>(term: Term) -> Value<'t> {
+    Ok(Cow::Owned(term))
+}
 
 /// Evaluate an expression, resolving variables through `resolver`.
-pub(crate) fn eval_expr<R>(resolver: &R, expr: &Expr) -> Result<Term, ()>
+pub(crate) fn eval_expr<'t, R>(resolver: &R, expr: &'t Expr) -> Value<'t>
 where
-    R: Fn(VarId) -> Option<Term>,
+    R: Fn(VarId) -> Option<&'t Term>,
 {
     match expr {
-        Expr::Var(v) => resolver(*v).ok_or(()),
-        Expr::Const(t) => Ok(t.clone()),
+        Expr::Var(v) => resolver(*v).map(Cow::Borrowed).ok_or(()),
+        Expr::Const(t) => Ok(Cow::Borrowed(t)),
         Expr::Not(e) => {
-            let b = effective_bool(Some(&eval_expr(resolver, e)?)).ok_or(())?;
-            Ok(Term::boolean(!b))
+            let b = effective_bool(Some(eval_expr(resolver, e)?.as_ref())).ok_or(())?;
+            computed(Term::boolean(!b))
         }
         Expr::Neg(e) => {
-            let v = numeric(&eval_expr(resolver, e)?).ok_or(())?;
-            Ok(Term::double(-v))
+            let v = numeric(eval_expr(resolver, e)?.as_ref()).ok_or(())?;
+            computed(Term::double(-v))
         }
         Expr::Binary(op, l, r) => eval_binary(resolver, *op, l, r),
         Expr::Call(func, args) => eval_call(resolver, *func, args),
@@ -39,57 +48,49 @@ where
 
 /// True when the expression evaluates to an effective boolean true; errors
 /// count as false (the FILTER rule).
-pub fn filter_passes<R>(resolver: &R, expr: &Expr) -> bool
+pub fn filter_passes<'t, R>(resolver: &R, expr: &'t Expr) -> bool
 where
-    R: Fn(VarId) -> Option<Term>,
+    R: Fn(VarId) -> Option<&'t Term>,
 {
-    effective_bool(eval_expr(resolver, expr).ok().as_ref()).unwrap_or(false)
+    effective_bool(eval_expr(resolver, expr).ok().as_deref()).unwrap_or(false)
 }
 
-fn eval_binary<R>(resolver: &R, op: BinOp, l: &Expr, r: &Expr) -> Result<Term, ()>
+fn eval_binary<'t, R>(resolver: &R, op: BinOp, l: &'t Expr, r: &'t Expr) -> Value<'t>
 where
-    R: Fn(VarId) -> Option<Term>,
+    R: Fn(VarId) -> Option<&'t Term>,
 {
+    let truth = |e: &'t Expr| effective_bool(eval_expr(resolver, e).ok().as_deref());
     match op {
         BinOp::And => {
-            let lv = effective_bool(eval_expr(resolver, l).as_ref().ok()).ok_or(())?;
-            if !lv {
-                return Ok(Term::boolean(false));
+            if !truth(l).ok_or(())? {
+                return computed(Term::boolean(false));
             }
-            let rv = effective_bool(eval_expr(resolver, r).as_ref().ok()).ok_or(())?;
-            Ok(Term::boolean(rv))
+            computed(Term::boolean(truth(r).ok_or(())?))
         }
         BinOp::Or => {
-            let lv = effective_bool(eval_expr(resolver, l).as_ref().ok());
+            let lv = truth(l);
             if lv == Some(true) {
-                return Ok(Term::boolean(true));
+                return computed(Term::boolean(true));
             }
-            let rv = effective_bool(eval_expr(resolver, r).as_ref().ok());
-            match (lv, rv) {
-                (_, Some(true)) => Ok(Term::boolean(true)),
-                (Some(false), Some(false)) => Ok(Term::boolean(false)),
+            match (lv, truth(r)) {
+                (_, Some(true)) => computed(Term::boolean(true)),
+                (Some(false), Some(false)) => computed(Term::boolean(false)),
                 _ => Err(()),
             }
         }
         _ => {
-            let lv = eval_expr(resolver, l);
-            let rv = eval_expr(resolver, r);
-            combine_binary(op, lv, rv)
+            let lv = eval_expr(resolver, l)?;
+            let rv = eval_expr(resolver, r)?;
+            combine_binary(op, &lv, &rv).map(Cow::Owned)
         }
     }
 }
 
-pub(crate) fn combine_binary(
-    op: BinOp,
-    lv: Result<Term, ()>,
-    rv: Result<Term, ()>,
-) -> Result<Term, ()> {
-    let lv = lv?;
-    let rv = rv?;
+fn combine_binary(op: BinOp, lv: &Term, rv: &Term) -> Result<Term, ()> {
     match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-            let a = numeric(&lv).ok_or(())?;
-            let b = numeric(&rv).ok_or(())?;
+            let a = numeric(lv).ok_or(())?;
+            let b = numeric(rv).ok_or(())?;
             let out = match op {
                 BinOp::Add => a + b,
                 BinOp::Sub => a - b,
@@ -104,10 +105,10 @@ pub(crate) fn combine_binary(
             };
             Ok(Term::double(out))
         }
-        BinOp::Eq => Ok(Term::boolean(terms_equal(&lv, &rv))),
-        BinOp::Ne => Ok(Term::boolean(!terms_equal(&lv, &rv))),
+        BinOp::Eq => Ok(Term::boolean(terms_equal(lv, rv))),
+        BinOp::Ne => Ok(Term::boolean(!terms_equal(lv, rv))),
         BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let ord = compare_terms(Some(&lv), Some(&rv));
+            let ord = compare_terms(Some(lv), Some(rv));
             Ok(Term::boolean(match op {
                 BinOp::Lt => ord == Ordering::Less,
                 BinOp::Le => ord != Ordering::Greater,
@@ -120,55 +121,48 @@ pub(crate) fn combine_binary(
     }
 }
 
-fn eval_call<R>(resolver: &R, func: Func, args: &[Expr]) -> Result<Term, ()>
+fn eval_call<'t, R>(resolver: &R, func: Func, args: &'t [Expr]) -> Value<'t>
 where
-    R: Fn(VarId) -> Option<Term>,
+    R: Fn(VarId) -> Option<&'t Term>,
 {
     match func {
         Func::Bound => match args.first() {
-            Some(Expr::Var(v)) => Ok(Term::boolean(resolver(*v).is_some())),
+            Some(Expr::Var(v)) => computed(Term::boolean(resolver(*v).is_some())),
             _ => Err(()),
         },
         Func::Str => {
             let t = eval_expr(resolver, args.first().ok_or(())?)?;
-            Ok(Term::string(term_text(&t)))
+            computed(Term::string(term_str(&t)))
         }
         Func::LCase | Func::UCase => {
             let t = eval_expr(resolver, args.first().ok_or(())?)?;
             let s = string_of(&t).ok_or(())?;
-            Ok(Term::string(if func == Func::LCase {
+            computed(Term::string(if func == Func::LCase {
                 s.to_lowercase()
             } else {
                 s.to_uppercase()
             }))
         }
-        Func::Contains | Func::StrStarts => {
-            if args.len() != 2 {
+        Func::Contains | Func::StrStarts | Func::Regex => {
+            let [hay, needle] = args else {
                 return Err(());
-            }
-            let hay = string_of(&eval_expr(resolver, &args[0])?).ok_or(())?;
-            let needle = string_of(&eval_expr(resolver, &args[1])?).ok_or(())?;
-            Ok(Term::boolean(if func == Func::Contains {
-                hay.contains(&needle)
-            } else {
-                hay.starts_with(&needle)
+            };
+            let hay = eval_expr(resolver, hay)?;
+            let needle = eval_expr(resolver, needle)?;
+            let (hay, needle) = (string_of(&hay).ok_or(())?, string_of(&needle).ok_or(())?);
+            computed(Term::boolean(match func {
+                Func::Contains => hay.contains(needle),
+                Func::StrStarts => hay.starts_with(needle),
+                _ => simple_regex(hay, needle),
             }))
-        }
-        Func::Regex => {
-            if args.len() != 2 {
-                return Err(());
-            }
-            let hay = string_of(&eval_expr(resolver, &args[0])?).ok_or(())?;
-            let pat = string_of(&eval_expr(resolver, &args[1])?).ok_or(())?;
-            Ok(Term::boolean(simple_regex(&hay, &pat)))
         }
     }
 }
 
-pub(crate) fn string_of(t: &Term) -> Option<String> {
+fn string_of(t: &Term) -> Option<&str> {
     match t {
-        Term::Literal(l) => Some(l.lexical.clone()),
-        Term::Iri(i) => Some(i.clone()),
+        Term::Literal(l) => Some(&l.lexical),
+        Term::Iri(i) => Some(i),
         _ => None,
     }
 }
@@ -177,14 +171,16 @@ pub(crate) fn numeric(t: &Term) -> Option<f64> {
     t.as_literal().and_then(|l| l.as_f64())
 }
 
-pub(crate) fn terms_equal(a: &Term, b: &Term) -> bool {
+fn terms_equal(a: &Term, b: &Term) -> bool {
     if let (Some(x), Some(y)) = (numeric(a), numeric(b)) {
         return x == y;
     }
     a == b
 }
 
-/// SPARQL-ish ordering: unbound < numbers < strings < IRIs < other.
+/// SPARQL-ish ordering: unbound < numbers < strings < IRIs < other. Text is
+/// compared where the terms hold it; only blank nodes and quoted triples
+/// have theirs built.
 pub(crate) fn compare_terms(a: Option<&Term>, b: Option<&Term>) -> Ordering {
     fn rank(t: Option<&Term>) -> u8 {
         match t {
@@ -206,7 +202,7 @@ pub(crate) fn compare_terms(a: Option<&Term>, b: Option<&Term>) -> Ordering {
             if let (Some(nx), Some(ny)) = (numeric(x), numeric(y)) {
                 nx.partial_cmp(&ny).unwrap_or(Ordering::Equal)
             } else {
-                term_text(x).cmp(&term_text(y))
+                term_str(x).cmp(&term_str(y))
             }
         }
         _ => Ordering::Equal,
@@ -214,7 +210,7 @@ pub(crate) fn compare_terms(a: Option<&Term>, b: Option<&Term>) -> Ordering {
 }
 
 /// SPARQL effective boolean value.
-pub(crate) fn effective_bool(t: Option<&Term>) -> Option<bool> {
+fn effective_bool(t: Option<&Term>) -> Option<bool> {
     match t? {
         Term::Literal(l) => {
             if let Some(b) = l.as_bool() {

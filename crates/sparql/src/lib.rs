@@ -15,9 +15,10 @@
 //!   `LIMIT`/`OFFSET`
 //!
 //! There is one executor ([`eval`]): a query compiled to dictionary ids flows
-//! as columnar binding batches from its root row to the projection, BGPs
-//! joined by the merge / probe / leapfrog operators, with [`PlanCache`] in
-//! front so a query shape parses and plans once. [`mod@reference`] is the naive
+//! as columnar binding batches from its root row through the solution
+//! modifiers and leaves as [`Solutions`] — still ids, decoded by whoever
+//! reads them — BGPs joined by the merge / probe / leapfrog operators, with
+//! [`PlanCache`] in front so a query shape parses and plans once. [`mod@reference`] is the naive
 //! decoded evaluator it is property-tested against, not a second way to run
 //! a query.
 //!
@@ -53,7 +54,7 @@ pub use results::{Solutions, SparqlError};
 use lids_rdf::StoreSnapshot;
 
 /// Parse and evaluate `query` against `store` in one call.
-pub fn query(store: &StoreSnapshot, query: &str) -> Result<Solutions, SparqlError> {
+pub fn query<'a>(store: &'a StoreSnapshot, query: &str) -> Result<Solutions<'a>, SparqlError> {
     let parsed = parse_query(query)?;
     evaluate(store, &parsed)
 }

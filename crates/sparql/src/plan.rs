@@ -103,27 +103,27 @@ impl PreparedQuery {
     }
 
     /// Execute against `store` with default options.
-    pub fn execute(&self, store: &StoreSnapshot) -> Result<Solutions, SparqlError> {
+    pub fn execute<'a>(&self, store: &'a StoreSnapshot) -> Result<Solutions<'a>, SparqlError> {
         self.execute_with(store, EvalOptions::default())
     }
 
     /// Execute against `store` with explicit options.
-    pub fn execute_with(
+    pub fn execute_with<'a>(
         &self,
-        store: &StoreSnapshot,
+        store: &'a StoreSnapshot,
         options: EvalOptions,
-    ) -> Result<Solutions, SparqlError> {
+    ) -> Result<Solutions<'a>, SparqlError> {
         let group = self.plan_for(store);
         eval_compiled(store, &self.inner.query, options, &group, None, None, None)
     }
 
     /// Execute, filling `stats` with per-operator execution counts.
-    pub fn execute_with_stats(
+    pub fn execute_with_stats<'a>(
         &self,
-        store: &StoreSnapshot,
+        store: &'a StoreSnapshot,
         options: EvalOptions,
         stats: &ExecStats,
-    ) -> Result<Solutions, SparqlError> {
+    ) -> Result<Solutions<'a>, SparqlError> {
         let group = self.plan_for(store);
         eval_compiled(store, &self.inner.query, options, &group, None, Some(stats), None)
     }
@@ -132,13 +132,13 @@ impl PreparedQuery {
     /// cancellation, and memory budget are enforced at batch/row
     /// boundaries, sharing the governor's accounting with any other
     /// work charged against it.
-    pub fn execute_governed(
+    pub fn execute_governed<'a>(
         &self,
-        store: &StoreSnapshot,
+        store: &'a StoreSnapshot,
         options: EvalOptions,
         governor: Option<&QueryGovernor>,
         stats: Option<&ExecStats>,
-    ) -> Result<Solutions, SparqlError> {
+    ) -> Result<Solutions<'a>, SparqlError> {
         let group = self.plan_for(store);
         eval_compiled(store, &self.inner.query, options, &group, None, stats, governor)
     }
@@ -424,7 +424,11 @@ impl PlanCache {
 
     /// Prepare and execute in one call (the drop-in replacement for
     /// [`crate::query`]).
-    pub fn query(&self, store: &StoreSnapshot, text: &str) -> Result<Solutions, SparqlError> {
+    pub fn query<'a>(
+        &self,
+        store: &'a StoreSnapshot,
+        text: &str,
+    ) -> Result<Solutions<'a>, SparqlError> {
         self.prepare(text)?.execute(store)
     }
 
@@ -537,8 +541,8 @@ mod tests {
         let store = store();
         let a = cache.query(&store, Q).unwrap();
         let b = cache.query(&store, Q).unwrap();
-        assert_eq!(a.rows.len(), 5);
-        assert_eq!(a.rows.len(), b.rows.len());
+        assert_eq!(a.len(), 5);
+        assert_eq!(a.len(), b.len());
         let stats = cache.stats();
         assert_eq!(stats.parses, 1);
         assert_eq!(stats.hits_text, 1);
@@ -584,7 +588,7 @@ mod tests {
         let rows = prepared.execute(&store).unwrap();
         assert_eq!(cache.stats().compiles, 2, "generation bump must recompile");
         // the new row is only visible with a fresh compile
-        assert!(rows.rows.len() >= 5);
+        assert!(rows.len() >= 5);
     }
 
     #[test]
@@ -594,7 +598,7 @@ mod tests {
         let direct = crate::query(&store, Q).unwrap();
         let prepared = cache.query(&store, Q).unwrap();
         let norm = |s: &Solutions| {
-            let mut rows: Vec<String> = s.rows.iter().map(|r| format!("{r:?}")).collect();
+            let mut rows: Vec<String> = s.to_terms().iter().map(|r| format!("{r:?}")).collect();
             rows.sort();
             rows
         };
@@ -605,7 +609,7 @@ mod tests {
     fn standalone_prepared_query_works() {
         let store = store();
         let prepared = PreparedQuery::parse(Q).unwrap();
-        assert_eq!(prepared.execute(&store).unwrap().rows.len(), 5);
+        assert_eq!(prepared.execute(&store).unwrap().len(), 5);
     }
 
     #[test]

@@ -1,92 +1,115 @@
-//! Solution modifiers shared by both evaluators: projection, GROUP BY /
-//! aggregates, ORDER BY, DISTINCT, OFFSET/LIMIT.
+//! The executor's solution modifiers, over ids.
 //!
-//! Operates on fully decoded rows — this is the boundary where the encoded
-//! evaluator materialises [`Term`]s, and the only place the solution
-//! modifiers need lexical values.
+//! The last batch out of the joins is never decoded wholesale. In SPARQL's
+//! order — GROUP BY / aggregates, ORDER BY, projection, DISTINCT,
+//! OFFSET/LIMIT — every step works on `u32` cells: grouping and DISTINCT
+//! compare id tuples (interning is injective, so id equality is term
+//! equality), ORDER BY ranks each key once per row (a plain-variable key
+//! once per *distinct* id, comparing dictionary terms by reference) and
+//! sorts row numbers by rank, projection selects columns, the slice cuts
+//! rows. The only terms created are aggregate results, minted into the
+//! answer's side table. What leaves is a [`Solutions`]: its sink — a
+//! `DataFrame`, a typed hit, a response buffer — decodes what it reads.
+//!
+//! [`crate::reference`] keeps the same modifiers over decoded rows, and the
+//! differential suite holds this module to them.
 
 use std::cmp::Ordering;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
-use lids_rdf::Term;
+use lids_rdf::{StoreSnapshot, Term, TermId};
 
 use crate::ast::*;
-use crate::expr::{compare_terms, eval_expr};
-use crate::results::{Solutions, SparqlError};
+use crate::batch::Batch;
+use crate::eval::Evaluator;
+use crate::expr::{compare_terms, eval_expr, numeric};
+use crate::results::{IdRows, Solutions, SparqlError, UNBOUND};
 
-/// A decoded partial solution: one optional term per query variable.
-pub(crate) type Binding = Vec<Option<Term>>;
+/// The answer's cell space: dictionary ids, then the terms minted for this
+/// answer, numbered from the dictionary's length.
+struct Cells<'a> {
+    store: &'a StoreSnapshot,
+    minted: Vec<Term>,
+    minted_cell: HashMap<Term, u32>,
+}
 
-pub(crate) fn project(
+impl<'a> Cells<'a> {
+    fn term(&self, cell: u32) -> Option<&Term> {
+        if cell == UNBOUND {
+            return None;
+        }
+        let dict_len = self.store.term_count();
+        Some(match (cell as usize).checked_sub(dict_len) {
+            None => self.store.term(TermId(cell)),
+            Some(i) => &self.minted[i],
+        })
+    }
+
+    /// The cell of a computed term: its dictionary id when the store holds
+    /// it, else its place among the minted terms — one cell per term either
+    /// way, so DISTINCT over aggregate results stays an id comparison.
+    fn mint(&mut self, term: Term) -> u32 {
+        if let Some(id) = self.store.id_of(&term) {
+            return id.0;
+        }
+        if let Some(&cell) = self.minted_cell.get(&term) {
+            return cell;
+        }
+        let cell = self.store.term_count() + self.minted.len();
+        assert!(cell < UNBOUND as usize, "dictionary and minted terms fit the u32 cell space");
+        let cell = cell as u32;
+        self.minted.push(term.clone());
+        self.minted_cell.insert(term, cell);
+        cell
+    }
+}
+
+/// Apply `select`'s solution modifiers to the batch the joins produced over
+/// `store` (the evaluator's own, under the lifetime the answer borrows).
+pub(crate) fn project<'s>(
+    ev: &Evaluator<'_>,
+    store: &'s StoreSnapshot,
     query: &Query,
     select: &SelectQuery,
-    bindings: Vec<Binding>,
-) -> Result<Solutions, SparqlError> {
+    batch: &Batch,
+) -> Result<Solutions<'s>, SparqlError> {
+    let nvars = query.variables.len();
     let items: Vec<SelectItem> = match &select.projection {
-        Projection::Star => (0..query.variables.len())
-            .map(|i| SelectItem::Var(VarId(i as u16)))
-            .collect(),
+        Projection::Star => (0..nvars).map(|i| SelectItem::Var(VarId(i as u16))).collect(),
         Projection::Items(items) => items.clone(),
     };
-    let has_aggregate = items
-        .iter()
-        .any(|i| matches!(i, SelectItem::Aggregate { .. }));
-
-    let columns: Vec<String> = items
+    let projected: Vec<usize> = items
         .iter()
         .map(|i| match i {
-            SelectItem::Var(v) | SelectItem::Aggregate { alias: v, .. } => {
-                query.variables[v.0 as usize].clone()
-            }
+            SelectItem::Var(v) | SelectItem::Aggregate { alias: v, .. } => v.0 as usize,
         })
         .collect();
+    let columns: Vec<String> = projected.iter().map(|&v| query.variables[v].clone()).collect();
+    let aggregated = items.iter().any(|i| matches!(i, SelectItem::Aggregate { .. }));
+    let mut cells = Cells { store, minted: Vec::new(), minted_cell: HashMap::new() };
 
-    let mut rows: Vec<Vec<Option<Term>>> = if has_aggregate || !select.group_by.is_empty() {
-        aggregate_rows(select, &items, bindings)?
+    // the table the modifiers run over, one column per query variable: the
+    // batch itself, or one row per group with each aggregate's result in
+    // its alias's column (so ORDER BY sees it like any other variable)
+    let grouped;
+    let (table, len): (Vec<&[u32]>, usize) = if aggregated || !select.group_by.is_empty() {
+        let groups;
+        (grouped, groups) = aggregate_rows(ev, &mut cells, select, &items, nvars, batch);
+        (grouped.iter().map(Vec::as_slice).collect(), groups)
     } else {
-        bindings
-            .iter()
-            .map(|b| {
-                items
-                    .iter()
-                    .map(|item| match item {
-                        SelectItem::Var(v) => b[v.0 as usize].clone(),
-                        SelectItem::Aggregate { .. } => unreachable!(),
-                    })
-                    .collect()
-            })
-            .collect()
+        ((0..nvars).map(|v| batch.col(VarId(v as u16))).collect(), batch.len())
     };
 
-    // ORDER BY applies to projected rows; sort keys resolve variables
-    // through the projection's column mapping.
+    // ORDER BY comes before projection: a key need not be projected
+    let mut order: Vec<u32> = (0..len as u32).collect();
     if !select.order_by.is_empty() {
-        let col_of_var: Vec<Option<usize>> = (0..query.variables.len())
-            .map(|vi| {
-                items.iter().position(|it| match it {
-                    SelectItem::Var(v) | SelectItem::Aggregate { alias: v, .. } => {
-                        v.0 as usize == vi
-                    }
-                })
-            })
-            .collect();
-        fn resolver<'r>(
-            row: &'r [Option<Term>],
-            col_of_var: &'r [Option<usize>],
-        ) -> impl Fn(VarId) -> Option<Term> + 'r {
-            move |v: VarId| {
-                col_of_var
-                    .get(v.0 as usize)
-                    .copied()
-                    .flatten()
-                    .and_then(|c| row[c].clone())
-            }
-        }
-        rows.sort_by(|a, b| {
-            for key in &select.order_by {
-                let va = eval_expr(&resolver(a, &col_of_var), &key.expr);
-                let vb = eval_expr(&resolver(b, &col_of_var), &key.expr);
-                let ord = compare_terms(va.as_ref().ok(), vb.as_ref().ok());
+        ev.guard()?;
+        let ranks: Vec<Vec<u32>> =
+            select.order_by.iter().map(|key| key_ranks(ev, &cells, key, &table, len)).collect();
+        // stable: rows tying on every key keep the order the joins gave them
+        order.sort_by(|&a, &b| {
+            for (key, ranks) in select.order_by.iter().zip(&ranks) {
+                let ord = ranks[a as usize].cmp(&ranks[b as usize]);
                 let ord = if key.descending { ord.reverse() } else { ord };
                 if ord != Ordering::Equal {
                     return ord;
@@ -96,180 +119,209 @@ pub(crate) fn project(
         });
     }
 
-    if select.distinct {
-        let mut seen = HashSet::new();
-        rows.retain(|r| seen.insert(format!("{r:?}")));
-    }
-
     let offset = select.offset.unwrap_or(0);
-    if offset > 0 {
-        rows.drain(..offset.min(rows.len()));
-    }
-    if let Some(limit) = select.limit {
-        rows.truncate(limit);
+    let limit = select.limit.unwrap_or(usize::MAX);
+    // without DISTINCT the slice is known before a cell is copied
+    if !select.distinct {
+        order.drain(..offset.min(order.len()));
+        order.truncate(limit);
     }
 
-    Ok(Solutions { columns, rows, ask: None, truncated: false })
+    let width = projected.len();
+    ev.guard()?;
+    ev.charge((order.len() * width * 4) as u64)?;
+    let mut out = Vec::with_capacity(order.len() * width);
+    for &row in &order {
+        out.extend(projected.iter().map(|&v| table[v][row as usize]));
+    }
+    let mut rows = order.len();
+
+    if select.distinct {
+        if width == 0 {
+            rows = rows.min(1);
+        } else {
+            let mut kept = Vec::with_capacity(out.len());
+            let mut seen: HashSet<&[u32]> = HashSet::with_capacity(rows);
+            for row in out.chunks_exact(width) {
+                if seen.insert(row) {
+                    kept.extend_from_slice(row);
+                }
+            }
+            out = kept;
+            rows = out.len() / width;
+        }
+        let start = offset.min(rows);
+        rows = (rows - start).min(limit);
+        out.drain(..start * width);
+        out.truncate(rows * width);
+    }
+
+    let rows = IdRows::new(width, rows, out);
+    Ok(Solutions::new(columns, rows, store.dictionary(), cells.minted))
 }
 
+/// Per-row rank of one ORDER BY key: rows compare under the key as their
+/// ranks do. A plain variable is ranked per distinct cell of its column;
+/// any other expression is evaluated once per row.
+fn key_ranks(
+    ev: &Evaluator<'_>,
+    cells: &Cells<'_>,
+    key: &OrderKey,
+    table: &[&[u32]],
+    len: usize,
+) -> Vec<u32> {
+    if let Expr::Var(v) = &key.expr {
+        let column = table[v.0 as usize];
+        let mut distinct = column.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        ev.count_decoded(distinct.len() as u64);
+        let terms: Vec<Option<&Term>> = distinct.iter().map(|&c| cells.term(c)).collect();
+        let ranks = dense_ranks(&terms, |a, b| compare_terms(*a, *b));
+        // every cell of the column is in `distinct`, which is sorted
+        return column.iter().map(|c| ranks[distinct.partition_point(|d| d < c)]).collect();
+    }
+    let values: Vec<_> = (0..len)
+        .map(|row| {
+            let resolver = |v: VarId| {
+                ev.count_decoded(1);
+                cells.term(table[v.0 as usize][row])
+            };
+            eval_expr(&resolver, &key.expr).ok()
+        })
+        .collect();
+    dense_ranks(&values, |a, b| compare_terms(a.as_deref(), b.as_deref()))
+}
+
+/// The rank of each item under `compare`, equal items sharing one: sorting
+/// by rank is sorting by `compare`, ties included.
+fn dense_ranks<T>(items: &[T], compare: impl Fn(&T, &T) -> Ordering) -> Vec<u32> {
+    let mut sorted: Vec<usize> = (0..items.len()).collect();
+    sorted.sort_by(|&a, &b| compare(&items[a], &items[b]));
+    let mut ranks = vec![0; items.len()];
+    let mut rank = 0;
+    for pair in sorted.windows(2) {
+        if compare(&items[pair[0]], &items[pair[1]]) != Ordering::Equal {
+            rank += 1;
+        }
+        ranks[pair[1]] = rank;
+    }
+    ranks
+}
+
+/// One row per group, as columns over every query variable: the cells of
+/// the group's first row, with each aggregate's result under its alias —
+/// and how many groups there are.
+/// Groups come out ordered by their rendered keys, as the reference's do.
 fn aggregate_rows(
+    ev: &Evaluator<'_>,
+    cells: &mut Cells<'_>,
     select: &SelectQuery,
     items: &[SelectItem],
-    bindings: Vec<Binding>,
-) -> Result<Vec<Vec<Option<Term>>>, SparqlError> {
-    use std::collections::BTreeMap;
-    // Group key: rendered group-by values (terms compare via Debug ordering;
-    // BTreeMap keeps output deterministic).
-    let mut groups: BTreeMap<String, (Binding, Vec<Binding>)> = BTreeMap::new();
-    for b in bindings {
-        let key: String = select
-            .group_by
-            .iter()
-            .map(|v| format!("{:?}|", b[v.0 as usize]))
-            .collect();
-        groups
-            .entry(key)
-            .or_insert_with(|| (b.clone(), Vec::new()))
-            .1
-            .push(b);
-    }
-    // With no GROUP BY but an aggregate: a single group over everything.
-    if groups.is_empty() {
-        // no solutions: aggregates over the empty group (COUNT = 0)
-        let row = items
-            .iter()
-            .map(|item| match item {
-                SelectItem::Aggregate { agg: Aggregate::Count { .. }, .. } => {
-                    Some(Term::integer(0))
-                }
-                _ => None,
-            })
-            .collect();
-        return Ok(vec![row]);
+    nvars: usize,
+    batch: &Batch,
+) -> (Vec<Vec<u32>>, usize) {
+    let mut table: Vec<Vec<u32>> = vec![Vec::new(); nvars];
+    // no solutions: one group over nothing (COUNT = 0, the rest unbound)
+    if batch.is_empty() {
+        for column in &mut table {
+            column.push(UNBOUND);
+        }
+        for item in items {
+            if let SelectItem::Aggregate { agg: Aggregate::Count { .. }, alias } = item {
+                table[alias.0 as usize][0] = cells.mint(Term::integer(0));
+            }
+        }
+        return (table, 1);
     }
 
-    let mut rows = Vec::with_capacity(groups.len());
-    for (_, (representative, members)) in groups {
-        let row = items
-            .iter()
-            .map(|item| match item {
-                SelectItem::Var(v) => representative[v.0 as usize].clone(),
-                SelectItem::Aggregate { agg, .. } => eval_aggregate(agg, &members),
-            })
-            .collect();
-        rows.push(row);
+    // rows sorted by their group-by cells (stably: members stay in row
+    // order, the first is the group's representative), then cut into runs
+    let keys: Vec<&[u32]> = select.group_by.iter().map(|v| batch.col(*v)).collect();
+    let same_group = |a: u32, b: u32| keys.iter().all(|k| k[a as usize] == k[b as usize]);
+    let mut rows: Vec<u32> = (0..batch.len() as u32).collect();
+    rows.sort_by(|&a, &b| {
+        keys.iter()
+            .map(|k| k[a as usize].cmp(&k[b as usize]))
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    let mut groups: Vec<(String, &[u32])> = rows
+        .chunk_by(|&a, &b| same_group(a, b))
+        .map(|members| {
+            // rendered once per group, for the output order only
+            ev.count_decoded(keys.len() as u64);
+            let rendered = keys
+                .iter()
+                .map(|k| format!("{:?}|", cells.term(k[members[0] as usize])))
+                .collect();
+            (rendered, members)
+        })
+        .collect();
+    groups.sort_by(|a, b| a.0.cmp(&b.0));
+
+    for (_, members) in &groups {
+        let first = members[0] as usize;
+        for (v, column) in table.iter_mut().enumerate() {
+            column.push(batch.col(VarId(v as u16))[first]);
+        }
+        for item in items {
+            if let SelectItem::Aggregate { agg, alias } = item {
+                let cell = eval_aggregate(ev, cells, agg, members, batch);
+                if let Some(last) = table[alias.0 as usize].last_mut() {
+                    *last = cell;
+                }
+            }
+        }
     }
-    Ok(rows)
+    (table, groups.len())
 }
 
-fn eval_aggregate(agg: &Aggregate, members: &[Binding]) -> Option<Term> {
+/// The cell of one aggregate over one group's rows.
+fn eval_aggregate(
+    ev: &Evaluator<'_>,
+    cells: &mut Cells<'_>,
+    agg: &Aggregate,
+    members: &[u32],
+    batch: &Batch,
+) -> u32 {
+    // the bound cells of `var` across the group, in row order
+    let bound = |var: &VarId| {
+        let column = batch.col(*var);
+        members.iter().map(move |&row| column[row as usize]).filter(|&c| c != UNBOUND)
+    };
     match agg {
-        Aggregate::Count { distinct, var } => {
-            let n = match var {
-                None => members.len(),
-                Some(v) => {
-                    let iter = members.iter().filter_map(|b| b[v.0 as usize].as_ref());
-                    if *distinct {
-                        iter.collect::<HashSet<_>>().len()
-                    } else {
-                        iter.count()
-                    }
-                }
-            };
-            Some(Term::integer(n as i64))
+        Aggregate::Count { var: None, .. } => cells.mint(Term::integer(members.len() as i64)),
+        Aggregate::Count { distinct: false, var: Some(v) } => {
+            cells.mint(Term::integer(bound(v).count() as i64))
+        }
+        Aggregate::Count { distinct: true, var: Some(v) } => {
+            let mut ids: Vec<u32> = bound(v).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            cells.mint(Term::integer(ids.len() as i64))
         }
         Aggregate::Sum(v) | Aggregate::Avg(v) => {
-            let values: Vec<f64> = members
-                .iter()
-                .filter_map(|b| b[v.0 as usize].as_ref())
-                .filter_map(|t| t.as_literal().and_then(|l| l.as_f64()))
-                .collect();
-            if values.is_empty() {
-                return Some(Term::double(0.0));
+            let (mut sum, mut n) = (0.0, 0usize);
+            for value in bound(v).filter_map(|c| cells.term(c).and_then(numeric)) {
+                sum += value;
+                n += 1;
             }
-            let sum: f64 = values.iter().sum();
-            Some(Term::double(if matches!(agg, Aggregate::Avg(_)) {
-                sum / values.len() as f64
-            } else {
-                sum
-            }))
+            ev.count_decoded(bound(v).count() as u64);
+            let mean = matches!(agg, Aggregate::Avg(_)) && n > 0;
+            cells.mint(Term::double(if mean { sum / n as f64 } else { sum }))
         }
         Aggregate::Min(v) | Aggregate::Max(v) => {
-            let mut best: Option<&Term> = None;
-            for b in members {
-                if let Some(t) = b[v.0 as usize].as_ref() {
-                    best = Some(match best {
-                        None => t,
-                        Some(cur) => {
-                            let ord = compare_terms(Some(t), Some(cur));
-                            let take = if matches!(agg, Aggregate::Min(_)) {
-                                ord == Ordering::Less
-                            } else {
-                                ord == Ordering::Greater
-                            };
-                            if take {
-                                t
-                            } else {
-                                cur
-                            }
-                        }
-                    });
+            let wanted =
+                if matches!(agg, Aggregate::Min(_)) { Ordering::Less } else { Ordering::Greater };
+            let mut best = UNBOUND;
+            for cell in bound(v) {
+                ev.count_decoded(1);
+                if best == UNBOUND || compare_terms(cells.term(cell), cells.term(best)) == wanted {
+                    best = cell;
                 }
             }
-            best.cloned()
-        }
-    }
-}
-
-/// Variables the solution modifiers can observe: projected variables,
-/// aggregate inputs, GROUP BY keys, and ORDER BY expression variables.
-/// The encoded evaluator decodes exactly these slots.
-pub(crate) fn used_variables(query: &Query, select: &SelectQuery) -> Vec<bool> {
-    let nvars = query.variables.len();
-    let mut used = vec![false; nvars];
-    match &select.projection {
-        Projection::Star => used.iter_mut().for_each(|u| *u = true),
-        Projection::Items(items) => {
-            for item in items {
-                match item {
-                    SelectItem::Var(v) => used[v.0 as usize] = true,
-                    SelectItem::Aggregate { agg, .. } => match agg {
-                        Aggregate::Count { var, .. } => {
-                            if let Some(v) = var {
-                                used[v.0 as usize] = true;
-                            }
-                        }
-                        Aggregate::Sum(v)
-                        | Aggregate::Avg(v)
-                        | Aggregate::Min(v)
-                        | Aggregate::Max(v) => used[v.0 as usize] = true,
-                    },
-                }
-            }
-        }
-    }
-    for v in &select.group_by {
-        used[v.0 as usize] = true;
-    }
-    for key in &select.order_by {
-        collect_expr_vars(&key.expr, &mut used);
-    }
-    used
-}
-
-fn collect_expr_vars(expr: &Expr, used: &mut [bool]) {
-    match expr {
-        Expr::Var(v) => used[v.0 as usize] = true,
-        Expr::Const(_) => {}
-        Expr::Not(e) | Expr::Neg(e) => collect_expr_vars(e, used),
-        Expr::Binary(_, l, r) => {
-            collect_expr_vars(l, used);
-            collect_expr_vars(r, used);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                collect_expr_vars(a, used);
-            }
+            best
         }
     }
 }

@@ -6,8 +6,9 @@
 //! textual order with no join reordering. It is deliberately simple and
 //! kept as the semantic oracle for the executor in [`crate::eval`] — the
 //! `encoded_vs_reference` property tests require the two to produce the
-//! same solutions, as a multiset — and as the baseline arm of the query
-//! benchmarks.
+//! same solutions, as a multiset. The solution modifiers ([`project`]) are
+//! the oracle's own too, over whole decoded rows: the executor's run on ids
+//! (`crate::project`), and the same suite holds one to the other.
 //!
 //! Like the executor, it honours an optional [`QueryGovernor`]:
 //! the row loops call a boundary check per element and per scanned
@@ -17,13 +18,21 @@
 use lids_exec::QueryGovernor;
 use lids_rdf::{GraphName, QuadPattern, StoreSnapshot, Term};
 
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashSet};
+
 use crate::ast::*;
-use crate::expr::filter_passes;
-use crate::project::{project, Binding};
+use crate::expr::{compare_terms, eval_expr, filter_passes, numeric};
 use crate::results::{Solutions, SparqlError};
 
+/// A decoded partial solution: one optional term per query variable.
+type Binding = Vec<Option<Term>>;
+
 /// Evaluate a parsed query with the reference engine, ungoverned.
-pub fn evaluate(store: &StoreSnapshot, query: &Query) -> Result<Solutions, SparqlError> {
+pub fn evaluate(
+    store: &StoreSnapshot,
+    query: &Query,
+) -> Result<Solutions<'static>, SparqlError> {
     evaluate_governed(store, query, None)
 }
 
@@ -33,22 +42,17 @@ pub fn evaluate_governed(
     store: &StoreSnapshot,
     query: &Query,
     governor: Option<&QueryGovernor>,
-) -> Result<Solutions, SparqlError> {
+) -> Result<Solutions<'static>, SparqlError> {
     let nvars = query.variables.len();
     match &query.form {
         QueryForm::Ask(pattern) => {
             let bindings = eval_group(store, pattern, vec![vec![None; nvars]], None, governor)?;
-            Ok(Solutions {
-                columns: Vec::new(),
-                rows: Vec::new(),
-                ask: Some(!bindings.is_empty()),
-                truncated: false,
-            })
+            Ok(Solutions::ask(!bindings.is_empty()))
         }
         QueryForm::Select(select) => {
             let bindings =
                 eval_group(store, &select.pattern, vec![vec![None; nvars]], None, governor)?;
-            project(query, select, bindings)
+            Ok(project(query, select, bindings))
         }
     }
 }
@@ -102,7 +106,7 @@ fn eval_group(
             }
             PatternElement::Filter(expr) => bindings
                 .into_iter()
-                .filter(|b| filter_passes(&|v: VarId| b[v.0 as usize].clone(), expr))
+                .filter(|b| filter_passes(&|v: VarId| b[v.0 as usize].as_ref(), expr))
                 .collect(),
             PatternElement::Optional(inner) => {
                 let mut next = Vec::new();
@@ -228,5 +232,161 @@ fn unify(node: &NodePattern, term: &Term, binding: &mut Binding) -> bool {
             }
             _ => false,
         },
+    }
+}
+
+// -------------------------------------------------------------- modifiers
+
+/// The solution modifiers over decoded rows, in SPARQL's order: GROUP BY /
+/// aggregates, ORDER BY, projection, DISTINCT, OFFSET/LIMIT.
+fn project(query: &Query, select: &SelectQuery, bindings: Vec<Binding>) -> Solutions<'static> {
+    let items: Vec<SelectItem> = match &select.projection {
+        Projection::Star => (0..query.variables.len())
+            .map(|i| SelectItem::Var(VarId(i as u16)))
+            .collect(),
+        Projection::Items(items) => items.clone(),
+    };
+    let projected: Vec<usize> = items
+        .iter()
+        .map(|i| match i {
+            SelectItem::Var(v) | SelectItem::Aggregate { alias: v, .. } => v.0 as usize,
+        })
+        .collect();
+    let columns = projected.iter().map(|&v| query.variables[v].clone()).collect();
+    let aggregated = items.iter().any(|i| matches!(i, SelectItem::Aggregate { .. }));
+
+    // whole rows, one slot per query variable: an aggregate's result goes
+    // into its alias's slot, so ORDER BY sees it like any other variable
+    let mut rows = if aggregated || !select.group_by.is_empty() {
+        aggregate_rows(select, &items, query.variables.len(), bindings)
+    } else {
+        bindings
+    };
+
+    // ORDER BY comes before projection: a key need not be projected
+    if !select.order_by.is_empty() {
+        rows.sort_by(|a, b| {
+            for key in &select.order_by {
+                let va = eval_expr(&|v: VarId| a[v.0 as usize].as_ref(), &key.expr);
+                let vb = eval_expr(&|v: VarId| b[v.0 as usize].as_ref(), &key.expr);
+                let ord = compare_terms(va.as_deref().ok(), vb.as_deref().ok());
+                let ord = if key.descending { ord.reverse() } else { ord };
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+            Ordering::Equal
+        });
+    }
+
+    let mut rows: Vec<Vec<Option<Term>>> = rows
+        .iter()
+        .map(|row| projected.iter().map(|&v| row[v].clone()).collect())
+        .collect();
+
+    if select.distinct {
+        let mut seen = HashSet::new();
+        rows.retain(|r| seen.insert(r.clone()));
+    }
+
+    let offset = select.offset.unwrap_or(0);
+    rows.drain(..offset.min(rows.len()));
+    if let Some(limit) = select.limit {
+        rows.truncate(limit);
+    }
+
+    Solutions::from_terms(columns, rows)
+}
+
+/// One whole row per group: the group's first binding, with every
+/// aggregate's result in its alias's slot.
+fn aggregate_rows(
+    select: &SelectQuery,
+    items: &[SelectItem],
+    nvars: usize,
+    bindings: Vec<Binding>,
+) -> Vec<Binding> {
+    // Group key: rendered group-by values (terms compare via Debug ordering;
+    // BTreeMap keeps output deterministic).
+    let mut groups: BTreeMap<String, Vec<Binding>> = BTreeMap::new();
+    for b in bindings {
+        let key: String = select
+            .group_by
+            .iter()
+            .map(|v| format!("{:?}|", b[v.0 as usize]))
+            .collect();
+        groups.entry(key).or_default().push(b);
+    }
+    // no solutions: one group over nothing (COUNT = 0, the rest unbound)
+    if groups.is_empty() {
+        let mut row = vec![None; nvars];
+        for item in items {
+            if let SelectItem::Aggregate { agg: Aggregate::Count { .. }, alias } = item {
+                row[alias.0 as usize] = Some(Term::integer(0));
+            }
+        }
+        return vec![row];
+    }
+
+    groups
+        .into_values()
+        .map(|members| {
+            let mut row = members[0].clone();
+            for item in items {
+                if let SelectItem::Aggregate { agg, alias } = item {
+                    row[alias.0 as usize] = eval_aggregate(agg, &members);
+                }
+            }
+            row
+        })
+        .collect()
+}
+
+fn eval_aggregate(agg: &Aggregate, members: &[Binding]) -> Option<Term> {
+    match agg {
+        Aggregate::Count { distinct, var } => {
+            let n = match var {
+                None => members.len(),
+                Some(v) => {
+                    let iter = members.iter().filter_map(|b| b[v.0 as usize].as_ref());
+                    if *distinct {
+                        iter.collect::<HashSet<_>>().len()
+                    } else {
+                        iter.count()
+                    }
+                }
+            };
+            Some(Term::integer(n as i64))
+        }
+        Aggregate::Sum(v) | Aggregate::Avg(v) => {
+            let values: Vec<f64> = members
+                .iter()
+                .filter_map(|b| b[v.0 as usize].as_ref())
+                .filter_map(numeric)
+                .collect();
+            if values.is_empty() {
+                return Some(Term::double(0.0));
+            }
+            let sum: f64 = values.iter().sum();
+            Some(Term::double(if matches!(agg, Aggregate::Avg(_)) {
+                sum / values.len() as f64
+            } else {
+                sum
+            }))
+        }
+        Aggregate::Min(v) | Aggregate::Max(v) => {
+            let wanted = if matches!(agg, Aggregate::Min(_)) {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            };
+            let mut best: Option<&Term> = None;
+            for t in members.iter().filter_map(|b| b[v.0 as usize].as_ref()) {
+                if best.is_none_or(|cur| compare_terms(Some(t), Some(cur)) == wanted) {
+                    best = Some(t);
+                }
+            }
+            best.cloned()
+        }
     }
 }

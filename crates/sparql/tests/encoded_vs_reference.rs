@@ -486,7 +486,7 @@ fn elem_spec(depth: u32) -> BoxedStrategy<ElemSpec> {
 }
 
 fn rows_of(solutions: &Solutions) -> Vec<Vec<Option<Term>>> {
-    solutions.rows.clone()
+    solutions.to_terms()
 }
 
 fn sorted_rows(solutions: &Solutions) -> Vec<String> {

@@ -147,3 +147,48 @@ fn numeric_comparison_across_datatypes() {
     let r = query(&s, "SELECT ?x WHERE { ?x <age> ?a . FILTER(?a >= 35.5) } ORDER BY ?x").unwrap();
     assert_eq!(r.len(), 2); // b (40 int) and d (35.5 double)
 }
+
+/// Five subjects inserted in an order that is not their age order.
+fn ages() -> QuadStore {
+    let mut s = QuadStore::new();
+    for (i, age) in [50, 10, 30, 20, 40].into_iter().enumerate() {
+        s.insert(&Quad::new(
+            Term::iri(format!("x{}", i + 1)),
+            Term::iri("age"),
+            Term::integer(age),
+        ));
+    }
+    s
+}
+
+fn xs(r: &lids_sparql::Solutions) -> Vec<String> {
+    (0..r.len()).map(|i| r.get_str(i, "x").unwrap().into_owned()).collect()
+}
+
+#[test]
+fn order_by_an_unprojected_variable_sorts() {
+    let s = ages();
+    // ORDER BY comes before projection: ?a orders the rows although only
+    // ?x leaves
+    let r = query(&s, "SELECT ?x WHERE { ?x <age> ?a } ORDER BY ?a").unwrap();
+    assert_eq!(xs(&r), ["x2", "x4", "x3", "x5", "x1"]);
+    let both = query(&s, "SELECT ?x ?a WHERE { ?x <age> ?a } ORDER BY ?a").unwrap();
+    assert_eq!(xs(&both), xs(&r));
+    let oracle = lids_sparql::reference::evaluate(
+        &s,
+        &lids_sparql::parse_query("SELECT ?x WHERE { ?x <age> ?a } ORDER BY ?a").unwrap(),
+    )
+    .unwrap();
+    assert_eq!(xs(&oracle), xs(&r));
+}
+
+#[test]
+fn order_by_an_unprojected_variable_picks_the_limit() {
+    let s = ages();
+    let text = "SELECT ?x WHERE { ?x <age> ?a } ORDER BY DESC(?a) LIMIT 2";
+    let r = query(&s, text).unwrap();
+    assert_eq!(xs(&r), ["x1", "x5"]);
+    let oracle =
+        lids_sparql::reference::evaluate(&s, &lids_sparql::parse_query(text).unwrap()).unwrap();
+    assert_eq!(xs(&oracle), ["x1", "x5"]);
+}

@@ -522,3 +522,222 @@ fn reader_backend_answers_discovery_under_live_deltas() {
     }
     assert!(states[0] > 0 && states[1] > 0, "both lake states were served: {states:?}");
 }
+
+// ------------------------------------------------------------ wire parity
+//
+// The server writes a query answer's cells straight from ids into the
+// response body. The contract it keeps: the bytes are those of
+// `serde_json::to_string` of the `QueryResponse` built from the in-process
+// `DataFrame` of the same query on the same generation.
+
+/// The generated lake `tests/end_to_end.rs` bootstraps.
+fn lake_platform() -> (kglids_repro::datagen::Lake, KgLids) {
+    let lake = kglids_repro::datagen::LakeSpec::tus_small().scaled(0.25).generate();
+    let (platform, _) = KgLidsBuilder::new()
+        .with_dataset(Dataset::new(lake.name.clone(), lake.tables.clone()))
+        .bootstrap();
+    (lake, platform)
+}
+
+/// POST `text` to `/v1/query` and require the body read off the socket to
+/// be, byte for byte, the serialized response of `local` (the in-process
+/// answer) — `request_id` and `elapsed_us` are the server's to choose and
+/// are taken from the body, which is returned.
+fn assert_query_bytes(
+    client: &mut Client,
+    text: &str,
+    limits: Option<lids_server::WireLimits>,
+    local: kglids::DataFrame,
+    generation: u64,
+) -> String {
+    let request = lids_server::QueryRequest { query: text.to_string(), limits };
+    let (status, body) = client
+        .request_raw("POST", "/v1/query", &serde_json::to_string(&request).expect("serializes"))
+        .expect("query over http");
+    assert_eq!(status, 200, "{body}");
+    let wire: lids_server::QueryResponse = serde_json::from_str(&body).expect("body decodes");
+    assert!(wire.request_id.starts_with("req-"));
+    let expected = lids_server::QueryResponse {
+        api: API_VERSION.to_string(),
+        request_id: wire.request_id.clone(),
+        columns: local.columns,
+        rows: local.rows,
+        truncated: local.truncated,
+        generation,
+        elapsed_us: wire.elapsed_us,
+    };
+    assert_eq!(body, serde_json::to_string(&expected).expect("serializes"), "query: {text}");
+    body
+}
+
+#[test]
+fn query_bodies_are_the_serialized_in_process_answers() {
+    let (lake, platform) = lake_platform();
+    let platform = Arc::new(platform);
+    let table = kglids_repro::kg::ontology::res::table(&lake.name, &lake.query_tables[0]);
+    let point = format!(
+        "PREFIX k: <http://kglids.org/ontology/> \
+         PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#> \
+         SELECT ?c ?l WHERE {{ <{table}> k:hasColumn ?c . ?c rdfs:label ?l . }}"
+    );
+    let union2hop = format!(
+        "PREFIX k: <http://kglids.org/ontology/> \
+         SELECT ?other ?s WHERE {{ \
+            <{table}> k:hasColumn ?ca . ?ca k:hasContentSimilarity ?cb . \
+            ?cb k:isPartOf ?other . \
+            << ?ca k:hasContentSimilarity ?cb >> k:withCertainty ?s . }}"
+    );
+    let empty = "SELECT ?x ?y WHERE { ?x <urn:never:asserted> ?y }";
+    let unbound = "PREFIX k: <http://kglids.org/ontology/> \
+         SELECT ?t ?missing WHERE { ?t a k:Table . OPTIONAL { ?t k:neverAsserted ?missing } }";
+    let texts = [kglids::SEARCH_TABLES_QUERY, &union2hop, &point, empty, unbound];
+    let cap = lids_server::WireLimits { row_cap: Some(3), ..Default::default() };
+
+    let reader = platform.reader();
+    let snapshot = reader.snapshot();
+    for backend in [Backend::Platform(Arc::clone(&platform)), Backend::Reader(reader.clone())] {
+        let on_platform = matches!(backend, Backend::Platform(_));
+        let server = LidsServer::start(backend, "127.0.0.1:0", ServerConfig::default())
+            .expect("server binds");
+        let mut client = Client::connect(server.addr().to_string());
+        for text in texts {
+            let local = if on_platform {
+                platform.query(text)
+            } else {
+                reader.query_at(&snapshot, text, kglids::EvalOptions::default())
+            }
+            .expect("in process");
+            assert_query_bytes(&mut client, text, None, local, snapshot.generation());
+        }
+        // a row cap that bites: the truncated marker and the rows that
+        // survived it are the in-process ones
+        let local = reader
+            .query_at(&snapshot, kglids::SEARCH_TABLES_QUERY, cap.to_eval_options())
+            .expect("in process");
+        assert!(local.truncated && local.len() <= 3);
+        let limits = Some(cap.clone());
+        let text = kglids::SEARCH_TABLES_QUERY;
+        assert_query_bytes(&mut client, text, limits, local, snapshot.generation());
+        server.shutdown();
+    }
+    // the answers above were not vacuous
+    assert!(platform.query(kglids::SEARCH_TABLES_QUERY).expect("star").len() > 10);
+    assert!(!platform.query(&union2hop).expect("union2hop").is_empty());
+    assert!(platform.query(unbound).expect("optional").rows.iter().all(|r| r[1].is_empty()));
+}
+
+/// Terms that need every branch of the body writer: each JSON escape, text
+/// that needs none, and the two term kinds whose text is built, not held.
+#[test]
+fn hostile_terms_cross_the_wire_byte_for_byte() {
+    let mut store = QuadStore::new();
+    let p = Term::iri("http://x/says");
+    let objects = [
+        Term::string("a \"quoted\" word"),
+        Term::string("back\\slash"),
+        Term::string("line\nfeed\rreturn\ttab"),
+        Term::string("bell \u{7} escape \u{1b} unit \u{1f}"),
+        Term::string("naïve café — 数据湖 😀"),
+        Term::BNode("b0".into()),
+        Term::quoted(Term::iri("http://x/a"), Term::iri("http://x/sim"), Term::string("o\"o")),
+        Term::string(""),
+    ];
+    for (i, object) in objects.iter().enumerate() {
+        store.insert(&Quad::new(Term::iri(format!("http://x/s{i}")), p.clone(), object.clone()));
+    }
+    // a quoted triple in subject position, and a blank node as subject
+    store.insert(&Quad::new(objects[6].clone(), Term::iri("http://x/score"), Term::double(0.5)));
+    store.insert(&Quad::new(objects[5].clone(), p.clone(), Term::boolean(true)));
+
+    let reader = kglids::LidsReader::for_store(&store);
+    let server =
+        LidsServer::start(Backend::Reader(reader.clone()), "127.0.0.1:0", ServerConfig::default())
+            .expect("server binds");
+    let mut client = Client::connect(server.addr().to_string());
+    let snapshot = reader.snapshot();
+    for text in [
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
+        "SELECT ?o ?v WHERE { ?s <http://x/says> ?o . OPTIONAL { ?o <http://x/score> ?v } } ORDER BY ?o",
+    ] {
+        let local =
+            reader.query_at(&snapshot, text, kglids::EvalOptions::default()).expect("in process");
+        assert_eq!(local.len(), if text.contains("OPTIONAL") { 9 } else { 10 });
+        let body = assert_query_bytes(&mut client, text, None, local, snapshot.generation());
+        // parity holds the body to the serializer; these hold both to JSON
+        for escaped in [
+            r#"a \"quoted\" word"#,
+            r"back\\slash",
+            r"line\nfeed\rreturn\ttab",
+            r"bell \u0007 escape \u001b unit \u001f",
+            "naïve café — 数据湖 😀",
+            "_:b0",
+            r#"<< http://x/a http://x/sim o\"o >>"#,
+        ] {
+            assert!(body.contains(escaped), "{escaped} missing from {body}");
+        }
+        assert!(!body.contains("null"), "an unbound cell is an empty string: {body}");
+    }
+    server.shutdown();
+}
+
+/// Discovery answers over the wire are the in-process `Discovery` answers
+/// field for field — ranked hits with their exact scores, search rows in
+/// order — before a delta and after it.
+#[test]
+fn discovery_answers_match_in_process_before_and_after_a_delta() {
+    let (lake, mut platform) = lake_platform();
+    let server = LidsServer::start(
+        Backend::Reader(platform.reader()),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("server binds");
+    let mut client = Client::connect(server.addr().to_string());
+
+    let mut check = |platform: &KgLids| {
+        let generation = platform.store().generation();
+        for table in lake.query_tables.iter().take(4) {
+            let req = TableHitsRequest {
+                dataset: lake.name.clone(),
+                table: table.clone(),
+                ..TableHitsRequest::default()
+            };
+            let d = platform.discovery();
+            for (wire, local) in [
+                (client.unionable_tables(&req), d.unionable_tables(&lake.name, table)),
+                (client.joinable_tables(&req), d.joinable_tables(&lake.name, table)),
+            ] {
+                let (wire, local) = (wire.expect("over http"), local.expect("in process"));
+                assert_eq!(wire.generation, generation);
+                let wire: Vec<_> =
+                    wire.hits.into_iter().map(|h| (h.dataset, h.table, h.score)).collect();
+                let local: Vec<_> =
+                    local.into_iter().map(|h| (h.dataset, h.table, h.score)).collect();
+                assert!(!local.is_empty(), "no hits for {table}");
+                assert_eq!(wire, local, "hits for {table}");
+            }
+        }
+        for keyword in ["a", "id", "zzz-no-such-label"] {
+            let wire = client
+                .search(&SearchRequest { conditions: vec![vec![keyword.into()]], limits: None })
+                .expect("search over http");
+            let local = platform.discovery().search(&[&[keyword]]).expect("in process");
+            assert_eq!(wire.generation, generation);
+            assert_eq!(wire.to_dataframe(), local, "search for {keyword}");
+        }
+    };
+    check(&platform);
+    // a re-upload of one query table under another dataset name: a new
+    // unionable twin for it, and one more table for every search
+    let twin = lake.tables.iter().find(|t| t.name == lake.query_tables[0]).expect("in the lake");
+    let before = platform.store().generation();
+    platform.apply_delta(DeltaBatch::new().add_dataset(Dataset::new("reupload", vec![twin.clone()])));
+    assert!(platform.store().generation() > before);
+    check(&platform);
+    let hits = platform
+        .discovery()
+        .unionable_tables(&lake.name, &lake.query_tables[0])
+        .expect("in process");
+    assert!(hits.iter().any(|h| h.dataset == "reupload"), "the delta is visible: {hits:?}");
+    server.shutdown();
+}

@@ -246,14 +246,15 @@ fn prepared_query_recompiles_after_ingest_not_stale() {
 
     let text = "SELECT ?s WHERE { ?s <urn:p:0> <urn:o:0> . }";
     let prepared = cache.prepare(text).expect("parse");
-    let first = prepared.execute(&store.snapshot()).expect("first run");
-    assert_eq!(first.rows.len(), 1);
+    // an answer borrows the snapshot it ran on: count it while that lives
+    let first = prepared.execute(&store.snapshot()).expect("first run").len();
+    assert_eq!(first, 1);
 
     // ingest publishes a new generation with one more matching row
     store.extend([quad(1, 0, 0)]);
     let again = cache.prepare(text).expect("cache hit");
-    let second = again.execute(&store.snapshot()).expect("second run");
-    assert_eq!(second.rows.len(), 2, "stale plan reused: new data not visible");
+    let second = again.execute(&store.snapshot()).expect("second run").len();
+    assert_eq!(second, 2, "stale plan reused: new data not visible");
 
     let stats = cache.stats();
     assert_eq!(stats.parses, 1, "parse should be reused across generations");
@@ -277,7 +278,7 @@ fn pinned_snapshot_query_is_isolated_from_ingest() {
     store.extend([quad(1, 0, 0), quad(2, 0, 0)]);
 
     let old_view = prepared.execute(&pinned).expect("pinned run");
-    assert_eq!(old_view.rows.len(), 1, "pinned snapshot leaked newer writes");
-    let new_view = prepared.execute(&store.snapshot()).expect("fresh run");
-    assert_eq!(new_view.rows.len(), 3);
+    assert_eq!(old_view.len(), 1, "pinned snapshot leaked newer writes");
+    let new_view = prepared.execute(&store.snapshot()).expect("fresh run").len();
+    assert_eq!(new_view, 3);
 }
