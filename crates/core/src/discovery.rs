@@ -424,11 +424,11 @@ impl<'a> Discovery<'a> {
         to: (&str, &str),
     ) -> LidsResult<Option<JoinPath>> {
         self.validate()?;
+        let adjacency = self.join_graph()?;
         // a table is at distance zero from itself, in the lake or not
         if from == to {
             return Ok(Some(JoinPath { tables: vec![short_name(&res::table(to.0, to.1))] }));
         }
-        let adjacency = self.join_graph()?;
         let (Some(start), Some(goal)) = (self.table_id(from.0, from.1), self.table_id(to.0, to.1))
         else {
             return Ok(None);

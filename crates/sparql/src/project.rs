@@ -17,13 +17,13 @@
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
-use lids_rdf::{StoreSnapshot, Term, TermId};
+use lids_rdf::{StoreSnapshot, Term};
 
 use crate::ast::*;
 use crate::batch::Batch;
 use crate::eval::Evaluator;
 use crate::expr::{compare_terms, eval_expr, numeric};
-use crate::results::{IdRows, Solutions, SparqlError, UNBOUND};
+use crate::results::{cell_term, IdRows, Solutions, SparqlError, UNBOUND};
 
 /// The answer's cell space: dictionary ids, then the terms minted for this
 /// answer, numbered from the dictionary's length.
@@ -35,14 +35,7 @@ struct Cells<'a> {
 
 impl<'a> Cells<'a> {
     fn term(&self, cell: u32) -> Option<&Term> {
-        if cell == UNBOUND {
-            return None;
-        }
-        let dict_len = self.store.term_count();
-        Some(match (cell as usize).checked_sub(dict_len) {
-            None => self.store.term(TermId(cell)),
-            Some(i) => &self.minted[i],
-        })
+        cell_term(Some(self.store.dictionary()), &self.minted, cell)
     }
 
     /// The cell of a computed term: its dictionary id when the store holds
@@ -209,10 +202,10 @@ fn dense_ranks<T>(items: &[T], compare: impl Fn(&T, &T) -> Ordering) -> Vec<u32>
     ranks
 }
 
-/// One row per group, as columns over every query variable: the cells of
+/// One row per group, as columns over every query variable — the cells of
 /// the group's first row, with each aggregate's result under its alias —
-/// and how many groups there are.
-/// Groups come out ordered by their rendered keys, as the reference's do.
+/// and the number of groups. Groups come out ordered by their rendered
+/// keys, as the reference's do.
 fn aggregate_rows(
     ev: &Evaluator<'_>,
     cells: &mut Cells<'_>,
@@ -303,11 +296,13 @@ fn eval_aggregate(
         }
         Aggregate::Sum(v) | Aggregate::Avg(v) => {
             let (mut sum, mut n) = (0.0, 0usize);
-            for value in bound(v).filter_map(|c| cells.term(c).and_then(numeric)) {
-                sum += value;
-                n += 1;
+            for term in bound(v).filter_map(|c| cells.term(c)) {
+                ev.count_decoded(1);
+                if let Some(value) = numeric(term) {
+                    sum += value;
+                    n += 1;
+                }
             }
-            ev.count_decoded(bound(v).count() as u64);
             let mean = matches!(agg, Aggregate::Avg(_)) && n > 0;
             cells.mint(Term::double(if mean { sum / n as f64 } else { sum }))
         }

@@ -187,15 +187,7 @@ impl<'a> Solutions<'a> {
 
     /// The term a cell of [`Self::rows`] stands for (`None` = unbound).
     pub fn term(&self, cell: u32) -> Option<&Term> {
-        if cell == UNBOUND {
-            return None;
-        }
-        let cell = cell as usize;
-        Some(match self.dict {
-            Some(dict) if cell < dict.len() => dict.term(TermId(cell as u32)),
-            Some(dict) => &self.minted[cell - dict.len()],
-            None => &self.minted[cell],
-        })
+        cell_term(self.dict, &self.minted, cell)
     }
 
     /// The text a cell of [`Self::rows`] reads as — IRI, lexical form, `_:b`
@@ -241,6 +233,25 @@ impl<'a> Solutions<'a> {
             .map(|row| row.iter().map(|&cell| self.term(cell).cloned()).collect())
             .collect()
     }
+}
+
+/// The term behind a cell of an answer over `dict` and its `minted` terms:
+/// [`UNBOUND`] is none, a cell below the dictionary's length is that id's
+/// term, the rest count on into `minted`.
+pub(crate) fn cell_term<'t>(
+    dict: Option<&'t Dictionary>,
+    minted: &'t [Term],
+    cell: u32,
+) -> Option<&'t Term> {
+    if cell == UNBOUND {
+        return None;
+    }
+    let cell = cell as usize;
+    Some(match dict {
+        Some(dict) if cell < dict.len() => dict.term(TermId(cell as u32)),
+        Some(dict) => &minted[cell - dict.len()],
+        None => &minted[cell],
+    })
 }
 
 impl std::fmt::Debug for Solutions<'_> {
