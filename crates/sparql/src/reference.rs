@@ -6,7 +6,7 @@
 //! textual order with no join reordering. It is deliberately simple and
 //! kept as the semantic oracle for the executor in [`crate::eval`] — the
 //! `encoded_vs_reference` property tests require the two to produce the
-//! same solutions, as a multiset. The solution modifiers ([`project`]) are
+//! same solutions, as a multiset. The solution modifiers (`project`, below) are
 //! the oracle's own too, over whole decoded rows: the executor's run on ids
 //! (`crate::project`), and the same suite holds one to the other.
 //!
