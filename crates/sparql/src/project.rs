@@ -51,6 +51,7 @@ impl<'a> Cells<'a> {
         let cell = self.store.term_count() + self.minted.len();
         assert!(cell < UNBOUND as usize, "dictionary and minted terms fit the u32 cell space");
         let cell = cell as u32;
+        // once per distinct minted term: the table indexes it, the map finds it
         self.minted.push(term.clone());
         self.minted_cell.insert(term, cell);
         cell
