@@ -664,7 +664,6 @@ mod tests {
         p.discovery().search(&[&["age", "city"], &["travel"]]).unwrap();
         let after = p.plan_cache_stats();
         assert_eq!(after.parses, first.parses, "repeat discovery calls must not re-parse");
-        assert_eq!(after.compiles, first.compiles, "unchanged store must not re-plan");
         assert_eq!(after.hits(), first.hits() + 2);
     }
 

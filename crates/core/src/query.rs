@@ -4,7 +4,7 @@
 //! `QueryEnv::query` against one [`StoreSnapshot`]: [`KgLids`] passes its
 //! own store, a detached [`LidsReader`] the latest published snapshot, and
 //! both carry the same environment (plan cache, [`QueryGuardrails`],
-//! metrics registry), so a query shape parses once, trips the same
+//! metrics registry), so a query text parses once, trips the same
 //! quarantine and counts in the same registry whichever handle ran it.
 
 use std::sync::Arc;
@@ -61,8 +61,9 @@ impl Default for QueryGuardrails {
 /// it hands out.
 #[derive(Debug, Clone)]
 pub(crate) struct QueryEnv {
-    /// Prepared-query cache: every query text is lexed, parsed, and
-    /// planned at most once per shape and store snapshot.
+    /// Parse cache: a query text is parsed once while it stays cached
+    /// (each execution compiles it against its own snapshot). Also holds
+    /// the shape quarantine.
     pub(crate) plan_cache: Arc<PlanCache>,
     pub(crate) guardrails: QueryGuardrails,
     pub(crate) obs: Arc<Obs>,
@@ -84,7 +85,8 @@ impl QueryEnv {
     }
 
     /// Admission, the same for [`Self::query`] and [`Self::explain`]: a
-    /// quarantined shape fails fast, everything else gets its limits.
+    /// quarantined shape fails fast (the text is lexed into its shape only
+    /// while some shape is quarantined), everything else gets its limits.
     ///
     /// Limit precedence: per-call [`EvalOptions`] win, then `extra` fills
     /// deadline/budget, then the [`QueryGuardrails`] fill whatever is
@@ -195,8 +197,7 @@ impl QueryEnv {
     ) -> LidsResult<ExplainReport> {
         let effective = self.admit(sparql, EvalOptions::default(), None)?;
         let (_, report) = self.timed(|| {
-            let parsed = lids_sparql::parse_query(sparql)?;
-            let result = lids_sparql::evaluate_explained(snapshot, &parsed, effective);
+            let result = self.plan_cache.prepare(sparql)?.execute_explained(snapshot, effective);
             if let Err(SparqlError::Governed(trip)) = &result {
                 self.record_trip(sparql, trip.reason);
             }
@@ -218,10 +219,8 @@ impl QueryEnv {
         metrics.gauge_set("sparql.plan_cache.hits", cache.hits() as f64);
         metrics.gauge_set("sparql.plan_cache.misses", cache.misses as f64);
         metrics.gauge_set("sparql.plan_cache.parses", cache.parses as f64);
-        metrics.gauge_set("sparql.plan_cache.compiles", cache.compiles as f64);
         metrics.gauge_set("sparql.plan_cache.evictions", cache.evictions as f64);
         metrics.gauge_set("sparql.plan_cache.texts", cache.texts_len as f64);
-        metrics.gauge_set("sparql.plan_cache.shapes", cache.shapes_len as f64);
     }
 
     /// Run a query closure under the `query.*` metrics: every call counts
@@ -316,7 +315,7 @@ impl KgLids {
         Ok(solutions.ask.unwrap_or(false))
     }
 
-    /// Prepared-query cache counters (hits, misses, parses, compiles).
+    /// Parse-cache counters (hits, misses, parses, evictions).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.env.plan_cache.stats()
     }
@@ -337,7 +336,7 @@ impl KgLids {
 /// after every committed mutation, so a reader sees whole batches or
 /// nothing, never a torn intermediate. Queries run through the platform's
 /// own governed path and environment: the shared [`PlanCache`] (a query
-/// shape parses once across every reader and the platform itself), its
+/// text parses once across every reader and the platform itself), its
 /// [`QueryGuardrails`] and shape quarantine, and its metrics registry.
 ///
 /// The handle is `Clone + Send + Sync`: clone it once per serving
@@ -387,21 +386,7 @@ impl LidsReader {
         sparql: &str,
         options: EvalOptions,
     ) -> LidsResult<DataFrame> {
-        self.query_limited(snapshot, sparql, options, None)
-    }
-
-    /// [`Self::query_at`] with an extra [`QueryLimits`] layered in (the
-    /// server's per-request governance path): options win for
-    /// deadline/budget, the limits contribute the cancellation handle and
-    /// clock that options cannot carry.
-    pub fn query_limited(
-        &self,
-        snapshot: &StoreSnapshot,
-        sparql: &str,
-        options: EvalOptions,
-        extra: Option<&QueryLimits>,
-    ) -> LidsResult<DataFrame> {
-        let solutions = self.env.query(snapshot, sparql, options, extra)?;
+        let solutions = self.solutions_at(snapshot, sparql, options)?;
         Ok(DataFrame::from_solutions(&solutions))
     }
 
@@ -432,7 +417,7 @@ impl LidsReader {
         self.env.explain(snapshot, sparql)
     }
 
-    /// Shared plan-cache counters (hits, misses, parses, compiles).
+    /// Shared parse-cache counters (hits, misses, parses, evictions).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.env.plan_cache.stats()
     }

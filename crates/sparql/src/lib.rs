@@ -18,9 +18,10 @@
 //! as columnar binding batches from its root row through the solution
 //! modifiers and leaves as [`Solutions`] — still ids, decoded by whoever
 //! reads them — BGPs joined by the merge / probe / leapfrog operators, with
-//! [`PlanCache`] in front so a query shape parses and plans once. [`mod@reference`] is the naive
-//! decoded evaluator it is property-tested against, not a second way to run
-//! a query.
+//! [`PlanCache`] in front so a repeated query text parses once (it is compiled
+//! against the snapshot it runs on every time: under a microsecond, and never
+//! stale). [`mod@reference`] is the naive decoded evaluator it is
+//! property-tested against, not a second way to run a query.
 //!
 //! Scoping note: patterns outside `GRAPH` match the union of the default and
 //! all named graphs (the GraphDB-style dataset the paper queries, where each
@@ -43,8 +44,8 @@ pub mod results;
 
 pub use ast::Query;
 pub use eval::{
-    evaluate, evaluate_explained, evaluate_governed, evaluate_with, evaluate_with_stats,
-    EvalOptions, EvalOptionsBuilder, ExecStats,
+    evaluate, evaluate_explained, evaluate_governed, evaluate_with, EvalOptions,
+    EvalOptionsBuilder, ExecStats,
 };
 pub use explain::{ExplainReport, PatternPlan};
 pub use parser::parse_query;

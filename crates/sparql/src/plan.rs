@@ -1,37 +1,25 @@
-//! Prepared queries and the plan cache.
+//! Prepared queries, the parse cache and the shape quarantine.
 //!
-//! The discovery interfaces in `lids-core` issue the same handful of
-//! SPARQL texts over and over (`SEARCH_TABLES_QUERY` and friends), and
-//! until now every call re-lexed, re-parsed, and re-compiled the query
-//! against the store dictionary. [`PlanCache`] memoizes that work in
-//! two tiers:
+//! The discovery interfaces in `lids-core` issue the same SPARQL texts
+//! over and over (`SEARCH_TABLES_QUERY`, the per-table similarity texts),
+//! and [`PlanCache`] keeps them from being parsed each time: one LRU map,
+//! exact query text → shared parse. That is all it caches. Measured on a
+//! 0.93 M-quad lake, a parse is 1.8–4.6 µs and a hit 0.12 µs; *compiling*
+//! a parse against a snapshot's dictionary is 0.3–0.6 µs, so every
+//! [`PreparedQuery::execute`] compiles against the snapshot it is handed
+//! and no compiled plan is kept — a plan cannot be stale, whichever
+//! generations its executions pin. A formatting variant of a cached text
+//! is a different text and parses again.
 //!
-//! 1. **text tier** — exact query string → [`PreparedQuery`]. A repeat
-//!    call with byte-identical text does zero lexing, parsing, or
-//!    planning.
-//! 2. **shape tier** — on a text miss, the query is lexed once and
-//!    normalized to a *shape*: the token stream with every constant
-//!    (IRI, prefixed name, string, number) parameterized to a slot,
-//!    plus the vector of slot values. Texts that differ only in
-//!    whitespace, comments, or formatting share a shape and value
-//!    vector and reuse the cached parse; texts that differ in constants
-//!    share the shape but parse once per distinct value vector.
-//!
-//! A [`PreparedQuery`] additionally caches its *compiled* form (the
-//! dictionary-encoded pattern tree) keyed on the store's
-//! `(store_id, generation)` pair, so repeat executions against an
-//! unchanged store skip term interning and join-estimate lookups too.
-//! Any store mutation bumps the generation and transparently triggers
-//! a recompile on next use.
-//!
-//! Cache-effectiveness counters ([`PlanCacheStats`]) are exported
-//! through the `lids-obs` registry by `lids-core`, and back the
-//! "second execution of an identical query does zero parse/plan work"
-//! regression tests.
+//! The cache also holds the *shape quarantine*: query shapes (the token
+//! stream with every constant replaced by a slot) whose executions keep
+//! tripping the resource governor fail fast for a TTL. A text is lexed
+//! into its shape only when that can matter — after a trip, and at
+//! admission only while some shape is quarantined.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -39,17 +27,17 @@ use lids_exec::{Clock, QueryGovernor, SystemClock};
 use lids_rdf::StoreSnapshot;
 
 use crate::ast::Query;
-use crate::eval::{eval_compiled, Compiler, EncGroup, EvalOptions, ExecStats};
+use crate::eval::{evaluate_explained, evaluate_governed, EvalOptions, ExecStats};
+use crate::explain::ExplainReport;
 use crate::lexer::{tokenize, TokenKind};
 use crate::parser::parse_query;
 use crate::results::{Solutions, SparqlError};
 
 /// Default maximum distinct query texts kept (LRU-evicted beyond this).
 const MAX_TEXTS: usize = 512;
-/// Default maximum distinct shapes kept (LRU-evicted beyond this).
-const MAX_SHAPES: usize = 256;
-/// Maximum constant-vector variants kept per shape.
-const MAX_VARIANTS: usize = 8;
+/// Most shapes the quarantine keeps a record of. A client sending distinct
+/// slow shapes pushes out the oldest records below the threshold first.
+const MAX_OFFENSE_RECORDS: usize = 1024;
 
 /// Recover a mutex guard even if a panicking holder poisoned it — the
 /// caches hold plain data, so the worst a mid-panic writer leaves behind
@@ -58,48 +46,36 @@ fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Remove the entry ranked lowest. An O(len) scan: both tables are capped
+/// at about a thousand entries and this runs only on an insert past the cap.
+fn evict_min<V, R: Ord>(map: &mut HashMap<String, V>, rank: impl Fn(&V) -> R) -> bool {
+    let lowest = map.iter().min_by_key(|(_, v)| rank(v)).map(|(k, _)| k.clone());
+    lowest.is_some_and(|key| map.remove(&key).is_some())
+}
+
 // --------------------------------------------------------------- prepared
 
-/// Plan compiled against one store snapshot.
-struct CachedPlan {
-    store_id: u64,
-    generation: u64,
-    group: Arc<EncGroup>,
-}
-
-struct PreparedInner {
-    query: Query,
-    plan: Mutex<Option<CachedPlan>>,
-    /// Shared with the owning [`PlanCache`] so compiles are observable.
-    compiles: Arc<AtomicU64>,
-}
-
-/// A parsed query whose compiled plan is cached per store snapshot.
+/// A parsed query, shared behind an `Arc` (cheap to clone).
 ///
-/// Cheap to clone (shared behind an `Arc`); safe to hold across store
-/// mutations — the plan recompiles automatically when the store's
-/// generation moves.
+/// It holds the parse and nothing else: each execution compiles it against
+/// the snapshot it is handed, so one `PreparedQuery` is safe to hold across
+/// store mutations and to run from several threads on different pinned
+/// generations at once.
 #[derive(Clone)]
 pub struct PreparedQuery {
-    inner: Arc<PreparedInner>,
+    query: Arc<Query>,
 }
 
 impl PreparedQuery {
     /// Parse `text` into a standalone prepared query (not cached — use
     /// [`PlanCache::prepare`] to share parses across calls).
     pub fn parse(text: &str) -> Result<PreparedQuery, SparqlError> {
-        Ok(PreparedQuery::from_query(parse_query(text)?, Arc::new(AtomicU64::new(0))))
-    }
-
-    fn from_query(query: Query, compiles: Arc<AtomicU64>) -> PreparedQuery {
-        PreparedQuery {
-            inner: Arc::new(PreparedInner { query, plan: Mutex::new(None), compiles }),
-        }
+        Ok(PreparedQuery { query: Arc::new(parse_query(text)?) })
     }
 
     /// The parsed form.
     pub fn query(&self) -> &Query {
-        &self.inner.query
+        &self.query
     }
 
     /// Execute against `store` with default options.
@@ -113,25 +89,14 @@ impl PreparedQuery {
         store: &'a StoreSnapshot,
         options: EvalOptions,
     ) -> Result<Solutions<'a>, SparqlError> {
-        let group = self.plan_for(store);
-        eval_compiled(store, &self.inner.query, options, &group, None, None, None)
-    }
-
-    /// Execute, filling `stats` with per-operator execution counts.
-    pub fn execute_with_stats<'a>(
-        &self,
-        store: &'a StoreSnapshot,
-        options: EvalOptions,
-        stats: &ExecStats,
-    ) -> Result<Solutions<'a>, SparqlError> {
-        let group = self.plan_for(store);
-        eval_compiled(store, &self.inner.query, options, &group, None, Some(stats), None)
+        self.execute_governed(store, options, None, None)
     }
 
     /// Execute under an externally armed [`QueryGovernor`]: deadline,
     /// cancellation, and memory budget are enforced at batch/row
     /// boundaries, sharing the governor's accounting with any other
-    /// work charged against it.
+    /// work charged against it. `stats` is filled with per-operator
+    /// execution counts.
     pub fn execute_governed<'a>(
         &self,
         store: &'a StoreSnapshot,
@@ -139,197 +104,123 @@ impl PreparedQuery {
         governor: Option<&QueryGovernor>,
         stats: Option<&ExecStats>,
     ) -> Result<Solutions<'a>, SparqlError> {
-        let group = self.plan_for(store);
-        eval_compiled(store, &self.inner.query, options, &group, None, stats, governor)
+        evaluate_governed(store, &self.query, options, governor, stats)
     }
 
-    /// Compiled plan for this store snapshot, reusing the cached one
-    /// when `(store_id, generation)` still matches.
-    fn plan_for(&self, store: &StoreSnapshot) -> Arc<EncGroup> {
-        let mut slot = relock(&self.inner.plan);
-        if let Some(plan) = slot.as_ref() {
-            if plan.store_id == store.store_id() && plan.generation == store.generation() {
-                return Arc::clone(&plan.group);
-            }
-        }
-        let mut compiler = Compiler::new(store, &self.inner.query.variables, false);
-        let group = Arc::new(compiler.compile_query(&self.inner.query));
-        self.inner.compiles.fetch_add(1, Relaxed);
-        *slot = Some(CachedPlan {
-            store_id: store.store_id(),
-            generation: store.generation(),
-            group: Arc::clone(&group),
-        });
-        group
+    /// Execute with per-pattern instrumentation, returning the solutions
+    /// plus an [`ExplainReport`] of the executed plan.
+    pub fn execute_explained<'a>(
+        &self,
+        store: &'a StoreSnapshot,
+        options: EvalOptions,
+    ) -> Result<(Solutions<'a>, ExplainReport), SparqlError> {
+        evaluate_explained(store, &self.query, options)
     }
 }
 
-// ------------------------------------------------------------ shape keys
+// ------------------------------------------------------------- shape key
 
-/// Normalized token-stream shape plus the constants it parameterized
-/// out, in token order.
-struct Shape {
-    key: String,
-    values: Vec<String>,
-}
-
-/// Lex `text` and split it into a constant-free shape string and the
-/// slot-value vector. Errors propagate (the caller would fail the same
-/// way parsing).
-fn shape_of(text: &str) -> Result<Shape, SparqlError> {
+/// Lex `text` into its *shape*: the token stream with every constant (IRI,
+/// prefixed name, string, number) replaced by a slot, keywords lowercased.
+/// Texts that differ only in whitespace, comments, formatting or constants
+/// share a shape. The quarantine's key, and nothing else.
+fn shape_of(text: &str) -> Result<String, SparqlError> {
     let tokens = tokenize(text)?;
     let mut key = String::with_capacity(text.len() / 2);
-    let mut values = Vec::new();
     for token in &tokens {
         match &token.kind {
-            // constants → slots (the value participates in the variant
-            // key, so any classification here is correctness-neutral)
-            TokenKind::Iri(iri) => {
-                key.push_str("<>·");
-                values.push(format!("<{iri}>"));
-            }
-            TokenKind::PName(prefix, local) => {
-                key.push_str("pn·");
-                values.push(format!("{prefix}:{local}"));
-            }
-            TokenKind::String(s) => {
-                key.push_str("\"\"·");
-                values.push(s.clone());
-            }
-            TokenKind::Number(n) => {
-                key.push_str("#·");
-                values.push(n.clone());
-            }
-            // structure → verbatim
-            TokenKind::Var(v) => {
-                let _ = write!(key, "?{v}·");
-            }
+            TokenKind::Iri(_) => key.push_str("<>·"),
+            TokenKind::PName(..) => key.push_str("pn·"),
+            TokenKind::String(_) => key.push_str("\"\"·"),
+            TokenKind::Number(_) => key.push_str("#·"),
+            // keywords are case-insensitive
             TokenKind::Word(w) => {
-                // keywords are case-insensitive; normalize
                 let _ = write!(key, "{}·", w.to_ascii_lowercase());
             }
-            TokenKind::LangTag(l) => {
-                let _ = write!(key, "@{l}·");
-            }
-            TokenKind::BNode(b) => {
-                let _ = write!(key, "_:{b}·");
-            }
+            // variables, blank nodes, language tags, punctuation: verbatim
             other => {
                 let _ = write!(key, "{other:?}·");
             }
         }
     }
-    Ok(Shape { key, values })
+    Ok(key)
 }
 
 // ------------------------------------------------------------- the cache
 
-/// One cached entry plus its last-touch tick for LRU eviction.
-struct Stamped<T> {
+/// One cached parse plus its last-touch tick for LRU eviction.
+struct Stamped {
     tick: u64,
-    value: T,
+    prepared: PreparedQuery,
 }
-
-/// Constant-vector variants cached under one shape key.
-type ShapeVariants = Vec<(Vec<String>, PreparedQuery)>;
 
 #[derive(Default)]
-struct CacheMaps {
-    by_text: HashMap<String, Stamped<PreparedQuery>>,
-    by_shape: HashMap<String, Stamped<ShapeVariants>>,
-    /// Monotonic touch counter; bumped on every hit or insert.
+struct Texts {
+    by_text: HashMap<String, Stamped>,
+    /// Monotonic touch counter; bumped on every lookup.
     tick: u64,
+    /// Every lookup counts here, under the lock it already holds
+    /// (`texts_len` is filled in by [`PlanCache::stats`]).
+    stats: PlanCacheStats,
 }
 
-impl CacheMaps {
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-}
-
-/// Evict the least-recently-touched entry from `map` if it is at or
-/// over `capacity`. O(len) scan — capacities are small (hundreds) and
-/// eviction only runs on insert past capacity.
-fn evict_lru<T>(map: &mut HashMap<String, Stamped<T>>, capacity: usize, evictions: &AtomicU64) {
-    while map.len() >= capacity.max(1) {
-        let oldest = map
-            .iter()
-            .min_by_key(|(_, stamped)| stamped.tick)
-            .map(|(key, _)| key.clone());
-        match oldest {
-            Some(key) => {
-                map.remove(&key);
-                evictions.fetch_add(1, Relaxed);
-            }
-            None => break,
-        }
-    }
-}
-
-/// A query shape with a bad resource-governance record. Shapes whose
-/// queries repeatedly trip the governor get quarantined: the platform
-/// can fail them fast instead of burning a full deadline every time.
-struct PoisonEntry {
+/// One shape's resource-governance record. Shapes whose queries repeatedly
+/// trip the governor get quarantined: the platform can fail them fast
+/// instead of burning a full deadline every time.
+struct OffenseRecord {
     offenses: u32,
-    poisoned_until: Option<Instant>,
+    /// Set once `offenses` reaches the threshold.
+    quarantined: bool,
+    /// The last offense plus the TTL; past it the record — quarantine
+    /// included — no longer counts.
+    expires: Instant,
 }
 
 /// Cache-effectiveness counters, snapshot by [`PlanCache::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanCacheStats {
-    /// Exact-text hits (no lexing at all).
+    /// Exact-text hits (no lexing, no parsing).
     pub hits_text: u64,
-    /// Shape-tier hits (lexed once, parse reused).
-    pub hits_shape: u64,
-    /// Full misses.
+    /// Lookups that found no entry.
     pub misses: u64,
     /// Queries actually parsed.
     pub parses: u64,
-    /// Plans compiled against a store snapshot.
-    pub compiles: u64,
-    /// Entries dropped by LRU eviction (text + shape tiers combined).
+    /// Entries dropped by LRU eviction.
     pub evictions: u64,
     /// Distinct query texts currently cached.
     pub texts_len: usize,
-    /// Distinct query shapes currently cached.
-    pub shapes_len: usize,
 }
 
 impl PlanCacheStats {
-    /// Total cache hits across both tiers.
+    /// Total cache hits.
     pub fn hits(&self) -> u64 {
-        self.hits_text + self.hits_shape
+        self.hits_text
     }
 }
 
-/// Two-tier prepared-query cache. Thread-safe; share one per platform.
+/// Parse cache: exact query text → [`PreparedQuery`]. Thread-safe; share
+/// one per platform.
 ///
-/// Both tiers are bounded: inserts past capacity evict the
-/// least-recently-used entry (exact LRU via per-entry touch ticks), and
-/// the eviction count is exported through [`PlanCacheStats`]. The cache
-/// also tracks *poisoned shapes* — query shapes whose executions keep
-/// tripping the resource governor — so callers can fail repeat
-/// offenders fast instead of re-burning a deadline on every arrival.
+/// Bounded: an insert past capacity evicts the least-recently-used text
+/// (exact LRU via per-entry touch ticks), and the eviction count is
+/// exported through [`PlanCacheStats`]. The cache also tracks *poisoned
+/// shapes* — query shapes whose executions keep tripping the resource
+/// governor — so callers can fail repeat offenders fast instead of
+/// re-burning a deadline on every arrival.
 pub struct PlanCache {
-    maps: Mutex<CacheMaps>,
+    texts: Mutex<Texts>,
     max_texts: usize,
-    max_shapes: usize,
-    poisoned: Mutex<HashMap<String, PoisonEntry>>,
+    offenders: Mutex<HashMap<String, OffenseRecord>>,
+    /// Records in `offenders` with `quarantined` set, written under its
+    /// lock: while it is zero admission reads this and lexes nothing.
+    quarantined: AtomicUsize,
     clock: Arc<dyn Clock>,
-    hits_text: AtomicU64,
-    hits_shape: AtomicU64,
-    misses: AtomicU64,
-    parses: AtomicU64,
-    compiles: Arc<AtomicU64>,
-    evictions: AtomicU64,
 }
 
 impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanCache")
             .field("max_texts", &self.max_texts)
-            .field("max_shapes", &self.max_shapes)
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
@@ -337,7 +228,7 @@ impl std::fmt::Debug for PlanCache {
 
 impl Default for PlanCache {
     fn default() -> Self {
-        PlanCache::with_capacity(MAX_TEXTS, MAX_SHAPES)
+        PlanCache::with_capacity(MAX_TEXTS)
     }
 }
 
@@ -346,21 +237,14 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// Cache bounded to `max_texts` exact-text entries and `max_shapes`
-    /// shape entries (each clamped to at least 1).
-    pub fn with_capacity(max_texts: usize, max_shapes: usize) -> PlanCache {
+    /// Cache bounded to `max_texts` entries (clamped to at least 1).
+    pub fn with_capacity(max_texts: usize) -> PlanCache {
         PlanCache {
-            maps: Mutex::new(CacheMaps::default()),
+            texts: Mutex::new(Texts::default()),
             max_texts: max_texts.max(1),
-            max_shapes: max_shapes.max(1),
-            poisoned: Mutex::new(HashMap::new()),
+            offenders: Mutex::new(HashMap::new()),
+            quarantined: AtomicUsize::new(0),
             clock: Arc::new(SystemClock),
-            hits_text: AtomicU64::new(0),
-            hits_shape: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            parses: AtomicU64::new(0),
-            compiles: Arc::new(AtomicU64::new(0)),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -371,143 +255,87 @@ impl PlanCache {
         self
     }
 
-    /// Prepared query for `text`, parsing at most once per distinct
-    /// normalized shape + constant vector.
+    /// Prepared query for `text`, parsing at most once while the text
+    /// stays cached.
     pub fn prepare(&self, text: &str) -> Result<PreparedQuery, SparqlError> {
-        let mut maps = relock(&self.maps);
-        let tick = maps.next_tick();
-        if let Some(entry) = maps.by_text.get_mut(text) {
+        let mut guard = relock(&self.texts);
+        let texts = &mut *guard;
+        texts.tick += 1;
+        let tick = texts.tick;
+        if let Some(entry) = texts.by_text.get_mut(text) {
             entry.tick = tick;
-            self.hits_text.fetch_add(1, Relaxed);
-            return Ok(entry.value.clone());
+            texts.stats.hits_text += 1;
+            return Ok(entry.prepared.clone());
         }
-        let shape = shape_of(text)?;
-        if let Some(entry) = maps.by_shape.get_mut(&shape.key) {
-            entry.tick = tick;
-            if let Some((_, prepared)) =
-                entry.value.iter().find(|(vals, _)| *vals == shape.values)
-            {
-                self.hits_shape.fetch_add(1, Relaxed);
-                let prepared = prepared.clone();
-                self.remember_text(&mut maps, tick, text, &prepared);
-                return Ok(prepared);
-            }
+        texts.stats.misses += 1;
+        let prepared = PreparedQuery::parse(text)?;
+        texts.stats.parses += 1;
+        if texts.by_text.len() >= self.max_texts && evict_min(&mut texts.by_text, |e| e.tick) {
+            texts.stats.evictions += 1;
         }
-        // full miss: parse once and remember under both tiers
-        self.misses.fetch_add(1, Relaxed);
-        let query = parse_query(text)?;
-        self.parses.fetch_add(1, Relaxed);
-        let prepared = PreparedQuery::from_query(query, Arc::clone(&self.compiles));
-        if !maps.by_shape.contains_key(&shape.key) {
-            evict_lru(&mut maps.by_shape, self.max_shapes, &self.evictions);
-        }
-        let entry = maps
-            .by_shape
-            .entry(shape.key)
-            .or_insert_with(|| Stamped { tick, value: Vec::new() });
-        entry.tick = tick;
-        if entry.value.len() >= MAX_VARIANTS {
-            entry.value.remove(0);
-        }
-        entry.value.push((shape.values, prepared.clone()));
-        self.remember_text(&mut maps, tick, text, &prepared);
+        texts.by_text.insert(text.to_string(), Stamped { tick, prepared: prepared.clone() });
         Ok(prepared)
-    }
-
-    fn remember_text(&self, maps: &mut CacheMaps, tick: u64, text: &str, prepared: &PreparedQuery) {
-        if !maps.by_text.contains_key(text) {
-            evict_lru(&mut maps.by_text, self.max_texts, &self.evictions);
-        }
-        maps.by_text
-            .insert(text.to_string(), Stamped { tick, value: prepared.clone() });
-    }
-
-    /// Prepare and execute in one call (the drop-in replacement for
-    /// [`crate::query`]).
-    pub fn query<'a>(
-        &self,
-        store: &'a StoreSnapshot,
-        text: &str,
-    ) -> Result<Solutions<'a>, SparqlError> {
-        self.prepare(text)?.execute(store)
     }
 
     /// Current counter snapshot.
     pub fn stats(&self) -> PlanCacheStats {
-        let (texts_len, shapes_len) = {
-            let maps = relock(&self.maps);
-            (maps.by_text.len(), maps.by_shape.len())
-        };
-        PlanCacheStats {
-            hits_text: self.hits_text.load(Relaxed),
-            hits_shape: self.hits_shape.load(Relaxed),
-            misses: self.misses.load(Relaxed),
-            parses: self.parses.load(Relaxed),
-            compiles: self.compiles.load(Relaxed),
-            evictions: self.evictions.load(Relaxed),
-            texts_len,
-            shapes_len,
-        }
-    }
-
-    /// Number of distinct prepared shapes currently cached.
-    pub fn len(&self) -> usize {
-        relock(&self.maps).by_shape.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop all cached entries and quarantine records (counters are
-    /// preserved).
-    pub fn clear(&self) {
-        let mut maps = relock(&self.maps);
-        maps.by_text.clear();
-        maps.by_shape.clear();
-        relock(&self.poisoned).clear();
+        let texts = relock(&self.texts);
+        PlanCacheStats { texts_len: texts.by_text.len(), ..texts.stats }
     }
 
     // ------------------------------------------------- shape quarantine
 
     /// Record that a query of this text's shape tripped the resource
     /// governor. After `threshold` offenses the shape is quarantined for
-    /// `ttl`; returns `true` when this call crossed the threshold.
+    /// `ttl`; returns `true` when this call reached the threshold.
     /// Unlexable texts are never quarantined (they fail at parse anyway).
+    ///
+    /// A trip already cost a deadline or a budget, so this is where the
+    /// table is kept bounded: records whose last offense is older than
+    /// their TTL are dropped, and past `MAX_OFFENSE_RECORDS` the record
+    /// soonest to expire goes — one below the threshold before any
+    /// quarantined one.
     pub fn record_offense(&self, text: &str, threshold: u32, ttl: Duration) -> bool {
         let Ok(shape) = shape_of(text) else { return false };
-        let mut poisoned = relock(&self.poisoned);
-        let entry = poisoned
-            .entry(shape.key)
-            .or_insert(PoisonEntry { offenses: 0, poisoned_until: None });
-        entry.offenses = entry.offenses.saturating_add(1);
-        if entry.offenses >= threshold.max(1) {
-            entry.poisoned_until = Some(self.clock.now() + ttl);
-            true
-        } else {
-            false
+        let now = self.clock.now();
+        let mut offenders = relock(&self.offenders);
+        offenders.retain(|_, record| now < record.expires);
+        if !offenders.contains_key(&shape) && offenders.len() >= MAX_OFFENSE_RECORDS {
+            evict_min(&mut offenders, |record| (record.quarantined, record.expires));
         }
+        let record = offenders
+            .entry(shape)
+            .or_insert(OffenseRecord { offenses: 0, quarantined: false, expires: now });
+        record.offenses = record.offenses.saturating_add(1);
+        record.expires = now + ttl;
+        record.quarantined = record.offenses >= threshold.max(1);
+        let crossed = record.quarantined;
+        self.quarantined.store(offenders.values().filter(|r| r.quarantined).count(), Relaxed);
+        crossed
     }
 
     /// Is this text's shape currently quarantined? Expired quarantines
     /// are cleared on observation (offense count resets — the shape gets
-    /// a clean slate after serving its TTL).
+    /// a clean slate after serving its TTL). While no shape is quarantined
+    /// this is one atomic load: the text is not lexed.
     pub fn is_poisoned(&self, text: &str) -> bool {
-        let Ok(shape) = shape_of(text) else { return false };
-        let mut poisoned = relock(&self.poisoned);
-        match poisoned.get(&shape.key).and_then(|e| e.poisoned_until) {
-            Some(until) if self.clock.now() < until => true,
-            Some(_) => {
-                poisoned.remove(&shape.key);
-                false
-            }
-            None => false,
+        if self.quarantined.load(Relaxed) == 0 {
+            return false;
         }
+        let Ok(shape) = shape_of(text) else { return false };
+        let mut offenders = relock(&self.offenders);
+        let Some(record) = offenders.get(&shape).filter(|r| r.quarantined) else { return false };
+        if self.clock.now() < record.expires {
+            return true;
+        }
+        offenders.remove(&shape);
+        self.quarantined.fetch_sub(1, Relaxed);
+        false
     }
 
     /// Number of shapes with at least one recorded offense.
     pub fn poisoned_len(&self) -> usize {
-        relock(&self.poisoned).len()
+        relock(&self.offenders).len()
     }
 }
 
@@ -539,8 +367,8 @@ mod tests {
     fn identical_text_parses_once() {
         let cache = PlanCache::new();
         let store = store();
-        let a = cache.query(&store, Q).unwrap();
-        let b = cache.query(&store, Q).unwrap();
+        let a = cache.prepare(Q).unwrap().execute(&store).unwrap();
+        let b = cache.prepare(Q).unwrap().execute(&store).unwrap();
         assert_eq!(a.len(), 5);
         assert_eq!(a.len(), b.len());
         let stats = cache.stats();
@@ -550,14 +378,15 @@ mod tests {
     }
 
     #[test]
-    fn whitespace_and_case_variants_share_a_shape() {
+    fn formatting_variant_is_another_text_with_the_same_answer() {
         let cache = PlanCache::new();
+        let store = store();
         let variant = "select ?t ?n\nwhere {\n  ?t <urn:type> <urn:Table> .\n  # lookup\n  ?t <urn:name> ?n\n}";
-        cache.prepare(Q).unwrap();
-        cache.prepare(variant).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.parses, 1, "formatting variant must not re-parse");
-        assert_eq!(stats.hits_shape, 1);
+        let a = cache.prepare(Q).unwrap().execute(&store).unwrap();
+        let b = cache.prepare(variant).unwrap().execute(&store).unwrap();
+        assert_eq!(a.to_terms(), b.to_terms());
+        assert_eq!(cache.stats().parses, 2, "one tier: a variant parses for itself");
+        assert_eq!(shape_of(Q).unwrap(), shape_of(variant).unwrap(), "but shares the shape");
     }
 
     #[test]
@@ -573,22 +402,17 @@ mod tests {
     }
 
     #[test]
-    fn compiled_plan_survives_until_store_mutates() {
+    fn every_execution_sees_the_store_it_is_handed() {
         let cache = PlanCache::new();
         let mut store = store();
         let prepared = cache.prepare(Q).unwrap();
-        prepared.execute(&store).unwrap();
-        prepared.execute(&store).unwrap();
-        assert_eq!(cache.stats().compiles, 1, "unchanged store must reuse the plan");
-        store.insert(&Quad::new(
-            Term::iri("urn:t9"),
-            Term::iri("urn:type"),
-            Term::iri("urn:Table"),
-        ));
-        let rows = prepared.execute(&store).unwrap();
-        assert_eq!(cache.stats().compiles, 2, "generation bump must recompile");
-        // the new row is only visible with a fresh compile
-        assert!(rows.len() >= 5);
+        assert_eq!(prepared.execute(&store).unwrap().len(), 5);
+        assert_eq!(prepared.execute(&store).unwrap().len(), 5);
+        let t9 = Term::iri("urn:t9");
+        store.insert(&Quad::new(t9.clone(), Term::iri("urn:type"), Term::iri("urn:Table")));
+        store.insert(&Quad::new(t9, Term::iri("urn:name"), Term::string("table-9")));
+        assert_eq!(prepared.execute(&store).unwrap().len(), 6);
+        assert_eq!(cache.stats().parses, 1);
     }
 
     #[test]
@@ -596,7 +420,7 @@ mod tests {
         let cache = PlanCache::new();
         let store = store();
         let direct = crate::query(&store, Q).unwrap();
-        let prepared = cache.query(&store, Q).unwrap();
+        let prepared = cache.prepare(Q).unwrap().execute(&store).unwrap();
         let norm = |s: &Solutions| {
             let mut rows: Vec<String> = s.to_terms().iter().map(|r| format!("{r:?}")).collect();
             rows.sort();
@@ -613,17 +437,16 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used_shape() {
-        let cache = PlanCache::with_capacity(2, 2);
+    fn lru_evicts_least_recently_used_text() {
+        let cache = PlanCache::with_capacity(2);
         let q = |n: usize| format!("SELECT ?s{n} WHERE {{ ?s{n} <urn:p{n}> ?o{n} }}");
         cache.prepare(&q(0)).unwrap();
         cache.prepare(&q(1)).unwrap();
-        // touch q0 so q1 is now the LRU shape
+        // touch q0 so q1 is now the LRU text
         cache.prepare(&q(0)).unwrap();
         cache.prepare(&q(2)).unwrap();
         let stats = cache.stats();
         assert!(stats.evictions >= 1, "over-capacity insert must evict");
-        assert_eq!(stats.shapes_len, 2);
         assert!(stats.texts_len <= 2);
         // q0 was kept: preparing it again is a hit, not a parse
         let parses_before = cache.stats().parses;
@@ -633,14 +456,13 @@ mod tests {
 
     #[test]
     fn capacity_bound_holds_under_churn() {
-        let cache = PlanCache::with_capacity(4, 4);
+        let cache = PlanCache::with_capacity(4);
         for i in 0..64 {
             let text = format!("SELECT ?a WHERE {{ ?a <urn:churn{i}> ?b{i} }}");
             cache.prepare(&text).unwrap();
         }
         let stats = cache.stats();
         assert!(stats.texts_len <= 4);
-        assert!(stats.shapes_len <= 4);
         assert!(stats.evictions >= 60);
     }
 
@@ -648,8 +470,7 @@ mod tests {
     fn repeat_offender_shape_is_quarantined_until_ttl() {
         use lids_exec::TestClock;
         let clock = TestClock::new();
-        let cache =
-            PlanCache::with_capacity(8, 8).with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
+        let cache = PlanCache::with_capacity(8).with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
         let ttl = Duration::from_secs(30);
         assert!(!cache.record_offense(Q, 3, ttl));
         assert!(!cache.is_poisoned(Q), "below threshold: not quarantined");
@@ -664,5 +485,28 @@ mod tests {
         clock.advance(Duration::from_secs(31));
         assert!(!cache.is_poisoned(Q), "quarantine expires after TTL");
         assert!(!cache.is_poisoned(Q), "expiry clears the record");
+    }
+
+    #[test]
+    fn offense_table_is_bounded_and_keeps_the_quarantined() {
+        use lids_exec::TestClock;
+        let clock = TestClock::new();
+        let cache = PlanCache::new().with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
+        let ttl = Duration::from_secs(30);
+        let shape = |i: usize| format!("SELECT ?v{i} WHERE {{ ?v{i} <urn:p> ?o }}");
+        for i in 0..10_000 {
+            if i == 5_000 {
+                assert!(cache.record_offense(Q, 1, ttl));
+            }
+            assert!(!cache.record_offense(&shape(i), 3, ttl));
+        }
+        assert!(cache.poisoned_len() <= MAX_OFFENSE_RECORDS, "{}", cache.poisoned_len());
+        assert!(cache.is_poisoned(Q), "a full table evicts records below the threshold first");
+        assert!(!cache.is_poisoned(&shape(9_999)));
+        // records older than the TTL go at the next offense, quarantined or not
+        clock.advance(Duration::from_secs(31));
+        assert!(!cache.record_offense(&shape(0), 3, ttl));
+        assert_eq!(cache.poisoned_len(), 1);
+        assert!(!cache.is_poisoned(Q), "quarantine expires after TTL");
     }
 }

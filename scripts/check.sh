@@ -12,7 +12,6 @@ cargo build --release --workspace
 # timeout, before the suites that would hang on the same regression.
 timeout 60 cargo test -q --release -p serde_json megabyte_document_round_trips
 cargo test -q --workspace
-cargo test -q --test chaos
 # Exact-vs-pruned linking must agree edge for edge, score for score — on
 # 100 small lakes with every bucket pruned, and under the shipped cutoff on
 # a 3,000-column lake whose edges need the component-pair bound.
@@ -49,10 +48,19 @@ cargo test -q --test observability
 # DISTINCT, OFFSET/LIMIT), which the executor runs on ids and the reference
 # on decoded rows. The suite raises its own case count in release; the edge
 # cases hold the hand-written answers (ORDER BY on an unprojected variable
-# among them). Identical query shapes must parse exactly once.
+# among them).
 cargo test -q --release -p lids-sparql --test encoded_vs_reference
 cargo test -q --release -p lids-sparql --test eval_edge_cases
+# The parse cache: an identical query text parses exactly once while it
+# stays cached, every execution sees the store it is handed, and the shape
+# quarantine holds its TTL and its bound.
 cargo test -q -p lids-sparql plan::
+# One cache tier, no compiled-plan slot: a parse is 2-5 us and a compile
+# under 1 us, so the shape tier and the per-generation plan stay deleted.
+if grep -rnwE 'by_shape|ShapeVariants|MAX_SHAPES|MAX_VARIANTS|hits_shape|shapes_len|CachedPlan|plan_for' crates/*/src; then
+    echo "shape-tier / cached-plan leftovers under crates/*/src: PlanCache is text -> parse" >&2
+    exit 1
+fi
 # One executor, one binding table: the row engine and the options that
 # selected it stay deleted (whole words: prose may say "vectorized").
 if grep -rnwE 'vectorize|parallel_threshold|IdBinding|NestedLoop|serial_joins' crates/*/src; then

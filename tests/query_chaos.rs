@@ -310,7 +310,7 @@ proptest! {
     fn random_checkpoint_interrupt_is_safe(n in 1u64..64, pick in 0usize..9) {
         let store = proptest_store();
         let gen_before = store.generation();
-        let cache = PlanCache::with_capacity(8, 8);
+        let cache = PlanCache::with_capacity(8);
 
         let queries = AdversarialSuite::new(SEED + 2).generate(9);
         let text = &queries[pick].text;
@@ -341,7 +341,7 @@ proptest! {
         // no side effects on the store or the cache's integrity
         prop_assert_eq!(store.generation(), gen_before);
         let stats = cache.stats();
-        prop_assert!(stats.texts_len <= 8 && stats.shapes_len <= 8);
+        prop_assert!(stats.texts_len <= 8);
         prop_assert_eq!(cache.poisoned_len(), 0);
 
         // a clean re-run through the same cached plan is still exact
