@@ -11,13 +11,14 @@
 //! [`LidsReader::discovery`] build the same thing — the platform over its
 //! own store, a reader over the latest published generation.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use lids_exec::{ErrorKind, LidsError, LidsResult, QueryLimits};
 use lids_kg::ontology::{object_prop, res};
 use lids_profiler::Table;
-use lids_rdf::{StoreSnapshot, TermId};
+use lids_rdf::{StoreSnapshot, Term, TermId};
 use lids_sparql::results::UNBOUND;
 use lids_sparql::{EvalOptions, Solutions};
 use lids_vector::cosine_similarity;
@@ -240,7 +241,10 @@ impl<'a> Discovery<'a> {
 
     /// The IRI behind a cell the joins bound to a node.
     fn iri(&self, cell: u32) -> &str {
-        self.snapshot.term(TermId(cell)).as_iri().unwrap_or_default()
+        match self.snapshot.term(TermId(cell)) {
+            Cow::Borrowed(Term::Iri(iri)) => iri,
+            _ => "",
+        }
     }
 
     /// Tables unionable with `(dataset, table)`, best first: "the

@@ -47,9 +47,10 @@
 //!   ≈ 98 % of a lake's quads and name the same few thousand column IRIs
 //!   over and over, so each column IRI, the two predicates and
 //!   `withCertainty` are interned once, each edge interns its score literal
-//!   and its two quoted triples (built from the ids in hand), and the quads
-//!   are `[u32; 4]` tuples loaded with `QuadStore::extend_encoded`. No
-//!   [`Quad`] exists at any point.
+//!   and its two quoted triples — each stored as the three ids in hand,
+//!   keyed by them, so no IRI is copied or re-hashed — and the quads are
+//!   `[u32; 4]` tuples loaded with `QuadStore::extend_encoded`. No [`Quad`]
+//!   or quoted `Term` exists at any point.
 //! - `Vec<Quad>` is the reference: [`data_global_schema_quads_seeded`] and
 //!   [`build_data_global_schema`] emit decoded quads for
 //!   `QuadStore::extend`, which is what tests, the benches' per-layer
@@ -282,7 +283,8 @@ impl QuadSink for Vec<Quad> {
 /// The id-space target: terms are interned into `store`'s dictionary where
 /// the emitter first names them and quads accumulate as id tuples, to be
 /// loaded with one [`QuadStore::extend_encoded`]. Per edge that is one
-/// score literal and two quoted triples built from ids in hand — no term is
+/// score literal and two quoted triples, each a 12-byte probe over the ids
+/// in hand and on a miss a dictionary slot holding them — no term is
 /// hashed once per quad it occurs in, and no [`Quad`] is ever built.
 ///
 /// Nothing touches the store before the first node, triple or edge, so an

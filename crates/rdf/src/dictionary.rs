@@ -2,16 +2,34 @@
 //!
 //! Every distinct [`Term`] is assigned a dense `u32` [`TermId`] the first
 //! time it is seen. Quads are then stored and joined purely over ids, which
-//! keeps the B-tree indexes compact and comparisons cheap — the standard
+//! keeps the indexes compact and comparisons cheap — the standard
 //! dictionary-encoding design for RDF stores.
 //!
-//! Terms are stored **once**, id-indexed. The reverse map goes through the
-//! term's hash instead of a second owned copy of the term: a 64-bit term
-//! hash maps to the (almost always one) ids whose stored term collides on
-//! that hash, and lookups confirm by comparing against the stored term.
-//! This halves the dictionary's footprint relative to a
-//! `HashMap<Term, TermId>` and lets callers probe by borrowed content (see
-//! [`Dictionary::id_of_iri`]) without allocating a scratch `Term`.
+//! # One entry per term, a quoted triple as three ids
+//!
+//! Entries are stored **once**, id-indexed. An IRI, blank node or literal
+//! is stored as its [`Term`]. A quoted triple `<< s p o >>` is stored as
+//! the three [`TermId`]s of its constituents, which the dictionary interns
+//! before it — so a nested quoted triple is three ids like any other, and
+//! no constituent is ever copied. The similarity edges' RDF-star
+//! annotations are most of a LiDS dictionary's terms: as deep-cloned
+//! `Box<Triple>`s they cost 488 B each (a 72 B slot plus a 216 B box of
+//! private copies of two column IRIs and the predicate IRI), as ids the
+//! slot alone.
+//!
+//! The reverse map goes through a 64-bit *key* instead of a second owned
+//! copy of the term: a stored term's content hash, or a quoted triple's
+//! tag plus its three ids. A key maps to the (almost always one) ids whose
+//! entries collide on it, and lookups confirm against the entry. Probing a
+//! quoted triple therefore hashes 12 bytes and compares three `u32`s,
+//! whatever its constituents spell, and lets callers probe by borrowed
+//! content (see [`Dictionary::id_of_iri`], [`Dictionary::id_of_quoted`])
+//! without allocating a scratch `Term`.
+//!
+//! [`Dictionary::term`] lends a stored term and builds a quoted triple's
+//! `Term` on demand; nothing caches the built term, so decoding every quad
+//! of a store leaves the dictionary as it was. Callers working in id space
+//! destructure a quoted triple with [`Dictionary::quoted`] instead.
 //!
 //! # Append-only and structurally shared
 //!
@@ -21,11 +39,11 @@
 //! cost what the *delta* interns, not what the lake holds (0.45 M
 //! heap-owning terms took 100–160 ms to deep-copy and ≈ 100 ms to free):
 //!
-//! - **Terms** live in fixed-size chunks of `CHUNK` terms, each behind an
+//! - **Entries** live in fixed-size chunks of `CHUNK` slots, each behind an
 //!   `Arc`. A full chunk is sealed and never written again; an append
 //!   `make_mut`s the growing tail chunk only, which copies it (< `CHUNK`
-//!   terms) when a clone still shares it and writes in place otherwise.
-//! - **The hash → id map** is a frozen `base` behind an `Arc` plus a small
+//!   slots) when a clone still shares it and writes in place otherwise.
+//! - **The key → id map** is a frozen `base` behind an `Arc` plus a small
 //!   owned `recent` map. While nobody shares the base (bootstrap, deltas
 //!   with no reader attached) new entries go straight into it; while a
 //!   clone does, they go into `recent`, which is folded into a private copy
@@ -37,21 +55,22 @@
 //! descends from the state it describes: its entries name ids that every
 //! holder has, with the same terms.
 
+use std::borrow::Cow;
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
-use crate::term::Term;
+use crate::term::{Term, Triple};
 
-/// Terms per chunk. A power of two, so `id → (chunk, offset)` is a shift
+/// Slots per chunk. A power of two, so `id → (chunk, offset)` is a shift
 /// and a mask. Cloning copies `len / CHUNK` pointers; appending to a clone
 /// copies at most one chunk.
 const CHUNK: usize = 1024;
 const _: () = assert!(CHUNK.is_power_of_two());
 
 /// `recent` is folded into the base once it holds more than
-/// `base.len() / FOLD_DIV` hashes.
+/// `base.len() / FOLD_DIV` keys.
 const FOLD_DIV: usize = 8;
 
 /// Dense identifier of an interned term.
@@ -65,7 +84,16 @@ impl TermId {
     }
 }
 
-/// Ids whose stored terms share one 64-bit hash. Genuine collisions are
+/// One dictionary entry.
+#[derive(Debug, Clone)]
+enum Slot {
+    /// An IRI, blank node or literal — never a quoted triple.
+    Term(Term),
+    /// A quoted triple: its subject, predicate and object, interned first.
+    Quoted([TermId; 3]),
+}
+
+/// Ids whose entries share one 64-bit key. Genuine collisions are
 /// vanishingly rare, so the single-id case avoids a heap allocation.
 #[derive(Debug, Clone)]
 enum Bucket {
@@ -75,9 +103,13 @@ enum Bucket {
 
 type Buckets = HashMap<u64, Bucket>;
 
-/// File `id` under `hash`, beside any ids already colliding there.
-fn push_id(map: &mut Buckets, hash: u64, id: TermId) {
-    match map.entry(hash) {
+/// What one allocated map slot costs: key + bucket + 1 control byte
+/// (SwissTable layout).
+const MAP_ENTRY_BYTES: usize = std::mem::size_of::<u64>() + std::mem::size_of::<Bucket>() + 1;
+
+/// File `id` under `key`, beside any ids already colliding there.
+fn push_id(map: &mut Buckets, key: u64, id: TermId) {
+    match map.entry(key) {
         Entry::Vacant(e) => {
             e.insert(Bucket::One(id));
         }
@@ -100,13 +132,13 @@ fn push_id(map: &mut Buckets, hash: u64, id: TermId) {
 /// grow independently: what one interns is invisible to the other.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
-    /// Terms `0..full.len() * CHUNK`, in sealed chunks of exactly `CHUNK`.
-    full: Vec<Arc<[Term]>>,
-    /// The terms after those: fewer than `CHUNK`, still growing.
-    tail: Arc<Vec<Term>>,
-    /// Hash → ids, frozen while any clone shares it.
+    /// Entries `0..full.len() * CHUNK`, in sealed chunks of exactly `CHUNK`.
+    full: Vec<Arc<[Slot]>>,
+    /// The entries after those: fewer than `CHUNK`, still growing.
+    tail: Arc<Vec<Slot>>,
+    /// Key → ids, frozen while any clone shares it.
     base: Arc<Buckets>,
-    /// Hash → ids interned while the base was shared. A hash may sit in
+    /// Key → ids interned while the base was shared. A key may sit in
     /// both maps (a collision that straddles them).
     recent: Buckets,
     hasher: RandomState,
@@ -119,42 +151,45 @@ impl Dictionary {
 
     /// Intern `term`, returning its id (existing or freshly assigned).
     ///
-    /// Quoted triples also intern their inner terms, so evaluators working
-    /// purely over ids can destructure a stored quoted triple and resolve
-    /// each constituent with [`Dictionary::id_of`] — a guarantee the
-    /// encoded SPARQL evaluator relies on when a quoted pattern contains
-    /// variables.
+    /// A quoted triple interns its constituents first, in subject,
+    /// predicate, object order, and is then keyed by their ids (see
+    /// [`Dictionary::intern_quoted`]); so evaluators working purely over
+    /// ids can destructure a stored quoted triple with
+    /// [`Dictionary::quoted`] and join on its constituents.
     pub fn intern(&mut self, term: &Term) -> TermId {
-        let hash = self.hash_term(term);
-        if let Some(id) = self.find(hash, |t| t == term) {
-            return id;
+        match term {
+            Term::Quoted(q) => {
+                let [s, p, o] = [&q.subject, &q.predicate, &q.object].map(|t| self.intern(t));
+                self.intern_quoted(s, p, o)
+            }
+            _ => self.intern_hashed(self.hash_term(term), term),
         }
-        self.insert_new(hash, term.clone())
     }
 
     /// Intern an owned term without cloning it. Same semantics as
-    /// [`Dictionary::intern`], including inner-term interning for quoted
-    /// triples.
+    /// [`Dictionary::intern`].
     pub fn intern_owned(&mut self, term: Term) -> TermId {
-        let hash = self.hash_term(&term);
-        if let Some(id) = self.find(hash, |t| *t == term) {
-            return id;
+        match term {
+            Term::Quoted(q) => {
+                let Triple { subject, predicate, object } = *q;
+                let s = self.intern_owned(subject);
+                let p = self.intern_owned(predicate);
+                let o = self.intern_owned(object);
+                self.intern_quoted(s, p, o)
+            }
+            term => {
+                let hash = self.hash_term(&term);
+                match self.find_term(hash, &term) {
+                    Some(id) => id,
+                    None => self.push_new(hash, Slot::Term(term)),
+                }
+            }
         }
-        self.insert_new(hash, term)
     }
 
-    fn insert_new(&mut self, hash: u64, term: Term) -> TermId {
-        if let Term::Quoted(q) = &term {
-            self.intern(&q.subject);
-            self.intern(&q.predicate);
-            self.intern(&q.object);
-        }
-        self.push_new(hash, term)
-    }
-
-    /// Append a term known to be absent, whose inner terms (if it is a
+    /// Append an entry known to be absent, whose constituents (if it is a
     /// quoted triple) are known to be interned.
-    fn push_new(&mut self, hash: u64, term: Term) -> TermId {
+    fn push_new(&mut self, key: u64, slot: Slot) -> TermId {
         let Ok(raw) = u32::try_from(self.len()) else {
             // ids are dense u32s by design; 2^32 interned terms is beyond
             // any supported store size
@@ -162,46 +197,62 @@ impl Dictionary {
         };
         let id = TermId(raw);
         let tail = Arc::make_mut(&mut self.tail);
-        tail.push(term);
+        tail.push(slot);
         if tail.len() == CHUNK {
-            // sealed by moving the terms out, so the tail keeps its buffer
+            // sealed by moving the entries out, so the tail keeps its buffer
             self.full.push(tail.drain(..).collect());
         }
         let shared = Arc::get_mut(&mut self.base).is_none();
         if shared && self.recent.len() <= self.base.len() / FOLD_DIV {
-            push_id(&mut self.recent, hash, id);
+            push_id(&mut self.recent, key, id);
         } else {
             // One map again: in place when nobody else reads the base, in
             // a private copy when `recent` has outgrown its share of it.
             let base = Arc::make_mut(&mut self.base);
-            for (hash, bucket) in self.recent.drain() {
+            for (key, bucket) in self.recent.drain() {
                 match bucket {
-                    Bucket::One(id) => push_id(base, hash, id),
-                    Bucket::Many(ids) => ids.into_iter().for_each(|id| push_id(base, hash, id)),
+                    Bucket::One(id) => push_id(base, key, id),
+                    Bucket::Many(ids) => ids.into_iter().for_each(|id| push_id(base, key, id)),
                 }
             }
-            push_id(base, hash, id);
+            push_id(base, key, id);
         }
         id
     }
 
-    /// Ids sharing `hash`, checked against `matches` on the stored term.
-    fn find(&self, hash: u64, matches: impl Fn(&Term) -> bool) -> Option<TermId> {
-        let probe = |map: &Buckets| match map.get(&hash)? {
-            Bucket::One(id) => matches(self.term(*id)).then_some(*id),
-            Bucket::Many(ids) => ids.iter().copied().find(|id| matches(self.term(*id))),
+    /// Ids filed under `key`, checked against `matches` on the entry.
+    fn find(&self, key: u64, matches: impl Fn(&Slot) -> bool) -> Option<TermId> {
+        let probe = |map: &Buckets| match map.get(&key)? {
+            Bucket::One(id) => matches(self.slot(*id)).then_some(*id),
+            Bucket::Many(ids) => ids.iter().copied().find(|id| matches(self.slot(*id))),
         };
         probe(&self.base).or_else(|| probe(&self.recent))
     }
 
-    /// Look up an id without interning.
-    pub fn id_of(&self, term: &Term) -> Option<TermId> {
-        self.find(self.hash_term(term), |t| t == term)
+    /// The id of a stored (non-quoted) term under its content hash.
+    fn find_term(&self, hash: u64, term: &Term) -> Option<TermId> {
+        self.find(hash, |slot| matches!(slot, Slot::Term(t) if t == term))
     }
 
-    /// Hash `term` with this dictionary's hasher — the key accepted by the
-    /// `*_hashed` entry points below. Hashes are only meaningful within
-    /// this dictionary instance.
+    /// Look up an id without interning. A quoted triple over a constituent
+    /// the dictionary lacks is `None`.
+    pub fn id_of(&self, term: &Term) -> Option<TermId> {
+        match term {
+            Term::Quoted(q) => self.id_of_quoted(
+                self.id_of(&q.subject)?,
+                self.id_of(&q.predicate)?,
+                self.id_of(&q.object)?,
+            ),
+            _ => self.find_term(self.hash_term(term), term),
+        }
+    }
+
+    /// Content hash of `term` with this dictionary's hasher — the key the
+    /// `*_hashed` entry points below accept, only meaningful within this
+    /// dictionary instance. A quoted triple is keyed by its constituents'
+    /// ids instead, which may not be interned yet: its content hash only
+    /// groups equal terms, and those entry points resolve it through
+    /// [`Dictionary::id_of`] / [`Dictionary::intern`].
     pub fn hash_of(&self, term: &Term) -> u64 {
         self.hash_term(term)
     }
@@ -219,20 +270,26 @@ impl Dictionary {
     /// occurrence exactly once and groups them by hash, so each distinct
     /// term costs one dictionary probe instead of one per occurrence.
     pub fn id_by_hash(&self, hash: u64, term: &Term) -> Option<TermId> {
-        self.find(hash, |t| t == term)
+        match term {
+            Term::Quoted(_) => self.id_of(term),
+            _ => self.find_term(hash, term),
+        }
     }
 
     /// [`Dictionary::id_of_iri`] with a precomputed hash.
     pub fn id_by_hash_iri(&self, hash: u64, iri: &str) -> Option<TermId> {
-        self.find(hash, |t| matches!(t, Term::Iri(s) if s == iri))
+        self.find(hash, |slot| matches!(slot, Slot::Term(Term::Iri(s)) if s == iri))
     }
 
     /// [`Dictionary::intern`] with a precomputed hash.
     pub fn intern_hashed(&mut self, hash: u64, term: &Term) -> TermId {
-        if let Some(id) = self.find(hash, |t| t == term) {
+        if let Term::Quoted(_) = term {
+            return self.intern(term);
+        }
+        if let Some(id) = self.find_term(hash, term) {
             return id;
         }
-        self.insert_new(hash, term.clone())
+        self.push_new(hash, Slot::Term(term.clone()))
     }
 
     /// Intern `Term::Iri(iri)` with a precomputed hash, allocating the
@@ -241,7 +298,7 @@ impl Dictionary {
         if let Some(id) = self.id_by_hash_iri(hash, iri) {
             return id;
         }
-        self.insert_new(hash, Term::iri(iri))
+        self.push_new(hash, Slot::Term(Term::iri(iri)))
     }
 
     /// Look up the id of `Term::Iri(iri)` without allocating the term.
@@ -249,48 +306,50 @@ impl Dictionary {
     /// Hot on the bulk-load path, where every quad resolves its graph slot
     /// from a borrowed graph IRI.
     pub fn id_of_iri(&self, iri: &str) -> Option<TermId> {
-        let mut h = self.hasher.build_hasher();
-        write_iri(&mut h, iri);
-        self.find(h.finish(), |t| matches!(t, Term::Iri(s) if s == iri))
+        self.id_by_hash_iri(self.hash_of_iri(iri), iri)
     }
 
     /// Id of the quoted triple `<< s p o >>` over three interned terms, if
-    /// it is interned: one probe, hashed and compared against the stored
-    /// constituents, so nothing is allocated. Panics on a foreign id.
+    /// it is interned: one probe keyed and compared by the three ids, so
+    /// nothing is decoded, hashed as text or allocated.
     pub fn id_of_quoted(&self, s: TermId, p: TermId, o: TermId) -> Option<TermId> {
-        self.find_quoted(self.hash_quoted(s, p, o), s, p, o)
+        self.find_quoted(self.key_quoted([s, p, o]), [s, p, o])
     }
 
-    /// Intern the quoted triple `<< s p o >>` over three interned terms.
-    /// Same result as [`Dictionary::intern_owned`] on the built term, but
-    /// the term is built only when it is new, and its constituents — whose
-    /// ids the caller holds — are not probed again.
+    /// Intern the quoted triple `<< s p o >>` over three interned terms:
+    /// the id [`Dictionary::intern`] gives the built term, without building
+    /// it. Panics on a foreign id.
     pub fn intern_quoted(&mut self, s: TermId, p: TermId, o: TermId) -> TermId {
-        let hash = self.hash_quoted(s, p, o);
-        if let Some(id) = self.find_quoted(hash, s, p, o) {
-            return id;
+        let ids = [s, p, o];
+        assert!(ids.iter().all(|id| id.index() < self.len()), "foreign constituent id");
+        let key = self.key_quoted(ids);
+        match self.find_quoted(key, ids) {
+            Some(id) => id,
+            None => self.push_new(key, Slot::Quoted(ids)),
         }
-        let term =
-            Term::quoted(self.term(s).clone(), self.term(p).clone(), self.term(o).clone());
-        self.push_new(hash, term)
     }
 
-    /// `hash_of` of the quoted triple over three interned terms.
-    fn hash_quoted(&self, s: TermId, p: TermId, o: TermId) -> u64 {
+    /// The constituents of a quoted triple's id, in subject, predicate,
+    /// object order; `None` for any other term. Panics on a foreign id.
+    pub fn quoted(&self, id: TermId) -> Option<[TermId; 3]> {
+        match self.slot(id) {
+            Slot::Quoted(ids) => Some(*ids),
+            Slot::Term(_) => None,
+        }
+    }
+
+    fn find_quoted(&self, key: u64, ids: [TermId; 3]) -> Option<TermId> {
+        self.find(key, |slot| matches!(slot, Slot::Quoted(q) if *q == ids))
+    }
+
+    /// A quoted triple's map key: its tag, then its three ids.
+    fn key_quoted(&self, ids: [TermId; 3]) -> u64 {
         let mut h = self.hasher.build_hasher();
         h.write_u8(QUOTED_TAG);
-        for id in [s, p, o] {
-            write_term(&mut h, self.term(id));
+        for id in ids {
+            h.write_u32(id.0);
         }
         h.finish()
-    }
-
-    fn find_quoted(&self, hash: u64, s: TermId, p: TermId, o: TermId) -> Option<TermId> {
-        self.find(hash, |t| {
-            matches!(t, Term::Quoted(q) if q.subject == *self.term(s)
-                && q.predicate == *self.term(p)
-                && q.object == *self.term(o))
-        })
     }
 
     fn hash_term(&self, term: &Term) -> u64 {
@@ -299,12 +358,29 @@ impl Dictionary {
         h.finish()
     }
 
-    /// Resolve an id back to its term. Panics on a foreign id.
-    pub fn term(&self, id: TermId) -> &Term {
+    fn slot(&self, id: TermId) -> &Slot {
         match self.full.get(id.index() / CHUNK) {
             Some(chunk) => &chunk[id.index() % CHUNK],
             None => &self.tail[id.index() % CHUNK],
         }
+    }
+
+    /// The term an entry stands for: lent when stored, built when quoted.
+    fn decode<'a>(&'a self, slot: &'a Slot) -> Cow<'a, Term> {
+        match slot {
+            Slot::Term(term) => Cow::Borrowed(term),
+            Slot::Quoted(ids) => {
+                let [s, p, o] = ids.map(|id| self.term(id).into_owned());
+                Cow::Owned(Term::quoted(s, p, o))
+            }
+        }
+    }
+
+    /// Resolve an id back to its term: borrowed, except a quoted triple,
+    /// which is built from its constituents on every call. Panics on a
+    /// foreign id.
+    pub fn term(&self, id: TermId) -> Cow<'_, Term> {
+        self.decode(self.slot(id))
     }
 
     /// Number of interned terms.
@@ -317,31 +393,34 @@ impl Dictionary {
         self.len() == 0
     }
 
-    /// Iterate over `(id, term)` pairs in interning order.
-    pub fn iter(&self) -> impl Iterator<Item = (TermId, &Term)> {
+    /// Iterate over `(id, term)` pairs in interning order, terms as
+    /// [`Dictionary::term`] gives them.
+    pub fn iter(&self) -> impl Iterator<Item = (TermId, Cow<'_, Term>)> {
         self.full
             .iter()
             .flat_map(|chunk| chunk.iter())
             .chain(self.tail.iter())
             .enumerate()
-            .map(|(i, t)| (TermId(i as u32), t))
+            .map(|(i, slot)| (TermId(i as u32), self.decode(slot)))
     }
 
     /// Approximate heap footprint in bytes (for the memory meter).
     ///
-    /// Terms are stored once; the reverse maps hold only `(u64, Bucket)`
+    /// Each entry counts what it allocates: its slot plus, for a stored
+    /// term, that term's strings — a quoted triple's slot holds its three
+    /// ids and nothing else. The reverse maps hold only `(u64, Bucket)`
     /// entries, so their cost is per-slot bookkeeping rather than a second
     /// copy of every term. This is what the dictionary reaches, not what
     /// it owns alone: chunks and base shared with a clone count in full.
     pub fn approx_bytes(&self) -> u64 {
         let slots = self.full.len() * CHUNK + self.tail.capacity();
-        let mut total = (slots * std::mem::size_of::<Term>()) as u64;
-        total += self.iter().map(|(_, t)| term_payload_bytes(t)).sum::<u64>();
-        // Reverse maps: allocated slots carry key + bucket + 1 control byte
-        // (SwissTable layout); Many-buckets add their spilled id vectors.
-        let slot = (std::mem::size_of::<u64>() + std::mem::size_of::<Bucket>() + 1) as u64;
+        let mut total = (slots * std::mem::size_of::<Slot>()) as u64;
+        let entries = self.full.iter().flat_map(|chunk| chunk.iter()).chain(self.tail.iter());
+        total += entries.map(slot_payload_bytes).sum::<u64>();
+        // Reverse maps: every allocated slot costs `MAP_ENTRY_BYTES`;
+        // Many-buckets add their spilled id vectors.
         for map in [&*self.base, &self.recent] {
-            total += map.capacity() as u64 * slot;
+            total += (map.capacity() * MAP_ENTRY_BYTES) as u64;
             for bucket in map.values() {
                 if let Bucket::Many(ids) = bucket {
                     total += (ids.capacity() * std::mem::size_of::<TermId>()) as u64;
@@ -352,7 +431,7 @@ impl Dictionary {
     }
 }
 
-/// Variant tag a quoted triple's hash starts with, before its three terms.
+/// Variant tag a quoted triple's hash starts with.
 const QUOTED_TAG: u8 = 3;
 
 /// Feed a term's content to a hasher with variant tags and terminators, so
@@ -395,20 +474,16 @@ fn write_iri<H: Hasher>(h: &mut H, iri: &str) {
     h.write_u8(0xff);
 }
 
-fn term_payload_bytes(t: &Term) -> u64 {
-    match t {
-        Term::Iri(s) | Term::BNode(s) => s.len() as u64,
-        Term::Literal(l) => {
-            (l.lexical.len()
-                + l.datatype.len()
-                + l.language.as_ref().map_or(0, |x| x.len())) as u64
+/// Heap bytes an entry owns beyond its slot.
+fn slot_payload_bytes(slot: &Slot) -> u64 {
+    let len = match slot {
+        Slot::Term(Term::Iri(s) | Term::BNode(s)) => s.len(),
+        Slot::Term(Term::Literal(l)) => {
+            l.lexical.len() + l.datatype.len() + l.language.as_ref().map_or(0, String::len)
         }
-        Term::Quoted(t) => {
-            term_payload_bytes(&t.subject)
-                + term_payload_bytes(&t.predicate)
-                + term_payload_bytes(&t.object)
-        }
-    }
+        Slot::Term(Term::Quoted(_)) | Slot::Quoted(_) => 0,
+    };
+    len as u64
 }
 
 #[cfg(test)]
@@ -441,7 +516,7 @@ mod tests {
         let mut d = Dictionary::new();
         let term = Term::quoted(Term::iri("s"), Term::iri("p"), Term::double(0.93));
         let id = d.intern(&term);
-        assert_eq!(d.term(id), &term);
+        assert_eq!(*d.term(id), term);
         assert_eq!(d.id_of(&term), Some(id));
     }
 
@@ -477,7 +552,9 @@ mod tests {
         assert_eq!(d.id_of_quoted(s, p, o), None);
         let q = d.intern_quoted(s, p, o);
         let built = Term::quoted(Term::iri("s"), Term::iri("p"), Term::double(0.5));
-        assert_eq!(d.term(q), &built);
+        assert_eq!(*d.term(q), built);
+        assert_eq!(d.quoted(q), Some([s, p, o]));
+        assert_eq!(d.quoted(s), None);
         assert_eq!(d.id_of(&built), Some(q));
         assert_eq!(d.intern_owned(built), q);
         assert_eq!(d.id_of_quoted(s, p, o), Some(q));
@@ -489,6 +566,73 @@ mod tests {
         let a = d.id_of(&Term::iri("a")).unwrap();
         assert_eq!(d.id_of_quoted(a, p, s), Some(other));
         assert_eq!(d.len(), 6);
+    }
+
+    /// A quoted triple `depth` levels deep, each level quoting the one
+    /// inside as its subject (odd levels) or object (even levels).
+    fn nested(depth: usize, i: usize) -> Term {
+        (0..depth).fold(Term::iri(format!("http://example.org/s/{i}")), |inner, level| {
+            let p = Term::iri(format!("http://example.org/p/{level}"));
+            let leaf = Term::double(i as f64 / 8.0);
+            if level % 2 == 0 {
+                Term::quoted(inner, p, leaf)
+            } else {
+                Term::quoted(leaf, p, inner)
+            }
+        })
+    }
+
+    /// `term` interned bottom-up through ids alone: leaves by term, every
+    /// quoted level by [`Dictionary::intern_quoted`].
+    fn intern_by_ids(d: &mut Dictionary, term: &Term) -> TermId {
+        match term {
+            Term::Quoted(q) => {
+                let s = intern_by_ids(d, &q.subject);
+                let p = intern_by_ids(d, &q.predicate);
+                let o = intern_by_ids(d, &q.object);
+                d.intern_quoted(s, p, o)
+            }
+            leaf => d.intern(leaf),
+        }
+    }
+
+    #[test]
+    fn nested_quoted_by_term_is_by_ids_and_decodes_back() {
+        let (mut by_term, mut by_ids) = (Dictionary::new(), Dictionary::new());
+        for i in 0..24 {
+            let term = nested(1 + i % 4, i);
+            let id = by_term.intern(&term);
+            assert_eq!(intern_by_ids(&mut by_ids, &term), id, "{term}");
+            assert_eq!(*by_term.term(id), term);
+            assert_eq!(by_term.id_of(&term), Some(id));
+            assert_eq!(by_term.intern_owned(term.clone()), id);
+            let Term::Quoted(q) = &term else { unreachable!("nested terms are quoted") };
+            let parts = [&q.subject, &q.predicate, &q.object].map(|t| by_term.id_of(t));
+            assert_eq!(by_term.quoted(id).map(|ids| ids.map(Some)), Some(parts));
+        }
+        assert_eq!(by_term.len(), by_ids.len());
+        let listed = |d: &Dictionary| d.iter().map(|(_, t)| t.into_owned()).collect::<Vec<_>>();
+        assert_eq!(listed(&by_term), listed(&by_ids));
+    }
+
+    #[test]
+    fn quoted_over_a_missing_constituent_is_absent_and_interns_nothing() {
+        let mut d = Dictionary::new();
+        let inner = Term::quoted(Term::iri("s"), Term::iri("p"), Term::iri("o"));
+        d.intern(&nested(3, 0));
+        d.intern(&inner);
+        let len = d.len();
+        let absent = Term::iri("absent");
+        for term in [
+            Term::quoted(Term::iri("s"), Term::iri("p"), absent.clone()),
+            Term::quoted(absent.clone(), Term::iri("p"), Term::iri("o")),
+            Term::quoted(inner.clone(), absent.clone(), Term::iri("o")),
+            Term::quoted(Term::quoted(absent.clone(), Term::iri("p"), Term::iri("o")), Term::iri("p"), inner),
+        ] {
+            assert_eq!(d.id_of(&term), None, "{term}");
+            assert_eq!(d.len(), len);
+        }
+        assert_eq!(d.id_of(&absent), None);
     }
 
     #[test]
@@ -510,19 +654,43 @@ mod tests {
         assert!(d.approx_bytes() > empty);
     }
 
+    /// A quoted triple allocates its slot and its map entry, nothing more:
+    /// its constituents' strings belong to their own entries.
+    #[test]
+    fn approx_bytes_counts_a_quoted_triple_as_its_slot() {
+        let mut d = Dictionary::new();
+        // two sealed chunks, so the next entries land in the tail's kept
+        // buffer and the map's spare capacity
+        let columns: Vec<TermId> = (0..2 * CHUNK - 1)
+            .map(|i| {
+                let iri = format!("http://kglids.org/resource/lake/dataset_{i}/table.csv/column_{i}");
+                d.intern(&Term::iri(iri))
+            })
+            .collect();
+        let sim = d.intern(&Term::iri("http://kglids.org/ontology/data/hasLabelSimilarity"));
+        let before = d.approx_bytes();
+        for i in 0..1000 {
+            d.intern_quoted(columns[i], sim, columns[i + 1000]);
+        }
+        let grown = d.approx_bytes() - before;
+        let bound = 1000 * (std::mem::size_of::<Slot>() + MAP_ENTRY_BYTES) as u64;
+        assert!(grown <= bound, "1,000 quoted triples grew approx_bytes by {grown} > {bound}");
+    }
+
     /// The `i`-th term of the layout tests' universe: IRIs, plain and
-    /// typed literals and quoted triples by turns (a quoted triple also
-    /// interns its three inner terms).
+    /// typed literals, quoted triples and quoted triples quoting those by
+    /// turns (a quoted triple also interns its three constituents).
     fn nth(i: usize) -> Term {
-        match i % 4 {
+        match i % 5 {
             0 => Term::iri(format!("http://example.org/t/{i}")),
             1 => Term::string(format!("value {i}")),
             2 => Term::double(i as f64 + 0.5),
-            _ => Term::quoted(
+            3 => Term::quoted(
                 Term::iri(format!("http://example.org/t/{}", i - 3)),
                 Term::iri("http://example.org/similar"),
                 Term::iri(format!("http://example.org/q/{i}")),
             ),
+            _ => Term::quoted(nth(i - 1), Term::iri("http://example.org/certainty"), nth(i - 2)),
         }
     }
 
@@ -578,7 +746,7 @@ mod tests {
         assert_eq!(clone.iter().count(), clone.len());
         for j in 0..i {
             let id = clone.id_of(&nth(j)).unwrap();
-            assert_eq!(clone.term(id), &nth(j));
+            assert_eq!(*clone.term(id), nth(j));
             if j < next {
                 assert_eq!(original.id_of(&nth(j)), Some(id));
             }
@@ -641,7 +809,7 @@ mod tests {
         assert!(matches!(d.base.get(&H), Some(Bucket::Many(ids)) if ids.len() == 3));
         for (term, id) in [(&a, ia), (&b, ib), (&c, ic)] {
             assert_eq!(d.id_by_hash(H, term), Some(id));
-            assert_eq!(d.term(id), term);
+            assert_eq!(*d.term(id), *term);
         }
         assert_eq!(d.len(), other.index() + 1);
     }
@@ -725,9 +893,10 @@ mod tests {
             for (d, m) in &pool {
                 prop_assert_eq!(d.len(), m.terms.len());
                 prop_assert_eq!(d.is_empty(), m.terms.is_empty());
-                let listed: Vec<(u32, &Term)> = d.iter().map(|(id, t)| (id.0, t)).collect();
-                let expected: Vec<(u32, &Term)> =
-                    m.terms.iter().enumerate().map(|(i, t)| (i as u32, t)).collect();
+                let listed: Vec<(u32, Term)> =
+                    d.iter().map(|(id, t)| (id.0, t.into_owned())).collect();
+                let expected: Vec<(u32, Term)> =
+                    m.terms.iter().enumerate().map(|(i, t)| (i as u32, t.clone())).collect();
                 prop_assert_eq!(listed, expected);
                 for i in 0..UNIVERSE {
                     let term = nth(i);
@@ -741,7 +910,7 @@ mod tests {
             let mut d = Dictionary::new();
             let ids: Vec<_> = strings.iter().map(|s| d.intern(&Term::iri(s.clone()))).collect();
             for (s, id) in strings.iter().zip(&ids) {
-                prop_assert_eq!(d.term(*id).as_iri(), Some(s.as_str()));
+                prop_assert_eq!(d.term(*id).into_owned(), Term::iri(s.clone()));
                 prop_assert_eq!(d.id_of(&Term::iri(s.clone())), Some(*id));
                 prop_assert_eq!(d.id_of_iri(s), Some(*id));
             }

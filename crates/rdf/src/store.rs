@@ -63,11 +63,15 @@
 //! # Writing in id space
 //!
 //! [`QuadStore::extend`] takes decoded [`Quad`]s and resolves every term
-//! occurrence itself (hash, sort, one probe per distinct term). An emitter
+//! occurrence itself (hash, sort, one probe per distinct term; a quoted
+//! triple is grouped by its content hash and resolved through its
+//! constituents' ids, the key the dictionary stores it under). An emitter
 //! that knows its terms — the similarity-edge emitter names a few thousand
 //! column IRIs hundreds of times each — skips that: it interns each term
-//! once through [`QuadStore::intern`] / [`QuadStore::intern_quoted`] /
-//! [`QuadStore::intern_default_graph`], assembles [`EncodedQuad`]s and
+//! once through [`QuadStore::intern`] / [`QuadStore::intern_default_graph`],
+//! and each edge's annotated triple through [`QuadStore::intern_quoted`]
+//! from the three ids it already holds — one 12-byte probe, and on a miss
+//! one slot holding those ids — then assembles [`EncodedQuad`]s and
 //! loads them with [`QuadStore::extend_encoded`], which is phase 3 alone.
 //! Removal mirrors it: victims collected with [`StoreSnapshot::match_ids`]
 //! go to [`QuadStore::retract_encoded`] without a decode/encode round
@@ -88,6 +92,7 @@
 //! [`QuadStore::commit_delta`] — where nothing folds until the commit, so
 //! a long loop of point writes inside one delta is O(overlay) each.
 
+use std::borrow::Cow;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -592,7 +597,7 @@ impl StoreSnapshot {
     }
 
     fn graph_of(&self, id: TermId) -> GraphName {
-        match self.dict.term(id) {
+        match &*self.dict.term(id) {
             Term::Iri(iri) if iri == DEFAULT_GRAPH_IRI => GraphName::Default,
             Term::Iri(iri) => GraphName::Named(iri.clone()),
             other => panic!("graph slot held non-IRI term {other:?}"),
@@ -839,9 +844,9 @@ impl StoreSnapshot {
     /// id.
     pub fn decode_quad(&self, [s, p, o, g]: EncodedQuad) -> Quad {
         Quad {
-            subject: self.dict.term(TermId(s)).clone(),
-            predicate: self.dict.term(TermId(p)).clone(),
-            object: self.dict.term(TermId(o)).clone(),
+            subject: self.dict.term(TermId(s)).into_owned(),
+            predicate: self.dict.term(TermId(p)).into_owned(),
+            object: self.dict.term(TermId(o)).into_owned(),
             graph: self.graph_of(TermId(g)),
         }
     }
@@ -851,8 +856,9 @@ impl StoreSnapshot {
         self.encode_quad(quad).is_some_and(|key| self.run(IndexOrder::Spog).contains(&key))
     }
 
-    /// Resolve a term id (delegates to the dictionary).
-    pub fn term(&self, id: TermId) -> &Term {
+    /// Resolve a term id (delegates to [`Dictionary::term`]: borrowed,
+    /// except a quoted triple, which is built on demand).
+    pub fn term(&self, id: TermId) -> Cow<'_, Term> {
         self.dict.term(id)
     }
 

@@ -5,7 +5,11 @@
 //!
 //! Batches are drawn from a small alphabet so duplicates (batch-internal
 //! and cross-batch) are common, and include quoted triples and named
-//! graphs — the two term shapes with non-trivial interning order.
+//! graphs — the two term shapes with non-trivial interning order. Quoted
+//! triples sit in subject and object position and nest one level (a quoted
+//! triple quoting another as its subject or object): the dictionary keys
+//! one by its constituents' ids, which the bulk loader must intern first,
+//! in the order a sequential loop would.
 
 use lids_rdf::{EncodedPattern, EncodedQuad, GraphName, Quad, QuadStore, Term};
 use proptest::prelude::*;
@@ -21,10 +25,26 @@ fn leaf_strategy() -> BoxedStrategy<Term> {
     prop_oneof![4 => iri.boxed(), 2 => literal.boxed(), 1 => bnode.boxed()].boxed()
 }
 
-fn term_strategy() -> BoxedStrategy<Term> {
-    let quoted = (leaf_strategy(), leaf_strategy(), leaf_strategy())
+/// `<< s p o >>` over leaves, or one level deeper: a quoted triple whose
+/// subject or object is itself quoted.
+fn quoted_strategy() -> BoxedStrategy<Term> {
+    let flat = (leaf_strategy(), leaf_strategy(), leaf_strategy())
+        .prop_map(|(s, p, o)| Term::quoted(s, p, o))
+        .boxed();
+    let quoted_subject = (flat.clone(), leaf_strategy(), leaf_strategy())
         .prop_map(|(s, p, o)| Term::quoted(s, p, o));
-    prop_oneof![6 => leaf_strategy(), 1 => quoted.boxed()].boxed()
+    let quoted_object = (leaf_strategy(), leaf_strategy(), flat.clone())
+        .prop_map(|(s, p, o)| Term::quoted(s, p, o));
+    prop_oneof![3 => flat, 1 => quoted_subject.boxed(), 1 => quoted_object.boxed()].boxed()
+}
+
+fn term_strategy() -> BoxedStrategy<Term> {
+    prop_oneof![6 => leaf_strategy(), 1 => quoted_strategy()].boxed()
+}
+
+/// Objects are quoted more often than other positions.
+fn object_strategy() -> BoxedStrategy<Term> {
+    prop_oneof![3 => leaf_strategy(), 1 => quoted_strategy()].boxed()
 }
 
 fn graph_strategy() -> impl Strategy<Value = GraphName> {
@@ -35,7 +55,7 @@ fn graph_strategy() -> impl Strategy<Value = GraphName> {
 }
 
 fn quad_strategy() -> impl Strategy<Value = Quad> {
-    (term_strategy(), term_strategy(), term_strategy(), graph_strategy())
+    (term_strategy(), term_strategy(), object_strategy(), graph_strategy())
         .prop_map(|(s, p, o, g)| Quad::in_graph(s, p, o, g))
 }
 
@@ -54,8 +74,11 @@ fn assert_identical(seq: &QuadStore, bulk: &QuadStore) {
     assert!(bulk.validate_indexes(), "bulk store indexes inconsistent");
 }
 
+/// Raised in release, where `scripts/check.sh` runs this suite.
+const CASES: u32 = if cfg!(debug_assertions) { 64 } else { 1024 };
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     #[test]
     fn extend_matches_sequential_insert(quads in proptest::collection::vec(quad_strategy(), 0..120)) {

@@ -382,7 +382,7 @@ impl Matcher<'_> {
                     graph_var = Some(v);
                     None
                 }
-                id if matches!(self.store.term(TermId(id)), Term::Iri(_)) => Some(id),
+                id if matches!(*self.store.term(TermId(id)), Term::Iri(_)) => Some(id),
                 _ => return None,
             },
         };
@@ -457,8 +457,9 @@ impl Matcher<'_> {
     }
 
     /// Unify an open node with the id a quad holds in its position. A
-    /// quoted pattern descends into the stored triple; the dictionary
-    /// interns quoted constituents, so their bindings stay in the id domain.
+    /// quoted pattern descends into the stored triple's constituent ids,
+    /// which the dictionary keeps as the triple itself, so its bindings
+    /// stay in the id domain and nothing is hashed or decoded.
     fn unify_id(
         &self,
         node: &EncNode,
@@ -470,18 +471,11 @@ impl Matcher<'_> {
         match node {
             EncNode::Const(c) => c.0 == id,
             EncNode::Var(v) => bind(*v, id, batch, i, updates),
-            EncNode::Quoted(q) => match self.store.term(TermId(id)) {
-                Term::Quoted(t) => [
-                    (&q.subject, &t.subject),
-                    (&q.predicate, &t.predicate),
-                    (&q.object, &t.object),
-                ]
-                .into_iter()
-                .all(|(inner, term)| {
-                    let id = self.store.id_of(term);
-                    id.is_some_and(|id| self.unify_id(inner, id.0, batch, i, updates))
-                }),
-                _ => false,
+            EncNode::Quoted(q) => match self.store.dictionary().quoted(TermId(id)) {
+                Some([s, p, o]) => [(&q.subject, s), (&q.predicate, p), (&q.object, o)]
+                    .into_iter()
+                    .all(|(inner, id)| self.unify_id(inner, id.0, batch, i, updates)),
+                None => false,
             },
         }
     }

@@ -22,6 +22,7 @@
 //! the `encoded_vs_reference` property tests hold this executor to its
 //! semantics.
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -733,7 +734,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The term row `i` binds `var` to, lent by the dictionary (and counted).
-    fn term_at(&self, batch: &Batch, var: VarId, i: usize) -> Option<&'a Term> {
+    fn term_at(&self, batch: &Batch, var: VarId, i: usize) -> Option<Cow<'a, Term>> {
         let id = batch.get(var, i);
         (id != UNBOUND).then(|| {
             self.count_decoded(1);

@@ -4,7 +4,9 @@
 //! values and numeric coercions that ids cannot answer. The executor
 //! therefore hands this module a *resolver* closure that looks a variable's
 //! term up in the dictionary on demand and lends it out: a variable or
-//! constant operand is never cloned, only computed values are owned.
+//! constant operand is never cloned, only computed values (and quoted
+//! triples, which the dictionary builds from their constituents' ids) are
+//! owned.
 //!
 //! `Err(())` models SPARQL's expression errors (unbound variables, type
 //! mismatches), which FILTER treats as false.
@@ -28,10 +30,10 @@ fn computed<'t>(term: Term) -> Value<'t> {
 /// Evaluate an expression, resolving variables through `resolver`.
 pub(crate) fn eval_expr<'t, R>(resolver: &R, expr: &'t Expr) -> Value<'t>
 where
-    R: Fn(VarId) -> Option<&'t Term>,
+    R: Fn(VarId) -> Option<Cow<'t, Term>>,
 {
     match expr {
-        Expr::Var(v) => resolver(*v).map(Cow::Borrowed).ok_or(()),
+        Expr::Var(v) => resolver(*v).ok_or(()),
         Expr::Const(t) => Ok(Cow::Borrowed(t)),
         Expr::Not(e) => {
             let b = effective_bool(Some(eval_expr(resolver, e)?.as_ref())).ok_or(())?;
@@ -50,14 +52,14 @@ where
 /// count as false (the FILTER rule).
 pub fn filter_passes<'t, R>(resolver: &R, expr: &'t Expr) -> bool
 where
-    R: Fn(VarId) -> Option<&'t Term>,
+    R: Fn(VarId) -> Option<Cow<'t, Term>>,
 {
     effective_bool(eval_expr(resolver, expr).ok().as_deref()).unwrap_or(false)
 }
 
 fn eval_binary<'t, R>(resolver: &R, op: BinOp, l: &'t Expr, r: &'t Expr) -> Value<'t>
 where
-    R: Fn(VarId) -> Option<&'t Term>,
+    R: Fn(VarId) -> Option<Cow<'t, Term>>,
 {
     let truth = |e: &'t Expr| effective_bool(eval_expr(resolver, e).ok().as_deref());
     match op {
@@ -123,7 +125,7 @@ fn combine_binary(op: BinOp, lv: &Term, rv: &Term) -> Result<Term, ()> {
 
 fn eval_call<'t, R>(resolver: &R, func: Func, args: &'t [Expr]) -> Value<'t>
 where
-    R: Fn(VarId) -> Option<&'t Term>,
+    R: Fn(VarId) -> Option<Cow<'t, Term>>,
 {
     match func {
         Func::Bound => match args.first() {

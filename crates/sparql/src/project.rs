@@ -14,6 +14,7 @@
 //! [`crate::reference`] keeps the same modifiers over decoded rows, and the
 //! differential suite holds this module to them.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
@@ -34,7 +35,7 @@ struct Cells<'a> {
 }
 
 impl<'a> Cells<'a> {
-    fn term(&self, cell: u32) -> Option<&Term> {
+    fn term(&self, cell: u32) -> Option<Cow<'_, Term>> {
         cell_term(Some(self.store.dictionary()), &self.minted, cell)
     }
 
@@ -170,8 +171,8 @@ fn key_ranks(
         distinct.sort_unstable();
         distinct.dedup();
         ev.count_decoded(distinct.len() as u64);
-        let terms: Vec<Option<&Term>> = distinct.iter().map(|&c| cells.term(c)).collect();
-        let ranks = dense_ranks(&terms, |a, b| compare_terms(*a, *b));
+        let terms: Vec<Option<Cow<Term>>> = distinct.iter().map(|&c| cells.term(c)).collect();
+        let ranks = dense_ranks(&terms, |a, b| compare_terms(a.as_deref(), b.as_deref()));
         // every cell of the column is in `distinct`, which is sorted
         return column.iter().map(|c| ranks[distinct.partition_point(|d| d < c)]).collect();
     }
@@ -299,7 +300,7 @@ fn eval_aggregate(
             let (mut sum, mut n) = (0.0, 0usize);
             for term in bound(v).filter_map(|c| cells.term(c)) {
                 ev.count_decoded(1);
-                if let Some(value) = numeric(term) {
+                if let Some(value) = numeric(&term) {
                     sum += value;
                     n += 1;
                 }
@@ -313,7 +314,8 @@ fn eval_aggregate(
             let mut best = UNBOUND;
             for cell in bound(v) {
                 ev.count_decoded(1);
-                if best == UNBOUND || compare_terms(cells.term(cell), cells.term(best)) == wanted {
+                let (term, best_term) = (cells.term(cell), cells.term(best));
+                if best == UNBOUND || compare_terms(term.as_deref(), best_term.as_deref()) == wanted {
                     best = cell;
                 }
             }

@@ -18,6 +18,7 @@
 use lids_exec::QueryGovernor;
 use lids_rdf::{GraphName, QuadPattern, StoreSnapshot, Term};
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
 
@@ -27,6 +28,11 @@ use crate::results::{Solutions, SparqlError};
 
 /// A decoded partial solution: one optional term per query variable.
 type Binding = Vec<Option<Term>>;
+
+/// The term `row` binds `v` to, lent to the expression evaluator.
+fn lend(row: &[Option<Term>], v: VarId) -> Option<Cow<'_, Term>> {
+    row[v.0 as usize].as_ref().map(Cow::Borrowed)
+}
 
 /// Evaluate a parsed query with the reference engine, ungoverned.
 pub fn evaluate(
@@ -106,7 +112,7 @@ fn eval_group(
             }
             PatternElement::Filter(expr) => bindings
                 .into_iter()
-                .filter(|b| filter_passes(&|v: VarId| b[v.0 as usize].as_ref(), expr))
+                .filter(|b| filter_passes(&|v| lend(b, v), expr))
                 .collect(),
             PatternElement::Optional(inner) => {
                 let mut next = Vec::new();
@@ -267,8 +273,8 @@ fn project(query: &Query, select: &SelectQuery, bindings: Vec<Binding>) -> Solut
     if !select.order_by.is_empty() {
         rows.sort_by(|a, b| {
             for key in &select.order_by {
-                let va = eval_expr(&|v: VarId| a[v.0 as usize].as_ref(), &key.expr);
-                let vb = eval_expr(&|v: VarId| b[v.0 as usize].as_ref(), &key.expr);
+                let va = eval_expr(&|v| lend(a, v), &key.expr);
+                let vb = eval_expr(&|v| lend(b, v), &key.expr);
                 let ord = compare_terms(va.as_deref().ok(), vb.as_deref().ok());
                 let ord = if key.descending { ord.reverse() } else { ord };
                 if ord != Ordering::Equal {

@@ -185,8 +185,9 @@ impl<'a> Solutions<'a> {
         self.columns.iter().position(|c| c == name)
     }
 
-    /// The term a cell of [`Self::rows`] stands for (`None` = unbound).
-    pub fn term(&self, cell: u32) -> Option<&Term> {
+    /// The term a cell of [`Self::rows`] stands for (`None` = unbound):
+    /// borrowed, except a stored quoted triple, which is built on demand.
+    pub fn term(&self, cell: u32) -> Option<Cow<'_, Term>> {
         cell_term(self.dict, &self.minted, cell)
     }
 
@@ -194,17 +195,17 @@ impl<'a> Solutions<'a> {
     /// or `<< s p o >>` — borrowed where the term holds it; empty for an
     /// unbound cell.
     pub fn text(&self, cell: u32) -> Cow<'_, str> {
-        self.term(cell).map(term_str).unwrap_or_default()
+        self.term(cell).map(cow_str).unwrap_or_default()
     }
 
     /// Iterate the terms bound to `column` across all rows (skipping unbound).
-    pub fn column<'s>(&'s self, name: &str) -> impl Iterator<Item = &'s Term> + 's {
+    pub fn column<'s>(&'s self, name: &str) -> impl Iterator<Item = Cow<'s, Term>> + 's {
         let index = self.column_index(name);
         self.rows.iter().filter_map(move |row| self.term(row[index?]))
     }
 
     /// Get the term at `(row, column-name)`.
-    pub fn get(&self, row: usize, name: &str) -> Option<&Term> {
+    pub fn get(&self, row: usize, name: &str) -> Option<Cow<'_, Term>> {
         let i = self.column_index(name)?;
         if row >= self.len() {
             return None;
@@ -215,12 +216,12 @@ impl<'a> Solutions<'a> {
     /// Convenience: string form of the term at `(row, column)` — IRI text or
     /// literal lexical form, borrowed from the term.
     pub fn get_str(&self, row: usize, name: &str) -> Option<Cow<'_, str>> {
-        self.get(row, name).map(term_str)
+        self.get(row, name).map(cow_str)
     }
 
     /// Convenience: numeric value at `(row, column)`.
     pub fn get_f64(&self, row: usize, name: &str) -> Option<f64> {
-        match self.get(row, name)? {
+        match &*self.get(row, name)? {
             Term::Literal(l) => l.as_f64(),
             _ => None,
         }
@@ -230,7 +231,7 @@ impl<'a> Solutions<'a> {
     pub fn to_terms(&self) -> Vec<Vec<Option<Term>>> {
         self.rows
             .iter()
-            .map(|row| row.iter().map(|&cell| self.term(cell).cloned()).collect())
+            .map(|row| row.iter().map(|&cell| self.term(cell).map(Cow::into_owned)).collect())
             .collect()
     }
 }
@@ -242,15 +243,15 @@ pub(crate) fn cell_term<'t>(
     dict: Option<&'t Dictionary>,
     minted: &'t [Term],
     cell: u32,
-) -> Option<&'t Term> {
+) -> Option<Cow<'t, Term>> {
     if cell == UNBOUND {
         return None;
     }
     let cell = cell as usize;
     Some(match dict {
         Some(dict) if cell < dict.len() => dict.term(TermId(cell as u32)),
-        Some(dict) => &minted[cell - dict.len()],
-        None => &minted[cell],
+        Some(dict) => Cow::Borrowed(&minted[cell - dict.len()]),
+        None => Cow::Borrowed(&minted[cell]),
     })
 }
 
@@ -278,6 +279,14 @@ pub fn term_str(t: &Term) -> Cow<'_, str> {
             term_str(&q.predicate),
             term_str(&q.object)
         )),
+    }
+}
+
+/// [`term_str`] of a term that may have been built for the caller.
+fn cow_str(term: Cow<'_, Term>) -> Cow<'_, str> {
+    match term {
+        Cow::Borrowed(term) => term_str(term),
+        Cow::Owned(term) => Cow::Owned(term_str(&term).into_owned()),
     }
 }
 
@@ -321,7 +330,7 @@ mod tests {
             &dict,
             vec![Term::integer(7)],
         );
-        assert_eq!(s.get(0, "x"), Some(&Term::iri("a")));
+        assert_eq!(s.get(0, "x").as_deref(), Some(&Term::iri("a")));
         assert_eq!(s.get_f64(0, "n"), Some(7.0));
         assert_eq!(s.get(0, "u"), None);
         // a zero-column answer still counts its rows

@@ -23,8 +23,11 @@ cargo test -q --release --test linking_differential
 # which the timeout turns into a failure).
 timeout 600 cargo test -q --release --test incremental_differential
 # Bulk loading must be indistinguishable from sequential insertion:
-# identical quad sets, identical insert-order-dense TermId assignment.
-cargo test -q -p lids-rdf --test bulk_load_differential
+# identical quad sets, identical insert-order-dense TermId assignment —
+# nested and object-position quoted triples included, which the dictionary
+# keys by their constituents' ids, so the loader must intern those first.
+# The suite raises its own case count in release.
+cargo test -q --release -p lids-rdf --test bulk_load_differential
 # The sorted-run store against the representation it replaced: every write
 # path (single, batch, encoded, in and out of a delta, under pins and a
 # reader, on both sides of the fold threshold) mirrored on a BTreeSet

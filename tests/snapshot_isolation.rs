@@ -134,7 +134,7 @@ proptest! {
                     pinned.push(Pinned {
                         contents: frozen,
                         generation: snap.generation(),
-                        terms: snap.dictionary().iter().map(|(_, t)| t.clone()).collect(),
+                        terms: snap.dictionary().iter().map(|(_, t)| t.into_owned()).collect(),
                         snap,
                     });
                 }
@@ -142,7 +142,7 @@ proptest! {
         }
         // (a) every pinned snapshot is still bit-identical to its frozen
         // copy, regardless of the writes that followed
-        let live: Vec<&Term> = store.dictionary().iter().map(|(_, t)| t).collect();
+        let live: Vec<Term> = store.dictionary().iter().map(|(_, t)| t.into_owned()).collect();
         for pin in &pinned {
             prop_assert_eq!(&contents(&pin.snap), &pin.contents);
             prop_assert_eq!(pin.snap.generation(), pin.generation);
@@ -150,13 +150,13 @@ proptest! {
             prop_assert_eq!(pin.snap.term_count(), pin.terms.len());
             for (i, term) in pin.terms.iter().enumerate() {
                 prop_assert_eq!(pin.snap.id_of(term), Some(TermId(i as u32)));
-                prop_assert_eq!(pin.snap.term(TermId(i as u32)), term);
+                prop_assert_eq!(&pin.snap.term(TermId(i as u32)).into_owned(), term);
             }
             // ids are append-only: the live dictionary extends the pinned
             // one, and nothing it interned since resolves in the snapshot
             for (i, term) in live.iter().enumerate() {
                 match pin.terms.get(i) {
-                    Some(frozen) => prop_assert_eq!(*term, frozen),
+                    Some(frozen) => prop_assert_eq!(term, frozen),
                     None => prop_assert_eq!(pin.snap.id_of(term), None),
                 }
             }
