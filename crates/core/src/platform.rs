@@ -67,7 +67,7 @@ pub struct BootstrapStats {
     pub pipelines_abstracted: usize,
     pub pipelines_failed: usize,
     pub triples: usize,
-    pub schema: Option<SchemaStatsLite>,
+    pub schema: SchemaStatsLite,
     pub abstraction: AbstractionStats,
     pub links: LinkStats,
     /// Which artifacts were quarantined, with typed errors and retry counts.
@@ -484,10 +484,10 @@ pub struct KgLids {
     /// Fault-tolerance policy every ingest run works under.
     pub(crate) ingest: IngestOptions,
     pub(crate) profiles: Vec<ColumnProfile>,
-    /// The persistent stage-2 linking structures (label cache, per-bucket
-    /// matrices, sharded HNSW, cell geometry): built by the first run's
-    /// batch pass, kept alive so later deltas link new columns without
-    /// touching old-old pairs.
+    /// The persistent linking structures (label cache, per-bucket
+    /// matrices, sharded HNSW, cell geometry): filled by the first run,
+    /// kept alive so later deltas link new columns without touching
+    /// old-old pairs.
     pub(crate) link_index: LinkIndex,
     /// Cumulative quarantine ledger: every run's report, minus entries
     /// withdrawn by dataset retraction.
@@ -662,11 +662,10 @@ impl KgLids {
     ///
     /// Additions profile only the new artifacts (under the platform's
     /// fault-tolerance policy) and link them through the persisted
-    /// [`LinkIndex`]: with the batch pass's exact kernels and a lossless
-    /// triangle-inequality candidate bound against the columns it holds,
-    /// or — when it has never held one — with the batch pass itself. The
-    /// resulting graph is identical to a from-scratch bootstrap of the
-    /// final lake.
+    /// [`LinkIndex`], which scores only pairs with a new endpoint — on an
+    /// empty index, every pair — with exact kernels behind a lossless
+    /// candidate bound. The resulting graph is identical to a from-scratch
+    /// bootstrap of the final lake.
     /// Removals withdraw the dataset's metadata subgraph, its similarity
     /// edges (both directions plus RDF-star annotations), its pipelines'
     /// graphs, and its quarantine provenance via one batch
@@ -812,31 +811,29 @@ impl KgLids {
         stats.quads_added += ingested.quads_added;
         sw.stop();
         stats.linking_secs = sw.secs();
-        stats.relink_candidates = link.candidates;
+        stats.relink_candidates = link.candidates_generated;
         stats.label_edges = link.label_edges;
         stats.content_edges = link.content_edges;
+        stats.schema = SchemaStatsLite::from(&link);
         tracer.add_count(span, "label_edges", link.label_edges as u64);
         tracer.add_count(span, "content_edges", link.content_edges as u64);
-        tracer.add_count(span, "candidates", link.candidates as u64);
+        tracer.add_count(span, "candidates", link.candidates_generated as u64);
         tracer.add_count(span, "cell_rebuilds", link.cell_rebuilds as u64);
-        // the index took the batch pass: its pruning, bucket by bucket
-        if let Some(batch) = &link.batch {
-            stats.schema = Some(SchemaStatsLite::from(batch));
-            tracer.add_count(span, "pairs_pruned", batch.pairs_pruned as u64);
-            obs.metrics.counter_add("linking.pairs_pruned", batch.pairs_pruned as u64);
-            for bucket in &batch.buckets {
-                let b = tracer.child(span, "bucket");
-                tracer.set_attr(b, "fgt", bucket.fgt);
-                tracer.set_attr(b, "strategy", bucket.strategy);
-                tracer.set_attr(b, "rows", bucket.rows);
-                tracer.add_count(b, "eligible_pairs", bucket.eligible_pairs as u64);
-                tracer.add_count(b, "candidates", bucket.candidates as u64);
-                tracer.add_count(b, "pruned", bucket.pruned as u64);
-                tracer.add_count(b, "hnsw_hops", bucket.hnsw.hops);
-                tracer.add_count(b, "hnsw_dist_evals", bucket.hnsw.dist_evals);
-                tracer.add_count(b, "hnsw_searches", bucket.hnsw.searches);
-                let _ = tracer.close(b);
-            }
+        tracer.add_count(span, "pairs_pruned", link.pairs_pruned as u64);
+        obs.metrics.counter_add("linking.pairs_pruned", link.pairs_pruned as u64);
+        // the candidate stage, bucket by bucket
+        for bucket in &link.buckets {
+            let b = tracer.child(span, "bucket");
+            tracer.set_attr(b, "fgt", bucket.fgt);
+            tracer.set_attr(b, "strategy", bucket.strategy);
+            tracer.set_attr(b, "rows", bucket.rows);
+            tracer.add_count(b, "eligible_pairs", bucket.eligible_pairs as u64);
+            tracer.add_count(b, "candidates", bucket.candidates as u64);
+            tracer.add_count(b, "pruned", bucket.pruned as u64);
+            tracer.add_count(b, "hnsw_hops", bucket.hnsw.hops);
+            tracer.add_count(b, "hnsw_dist_evals", bucket.hnsw.dist_evals);
+            tracer.add_count(b, "hnsw_searches", bucket.hnsw.searches);
+            let _ = tracer.close(b);
         }
         let _ = tracer.close(span);
 
@@ -1076,9 +1073,9 @@ pub struct DeltaStats {
     /// Store generation after the delta committed (exactly base + 1 when
     /// the delta mutated anything).
     pub generation: u64,
-    /// The batch schema pass's counters, when the link index took it (it
-    /// had never held a column).
-    pub schema: Option<SchemaStatsLite>,
+    /// The linker's counters over this run's new columns (on the first
+    /// run, the whole lake's).
+    pub schema: SchemaStatsLite,
     /// Triples emitted per abstraction aspect (library graph included,
     /// on the run that loaded it).
     pub abstraction: AbstractionStats,

@@ -57,11 +57,13 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let threads = config.threads.max(1).min(n);
+    // workers claim `chunk` items at a time, so a worker past the number
+    // of chunks would find nothing to claim: it is not spawned
+    let chunk = config.chunk.max(1);
+    let threads = config.threads.max(1).min(n.div_ceil(chunk));
     if threads == 1 {
         return items.iter().map(f).collect();
     }
-    let chunk = config.chunk.max(1);
 
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);

@@ -1,55 +1,76 @@
-//! Incremental maintenance of the data global schema.
+//! Algorithm 3's linker: [`LinkIndex`], the one implementation of the
+//! similarity half of the data global schema.
 //!
-//! [`LinkIndex`] keeps the batch schema pass's stage-1/2 structures alive
-//! after bootstrap — the interned label cache, the dense table-id
-//! assignment, and each embeddable bucket's pre-normalized [`RowMatrix`],
-//! sharded HNSW, and candidate-component geometry (adopted verbatim via
-//! [`crate::schema::data_global_schema_quads_seeded`]) — so a delta of new
-//! columns links against the existing lake without re-scoring old-old
-//! pairs. An index that has never held a column ([`LinkIndex::new`]) runs
-//! that batch pass itself on its first [`LinkIndex::link_columns`] and
-//! adopts the seed: bootstrap is the first delta, and which pass a delta
-//! takes is decided here, from the index's own state.
+//! The index holds every column it has linked: the interned label cache,
+//! dense table ids, each fine-grained type's label classes and, per
+//! embeddable type, a bucket of pre-normalized CoLR vectors — plus, once the
+//! bucket outgrows [`LinkingConfig::bucket_cutoff`] under
+//! [`LinkingMode::Pruned`], a sharded HNSW and the cell geometry derived from
+//! it. [`LinkIndex::link_columns`] takes one path for every batch, from the
+//! first fill of an empty index to a one-column delta:
+//!
+//! 1. **Register** the new columns: table ids, interned labels, label
+//!    classes, bucket rows and HNSW inserts.
+//! 2. **Refresh the cells** of each touched bucket that is past the cutoff
+//!    and more than half *pending* (rows its cells do not cover yet):
+//!    radius queries over the HNSW from every live row, the hits grouped
+//!    into connected components, each component given a centroid, a radius
+//!    and a squared norm. A first fill is all pending, so it builds them.
+//! 3. **Score** only the pairs with at least one new endpoint, in parallel
+//!    blocks:
+//!    - label classes pairwise: one cached similarity per pair of classes,
+//!      gated by `α` and fanned out to their cross-table columns;
+//!    - booleans by `1 − |ratio_a − ratio_b| ≥ β`, through a sliding
+//!      true-ratio window of width `1 − β` in a large pruned bucket;
+//!    - embeddable columns by [`dot_lanes`] cosine `≥ θ`, over the cell
+//!      pairs the triangle-inequality bound admits, each pending row a
+//!      singleton cell. A bucket without cells (at or below the cutoff, or
+//!      any bucket under [`LinkingMode::Exact`]) pairs every new row with
+//!      every live row.
+//!
+//! A first fill therefore does a from-scratch pass's work pair for pair,
+//! and a delta never scores an old–old pair again.
 //!
 //! # Exactness
 //!
-//! Incremental linking emits *exactly* the edges a from-scratch rebuild
-//! over the final profile set would emit, because both sides of the PR 3
-//! guarantee carry over:
+//! Any schedule of batches emits *exactly* the edges one fill of the final
+//! profile set emits, and [`LinkingMode::Pruned`] exactly those of
+//! [`LinkingMode::Exact`]:
 //!
-//! 1. **The kernels are identical and symmetric.** Label similarity is
-//!    the cached decision tree of [`LabelEmbeddingCache::similarity`]
-//!    (depends only on the two label strings); boolean content is
+//! 1. **The kernels are identical and symmetric.** Label similarity is the
+//!    cached decision tree of [`LabelEmbeddingCache::similarity`] (it
+//!    depends only on the two label strings); boolean content is
 //!    `1 − |ratio_a − ratio_b|`; embeddable content is
 //!    [`dot_lanes`]` (a, b).clamp(-1, 1)` over vectors normalized once by
-//!    [`RowMatrix::push_normalized`]. None depends on insertion order or
-//!    on which endpoint plays "query".
-//! 2. **The candidate filter is lossless.** A new column `q` is scored
-//!    against every live column its fine-grained-type bucket could pair
-//!    it with: small buckets scan exhaustively; large buckets use the
-//!    cell bound — for cosine `≥ θ` on unit vectors, `‖q − r‖ ≤
-//!    √(2(1−θ))`, and any covered row `r` lives in a cell with centroid
-//!    `c` and radius `ρ ≥ ‖r − c‖`, so `‖q − c‖ ≤ √(2(1−θ)) + ρ` by the
-//!    triangle inequality. Cells outside that bound (with the same float
-//!    margins the batch pass uses) provably hold no θ-partner; rows not
-//!    yet covered by cells are scored unconditionally. HNSW recall
-//!    therefore affects cell *shape* (speed), never the edge set.
+//!    [`RowMatrix::push_normalized`]. None depends on batch boundaries or
+//!    on which endpoint is new.
+//! 2. **The candidate filter is lossless.** For cosine `≥ θ` on unit
+//!    vectors, `‖a − b‖ ≤ √(2(1−θ))`. A row in a cell with centroid `c` and
+//!    radius `ρ` is within `ρ` of `c`, so by the triangle inequality two
+//!    cells whose centroids lie further apart than `√(2(1−θ)) + ρ_A + ρ_B`
+//!    (plus a float margin) hold no θ-pair between them. HNSW recall
+//!    therefore shapes the cells (speed), never the edge set. The boolean
+//!    window is widened the same way, and every candidate meets the exact
+//!    `α`/`β`/`θ` gate.
+//! 3. **Every pair with a new endpoint is enumerated once.** A group's
+//!    members ascend, so its new members are a suffix; a pair of groups is
+//!    visited from the first one holding new members.
 //!
 //! Since [`QuadSink::edge`] materialises each edge symmetrically (both
 //! directions plus both RDF-star annotations), the emitted quad set is
 //! independent of pair orientation, and the store deduplicates re-emitted
-//! metadata — so `apply_delta` and full rebuild converge on bit-identical
+//! metadata — so `apply_delta` and a full rebuild converge on identical
 //! decoded quad sets (pinned by the `incremental_differential` suite).
 //!
 //! # Linking decides, emission writes
 //!
-//! [`LinkIndex::link_columns`] only decides: it returns the delta's
+//! [`LinkIndex::link_columns`] only decides: it returns the batch's
 //! similarity edges as `(column id, column id, predicate, score)` and
 //! builds no quad. [`LinkIndex::emit_columns`] writes them — with the new
-//! columns' metadata — through the one emitter body of
-//! [`crate::schema`] into a [`QuadSink`]: an
-//! [`crate::schema::EncodedBatch`] of id tuples on the platform's write
-//! path, a `Vec<Quad>` ([`LinkIndex::add_columns`]) for tests and replays.
+//! columns' metadata — through the one emitter body of [`crate::schema`]
+//! into a [`QuadSink`]: an [`crate::schema::EncodedBatch`] of id tuples on
+//! the platform's write path, a `Vec<Quad>` ([`LinkIndex::add_columns`])
+//! for tests and replays.
 //!
 //! Retraction runs the other way, and in id space throughout:
 //! [`retraction_ids`] regenerates a removed dataset's metadata quads and
@@ -64,19 +85,41 @@
 // not unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use lids_embed::{FineGrainedType, LabelEmbeddingCache, LabelId, WordEmbeddings};
+use lids_exec::parallel_blocks;
 use lids_profiler::ColumnProfile;
 use lids_rdf::{EncodedPattern, EncodedQuad, Quad, StoreSnapshot, TermId};
 use lids_vector::{dot_lanes, HnswConfig, Metric, RowMatrix, SearchStats, ShardedHnsw};
 
 use crate::ontology::{object_prop, res};
 use crate::provenance::{artifact_iri, QUARANTINE_GRAPH};
+#[cfg(doc)]
+use crate::schema::{data_global_schema_quads_seeded, LinkingConfig};
 use crate::schema::{
-    components, emit_metadata, emit_quads, euclidean, link_schema, CellSet, Edge, LinkSeed, QuadSink,
-    SchemaConfig, SchemaStats, GEOM_MARGIN, HNSW_SEED, RADIUS_MARGIN,
+    emit_metadata, emit_quads, BucketStats, Edge, LinkingMode, QuadSink, SchemaConfig, SchemaStats,
 };
+
+/// Widens the HNSW radius (`1 − θ`) so float noise between the index
+/// metric and the [`dot_lanes`] re-check cannot drop a true candidate;
+/// the exact gate then discards anything the margin let through.
+const RADIUS_MARGIN: f32 = 1e-3;
+
+/// Widens the boolean sliding window (`1 − β`) the same way; `β` is f64
+/// so a much smaller slack suffices.
+const WINDOW_MARGIN: f64 = 1e-9;
+
+/// Fixed level-assignment seed so pruned runs are reproducible.
+const HNSW_SEED: u64 = 0x11d5;
+
+/// Slack added to the Euclidean equivalent of the θ-ball (`√(2(1−θ))`) and
+/// to each cell radius in the triangle-inequality bound, absorbing f32
+/// rounding in centroid/radius computation; a pending row is a singleton
+/// cell of exactly this radius. The bound only decides which cell pairs
+/// are *enumerated*; the exact θ gate still decides every edge, so
+/// over-wide margins cost speed, never correctness.
+const GEOM_MARGIN: f32 = 1e-4;
 
 /// Identity of one column the index has ever seen (dead ones stay, so row
 /// and column ids remain stable).
@@ -100,13 +143,24 @@ struct EmbedBucket {
     cols: Vec<u32>,
     row_alive: Vec<bool>,
     /// Sharded HNSW over the rows, incrementally extended and
-    /// tombstone-filtered. Built lazily once the bucket outgrows the
-    /// exact-scan cutoff.
+    /// tombstone-filtered. Built with the bucket's first cells.
     hnsw: Option<ShardedHnsw>,
-    /// Cell geometry covering rows `< cell_rows`; rows at or past
-    /// `cell_rows` are *pending* and always scored exactly.
+    /// Cell geometry covering the live rows `< cell_rows`; rows at or past
+    /// `cell_rows` are *pending*.
     cells: Option<CellSet>,
     cell_rows: usize,
+}
+
+/// A partition of a bucket's live rows into cells, each with its centroid,
+/// its radius (max member distance to the centroid, plus `GEOM_MARGIN`)
+/// and its squared centroid norm, for the sqrt-free bound check.
+struct CellSet {
+    /// Member rows per cell, ascending.
+    members: Vec<Vec<u32>>,
+    /// Flat `cells × dim` centroid matrix.
+    centroids: Vec<f32>,
+    radii: Vec<f32>,
+    norms_sq: Vec<f32>,
 }
 
 impl EmbedBucket {
@@ -120,30 +174,123 @@ impl EmbedBucket {
             cell_rows: 0,
         }
     }
+
+    /// Bring the cells up to date before a batch is scored — the one place
+    /// cell geometry is built. Under [`LinkingMode::Pruned`], a bucket past
+    /// the cutoff with more than half its rows pending covers every live
+    /// row anew: radius queries over the HNSW (built over the bucket on
+    /// first use, dead rows tombstoned) from each live row surface nearly
+    /// every θ-pair, the hits are grouped into connected components, and
+    /// each component gets its centroid, radius and squared norm. Returns
+    /// the ANN work of a rebuild, `None` when the cells stood.
+    fn refresh_cells(&mut self, config: &SchemaConfig) -> Option<SearchStats> {
+        let lk = &config.linking;
+        let live = self.row_alive.iter().filter(|a| **a).count();
+        let pending = self.matrix.len() - self.cell_rows;
+        if lk.mode != LinkingMode::Pruned
+            || live <= lk.bucket_cutoff.max(1)
+            || pending * 2 <= self.matrix.len()
+        {
+            return None;
+        }
+        let (matrix, alive) = (&self.matrix, &self.row_alive);
+        let hnsw: &ShardedHnsw = self.hnsw.get_or_insert_with(|| {
+            let hnsw_config = HnswConfig {
+                m: lk.hnsw_m,
+                ef_construction: lk.hnsw_ef_construction,
+                ef_search: lk.hnsw_ef_search,
+                metric: Metric::Cosine,
+                seed: HNSW_SEED,
+            };
+            let mut h = ShardedHnsw::build(matrix, hnsw_config, lk.shards);
+            for (r, _) in alive.iter().enumerate().filter(|(_, alive)| !**alive) {
+                h.remove(r as u64);
+            }
+            h
+        });
+        let n = matrix.len();
+        let radius = (1.0 - config.theta) + RADIUS_MARGIN;
+        let seeded = parallel_blocks(n, lk.block, |range| {
+            let mut out = Vec::new();
+            let mut ann = SearchStats::default();
+            for i in range.filter(|&i| alive[i]) {
+                let hits = hnsw.search_radius_with_stats(matrix.row(i), radius, lk.init_k, &mut ann);
+                for j in hits.into_iter().map(|hit| hit.id as usize).filter(|&j| j != i) {
+                    out.push((i.min(j) as u32, i.max(j) as u32));
+                }
+            }
+            (out, ann)
+        });
+        let mut ann = SearchStats::default();
+        let mut seeds: Vec<(u32, u32)> = Vec::new();
+        for (block, block_ann) in seeded {
+            ann.merge(&block_ann);
+            seeds.extend(block);
+        }
+
+        let dim = matrix.dim();
+        let mut cells = CellSet {
+            members: Vec::new(),
+            centroids: Vec::new(),
+            radii: Vec::new(),
+            norms_sq: Vec::new(),
+        };
+        for mut members in components(n, &seeds) {
+            members.retain(|&r| alive[r as usize]);
+            if members.is_empty() {
+                continue;
+            }
+            let mut centroid = vec![0.0f32; dim];
+            for &r in &members {
+                for (acc, x) in centroid.iter_mut().zip(matrix.row(r as usize)) {
+                    *acc += x;
+                }
+            }
+            for x in centroid.iter_mut() {
+                *x /= members.len() as f32;
+            }
+            let radius = members
+                .iter()
+                .map(|&r| euclidean(&centroid, matrix.row(r as usize)))
+                .fold(0.0f32, f32::max)
+                + GEOM_MARGIN;
+            // ‖c_A−c_B‖² = ‖c_A‖² + ‖c_B‖² − 2·c_A·c_B lets the bound run
+            // on the lane-parallel dot kernel, without a sqrt
+            cells.norms_sq.push(dot_lanes(&centroid, &centroid));
+            cells.radii.push(radius);
+            cells.centroids.extend_from_slice(&centroid);
+            cells.members.push(members);
+        }
+        self.cells = Some(cells);
+        self.cell_rows = n;
+        Some(ann)
+    }
 }
 
-/// Work counters for one [`LinkIndex::add_columns`] call.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaLinkStats {
-    pub columns_added: usize,
-    pub metadata_triples: usize,
-    pub label_edges: usize,
-    pub content_edges: usize,
-    /// Column pairs that reached the exact scorer (the delta's
-    /// `relink_candidates`).
-    pub candidates: usize,
-    /// Buckets whose cell geometry was recomputed this call.
-    pub cell_rebuilds: usize,
-    /// ANN work spent on cell rebuilds (on the batch pass: on candidate
-    /// generation).
-    pub hnsw: SearchStats,
-    /// The batch pass's own statistics, when this call took it (see
-    /// [`LinkIndex::link_columns`]).
-    pub batch: Option<SchemaStats>,
+/// One cell as the content pass enumerates it: member rows, ascending, and
+/// the geometry of the triangle-inequality bound.
+struct Cell<'a> {
+    members: &'a [u32],
+    centroid: &'a [f32],
+    radius: f32,
+    norm_sq: f32,
 }
 
-/// The persistent linking index: everything stage 2 needs to link a new
-/// column against the current lake, kept alive across deltas.
+impl<'a> Cell<'a> {
+    /// Row `r` alone: its own centroid, radius `GEOM_MARGIN`.
+    fn singleton(matrix: &'a RowMatrix, r: &'a u32) -> Self {
+        let row = matrix.row(*r as usize);
+        Cell {
+            members: std::slice::from_ref(r),
+            centroid: row,
+            radius: GEOM_MARGIN,
+            norm_sq: dot_lanes(row, row),
+        }
+    }
+}
+
+/// The persistent linking index: every column linked so far, with the
+/// structures a new column is linked against, kept alive across deltas.
 pub struct LinkIndex {
     config: SchemaConfig,
     cache: LabelEmbeddingCache,
@@ -151,14 +298,14 @@ pub struct LinkIndex {
     cols: Vec<ColRef>,
     alive: Vec<bool>,
     /// Live columns grouped by interned label, per fine-grained type —
-    /// the label pass's equivalence classes.
+    /// the label pass's equivalence classes. Members ascend.
     label_groups: HashMap<FineGrainedType, HashMap<LabelId, Vec<u32>>>,
     embed: HashMap<FineGrainedType, EmbedBucket>,
 }
 
 impl LinkIndex {
     /// An index that has never held a column — what a platform starts
-    /// from. Its first [`LinkIndex::link_columns`] is a batch pass.
+    /// from. Its first [`LinkIndex::link_columns`] is the first fill.
     pub fn new(config: SchemaConfig) -> Self {
         LinkIndex {
             config,
@@ -171,51 +318,15 @@ impl LinkIndex {
         }
     }
 
-    /// Adopt the structures a batch schema pass built over `profiles`
-    /// (the same slice, in the same order, that produced `seed`).
-    pub fn from_seed(seed: LinkSeed, profiles: &[ColumnProfile], config: SchemaConfig) -> Self {
-        let mut cols: Vec<ColRef> = profiles
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ColRef {
-                dataset: p.meta.dataset.clone(),
-                iri: res::column(&p.meta.dataset, &p.meta.table, &p.meta.column),
-                table: seed.table_of[i],
-                label: seed.label_of[i],
-                fgt: p.fgt,
-                true_ratio: p.stats.true_ratio,
-                row: None,
-            })
-            .collect();
-        let mut label_groups: HashMap<FineGrainedType, HashMap<LabelId, Vec<u32>>> =
-            HashMap::new();
-        for (i, col) in cols.iter().enumerate() {
-            label_groups
-                .entry(col.fgt)
-                .or_default()
-                .entry(col.label)
-                .or_default()
-                .push(i as u32);
-        }
-        let mut embed: HashMap<FineGrainedType, EmbedBucket> = HashMap::new();
-        for capture in seed.buckets {
-            let cell_rows = if capture.cells.is_some() { capture.matrix.len() } else { 0 };
-            let mut bucket = EmbedBucket {
-                matrix: capture.matrix,
-                cols: Vec::with_capacity(capture.rows.len()),
-                row_alive: vec![true; capture.rows.len()],
-                hnsw: capture.hnsw,
-                cells: capture.cells,
-                cell_rows,
-            };
-            for (row, &pi) in capture.rows.iter().enumerate() {
-                bucket.cols.push(pi as u32);
-                cols[pi].row = Some(row as u32);
-            }
-            embed.insert(capture.fgt, bucket);
-        }
-        let alive = vec![true; cols.len()];
-        LinkIndex { config, cache: seed.cache, table_ids: seed.table_ids, cols, alive, label_groups, embed }
+    /// The index [`data_global_schema_quads_seeded`] filled with
+    /// `profiles` under `config`, handed back: a filled index is its own
+    /// seed.
+    pub fn from_seed(seed: LinkIndex, profiles: &[ColumnProfile], config: SchemaConfig) -> Self {
+        debug_assert!(
+            seed.cols.len() == profiles.len() && seed.config.linking.mode == config.linking.mode,
+            "a seed is the index filled with these profiles under this config"
+        );
+        seed
     }
 
     /// Live (non-retracted) columns currently indexed.
@@ -225,7 +336,7 @@ impl LinkIndex {
 
     /// Link a batch of new column profiles against the lake: appends
     /// their metadata quads and every similarity edge involving a new
-    /// column to `out`, and registers the columns for future deltas.
+    /// column to `out`, and registers the columns for future batches.
     /// [`LinkIndex::link_columns`] + [`LinkIndex::emit_columns`] with a
     /// `Vec<Quad>` as the target.
     pub fn add_columns(
@@ -233,16 +344,16 @@ impl LinkIndex {
         out: &mut Vec<Quad>,
         profiles: &[ColumnProfile],
         we: &WordEmbeddings,
-    ) -> DeltaLinkStats {
+    ) -> SchemaStats {
         let (mut stats, edges) = self.link_columns(profiles, we);
         stats.metadata_triples = self.emit_columns(out, profiles, &edges);
         stats
     }
 
     /// Emit what [`LinkIndex::link_columns`] decided over `profiles` (the
-    /// same slice): their metadata subgraph (idempotent against what
-    /// bootstrap already emitted; the store deduplicates), then `edges`.
-    /// Returns the number of metadata triples.
+    /// same slice): their metadata subgraph (idempotent against what an
+    /// earlier batch already emitted; the store deduplicates), then
+    /// `edges`. Returns the number of metadata triples.
     pub fn emit_columns<S: QuadSink>(
         &self,
         sink: &mut S,
@@ -252,174 +363,47 @@ impl LinkIndex {
         emit_quads(sink, profiles, edges, self.cols.len(), |c| &self.cols[c].iri)
     }
 
-    /// The linking half of a delta: scores each new column against the
-    /// lake and registers it for future deltas — no quad is built. Returns
-    /// the work counters (all but `metadata_triples`, which emission
-    /// counts) and every similarity edge involving a new column, endpoints
-    /// as column ids, for [`LinkIndex::emit_columns`]. Columns are
-    /// processed in order, so intra-batch pairs are covered exactly once
-    /// (each column is scored against all columns registered before it).
-    ///
-    /// An index that has never held a column has no structure to link
-    /// against, and every row of its first batch would be pending: scored
-    /// serially against all rows before it. That batch is the batch pass's
-    /// problem — [`link_schema`], parallel and pruned — whose seed the
-    /// index then adopts. Profile positions are column ids there, so the
-    /// edges read the same either way, and which pass ran shows only in
-    /// [`DeltaLinkStats::batch`].
+    /// The linking half of Algorithm 3 (lines 6–19) for a batch of new
+    /// columns — the module docs' three steps. Registers the columns and
+    /// returns the statistics (all but `metadata_triples`, which emission
+    /// counts) plus every similarity edge with a new endpoint, endpoints as
+    /// column ids, for [`LinkIndex::emit_columns`]. No quad is built.
     pub fn link_columns(
         &mut self,
         profiles: &[ColumnProfile],
         we: &WordEmbeddings,
-    ) -> (DeltaLinkStats, Vec<Edge>) {
-        if self.cols.is_empty() {
-            let (batch, seed, edges) = link_schema(profiles, &self.config, we);
-            *self = LinkIndex::from_seed(seed, profiles, self.config);
-            let stats = DeltaLinkStats {
-                columns_added: profiles.len(),
-                label_edges: batch.label_edges,
-                content_edges: batch.content_edges,
-                candidates: batch.candidates_generated,
-                hnsw: batch.hnsw,
-                batch: Some(batch),
-                ..Default::default()
-            };
-            return (stats, edges);
-        }
-        let mut stats = DeltaLinkStats { columns_added: profiles.len(), ..Default::default() };
-        let mut edges: Vec<Edge> = Vec::new();
-        let r_max =
-            ((2.0 * (1.0 - self.config.theta as f64)).sqrt() + GEOM_MARGIN as f64) as f32;
-        let mut touched: HashSet<FineGrainedType> = HashSet::new();
-
+    ) -> (SchemaStats, Vec<Edge>) {
+        // Column ids (and each bucket's rows) from here on are new.
+        let from = self.cols.len() as u32;
+        let mut fresh_rows: HashMap<FineGrainedType, u32> = HashMap::new();
         for p in profiles {
-            let iri = res::column(&p.meta.dataset, &p.meta.table, &p.meta.column);
+            let cid = self.cols.len() as u32;
             let next_table = self.table_ids.len() as u32;
             let table = *self
                 .table_ids
                 .entry((p.meta.dataset.clone(), p.meta.table.clone()))
                 .or_insert(next_table);
             let label = self.cache.intern(we, &p.meta.column);
-            let cid = self.cols.len() as u32;
-
-            // Label pass: one cached similarity per distinct live label,
-            // fanned out to that label's cross-table columns.
-            if let Some(groups) = self.label_groups.get(&p.fgt) {
-                for (&lid, members) in groups {
-                    let sim = self.cache.similarity(label, lid);
-                    if sim < self.config.alpha {
-                        continue;
-                    }
-                    for &c in members {
-                        let col = &self.cols[c as usize];
-                        if self.alive[c as usize] && col.table != table {
-                            stats.label_edges += 1;
-                            edges.push(Edge {
-                                a: cid,
-                                b: c,
-                                predicate: object_prop::HAS_LABEL_SIMILARITY,
-                                score: sim as f64,
-                            });
-                        }
-                    }
-                }
-            }
-
-            // Content pass.
-            if p.fgt == FineGrainedType::Boolean {
-                if let Some(ratio) = p.stats.true_ratio {
-                    for (c, col) in self.cols.iter().enumerate() {
-                        if !self.alive[c]
-                            || col.fgt != FineGrainedType::Boolean
-                            || col.table == table
-                        {
-                            continue;
-                        }
-                        let Some(other) = col.true_ratio else { continue };
-                        stats.candidates += 1;
-                        // the batch pass's exact gate and score
-                        let sim = 1.0 - (ratio - other).abs();
-                        if sim >= self.config.beta {
-                            stats.content_edges += 1;
-                            edges.push(Edge {
-                                a: cid,
-                                b: c as u32,
-                                predicate: object_prop::HAS_CONTENT_SIMILARITY,
-                                score: sim,
-                            });
-                        }
-                    }
-                }
-            } else if !p.embedding.is_empty() {
-                touched.insert(p.fgt);
+            self.label_groups.entry(p.fgt).or_default().entry(label).or_default().push(cid);
+            let mut row = None;
+            if p.fgt != FineGrainedType::Boolean && !p.embedding.is_empty() {
                 let bucket = self
                     .embed
                     .entry(p.fgt)
                     .or_insert_with(|| EmbedBucket::new(p.embedding.len()));
-                let row = bucket.matrix.len();
+                let r = bucket.matrix.len();
                 bucket.matrix.push_normalized(&p.embedding);
                 bucket.cols.push(cid);
                 bucket.row_alive.push(true);
                 if let Some(h) = bucket.hnsw.as_mut() {
-                    h.add(row as u64, bucket.matrix.row(row));
+                    h.add(r as u64, bucket.matrix.row(r));
                 }
-                let q = bucket.matrix.row(row);
-                // Candidates: cell-bounded rows plus everything pending.
-                let candidate_rows: Vec<usize> = match &bucket.cells {
-                    None => (0..row).collect(),
-                    Some(cells) => {
-                        let qq = dot_lanes(q, q);
-                        let dim = cells.dim;
-                        let mut cand: Vec<usize> = Vec::new();
-                        for (ci, members) in cells.members.iter().enumerate() {
-                            let centroid = &cells.centroids[ci * dim..(ci + 1) * dim];
-                            // the batch pass's component-pair bound with
-                            // the query as a singleton of radius
-                            // GEOM_MARGIN
-                            let t = r_max + cells.radii[ci] + GEOM_MARGIN;
-                            let d2 = qq + cells.norms_sq[ci] - 2.0 * dot_lanes(q, centroid);
-                            if d2 > t * t {
-                                continue;
-                            }
-                            cand.extend(members.iter().map(|&r| r as usize));
-                        }
-                        cand.extend(bucket.cell_rows..row);
-                        cand
-                    }
-                };
-                for j in candidate_rows {
-                    if !bucket.row_alive[j] {
-                        continue;
-                    }
-                    let cj = bucket.cols[j] as usize;
-                    if self.cols[cj].table == table {
-                        continue;
-                    }
-                    stats.candidates += 1;
-                    // the scan's kernel: scores are bit-identical to the
-                    // batch path by construction
-                    let score = dot_lanes(q, bucket.matrix.row(j)).clamp(-1.0, 1.0);
-                    if score >= self.config.theta {
-                        stats.content_edges += 1;
-                        edges.push(Edge {
-                            a: cid,
-                            b: cj as u32,
-                            predicate: object_prop::HAS_CONTENT_SIMILARITY,
-                            score: score as f64,
-                        });
-                    }
-                }
+                fresh_rows.entry(p.fgt).or_insert(r as u32);
+                row = Some(r as u32);
             }
-
-            // Register for future deltas (and for later columns of this
-            // same batch).
-            self.label_groups.entry(p.fgt).or_default().entry(label).or_default().push(cid);
-            let row = self.embed.get(&p.fgt).and_then(|b| {
-                (b.cols.last() == Some(&cid)).then(|| (b.cols.len() - 1) as u32)
-            });
             self.cols.push(ColRef {
                 dataset: p.meta.dataset.clone(),
-                iri,
+                iri: res::column(&p.meta.dataset, &p.meta.table, &p.meta.column),
                 table,
                 label,
                 fgt: p.fgt,
@@ -429,10 +413,203 @@ impl LinkIndex {
             self.alive.push(true);
         }
 
-        for fgt in touched {
-            self.maybe_rebuild(fgt, &mut stats);
+        let mut stats = SchemaStats { columns: profiles.len(), ..Default::default() };
+        // Types in label order, so bucket stats come out the same every run.
+        let mut types: Vec<FineGrainedType> = profiles.iter().map(|p| p.fgt).collect();
+        types.sort_by_key(|fgt| fgt.label());
+        types.dedup();
+        let mut edges: Vec<Edge> = Vec::new();
+        for fgt in types {
+            let Some(classes) = self.label_groups.get(&fgt) else { continue };
+            let members = classes.values().flatten();
+            stats.pairs_compared +=
+                fresh_cross_pairs(members.map(|&c| (self.cols[c as usize].table, c >= from)));
+            let label = self.label_pass(classes, from);
+            stats.label_edges += label.len();
+            edges.extend(label);
+            let content = if fgt == FineGrainedType::Boolean {
+                self.boolean_pass(from)
+            } else if let Some(&row) = fresh_rows.get(&fgt) {
+                let ann = self.embed.get_mut(&fgt).and_then(|b| b.refresh_cells(&self.config));
+                stats.cell_rebuilds += usize::from(ann.is_some());
+                self.embeddable_pass(fgt, row, ann.unwrap_or_default())
+            } else {
+                None
+            };
+            if let Some((bucket, found)) = content {
+                stats.candidates_generated += bucket.candidates;
+                stats.pairs_pruned += bucket.pruned;
+                stats.hnsw.merge(&bucket.hnsw);
+                stats.content_edges += found.len();
+                edges.extend(found);
+                stats.buckets.push(bucket);
+            }
         }
         (stats, edges)
+    }
+
+    /// Label edges with an endpoint `>= from` among one type's label
+    /// classes (Algorithm 3 lines 11–12): label similarity depends only on
+    /// the two label strings, so each pair of classes is scored once from
+    /// the cache and the score fans out to their cross-table column pairs.
+    fn label_pass(&self, classes: &HashMap<LabelId, Vec<u32>>, from: u32) -> Vec<Edge> {
+        let classes: Vec<(LabelId, &[u32])> =
+            classes.iter().map(|(&label, members)| (label, members.as_slice())).collect();
+        let has_new: Vec<bool> =
+            classes.iter().map(|(_, members)| members.last().is_some_and(|&c| c >= from)).collect();
+        let block = 1.max(self.config.linking.block / 8);
+        let found = group_pairs(&has_new, block, |a, b, out: &mut Vec<Edge>| {
+            let ((la, ga), (lb, gb)) = (classes[a], classes[b]);
+            let sim = self.cache.similarity(la, lb);
+            if sim < self.config.alpha {
+                return;
+            }
+            member_pairs(ga, gb, a == b, from, |i, j| {
+                if self.cols[i as usize].table != self.cols[j as usize].table {
+                    out.push(Edge {
+                        a: i,
+                        b: j,
+                        predicate: object_prop::HAS_LABEL_SIMILARITY,
+                        score: sim as f64,
+                    });
+                }
+            });
+        });
+        found.concat()
+    }
+
+    /// Boolean content edges with an endpoint `>= from`:
+    /// `1 − |ratio_a − ratio_b| ≥ β`. A bucket past the cutoff under
+    /// [`LinkingMode::Pruned`] sorts by true ratio and pairs each new row
+    /// only within a `1 − β` window (plus margin); otherwise the window is
+    /// unbounded. Either way each candidate meets the exact gate.
+    fn boolean_pass(&self, from: u32) -> Option<(BucketStats, Vec<Edge>)> {
+        let lk = &self.config.linking;
+        let mut rows: Vec<(f64, u32)> = (0..self.cols.len())
+            .filter(|&c| self.alive[c] && self.cols[c].fgt == FineGrainedType::Boolean)
+            .filter_map(|c| self.cols[c].true_ratio.map(|ratio| (ratio, c as u32)))
+            .collect();
+        if rows.len() < 2 || rows.last().is_none_or(|&(_, c)| c < from) {
+            return None;
+        }
+        let eligible = fresh_cross_pairs(
+            rows.iter().map(|&(_, c)| (self.cols[c as usize].table, c >= from)),
+        );
+        let windowed = lk.mode == LinkingMode::Pruned && rows.len() > lk.bucket_cutoff;
+        let width = if windowed {
+            rows.sort_by(|a, b| a.0.total_cmp(&b.0));
+            (1.0 - self.config.beta) + WINDOW_MARGIN
+        } else {
+            f64::INFINITY
+        };
+        let fresh: Vec<usize> = (0..rows.len()).filter(|&k| rows[k].1 >= from).collect();
+        let found = parallel_blocks(fresh.len(), lk.block, |range| {
+            let (mut out, mut candidates) = (Vec::new(), 0usize);
+            let mut score = |(ra, a): (f64, u32), (rb, b): (f64, u32)| {
+                if self.cols[a as usize].table == self.cols[b as usize].table {
+                    return;
+                }
+                candidates += 1;
+                // the exact gate, not the windowed one
+                let sim = 1.0 - (ra - rb).abs();
+                if sim >= self.config.beta {
+                    let predicate = object_prop::HAS_CONTENT_SIMILARITY;
+                    out.push(Edge { a, b, predicate, score: sim });
+                }
+            };
+            for &k in &fresh[range] {
+                let here = rows[k];
+                // later rows, new or old; earlier rows only when old (an
+                // earlier new row reaches this one from its own side)
+                for &there in rows[k + 1..].iter().take_while(|there| there.0 - here.0 <= width) {
+                    score(here, there);
+                }
+                for &there in rows[..k].iter().rev().take_while(|there| here.0 - there.0 <= width) {
+                    if there.1 < from {
+                        score(there, here);
+                    }
+                }
+            }
+            (out, candidates)
+        });
+        let strategy = if windowed { "true-ratio-window" } else { "exact-scan" };
+        let ann = SearchStats::default();
+        Some(collect_bucket(FineGrainedType::Boolean, rows.len(), eligible, strategy, ann, found))
+    }
+
+    /// Embeddable content edges of one bucket with an endpoint at a row
+    /// `>= from_row`: [`dot_lanes`] cosine `≥ θ` over the cell pairs the
+    /// triangle-inequality bound admits. On pre-normalized vectors
+    /// `cos(a,b) ≥ θ ⇔ ‖a−b‖ ≤ √(2(1−θ))`, and a cross pair of cells A, B
+    /// satisfies `‖a−b‖ ≥ ‖c_A−c_B‖ − ρ_A − ρ_B`, so a cell pair whose
+    /// centroids lie further apart than `√(2(1−θ)) + ρ_A + ρ_B` holds no
+    /// θ-pair. Pending rows are singleton cells; a bucket without cells
+    /// makes every live row a singleton and skips the bound.
+    fn embeddable_pass(
+        &self,
+        fgt: FineGrainedType,
+        from_row: u32,
+        ann: SearchStats,
+    ) -> Option<(BucketStats, Vec<Edge>)> {
+        let bucket = self.embed.get(&fgt)?;
+        let matrix = &bucket.matrix;
+        let live: Vec<u32> =
+            (0..matrix.len() as u32).filter(|&r| bucket.row_alive[r as usize]).collect();
+        if live.len() < 2 {
+            return None;
+        }
+        let table = |r: usize| self.cols[bucket.cols[r] as usize].table;
+        let eligible = fresh_cross_pairs(live.iter().map(|&r| (table(r as usize), r >= from_row)));
+        let cells: Vec<Cell> = match &bucket.cells {
+            Some(set) => {
+                let dim = matrix.dim();
+                let built = set.members.iter().enumerate().map(|(c, members)| Cell {
+                    members,
+                    centroid: &set.centroids[c * dim..(c + 1) * dim],
+                    radius: set.radii[c],
+                    norm_sq: set.norms_sq[c],
+                });
+                let pending = live.iter().filter(|&&r| r as usize >= bucket.cell_rows);
+                built.chain(pending.map(|r| Cell::singleton(matrix, r))).collect()
+            }
+            None => live.iter().map(|r| Cell::singleton(matrix, r)).collect(),
+        };
+        let bounded = bucket.cells.is_some();
+        let has_new: Vec<bool> =
+            cells.iter().map(|cell| cell.members.last().is_some_and(|&r| r >= from_row)).collect();
+        let theta = self.config.theta;
+        let r_max = ((2.0 * (1.0 - theta as f64)).sqrt() + GEOM_MARGIN as f64) as f32;
+        let lk = &self.config.linking;
+        let block = if bounded { 1.max(lk.block / 8) } else { lk.block };
+        let found = group_pairs(&has_new, block, |a, b, acc: &mut (Vec<Edge>, usize)| {
+            let (out, candidates) = acc;
+            let (ca, cb) = (&cells[a], &cells[b]);
+            if bounded && a != b {
+                let t = r_max + ca.radius + cb.radius;
+                let d2 = ca.norm_sq + cb.norm_sq - 2.0 * dot_lanes(ca.centroid, cb.centroid);
+                if d2 > t * t {
+                    return;
+                }
+            }
+            member_pairs(ca.members, cb.members, a == b, from_row, |i, j| {
+                let (i, j) = (i as usize, j as usize);
+                if !bucket.row_alive[i] || !bucket.row_alive[j] || table(i) == table(j) {
+                    return;
+                }
+                *candidates += 1;
+                let score = dot_lanes(matrix.row(i), matrix.row(j)).clamp(-1.0, 1.0);
+                if score >= theta {
+                    out.push(Edge {
+                        a: bucket.cols[i],
+                        b: bucket.cols[j],
+                        predicate: object_prop::HAS_CONTENT_SIMILARITY,
+                        score: score as f64,
+                    });
+                }
+            });
+        });
+        let strategy = if bounded { "hnsw" } else { "exact-scan" };
+        Some(collect_bucket(fgt, live.len(), eligible, strategy, ann, found))
     }
 
     /// Tombstone every column of `dataset`: drops it from the label
@@ -466,96 +643,133 @@ impl LinkIndex {
         }
         removed
     }
+}
 
-    /// Recompute a bucket's cell geometry when enough rows are pending
-    /// that per-query exact scans of the pending tail start to dominate.
-    /// Cells are a pure candidate filter, so the policy here trades speed
-    /// only — correctness never depends on when (or whether) this runs.
-    fn maybe_rebuild(&mut self, fgt: FineGrainedType, stats: &mut DeltaLinkStats) {
-        let lk = self.config.linking;
-        let Some(bucket) = self.embed.get_mut(&fgt) else {
-            return;
-        };
-        let n = bucket.matrix.len();
-        let live = bucket.row_alive.iter().filter(|a| **a).count();
-        if live <= lk.bucket_cutoff {
-            return;
-        }
-        let pending = n - if bucket.cells.is_some() { bucket.cell_rows } else { 0 };
-        if pending * 2 <= n {
-            return;
-        }
-        if bucket.hnsw.is_none() {
-            // first time past the cutoff: build the index, then tombstone
-            // already-dead rows
-            let mut h = ShardedHnsw::build(
-                &bucket.matrix,
-                HnswConfig {
-                    m: lk.hnsw_m,
-                    ef_construction: lk.hnsw_ef_construction,
-                    ef_search: lk.hnsw_ef_search,
-                    metric: Metric::Cosine,
-                    seed: HNSW_SEED,
-                },
-                lk.shards,
-            );
-            for (r, alive) in bucket.row_alive.iter().enumerate() {
-                if !alive {
-                    h.remove(r as u64);
-                }
-            }
-            bucket.hnsw = Some(h);
-        }
-        let Some(h) = bucket.hnsw.as_ref() else {
-            return;
-        };
-        let radius = (1.0 - self.config.theta) + RADIUS_MARGIN;
-        let mut seeds: Vec<(u32, u32)> = Vec::new();
-        for i in 0..n {
-            if !bucket.row_alive[i] {
-                continue;
-            }
-            for hit in h.search_radius_with_stats(bucket.matrix.row(i), radius, lk.init_k, &mut stats.hnsw) {
-                let j = hit.id as usize;
-                if j != i {
-                    seeds.push((i.min(j) as u32, i.max(j) as u32));
-                }
+/// One content bucket's counters and edges, from its per-block
+/// `(edges, candidates)`.
+fn collect_bucket(
+    fgt: FineGrainedType,
+    rows: usize,
+    eligible_pairs: usize,
+    strategy: &'static str,
+    hnsw: SearchStats,
+    found: Vec<(Vec<Edge>, usize)>,
+) -> (BucketStats, Vec<Edge>) {
+    let candidates = found.iter().map(|(_, c)| c).sum::<usize>();
+    let edges = found.into_iter().flat_map(|(edges, _)| edges).collect();
+    let pruned = eligible_pairs.saturating_sub(candidates);
+    let fgt = fgt.label();
+    (BucketStats { fgt, rows, eligible_pairs, candidates, pruned, strategy, hnsw }, edges)
+}
+
+/// Visit every unordered pair of groups — each group with itself included
+/// — of which at least one holds a new member, exactly once:
+/// `visit(a, b, acc)` with `a` the first of the two that holds one. Runs
+/// in parallel tasks of `block` such groups; returns each task's
+/// accumulator.
+fn group_pairs<R, F>(has_new: &[bool], block: usize, visit: F) -> Vec<R>
+where
+    R: Default + Send,
+    F: Fn(usize, usize, &mut R) + Sync,
+{
+    let fresh: Vec<usize> = (0..has_new.len()).filter(|&g| has_new[g]).collect();
+    parallel_blocks(fresh.len(), block, |range| {
+        let mut acc = R::default();
+        for &a in &fresh[range] {
+            let earlier_old = (0..a).filter(|&b| !has_new[b]);
+            for b in (a..has_new.len()).chain(earlier_old) {
+                visit(a, b, &mut acc);
             }
         }
-        let dim = bucket.matrix.dim();
-        let mut members_out: Vec<Vec<u32>> = Vec::new();
-        let mut centroids: Vec<f32> = Vec::new();
-        let mut radii: Vec<f32> = Vec::new();
-        let mut norms_sq: Vec<f32> = Vec::new();
-        for comp in components(n, &seeds) {
-            let live_members: Vec<u32> =
-                comp.into_iter().filter(|&r| bucket.row_alive[r as usize]).collect();
-            if live_members.is_empty() {
-                continue;
+        acc
+    })
+}
+
+/// Call `f(i, j)` once for every pair of `a` × `b` — of two members of
+/// `a` when `same` — with at least one member `>= from`. Members ascend,
+/// so a group's new members are a suffix. Pairs come `i`-major, the order
+/// a from-scratch scan lists them in: the emitter mints each edge's
+/// quoted-triple ids in edge order, and a column's edges minted together
+/// are read together (a query over a lake's first tables pays ≈ 25 % more
+/// when they are minted `j`-major).
+fn member_pairs(a: &[u32], b: &[u32], same: bool, from: u32, mut f: impl FnMut(u32, u32)) {
+    let old = |group: &[u32]| group.partition_point(|&m| m < from);
+    let (old_a, old_b) = (old(a), old(b));
+    if same {
+        for (x, &i) in a.iter().enumerate() {
+            for &j in &a[(x + 1).max(old_a)..] {
+                f(i, j);
             }
-            let mut centroid = vec![0.0f32; dim];
-            for &r in &live_members {
-                for (acc, x) in centroid.iter_mut().zip(bucket.matrix.row(r as usize)) {
-                    *acc += x;
-                }
-            }
-            for x in centroid.iter_mut() {
-                *x /= live_members.len() as f32;
-            }
-            let radius_c = live_members
-                .iter()
-                .map(|&r| euclidean(&centroid, bucket.matrix.row(r as usize)))
-                .fold(0.0f32, f32::max)
-                + GEOM_MARGIN;
-            norms_sq.push(dot_lanes(&centroid, &centroid));
-            radii.push(radius_c);
-            centroids.extend_from_slice(&centroid);
-            members_out.push(live_members);
         }
-        bucket.cells = Some(CellSet { members: members_out, centroids, radii, norms_sq, dim });
-        bucket.cell_rows = n;
-        stats.cell_rebuilds += 1;
+    } else {
+        for &i in &a[old_a..] {
+            for &j in b {
+                f(i, j);
+            }
+        }
+        for &i in &a[..old_a] {
+            for &j in &b[old_b..] {
+                f(i, j);
+            }
+        }
     }
+}
+
+/// Cross-table pairs with at least one new endpoint among members given as
+/// `(table, is_new)`: all cross-table pairs minus the old ones, both
+/// counted from per-table tallies.
+fn fresh_cross_pairs(members: impl Iterator<Item = (u32, bool)>) -> usize {
+    let pairs = |k: usize| k * k.saturating_sub(1) / 2;
+    let mut per_table: HashMap<u32, (usize, usize)> = HashMap::new();
+    for (table, new) in members {
+        let (all, old) = per_table.entry(table).or_default();
+        *all += 1;
+        *old += usize::from(!new);
+    }
+    let (all, old) = per_table.values().fold((0, 0), |(n, o), &(a, b)| (n + a, o + b));
+    let same_table: usize = per_table.values().map(|&(a, b)| pairs(a) - pairs(b)).sum();
+    pairs(all) - pairs(old) - same_table
+}
+
+/// Euclidean distance between two raw f32 vectors.
+fn euclidean(a: &[f32], b: &[f32]) -> f32 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| {
+            let d = x - y;
+            d * d
+        })
+        .sum::<f32>()
+        .sqrt()
+}
+
+/// Connected components over `n` nodes and undirected `edges` (union-find
+/// with path halving). Every node appears in exactly one component, its
+/// members ascending; isolated nodes come back as singletons. Components
+/// are ordered by their smallest member so iteration is deterministic.
+fn components(n: usize, edges: &[(u32, u32)]) -> Vec<Vec<u32>> {
+    let mut parent: Vec<u32> = (0..n as u32).collect();
+    fn find(parent: &mut [u32], mut x: u32) -> u32 {
+        while parent[x as usize] != x {
+            parent[x as usize] = parent[parent[x as usize] as usize];
+            x = parent[x as usize];
+        }
+        x
+    }
+    for &(a, b) in edges {
+        let ra = find(&mut parent, a);
+        let rb = find(&mut parent, b);
+        if ra != rb {
+            parent[ra.max(rb) as usize] = ra.min(rb);
+        }
+    }
+    let mut groups: HashMap<u32, Vec<u32>> = HashMap::new();
+    for i in 0..n as u32 {
+        groups.entry(find(&mut parent, i)).or_default().push(i);
+    }
+    let mut out: Vec<Vec<u32>> = groups.into_values().collect();
+    out.sort_by_key(|g| g[0]);
+    out
 }
 
 /// Collect every quad a dataset's removal must withdraw, as id tuples of

@@ -1,7 +1,8 @@
 //! The schema emitter has one body and two targets. These tests hold the
 //! id-space target (`EncodedBatch` + `extend_encoded`, how the platform
-//! writes) to the decoded one (`Vec<Quad>` + `extend`, the reference), and
-//! the id-space retraction set to the quad-level collection it replaced.
+//! writes) to the decoded one (`Vec<Quad>` + `extend`, the reference) over
+//! any schedule of linking batches, and the id-space retraction set to the
+//! quad-level collection it replaced.
 
 use std::collections::BTreeSet;
 
@@ -11,9 +12,9 @@ use lids_kg::abstraction::PipelineMetadata;
 use lids_kg::ontology::{object_prop, res};
 use lids_kg::provenance::{artifact_iri, QUARANTINE_GRAPH};
 use lids_kg::{
-    abstract_pipeline, emit_quarantine, emit_schema, link_pipelines, link_schema, retraction_ids,
-    retraction_quads, AbstractionStats, EncodedBatch, LibraryDocs, LinkIndex, LinkingConfig,
-    LinkingMode, QuarantineRecord, SchemaConfig,
+    abstract_pipeline, build_data_global_schema, emit_metadata, emit_quarantine, link_pipelines,
+    retraction_ids, retraction_quads, AbstractionStats, Edge, EncodedBatch, LibraryDocs,
+    LinkIndex, LinkingConfig, LinkingMode, QuarantineRecord, SchemaConfig,
 };
 use lids_profiler::{ColumnMeta, ColumnProfile, ColumnStats};
 use lids_rdf::{GraphName, Quad, QuadPattern, QuadStore, StoreSnapshot, Term};
@@ -93,48 +94,63 @@ fn load_encoded(store: &mut QuadStore, emit: impl FnOnce(&mut EncodedBatch<'_>))
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Whatever the lake, the batch emitter and the incremental emitter
-    /// load the same decoded quads through either target — into an empty
-    /// store, and into one that already holds every other quad (so about
-    /// half the terms resolve instead of being interned).
+    /// Whatever the lake and however it is cut into linking batches, one
+    /// index links it to the quads of one fill, pruned or exact, and the
+    /// emitter loads the same decoded quads through either target — into
+    /// an empty store, and into one that already holds every other quad
+    /// (so about half the terms resolve instead of being interned).
     #[test]
     fn both_targets_load_equal_stores(
         specs in proptest::collection::vec(column_strategy(), 2..28),
         cutoff in prop_oneof![Just(0usize), Just(192usize)],
-        split in 0usize..28,
+        cuts in proptest::collection::vec(0usize..28, 0..4),
     ) {
         let profiles = profiles_of(specs);
         let we = WordEmbeddings::new();
-        let linking =
-            LinkingConfig { mode: LinkingMode::Pruned, bucket_cutoff: cutoff, ..Default::default() };
-        let config = SchemaConfig { linking, ..Default::default() };
+        let config = |mode| SchemaConfig {
+            linking: LinkingConfig { mode, bucket_cutoff: cutoff, ..Default::default() },
+            ..Default::default()
+        };
 
-        // the batch pass over a prefix, the incremental pass over the rest
-        let split = split.min(profiles.len());
-        let (head, tail) = profiles.split_at(split);
-        let (_, seed, batch_edges) = link_schema(head, &config, &we);
-        let mut index = LinkIndex::from_seed(seed, head, config);
-        let (link, delta_edges) = index.link_columns(tail, &we);
-        prop_assert_eq!(link.label_edges + link.content_edges, delta_edges.len());
+        // the lake cut into batches at `cuts`, empty batches included
+        let mut bounds: Vec<usize> =
+            cuts.iter().map(|&c| c.min(profiles.len())).chain([0, profiles.len()]).collect();
+        bounds.sort_unstable();
+        let batches: Vec<&[ColumnProfile]> =
+            bounds.windows(2).map(|w| &profiles[w[0]..w[1]]).collect();
+        let mut index = LinkIndex::new(config(LinkingMode::Pruned));
+        let mut linked: Vec<Vec<Edge>> = Vec::new();
+        for batch in &batches {
+            let (link, edges) = index.link_columns(batch, &we);
+            prop_assert_eq!(link.label_edges + link.content_edges, edges.len());
+            linked.push(edges);
+        }
 
         let mut quads: Vec<Quad> = Vec::new();
-        let triples = emit_schema(&mut quads, head, &batch_edges)
-            + index.emit_columns(&mut quads, tail, &delta_edges);
-        prop_assert_eq!(quads.len(), triples + 4 * (batch_edges.len() + delta_edges.len()));
+        let mut triples = 0;
+        for (batch, edges) in batches.iter().zip(&linked) {
+            triples += index.emit_columns(&mut quads, batch, edges);
+        }
+        let edges: usize = linked.iter().map(Vec::len).sum();
+        prop_assert_eq!(quads.len(), triples + 4 * edges);
         let mut reference = QuadStore::new();
         reference.extend(quads.iter().cloned());
+        for mode in [LinkingMode::Pruned, LinkingMode::Exact] {
+            let mut one_fill = QuadStore::new();
+            build_data_global_schema(&mut one_fill, &profiles, &config(mode), &we);
+            prop_assert_eq!(dump(&one_fill), dump(&reference));
+        }
 
         let half: Vec<Quad> = quads.iter().step_by(2).cloned().collect();
         for preload in [Vec::new(), half] {
             let mut store = QuadStore::new();
             store.extend(preload);
             let mut encoded_triples = 0;
-            load_encoded(&mut store, |batch| {
-                encoded_triples += emit_schema(batch, head, &batch_edges);
-            });
-            load_encoded(&mut store, |batch| {
-                encoded_triples += index.emit_columns(batch, tail, &delta_edges);
-            });
+            for (batch, edges) in batches.iter().zip(&linked) {
+                load_encoded(&mut store, |sink| {
+                    encoded_triples += index.emit_columns(sink, batch, edges);
+                });
+            }
             prop_assert_eq!(encoded_triples, triples);
             prop_assert!(store.validate_indexes());
             prop_assert_eq!(dump(&store), dump(&reference));
@@ -151,7 +167,7 @@ fn reference_retraction(
     profiles: &[ColumnProfile],
 ) -> Vec<Quad> {
     let mut out: Vec<Quad> = Vec::new();
-    emit_schema(&mut out, profiles, &[]);
+    emit_metadata(&mut out, profiles);
     let preds = [
         Term::iri(object_prop::iri(object_prop::HAS_CONTENT_SIMILARITY)),
         Term::iri(object_prop::iri(object_prop::HAS_LABEL_SIMILARITY)),
@@ -219,9 +235,10 @@ fn retraction_ids_decode_to_the_quad_level_collection() {
     let we = WordEmbeddings::new();
     let config = SchemaConfig::default();
     let mut store = QuadStore::new();
-    let (_, _, edges) = link_schema(&profiles, &config, &we);
+    let mut index = LinkIndex::new(config);
+    let (_, edges) = index.link_columns(&profiles, &we);
     load_encoded(&mut store, |batch| {
-        emit_schema(batch, &profiles, &edges);
+        index.emit_columns(batch, &profiles, &edges);
     });
 
     let docs = LibraryDocs::builtin();

@@ -18,8 +18,7 @@ pub use brute::BruteForceIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use metric::Metric;
 pub use ops::{
-    cosine_similarity, dot, dot_blocked, dot_lanes, l2_distance, l2_norm, mean_vector, normalize,
-    scan_pairs_above, RowMatrix,
+    cosine_similarity, dot, dot_lanes, l2_distance, l2_norm, mean_vector, normalize, RowMatrix,
 };
 pub use sharded::ShardedHnsw;
 

@@ -120,55 +120,6 @@ impl RowMatrix {
     }
 }
 
-/// Dot products of `query` against rows `range` of `m`, appended to `out`
-/// as `(row, score)` — the batched building block of the exact scan.
-pub fn dot_blocked(
-    query: &[f32],
-    m: &RowMatrix,
-    range: std::ops::Range<usize>,
-    out: &mut Vec<(u32, f32)>,
-) {
-    for j in range {
-        out.push((j as u32, dot_lanes(query, m.row(j))));
-    }
-}
-
-/// Exact all-pairs scan: every ordered pair `i < j` of rows of `m` whose
-/// [`dot_lanes`] score (clamped to `[-1, 1]`) is `>= theta` and that
-/// survives the `keep` filter. Rows are processed in blocks of `block`
-/// rows, each block on a worker thread (`lids_exec::parallel_blocks`).
-///
-/// Over unit-normalized rows this is the exhaustive content-similarity
-/// kernel of Algorithm 3; the pruned path re-checks its HNSW candidates
-/// with the same [`dot_lanes`] scores, so both paths emit identical edges.
-pub fn scan_pairs_above<F>(
-    m: &RowMatrix,
-    theta: f32,
-    block: usize,
-    keep: F,
-) -> Vec<(u32, u32, f32)>
-where
-    F: Fn(u32, u32) -> bool + Sync,
-{
-    let n = m.len();
-    let blocks = lids_exec::parallel_blocks(n, block, |range| {
-        let mut hits = Vec::new();
-        let mut dots: Vec<(u32, f32)> = Vec::new();
-        for i in range {
-            dots.clear();
-            dot_blocked(m.row(i), m, i + 1..n, &mut dots);
-            for &(j, raw) in &dots {
-                let score = raw.clamp(-1.0, 1.0);
-                if score >= theta && keep(i as u32, j) {
-                    hits.push((i as u32, j, score));
-                }
-            }
-        }
-        hits
-    });
-    blocks.concat()
-}
-
 /// Element-wise mean of a set of equal-length vectors.
 /// Returns a zero vector of `dim` when the set is empty.
 pub fn mean_vector<'a>(vectors: impl Iterator<Item = &'a [f32]>, dim: usize) -> Vec<f32> {
@@ -247,61 +198,6 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn row_matrix_rejects_wrong_dim() {
         RowMatrix::new(3).push(&[1.0]);
-    }
-
-    #[test]
-    fn dot_blocked_scores_range() {
-        let mut m = RowMatrix::new(2);
-        m.push(&[1.0, 0.0]);
-        m.push(&[0.0, 1.0]);
-        m.push(&[1.0, 1.0]);
-        let mut out = Vec::new();
-        dot_blocked(&[2.0, 3.0], &m, 1..3, &mut out);
-        assert_eq!(out, vec![(1, 3.0), (2, 5.0)]);
-    }
-
-    #[test]
-    fn scan_finds_all_pairs_above_threshold() {
-        // three unit rows: 0 and 1 identical, 2 orthogonal
-        let mut m = RowMatrix::new(2);
-        m.push_normalized(&[2.0, 0.0]);
-        m.push_normalized(&[5.0, 0.0]);
-        m.push_normalized(&[0.0, 1.0]);
-        let hits = scan_pairs_above(&m, 0.9, 2, |_, _| true);
-        assert_eq!(hits.len(), 1);
-        let (i, j, s) = hits[0];
-        assert_eq!((i, j), (0, 1));
-        assert!((0.9..=1.0).contains(&s));
-        // keep filter removes the pair
-        assert!(scan_pairs_above(&m, 0.9, 2, |_, _| false).is_empty());
-    }
-
-    proptest! {
-        /// The blocked parallel scan agrees exactly with a serial
-        /// double loop using the same kernel, for any block size.
-        #[test]
-        fn prop_scan_matches_serial(
-            rows in proptest::collection::vec(
-                proptest::collection::vec(-1.0f32..1.0, 6), 0..24),
-            theta in 0.0f32..1.0,
-            block in 1usize..9,
-        ) {
-            let mut m = RowMatrix::new(6);
-            for r in &rows {
-                m.push_normalized(r);
-            }
-            let mut expected = Vec::new();
-            for i in 0..m.len() {
-                for j in i + 1..m.len() {
-                    let s = dot_lanes(m.row(i), m.row(j)).clamp(-1.0, 1.0);
-                    if s >= theta {
-                        expected.push((i as u32, j as u32, s));
-                    }
-                }
-            }
-            let got = scan_pairs_above(&m, theta, block, |_, _| true);
-            prop_assert_eq!(got, expected);
-        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn main() {
     let (platform, stats) = KgLidsBuilder::new()
         .with_dataset(Dataset::new(lake.name.clone(), lake.tables.clone()))
         .bootstrap();
-    let schema = stats.schema.unwrap();
+    let schema = stats.schema;
     println!(
         "bootstrap: {:.2}s profiling + {:.2}s schema | {} column pairs compared, {} label + {} content edges",
         stats.profiling_secs, stats.schema_secs,

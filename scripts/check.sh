@@ -70,6 +70,14 @@ if grep -rnwE 'vectorize|parallel_threshold|IdBinding|NestedLoop|serial_joins' c
     echo "row-engine leftovers under crates/*/src: lids-sparql has one executor" >&2
     exit 1
 fi
+# One linker: Algorithm 3's similarity pass is `LinkIndex::link_columns`,
+# one path from a first fill to a one-column delta, so a change to pruning
+# or tombstones is made in one place. The batch pass that stood beside it
+# and the seed that handed its structures over stay deleted (whole words).
+if grep -rnwE 'link_schema|boolean_content|embeddable_content|BucketCapture|LinkSeed' crates/*/src; then
+    echo "second-linker leftovers under crates/*/src: LinkIndex is the one Algorithm 3 linker" >&2
+    exit 1
+fi
 # Query-governance chaos suite under a hard external bound: adversarial
 # workloads must terminate with typed errors or truncated partials; a hang
 # here is a governance regression and the timeout turns it into a failure.

@@ -1,24 +1,22 @@
 //! Differential tests of incremental maintenance: any interleaving of
 //! `apply_delta` adds and removals must leave the store bit-identical
 //! (decoded quad sets — dictionary ids may differ) to a from-scratch
-//! bootstrap of the equivalent final lake. Incremental linking reuses the
-//! batch pass's exact kernels behind a lossless triangle-inequality
-//! candidate bound, so this holds for every lake, not just easy ones.
+//! bootstrap of the equivalent final lake. Bootstrap and every delta link
+//! through one path — exact kernels behind a lossless triangle-inequality
+//! candidate bound — so this holds for every lake, not just easy ones.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use kglids_repro::datagen::{synthetic_profiles, Corruptor, ProfileLakeSpec};
-use kglids_repro::embed::WordEmbeddings;
+use kglids_repro::embed::{FineGrainedType, WordEmbeddings};
 use kglids_repro::kg::abstraction::PipelineMetadata;
-use kglids_repro::kg::schema::data_global_schema_quads_seeded;
-use kglids_repro::kg::{
-    build_data_global_schema, LinkIndex, LinkingConfig, LinkingMode, SchemaConfig,
-};
+use kglids_repro::kg::{LinkIndex, LinkingConfig, LinkingMode, SchemaConfig};
 use kglids_repro::kg::linker::LinkStats;
 use kglids_repro::kglids::{DeltaBatch, DeltaStats, KgLids, KgLidsBuilder, PipelineScript};
 use kglids_repro::obs::AttrValue;
 use kglids_repro::profiler::table::{Column, Dataset, Table};
+use kglids_repro::profiler::ColumnProfile;
 use kglids_repro::rdf::QuadStore;
 
 use rand::rngs::SmallRng;
@@ -256,9 +254,9 @@ fn retraction_equals_never_ingested_baseline_including_quarantine() {
 
 /// Bootstrap is the first delta: the builder and `KgLids::empty()` + one
 /// delta of the whole lake run the same stage sequence, the link index of
-/// either has never held a column and takes the batch pass, and the two
-/// platforms are indistinguishable — store, profiles, quarantine ledger —
-/// now and after one more delta on top of each.
+/// either starts empty and is filled in one batch, and the two platforms
+/// are indistinguishable — store, profiles, quarantine ledger — now and
+/// after one more delta on top of each.
 #[test]
 fn bootstrap_equals_one_delta_into_an_empty_platform() {
     let lake: Vec<Dataset> = (0..4).map(|i| gen_dataset(&format!("d{i}"), 40 + i)).collect();
@@ -279,8 +277,8 @@ fn bootstrap_equals_one_delta_into_an_empty_platform() {
     whole_lake.add_datasets = lake;
     let delta = grown.apply_delta(whole_lake);
 
-    // one linker for both: the pruned batch pass, with equal work counters
-    let (batch, first) = (bootstrap.schema.expect("batch pass"), delta.schema.expect("batch pass"));
+    // one linker for both, with equal work counters
+    let (batch, first) = (bootstrap.schema, delta.schema);
     assert_eq!(
         (batch.pairs_compared, batch.candidates_generated, batch.pairs_pruned),
         (first.pairs_compared, first.candidates_generated, first.pairs_pruned)
@@ -298,14 +296,17 @@ fn bootstrap_equals_one_delta_into_an_empty_platform() {
     assert_eq!(ledger(&built), ledger(&grown));
     assert_eq!(ledger(&built).len(), 1);
 
-    // the adopted seed serves later deltas the same on both
+    // the filled index serves later deltas the same on both, and a delta
+    // scores only pairs with a new endpoint: no old-old pair again
     let extra = gen_dataset("extra", 77);
     let extra_pipe = pipeline_for(&extra, "late", 0.4);
     for platform in [&mut built, &mut grown] {
         let stats = platform.apply_delta(
             DeltaBatch::new().add_dataset(extra.clone()).add_pipelines([extra_pipe.clone()]),
         );
-        assert!(stats.schema.is_none(), "a filled index links incrementally");
+        let live = platform.profiles().len();
+        assert!(stats.relink_candidates > 0);
+        assert!(stats.relink_candidates <= stats.columns_profiled * live, "{stats:?}");
     }
     assert_eq!(dump_platform(&built), dump_platform(&grown));
     assert_eq!(built.profiles(), grown.profiles());
@@ -438,17 +439,32 @@ proptest::proptest! {
     }
 }
 
-/// The kg-level engine differential at scale: adopt a seeded batch pass
-/// over a large lake (buckets big enough to carry HNSW + cell geometry),
-/// then add the held-out tail incrementally — the union of quads must
-/// equal a from-scratch batch pass over everything. Exercises the
-/// triangle-inequality candidate bound, incremental HNSW inserts, and
-/// cell rebuilds, at `bucket_cutoff` 0 (everything pruned) and default —
+/// The kg-level linker differential at scale: any schedule of batches
+/// through one `LinkIndex` — all at once, one column at a time, chunks that
+/// double (each outgrows the rows before it, so cells are rebuilt mid-fill
+/// with new rows inside them), or a three-quarter prefix then chunks of 7
+/// (new rows scored as pending singletons against cells) — emits the quads
+/// of one fill under `LinkingMode::Exact`. Lakes carry HNSW and cell
+/// geometry at `bucket_cutoff` 0 (everything pruned) and at the default,
 /// there on a text-skewed lake whose dominant bucket outgrows the cutoff
-/// while the tail is added, beside buckets that stay under it.
+/// while it fills, beside buckets that stay under it.
 #[test]
-fn link_index_matches_batch_pass_on_large_buckets() {
+fn any_chunk_schedule_equals_one_fill_equals_exact() {
     let we = WordEmbeddings::new();
+    let fill = |profiles: &[ColumnProfile], linking: LinkingConfig, chunks: &[usize]| {
+        let mut index = LinkIndex::new(SchemaConfig { linking, ..Default::default() });
+        let mut out = Vec::new();
+        let mut rest = profiles;
+        for &size in chunks {
+            let (batch, tail) = rest.split_at(size.min(rest.len()));
+            index.add_columns(&mut out, batch, &we);
+            rest = tail;
+        }
+        index.add_columns(&mut out, rest, &we);
+        let mut store = QuadStore::new();
+        store.extend(out);
+        dump(&store)
+    };
     for (seed, cutoff, dominant_share) in
         [(11u64, 0usize, 0.0), (12, 0, 0.0), (13, 192, 0.85), (14, 8, 0.0)]
     {
@@ -460,38 +476,70 @@ fn link_index_matches_batch_pass_on_large_buckets() {
             dominant_share,
             ..Default::default()
         });
-        let linking = LinkingConfig {
+        let exact = LinkingConfig { mode: LinkingMode::Exact, ..Default::default() };
+        let expected = fill(&profiles, exact, &[]);
+        let pruned = LinkingConfig {
             mode: LinkingMode::Pruned,
             bucket_cutoff: cutoff,
             init_k: 4,
             ..Default::default()
         };
-        let config = SchemaConfig { linking, ..Default::default() };
-
-        // full batch pass over everything
-        let mut full = QuadStore::new();
-        build_data_global_schema(&mut full, &profiles, &config, &we);
-
-        // batch pass over a prefix, then incremental adds of the tail —
-        // split at a table boundary, in several delta-sized chunks
-        let split = profiles
-            .iter()
-            .position(|p| p.meta.table == profiles[profiles.len() * 3 / 4].meta.table)
-            .unwrap();
-        let mut out = Vec::new();
-        let (_, seedling) =
-            data_global_schema_quads_seeded(&mut out, &profiles[..split], &config, &we);
-        let mut index = LinkIndex::from_seed(seedling, &profiles[..split], config);
-        for chunk in profiles[split..].chunks(7) {
-            index.add_columns(&mut out, chunk, &we);
+        let n = profiles.len();
+        let doubling: Vec<usize> =
+            std::iter::successors(Some(1), |s| Some(s * 2)).take_while(|&s| s < n).collect();
+        let prefix: Vec<usize> =
+            std::iter::once(n * 3 / 4).chain(std::iter::repeat_n(7, n / 28)).collect();
+        for chunks in [Vec::new(), vec![1; n], doubling, prefix] {
+            assert_eq!(
+                fill(&profiles, pruned, &chunks),
+                expected,
+                "seed {seed} cutoff {cutoff}: schedule {chunks:?} differs from one exact fill"
+            );
         }
-        let mut incremental = QuadStore::new();
-        incremental.extend(out);
-
-        assert_eq!(
-            dump(&full),
-            dump(&incremental),
-            "seed {seed} cutoff {cutoff}: incremental edges differ from batch"
-        );
     }
+}
+
+/// `LinkingMode::Exact` holds for every batch, not just the first: fed in
+/// chunks until its dominant bucket is far past the cutoff, an exact index
+/// builds no HNSW and no cells, and scores exactly the content-eligible
+/// cross-table pairs with a new endpoint.
+#[test]
+fn exact_index_stays_exhaustive_past_the_cutoff() {
+    let we = WordEmbeddings::new();
+    let profiles = synthetic_profiles(&ProfileLakeSpec {
+        seed: 13,
+        tables: 120,
+        columns_per_table: 5,
+        tables_per_dataset: 3,
+        dominant_share: 0.85,
+        ..Default::default()
+    });
+    let linking = LinkingConfig { mode: LinkingMode::Exact, ..Default::default() };
+    let mut index = LinkIndex::new(SchemaConfig { linking, ..Default::default() });
+    let eligible = |p: &ColumnProfile| match p.fgt {
+        FineGrainedType::Boolean => p.stats.true_ratio.is_some(),
+        _ => !p.embedding.is_empty(),
+    };
+    let pair = |i: usize, j: usize| {
+        let (a, b) = (&profiles[i], &profiles[j]);
+        a.fgt == b.fgt
+            && eligible(a)
+            && eligible(b)
+            && (&a.meta.dataset, &a.meta.table) != (&b.meta.dataset, &b.meta.table)
+    };
+    let (first, rest) = profiles.split_at(150);
+    let (mut seen, mut largest) = (0, 0);
+    for batch in std::iter::once(first).chain(rest.chunks(25)) {
+        let (stats, _) = index.link_columns(batch, &we);
+        assert_eq!((stats.cell_rebuilds, stats.hnsw.searches), (0, 0), "columns {seen}..");
+        let new_pairs =
+            (seen..seen + batch.len()).flat_map(|j| (0..j).map(move |i| (i, j)));
+        let expected = new_pairs.filter(|&(i, j)| pair(i, j)).count();
+        assert_eq!(stats.candidates_generated, expected, "columns {seen}..");
+        assert!(stats.buckets.iter().all(|b| b.strategy == "exact-scan"));
+        largest = stats.buckets.iter().map(|b| b.rows).max().unwrap_or(largest);
+        seen += batch.len();
+    }
+    // the probe's point: far past the cutoff a pruned index would prune
+    assert!(largest > 2 * LinkingConfig::default().bucket_cutoff, "largest bucket {largest}");
 }

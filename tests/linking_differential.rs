@@ -92,8 +92,8 @@ fn pruned_emits_identical_edges_across_100_random_lakes() {
 /// low-recall) index misses θ-pairs from both endpoints and leaves them in
 /// different seed components. Those edges exist only if the
 /// triangle-inequality bound over component pairs is lossless — halve
-/// `r_max` in `embeddable_content` and this fails. 3,000 columns: seconds
-/// in release, where `scripts/check.sh` runs it.
+/// `r_max` in `LinkIndex`'s content pass and this fails. 3,000 columns:
+/// seconds in release, where `scripts/check.sh` runs it.
 #[test]
 fn default_config_mixes_strategies_and_matches_exact() {
     let profiles = synthetic_profiles(&ProfileLakeSpec {
