@@ -36,16 +36,17 @@ mod tests {
     use lids_profiler::table::{Column, Dataset, Table};
 
     fn platform() -> KgLids {
-        let ds = Dataset::new(
-            "titanic",
-            vec![Table::new(
-                "train",
+        // two copies of one table: similarity edges, so RDF-star annotations
+        let table = |name: &str| {
+            Table::new(
+                name,
                 vec![
                     Column::new("Age", (20..50).map(|i| i.to_string()).collect()),
                     Column::new("Fare", (20..50).map(|i| format!("{}.5", i)).collect()),
                 ],
-            )],
-        );
+            )
+        };
+        let ds = Dataset::new("titanic", vec![table("train"), table("test")]);
         let script = PipelineScript {
             metadata: PipelineMetadata {
                 id: "p1".into(),
@@ -91,9 +92,16 @@ mod tests {
             "PREFIX k: <http://kglids.org/ontology/> \
              SELECT ?v WHERE { << ?a k:hasContentSimilarity ?b >> k:withCertainty ?v . }",
         ] {
-            let original = lids_sparql::query(p.store(), q).unwrap();
-            let roundtrip = lids_sparql::query(&store, q).unwrap();
-            assert_eq!(original.len(), roundtrip.len(), "query {q}");
+            let rows = |answer: lids_sparql::Solutions<'_>| {
+                let mut rows: Vec<String> =
+                    answer.to_terms().iter().map(|row| format!("{row:?}")).collect();
+                rows.sort();
+                rows
+            };
+            let original = rows(lids_sparql::query(p.store(), q).unwrap());
+            let roundtrip = rows(lids_sparql::query(&store, q).unwrap());
+            assert!(!original.is_empty(), "query {q}");
+            assert_eq!(original, roundtrip, "query {q}");
         }
     }
 

@@ -196,11 +196,11 @@ fn ingest_encoded(
     let t = Instant::now();
     let mut batch = EncodedBatch::new(store);
     emit(&mut batch);
-    let quads = batch.into_quads();
+    let (quads, notes) = batch.into_ids();
     let encode_secs = t.elapsed().as_secs_f64();
-    let quads_in = quads.len();
+    let quads_in = quads.len() + notes.len();
     let t = Instant::now();
-    let quads_added = store.extend_encoded(quads);
+    let quads_added = store.extend_encoded(quads, notes);
     let stats = IngestStats {
         quads_in,
         quads_added,
@@ -710,11 +710,11 @@ impl KgLids {
                 std::mem::take(&mut self.profiles).into_iter().partition(|p| &p.meta.dataset == ds);
             self.profiles = kept;
             let t = Instant::now();
-            let victims = retraction_ids(&self.store, ds, &gone);
+            let (victims, notes) = retraction_ids(&self.store, ds, &gone);
             collect_secs += t.elapsed().as_secs_f64();
-            victims_in += victims.len();
+            victims_in += victims.len() + notes.len();
             let t = Instant::now();
-            stats.quads_retracted += self.store.retract_encoded(victims);
+            stats.quads_retracted += self.store.retract_encoded(victims, notes);
             index_secs += t.elapsed().as_secs_f64();
             stats.columns_retracted += self.link_index.remove_dataset(ds);
             // ghost-free ledger: drop the dataset's quarantine entries

@@ -161,6 +161,25 @@ mod tests {
         assert!((t[EMBEDDING_DIM] - 2.0).abs() < 1e-6);
     }
 
+    /// The trained weights, pinned: any build profile, target or code
+    /// change that moves a single bit of a pre-trained embedding fails
+    /// here instead of shifting every similarity edge downstream.
+    #[test]
+    fn pretrained_embeddings_are_pinned() {
+        let models = ColrModels::pretrained();
+        // FNV-1a over the bit patterns of one value per type
+        let mut fingerprint: u64 = 0xcbf2_9ce4_8422_2325;
+        for fgt in FineGrainedType::ALL {
+            for x in models.embed_value(fgt, "Cardiff 2023-04-01 42.5") {
+                for byte in x.to_bits().to_le_bytes() {
+                    fingerprint = (fingerprint ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        let moved = "CoLR pre-trained embeddings moved";
+        assert_eq!(fingerprint, 0xe685_abd0_66ef_a02f, "{moved}: {fingerprint:#018x}");
+    }
+
     #[test]
     fn pretrained_is_cached_and_deterministic() {
         let a = ColrModels::pretrained();

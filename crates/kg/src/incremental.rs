@@ -90,7 +90,7 @@ use std::collections::HashMap;
 use lids_embed::{FineGrainedType, LabelEmbeddingCache, LabelId, WordEmbeddings};
 use lids_exec::parallel_blocks;
 use lids_profiler::ColumnProfile;
-use lids_rdf::{EncodedPattern, EncodedQuad, Quad, StoreSnapshot, TermId};
+use lids_rdf::{EncodedAnnotation, EncodedPattern, EncodedQuad, Quad, StoreSnapshot, TermId};
 use lids_vector::{dot_lanes, HnswConfig, Metric, RowMatrix, SearchStats, ShardedHnsw};
 
 use crate::ontology::{object_prop, res};
@@ -773,15 +773,16 @@ fn components(n: usize, edges: &[(u32, u32)]) -> Vec<Vec<u32>> {
 }
 
 /// Collect every quad a dataset's removal must withdraw, as id tuples of
-/// `snap` — the batch one [`lids_rdf::QuadStore::retract_encoded`] drops:
+/// `snap` — quads and annotations, the batch one
+/// [`lids_rdf::QuadStore::retract_encoded`] drops:
 ///
 /// - its metadata subgraph, regenerated from the retained `profiles` via
 ///   the same emitter bootstrap used (dataset/table/column hierarchy and
 ///   statistics) and resolved against the dictionary — a regenerated quad
 ///   naming a term the store never saw cannot be present and is left out;
 /// - every similarity edge incident to one of its columns, in both
-///   directions, plus the matching RDF-star score annotations, whose
-///   quoted subject costs one dictionary probe by the edge's own ids;
+///   directions, plus the matching RDF-star score annotations: one seek
+///   on the edge's `(s, p, o)` in the store's annotation run;
 /// - each of its pipelines (found via `aboutDataset`): the default-graph
 ///   metadata quads and the pipeline's entire named graph (statements and
 ///   verified `readsTable`/`readsColumn` edges), scanned by graph id;
@@ -796,8 +797,9 @@ pub fn retraction_ids(
     snap: &StoreSnapshot,
     dataset: &str,
     profiles: &[ColumnProfile],
-) -> Vec<EncodedQuad> {
+) -> (Vec<EncodedQuad>, Vec<EncodedAnnotation>) {
     let dict = snap.dictionary();
+    let mut notes = Vec::new();
 
     // metadata subgraph, regenerated with fresh dedup state
     let mut metadata: Vec<Quad> = Vec::new();
@@ -819,11 +821,8 @@ pub fn retraction_ids(
             let incoming =
                 EncodedPattern { predicate: Some(pred), object: Some(c), ..Default::default() };
             for quad in snap.match_ids(&outgoing).chain(snap.match_ids(&incoming)) {
-                let [s, p, o, _] = quad.map(TermId);
-                if let Some(star) = dict.id_of_quoted(s, p, o) {
-                    let annotations = EncodedPattern { subject: Some(star), ..Default::default() };
-                    out.extend(snap.match_ids(&annotations));
-                }
+                let [s, p, o, _] = quad.map(Some);
+                notes.extend(snap.match_annotations([s, p, o, None, None, None]));
                 out.push(quad);
             }
         }
@@ -859,7 +858,7 @@ pub fn retraction_ids(
             snap.term(TermId(s)).as_iri().is_some_and(|iri| iri.starts_with(&prefix))
         }));
     }
-    out
+    (out, notes)
 }
 
 /// [`retraction_ids`], decoded: the removal batch as [`Quad`]s, for
@@ -869,5 +868,7 @@ pub fn retraction_quads(
     dataset: &str,
     profiles: &[ColumnProfile],
 ) -> Vec<Quad> {
-    retraction_ids(snap, dataset, profiles).into_iter().map(|quad| snap.decode_quad(quad)).collect()
+    let (quads, notes) = retraction_ids(snap, dataset, profiles);
+    let quads = quads.into_iter().map(|quad| snap.decode_quad(quad));
+    quads.chain(notes.into_iter().map(|note| snap.decode_annotation(note))).collect()
 }

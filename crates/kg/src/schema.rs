@@ -24,11 +24,12 @@
 //! - [`EncodedBatch`] is how the platform writes. Similarity edges are
 //!   ≈ 98 % of a lake's quads and name the same few thousand column IRIs
 //!   over and over, so each column IRI, the two predicates and
-//!   `withCertainty` are interned once, each edge interns its score literal
-//!   and its two quoted triples — each stored as the three ids in hand,
-//!   keyed by them, so no IRI is copied or re-hashed — and the quads are
-//!   `[u32; 4]` tuples loaded with `QuadStore::extend_encoded`. No [`Quad`]
-//!   or quoted `Term` exists at any point.
+//!   `withCertainty` are interned once and each edge interns only its
+//!   score literal. Its two asserted quads are `[u32; 4]` tuples and its
+//!   two annotations `[a, p, b, withCertainty, score, g]` keys of the
+//!   store's annotation run, loaded together with
+//!   `QuadStore::extend_encoded`: the quoted triple is never interned, and no
+//!   [`Quad`] or quoted `Term` exists at any point.
 //! - `Vec<Quad>` is the reference: [`data_global_schema_quads_seeded`] and
 //!   [`build_data_global_schema`] emit decoded quads for
 //!   `QuadStore::extend`, which is what tests, the benches' per-layer
@@ -37,7 +38,7 @@
 
 use lids_embed::WordEmbeddings;
 use lids_profiler::ColumnProfile;
-use lids_rdf::{EncodedQuad, Quad, QuadStore, Term, TermId};
+use lids_rdf::{EncodedAnnotation, EncodedQuad, Quad, QuadStore, Term, TermId};
 use lids_vector::SearchStats;
 
 use crate::incremental::LinkIndex;
@@ -196,7 +197,8 @@ pub trait QuadSink {
 
     /// One similarity edge, as four default-graph quads: `a pred b` and
     /// `b pred a` (symmetric, for cheap BGP queries), each annotated
-    /// RDF-star style with `<< … >> certainty score`.
+    /// RDF-star style with `<< … >> certainty score` — an annotation the
+    /// store keeps in its annotation run.
     fn edge(
         &mut self,
         a: &Self::Node,
@@ -240,10 +242,10 @@ impl QuadSink for Vec<Quad> {
 
 /// The id-space target: terms are interned into `store`'s dictionary where
 /// the emitter first names them and quads accumulate as id tuples, to be
-/// loaded with one [`QuadStore::extend_encoded`]. Per edge that is one
-/// score literal and two quoted triples, each a 12-byte probe over the ids
-/// in hand and on a miss a dictionary slot holding them — no term is
-/// hashed once per quad it occurs in, and no [`Quad`] is ever built.
+/// loaded with one [`QuadStore::extend_encoded`]. Per edge that is one score
+/// literal, two quads and two annotation keys over the ids in hand — no
+/// term is hashed once per quad it occurs in, no quoted triple is
+/// interned, and no [`Quad`] is ever built.
 ///
 /// Nothing touches the store before the first node, triple or edge, so an
 /// emitter with nothing to say costs a reader-pinned store no copy.
@@ -251,23 +253,28 @@ pub struct EncodedBatch<'a> {
     store: &'a mut QuadStore,
     graph: Option<TermId>,
     quads: Vec<EncodedQuad>,
+    notes: Vec<EncodedAnnotation>,
 }
 
 impl<'a> EncodedBatch<'a> {
     pub fn new(store: &'a mut QuadStore) -> Self {
-        EncodedBatch { store, graph: None, quads: Vec::new() }
+        EncodedBatch { store, graph: None, quads: Vec::new(), notes: Vec::new() }
     }
 
-    /// The accumulated id tuples, for [`QuadStore::extend_encoded`] on the
-    /// store this batch was opened on.
-    pub fn into_quads(self) -> Vec<EncodedQuad> {
-        self.quads
+    /// The accumulated quads and annotations, for [`QuadStore::extend_encoded`]
+    /// on the store this batch was opened on.
+    pub fn into_ids(self) -> (Vec<EncodedQuad>, Vec<EncodedAnnotation>) {
+        (self.quads, self.notes)
+    }
+
+    fn graph(&mut self) -> u32 {
+        let store = &mut *self.store;
+        self.graph.get_or_insert_with(|| store.intern_default_graph()).0
     }
 
     fn push(&mut self, [s, p, o]: [TermId; 3]) {
-        let store = &mut *self.store;
-        let g = *self.graph.get_or_insert_with(|| store.intern_default_graph());
-        self.quads.push([s.0, p.0, o.0, g.0]);
+        let g = self.graph();
+        self.quads.push([s.0, p.0, o.0, g]);
     }
 }
 
@@ -285,12 +292,12 @@ impl QuadSink for EncodedBatch<'_> {
 
     fn edge(&mut self, &a: &TermId, &pred: &TermId, &b: &TermId, &certainty: &TermId, score: f64) {
         let score = self.store.intern(Term::double(score));
-        let forward = self.store.intern_quoted(a, pred, b);
-        let backward = self.store.intern_quoted(b, pred, a);
+        let g = self.graph();
         self.push([a, pred, b]);
-        self.push([forward, certainty, score]);
         self.push([b, pred, a]);
-        self.push([backward, certainty, score]);
+        let [a, pred, b, certainty, score] = [a, pred, b, certainty, score].map(|id| id.0);
+        self.notes.push([a, pred, b, certainty, score, g]);
+        self.notes.push([b, pred, a, certainty, score, g]);
     }
 }
 

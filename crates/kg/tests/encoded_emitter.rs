@@ -87,8 +87,8 @@ fn profiles_of(mut specs: Vec<ColumnSpec>) -> Vec<ColumnProfile> {
 fn load_encoded(store: &mut QuadStore, emit: impl FnOnce(&mut EncodedBatch<'_>)) {
     let mut batch = EncodedBatch::new(store);
     emit(&mut batch);
-    let quads = batch.into_quads();
-    store.extend_encoded(quads);
+    let (quads, notes) = batch.into_ids();
+    store.extend_encoded(quads, notes);
 }
 
 proptest! {
@@ -281,8 +281,10 @@ fn retraction_ids_decode_to_the_quad_level_collection() {
     assert!(expected.iter().any(|line| line.contains("readsTable")));
     assert!(expected.iter().any(|line| line.contains(QUARANTINE_GRAPH)));
 
-    let ids = retraction_ids(&store, "d0", &own);
-    let decoded: Vec<Quad> = ids.iter().map(|&quad| store.decode_quad(quad)).collect();
+    let (ids, notes) = retraction_ids(&store, "d0", &own);
+    let decoded = ids.iter().map(|&quad| store.decode_quad(quad));
+    let notes_decoded = notes.iter().map(|&note| store.decode_annotation(note));
+    let decoded: Vec<Quad> = decoded.chain(notes_decoded).collect();
     assert_eq!(quads(decoded), expected);
     assert_eq!(quads(retraction_quads(&store, "d0", &own)), expected);
 
@@ -290,7 +292,7 @@ fn retraction_ids_decode_to_the_quad_level_collection() {
     let mut by_quads = QuadStore::new();
     by_quads.extend(store.iter());
     let removed = by_quads.retract(reference_retraction(&store, "d0", &own)).quads_removed;
-    assert_eq!(store.retract_encoded(ids), removed);
+    assert_eq!(store.retract_encoded(ids, notes), removed);
     assert_eq!(removed, expected.len());
     assert!(store.validate_indexes());
     assert_eq!(dump(&store), dump(&by_quads));

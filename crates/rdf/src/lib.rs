@@ -7,10 +7,13 @@
 //!
 //! Layout follows the classic dictionary-encoded design: every [`Term`]
 //! (IRI, literal, blank node, or quoted triple) is interned once in a
-//! [`Dictionary`] and quads are stored as four-`u32` tuples in B-tree indexes
+//! [`Dictionary`] and quads are stored as four-`u32` tuples in sorted runs
 //! covering the access patterns SPARQL evaluation needs (`SPOG`, `POSG`,
 //! `OSPG`, `GSPO`). Pattern scans pick the index with the longest bound
 //! prefix, which is what makes the discovery queries in Section 5 cheap.
+//! An annotation — a quad whose subject is a quoted triple — is one
+//! six-`u32` key of a fifth run instead, its triple never interned (see
+//! [`store`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -24,7 +27,7 @@ pub mod term;
 pub use dictionary::{Dictionary, TermId};
 pub use pattern::QuadPattern;
 pub use store::{
-    CowStats, EncodedPattern, EncodedQuad, IndexOrder, IngestStats, QuadStore, RunCursor, ScanSpec,
-    StoreReader, StoreSnapshot,
+    CowStats, EncodedAnnotation, EncodedPattern, EncodedQuad, IndexOrder, IngestStats, QuadStore,
+    RunCursor, StoreReader, StoreSnapshot,
 };
 pub use term::{GraphName, Literal, Quad, Term, Triple};

@@ -9,24 +9,32 @@
 //! Cloning a [`Run`] bumps the base's refcount and copies the overlay:
 //! O(overlay). [`Run::folded`] pays the O(base) pass that empties the overlay
 //! into a fresh base; the store decides when (`FOLD_DIVISOR` in `store.rs`).
+//!
+//! A run is generic over its key: the four quad orderings hold `[u32; 4]`
+//! keys, the annotation run `[u32; 6]` ones. Each is its own
+//! monomorphisation, so neither pays for the other.
 
 use std::sync::Arc;
 
 /// An index key: a quad's four term ids in one ordering's key order.
 pub(crate) type Key = [u32; 4];
 
+/// What a run can hold: fixed-size, totally ordered keys.
+pub(crate) trait RunKey: Copy + Ord + Default {}
+impl<K: Copy + Ord + Default> RunKey for K {}
+
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Run {
-    base: Arc<[Key]>,
-    adds: Vec<Key>,
-    dels: Vec<Key>,
+pub(crate) struct Run<K = Key> {
+    base: Arc<[K]>,
+    adds: Vec<K>,
+    dels: Vec<K>,
 }
 
 /// First index of ascending `run` whose key is `>= target`: doubling steps
 /// from the front, then a binary search inside the last step — O(log d)
 /// for a target d keys away, so a merge join seeking to nearby keys never
 /// pays for the length of the run.
-fn lower_bound(run: &[Key], target: &Key) -> usize {
+fn lower_bound<K: RunKey>(run: &[K], target: &K) -> usize {
     let mut hi = 1;
     while hi < run.len() && run[hi] < *target {
         hi *= 2;
@@ -38,14 +46,14 @@ fn lower_bound(run: &[Key], target: &Key) -> usize {
 
 /// Merge ascending `src` into ascending `dst` (disjoint), from the back:
 /// only the keys of `dst` above `src`'s smallest move.
-fn merge_into(dst: &mut Vec<Key>, src: &[Key]) {
+fn merge_into<K: RunKey>(dst: &mut Vec<K>, src: &[K]) {
     // a point write: one `memmove` of the tail, not a key-by-key merge
     if let [key] = src {
         return dst.insert(dst.partition_point(|k| k < key), *key);
     }
     let (mut i, mut j) = (dst.len(), src.len());
     let mut w = i + j;
-    dst.resize(w, [0; 4]);
+    dst.resize(w, K::default());
     while j > 0 {
         w -= 1;
         if i > 0 && dst[i - 1] > src[j - 1] {
@@ -59,7 +67,7 @@ fn merge_into(dst: &mut Vec<Key>, src: &[Key]) {
 }
 
 /// Drop the keys of ascending `gone` from ascending `dst`.
-fn remove_from(dst: &mut Vec<Key>, gone: &[Key]) {
+fn remove_from<K: RunKey>(dst: &mut Vec<K>, gone: &[K]) {
     let Some(first) = gone.first() else {
         return;
     };
@@ -78,7 +86,7 @@ fn remove_from(dst: &mut Vec<Key>, gone: &[Key]) {
     dst.truncate(kept);
 }
 
-impl Run {
+impl<K: RunKey> Run<K> {
     /// Live keys.
     pub(crate) fn len(&self) -> usize {
         self.base.len() - self.dels.len() + self.adds.len()
@@ -95,16 +103,16 @@ impl Run {
 
     /// Bytes the three runs occupy.
     pub(crate) fn bytes(&self) -> u64 {
-        ((self.base.len() + self.overlay_len()) * std::mem::size_of::<Key>()) as u64
+        ((self.base.len() + self.overlay_len()) * std::mem::size_of::<K>()) as u64
     }
 
     /// The base run's allocation, for tests that assert sharing.
     #[cfg(test)]
-    pub(crate) fn base(&self) -> &Arc<[Key]> {
+    pub(crate) fn base(&self) -> &Arc<[K]> {
         &self.base
     }
 
-    pub(crate) fn contains(&self, key: &Key) -> bool {
+    pub(crate) fn contains(&self, key: &K) -> bool {
         match self.base.binary_search(key) {
             Ok(_) => self.dels.binary_search(key).is_err(),
             Err(_) => self.adds.binary_search(key).is_ok(),
@@ -117,9 +125,9 @@ impl Run {
     /// (live in the base) and the overlay adds to drop. Keys the write
     /// would leave as they are fall out. The three runs are walked
     /// forward once, so a batch costs O(n log(len / n)).
-    pub(crate) fn split(&self, batch: &[Key], adding: bool) -> (Vec<Key>, Vec<Key>) {
+    pub(crate) fn split(&self, batch: &[K], adding: bool) -> (Vec<K>, Vec<K>) {
         /// Advance `run` to `key`'s lower bound; true when `key` is there.
-        fn hit(run: &mut &[Key], key: &Key) -> bool {
+        fn hit<K: RunKey>(run: &mut &[K], key: &K) -> bool {
             *run = &run[lower_bound(run, key)..];
             run.first() == Some(key)
         }
@@ -145,7 +153,7 @@ impl Run {
     /// `adding`, `dels` otherwise — and `leave` leaves the other one. A
     /// first fill goes straight to the base: the writes that follow it
     /// before the next publish point then merge into a small overlay.
-    pub(crate) fn shift(&mut self, adding: bool, join: &[Key], leave: &[Key]) {
+    pub(crate) fn shift(&mut self, adding: bool, join: &[K], leave: &[K]) {
         if self.base.is_empty() && self.adds.is_empty() {
             self.base = Arc::from(join);
             return;
@@ -159,9 +167,9 @@ impl Run {
     /// This run with its overlay emptied into a fresh base: one linear
     /// pass that copies the base a stretch between two overlay keys at a
     /// time. The old base stays with whichever snapshots still share it.
-    pub(crate) fn folded(&self) -> Run {
+    pub(crate) fn folded(&self) -> Run<K> {
         // written in place: a `Vec` turned into an `Arc` would be copied
-        let mut base: Arc<[Key]> = std::iter::repeat_n([0; 4], self.len()).collect();
+        let mut base: Arc<[K]> = std::iter::repeat_n(K::default(), self.len()).collect();
         let Some(mut out) = Arc::get_mut(&mut base) else {
             unreachable!("a run just allocated has one owner")
         };
@@ -178,14 +186,14 @@ impl Run {
     }
 
     /// Live keys in ascending order.
-    pub(crate) fn iter(&self) -> RunIter<'_> {
+    pub(crate) fn iter(&self) -> RunIter<'_, K> {
         RunIter::new(&self.base, &self.adds, &self.dels)
     }
 
     /// Live keys in `lo..=hi`, ascending. The upper cut is sought from the
     /// lower one, so a narrow range costs one binary search, not two.
-    pub(crate) fn range<'a>(&'a self, lo: &Key, hi: &Key) -> RunIter<'a> {
-        let cut = |run: &'a [Key]| {
+    pub(crate) fn range<'a>(&'a self, lo: &K, hi: &K) -> RunIter<'a, K> {
+        let cut = |run: &'a [K]| {
             let run = &run[run.partition_point(|key| key < lo)..];
             let end = lower_bound(run, hi);
             &run[..end + usize::from(run.get(end) == Some(hi))]
@@ -194,14 +202,14 @@ impl Run {
     }
 
     /// Number of live keys in `lo..=hi`: binary searches, no walk.
-    pub(crate) fn count(&self, lo: &Key, hi: &Key) -> usize {
+    pub(crate) fn count(&self, lo: &K, hi: &K) -> usize {
         let RunIter { base, adds, dels, .. } = self.range(lo, hi);
         base.len() - dels.len() + adds.len()
     }
 
     /// True when the three invariants of the module docs hold.
     pub(crate) fn is_consistent(&self) -> bool {
-        let ascending = |run: &[Key]| run.windows(2).all(|w| w[0] < w[1]);
+        let ascending = |run: &[K]| run.windows(2).all(|w| w[0] < w[1]);
         ascending(&self.base)
             && ascending(&self.adds)
             && ascending(&self.dels)
@@ -219,22 +227,22 @@ impl Run {
 /// Relies on `dels ⊆ base`, which holds when the three slices are cut at
 /// the same key bounds.
 #[derive(Debug, Clone)]
-pub(crate) struct RunIter<'a> {
-    base: &'a [Key],
-    adds: &'a [Key],
-    dels: &'a [Key],
+pub(crate) struct RunIter<'a, K = Key> {
+    base: &'a [K],
+    adds: &'a [K],
+    dels: &'a [K],
     /// How many leading keys of `base` are known to lie below the first
     /// add and the first tombstone.
     clear: usize,
 }
 
-impl<'a> RunIter<'a> {
-    fn new(base: &'a [Key], adds: &'a [Key], dels: &'a [Key]) -> Self {
+impl<'a, K: RunKey> RunIter<'a, K> {
+    fn new(base: &'a [K], adds: &'a [K], dels: &'a [K]) -> Self {
         RunIter { base, adds, dels, clear: 0 }
     }
 
     /// Skip every key `< target`.
-    pub(crate) fn skip_to(&mut self, target: &Key) {
+    pub(crate) fn skip_to(&mut self, target: &K) {
         let skipped = lower_bound(self.base, target);
         self.base = &self.base[skipped..];
         self.clear = self.clear.saturating_sub(skipped);
@@ -244,7 +252,7 @@ impl<'a> RunIter<'a> {
 
     /// The step at an overlay key, or the one that measures the stretch of
     /// base keys before the next.
-    fn next_at_overlay(&mut self) -> Option<Key> {
+    fn next_at_overlay(&mut self) -> Option<K> {
         loop {
             let Some(&next) = [self.adds.first(), self.dels.first()].into_iter().flatten().min()
             else {
@@ -269,11 +277,11 @@ impl<'a> RunIter<'a> {
     }
 }
 
-impl Iterator for RunIter<'_> {
-    type Item = Key;
+impl<K: RunKey> Iterator for RunIter<'_, K> {
+    type Item = K;
 
     #[inline]
-    fn next(&mut self) -> Option<Key> {
+    fn next(&mut self) -> Option<K> {
         if self.clear == 0 {
             return self.next_at_overlay();
         }

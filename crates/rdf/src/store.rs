@@ -1,4 +1,5 @@
-//! Dictionary-encoded quad store: four index orderings, each a sorted run.
+//! Dictionary-encoded quad store: four index orderings, each a sorted run,
+//! and a fifth run for RDF-star annotations.
 //!
 //! # Representation
 //!
@@ -13,9 +14,26 @@
 //! tombstoned key lifts the tombstone, removing an overlay add drops it,
 //! so an add and its removal leave no trace.
 //!
+//! A quad whose subject is a quoted triple — an *annotation*, in the LiDS
+//! graph a similarity edge's `<< a p b >> k:withCertainty v` — lives in
+//! none of the four. It is one 24-byte key `[s, p, o, q, v, g]` of a fifth
+//! run with the same base, overlay, fold and copy-on-write rules: the
+//! quoted triple's constituents, then the quad's predicate, object and
+//! graph ([`EncodedAnnotation`]). The triple itself is never interned, an
+//! annotation costs one key instead of four plus a dictionary entry, and
+//! the annotations of one triple are one seek
+//! ([`StoreSnapshot::match_annotations`]). Where a quad lives depends on
+//! its subject alone: not on whether its triple is asserted, interned as
+//! an object or nested elsewhere, nor on the path it was written by. A
+//! quoted triple in object position, or nested inside an annotated one,
+//! is a dictionary term. [`StoreSnapshot::len`], `iter`,
+//! `contains` and the decoded matchers see both layouts;
+//! [`StoreSnapshot::match_ids`], the cursors and the range estimates are
+//! the four runs'.
+//!
 //! # Snapshot isolation
 //!
-//! All store data — the dictionary and the four runs — lives in an
+//! All store data — the dictionary and the five runs — lives in an
 //! immutable [`StoreSnapshot`] behind an `Arc`. The [`QuadStore`] is a thin
 //! *writer handle* over that `Arc`:
 //!
@@ -39,7 +57,7 @@
 //!
 //! # What a copy costs, and what a fold costs
 //!
-//! The clone bumps four base refcounts and copies the overlays plus
+//! The clone bumps five base refcounts and copies the overlays plus
 //! O(delta) of dictionary (the [`Dictionary`] is append-only and shares
 //! its term chunks and its frozen hash map with its clones; see its module
 //! docs) — nothing that grows with the lake. Releasing a superseded
@@ -64,19 +82,22 @@
 //!
 //! [`QuadStore::extend`] takes decoded [`Quad`]s and resolves every term
 //! occurrence itself (hash, sort, one probe per distinct term; a quoted
-//! triple is grouped by its content hash and resolved through its
-//! constituents' ids, the key the dictionary stores it under). An emitter
-//! that knows its terms — the similarity-edge emitter names a few thousand
+//! object is grouped by its content hash and resolved through its
+//! constituents' ids, the key the dictionary stores it under; an
+//! annotation's quoted subject is its three constituents). An emitter that
+//! knows its terms — the similarity-edge emitter names a few thousand
 //! column IRIs hundreds of times each — skips that: it interns each term
 //! once through [`QuadStore::intern`] / [`QuadStore::intern_default_graph`],
-//! and each edge's annotated triple through [`QuadStore::intern_quoted`]
-//! from the three ids it already holds — one 12-byte probe, and on a miss
-//! one slot holding those ids — then assembles [`EncodedQuad`]s and
-//! loads them with [`QuadStore::extend_encoded`], which is phase 3 alone.
-//! Removal mirrors it: victims collected with [`StoreSnapshot::match_ids`]
-//! go to [`QuadStore::retract_encoded`] without a decode/encode round
-//! trip. `TermId`s then follow the emitter's interning order rather than
-//! first occurrence in a batch; nothing may depend on either.
+//! assembles [`EncodedQuad`]s and, for each edge's certainty, an
+//! [`EncodedAnnotation`] from the ids it already holds, and loads both
+//! with [`QuadStore::extend_encoded`], which is phase 3 alone. A four-id quad
+//! whose subject id is an interned quoted triple is routed to the
+//! annotation run on the way in, whatever path wrote it. Removal mirrors
+//! it: victims collected with [`StoreSnapshot::match_ids`] and
+//! [`StoreSnapshot::match_annotations`] go to [`QuadStore::retract_encoded`]
+//! without a decode/encode round trip. `TermId`s then follow the emitter's
+//! interning order rather than first occurrence in a batch; nothing may
+//! depend on either.
 //!
 //! # Batch your writes
 //!
@@ -102,7 +123,7 @@ use lids_exec::{parallel_map_with, ParallelConfig};
 
 use crate::dictionary::{Dictionary, TermId};
 use crate::pattern::QuadPattern;
-use crate::run::{Key, Run, RunIter};
+use crate::run::{Key, Run, RunIter, RunKey};
 use crate::term::{GraphName, Quad, Term};
 
 /// Per-phase timings and counts for one [`QuadStore::extend_stats`] call.
@@ -193,6 +214,12 @@ impl RetractStats {
 /// The graph slot holds the id of the graph IRI term, or the default-graph sentinel
 /// for the default graph.
 pub type EncodedQuad = [u32; 4];
+
+/// A quad whose subject is a quoted triple — in the LiDS graph, a
+/// similarity edge's `<< a p b >> k:withCertainty v` — encoded as six ids:
+/// `[s, p, o, q, v, g]`, the quoted triple's constituents, then the
+/// quad's predicate, object and graph. The quoted triple itself has no id.
+pub type EncodedAnnotation = [u32; 6];
 
 /// A quad pattern over term ids: `None` positions are wildcards.
 ///
@@ -388,27 +415,6 @@ impl<'a> RunCursor<'a> {
     }
 }
 
-/// The index scan [`QuadStore`] would run for an encoded pattern: the
-/// chosen ordering, the bound-prefix range, and any bound positions that
-/// fall outside the prefix (which a scan must residual-filter).
-///
-/// Public mirror of the store's internal planner, so the vectorized
-/// query engine can reason about (and report) index selection without
-/// re-deriving the permutation logic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanSpec {
-    /// The ordering whose key prefix covers the most bound positions.
-    pub order: IndexOrder,
-    /// Inclusive range bounds in the chosen ordering's key form.
-    pub lo: [u32; 4],
-    pub hi: [u32; 4],
-    /// How many leading key positions are pinned by the range.
-    pub prefix_len: usize,
-    /// Bound positions in index key order; entries past `prefix_len`
-    /// must be filtered per key.
-    pub residual: [Option<u32>; 4],
-}
-
 /// One immutable version of the store: the dictionary and the four index
 /// orderings, each a sorted run of the quad's ids permuted so a range scan
 /// over a bound prefix enumerates matches:
@@ -416,11 +422,19 @@ pub struct ScanSpec {
 /// - `Posg`: predicate(+object)-bound scans — the workhorse for `?x rdf:type C`
 /// - `Ospg`: object-bound scans — reverse traversal
 /// - `Gspo`: graph-scoped scans — per-pipeline named-graph queries
+///
+/// plus the annotation run, keyed `[s, p, o, q, v, g]` (module docs).
 #[derive(Debug, Clone)]
 pub struct StoreSnapshot {
     dict: Dictionary,
-    /// Indexed by `IndexOrder as usize`; all four hold the same quads.
+    /// Indexed by `IndexOrder as usize`; all four hold the same quads,
+    /// none of them with a quoted-triple subject.
     runs: [Run; 4],
+    /// Every quad whose subject is a quoted triple, and nothing else.
+    notes: Run<EncodedAnnotation>,
+    /// Live annotations per predicate id, ascending: a scan asks this
+    /// before it looks at `notes`.
+    note_predicates: Vec<(u32, usize)>,
     /// Process-unique identity, so caches keyed on a store never confuse
     /// two stores that happen to share an address. Shared by every
     /// snapshot of one store lineage.
@@ -532,6 +546,8 @@ impl Default for QuadStore {
             snap: Arc::new(StoreSnapshot {
                 dict: Dictionary::default(),
                 runs: Default::default(),
+                notes: Run::default(),
+                note_predicates: Vec::new(),
                 id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
                 generation: 0,
             }),
@@ -547,9 +563,9 @@ impl Default for QuadStore {
 const DEFAULT_GRAPH_IRI: &str = "urn:lids:default-graph";
 
 impl StoreSnapshot {
-    /// Number of quads in the store.
+    /// Number of quads in the store, annotations included.
     pub fn len(&self) -> usize {
-        self.run(IndexOrder::Spog).len()
+        self.run(IndexOrder::Spog).len() + self.notes.len()
     }
 
     /// True when the store holds no quads.
@@ -558,9 +574,10 @@ impl StoreSnapshot {
     }
 
     /// Overlay entries (adds plus tombstones) not yet folded into the
-    /// base runs: what the next copy-on-write clone copies per ordering.
+    /// base runs: what the next copy-on-write clone copies per ordering,
+    /// plus the annotation run's.
     pub fn overlay_len(&self) -> usize {
-        self.run(IndexOrder::Spog).overlay_len()
+        self.run(IndexOrder::Spog).overlay_len() + self.notes.overlay_len()
     }
 
     fn run(&self, order: IndexOrder) -> &Run {
@@ -617,16 +634,27 @@ impl StoreSnapshot {
     ///    occurrence), fresh terms are interned in order of their first
     ///    occurrence — reproducing the insert-order-dense [`TermId`]
     ///    assignment of a sequential loop — and the resolved ids are
-    ///    scattered into `[s, p, o, g]` tuples.
+    ///    scattered into `[s, p, o, g]` tuples. An annotation occupies two
+    ///    tuples, its six terms in the order an insert interns them.
     /// 3. **Index** — the batch is sorted and deduplicated, split against
-    ///    the SPOG run into what it changes, and that is merged into the
-    ///    four overlays ([`StoreSnapshot::split`] / [`StoreSnapshot::shift`]).
+    ///    the SPOG run (annotations: the annotation run) into what it
+    ///    changes, and that is merged into the overlays ([`split`] /
+    ///    [`StoreSnapshot::shift`]).
     ///
     /// Small batches run the same phases serially, so semantics never
     /// depend on batch size.
     fn extend_batch(&mut self, quads: Vec<Quad>) -> IngestStats {
         let mut stats = IngestStats { quads_in: quads.len(), ..IngestStats::default() };
-        assert!(quads.len() <= (u32::MAX / 4) as usize, "extend: batch too large");
+        // an annotation spans two rows of four slots
+        let mut rows: Vec<Row<'_>> = Vec::with_capacity(quads.len());
+        for quad in &quads {
+            let annotated = matches!(quad.subject, Term::Quoted(_));
+            rows.push(Row { quad, part: u8::from(annotated) });
+            if annotated {
+                rows.push(Row { quad, part: 2 });
+            }
+        }
+        assert!(rows.len() <= (u32::MAX / 4) as usize, "extend: batch too large");
         let terms_before = self.dict.len();
         let threads = Self::ingest_threads(quads.len());
 
@@ -634,22 +662,14 @@ impl StoreSnapshot {
         // (hash, flat position) pairs to group occurrences by term.
         let t = Instant::now();
         let dict = &self.dict;
-        let hashes: Vec<[u64; 4]> = parallel_map_with(
-            ParallelConfig { threads, chunk: 1024 },
-            &quads,
-            |quad| {
-                [
-                    dict.hash_of(&quad.subject),
-                    dict.hash_of(&quad.predicate),
-                    dict.hash_of(&quad.object),
-                    match &quad.graph {
-                        GraphName::Default => dict.hash_of_iri(DEFAULT_GRAPH_IRI),
-                        GraphName::Named(iri) => dict.hash_of_iri(iri),
-                    },
-                ]
-            },
-        );
-        let mut occ: Vec<(u64, u32)> = Vec::with_capacity(quads.len() * 4);
+        let hashes: Vec<[u64; 4]> =
+            parallel_map_with(ParallelConfig { threads, chunk: 1024 }, &rows, |row| {
+                [0, 1, 2, 3].map(|i| match row.slot(i) {
+                    SlotRef::Term(term) => dict.hash_of(term),
+                    SlotRef::Graph(iri) => dict.hash_of_iri(iri),
+                })
+            });
+        let mut occ: Vec<(u64, u32)> = Vec::with_capacity(rows.len() * 4);
         for (i, h4) in hashes.iter().enumerate() {
             for (slot, &h) in h4.iter().enumerate() {
                 occ.push((h, (i * 4 + slot) as u32));
@@ -662,19 +682,8 @@ impl StoreSnapshot {
         // Phase 2: resolve each group with one dictionary probe, intern
         // fresh terms in first-occurrence order, scatter ids.
         let t = Instant::now();
-        let slot_at = |flat: u32| -> SlotRef<'_> {
-            let quad = &quads[(flat / 4) as usize];
-            match flat % 4 {
-                0 => SlotRef::Term(&quad.subject),
-                1 => SlotRef::Term(&quad.predicate),
-                2 => SlotRef::Term(&quad.object),
-                _ => match &quad.graph {
-                    GraphName::Default => SlotRef::Graph(DEFAULT_GRAPH_IRI),
-                    GraphName::Named(iri) => SlotRef::Graph(iri),
-                },
-            }
-        };
-        let mut encoded: Vec<EncodedQuad> = vec![[0u32; 4]; quads.len()];
+        let slot_at = |flat: u32| rows[(flat / 4) as usize].slot((flat % 4) as usize);
+        let mut encoded: Vec<EncodedQuad> = vec![[0u32; 4]; rows.len()];
         // Groups absent from the dictionary, interned later in
         // first-occurrence order. Members are usually the whole hash
         // group; hash collisions (distinct terms, equal hash) fall back to
@@ -758,21 +767,47 @@ impl StoreSnapshot {
         stats.new_terms = self.dict.len() - terms_before;
         stats.encode_secs = t.elapsed().as_secs_f64();
 
-        // Phase 3: merge what the batch changes into the four overlays.
-        // A bulk load may have interned terms even when every quad is a
+        // Phase 3: merge what the batch changes into the overlays. A bulk
+        // load may have interned terms even when every quad is a
         // duplicate, so it shifts (and invalidates) unconditionally.
         let t = Instant::now();
-        let (join, leave) = self.split(encoded, true);
-        stats.quads_added = join.len() + leave.len();
-        self.shift(true, join, leave, threads);
+        let (mut notes, mut kept) = (Vec::new(), 0);
+        for i in 0..rows.len() {
+            match rows[i].part {
+                0 => (encoded[kept], kept) = (encoded[i], kept + 1),
+                1 => {
+                    let ([s, p, o, q], [v, g, ..]) = (encoded[i], encoded[i + 1]);
+                    notes.push([s, p, o, q, v, g]);
+                }
+                _ => {}
+            }
+        }
+        encoded.truncate(kept);
+        let quads = split(self.run(IndexOrder::Spog), encoded, true);
+        let notes = split(&self.notes, notes, true);
+        stats.quads_added = quads.0.len() + quads.1.len() + notes.0.len() + notes.1.len();
+        self.shift(true, quads, notes, threads);
         stats.index_secs = t.elapsed().as_secs_f64();
         stats
     }
 
-    /// True when every id of every quad names a term of this dictionary.
-    fn ids_in_range(&self, encoded: &[EncodedQuad]) -> bool {
+    /// True when every id of every row names a term of this dictionary.
+    fn ids_in_range<const N: usize>(&self, encoded: &[[u32; N]]) -> bool {
         let terms = self.dict.len() as u32;
         encoded.iter().all(|q| q.iter().all(|&id| id < terms))
+    }
+
+    /// Move every quad whose subject id is a quoted triple into `notes`,
+    /// as an annotation over the triple's constituents: where a quad is
+    /// stored never depends on how it was written.
+    fn route(&self, quads: &mut Vec<EncodedQuad>, notes: &mut Vec<EncodedAnnotation>) {
+        quads.retain(|&[s, p, o, g]| match self.dict.quoted(TermId(s)) {
+            Some([a, b, c]) => {
+                notes.push([a.0, b.0, c.0, p, o, g]);
+                false
+            }
+            None => true,
+        });
     }
 
     /// Worker count for a batch of `n` quads: one thread per ~2k quads,
@@ -788,21 +823,30 @@ impl StoreSnapshot {
         ParallelConfig::default().threads.min(n / SHARD_MIN)
     }
 
-    /// Sort and deduplicate a batch of `[s, p, o, g]` tuples and split it
-    /// against the SPOG run into what writing it would change; see
-    /// [`Run::split`]. Both halves empty: the write is a no-op.
-    fn split(&self, mut batch: Vec<EncodedQuad>, adding: bool) -> (Vec<Key>, Vec<Key>) {
-        batch.sort_unstable();
-        batch.dedup();
-        self.run(IndexOrder::Spog).split(&batch, adding)
-    }
-
-    /// Apply a [`StoreSnapshot::split`] to the four overlays. The halves
-    /// arrive ascending in SPOG order; the other three orderings permute
-    /// and sort them (in parallel for a large batch) — the base runs are
-    /// never consulted again, so the write costs O(batch + overlay).
-    fn shift(&mut self, adding: bool, join: Vec<Key>, leave: Vec<Key>, threads: usize) {
+    /// Apply a [`split`] of quads to the four overlays and one of
+    /// annotations to the annotation run. The quads arrive ascending in
+    /// SPOG order; the other three orderings permute and sort them (in
+    /// parallel for a large batch) — the base runs are never consulted
+    /// again, so the write costs O(batch + overlay).
+    fn shift(
+        &mut self,
+        adding: bool,
+        quads: Halves<Key>,
+        notes: Halves<EncodedAnnotation>,
+        threads: usize,
+    ) {
         self.generation += 1;
+        for note in notes.0.iter().chain(&notes.1) {
+            let counts = &mut self.note_predicates;
+            match counts.binary_search_by_key(&note[3], |&(q, _)| q) {
+                Ok(i) if adding => counts[i].1 += 1,
+                Ok(i) if counts[i].1 > 1 => counts[i].1 -= 1,
+                Ok(i) => _ = counts.remove(i),
+                Err(i) => counts.insert(i, (note[3], 1)),
+            }
+        }
+        self.notes.shift(adding, &notes.0, &notes.1);
+        let (join, leave) = quads;
         let permuted = |order: IndexOrder, keys: &[Key]| {
             let mut run: Vec<Key> = keys.iter().map(|&quad| order.key(quad)).collect();
             run.sort_unstable();
@@ -821,13 +865,57 @@ impl StoreSnapshot {
 
     /// Check that every run keeps its invariants (ascending, adds outside
     /// the base, tombstones inside it) and that the four orderings hold
-    /// the same quads. Test and debug aid.
+    /// the same quads, none with a quoted subject, and that the
+    /// annotation run's predicate counts add up. Test and debug aid.
     pub fn validate_indexes(&self) -> bool {
         let spog = self.run(IndexOrder::Spog);
-        self.runs.iter().all(|run| run.is_consistent() && run.len() == spog.len())
+        let mut counts = std::collections::BTreeMap::new();
+        for [.., q, _, _] in self.notes.iter() {
+            *counts.entry(q).or_insert(0) += 1;
+        }
+        self.notes.is_consistent()
+            && counts.into_iter().eq(self.note_predicates.iter().copied())
+            && spog.iter().all(|[s, ..]| self.dict.quoted(TermId(s)).is_none())
+            && self.runs.iter().all(|run| run.is_consistent() && run.len() == spog.len())
             && spog.iter().all(|quad| {
                 IndexOrder::ALL[1..].iter().all(|&order| self.run(order).contains(&order.key(quad)))
             })
+    }
+
+    /// `quad` as an annotation's ids, when its subject is a quoted triple;
+    /// `None` otherwise or when it names a term the dictionary has never
+    /// seen.
+    pub fn encode_annotation(&self, quad: &Quad) -> Option<EncodedAnnotation> {
+        let Term::Quoted(t) = &quad.subject else {
+            return None;
+        };
+        let id = |term: &Term| self.dict.id_of(term).map(|id| id.0);
+        let [s, p, o] = [id(&t.subject)?, id(&t.predicate)?, id(&t.object)?];
+        Some([s, p, o, id(&quad.predicate)?, id(&quad.object)?, self.graph_id(&quad.graph)?.0])
+    }
+
+    /// The quad an annotation of this store stands for. Panics on a
+    /// foreign id.
+    pub fn decode_annotation(&self, [s, p, o, q, v, g]: EncodedAnnotation) -> Quad {
+        let [s, p, o] = [s, p, o].map(|id| self.dict.term(TermId(id)).into_owned());
+        Quad { subject: Term::quoted(s, p, o), ..self.decode_quad([0, q, v, g]) }
+    }
+
+    /// The batch as ids in the layout each quad is stored in: four-id
+    /// quads, and annotations. A quad naming a term the dictionary has
+    /// never seen cannot be present and is left out.
+    fn encode_all<'q>(
+        &self,
+        quads: impl IntoIterator<Item = &'q Quad>,
+    ) -> (Vec<EncodedQuad>, Vec<EncodedAnnotation>) {
+        let (mut plain, mut notes) = (Vec::new(), Vec::new());
+        for quad in quads {
+            match quad.subject {
+                Term::Quoted(_) => notes.extend(self.encode_annotation(quad)),
+                _ => plain.extend(self.encode_quad(quad)),
+            }
+        }
+        (plain, notes)
     }
 
     /// `quad` as ids. `None` when it names a term the dictionary has never
@@ -853,6 +941,9 @@ impl StoreSnapshot {
 
     /// True when the quad is present.
     pub fn contains(&self, quad: &Quad) -> bool {
+        if let Term::Quoted(_) = quad.subject {
+            return self.encode_annotation(quad).is_some_and(|key| self.notes.contains(&key));
+        }
         self.encode_quad(quad).is_some_and(|key| self.run(IndexOrder::Spog).contains(&key))
     }
 
@@ -945,13 +1036,6 @@ impl StoreSnapshot {
         ScanPlan { index, lo, hi, prefix_len: best_len, residual: key, order }
     }
 
-    /// The scan the store's planner would run for `pattern`: chosen
-    /// [`IndexOrder`], prefix range, and residual-filter positions.
-    pub fn scan_spec(&self, pattern: &EncodedPattern) -> ScanSpec {
-        let ScanPlan { lo, hi, prefix_len, residual, order, .. } = self.plan(pattern.ids());
-        ScanSpec { order, lo, hi, prefix_len, residual }
-    }
-
     /// A seekable forward cursor over one index ordering's sorted run.
     pub fn run_cursor(&self, order: IndexOrder) -> RunCursor<'_> {
         RunCursor::new(self.run(order))
@@ -976,6 +1060,8 @@ impl StoreSnapshot {
     /// Pure id-domain scan: chooses the index whose key order puts the
     /// bound positions first, range-scans it, and filters any bound
     /// positions that fall outside the prefix. No term decoding happens.
+    /// Annotations are not four-id quads and are not among the matches:
+    /// [`StoreSnapshot::match_annotations`] scans them.
     pub fn match_ids<'a>(
         &'a self,
         pattern: &EncodedPattern,
@@ -1021,13 +1107,15 @@ impl StoreSnapshot {
     /// join orderer's plans were settled under, from when a count was a
     /// bounded walk: a range at least that large reports the cap with
     /// `exact = false` — at that magnitude the join orderer only needs
-    /// "huge", not the digits. The all-wildcard pattern answers from
-    /// `len()` directly.
+    /// "huge", not the digits. The all-wildcard pattern answers from the
+    /// runs' length directly. Like [`StoreSnapshot::match_ids`], this
+    /// counts the four runs only: see
+    /// [`StoreSnapshot::estimate_annotations`] for the rest.
     pub fn estimate_pattern_exact(&self, pattern: &EncodedPattern) -> (usize, bool) {
         let ids = pattern.ids();
         let bound = ids.iter().filter(|b| b.is_some()).count();
         if bound == 0 {
-            return (self.len(), true);
+            return (self.run(IndexOrder::Spog).len(), true);
         }
         let capped_count =
             |index: &Run, lo: Key, hi: Key| index.count(&lo, &hi).min(ESTIMATE_WALK_CAP);
@@ -1074,7 +1162,65 @@ impl StoreSnapshot {
         &'a self,
         pattern: &QuadPattern,
     ) -> impl Iterator<Item = Quad> + 'a {
-        self.match_encoded(pattern).map(move |quad| self.decode_quad(quad))
+        let notes = self.annotation_pattern(pattern).into_iter();
+        let notes = notes.flat_map(move |ids| self.match_annotations(ids));
+        self.match_encoded(pattern)
+            .map(move |quad| self.decode_quad(quad))
+            .chain(notes.map(move |note| self.decode_annotation(note)))
+    }
+
+    /// A decoded pattern's constants as annotation ids, `[s, p, o, q, v,
+    /// g]`; `None` when no annotation can match it.
+    fn annotation_pattern(&self, pattern: &QuadPattern) -> Option<[Option<u32>; 6]> {
+        let id = |term: Option<&Term>| match term {
+            None => Some(None),
+            Some(term) => self.dict.id_of(term).map(|id| Some(id.0)),
+        };
+        let [s, p, o] = match &pattern.subject {
+            None => [None; 3],
+            Some(Term::Quoted(t)) => {
+                [id(Some(&t.subject))?, id(Some(&t.predicate))?, id(Some(&t.object))?]
+            }
+            Some(_) => return None,
+        };
+        let g = match &pattern.graph {
+            None => None,
+            Some(graph) => Some(self.graph_id(graph)?.0),
+        };
+        let q = id(pattern.predicate.as_ref())?;
+        // a predicate no annotation carries spares the walk
+        if q.is_some_and(|q| self.estimate_annotations(Some(TermId(q))) == 0) {
+            return None;
+        }
+        Some([s, p, o, q, id(pattern.object.as_ref())?, g])
+    }
+
+    /// Annotations matching ids in `[s, p, o, q, v, g]` order (`None` a
+    /// wildcard): a range over the bound prefix, the rest filtered per
+    /// key. With the quoted triple's constituents bound, one seek.
+    pub fn match_annotations(
+        &self,
+        pattern: [Option<u32>; 6],
+    ) -> impl Iterator<Item = EncodedAnnotation> + '_ {
+        let prefix = pattern.iter().take_while(|id| id.is_some()).count();
+        let (mut lo, mut hi) = ([0; 6], [u32::MAX; 6]);
+        for (i, &id) in pattern.iter().take(prefix).flatten().enumerate() {
+            (lo[i], hi[i]) = (id, id);
+        }
+        self.notes.range(&lo, &hi).filter(move |key| {
+            pattern.iter().zip(key).skip(prefix).all(|(id, k)| id.is_none_or(|id| id == *k))
+        })
+    }
+
+    /// Live annotations whose predicate is `predicate` (all of them for
+    /// `None`), capped like [`StoreSnapshot::estimate_pattern`]. Zero is
+    /// exact: a scan with that predicate can skip the annotation run.
+    pub fn estimate_annotations(&self, predicate: Option<TermId>) -> usize {
+        let count = match predicate {
+            None => self.notes.len(),
+            Some(p) => self.note_predicates.iter().find(|&&(q, _)| q == p.0).map_or(0, |&(_, n)| n),
+        };
+        count.min(ESTIMATE_WALK_CAP)
     }
 
     /// All quads in the store.
@@ -1086,26 +1232,38 @@ impl StoreSnapshot {
     ///
     /// Skip-scans gspo: after reading one graph id it range-jumps to the
     /// first key of the next graph, so the cost is O(#graphs · log n)
-    /// rather than a walk over every index entry.
+    /// rather than a walk over every index entry — plus one walk over the
+    /// annotation run.
     pub fn named_graphs(&self) -> Vec<String> {
-        let mut graphs: Vec<String> = Vec::new();
+        let mut ids: Vec<u32> = Vec::new();
+        for [.., g] in self.notes.iter() {
+            if !ids.contains(&g) {
+                ids.push(g);
+            }
+        }
         let mut cursor = self.run_cursor(IndexOrder::Gspo);
         while let Some([gid, ..]) = cursor.current() {
-            if let GraphName::Named(g) = self.graph_of(TermId(gid)) {
-                graphs.push(g);
-            }
+            ids.push(gid);
             let Some(next) = gid.checked_add(1) else {
                 break;
             };
             cursor.seek_ge([next, 0, 0, 0]);
         }
-        graphs
+        ids.sort_unstable();
+        ids.dedup();
+        let graphs = ids.into_iter().map(|gid| self.graph_of(TermId(gid)));
+        graphs.filter_map(|graph| match graph {
+            GraphName::Named(g) => Some(g),
+            GraphName::Default => None,
+        })
+        .collect()
     }
 
     /// Approximate footprint in bytes: the runs as they are (base plus
     /// overlay, four orderings) and the dictionary.
     pub fn approx_bytes(&self) -> u64 {
-        self.runs.iter().map(Run::bytes).sum::<u64>() + self.dict.approx_bytes()
+        let runs = self.runs.iter().map(Run::bytes).sum::<u64>() + self.notes.bytes();
+        runs + self.dict.approx_bytes()
     }
 }
 
@@ -1169,12 +1327,18 @@ impl QuadStore {
         // Only a snapshot this writer holds alone can have changed since
         // the last publish point; a shared one was judged there.
         if let Some(snap) = Arc::get_mut(&mut self.snap) {
-            let (base, overlay) = (snap.run(IndexOrder::Spog).base_len(), snap.overlay_len());
+            let base = snap.run(IndexOrder::Spog).base_len() + snap.notes.base_len();
+            let overlay = snap.overlay_len();
             let upkeep = overlay > 0 && self.shifted > base * FOLD_UPKEEP;
             if overlay * FOLD_DIVISOR > base || upkeep {
                 let t = Instant::now();
-                for run in &mut snap.runs {
-                    *run = run.folded();
+                if snap.run(IndexOrder::Spog).overlay_len() > 0 {
+                    for run in &mut snap.runs {
+                        *run = run.folded();
+                    }
+                }
+                if snap.notes.overlay_len() > 0 {
+                    snap.notes = snap.notes.folded();
                 }
                 self.shifted = 0;
                 self.cow.folds += 1;
@@ -1227,23 +1391,31 @@ impl QuadStore {
     /// Insert a quad. Returns `true` when it was not already present.
     pub fn insert(&mut self, quad: &Quad) -> bool {
         // Each term is hashed once and resolved against the shared
-        // snapshot first: a quad already present copies nothing.
+        // snapshot first: a quad already present copies nothing. An
+        // annotation's quoted subject is its three constituents.
         let graph = StoreSnapshot::graph_term(&quad.graph);
-        let terms = [&quad.subject, &quad.predicate, &quad.object, &graph];
-        let dict = &self.snap.dict;
-        let hashes = terms.map(|term| dict.hash_of(term));
-        let known = [0, 1, 2, 3].map(|i| dict.id_by_hash(hashes[i], terms[i]));
-        let key = match known {
-            [Some(s), Some(p), Some(o), Some(g)] => [s.0, p.0, o.0, g.0],
-            _ => {
-                let snap = self.write();
-                [0, 1, 2, 3].map(|i| match known[i] {
-                    Some(id) => id.0,
-                    None => snap.dict.intern_hashed(hashes[i], terms[i]).0,
-                })
-            }
+        let (p, o, g) = (&quad.predicate, &quad.object, &graph);
+        let terms: &[&Term] = match &quad.subject {
+            Term::Quoted(t) => &[&t.subject, &t.predicate, &t.object, p, o, g],
+            s => &[s, p, o, g],
         };
-        self.apply(vec![key], true) > 0
+        let dict = &self.snap.dict;
+        let hashes: Vec<u64> = terms.iter().map(|term| dict.hash_of(term)).collect();
+        let mut ids: Vec<Option<u32>> =
+            terms.iter().zip(&hashes).map(|(t, &h)| dict.id_by_hash(h, t).map(|id| id.0)).collect();
+        if ids.contains(&None) {
+            let dict = &mut self.write().dict;
+            for ((id, term), &hash) in ids.iter_mut().zip(terms).zip(&hashes) {
+                id.get_or_insert_with(|| dict.intern_hashed(hash, term).0);
+            }
+        }
+        let ids: Vec<u32> = ids.into_iter().flatten().collect();
+        let added = match ids[..] {
+            [s, p, o, q, v, g] => self.apply(Vec::new(), vec![[s, p, o, q, v, g]], true),
+            [s, p, o, g] => self.apply(vec![[s, p, o, g]], Vec::new(), true),
+            _ => unreachable!("a quad names four or six terms"),
+        };
+        added > 0
     }
 
     /// Insert a triple into the default graph.
@@ -1275,22 +1447,26 @@ impl QuadStore {
         stats
     }
 
-    /// Bulk-insert already-encoded quads: the phase-3 fast path, and the
-    /// load every id-space emitter ends with (see [`QuadStore::intern`]).
+    /// Bulk-insert already-encoded quads and annotations in one write: the
+    /// phase-3 fast path, and the load every id-space emitter ends with
+    /// (see [`QuadStore::intern`]).
     ///
     /// Every id must come from **this** store's dictionary and the graph
     /// slot must hold a graph IRI id — i.e. tuples shaped like the output
-    /// of [`StoreSnapshot::match_ids`] on this same store. Returns how
-    /// many quads were new; a batch whose quads are all present leaves the
-    /// store, its generation and its readers' snapshot exactly as they
-    /// were.
-    pub fn extend_encoded(&mut self, quads: impl IntoIterator<Item = EncodedQuad>) -> usize {
-        let encoded: Vec<EncodedQuad> = quads.into_iter().collect();
+    /// of [`StoreSnapshot::match_ids`] / [`StoreSnapshot::match_annotations`]
+    /// on this same store. Returns how many were new; a batch that is all
+    /// present leaves the store, its generation and its readers' snapshot
+    /// exactly as they were.
+    pub fn extend_encoded(
+        &mut self,
+        quads: Vec<EncodedQuad>,
+        notes: Vec<EncodedAnnotation>,
+    ) -> usize {
         assert!(
-            self.snap.ids_in_range(&encoded),
+            self.snap.ids_in_range(&quads) && self.snap.ids_in_range(&notes),
             "extend_encoded: id outside this store's dictionary"
         );
-        self.apply(encoded, true)
+        self.apply(quads, notes, true)
     }
 
     /// Write an encoded batch — add it or drop it — and publish. Returns
@@ -1298,12 +1474,19 @@ impl QuadStore {
     /// the shared snapshot, so one that changes nothing (every quad
     /// already present, or none) copies nothing and leaves the store, its
     /// generation and its readers' snapshot exactly as they were.
-    fn apply(&mut self, batch: Vec<EncodedQuad>, adding: bool) -> usize {
-        let threads = StoreSnapshot::ingest_threads(batch.len());
-        let (join, leave) = self.snap.split(batch, adding);
-        let changed = join.len() + leave.len();
+    fn apply(
+        &mut self,
+        mut quads: Vec<EncodedQuad>,
+        mut notes: Vec<EncodedAnnotation>,
+        adding: bool,
+    ) -> usize {
+        self.snap.route(&mut quads, &mut notes);
+        let threads = StoreSnapshot::ingest_threads(quads.len());
+        let quads = split(self.snap.run(IndexOrder::Spog), quads, adding);
+        let notes = split(&self.snap.notes, notes, adding);
+        let changed = quads.0.len() + quads.1.len() + notes.0.len() + notes.1.len();
         if changed > 0 {
-            self.write().shift(adding, join, leave, threads);
+            self.write().shift(adding, quads, notes, threads);
             self.maybe_publish();
         }
         changed
@@ -1322,12 +1505,6 @@ impl QuadStore {
         self.write().dict.intern_owned(term)
     }
 
-    /// [`QuadStore::intern`] for the quoted triple `<< s p o >>` over
-    /// three ids of this store: see [`Dictionary::intern_quoted`].
-    pub fn intern_quoted(&mut self, s: TermId, p: TermId, o: TermId) -> TermId {
-        self.write().dict.intern_quoted(s, p, o)
-    }
-
     /// [`QuadStore::intern`] for the id that stands for the default graph
     /// in an [`EncodedQuad`]'s graph slot.
     pub fn intern_default_graph(&mut self) -> TermId {
@@ -1336,7 +1513,8 @@ impl QuadStore {
 
     /// Remove a quad. Returns `true` when it was present.
     pub fn remove(&mut self, quad: &Quad) -> bool {
-        self.snap.encode_quad(quad).is_some_and(|key| self.apply(vec![key], false) > 0)
+        let (quads, notes) = self.snap.encode_all([quad]);
+        self.apply(quads, notes, false) > 0
     }
 
     /// Batch-retract quads, returning per-phase statistics.
@@ -1351,26 +1529,29 @@ impl QuadStore {
         let quads: Vec<Quad> = quads.into_iter().collect();
         let mut stats = RetractStats { quads_in: quads.len(), ..RetractStats::default() };
         let t = Instant::now();
-        let encoded: Vec<EncodedQuad> =
-            quads.iter().filter_map(|quad| self.snap.encode_quad(quad)).collect();
+        let (encoded, notes) = self.snap.encode_all(&quads);
         stats.encode_secs = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        stats.quads_removed = self.apply(encoded, false);
+        stats.quads_removed = self.apply(encoded, notes, false);
         stats.index_secs = t.elapsed().as_secs_f64();
         stats
     }
 
-    /// Batch-retract already-encoded quads: the fast path for retraction
-    /// sets collected from this same store (e.g. via
-    /// [`StoreSnapshot::match_ids`]). Every id must come from **this**
-    /// store's dictionary. Returns how many quads were present and left.
-    pub fn retract_encoded(&mut self, quads: impl IntoIterator<Item = EncodedQuad>) -> usize {
-        let encoded: Vec<EncodedQuad> = quads.into_iter().collect();
+    /// Batch-retract already-encoded quads and annotations in one write:
+    /// the fast path for retraction sets collected from this same store
+    /// (e.g. via [`StoreSnapshot::match_ids`] and
+    /// [`StoreSnapshot::match_annotations`]). Every id must come from
+    /// **this** store's dictionary. Returns how many were present and left.
+    pub fn retract_encoded(
+        &mut self,
+        quads: Vec<EncodedQuad>,
+        notes: Vec<EncodedAnnotation>,
+    ) -> usize {
         assert!(
-            self.snap.ids_in_range(&encoded),
+            self.snap.ids_in_range(&quads) && self.snap.ids_in_range(&notes),
             "retract_encoded: id outside this store's dictionary"
         );
-        self.apply(encoded, false)
+        self.apply(quads, notes, false)
     }
 }
 
@@ -1421,6 +1602,42 @@ struct PendingGroup {
 enum PendingMembers {
     Run(u32, u32),
     List(Vec<u32>),
+}
+
+/// One row of a decoded batch's occurrence table: four term slots. A quad
+/// is one row (`part` 0); an annotation is two, its six terms in the order
+/// a sequential insert interns them: `s p o q` (1), then `v g v g` (2).
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    quad: &'a Quad,
+    part: u8,
+}
+
+impl<'a> Row<'a> {
+    fn slot(self, i: usize) -> SlotRef<'a> {
+        let quad = self.quad;
+        match (self.part, i, &quad.subject) {
+            (0, 0, s) => SlotRef::Term(s),
+            (1, 0..=2, Term::Quoted(t)) => SlotRef::Term([&t.subject, &t.predicate, &t.object][i]),
+            (0, 1, _) | (1, _, _) => SlotRef::Term(&quad.predicate),
+            (0, 2, _) | (2, 0 | 2, _) => SlotRef::Term(&quad.object),
+            _ => match &quad.graph {
+                GraphName::Default => SlotRef::Graph(DEFAULT_GRAPH_IRI),
+                GraphName::Named(iri) => SlotRef::Graph(iri),
+            },
+        }
+    }
+}
+
+/// A write's two halves against one run; see [`Run::split`].
+type Halves<K> = (Vec<K>, Vec<K>);
+
+/// Sort and deduplicate a batch of keys and split it against `run` into
+/// what writing it would change. Both halves empty: the write is a no-op.
+fn split<K: RunKey>(run: &Run<K>, mut batch: Vec<K>, adding: bool) -> Halves<K> {
+    batch.sort_unstable();
+    batch.dedup();
+    run.split(&batch, adding)
 }
 
 /// Scatter a resolved id back into its quad's encoded slot.
@@ -1711,7 +1928,7 @@ mod tests {
         let encoded: Vec<EncodedQuad> = src.match_ids(&EncodedPattern::any()).collect();
         // re-adding the store's own quads: all duplicates
         let mut again = estimate_store();
-        assert_eq!(again.extend_encoded(encoded.clone()), 0);
+        assert_eq!(again.extend_encoded(encoded.clone(), Vec::new()), 0);
         assert_eq!(again.len(), src.len());
         assert!(again.validate_indexes());
     }
@@ -1735,26 +1952,35 @@ mod tests {
         let half = ids.intern(Term::double(0.5));
         let g = ids.intern_default_graph();
         assert_eq!(Some(g), ids.default_graph_id());
-        let (ab, ba) = (ids.intern_quoted(a, sim, b), ids.intern_quoted(b, sim, a));
-        assert_eq!(ids.intern_quoted(a, sim, b), ab);
         // interning adds no quad and invalidates nothing
         assert_eq!((ids.len(), ids.generation()), (base, generation));
-        let batch = [[a, sim, b, g], [ab, score, half, g], [b, sim, a, g], [ba, score, half, g]];
-        assert_eq!(ids.extend_encoded(batch.map(|quad| quad.map(|t| t.0))), 4);
+        let terms = ids.term_count();
+        let quads = [[a, sim, b, g], [b, sim, a, g]].map(|quad| quad.map(|t| t.0));
+        let notes = [[a, sim, b, score, half, g], [b, sim, a, score, half, g]];
+        assert_eq!(ids.extend_encoded(quads.to_vec(), notes.map(|n| n.map(|t| t.0)).to_vec()), 4);
         assert!(ids.generation() > generation);
         assert!(ids.validate_indexes());
+        // the annotated triples are never interned, on either side
+        assert_eq!(ids.term_count(), terms);
+        assert_eq!(decoded.term_count(), 6);
         for quad in decoded.iter() {
             assert!(ids.contains(&quad), "{quad} not loaded");
-            assert_eq!(ids.encode_quad(&quad).map(|key| ids.decode_quad(key)), Some(quad));
+            let back = match quad.subject {
+                Term::Quoted(_) => ids.encode_annotation(&quad).map(|k| ids.decode_annotation(k)),
+                _ => ids.encode_quad(&quad).map(|k| ids.decode_quad(k)),
+            };
+            assert_eq!(back, Some(quad));
         }
         assert_eq!(ids.len(), base + decoded.len());
+        assert_eq!(ids.estimate_annotations(Some(score)), 2);
+        assert_eq!(ids.estimate_annotations(Some(sim)), 0);
     }
 
     #[test]
     #[should_panic(expected = "outside this store's dictionary")]
     fn extend_encoded_rejects_foreign_ids() {
         let mut store = estimate_store();
-        store.extend_encoded([[0, 1, 2, 9999]]);
+        store.extend_encoded(vec![[0, 1, 2, 9999]], Vec::new());
     }
 
     #[test]
@@ -1874,26 +2100,6 @@ mod tests {
         // seeks on an interrupted cursor stay exhausted
         cursor.seek_ge([0, 0, 0, 0]);
         assert_eq!(cursor.current(), None);
-    }
-
-    #[test]
-    fn scan_spec_matches_planner_choice() {
-        let store = estimate_store();
-        let spec = store.scan_spec(&enc(&store, None, Some("p1"), Some("o1")));
-        assert_eq!(spec.order, IndexOrder::Posg);
-        assert_eq!(spec.prefix_len, 2);
-        // the spec's range enumerates exactly the matches
-        let mut cursor = store.run_cursor(spec.order);
-        cursor.seek_ge(spec.lo);
-        let mut hits = 0;
-        while let Some(k) = cursor.current() {
-            if k > spec.hi {
-                break;
-            }
-            hits += 1;
-            cursor.advance();
-        }
-        assert_eq!(hits, 3);
     }
 
     #[test]
@@ -2171,7 +2377,7 @@ mod tests {
         let p = store.id_of(&Term::iri("p")).unwrap();
         let pattern = EncodedPattern { predicate: Some(p), ..EncodedPattern::default() };
         let hits: Vec<EncodedQuad> = store.match_ids(&pattern).collect();
-        assert_eq!(store.retract_encoded(hits), 50);
+        assert_eq!(store.retract_encoded(hits, Vec::new()), 50);
         assert!(store.is_empty());
         assert!(store.validate_indexes());
     }
@@ -2231,11 +2437,12 @@ mod tests {
         assert!(!store.remove(&q("a", "p", "d")));
         assert!(!store.remove(&q("a", "p", "never-seen")));
         assert_eq!(store.retract([q("a", "p", "d"), q("x", "y", "z")]).quads_removed, 0);
-        assert_eq!(store.retract_encoded([[b, b, b, b]]), 0);
-        assert_eq!(store.retract_encoded([]), 0);
+        assert_eq!(store.retract_encoded(vec![[b, b, b, b]], Vec::new()), 0);
+        assert_eq!(store.retract_encoded(Vec::new(), Vec::new()), 0);
         let present: Vec<EncodedQuad> = store.match_ids(&EncodedPattern::any()).collect();
-        assert_eq!(store.extend_encoded(present.iter().chain(&present).copied()), 0);
-        assert_eq!(store.extend_encoded([]), 0);
+        let twice: Vec<EncodedQuad> = present.iter().chain(&present).copied().collect();
+        assert_eq!(store.extend_encoded(twice, Vec::new()), 0);
+        assert_eq!(store.extend_encoded(Vec::new(), Vec::new()), 0);
         store.begin_delta();
         store.retract([q("c", "p", "b")]);
         store.commit_delta();

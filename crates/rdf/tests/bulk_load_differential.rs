@@ -9,9 +9,13 @@
 //! triples sit in subject and object position and nest one level (a quoted
 //! triple quoting another as its subject or object): the dictionary keys
 //! one by its constituents' ids, which the bulk loader must intern first,
-//! in the order a sequential loop would.
+//! in the order a sequential loop would. A quad with a quoted subject is an
+//! annotation, which interns its triple's constituents and never the
+//! triple: each batch also carries one annotated triple's family — the
+//! asserted quad, two annotations with different values, the triple as an
+//! object, an annotation nesting it — in a drawn order.
 
-use lids_rdf::{EncodedPattern, EncodedQuad, GraphName, Quad, QuadStore, Term};
+use lids_rdf::{EncodedAnnotation, EncodedPattern, EncodedQuad, GraphName, Quad, QuadStore, Term};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 
@@ -59,6 +63,46 @@ fn quad_strategy() -> impl Strategy<Value = Quad> {
         .prop_map(|(s, p, o, g)| Quad::in_graph(s, p, o, g))
 }
 
+/// One annotated triple's family, a drawn subset in a drawn order.
+fn family_strategy() -> impl Strategy<Value = Vec<Quad>> {
+    let parts = (leaf_strategy(), leaf_strategy(), leaf_strategy(), leaf_strategy());
+    // each member's rank in the drawn order; members ranked 0 are left out
+    let ranks = proptest::collection::vec(0u8..8, 6);
+    (parts, ranks).prop_map(
+        |((s, p, o, v), ranks)| {
+            let triple = Term::quoted(s.clone(), p.clone(), o.clone());
+            let score = Term::iri("http://x/score");
+            let family = [
+                Quad::new(s, p.clone(), o),
+                Quad::new(triple.clone(), score.clone(), v),
+                Quad::new(triple.clone(), score.clone(), Term::double(0.5)),
+                Quad::new(Term::iri("http://x/about"), p.clone(), triple.clone()),
+                Quad::new(
+                    Term::quoted(triple.clone(), p, Term::iri("http://x/by")),
+                    score.clone(),
+                    Term::double(0.25),
+                ),
+                Quad::in_graph(triple, score, Term::double(0.5), GraphName::named("http://g/1")),
+            ];
+            let mut order: Vec<usize> = (0..6).filter(|&i| ranks[i] > 0).collect();
+            order.sort_by_key(|&i| ranks[i]);
+            order.into_iter().map(|i| family[i].clone()).collect()
+        },
+    )
+}
+
+/// Random quads with one family spliced in at a drawn position.
+fn batch_strategy(max: usize) -> impl Strategy<Value = Vec<Quad>> {
+    let quads = proptest::collection::vec(quad_strategy(), 0..max);
+    (quads, family_strategy(), any::<usize>()).prop_map(
+        |(mut quads, family, at)| {
+            let at = at % (quads.len() + 1);
+            quads.splice(at..at, family);
+            quads
+        },
+    )
+}
+
 /// The two stores agree bit for bit: dictionary (ids AND interning order),
 /// quad set in encoded form, and internally consistent secondary indexes.
 fn assert_identical(seq: &QuadStore, bulk: &QuadStore) {
@@ -70,6 +114,9 @@ fn assert_identical(seq: &QuadStore, bulk: &QuadStore) {
     let seq_ids: Vec<EncodedQuad> = seq.match_ids(&EncodedPattern::any()).collect();
     let bulk_ids: Vec<EncodedQuad> = bulk.match_ids(&EncodedPattern::any()).collect();
     assert_eq!(seq_ids, bulk_ids, "encoded quad sets diverged");
+    let seq_notes: Vec<EncodedAnnotation> = seq.match_annotations([None; 6]).collect();
+    let bulk_notes: Vec<EncodedAnnotation> = bulk.match_annotations([None; 6]).collect();
+    assert_eq!(seq_notes, bulk_notes, "annotation sets diverged");
     assert!(seq.validate_indexes(), "sequential store indexes inconsistent");
     assert!(bulk.validate_indexes(), "bulk store indexes inconsistent");
 }
@@ -81,7 +128,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     #[test]
-    fn extend_matches_sequential_insert(quads in proptest::collection::vec(quad_strategy(), 0..120)) {
+    fn extend_matches_sequential_insert(quads in batch_strategy(120)) {
         let mut seq = QuadStore::new();
         let mut fresh = 0usize;
         for quad in &quads {
@@ -96,7 +143,7 @@ proptest! {
 
     #[test]
     fn split_batches_match_one_batch(
-        quads in proptest::collection::vec(quad_strategy(), 1..120),
+        quads in batch_strategy(120),
         split_at in 0usize..120,
     ) {
         let split = split_at.min(quads.len());
@@ -113,13 +160,14 @@ proptest! {
     }
 
     #[test]
-    fn extend_encoded_reinserts_are_noops(quads in proptest::collection::vec(quad_strategy(), 1..60)) {
+    fn extend_encoded_reinserts_are_noops(quads in batch_strategy(60)) {
         let mut store = QuadStore::new();
         store.extend(quads);
         let before = store.len();
         let generation = store.generation();
         let encoded: Vec<EncodedQuad> = store.match_ids(&EncodedPattern::any()).collect();
-        prop_assert_eq!(store.extend_encoded(encoded), 0);
+        let notes: Vec<EncodedAnnotation> = store.match_annotations([None; 6]).collect();
+        prop_assert_eq!(store.extend_encoded(encoded, notes), 0);
         prop_assert_eq!(store.len(), before);
         prop_assert_eq!(store.generation(), generation);
         prop_assert!(store.validate_indexes());

@@ -26,6 +26,7 @@ use kglids::{ErrorKind, KgLids, LidsError, LidsReader, UnionMode};
 use lids_obs::Obs;
 use serde::Serialize;
 use std::io::BufReader;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
@@ -79,6 +80,9 @@ pub struct LidsServer {
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     obs: Arc<Obs>,
+    /// Requests left to fail by fault injection
+    /// ([`LidsServer::inject_handler_panics`]).
+    faults: Arc<AtomicU64>,
 }
 
 /// How often an idle keep-alive connection polls the shutdown flag.
@@ -94,6 +98,7 @@ impl LidsServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let obs = Arc::new(Obs::new());
         let next_id = Arc::new(AtomicU64::new(1));
+        let faults = Arc::new(AtomicU64::new(0));
         let (tx, rx) = sync_channel::<TcpStream>(config.queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
 
@@ -104,6 +109,7 @@ impl LidsServer {
                 let obs = Arc::clone(&obs);
                 let shutdown = Arc::clone(&shutdown);
                 let next_id = Arc::clone(&next_id);
+                let faults = Arc::clone(&faults);
                 let max_body = config.max_body_bytes;
                 std::thread::spawn(move || {
                     loop {
@@ -116,7 +122,8 @@ impl LidsServer {
                         match conn {
                             Ok(stream) => {
                                 serve_connection(
-                                    stream, &backend, &obs, &shutdown, &next_id, max_body,
+                                    stream, &backend, &obs, &shutdown, &next_id, &faults,
+                                    max_body,
                                 );
                             }
                             // acceptor gone and queue drained: shutdown
@@ -156,7 +163,14 @@ impl LidsServer {
             })
         };
 
-        Ok(LidsServer { addr, shutdown, acceptor: Some(acceptor), workers, obs })
+        Ok(LidsServer { addr, shutdown, acceptor: Some(acceptor), workers, obs, faults })
+    }
+
+    /// Fault injection: the handlers of the next `n` requests panic. A
+    /// panicking handler answers 500 `Internal`, bumps
+    /// `server.handler_panics` and leaves its worker serving.
+    pub fn inject_handler_panics(&self, n: u64) {
+        self.faults.store(n, Ordering::SeqCst);
     }
 
     /// The bound address (resolves the ephemeral port).
@@ -216,6 +230,7 @@ fn serve_connection(
     obs: &Obs,
     shutdown: &AtomicBool,
     next_id: &AtomicU64,
+    faults: &AtomicU64,
     max_body: usize,
 ) {
     if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
@@ -229,7 +244,18 @@ fn serve_connection(
             Ok(req) => {
                 let request_id = format!("req-{}", next_id.fetch_add(1, Ordering::Relaxed));
                 let started = Instant::now();
-                let (status, body, label) = handle(backend, obs, &req, &request_id);
+                // a panicking handler costs its request, not its worker
+                let handled = catch_unwind(AssertUnwindSafe(|| {
+                    let take = |n: u64| n.checked_sub(1);
+                    let fault = faults.fetch_update(Ordering::SeqCst, Ordering::SeqCst, take);
+                    assert!(fault.is_err(), "injected handler fault");
+                    handle(backend, obs, &req, &request_id)
+                }));
+                let (status, body, label) = handled.unwrap_or_else(|_| {
+                    obs.metrics.counter_add("server.handler_panics", 1);
+                    let body = error_body(&request_id, "Internal", "request handler panicked", 500);
+                    (500, body, "panic")
+                });
                 obs.metrics.counter_add("server.requests", 1);
                 obs.metrics.counter_add(
                     match status {

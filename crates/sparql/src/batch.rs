@@ -22,22 +22,27 @@
 //!   columns.
 //!
 //! Merge and probe share one unifier ([`Matcher`]), which covers every
-//! pattern shape the compiler emits: quoted-triple patterns (a row that
-//! binds every constituent pins the quoted term's id with one allocation-free
-//! dictionary probe; otherwise the stored triple's constituents are unified
-//! back into the id domain) and `GRAPH ?g` scopes (bound: the graph is
-//! pinned; unbound: bound from the quad, named graphs only). Operator choice
+//! pattern shape the compiler emits: quoted-triple patterns and `GRAPH ?g`
+//! scopes (bound: the graph is pinned; unbound: bound from the quad, named
+//! graphs only). A pattern whose subject can be a quoted triple also reads
+//! the store's annotation run ([`Reach`]), by probe only: seeking it by
+//! the constituents the row binds, or binding a variable to each annotated
+//! triple's cell ([`Evaluator::quoted_cell`]). A quoted object is pinned
+//! by one dictionary probe when the row binds its constituents, else
+//! unified through the stored triple's constituent ids. Operator choice
 //! is recorded per pattern in the explain instrumentation and counted in
 //! [`ExecStats`](crate::eval::ExecStats); exact-result parity against
 //! [`crate::reference`] is held by the differential property suite.
 
 use std::collections::HashSet;
 
-use lids_rdf::{EncodedPattern, IndexOrder, RunCursor, StoreSnapshot, Term, TermId};
+use lids_rdf::{
+    EncodedAnnotation, EncodedPattern, IndexOrder, RunCursor, StoreSnapshot, Term, TermId,
+};
 
 use crate::ast::VarId;
 use crate::eval::{
-    collect_triple_vars, const_of, EncNode, EncTriple, Evaluator, GraphCtx, Operator,
+    collect_triple_vars, const_of, EncNode, EncTriple, Evaluator, GraphCtx, Operator, Reach,
     GOVERNOR_ROW_INTERVAL,
 };
 use crate::results::{SparqlError, UNBOUND};
@@ -235,7 +240,7 @@ pub(crate) fn join_pipeline(
 
     // worst-case-optimal star intersection at the query root
     if batch.is_root() && matches!(ctx, GraphCtx::Default) {
-        if let Some(star) = detect_star(patterns) {
+        if let Some(star) = detect_star(ev.store, patterns) {
             batch = leapfrog_star(ev, patterns, &star, &batch)?;
             for &idx in &star.patterns {
                 done[idx] = true;
@@ -329,8 +334,9 @@ fn execute_pattern(
     // only an unbound `GRAPH ?g` asks which id is the default graph's
     let graph_var = matches!(ctx, GraphCtx::Var(_));
     let default_graph = graph_var.then(|| ev.store.default_graph_id()).flatten().map(|id| id.0);
-    let matcher = Matcher { store: ev.store, pattern, ctx, default_graph };
-    if batch.len() >= MERGE_MIN {
+    let reach = Reach::of(ev.store, pattern);
+    let matcher = Matcher { ev, pattern, ctx, default_graph, reach };
+    if batch.len() >= MERGE_MIN && reach == Reach::Quads {
         if let Some(plan) = merge_plan(pattern, batch, ctx) {
             let (out, charged) = merge_join(ev, &matcher, batch, &plan)?;
             return Ok((out, Operator::Merge, charged));
@@ -345,10 +351,11 @@ fn execute_pattern(
 /// Joins the quads of one pattern onto batch rows, entirely in the id
 /// domain. Shared by probe and merge.
 struct Matcher<'a> {
-    store: &'a StoreSnapshot,
+    ev: &'a Evaluator<'a>,
     pattern: &'a EncTriple,
     ctx: GraphCtx,
     default_graph: Option<u32>,
+    reach: Reach,
 }
 
 /// What one row fixes of a pattern's quad before any quad is seen.
@@ -359,6 +366,10 @@ struct Pins {
     ids: [Option<u32>; 4],
     /// `GRAPH ?g` with `?g` unbound in this row: bind it from the quad.
     graph_var: Option<VarId>,
+    /// Scan the four runs.
+    quads: bool,
+    /// Scan the annotation run, the subject's constituents pinned so.
+    notes: Option<[Option<u32>; 3]>,
 }
 
 impl Pins {
@@ -370,7 +381,7 @@ impl Pins {
 
 impl Matcher<'_> {
     /// The pins of row `i`, or `None` when the row cannot match: its
-    /// bindings spell a quoted triple the store never interned, or bind a
+    /// bindings spell a quoted object the store never interned, or bind a
     /// `GRAPH ?g` to something other than an IRI.
     fn pins(&self, batch: &Batch, i: usize) -> Option<Pins> {
         let mut graph_var = None;
@@ -382,17 +393,33 @@ impl Matcher<'_> {
                     graph_var = Some(v);
                     None
                 }
-                id if matches!(*self.store.term(TermId(id)), Term::Iri(_)) => Some(id),
+                id if matches!(*self.ev.term(id), Term::Iri(_)) => Some(id),
                 _ => return None,
             },
         };
-        let ids = [
-            self.pin(&self.pattern.subject, batch, i)?,
-            self.pin(&self.pattern.predicate, batch, i)?,
-            self.pin(&self.pattern.object, batch, i)?,
-            graph,
-        ];
-        Some(Pins { ids, graph_var })
+        let pin = |node| self.pin(node, batch, i);
+        let (p, o) = (pin(&self.pattern.predicate)?, pin(&self.pattern.object)?);
+        if self.reach == Reach::Quads {
+            let ids = [pin(&self.pattern.subject)?, p, o, graph];
+            return Some(Pins { ids, graph_var, quads: true, notes: None });
+        }
+        let (subject, quads, notes) = match &self.pattern.subject {
+            EncNode::Quoted(q) => {
+                (None, false, Some([pin(&q.subject)?, pin(&q.predicate)?, pin(&q.object)?]))
+            }
+            node => match pin(node)? {
+                None => (None, true, Some([None; 3])),
+                Some(id) => match self.ev.quoted_parts(id) {
+                    Some(spo) => (None, false, Some(spo.map(Some))),
+                    None => (Some(id), true, None),
+                },
+            },
+        };
+        let ids = [subject, p, o, graph];
+        // a row-bound predicate that annotates nothing skips the run
+        let annotates = |q: u32| self.ev.store.estimate_annotations(Some(TermId(q))) > 0;
+        let notes = notes.filter(|_| ids[1].is_none_or(annotates));
+        Some(Pins { ids, graph_var, quads, notes })
     }
 
     /// The id row `i` fixes for `node`; `Some(None)` when a variable of it
@@ -409,7 +436,7 @@ impl Matcher<'_> {
                     // every constituent is known: the quoted term matches
                     // iff it is itself interned
                     (Some(s), Some(p), Some(o)) => {
-                        let dict = self.store.dictionary();
+                        let dict = self.ev.store.dictionary();
                         Some(dict.id_of_quoted(TermId(s), TermId(p), TermId(o))?.0)
                     }
                     _ => None,
@@ -430,28 +457,69 @@ impl Matcher<'_> {
         updates: &mut Vec<(VarId, u32)>,
     ) -> bool {
         updates.clear();
-        let nodes = [&self.pattern.subject, &self.pattern.predicate, &self.pattern.object];
-        for (slot, node) in nodes.into_iter().enumerate() {
+        let [s, p, o, g] = quad;
+        let agrees = match pins.ids[0] {
+            Some(id) => id == s,
+            None => self.unify_id(&self.pattern.subject, s, batch, i, updates),
+        };
+        agrees && self.unify_rest(pins, batch, i, [p, o, g], updates)
+    }
+
+    /// [`Matcher::unify`] for an annotation the row's pins found: its
+    /// subject is the triple of its first three ids.
+    fn unify_note(
+        &self,
+        pins: &Pins,
+        batch: &Batch,
+        i: usize,
+        [s, p, o, q, v, g]: EncodedAnnotation,
+        updates: &mut Vec<(VarId, u32)>,
+    ) -> bool {
+        updates.clear();
+        let agrees = match &self.pattern.subject {
+            EncNode::Quoted(t) => [(&t.subject, s), (&t.predicate, p), (&t.object, o)]
+                .into_iter()
+                .all(|(node, id)| self.unify_id(node, id, batch, i, updates)),
+            EncNode::Var(var) if batch.get(*var, i) == UNBOUND => {
+                bind(*var, self.ev.quoted_cell([s, p, o]), batch, i, updates)
+            }
+            // a bound subject pinned the scan to its constituents
+            _ => true,
+        };
+        agrees && self.unify_rest(pins, batch, i, [q, v, g], updates)
+    }
+
+    /// The predicate, object and graph of a unification.
+    #[inline]
+    fn unify_rest(
+        &self,
+        pins: &Pins,
+        batch: &Batch,
+        i: usize,
+        [p, o, g]: [u32; 3],
+        updates: &mut Vec<(VarId, u32)>,
+    ) -> bool {
+        for (slot, node, id) in [(1, &self.pattern.predicate, p), (2, &self.pattern.object, o)] {
             let agrees = match pins.ids[slot] {
-                Some(id) => id == quad[slot],
-                None => self.unify_id(node, quad[slot], batch, i, updates),
+                Some(pin) => pin == id,
+                None => self.unify_id(node, id, batch, i, updates),
             };
             if !agrees {
                 return false;
             }
         }
-        if pins.ids[3].is_some_and(|g| g != quad[3]) {
+        if pins.ids[3].is_some_and(|pin| pin != g) {
             return false;
         }
         if let Some(v) = pins.graph_var {
             // GRAPH ?g ranges over named graphs only
-            if Some(quad[3]) == self.default_graph {
+            if Some(g) == self.default_graph {
                 return false;
             }
             // as in `reference`, the graph wins over a binding the same
             // quad gave ?g in another position
             updates.retain(|(u, _)| *u != v);
-            updates.push((v, quad[3]));
+            updates.push((v, g));
         }
         true
     }
@@ -471,10 +539,10 @@ impl Matcher<'_> {
         match node {
             EncNode::Const(c) => c.0 == id,
             EncNode::Var(v) => bind(*v, id, batch, i, updates),
-            EncNode::Quoted(q) => match self.store.dictionary().quoted(TermId(id)) {
+            EncNode::Quoted(q) => match self.ev.quoted_parts(id) {
                 Some([s, p, o]) => [(&q.subject, s), (&q.predicate, p), (&q.object, o)]
                     .into_iter()
-                    .all(|(inner, id)| self.unify_id(inner, id.0, batch, i, updates)),
+                    .all(|(inner, id)| self.unify_id(inner, id, batch, i, updates)),
                 None => false,
             },
         }
@@ -521,14 +589,27 @@ fn probe_join(
         let Some(pins) = matcher.pins(batch, i) else {
             continue;
         };
-        for quad in ev.store.match_ids(&pins.scan()) {
-            if matcher.unify(&pins, batch, i, quad, &mut updates) {
-                out.push_row(batch, i, &updates);
-                // a low-selectivity pattern (worst case: a cartesian
-                // product) explodes in this inner loop — govern the
-                // *output* as it grows, not just the outer sweep
-                if governed_progress(ev, &out, &mut since_check, &mut charged)? {
-                    break 'rows;
+        if pins.quads {
+            for quad in ev.store.match_ids(&pins.scan()) {
+                if matcher.unify(&pins, batch, i, quad, &mut updates) {
+                    out.push_row(batch, i, &updates);
+                    // a low-selectivity pattern (worst case: a cartesian
+                    // product) explodes in this inner loop — govern the
+                    // *output* as it grows, not just the outer sweep
+                    if governed_progress(ev, &out, &mut since_check, &mut charged)? {
+                        break 'rows;
+                    }
+                }
+            }
+        }
+        if let Some([s, p, o]) = pins.notes {
+            let [_, q, v, g] = pins.ids;
+            for note in ev.store.match_annotations([s, p, o, q, v, g]) {
+                if matcher.unify_note(&pins, batch, i, note, &mut updates) {
+                    out.push_row(batch, i, &updates);
+                    if governed_progress(ev, &out, &mut since_check, &mut charged)? {
+                        break 'rows;
+                    }
                 }
             }
         }
@@ -727,13 +808,14 @@ enum StarLeg {
     VarObj { p: u32, var: VarId },
 }
 
-fn detect_star(patterns: &[EncTriple]) -> Option<Star> {
+fn detect_star(store: &StoreSnapshot, patterns: &[EncTriple]) -> Option<Star> {
     // count eligible patterns per subject variable
     let eligible = |p: &EncTriple, subject: VarId| -> bool {
         if !matches!(&p.subject, EncNode::Var(v) if *v == subject) {
             return false;
         }
-        if !matches!(&p.predicate, EncNode::Const(_)) {
+        // a leg walks the four runs: its predicate must annotate nothing
+        if !matches!(&p.predicate, EncNode::Const(q) if store.estimate_annotations(Some(*q)) == 0) {
             return false;
         }
         match &p.object {

@@ -23,8 +23,8 @@
 //! semantics.
 
 use std::borrow::Cow;
-use std::cell::Cell;
-use std::collections::HashSet;
+use std::cell::{Cell, RefCell};
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use lids_exec::{QueryGovernor, QueryLimits};
@@ -290,6 +290,7 @@ fn eval_compiled<'a>(
         governor,
         truncated: Cell::new(false),
         decoded: Cell::new(0),
+        quoted: RefCell::default(),
     };
     let root = Batch::root(query.variables.len());
     let bindings = ev.eval_group(compiled, root, GraphCtx::Default)?;
@@ -490,22 +491,29 @@ impl<'a> Compiler<'a> {
                 satisfiable: true,
             });
         }
-        let compiled = self.compile_node(&pattern.subject).and_then(|subject| {
+        // a quoted subject is an annotation's, matched by its constituents:
+        // it need not be interned
+        let quoted = match &pattern.subject {
+            NodePattern::Quoted(q) => Some(Cow::Borrowed(&**q)),
+            NodePattern::Term(Term::Quoted(t)) => Some(Cow::Owned(TriplePattern {
+                subject: NodePattern::Term(t.subject.clone()),
+                predicate: NodePattern::Term(t.predicate.clone()),
+                object: NodePattern::Term(t.object.clone()),
+            })),
+            _ => None,
+        };
+        let subject = match quoted {
+            Some(q) => self.compile_quoted(&q).map(|q| EncNode::Quoted(Box::new(q))),
+            None => self.compile_node(&pattern.subject),
+        };
+        let compiled = subject.and_then(|subject| {
             let predicate = self.compile_node(&pattern.predicate)?;
             let object = self.compile_node(&pattern.object)?;
             Some(EncTriple { pid, subject, predicate, object })
         });
         if self.collect {
             match &compiled {
-                Some(t) => {
-                    let enc = EncodedPattern {
-                        subject: const_of(&t.subject),
-                        predicate: const_of(&t.predicate),
-                        object: const_of(&t.object),
-                        graph: None,
-                    };
-                    self.metas[pid as usize].estimated = self.store.estimate_pattern(&enc);
-                }
+                Some(t) => self.metas[pid as usize].estimated = estimate(self.store, t, None),
                 None => self.metas[pid as usize].satisfiable = false,
             }
         }
@@ -578,6 +586,50 @@ pub(crate) struct Evaluator<'a> {
     /// Dictionary terms looked at so far (FILTER operands, sort keys,
     /// aggregate inputs).
     decoded: Cell<u64>,
+    /// Annotated triples bound to a variable that the dictionary does not
+    /// hold: the `i`-th has cell `term_count() + i`.
+    quoted: RefCell<QuotedCells>,
+}
+
+/// Cells past the dictionary, in order, and the map that finds them.
+type QuotedCells = (Vec<[u32; 3]>, HashMap<[u32; 3], u32>);
+
+/// Where the quads a pattern can match live: in the four runs, in the
+/// annotation run (a quoted-triple subject), or either.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reach {
+    Quads,
+    Notes,
+    Both,
+}
+
+impl Reach {
+    pub(crate) fn of(store: &StoreSnapshot, pattern: &EncTriple) -> Reach {
+        match &pattern.subject {
+            EncNode::Quoted(_) => Reach::Notes,
+            EncNode::Const(id) if store.dictionary().quoted(*id).is_some() => Reach::Notes,
+            EncNode::Var(_) if store.estimate_annotations(const_of(&pattern.predicate)) > 0 => {
+                Reach::Both
+            }
+            _ => Reach::Quads,
+        }
+    }
+}
+
+/// The store's estimate for a pattern's constants, over the runs it can
+/// reach.
+fn estimate(store: &StoreSnapshot, pattern: &EncTriple, graph: Option<TermId>) -> usize {
+    let enc = EncodedPattern {
+        subject: const_of(&pattern.subject),
+        predicate: const_of(&pattern.predicate),
+        object: const_of(&pattern.object),
+        graph,
+    };
+    match Reach::of(store, pattern) {
+        Reach::Quads => store.estimate_pattern(&enc),
+        Reach::Notes => store.estimate_annotations(enc.predicate),
+        Reach::Both => store.estimate_pattern(&enc) + store.estimate_annotations(enc.predicate),
+    }
 }
 
 /// Governed row loops run a boundary check every this many rows,
@@ -700,13 +752,7 @@ impl<'a> Evaluator<'a> {
         bound: &HashSet<VarId>,
         graph_slot: Option<TermId>,
     ) -> f64 {
-        let enc = EncodedPattern {
-            subject: const_of(&pattern.subject),
-            predicate: const_of(&pattern.predicate),
-            object: const_of(&pattern.object),
-            graph: graph_slot,
-        };
-        let base = self.store.estimate_pattern(&enc) as f64;
+        let base = estimate(self.store, pattern, graph_slot) as f64;
         let mut bound_positions = 0i32;
         let mut vars: HashSet<VarId> = HashSet::new();
         for node in [&pattern.subject, &pattern.predicate, &pattern.object] {
@@ -738,8 +784,51 @@ impl<'a> Evaluator<'a> {
         let id = batch.get(var, i);
         (id != UNBOUND).then(|| {
             self.count_decoded(1);
-            self.store.term(TermId(id))
+            self.term(id)
         })
+    }
+
+    /// The term behind a cell: a dictionary term, or an annotated triple
+    /// this evaluation gave a cell of its own.
+    pub(crate) fn term(&self, cell: u32) -> Cow<'a, Term> {
+        let store: &'a StoreSnapshot = self.store;
+        let Some(i) = (cell as usize).checked_sub(store.term_count()) else {
+            return store.term(TermId(cell));
+        };
+        let spo = self.quoted.borrow().0[i];
+        let [s, p, o] = spo.map(|id| store.term(TermId(id)).into_owned());
+        Cow::Owned(Term::quoted(s, p, o))
+    }
+
+    /// The cell of the quoted triple `<< s p o >>`: its dictionary id when
+    /// interned, else one this evaluation assigns past the dictionary.
+    pub(crate) fn quoted_cell(&self, spo: [u32; 3]) -> u32 {
+        let [s, p, o] = spo.map(TermId);
+        if let Some(id) = self.store.dictionary().id_of_quoted(s, p, o) {
+            return id.0;
+        }
+        let (triples, cells) = &mut *self.quoted.borrow_mut();
+        *cells.entry(spo).or_insert_with(|| {
+            let cell = self.store.term_count() + triples.len();
+            assert!(cell < UNBOUND as usize, "dictionary and minted terms fit the u32 cell space");
+            triples.push(spo);
+            cell as u32
+        })
+    }
+
+    /// The constituents of the quoted triple behind a cell, if it is one.
+    pub(crate) fn quoted_parts(&self, cell: u32) -> Option<[u32; 3]> {
+        let dict = self.store.dictionary();
+        match cell.checked_sub(dict.len() as u32) {
+            None => dict.quoted(TermId(cell)).map(|ids| ids.map(|id| id.0)),
+            Some(i) => self.quoted.borrow().0.get(i as usize).copied(),
+        }
+    }
+
+    /// The quoted triples given cells of their own, in cell order.
+    pub(crate) fn minted_quoted(&self) -> Vec<Term> {
+        let (base, minted) = (self.store.term_count() as u32, self.quoted.borrow().0.len() as u32);
+        (base..base + minted).map(|cell| self.term(cell).into_owned()).collect()
     }
 
     /// FILTER looks up only the variables the expression references.

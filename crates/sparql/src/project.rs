@@ -82,6 +82,10 @@ pub(crate) fn project<'s>(
     let columns: Vec<String> = projected.iter().map(|&v| query.variables[v].clone()).collect();
     let aggregated = items.iter().any(|i| matches!(i, SelectItem::Aggregate { .. }));
     let mut cells = Cells { store, minted: Vec::new(), minted_cell: HashMap::new() };
+    // the joins' own cells past the dictionary keep their numbers
+    for term in ev.minted_quoted() {
+        cells.mint(term);
+    }
 
     // the table the modifiers run over, one column per query variable: the
     // batch itself, or one row per group with each aggregate's result in

@@ -67,6 +67,10 @@ enum ElemSpec {
     Nested(u8, u8, u8, u8),
     /// `?x <about> << a <sim> b >> .` — quoted pattern in object position.
     About(u8, u8, u8),
+    /// `?x <score> ?v .` or `?x <conf> ?v .` — a variable subject that meets
+    /// annotations, bound to their quoted triples (interned ones included:
+    /// `About` objects).
+    Annotated(u8, u8, u8),
     /// `(kind, var, operand)`.
     Filter(u8, u8, u8),
     Optional(Vec<ElemSpec>),
@@ -213,6 +217,9 @@ impl Render {
                 format!("<< {} <by> {} >> <conf> {} .", edge(*a, *b), self.inner_node(*c), v(x))
             }
             ElemSpec::About(x, a, b) => format!("{} <about> {} .", v(x), edge(*a, *b)),
+            ElemSpec::Annotated(kind, x, y) => {
+                format!("{} <{}> {} .", v(x), ["score", "conf"][usize::from(kind % 2)], v(y))
+            }
             ElemSpec::Filter(kind, x, k) => match kind % 4 {
                 0 => format!("FILTER({} = {})", var(*x), var(*k)),
                 1 => format!("FILTER({} > {})", var(*x), k % 8),
@@ -464,6 +471,7 @@ fn leaf_spec() -> BoxedStrategy<ElemSpec> {
         1 => (0..12u8, 0..12u8, 0..12u8, 0..4u8)
             .prop_map(|(a, b, c, v)| ElemSpec::Nested(a, b, c, v)),
         1 => (0..4u8, 0..12u8, 0..12u8).prop_map(|(x, a, b)| ElemSpec::About(x, a, b)),
+        1 => (0..2u8, 0..4u8, 0..4u8).prop_map(|(k, x, y)| ElemSpec::Annotated(k, x, y)),
         2 => (0..4u8, 0..4u8, 0..8u8).prop_map(|(kind, x, k)| ElemSpec::Filter(kind, x, k)),
     ]
     .boxed()

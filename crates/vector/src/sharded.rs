@@ -4,7 +4,7 @@
 //! built so far), which makes single-index construction the bottleneck the
 //! moment the rest of the pipeline is parallel. Dealing vectors round-robin
 //! across `S` independent shards cuts the serial depth by `S` — shards
-//! build concurrently under [`lids_exec::parallel_map`] — at the price of
+//! build concurrently under [`lids_exec::parallel_map_with`] — at the price of
 //! querying every shard. For the radius-candidate workload of the
 //! similarity linker (many queries, each parallelised anyway) that trade is
 //! a clear win, and it is the same recipe Faiss applies with its sharded
@@ -12,7 +12,7 @@
 
 use std::collections::HashSet;
 
-use lids_exec::parallel_map;
+use lids_exec::{parallel_map_with, ParallelConfig};
 
 use crate::hnsw::{HnswConfig, HnswIndex};
 use crate::ops::RowMatrix;
@@ -35,7 +35,10 @@ impl ShardedHnsw {
     pub fn build(m: &RowMatrix, config: HnswConfig, shards: usize) -> Self {
         let shards = shards.clamp(1, m.len().max(1));
         let shard_ids: Vec<usize> = (0..shards).collect();
-        let built = parallel_map(&shard_ids, |&s| {
+        // one shard per claim: the default chunk of 16 would hand every
+        // shard to the first worker
+        let config_one = ParallelConfig { chunk: 1, ..Default::default() };
+        let built = parallel_map_with(config_one, &shard_ids, |&s| {
             let mut idx = HnswIndex::new(m.dim(), config);
             let mut i = s;
             while i < m.len() {

@@ -1,6 +1,8 @@
 //! HNSW recall and invariants as property tests against the exact index.
 
-use lids_vector::{BruteForceIndex, HnswConfig, HnswIndex, Metric, VectorIndex};
+use lids_vector::{
+    BruteForceIndex, HnswConfig, HnswIndex, Metric, RowMatrix, ShardedHnsw, VectorIndex,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -33,6 +35,35 @@ proptest! {
         }
         let recall = hits as f64 / total as f64;
         prop_assert!(recall > 0.85, "recall {recall}");
+    }
+
+    /// The shards of a sharded build go to worker threads one each, and
+    /// what the workers build does not depend on how many there are: a
+    /// build on the default threads answers every search exactly like one
+    /// made on this thread alone (a seed shard each, then every other row
+    /// added in order — graph-identical to the batch deal).
+    #[test]
+    fn sharded_build_is_independent_of_thread_count(seed in 0u64..50, n in 8usize..300) {
+        let (dim, shards) = (10, 4);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut m = RowMatrix::new(dim);
+        for _ in 0..n {
+            let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            m.push_normalized(&v);
+        }
+        let parallel = ShardedHnsw::build(&m, HnswConfig::default(), shards);
+        let mut seeds = RowMatrix::new(dim);
+        for i in 0..shards {
+            seeds.push(m.row(i));
+        }
+        let mut serial = ShardedHnsw::build(&seeds, HnswConfig::default(), shards);
+        for i in shards..n {
+            serial.add(i as u64, m.row(i));
+        }
+        for i in 0..n {
+            let search = |index: &ShardedHnsw| index.search_radius(m.row(i), 0.8, 10);
+            prop_assert_eq!(search(&parallel), search(&serial), "row {}", i);
+        }
     }
 
     #[test]

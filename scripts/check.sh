@@ -78,6 +78,13 @@ if grep -rnwE 'link_schema|boolean_content|embeddable_content|BucketCapture|Link
     echo "second-linker leftovers under crates/*/src: LinkIndex is the one Algorithm 3 linker" >&2
     exit 1
 fi
+# The LiDS emitters mint no quoted triple: a similarity edge's certainty
+# is a key of the store's annotation run, so interning the annotated
+# triple (whole word) is back only if an emitter regressed to four quads.
+if grep -rnw 'intern_quoted' crates/kg/src crates/core/src; then
+    echo "intern_quoted under crates/kg/src or crates/core/src: the LiDS emitters mint no quoted triple" >&2
+    exit 1
+fi
 # Query-governance chaos suite under a hard external bound: adversarial
 # workloads must terminate with typed errors or truncated partials; a hang
 # here is a governance regression and the timeout turns it into a failure.

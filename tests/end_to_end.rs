@@ -116,7 +116,11 @@ fn corpus_bootstrap_links_pipelines_to_datasets() {
     let predicted = Term::iri(object_prop::iri(object_prop::PREDICTED_READ));
     let store = platform.store();
     assert_eq!(store.match_pattern(&QuadPattern::any().with_predicate(predicted)).count(), 0);
-    assert_eq!((store.len(), store.term_count()), (3274, 1377));
+    // each similarity annotation is a key of the store's annotation run,
+    // its quoted triple no dictionary term: 1,377 terms less one per
+    // annotation
+    assert_eq!((store.len(), store.term_count()), (3274, 649));
+    assert_eq!(store.estimate_annotations(None), 1377 - 649);
 
     // every pipeline is its own named graph
     assert_eq!(platform.store().named_graphs().len(), 12);

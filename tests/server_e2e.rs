@@ -283,6 +283,30 @@ fn typed_errors_over_the_wire() {
     client.healthz().expect("keep-alive connection still healthy");
 }
 
+/// A panicking handler costs its request a 500, not its worker: after
+/// more injected panics than the server has workers, `/healthz` and a
+/// query still answer.
+#[test]
+fn handler_panics_answer_500_and_keep_every_worker() {
+    let p = platform();
+    let server = start(&p);
+    let panics = ServerConfig::default().workers as u64 + 1;
+    server.inject_handler_panics(panics);
+    for _ in 0..panics {
+        // a connection each: whichever worker takes it panics
+        let mut client = Client::connect(server.addr().to_string());
+        let (status, body) = client.request_raw("GET", "/healthz", "").expect("request completes");
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("Internal"), "{body}");
+    }
+    let mut client = Client::connect(server.addr().to_string());
+    assert_eq!(client.healthz().expect("healthz after the panics").status, "ok");
+    let wire = client.query(TABLES_QUERY, None).expect("query after the panics");
+    let local = p.query(TABLES_QUERY).expect("query in process");
+    assert_eq!(sorted(wire.to_dataframe().rows), sorted(local.rows));
+    assert_eq!(server.obs().metrics.snapshot().counter("server.handler_panics"), Some(panics));
+}
+
 #[test]
 fn oversized_and_malformed_requests_close_without_hanging() {
     let p = platform();
