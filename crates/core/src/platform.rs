@@ -23,7 +23,7 @@ use lids_embed::{
 };
 use lids_exec::{
     parallel_try_map_with, Clock, ErrorKind, IsolationConfig, LidsError, LidsResult, MemoryMeter,
-    RetryPolicy, Stopwatch, SystemClock,
+    RetryPolicy, SystemClock,
 };
 use lids_kg::abstraction::{emit_pipeline_quads, AbstractionStats, PipelineMetadata};
 use lids_kg::docs::LibraryDocs;
@@ -39,7 +39,7 @@ use lids_profiler::{
     parse_csv_bytes, profile_table, ColumnProfile, CsvMode, ProfilerConfig, RawDataset, Table,
 };
 use lids_py::analysis::AnalyzedScript;
-use lids_rdf::{IngestStats, Quad, QuadStore, StoreSnapshot};
+use lids_rdf::{EncodedAnnotation, EncodedQuad, Quad, QuadStore, StoreSnapshot};
 use lids_vector::{cosine_similarity, mean_vector};
 
 use crate::query::{QueryEnv, QueryGuardrails};
@@ -157,73 +157,41 @@ where
     results
 }
 
-/// Bulk-load a stage's accumulated quad batch and record the ingest
-/// telemetry as an `ingest` child span of the stage. This is how metadata
-/// of pipelines, the library graph and quarantine records arrive — terms
-/// that mostly occur once; the schema stage, whose column nodes recur in
-/// hundreds of edges each, goes through [`ingest_encoded`].
-fn ingest_batch(
+/// Load one stage's quads and record the load as an `ingest` child span of
+/// the stage. `encode` turns what the stage produced into id tuples over
+/// the store's own dictionary (`encode_secs`): the schema stage emits them
+/// through an [`EncodedBatch`], every term interned once where the emitter
+/// first names it; the other stages — pipeline graphs, the library graph,
+/// quarantine provenance, whose terms mostly occur once — hand over
+/// decoded quads to [`QuadStore::intern_quads`]. One
+/// [`QuadStore::extend_encoded`] then loads the tuples (`index_secs`).
+/// Returns how many quads were new.
+fn ingest_quads(
     store: &mut QuadStore,
     obs: &Obs,
     parent: SpanId,
     stage: &str,
-    batch: Vec<Quad>,
-) -> IngestStats {
-    // opened before the load: the span times the bulk load itself,
-    // copy-on-write clone included
-    let span = obs.tracer.child(parent, "ingest");
-    let stats = store.extend_stats(batch);
-    close_ingest_span(obs, span, stage, &stats);
-    stats
-}
-
-/// Let `emit` write a stage's quads as id tuples over the store's own
-/// dictionary, bulk-load them, and record the same `ingest` child span as
-/// [`ingest_batch`]: `encode_secs` is the emission (every term interned
-/// once, where the emitter first names it), `index_secs` the load of the
-/// finished tuples, and there is no extract phase to pay.
-fn ingest_encoded(
-    store: &mut QuadStore,
-    obs: &Obs,
-    parent: SpanId,
-    stage: &str,
-    emit: impl FnOnce(&mut EncodedBatch<'_>),
-) -> IngestStats {
-    // opened before the emission: the first interned term pays the
+    encode: impl FnOnce(&mut QuadStore) -> (Vec<EncodedQuad>, Vec<EncodedAnnotation>),
+) -> usize {
+    // opened before the encoding: the first interned term pays the
     // copy-on-write clone
     let span = obs.tracer.child(parent, "ingest");
     let terms_before = store.term_count();
     let t = Instant::now();
-    let mut batch = EncodedBatch::new(store);
-    emit(&mut batch);
-    let (quads, notes) = batch.into_ids();
+    let (quads, notes) = encode(store);
     let encode_secs = t.elapsed().as_secs_f64();
     let quads_in = quads.len() + notes.len();
     let t = Instant::now();
     let quads_added = store.extend_encoded(quads, notes);
-    let stats = IngestStats {
-        quads_in,
-        quads_added,
-        new_terms: store.term_count() - terms_before,
-        extract_secs: 0.0,
-        encode_secs,
-        index_secs: t.elapsed().as_secs_f64(),
-    };
-    close_ingest_span(obs, span, stage, &stats);
-    stats
-}
-
-fn close_ingest_span(obs: &Obs, span: SpanId, stage: &str, stats: &IngestStats) {
-    obs.tracer.set_attr(span, "stage", stage);
-    obs.tracer.set_attr(span, "quads_in", stats.quads_in);
-    obs.tracer.add_count(span, "quads_added", stats.quads_added as u64);
-    obs.tracer.add_count(span, "new_terms", stats.new_terms as u64);
-    obs.tracer.set_attr(span, "dedup_rate", stats.dedup_rate());
-    obs.tracer.set_attr(span, "extract_secs", stats.extract_secs);
-    obs.tracer.set_attr(span, "encode_secs", stats.encode_secs);
-    obs.tracer.set_attr(span, "index_secs", stats.index_secs);
-    obs.tracer.set_attr(span, "quads_per_sec", stats.quads_per_sec());
-    let _ = obs.tracer.close(span);
+    let tracer = &obs.tracer;
+    tracer.set_attr(span, "index_secs", t.elapsed().as_secs_f64());
+    tracer.set_attr(span, "encode_secs", encode_secs);
+    tracer.set_attr(span, "stage", stage);
+    tracer.set_attr(span, "quads_in", quads_in);
+    tracer.add_count(span, "quads_added", quads_added as u64);
+    tracer.add_count(span, "new_terms", (store.term_count() - terms_before) as u64);
+    let _ = tracer.close(span);
+    quads_added
 }
 
 /// The derived table and dataset embeddings (Equation 1 and its dataset
@@ -703,7 +671,6 @@ impl KgLids {
 
         // ---- retraction: withdraw removed datasets first ----
         let span = tracer.child(root, "retract");
-        let mut sw = Stopwatch::started();
         let (mut collect_secs, mut index_secs, mut victims_in) = (0.0, 0.0, 0usize);
         for ds in &remove_datasets {
             let (gone, kept): (Vec<ColumnProfile>, Vec<ColumnProfile>) =
@@ -722,8 +689,6 @@ impl KgLids {
             self.report.quarantined.retain(|e| !e.artifact.starts_with(&prefix));
         }
         stats.datasets_removed = remove_datasets.len();
-        sw.stop();
-        stats.retraction_secs = sw.secs();
         tracer.set_attr(span, "datasets", remove_datasets.len());
         // where a removal's store time goes: scanning for the victims (id
         // space, no term decoded) against dropping them from the indexes
@@ -732,11 +697,10 @@ impl KgLids {
         tracer.add_count(span, "victims", victims_in as u64);
         tracer.add_count(span, "quads_retracted", stats.quads_retracted as u64);
         tracer.add_count(span, "columns_retracted", stats.columns_retracted as u64);
-        let _ = tracer.close(span);
+        stats.retraction_secs = tracer.close(span).unwrap_or_default();
 
         // ---- parse raw artifacts under the fault policy ----
         let span = tracer.child(root, "parse");
-        let mut sw = Stopwatch::started();
         let mut datasets = add_datasets;
         for raw in &add_raw_datasets {
             let outcomes = quarantine_map(&raw.tables, &self.ingest, |t| {
@@ -757,15 +721,12 @@ impl KgLids {
             datasets.push(Dataset::new(raw.name.clone(), tables));
         }
         stats.datasets_added = datasets.len();
-        sw.stop();
-        stats.parse_secs = sw.secs();
         tracer.set_attr(span, "raw_datasets", add_raw_datasets.len());
         tracer.add_count(span, "quarantined", report.quarantined.len() as u64);
-        let _ = tracer.close(span);
+        stats.parse_secs = tracer.close(span).unwrap_or_default();
 
         // ---- Algorithm 2: profile the new artifacts (panic-isolated) ----
         let span = tracer.child(root, "profile");
-        let mut sw = Stopwatch::started();
         let models = ColrModels::pretrained();
         let units: Vec<(&str, &Table)> = datasets
             .iter()
@@ -795,22 +756,18 @@ impl KgLids {
             }
         }
         new_profiles.extend(add_profiles);
-        sw.stop();
-        stats.profiling_secs = sw.secs();
         stats.columns_profiled = new_profiles.len();
         tracer.set_attr(span, "columns", new_profiles.len());
-        let _ = tracer.close(span);
+        stats.profiling_secs = tracer.close(span).unwrap_or_default();
 
         // ---- Algorithm 3: link the new columns into the global schema ----
         let span = tracer.child(root, "link.schema");
-        let mut sw = Stopwatch::started();
         let (link, edges) = self.link_index.link_columns(&new_profiles, &self.we);
-        let ingested = ingest_encoded(&mut self.store, obs, span, "link.schema", |batch| {
-            self.link_index.emit_columns(batch, &new_profiles, &edges);
+        stats.quads_added += ingest_quads(&mut self.store, obs, span, "link.schema", |store| {
+            let mut batch = EncodedBatch::new(store);
+            self.link_index.emit_columns(&mut batch, &new_profiles, &edges);
+            batch.into_ids()
         });
-        stats.quads_added += ingested.quads_added;
-        sw.stop();
-        stats.linking_secs = sw.secs();
         stats.relink_candidates = link.candidates_generated;
         stats.label_edges = link.label_edges;
         stats.content_edges = link.content_edges;
@@ -835,11 +792,10 @@ impl KgLids {
             tracer.add_count(b, "hnsw_searches", bucket.hnsw.searches);
             let _ = tracer.close(b);
         }
-        let _ = tracer.close(span);
+        stats.linking_secs = tracer.close(span).unwrap_or_default();
 
         // ---- Algorithm 1: library graph + pipeline abstraction ----
         let span = tracer.child(root, "abstract");
-        let mut sw = Stopwatch::started();
         // the library graph (first fill only) and every abstracted
         // pipeline accumulate into one batch, bulk-loaded once at the end
         // of the stage
@@ -882,30 +838,25 @@ impl KgLids {
                 }
             }
         }
-        let ingested = ingest_batch(&mut self.store, obs, span, "abstract", batch);
-        stats.quads_added += ingested.quads_added;
-        sw.stop();
-        stats.abstraction_secs = sw.secs();
+        stats.quads_added +=
+            ingest_quads(&mut self.store, obs, span, "abstract", |store| store.intern_quads(batch));
         tracer.set_attr(span, "pipelines", add_pipelines.len());
         tracer.add_count(span, "abstracted", stats.pipelines_abstracted as u64);
         tracer.add_count(span, "failed", stats.pipelines_failed as u64);
-        let _ = tracer.close(span);
+        stats.abstraction_secs = tracer.close(span).unwrap_or_default();
 
         // ---- Graph Linker over the new pipelines' predictions ----
         // Every pass consumes all `predictedRead` literals, so only a
         // run that abstracted a pipeline can have left any to link.
         let span = tracer.child(root, "link.pipelines");
-        let mut sw = Stopwatch::started();
         let scan = stats.pipelines_abstracted > 0;
         if scan {
             stats.links = link_pipelines(&mut self.store);
         }
-        sw.stop();
-        stats.pipeline_linking_secs = sw.secs();
         tracer.set_attr(span, "scanned", scan);
         tracer.add_count(span, "tables_linked", stats.links.tables_linked as u64);
         tracer.add_count(span, "columns_linked", stats.links.columns_linked as u64);
-        let _ = tracer.close(span);
+        stats.pipeline_linking_secs = tracer.close(span).unwrap_or_default();
 
         // ---- quarantine provenance: record *why* artifacts are missing ----
         if self.ingest.record_provenance && !report.quarantined.is_empty() {
@@ -921,8 +872,9 @@ impl KgLids {
                     },
                 );
             }
-            let ingested = ingest_batch(&mut self.store, obs, root, "quarantine", batch);
-            stats.quads_added += ingested.quads_added;
+            stats.quads_added += ingest_quads(&mut self.store, obs, root, "quarantine", |store| {
+                store.intern_quads(batch)
+            });
         }
 
         // ---- refresh derived state, commit, publish once ----
@@ -1035,6 +987,8 @@ impl DeltaBatch {
 
 /// What one run of the ingest sequence did: one [`KgLids::apply_delta`]
 /// call, or the bootstrap (whose [`BootstrapStats`] are read off this).
+/// Each stage's `*_secs` is the wall time of that stage's span in
+/// [`Self::trace`] (named in brackets): the trace is the one clock.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaStats {
     pub datasets_added: usize,
@@ -1049,14 +1003,19 @@ pub struct DeltaStats {
     pub relink_candidates: usize,
     pub label_edges: usize,
     pub content_edges: usize,
+    /// Withdrawing removed datasets (`retract`).
     pub retraction_secs: f64,
-    /// Parsing of raw artifacts.
+    /// Parsing of raw artifacts (`parse`).
     pub parse_secs: f64,
+    /// Profiling the new columns (`profile`).
     pub profiling_secs: f64,
-    /// The schema stage: linking the new columns and loading their quads.
+    /// The schema stage: linking the new columns and loading their quads
+    /// (`link.schema`).
     pub linking_secs: f64,
+    /// Library graph and pipeline abstraction (`abstract`).
     pub abstraction_secs: f64,
-    /// The graph linker over the new pipelines' predicted reads.
+    /// The graph linker over the new pipelines' predicted reads
+    /// (`link.pipelines`).
     pub pipeline_linking_secs: f64,
     /// Copy-on-write store clones this delta paid (one, at its first
     /// write, when a reader pins the previous snapshot; none otherwise)
@@ -1223,6 +1182,43 @@ clf.fit(X, y)
         let metrics = platform.obs().metrics.snapshot();
         assert!(metrics.counter("query.count").unwrap_or(0) >= 1);
         assert!(metrics.counter("bootstrap.triples").unwrap_or(0) > 100);
+    }
+
+    /// The ingest stages' retry: a transient failure is retried with the
+    /// policy's backoff on the injected clock until it succeeds or the
+    /// retries run out; a permanent one fails fast.
+    #[test]
+    fn quarantine_map_retries_transient_failures_with_backoff() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let clock = lids_exec::TestClock::new();
+        let opts = IngestOptions {
+            retry: RetryPolicy {
+                max_retries: 3,
+                base_delay: Duration::from_millis(10),
+                multiplier: 2.0,
+                max_delay: Duration::from_secs(1),
+            },
+            clock: clock.clone(),
+            ..IngestOptions::default()
+        };
+        let calls: Vec<AtomicU32> = (0..3).map(|_| AtomicU32::new(0)).collect();
+        // item 0 fails transiently every time, item 1 once, item 2 for good
+        let out = quarantine_map(&[0usize, 1, 2], &opts, |&i| {
+            let n = calls[i].fetch_add(1, Ordering::Relaxed);
+            match (i, n) {
+                (0, _) | (1, 0) => Err(LidsError::new(ErrorKind::WorkerPanic, "flaky")),
+                (1, _) => Ok(n),
+                _ => Err(LidsError::new(ErrorKind::CsvMalformed, "bad csv")),
+            }
+        });
+        let kinds: Vec<(Result<u32, ErrorKind>, u32)> =
+            out.into_iter().map(|(r, retries)| (r.map_err(|e| e.kind()), retries)).collect();
+        assert_eq!(
+            kinds,
+            [(Err(ErrorKind::WorkerPanic), 3), (Ok(1), 1), (Err(ErrorKind::CsvMalformed), 0)]
+        );
+        let ms = Duration::from_millis;
+        assert_eq!(clock.sleeps(), [ms(10), ms(20), ms(40), ms(10)]);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! the paper's process-level RSS measurements; see DESIGN.md).
 //!
 //! It also hosts the fault-tolerance substrate for ingestion: the
-//! [`LidsError`] taxonomy, the panic-isolating [`parallel_try_map`], and
-//! bounded [`retry()`] with exponential backoff over an injectable [`Clock`].
+//! [`LidsError`] taxonomy, the panic-isolating [`parallel_try_map_with`],
+//! and the exponential-backoff [`RetryPolicy`] over an injectable [`Clock`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -26,8 +26,8 @@ pub use error::{ErrorKind, LidsError, LidsResult};
 pub use governor::{CancelToken, GovernorTrip, QueryGovernor, QueryLimits, TripReason};
 pub use meter::MemoryMeter;
 pub use pool::{
-    parallel_blocks, parallel_map, parallel_map_with, parallel_try_map, parallel_try_map_with,
-    IsolationConfig, ParallelConfig,
+    parallel_blocks, parallel_map, parallel_map_with, parallel_try_map_with, IsolationConfig,
+    ParallelConfig,
 };
-pub use retry::{retry, Clock, RetryOutcome, RetryPolicy, SystemClock, TestClock};
+pub use retry::{Clock, RetryPolicy, SystemClock, TestClock};
 pub use timer::Stopwatch;

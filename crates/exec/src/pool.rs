@@ -5,7 +5,7 @@
 //! boolean column) is amortised without per-item synchronisation.
 //!
 //! [`parallel_map`] is the fast path: panics in the closure propagate and
-//! abort the whole map. [`parallel_try_map`] is the ingestion path: each
+//! abort the whole map. [`parallel_try_map_with`] is the ingestion path: each
 //! item runs under `catch_unwind`, a panicking item becomes a per-item
 //! `Err(WorkerPanic)` while the remaining items complete, and an optional
 //! soft per-item budget converts slow items into `Err(ProfileTimeout)`.
@@ -188,24 +188,13 @@ where
     }
 }
 
-/// Fault-isolating parallel map with default configuration.
+/// Fault-isolating parallel map with an explicit thread-pool shape and
+/// per-item budget.
 ///
 /// Unlike [`parallel_map`], a panic in `f` aborts only the item that
 /// panicked: its slot becomes `Err(WorkerPanic)` carrying the panic
 /// message, and every other item still completes. Result order matches
-/// input order.
-pub fn parallel_try_map<T, R, F>(items: &[T], f: F) -> Vec<LidsResult<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> LidsResult<R> + Sync,
-{
-    parallel_try_map_with(IsolationConfig::default(), items, f)
-}
-
-/// [`parallel_try_map`] with explicit thread-pool shape and per-item budget.
-///
-/// Items always run on dedicated named worker threads (even when
+/// input order. Items always run on dedicated named worker threads (even when
 /// `threads == 1`) so the process-global panic hook can suppress the
 /// default stderr backtrace for isolated panics.
 pub fn parallel_try_map_with<T, R, F>(
@@ -342,10 +331,17 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        fn isolated<T: Sync, R: Send>(
+            items: &[T],
+            f: impl Fn(&T) -> LidsResult<R> + Sync,
+        ) -> Vec<LidsResult<R>> {
+            parallel_try_map_with(IsolationConfig::default(), items, f)
+        }
+
         #[test]
         fn panicking_item_mid_batch_is_isolated() {
             let items: Vec<u32> = (0..100).collect();
-            let out = parallel_try_map(&items, |&x| {
+            let out = isolated(&items, |&x| {
                 if x == 57 {
                     panic!("boom on {x}");
                 }
@@ -366,7 +362,7 @@ mod tests {
         #[test]
         fn all_items_panic() {
             let items: Vec<u32> = (0..20).collect();
-            let out = parallel_try_map(&items, |_| -> LidsResult<u32> { panic!("all down") });
+            let out = isolated(&items, |_| -> LidsResult<u32> { panic!("all down") });
             assert_eq!(out.len(), 20);
             assert!(out
                 .iter()
@@ -376,7 +372,7 @@ mod tests {
         #[test]
         fn empty_slice() {
             let items: Vec<u32> = vec![];
-            let out = parallel_try_map(&items, |&x| Ok(x));
+            let out = isolated(&items, |&x| Ok(x));
             assert!(out.is_empty());
         }
 
@@ -400,7 +396,7 @@ mod tests {
         #[test]
         fn error_results_pass_through() {
             let items = [1u32, 2, 3];
-            let out = parallel_try_map(&items, |&x| {
+            let out = isolated(&items, |&x| {
                 if x == 2 {
                     Err(LidsError::new(ErrorKind::CsvMalformed, "bad"))
                 } else {
@@ -431,7 +427,7 @@ mod tests {
         }
 
         proptest! {
-            /// With no fault firing, `parallel_try_map` matches sequential map.
+            /// With no fault firing, `parallel_try_map_with` matches sequential map.
             #[test]
             fn prop_matches_sequential_map(
                 items in proptest::collection::vec(any::<i64>(), 0..200),

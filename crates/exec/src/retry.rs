@@ -1,14 +1,15 @@
-//! Bounded retry with exponential backoff for transient ingestion faults.
+//! The backoff policy and the clocks behind bounded retry of transient
+//! ingestion faults.
 //!
-//! Only errors whose [`ErrorKind`](crate::ErrorKind) is transient (worker
-//! panic, budget overrun) are retried; malformed input fails fast. The
-//! delay source is an injectable [`Clock`] so tests and the fault-injection
-//! harness run deterministically with zero wall-clock sleeping.
+//! The ingest stages retry an item only when its error's
+//! [`ErrorKind`](crate::ErrorKind) is transient (worker panic, budget
+//! overrun); malformed input fails fast. [`RetryPolicy`] says how often and
+//! how long to back off, and the delay source is an injectable [`Clock`] so
+//! tests and the fault-injection harness run deterministically with zero
+//! wall-clock sleeping.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-use crate::error::LidsResult;
 
 /// Source of time used between retry attempts and by query deadlines.
 pub trait Clock: Send + Sync {
@@ -125,104 +126,9 @@ impl RetryPolicy {
     }
 }
 
-/// Result of [`retry`]: the final outcome plus how many retries were spent.
-#[derive(Debug, Clone)]
-pub struct RetryOutcome<T> {
-    pub result: LidsResult<T>,
-    /// Number of retries performed (0 = first attempt decided the outcome).
-    pub retries: u32,
-}
-
-/// Run `f`, retrying transient failures per `policy` with backoff delays
-/// drawn from `clock`. Permanent errors and successes return immediately.
-pub fn retry<T>(
-    policy: &RetryPolicy,
-    clock: &dyn Clock,
-    mut f: impl FnMut() -> LidsResult<T>,
-) -> RetryOutcome<T> {
-    let mut retries = 0u32;
-    loop {
-        match f() {
-            Ok(v) => return RetryOutcome { result: Ok(v), retries },
-            Err(e) if e.is_transient() && retries < policy.max_retries => {
-                clock.sleep(policy.delay(retries));
-                retries += 1;
-            }
-            Err(e) => return RetryOutcome { result: Err(e), retries },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::{ErrorKind, LidsError};
-
-    fn transient(msg: &str) -> LidsError {
-        LidsError::new(ErrorKind::WorkerPanic, msg)
-    }
-
-    fn permanent(msg: &str) -> LidsError {
-        LidsError::new(ErrorKind::CsvMalformed, msg)
-    }
-
-    #[test]
-    fn success_first_try_no_sleeps() {
-        let clock = TestClock::new();
-        let out = retry(&RetryPolicy::default(), &*clock, || Ok::<_, LidsError>(7));
-        assert_eq!(out.result.unwrap(), 7);
-        assert_eq!(out.retries, 0);
-        assert!(clock.sleeps().is_empty());
-    }
-
-    #[test]
-    fn permanent_error_fails_fast() {
-        let clock = TestClock::new();
-        let mut calls = 0;
-        let out = retry(&RetryPolicy::default(), &*clock, || {
-            calls += 1;
-            Err::<(), _>(permanent("bad csv"))
-        });
-        assert_eq!(calls, 1);
-        assert_eq!(out.retries, 0);
-        assert_eq!(out.result.unwrap_err().kind(), ErrorKind::CsvMalformed);
-        assert!(clock.sleeps().is_empty());
-    }
-
-    #[test]
-    fn transient_error_retries_with_exponential_backoff() {
-        let clock = TestClock::new();
-        let policy = RetryPolicy {
-            max_retries: 3,
-            base_delay: Duration::from_millis(10),
-            multiplier: 2.0,
-            max_delay: Duration::from_secs(1),
-        };
-        let out = retry(&policy, &*clock, || Err::<(), _>(transient("boom")));
-        assert_eq!(out.retries, 3);
-        assert_eq!(out.result.unwrap_err().kind(), ErrorKind::WorkerPanic);
-        assert_eq!(
-            clock.sleeps(),
-            vec![
-                Duration::from_millis(10),
-                Duration::from_millis(20),
-                Duration::from_millis(40),
-            ]
-        );
-    }
-
-    #[test]
-    fn transient_then_success() {
-        let clock = TestClock::new();
-        let mut calls = 0;
-        let out = retry(&RetryPolicy::default(), &*clock, || {
-            calls += 1;
-            if calls < 3 { Err(transient("flaky")) } else { Ok(calls) }
-        });
-        assert_eq!(out.result.unwrap(), 3);
-        assert_eq!(out.retries, 2);
-        assert_eq!(clock.sleeps().len(), 2);
-    }
 
     #[test]
     fn test_clock_virtual_time_advances_on_sleep_and_advance() {

@@ -64,13 +64,6 @@ impl Stopwatch {
     }
 }
 
-/// Time a closure, returning its result and the elapsed duration.
-pub fn time_it<R>(f: impl FnOnce() -> R) -> (R, Duration) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,12 +90,5 @@ mod tests {
         let e = sw.elapsed();
         sw.stop();
         assert_eq!(sw.elapsed(), e);
-    }
-
-    #[test]
-    fn time_it_returns_result() {
-        let (v, d) = time_it(|| 7 * 6);
-        assert_eq!(v, 42);
-        assert!(d < Duration::from_secs(1));
     }
 }

@@ -226,8 +226,8 @@ pub fn a(class_name: &str) -> (Term, Term) {
 /// fresh string per call, so emitters producing millions of quads pay an
 /// allocation-plus-formatting round per predicate. A `Vocab` materializes
 /// every ontology term once up front; emitters clone the finished term
-/// (one memcpy-style allocation, no formatting), and the bulk loader's
-/// phase-1 hash probe recognizes the repeats without re-interning.
+/// (one memcpy-style allocation, no formatting), and the store's one
+/// dictionary probe per term finds the repeats without re-interning.
 #[derive(Debug)]
 pub struct Vocab {
     /// `rdf:type`.

@@ -291,7 +291,7 @@ fn retraction_ids_decode_to_the_quad_level_collection() {
     // and dropping the ids leaves exactly what dropping the quads leaves
     let mut by_quads = QuadStore::new();
     by_quads.extend(store.iter());
-    let removed = by_quads.retract(reference_retraction(&store, "d0", &own)).quads_removed;
+    let removed = by_quads.retract(reference_retraction(&store, "d0", &own));
     assert_eq!(store.retract_encoded(ids, notes), removed);
     assert_eq!(removed, expected.len());
     assert!(store.validate_indexes());

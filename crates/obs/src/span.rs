@@ -215,9 +215,10 @@ impl Tracer {
         }
     }
 
-    /// Close `span`, fixing its wall time. Closing twice is an error —
-    /// it almost always means two owners think they hold the span.
-    pub fn close(&self, span: SpanId) -> Result<(), ObsError> {
+    /// Close `span`, fixing its wall time, and return that time in
+    /// seconds. Closing twice is an error — it almost always means two
+    /// owners think they hold the span.
+    pub fn close(&self, span: SpanId) -> Result<f64, ObsError> {
         let mut inner = self.lock();
         let Some(rec) = inner.spans.get_mut(&span.0) else {
             return Err(ObsError::UnknownSpan);
@@ -225,8 +226,9 @@ impl Tracer {
         if rec.wall_secs.is_some() {
             return Err(ObsError::DoubleClose { span: rec.name.clone() });
         }
-        rec.wall_secs = Some(rec.started.elapsed().as_secs_f64());
-        Ok(())
+        let secs = rec.started.elapsed().as_secs_f64();
+        rec.wall_secs = Some(secs);
+        Ok(secs)
     }
 
     /// Snapshot the span forest. Open spans report elapsed-so-far with
@@ -456,7 +458,9 @@ mod tests {
     fn double_close_is_error() {
         let t = Tracer::new();
         let s = t.root("stage");
-        assert!(t.close(s).is_ok());
+        // the first close fixes the wall time the snapshot reports
+        let secs = t.close(s).unwrap();
+        assert_eq!(t.snapshot().root("stage").map(|r| r.wall_secs), Some(secs));
         assert_eq!(
             t.close(s),
             Err(ObsError::DoubleClose { span: "stage".to_string() })

@@ -162,7 +162,7 @@ impl Dictionary {
                 let [s, p, o] = [&q.subject, &q.predicate, &q.object].map(|t| self.intern(t));
                 self.intern_quoted(s, p, o)
             }
-            _ => self.intern_hashed(self.hash_term(term), term),
+            _ => self.intern_leaf(self.hash_term(term), Cow::Borrowed(term)),
         }
     }
 
@@ -177,13 +177,16 @@ impl Dictionary {
                 let o = self.intern_owned(object);
                 self.intern_quoted(s, p, o)
             }
-            term => {
-                let hash = self.hash_term(&term);
-                match self.find_term(hash, &term) {
-                    Some(id) => id,
-                    None => self.push_new(hash, Slot::Term(term)),
-                }
-            }
+            term => self.intern_leaf(self.hash_term(&term), Cow::Owned(term)),
+        }
+    }
+
+    /// Intern a term that is not a quoted triple under its content hash,
+    /// cloning it only when it is new.
+    fn intern_leaf(&mut self, hash: u64, term: Cow<'_, Term>) -> TermId {
+        match self.find_term(hash, &term) {
+            Some(id) => id,
+            None => self.push_new(hash, Slot::Term(term.into_owned())),
         }
     }
 
@@ -247,66 +250,11 @@ impl Dictionary {
         }
     }
 
-    /// Content hash of `term` with this dictionary's hasher — the key the
-    /// `*_hashed` entry points below accept, only meaningful within this
-    /// dictionary instance. A quoted triple is keyed by its constituents'
-    /// ids instead, which may not be interned yet: its content hash only
-    /// groups equal terms, and those entry points resolve it through
-    /// [`Dictionary::id_of`] / [`Dictionary::intern`].
-    pub fn hash_of(&self, term: &Term) -> u64 {
-        self.hash_term(term)
-    }
-
-    /// Hash `Term::Iri(iri)` without allocating the term; equal to
-    /// `hash_of(&Term::iri(iri))`.
-    pub fn hash_of_iri(&self, iri: &str) -> u64 {
+    /// Look up the id of `Term::Iri(iri)` without allocating the term.
+    pub fn id_of_iri(&self, iri: &str) -> Option<TermId> {
         let mut h = self.hasher.build_hasher();
         write_iri(&mut h, iri);
-        h.finish()
-    }
-
-    /// [`Dictionary::id_of`] with a hash precomputed by
-    /// [`Dictionary::hash_of`]. The bulk loader hashes every term
-    /// occurrence exactly once and groups them by hash, so each distinct
-    /// term costs one dictionary probe instead of one per occurrence.
-    pub fn id_by_hash(&self, hash: u64, term: &Term) -> Option<TermId> {
-        match term {
-            Term::Quoted(_) => self.id_of(term),
-            _ => self.find_term(hash, term),
-        }
-    }
-
-    /// [`Dictionary::id_of_iri`] with a precomputed hash.
-    pub fn id_by_hash_iri(&self, hash: u64, iri: &str) -> Option<TermId> {
-        self.find(hash, |slot| matches!(slot, Slot::Term(Term::Iri(s)) if s == iri))
-    }
-
-    /// [`Dictionary::intern`] with a precomputed hash.
-    pub fn intern_hashed(&mut self, hash: u64, term: &Term) -> TermId {
-        if let Term::Quoted(_) = term {
-            return self.intern(term);
-        }
-        if let Some(id) = self.find_term(hash, term) {
-            return id;
-        }
-        self.push_new(hash, Slot::Term(term.clone()))
-    }
-
-    /// Intern `Term::Iri(iri)` with a precomputed hash, allocating the
-    /// term only when it is actually new.
-    pub fn intern_iri_hashed(&mut self, hash: u64, iri: &str) -> TermId {
-        if let Some(id) = self.id_by_hash_iri(hash, iri) {
-            return id;
-        }
-        self.push_new(hash, Slot::Term(Term::iri(iri)))
-    }
-
-    /// Look up the id of `Term::Iri(iri)` without allocating the term.
-    ///
-    /// Hot on the bulk-load path, where every quad resolves its graph slot
-    /// from a borrowed graph IRI.
-    pub fn id_of_iri(&self, iri: &str) -> Option<TermId> {
-        self.id_by_hash_iri(self.hash_of_iri(iri), iri)
+        self.find(h.finish(), |slot| matches!(slot, Slot::Term(Term::Iri(s)) if s == iri))
     }
 
     /// Id of the quoted triple `<< s p o >>` over three interned terms, if
@@ -773,42 +721,40 @@ mod tests {
         assert!(d.id_of(&Term::iri("while-shared")).is_some());
     }
 
-    /// Distinct terms filed under one forced hash (`Bucket::Many`), through
-    /// the public hashed entry points, with the collision group split
-    /// between a shared base and `recent`, then folded.
+    /// Distinct terms filed under one forced hash (`Bucket::Many`), with
+    /// the collision group split between a shared base and `recent`, then
+    /// folded.
     #[test]
     fn colliding_hashes_resolve_by_content() {
         const H: u64 = 42;
         let (a, b, c) = (Term::iri("a"), Term::string("a"), Term::iri("c"));
+        let intern = |d: &mut Dictionary, term: &Term| d.intern_leaf(H, Cow::Borrowed(term));
         let mut d = Dictionary::new();
-        let ia = d.intern_hashed(H, &a);
-        let ib = d.intern_hashed(H, &b);
+        let ia = intern(&mut d, &a);
+        let ib = intern(&mut d, &b);
         assert_ne!(ia, ib);
-        assert_eq!(d.intern_hashed(H, &a), ia);
-        assert_eq!(d.intern_iri_hashed(H, "a"), ia);
-        assert_eq!(d.id_by_hash(H, &b), Some(ib));
-        assert_eq!(d.id_by_hash_iri(H, "a"), Some(ia));
-        assert_eq!(d.id_by_hash(H, &c), None);
-        assert_eq!(d.id_by_hash_iri(H, "c"), None);
+        assert_eq!(intern(&mut d, &a), ia);
+        assert_eq!(d.find_term(H, &b), Some(ib));
+        assert_eq!(d.find_term(H, &c), None);
 
         // the base now shared, a third collider lands in `recent`
         let frozen = d.clone();
-        let ic = d.intern_iri_hashed(H, "c");
+        let ic = d.intern_leaf(H, Cow::Owned(c.clone()));
         assert!(matches!(d.recent.get(&H), Some(Bucket::One(id)) if *id == ic));
-        assert_eq!(d.intern_hashed(H, &c), ic);
+        assert_eq!(intern(&mut d, &c), ic);
         for (term, id) in [(&a, ia), (&b, ib), (&c, ic)] {
-            assert_eq!(d.id_by_hash(H, term), Some(id));
+            assert_eq!(d.find_term(H, term), Some(id));
         }
-        assert_eq!(frozen.id_by_hash(H, &c), None);
-        assert_eq!(frozen.id_by_hash(H, &b), Some(ib));
+        assert_eq!(frozen.find_term(H, &c), None);
+        assert_eq!(frozen.find_term(H, &b), Some(ib));
 
         // unshared again: the straddling group merges into one bucket
         drop(frozen);
-        let other = d.intern_hashed(H + 1, &Term::iri("other"));
+        let other = d.intern_leaf(H + 1, Cow::Owned(Term::iri("other")));
         assert!(d.recent.is_empty());
         assert!(matches!(d.base.get(&H), Some(Bucket::Many(ids)) if ids.len() == 3));
         for (term, id) in [(&a, ia), (&b, ib), (&c, ic)] {
-            assert_eq!(d.id_by_hash(H, term), Some(id));
+            assert_eq!(d.find_term(H, term), Some(id));
             assert_eq!(*d.term(id), *term);
         }
         assert_eq!(d.len(), other.index() + 1);

@@ -27,7 +27,7 @@ pub mod term;
 pub use dictionary::{Dictionary, TermId};
 pub use pattern::QuadPattern;
 pub use store::{
-    CowStats, EncodedAnnotation, EncodedPattern, EncodedQuad, IndexOrder, IngestStats, QuadStore,
+    CowStats, EncodedAnnotation, EncodedPattern, EncodedQuad, IndexOrder, QuadStore,
     RunCursor, StoreReader, StoreSnapshot,
 };
 pub use term::{GraphName, Literal, Quad, Term, Triple};

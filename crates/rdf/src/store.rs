@@ -80,20 +80,22 @@
 //!
 //! # Writing in id space
 //!
-//! [`QuadStore::extend`] takes decoded [`Quad`]s and resolves every term
-//! occurrence itself (hash, sort, one probe per distinct term; a quoted
-//! object is grouped by its content hash and resolved through its
-//! constituents' ids, the key the dictionary stores it under; an
-//! annotation's quoted subject is its three constituents). An emitter that
+//! There is one way a term becomes an id: [`Dictionary::intern`] (and
+//! [`Dictionary::id_of`] to ask without interning). [`QuadStore::insert`]
+//! and [`QuadStore::extend`] take decoded [`Quad`]s and probe the
+//! dictionary once per term occurrence, in `s p o g` order — an
+//! annotation's quoted subject is its three constituents — interning on
+//! the private copy only what the shared snapshot lacks. An emitter that
 //! knows its terms — the similarity-edge emitter names a few thousand
-//! column IRIs hundreds of times each — skips that: it interns each term
-//! once through [`QuadStore::intern`] / [`QuadStore::intern_default_graph`],
-//! assembles [`EncodedQuad`]s and, for each edge's certainty, an
-//! [`EncodedAnnotation`] from the ids it already holds, and loads both
-//! with [`QuadStore::extend_encoded`], which is phase 3 alone. A four-id quad
-//! whose subject id is an interned quoted triple is routed to the
-//! annotation run on the way in, whatever path wrote it. Removal mirrors
-//! it: victims collected with [`StoreSnapshot::match_ids`] and
+//! column IRIs hundreds of times each — skips even that: it interns each
+//! term once through [`QuadStore::intern`] /
+//! [`QuadStore::intern_default_graph`], assembles [`EncodedQuad`]s and,
+//! for each edge's certainty, an [`EncodedAnnotation`] from the ids it
+//! already holds, and loads both with [`QuadStore::extend_encoded`]. Every
+//! write path ends in the same private `apply`. A four-id quad whose
+//! subject id is an interned quoted triple is routed to the annotation run
+//! on the way in, whatever path wrote it. Removal mirrors it: victims
+//! collected with [`StoreSnapshot::match_ids`] and
 //! [`StoreSnapshot::match_annotations`] go to [`QuadStore::retract_encoded`]
 //! without a decode/encode round trip. `TermId`s then follow the emitter's
 //! interning order rather than first occurrence in a batch; nothing may
@@ -125,89 +127,6 @@ use crate::dictionary::{Dictionary, TermId};
 use crate::pattern::QuadPattern;
 use crate::run::{Key, Run, RunIter, RunKey};
 use crate::term::{GraphName, Quad, Term};
-
-/// Per-phase timings and counts for one [`QuadStore::extend_stats`] call.
-///
-/// `lids-rdf` deliberately has no observability dependency; callers that
-/// trace ingestion (the platform's `ingest` spans) translate these numbers
-/// into span attributes themselves.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IngestStats {
-    /// Quads offered to the batch, duplicates included.
-    pub quads_in: usize,
-    /// Quads that were not already present and landed in the indexes.
-    pub quads_added: usize,
-    /// Terms newly interned by this batch.
-    pub new_terms: usize,
-    /// Phase 1: parallel occurrence hashing + sort into term groups.
-    pub extract_secs: f64,
-    /// Phase 2: per-group dictionary resolution, interning, id scatter.
-    pub encode_secs: f64,
-    /// Phase 3: sort, split against the store, merge into the four overlays.
-    pub index_secs: f64,
-}
-
-impl IngestStats {
-    /// Fraction of offered quads that were duplicates (batch-internal or
-    /// already stored). Zero for an empty batch.
-    pub fn dedup_rate(&self) -> f64 {
-        if self.quads_in == 0 {
-            0.0
-        } else {
-            1.0 - self.quads_added as f64 / self.quads_in as f64
-        }
-    }
-
-    /// Total wall-clock seconds across the three phases.
-    pub fn total_secs(&self) -> f64 {
-        self.extract_secs + self.encode_secs + self.index_secs
-    }
-
-    /// Offered quads per second over the three phases.
-    pub fn quads_per_sec(&self) -> f64 {
-        let secs = self.total_secs();
-        if secs > 0.0 {
-            self.quads_in as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Per-phase timings and counts for one [`QuadStore::retract`] call.
-///
-/// The retraction mirror of [`IngestStats`]: encode resolves terms
-/// against the dictionary (a quad naming any un-interned term cannot be
-/// present and is skipped), index sorts the batch, splits it against the
-/// store and edits the four overlays.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RetractStats {
-    /// Quads offered to the batch, duplicates and absentees included.
-    pub quads_in: usize,
-    /// Quads that were present and left the indexes.
-    pub quads_removed: usize,
-    /// Phase 1: dictionary resolution of the batch's terms.
-    pub encode_secs: f64,
-    /// Phase 2: sort, split against the store, edit the four overlays.
-    pub index_secs: f64,
-}
-
-impl RetractStats {
-    /// Total wall-clock seconds across both phases.
-    pub fn total_secs(&self) -> f64 {
-        self.encode_secs + self.index_secs
-    }
-
-    /// Offered quads per second over both phases.
-    pub fn quads_per_sec(&self) -> f64 {
-        let secs = self.total_secs();
-        if secs > 0.0 {
-            self.quads_in as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
 
 /// A quad encoded as four term ids: `[subject, predicate, object, graph]`.
 ///
@@ -619,176 +538,6 @@ impl StoreSnapshot {
             Term::Iri(iri) => GraphName::Named(iri.clone()),
             other => panic!("graph slot held non-IRI term {other:?}"),
         }
-    }
-
-    /// In-place bulk insert on the private copy; see
-    /// [`QuadStore::extend_stats`].
-    ///
-    /// Three phases, all sort-based:
-    /// 1. **Extract** — every term occurrence (4 slots per quad) is hashed
-    ///    with the dictionary's hasher, in parallel, exactly once; the
-    ///    `(hash, position)` pairs are then sorted so occurrences of the
-    ///    same term become one contiguous group.
-    /// 2. **Encode** — each group is resolved against the dictionary with
-    ///    a *single* probe (a sequential insert loop probes once per
-    ///    occurrence), fresh terms are interned in order of their first
-    ///    occurrence — reproducing the insert-order-dense [`TermId`]
-    ///    assignment of a sequential loop — and the resolved ids are
-    ///    scattered into `[s, p, o, g]` tuples. An annotation occupies two
-    ///    tuples, its six terms in the order an insert interns them.
-    /// 3. **Index** — the batch is sorted and deduplicated, split against
-    ///    the SPOG run (annotations: the annotation run) into what it
-    ///    changes, and that is merged into the overlays ([`split`] /
-    ///    [`StoreSnapshot::shift`]).
-    ///
-    /// Small batches run the same phases serially, so semantics never
-    /// depend on batch size.
-    fn extend_batch(&mut self, quads: Vec<Quad>) -> IngestStats {
-        let mut stats = IngestStats { quads_in: quads.len(), ..IngestStats::default() };
-        // an annotation spans two rows of four slots
-        let mut rows: Vec<Row<'_>> = Vec::with_capacity(quads.len());
-        for quad in &quads {
-            let annotated = matches!(quad.subject, Term::Quoted(_));
-            rows.push(Row { quad, part: u8::from(annotated) });
-            if annotated {
-                rows.push(Row { quad, part: 2 });
-            }
-        }
-        assert!(rows.len() <= (u32::MAX / 4) as usize, "extend: batch too large");
-        let terms_before = self.dict.len();
-        let threads = Self::ingest_threads(quads.len());
-
-        // Phase 1: hash every occurrence once (parallel), then sort the
-        // (hash, flat position) pairs to group occurrences by term.
-        let t = Instant::now();
-        let dict = &self.dict;
-        let hashes: Vec<[u64; 4]> =
-            parallel_map_with(ParallelConfig { threads, chunk: 1024 }, &rows, |row| {
-                [0, 1, 2, 3].map(|i| match row.slot(i) {
-                    SlotRef::Term(term) => dict.hash_of(term),
-                    SlotRef::Graph(iri) => dict.hash_of_iri(iri),
-                })
-            });
-        let mut occ: Vec<(u64, u32)> = Vec::with_capacity(rows.len() * 4);
-        for (i, h4) in hashes.iter().enumerate() {
-            for (slot, &h) in h4.iter().enumerate() {
-                occ.push((h, (i * 4 + slot) as u32));
-            }
-        }
-        drop(hashes);
-        occ.sort_unstable();
-        stats.extract_secs = t.elapsed().as_secs_f64();
-
-        // Phase 2: resolve each group with one dictionary probe, intern
-        // fresh terms in first-occurrence order, scatter ids.
-        let t = Instant::now();
-        let slot_at = |flat: u32| rows[(flat / 4) as usize].slot((flat % 4) as usize);
-        let mut encoded: Vec<EncodedQuad> = vec![[0u32; 4]; rows.len()];
-        // Groups absent from the dictionary, interned later in
-        // first-occurrence order. Members are usually the whole hash
-        // group; hash collisions (distinct terms, equal hash) fall back to
-        // explicit member lists.
-        let mut pending: Vec<PendingGroup> = Vec::new();
-        let mut i = 0usize;
-        while i < occ.len() {
-            let hash = occ[i].0;
-            let mut j = i + 1;
-            while j < occ.len() && occ[j].0 == hash {
-                j += 1;
-            }
-            let first = slot_at(occ[i].1);
-            let uniform = occ[i + 1..j].iter().all(|&(_, f)| first.matches(&slot_at(f)));
-            if uniform {
-                // the common case: one distinct term per hash group
-                match first.resolve(&self.dict, hash) {
-                    Some(id) => {
-                        for &(_, f) in &occ[i..j] {
-                            write(&mut encoded, f, id.0);
-                        }
-                    }
-                    None => pending.push(PendingGroup {
-                        first: occ[i].1,
-                        hash,
-                        members: PendingMembers::Run(i as u32, j as u32),
-                    }),
-                }
-            } else {
-                // hash collision: partition the group by real equality
-                let mut reps: Vec<(SlotRef<'_>, Option<TermId>, usize)> = Vec::new();
-                for &(_, f) in &occ[i..j] {
-                    let slot = slot_at(f);
-                    match reps.iter().find(|(r, ..)| r.matches(&slot)) {
-                        Some(&(_, Some(id), _)) => write(&mut encoded, f, id.0),
-                        Some(&(_, None, p)) => match &mut pending[p].members {
-                            PendingMembers::List(list) => list.push(f),
-                            PendingMembers::Run(..) => unreachable!("collision groups use lists"),
-                        },
-                        None => {
-                            let resolved = slot.resolve(&self.dict, hash);
-                            match resolved {
-                                Some(id) => write(&mut encoded, f, id.0),
-                                None => pending.push(PendingGroup {
-                                    first: f,
-                                    hash,
-                                    members: PendingMembers::List(vec![f]),
-                                }),
-                            }
-                            reps.push((slot, resolved, pending.len().saturating_sub(1)));
-                        }
-                    }
-                }
-            }
-            i = j;
-        }
-        // First-occurrence order makes the ids of fresh terms identical to
-        // a sequential insert loop's. Quoted triples intern their inner
-        // terms first (also matching the sequential order), so a pending
-        // term may already exist by the time its turn comes —
-        // `intern_hashed` re-probes and is a no-op then.
-        pending.sort_unstable_by_key(|g| g.first);
-        for group in &pending {
-            let id = match slot_at(group.first) {
-                SlotRef::Term(term) => self.dict.intern_hashed(group.hash, term),
-                SlotRef::Graph(iri) => self.dict.intern_iri_hashed(group.hash, iri),
-            };
-            match &group.members {
-                PendingMembers::Run(a, b) => {
-                    for &(_, f) in &occ[*a as usize..*b as usize] {
-                        write(&mut encoded, f, id.0);
-                    }
-                }
-                PendingMembers::List(list) => {
-                    for &f in list {
-                        write(&mut encoded, f, id.0);
-                    }
-                }
-            }
-        }
-        stats.new_terms = self.dict.len() - terms_before;
-        stats.encode_secs = t.elapsed().as_secs_f64();
-
-        // Phase 3: merge what the batch changes into the overlays. A bulk
-        // load may have interned terms even when every quad is a
-        // duplicate, so it shifts (and invalidates) unconditionally.
-        let t = Instant::now();
-        let (mut notes, mut kept) = (Vec::new(), 0);
-        for i in 0..rows.len() {
-            match rows[i].part {
-                0 => (encoded[kept], kept) = (encoded[i], kept + 1),
-                1 => {
-                    let ([s, p, o, q], [v, g, ..]) = (encoded[i], encoded[i + 1]);
-                    notes.push([s, p, o, q, v, g]);
-                }
-                _ => {}
-            }
-        }
-        encoded.truncate(kept);
-        let quads = split(self.run(IndexOrder::Spog), encoded, true);
-        let notes = split(&self.notes, notes, true);
-        stats.quads_added = quads.0.len() + quads.1.len() + notes.0.len() + notes.1.len();
-        self.shift(true, quads, notes, threads);
-        stats.index_secs = t.elapsed().as_secs_f64();
-        stats
     }
 
     /// True when every id of every row names a term of this dictionary.
@@ -1390,32 +1139,9 @@ impl QuadStore {
 
     /// Insert a quad. Returns `true` when it was not already present.
     pub fn insert(&mut self, quad: &Quad) -> bool {
-        // Each term is hashed once and resolved against the shared
-        // snapshot first: a quad already present copies nothing. An
-        // annotation's quoted subject is its three constituents.
-        let graph = StoreSnapshot::graph_term(&quad.graph);
-        let (p, o, g) = (&quad.predicate, &quad.object, &graph);
-        let terms: &[&Term] = match &quad.subject {
-            Term::Quoted(t) => &[&t.subject, &t.predicate, &t.object, p, o, g],
-            s => &[s, p, o, g],
-        };
-        let dict = &self.snap.dict;
-        let hashes: Vec<u64> = terms.iter().map(|term| dict.hash_of(term)).collect();
-        let mut ids: Vec<Option<u32>> =
-            terms.iter().zip(&hashes).map(|(t, &h)| dict.id_by_hash(h, t).map(|id| id.0)).collect();
-        if ids.contains(&None) {
-            let dict = &mut self.write().dict;
-            for ((id, term), &hash) in ids.iter_mut().zip(terms).zip(&hashes) {
-                id.get_or_insert_with(|| dict.intern_hashed(hash, term).0);
-            }
-        }
-        let ids: Vec<u32> = ids.into_iter().flatten().collect();
-        let added = match ids[..] {
-            [s, p, o, q, v, g] => self.apply(Vec::new(), vec![[s, p, o, q, v, g]], true),
-            [s, p, o, g] => self.apply(vec![[s, p, o, g]], Vec::new(), true),
-            _ => unreachable!("a quad names four or six terms"),
-        };
-        added > 0
+        let (mut quads, mut notes) = (Vec::new(), Vec::new());
+        self.resolve(quad, &mut quads, &mut notes);
+        self.apply(quads, notes, true) > 0
     }
 
     /// Insert a triple into the default graph.
@@ -1426,30 +1152,67 @@ impl QuadStore {
     /// Bulk-insert a batch of quads, returning how many were new.
     ///
     /// Equivalent to calling [`QuadStore::insert`] on each quad in order —
-    /// including the insert-order-dense [`TermId`] assignment — but runs
-    /// the sort-based parallel pipeline described on
-    /// [`QuadStore::extend_stats`].
+    /// the same [`TermId`] for every term included — but the batch is one
+    /// write: [`QuadStore::intern_quads`], then one sorted merge into the
+    /// overlays, published as one snapshot, so concurrent readers never
+    /// observe it half-applied.
     pub fn extend(&mut self, quads: impl IntoIterator<Item = Quad>) -> usize {
-        self.extend_stats(quads).quads_added
+        let (quads, notes) = self.intern_quads(quads);
+        self.apply(quads, notes, true)
     }
 
-    /// Bulk-insert a batch of quads, returning per-phase statistics.
-    /// See `StoreSnapshot::extend_batch` for the phase breakdown; the
-    /// batch is built on the writer's private copy and published as one
-    /// new snapshot, so concurrent readers never observe it half-applied.
-    pub fn extend_stats(&mut self, quads: impl IntoIterator<Item = Quad>) -> IngestStats {
-        let quads: Vec<Quad> = quads.into_iter().collect();
-        if quads.is_empty() {
-            return IngestStats::default();
+    /// The batch as ids in the layout each quad is stored in — four-id
+    /// quads, and annotations — interning every term the dictionary lacks:
+    /// [`QuadStore::extend`] without the write, for callers that time or
+    /// load the ids themselves ([`QuadStore::extend_encoded`]). Like
+    /// [`QuadStore::intern`] it adds no quad, so it neither bumps the
+    /// generation nor publishes.
+    pub fn intern_quads(
+        &mut self,
+        quads: impl IntoIterator<Item = Quad>,
+    ) -> (Vec<EncodedQuad>, Vec<EncodedAnnotation>) {
+        let (mut plain, mut notes) = (Vec::new(), Vec::new());
+        for quad in quads {
+            self.resolve(&quad, &mut plain, &mut notes);
         }
-        let stats = self.write().extend_batch(quads);
-        self.maybe_publish();
-        stats
+        (plain, notes)
+    }
+
+    /// Push `quad`'s ids onto `quads`, or onto `notes` when its subject is
+    /// a quoted triple. One dictionary probe per term, in `s p o g` order
+    /// (an annotation's: its triple's three constituents, then `p o g`),
+    /// which is the order a term first met gets its id in. The probes read
+    /// the shared snapshot; only a term it lacks is interned, on the
+    /// writer's private copy, so a batch that names no new term copies
+    /// nothing.
+    fn resolve(
+        &mut self,
+        quad: &Quad,
+        quads: &mut Vec<EncodedQuad>,
+        notes: &mut Vec<EncodedAnnotation>,
+    ) {
+        let graph = StoreSnapshot::graph_term(&quad.graph);
+        let (p, o, g) = (&quad.predicate, &quad.object, &graph);
+        let terms: &[&Term] = match &quad.subject {
+            Term::Quoted(t) => &[&t.subject, &t.predicate, &t.object, p, o, g],
+            s => &[s, p, o, g],
+        };
+        let mut ids = [0u32; 6];
+        for (id, term) in ids.iter_mut().zip(terms) {
+            *id = match self.snap.dict.id_of(term) {
+                Some(id) => id.0,
+                None => self.write().dict.intern(term).0,
+            };
+        }
+        match (terms.len(), ids) {
+            (4, [s, p, o, g, ..]) => quads.push([s, p, o, g]),
+            (_, note) => notes.push(note),
+        }
     }
 
     /// Bulk-insert already-encoded quads and annotations in one write: the
-    /// phase-3 fast path, and the load every id-space emitter ends with
-    /// (see [`QuadStore::intern`]).
+    /// load every id-space emitter ends with (see [`QuadStore::intern`]),
+    /// and the write [`QuadStore::extend`] ends with.
     ///
     /// Every id must come from **this** store's dictionary and the graph
     /// slot must hold a graph IRI id — i.e. tuples shaped like the output
@@ -1517,24 +1280,18 @@ impl QuadStore {
         self.apply(quads, notes, false) > 0
     }
 
-    /// Batch-retract quads, returning per-phase statistics.
+    /// Batch-retract quads, returning how many were present and left.
     ///
-    /// Equivalent to calling [`QuadStore::remove`] on each quad, but runs
-    /// as the mirror of the bulk loader: one dictionary resolution pass
-    /// (quads naming unknown terms are skipped — they cannot be present),
-    /// then one sorted batch that drops overlay adds and tombstones base
-    /// keys in the four orderings, published as one snapshot.
-    /// Retraction never shrinks the dictionary; term ids stay stable.
-    pub fn retract(&mut self, quads: impl IntoIterator<Item = Quad>) -> RetractStats {
+    /// Equivalent to calling [`QuadStore::remove`] on each quad, but one
+    /// write: one dictionary resolution pass (quads naming unknown terms
+    /// are skipped — they cannot be present), then one sorted batch that
+    /// drops overlay adds and tombstones base keys, published as one
+    /// snapshot. Retraction never shrinks the dictionary; term ids stay
+    /// stable.
+    pub fn retract(&mut self, quads: impl IntoIterator<Item = Quad>) -> usize {
         let quads: Vec<Quad> = quads.into_iter().collect();
-        let mut stats = RetractStats { quads_in: quads.len(), ..RetractStats::default() };
-        let t = Instant::now();
         let (encoded, notes) = self.snap.encode_all(&quads);
-        stats.encode_secs = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        stats.quads_removed = self.apply(encoded, notes, false);
-        stats.index_secs = t.elapsed().as_secs_f64();
-        stats
+        self.apply(encoded, notes, false)
     }
 
     /// Batch-retract already-encoded quads and annotations in one write:
@@ -1555,80 +1312,6 @@ impl QuadStore {
     }
 }
 
-/// One term occurrence viewed without allocating: either a borrowed term
-/// or a graph IRI (the graph slot interns as [`Term::Iri`], so a graph
-/// occurrence and an IRI term occurrence of the same string are the same
-/// dictionary entry — and hash identically).
-enum SlotRef<'a> {
-    Term(&'a Term),
-    Graph(&'a str),
-}
-
-impl SlotRef<'_> {
-    /// Equality across the two views: a graph slot equals an IRI term
-    /// with the same string.
-    fn matches(&self, other: &SlotRef<'_>) -> bool {
-        match (self, other) {
-            (SlotRef::Term(a), SlotRef::Term(b)) => a == b,
-            (SlotRef::Graph(a), SlotRef::Graph(b)) => a == b,
-            (SlotRef::Term(t), SlotRef::Graph(g)) | (SlotRef::Graph(g), SlotRef::Term(t)) => {
-                matches!(t, Term::Iri(s) if s.as_str() == *g)
-            }
-        }
-    }
-
-    /// Probe the dictionary for this occurrence's id, if interned.
-    fn resolve(&self, dict: &Dictionary, hash: u64) -> Option<TermId> {
-        match self {
-            SlotRef::Term(term) => dict.id_by_hash(hash, term),
-            SlotRef::Graph(iri) => dict.id_by_hash_iri(hash, iri),
-        }
-    }
-}
-
-/// A hash group whose term is not yet interned, resolved after the scan
-/// in first-occurrence order.
-struct PendingGroup {
-    /// Smallest flat position of the term in the batch — the sort key
-    /// that reproduces sequential [`TermId`] assignment.
-    first: u32,
-    hash: u64,
-    members: PendingMembers,
-}
-
-/// Occurrences a pending group covers: a contiguous range of the sorted
-/// occurrence vector (the no-collision common case) or an explicit list
-/// (hash collisions split a group between distinct terms).
-enum PendingMembers {
-    Run(u32, u32),
-    List(Vec<u32>),
-}
-
-/// One row of a decoded batch's occurrence table: four term slots. A quad
-/// is one row (`part` 0); an annotation is two, its six terms in the order
-/// a sequential insert interns them: `s p o q` (1), then `v g v g` (2).
-#[derive(Clone, Copy)]
-struct Row<'a> {
-    quad: &'a Quad,
-    part: u8,
-}
-
-impl<'a> Row<'a> {
-    fn slot(self, i: usize) -> SlotRef<'a> {
-        let quad = self.quad;
-        match (self.part, i, &quad.subject) {
-            (0, 0, s) => SlotRef::Term(s),
-            (1, 0..=2, Term::Quoted(t)) => SlotRef::Term([&t.subject, &t.predicate, &t.object][i]),
-            (0, 1, _) | (1, _, _) => SlotRef::Term(&quad.predicate),
-            (0, 2, _) | (2, 0 | 2, _) => SlotRef::Term(&quad.object),
-            _ => match &quad.graph {
-                GraphName::Default => SlotRef::Graph(DEFAULT_GRAPH_IRI),
-                GraphName::Named(iri) => SlotRef::Graph(iri),
-            },
-        }
-    }
-}
-
 /// A write's two halves against one run; see [`Run::split`].
 type Halves<K> = (Vec<K>, Vec<K>);
 
@@ -1638,11 +1321,6 @@ fn split<K: RunKey>(run: &Run<K>, mut batch: Vec<K>, adding: bool) -> Halves<K> 
     batch.sort_unstable();
     batch.dedup();
     run.split(&batch, adding)
-}
-
-/// Scatter a resolved id back into its quad's encoded slot.
-fn write(enc: &mut [EncodedQuad], flat: u32, id: u32) {
-    enc[(flat / 4) as usize][(flat % 4) as usize] = id;
 }
 
 #[cfg(test)]
@@ -1878,10 +1556,8 @@ mod tests {
             fresh += usize::from(seq.insert(quad));
         }
         let mut bulk = QuadStore::new();
-        let stats = bulk.extend_stats(quads.clone());
+        assert_eq!(bulk.extend(quads.clone()), fresh);
 
-        assert_eq!(stats.quads_in, quads.len());
-        assert_eq!(stats.quads_added, fresh);
         assert_eq!(bulk.len(), seq.len());
         assert_eq!(bulk.term_count(), seq.term_count());
         for (id, term) in seq.dictionary().iter() {
@@ -1914,12 +1590,9 @@ mod tests {
     #[test]
     fn extend_empty_batch_is_noop() {
         let mut store = estimate_store();
-        let before = store.len();
-        let stats = store.extend_stats(Vec::new());
-        assert_eq!(stats.quads_in, 0);
-        assert_eq!(stats.quads_added, 0);
-        assert_eq!(stats.dedup_rate(), 0.0);
-        assert_eq!(store.len(), before);
+        let (before, generation) = (store.len(), store.generation());
+        assert_eq!(store.extend(Vec::new()), 0);
+        assert_eq!((store.len(), store.generation()), (before, generation));
     }
 
     #[test]
@@ -2324,9 +1997,7 @@ mod tests {
 
         let mut batch = QuadStore::new();
         batch.extend(quads.clone());
-        let stats = batch.retract(victims.clone());
-        assert_eq!(stats.quads_in, victims.len());
-        assert_eq!(stats.quads_removed, victims.len());
+        assert_eq!(batch.retract(victims.clone()), victims.len());
 
         let mut serial = QuadStore::new();
         serial.extend(quads.clone());
@@ -2346,8 +2017,7 @@ mod tests {
         // stride 99 from index 1 never lands on an already-removed victim
         let tail: Vec<Quad> = quads.iter().skip(1).step_by(99).cloned().collect();
         assert!(tail.len() < batch.len() / 8);
-        let removed = batch.retract(tail.clone()).quads_removed;
-        assert_eq!(removed, tail.len());
+        assert_eq!(batch.retract(tail.clone()), tail.len());
         for v in &tail {
             serial.remove(v);
         }
@@ -2358,14 +2028,13 @@ mod tests {
     fn retract_skips_absent_and_unknown_quads() {
         let mut store = QuadStore::new();
         store.extend([q("a", "p", "b"), q("c", "p", "d")]);
-        let stats = store.retract([
+        let removed = store.retract([
             q("a", "p", "b"),          // present
             q("a", "p", "b"),          // batch-internal duplicate
             q("c", "p", "never-seen"), // unknown term: skipped at encode
             q("a", "p", "d"),          // known terms, quad absent
         ]);
-        assert_eq!(stats.quads_in, 4);
-        assert_eq!(stats.quads_removed, 1);
+        assert_eq!(removed, 1);
         assert_eq!(store.len(), 1);
         assert!(store.contains(&q("c", "p", "d")));
     }
@@ -2427,7 +2096,9 @@ mod tests {
     #[test]
     fn noop_writes_neither_copy_nor_bump_generation() {
         let mut store = QuadStore::new();
-        store.extend([q("a", "p", "b"), q("c", "p", "d")]);
+        let edge = Term::quoted(Term::iri("a"), Term::iri("p"), Term::iri("b"));
+        let note = Quad::new(edge, Term::iri("score"), Term::double(0.5));
+        store.extend([q("a", "p", "b"), q("c", "p", "d"), note.clone()]);
         let reader = store.reader();
         let before = store.snapshot();
         let generation = store.generation();
@@ -2436,13 +2107,18 @@ mod tests {
         assert!(!store.insert(&q("a", "p", "b")));
         assert!(!store.remove(&q("a", "p", "d")));
         assert!(!store.remove(&q("a", "p", "never-seen")));
-        assert_eq!(store.retract([q("a", "p", "d"), q("x", "y", "z")]).quads_removed, 0);
+        assert_eq!(store.retract([q("a", "p", "d"), q("x", "y", "z")]), 0);
         assert_eq!(store.retract_encoded(vec![[b, b, b, b]], Vec::new()), 0);
         assert_eq!(store.retract_encoded(Vec::new(), Vec::new()), 0);
         let present: Vec<EncodedQuad> = store.match_ids(&EncodedPattern::any()).collect();
         let twice: Vec<EncodedQuad> = present.iter().chain(&present).copied().collect();
         assert_eq!(store.extend_encoded(twice, Vec::new()), 0);
         assert_eq!(store.extend_encoded(Vec::new(), Vec::new()), 0);
+        // decoded quads that are all present: every term found on the
+        // shared snapshot, nothing interned, nothing merged
+        let present = [q("c", "p", "d"), note.clone(), q("a", "p", "b"), q("c", "p", "d")];
+        assert_eq!(store.extend(present.clone()), 0);
+        assert_eq!(store.intern_quads(present).0.len(), 3);
         store.begin_delta();
         store.retract([q("c", "p", "b")]);
         store.commit_delta();
@@ -2456,7 +2132,7 @@ mod tests {
         assert!(store.remove(&q("a", "p", "b")));
         assert!(!Arc::ptr_eq(&before, &store.snapshot()));
         assert_eq!(store.cow_stats().clones, 1);
-        assert_eq!(before.len(), 2);
+        assert_eq!(before.len(), 3);
         // with the pins gone the next publish empties the slot (which
         // still holds the last published snapshot), and writes are in
         // place again

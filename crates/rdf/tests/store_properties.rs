@@ -201,11 +201,10 @@ fn apply(store: &mut QuadStore, model: &mut Model, op: &Op) -> Result<(), TestCa
         }
         Op::Retract(specs) => {
             let keys: Vec<Key> = specs.iter().filter_map(|&spec| key(store, spec)).collect();
-            let stats = store.retract(specs.iter().map(|&spec| quad(spec)));
-            prop_assert_eq!(stats.quads_in, specs.len());
+            let removed = store.retract(specs.iter().map(|&spec| quad(spec)));
             let before = model.len();
             keys.iter().for_each(|key| _ = model.remove(key));
-            prop_assert_eq!(stats.quads_removed, before - model.len());
+            prop_assert_eq!(removed, before - model.len());
         }
         Op::ExtendEncoded(specs) => {
             let keys: Vec<Key> = specs.iter().map(|&spec| interned(store, spec)).collect();

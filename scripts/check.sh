@@ -25,8 +25,10 @@ timeout 600 cargo test -q --release --test incremental_differential
 # Bulk loading must be indistinguishable from sequential insertion:
 # identical quad sets, identical insert-order-dense TermId assignment —
 # nested and object-position quoted triples included, which the dictionary
-# keys by their constituents' ids, so the loader must intern those first.
-# The suite raises its own case count in release.
+# keys by their constituents' ids, so they must be interned first. `extend`
+# probes once per term occurrence as `insert` does, so this holds the two
+# to each other and to `intern_quads` + `extend_encoded`, the platform's
+# two-step load. The suite raises its own case count in release.
 cargo test -q --release -p lids-rdf --test bulk_load_differential
 # The sorted-run store against the representation it replaced: every write
 # path (single, batch, encoded, in and out of a delta, under pins and a
@@ -83,6 +85,13 @@ fi
 # triple (whole word) is back only if an emitter regressed to four quads.
 if grep -rnw 'intern_quoted' crates/kg/src crates/core/src; then
     echo "intern_quoted under crates/kg/src or crates/core/src: the LiDS emitters mint no quoted triple" >&2
+    exit 1
+fi
+# One way to turn a term into an id: `Dictionary::intern` / `id_of`. The
+# store's parallel sort-based loader, its hashed dictionary entry points and
+# the per-phase stats only it filled stay deleted (whole words).
+if grep -rnwE 'extend_batch|extend_stats|PendingGroup|PendingMembers|SlotRef|intern_hashed|intern_iri_hashed|id_by_hash|extract_secs' crates/*/src; then
+    echo "second term-to-id path under crates/*/src: extend probes the dictionary per occurrence, as insert does" >&2
     exit 1
 fi
 # Query-governance chaos suite under a hard external bound: adversarial

@@ -3,7 +3,9 @@
 //! `BootstrapStats`, the `lids-obs/v1` snapshot is well-formed, and the
 //! instrumented evaluator stays within the overhead budget.
 
-use kglids_repro::kglids::{DeltaBatch, KgLidsBuilder, PipelineScript, SEARCH_TABLES_QUERY};
+use kglids_repro::kglids::{
+    DeltaBatch, DeltaStats, KgLidsBuilder, PipelineScript, SEARCH_TABLES_QUERY,
+};
 use kglids_repro::kg::abstraction::PipelineMetadata;
 use kglids_repro::obs::{AttrValue, SpanSnapshot};
 use kglids_repro::profiler::table::{Column, Dataset, Table};
@@ -259,14 +261,14 @@ fn a_churning_lake_keeps_a_bounded_trace() {
 }
 
 /// An `ingest` span covers the bulk load it reports on: its wall time is
-/// at least the phase timings (`IngestStats::total_secs`) it carries, in
-/// a bootstrap and — where a copy-on-write clone precedes the phases — in
-/// a delta applied under a pinned reader.
+/// at least the phase timings (`encode_secs` + `index_secs`) it carries,
+/// in a bootstrap and — where a copy-on-write clone precedes the phases —
+/// in a delta applied under a pinned reader.
 #[test]
 fn ingest_span_times_the_load_it_reports() {
     fn check(stage: &SpanSnapshot) {
         let ingest = stage.child("ingest").expect("ingest span");
-        let phases: f64 = ["extract_secs", "encode_secs", "index_secs"]
+        let phases: f64 = ["encode_secs", "index_secs"]
             .iter()
             .map(|key| match ingest.attr(key) {
                 Some(AttrValue::F64(secs)) => *secs,
@@ -322,6 +324,60 @@ fn ingest_span_times_the_load_it_reports() {
     let metrics = platform.obs().metrics.snapshot();
     assert_eq!(metrics.gauge("store.folds"), Some(2.0), "the bootstrap's first fill, and this");
     assert_eq!(metrics.gauge("store.overlay_quads"), Some(0.0));
+}
+
+/// The trace is the one clock: every stage's `*_secs` in the stats is
+/// that stage's span's wall time, in a bootstrap and in a delta that
+/// removes one dataset and adds another with a pipeline.
+#[test]
+fn stage_seconds_are_their_spans() {
+    fn check(root: &SpanSnapshot, stats: &DeltaStats) {
+        for (secs, stage) in [
+            (stats.retraction_secs, "retract"),
+            (stats.parse_secs, "parse"),
+            (stats.profiling_secs, "profile"),
+            (stats.linking_secs, "link.schema"),
+            (stats.abstraction_secs, "abstract"),
+            (stats.pipeline_linking_secs, "link.pipelines"),
+        ] {
+            let span = root.child(stage).unwrap_or_else(|| panic!("missing stage span {stage}"));
+            assert!(span.closed, "{stage} left open");
+            assert_eq!(secs, span.wall_secs, "{stage}: stats and span disagree");
+        }
+    }
+    let ages: Vec<String> = (20..30).map(|i| i.to_string()).collect();
+    let dataset = |name: &str| {
+        Dataset::new(name, vec![Table::new("t", vec![Column::new("age", ages.clone())])])
+    };
+    let (mut platform, stats) =
+        KgLidsBuilder::new().with_datasets([dataset("d"), dataset("e")]).bootstrap();
+    let bootstrap = stats.trace.root("bootstrap").expect("bootstrap root");
+    for (secs, stage) in [
+        (stats.ingestion_secs, "parse"),
+        (stats.profiling_secs, "profile"),
+        (stats.schema_secs, "link.schema"),
+        (stats.abstraction_secs, "abstract"),
+        (stats.linking_secs, "link.pipelines"),
+    ] {
+        assert_eq!(Some(secs), bootstrap.child(stage).map(|s| s.wall_secs), "{stage}");
+    }
+    let script = PipelineScript {
+        metadata: PipelineMetadata {
+            id: "p1".into(),
+            dataset: "f".into(),
+            title: "t".into(),
+            author: "a".into(),
+            votes: 1,
+            score: 0.5,
+            task: "classification".into(),
+        },
+        source: "import pandas as pd\ndf = pd.read_csv('f/t.csv')\n".into(),
+    };
+    let delta = platform.apply_delta(
+        DeltaBatch::new().remove_dataset("e").add_dataset(dataset("f")).add_pipelines([script]),
+    );
+    assert!(delta.quads_retracted > 0 && delta.pipelines_abstracted == 1);
+    check(delta.trace.root("delta").expect("delta root"), &delta);
 }
 
 /// The `retract` twin: the span covers the removal it reports on — its
