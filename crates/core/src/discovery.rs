@@ -230,8 +230,21 @@ impl<'a> Discovery<'a> {
     /// failure to the right HTTP status. The answer stays ids over the
     /// snapshot's dictionary: a search groups and compares cells and
     /// decodes only what it returns.
+    ///
+    /// A discovery answer is whole or an error: when a budget trip left
+    /// only a row-capped partial answer, the search fails with
+    /// `QueryBudgetExceeded` instead of ranking what was left as if it
+    /// were everything.
     fn solutions(&self, sparql: &str) -> LidsResult<Solutions<'_>> {
-        self.env.query(&self.snapshot, sparql, EvalOptions::default(), Some(&self.limits))
+        let solutions =
+            self.env.query(&self.snapshot, sparql, EvalOptions::default(), Some(&self.limits))?;
+        if solutions.truncated {
+            return Err(LidsError::new(
+                ErrorKind::QueryBudgetExceeded,
+                "discovery query exceeded its memory budget; a partial answer is not ranked",
+            ));
+        }
+        Ok(solutions)
     }
 
     /// The dictionary id of a table's IRI, if the lake has ever named it.
@@ -606,12 +619,17 @@ fn short_name(iri: &str) -> String {
 mod tests {
     use super::*;
     use crate::platform::KgLidsBuilder;
+    use crate::query::QueryGuardrails;
     use lids_profiler::table::{Column, Dataset};
     use std::time::Duration;
 
+    fn platform() -> KgLids {
+        lake().bootstrap().0
+    }
+
     /// Three tables: A and B share an `age` column (same values → content
     /// + label similar); B and C share a `city` column.
-    fn platform() -> KgLids {
+    fn lake() -> KgLidsBuilder {
         let ages: Vec<String> = (20..60).map(|i| i.to_string()).collect();
         let cities: Vec<String> = (0..40)
             .map(|i| ["London", "Paris", "Tokyo", "Cairo"][i % 4].to_string())
@@ -640,8 +658,6 @@ mod tests {
                 ),
                 ds("travel", "trips", vec![Column::new("city", cities)]),
             ])
-            .bootstrap()
-            .0
     }
 
     #[test]
@@ -798,6 +814,29 @@ mod tests {
             .unwrap();
         let plain = p.discovery().unionable_tables("health", "patients").unwrap();
         assert_eq!(governed, plain);
+    }
+
+    /// A discovery answer is whole or an error: when the budget trips and
+    /// the degraded row cap is below the answer's size, a search fails
+    /// typed instead of ranking the partial answer, while the same trip on
+    /// the ad-hoc query path still answers a flagged partial.
+    #[test]
+    fn truncated_discovery_answer_is_a_typed_error() {
+        // people shares `age` with patients and `city` with trips: two
+        // tables to rank, each reached through its own answer row
+        let whole = platform().discovery().unionable_tables("census", "people").unwrap();
+        assert!(whole.len() >= 2, "{whole:?}");
+        let guardrails = QueryGuardrails {
+            memory_budget: Some(16),
+            degraded_row_cap: 1,
+            ..QueryGuardrails::default()
+        };
+        let p = lake().with_query_guardrails(guardrails).bootstrap().0;
+        let err = p.discovery().unionable_tables("census", "people").unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::QueryBudgetExceeded, "{err}");
+        let err = p.discovery().search(&[]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::QueryBudgetExceeded, "{err}");
+        assert!(p.query(SEARCH_TABLES_QUERY).unwrap().truncated);
     }
 
     #[test]

@@ -21,9 +21,7 @@ impl KgLids {
     /// RDF serialisation).
     pub fn import_nquads(document: &str) -> Result<QuadStore, ParseError> {
         let mut store = QuadStore::new();
-        for quad in parse_document(document)? {
-            store.insert(&quad);
-        }
+        store.extend(parse_document(document)?);
         Ok(store)
     }
 }

@@ -45,7 +45,7 @@ pub use lids_kg::{LinkingConfig, LinkingMode};
 pub use lids_obs::{Obs, ObsSnapshot};
 pub use lids_sparql::{EvalOptions, ExplainReport, Solutions};
 pub use platform::{
-    BootstrapStats, DeltaBatch, DeltaStats, IngestOptions, KgLids, KgLidsBuilder, PipelineScript,
+    BootstrapStats, DeltaBatch, DeltaStats, KgLids, KgLidsBuilder, PipelineScript,
     SchemaStatsLite,
 };
 pub use query::{LidsReader, QueryGuardrails};

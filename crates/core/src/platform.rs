@@ -7,24 +7,21 @@
 //! [`KgLidsBuilder::bootstrap`] is that sequence run once on a platform
 //! that holds nothing yet, with the builder's inputs as one
 //! [`DeltaBatch`]. It is fault-tolerant end to end: raw artifacts are
-//! parsed in strict mode, every per-artifact stage (parsing, profiling,
-//! script analysis) runs under panic isolation with an optional soft
-//! budget, transient failures get bounded retry with exponential backoff
-//! over an injectable clock, and artifacts that still fail are quarantined
-//! into the [`BootstrapReport`] and recorded as provenance triples — a bad
-//! artifact never aborts a run.
+//! parsed in strict mode ([`CsvMode::Strict`]), every per-artifact stage
+//! (parsing, profiling, script analysis) runs under panic isolation, and
+//! an artifact that fails — each stage is a deterministic function of its
+//! bytes, so it fails once and is not retried — is quarantined into the
+//! [`BootstrapReport`] and recorded as provenance triples: a bad artifact
+//! never aborts a run.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use lids_embed::{
     table_embedding, ColrModels, FineGrainedType, WordEmbeddings, TABLE_EMBEDDING_DIM,
 };
-use lids_exec::{
-    parallel_try_map_with, Clock, ErrorKind, IsolationConfig, LidsError, LidsResult, MemoryMeter,
-    RetryPolicy, SystemClock,
-};
+use lids_exec::{parallel_try_map_with, LidsError, LidsResult, MemoryMeter, ParallelConfig};
 use lids_kg::abstraction::{emit_pipeline_quads, AbstractionStats, PipelineMetadata};
 use lids_kg::docs::LibraryDocs;
 use lids_kg::incremental::{retraction_ids, LinkIndex};
@@ -70,91 +67,11 @@ pub struct BootstrapStats {
     pub schema: SchemaStatsLite,
     pub abstraction: AbstractionStats,
     pub links: LinkStats,
-    /// Which artifacts were quarantined, with typed errors and retry counts.
+    /// Which artifacts were quarantined, with their typed errors.
     pub report: BootstrapReport,
     /// Span tree of the bootstrap run (`bootstrap` root with one child per
     /// stage; the schema stage carries one child per linking bucket).
     pub trace: TraceSnapshot,
-}
-
-/// Fault-tolerance knobs for bootstrap ingestion.
-#[derive(Clone)]
-pub struct IngestOptions {
-    /// CSV failure semantics for raw artifacts. Strict (the default)
-    /// quarantines damaged files; lenient applies documented coercions.
-    pub csv_mode: CsvMode,
-    /// Bounded retry with exponential backoff for transient failures
-    /// (worker panics, budget overruns). Permanent errors fail fast.
-    pub retry: RetryPolicy,
-    /// Soft per-artifact budget for profiling/analysis; overruns become
-    /// `ProfileTimeout` errors (and are retried per `retry`).
-    pub item_budget: Option<Duration>,
-    /// Delay source for backoff — injectable so tests run without sleeping.
-    pub clock: Arc<dyn Clock>,
-    /// Record quarantined artifacts as provenance triples in the dedicated
-    /// named graph (`lids_kg::provenance::QUARANTINE_GRAPH`).
-    pub record_provenance: bool,
-}
-
-impl Default for IngestOptions {
-    fn default() -> Self {
-        IngestOptions {
-            csv_mode: CsvMode::Strict,
-            retry: RetryPolicy::default(),
-            item_budget: None,
-            clock: Arc::new(SystemClock),
-            record_provenance: true,
-        }
-    }
-}
-
-impl std::fmt::Debug for IngestOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IngestOptions")
-            .field("csv_mode", &self.csv_mode)
-            .field("retry", &self.retry)
-            .field("item_budget", &self.item_budget)
-            .field("record_provenance", &self.record_provenance)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Map `f` over `items` under panic isolation, retrying transient per-item
-/// failures per the ingest policy. Returns `(result, retries)` per item,
-/// in input order.
-fn quarantine_map<T, R>(
-    items: &[T],
-    opts: &IngestOptions,
-    f: impl Fn(&T) -> LidsResult<R> + Sync,
-) -> Vec<(LidsResult<R>, u32)>
-where
-    T: Sync,
-    R: Send,
-{
-    let config = IsolationConfig {
-        parallel: Default::default(),
-        item_budget: opts.item_budget,
-    };
-    let mut results: Vec<(LidsResult<R>, u32)> = parallel_try_map_with(config, items, &f)
-        .into_iter()
-        .map(|r| (r, 0))
-        .collect();
-    for (i, slot) in results.iter_mut().enumerate() {
-        while let Err(e) = &slot.0 {
-            if !e.is_transient() || slot.1 >= opts.retry.max_retries {
-                break;
-            }
-            opts.clock.sleep(opts.retry.delay(slot.1));
-            slot.1 += 1;
-            // re-run the single item, still under panic isolation
-            slot.0 = parallel_try_map_with(config, &items[i..=i], &f)
-                .pop()
-                .unwrap_or_else(|| {
-                    Err(LidsError::new(ErrorKind::Internal, "retry produced no result"))
-                });
-        }
-    }
-    results
 }
 
 /// Load one stage's quads and record the load as an `ingest` child span of
@@ -293,7 +210,6 @@ pub struct KgLidsBuilder {
     pipelines: Vec<PipelineScript>,
     profiler_config: ProfilerConfig,
     schema_config: SchemaConfig,
-    ingest: IngestOptions,
     custom_profiles: Option<Vec<ColumnProfile>>,
     guardrails: QueryGuardrails,
 }
@@ -312,7 +228,6 @@ impl KgLidsBuilder {
             pipelines: Vec::new(),
             profiler_config: ProfilerConfig::default(),
             schema_config: SchemaConfig::default(),
-            ingest: IngestOptions::default(),
             custom_profiles: None,
             guardrails: QueryGuardrails::default(),
         }
@@ -337,8 +252,8 @@ impl KgLidsBuilder {
     }
 
     /// Add a dataset of raw (unparsed) table files, as read from a data
-    /// lake. Files are parsed during bootstrap under the fault-tolerance
-    /// policy of [`IngestOptions`]; damaged files are quarantined.
+    /// lake. Files are parsed during bootstrap in [`CsvMode::Strict`];
+    /// damaged files are quarantined.
     pub fn with_raw_dataset(mut self, raw: RawDataset) -> Self {
         self.raw_datasets.push(raw);
         self
@@ -347,12 +262,6 @@ impl KgLidsBuilder {
     /// Add many raw datasets.
     pub fn with_raw_datasets(mut self, raws: impl IntoIterator<Item = RawDataset>) -> Self {
         self.raw_datasets.extend(raws);
-        self
-    }
-
-    /// Override the fault-tolerance policy for ingestion.
-    pub fn with_ingest_options(mut self, ingest: IngestOptions) -> Self {
-        self.ingest = ingest;
         self
     }
 
@@ -399,7 +308,7 @@ impl KgLidsBuilder {
     /// while the rest of the lake bootstraps normally.
     pub fn bootstrap(self) -> (KgLids, BootstrapStats) {
         let mut platform =
-            KgLids::blank(self.profiler_config, self.schema_config, self.ingest, self.guardrails);
+            KgLids::blank(self.profiler_config, self.schema_config, self.guardrails);
         // custom profiles stand in for profiling the datasets
         let (add_datasets, add_raw_datasets, add_profiles) = match self.custom_profiles {
             Some(profiles) => (Vec::new(), Vec::new(), profiles),
@@ -449,8 +358,6 @@ pub struct KgLids {
     pub(crate) docs: LibraryDocs,
     pub(crate) we: WordEmbeddings,
     pub(crate) profiler_config: ProfilerConfig,
-    /// Fault-tolerance policy every ingest run works under.
-    pub(crate) ingest: IngestOptions,
     pub(crate) profiles: Vec<ColumnProfile>,
     /// The persistent linking structures (label cache, per-bucket
     /// matrices, sharded HNSW, cell geometry): filled by the first run,
@@ -486,7 +393,6 @@ impl KgLids {
     fn blank(
         profiler_config: ProfilerConfig,
         schema_config: SchemaConfig,
-        ingest: IngestOptions,
         guardrails: QueryGuardrails,
     ) -> Self {
         KgLids {
@@ -494,7 +400,6 @@ impl KgLids {
             docs: LibraryDocs::builtin(),
             we: WordEmbeddings::new(),
             profiler_config,
-            ingest,
             profiles: Vec::new(),
             link_index: LinkIndex::new(schema_config),
             report: BootstrapReport::default(),
@@ -699,22 +604,21 @@ impl KgLids {
         tracer.add_count(span, "columns_retracted", stats.columns_retracted as u64);
         stats.retraction_secs = tracer.close(span).unwrap_or_default();
 
-        // ---- parse raw artifacts under the fault policy ----
+        // ---- parse raw artifacts (strict, panic-isolated) ----
         let span = tracer.child(root, "parse");
         let mut datasets = add_datasets;
         for raw in &add_raw_datasets {
-            let outcomes = quarantine_map(&raw.tables, &self.ingest, |t| {
-                parse_csv_bytes(&t.name, &t.bytes, self.ingest.csv_mode)
+            let outcomes = parallel_try_map_with(ParallelConfig::default(), &raw.tables, |t| {
+                parse_csv_bytes(&t.name, &t.bytes, CsvMode::Strict)
             });
             let mut tables = Vec::new();
-            for (table, (result, retries)) in raw.tables.iter().zip(outcomes) {
+            for (table, result) in raw.tables.iter().zip(outcomes) {
                 match result {
                     Ok(t) => tables.push(t),
                     Err(error) => report.quarantined.push(QuarantineEntry {
                         artifact: format!("{}/{}", raw.name, table.name),
                         kind: ArtifactKind::Table,
                         error,
-                        retries,
                     }),
                 }
             }
@@ -732,7 +636,7 @@ impl KgLids {
             .iter()
             .flat_map(|d| d.tables.iter().map(move |t| (d.name.as_str(), t)))
             .collect();
-        let outcomes = quarantine_map(&units, &self.ingest, |unit| {
+        let outcomes = parallel_try_map_with(ParallelConfig::default(), &units, |unit| {
             let (dataset, table) = *unit;
             Ok(profile_table(
                 dataset,
@@ -744,14 +648,13 @@ impl KgLids {
             ))
         });
         let mut new_profiles: Vec<ColumnProfile> = Vec::new();
-        for ((dataset, table), (result, retries)) in units.iter().zip(outcomes) {
+        for ((dataset, table), result) in units.iter().zip(outcomes) {
             match result {
                 Ok(p) => new_profiles.extend(p),
                 Err(error) => report.quarantined.push(QuarantineEntry {
                     artifact: format!("{dataset}/{}", table.name),
                     kind: ArtifactKind::Table,
                     error,
-                    retries,
                 }),
             }
         }
@@ -806,11 +709,11 @@ impl KgLids {
         }
         // analysis is the parallel worker phase (panic-isolated); emission
         // is serial
-        let analyzed: Vec<(LidsResult<AnalyzedScript>, u32)> =
-            quarantine_map(&add_pipelines, &self.ingest, |p| {
+        let analyzed: Vec<LidsResult<AnalyzedScript>> =
+            parallel_try_map_with(ParallelConfig::default(), &add_pipelines, |p| {
                 lids_py::analyze(&p.source).map_err(LidsError::from)
             });
-        for (pipeline, (analysis, retries)) in add_pipelines.iter().zip(analyzed) {
+        for (pipeline, analysis) in add_pipelines.iter().zip(analyzed) {
             match analysis {
                 Ok(a) => {
                     emit_pipeline_quads(
@@ -833,7 +736,6 @@ impl KgLids {
                         artifact: artifact.clone(),
                         kind: ArtifactKind::Pipeline,
                         error: error.with_artifact(artifact.clone()),
-                        retries,
                     });
                 }
             }
@@ -859,8 +761,8 @@ impl KgLids {
         stats.pipeline_linking_secs = tracer.close(span).unwrap_or_default();
 
         // ---- quarantine provenance: record *why* artifacts are missing ----
-        if self.ingest.record_provenance && !report.quarantined.is_empty() {
-            let mut batch: Vec<Quad> = Vec::with_capacity(report.quarantined.len() * 5);
+        if !report.quarantined.is_empty() {
+            let mut batch: Vec<Quad> = Vec::with_capacity(report.quarantined.len() * 4);
             for entry in &report.quarantined {
                 push_quarantine(
                     &mut batch,
@@ -868,7 +770,6 @@ impl KgLids {
                         artifact_id: &entry.artifact,
                         artifact_kind: entry.kind.name(),
                         error: &entry.error,
-                        retries: entry.retries,
                     },
                 );
             }
@@ -1182,43 +1083,6 @@ clf.fit(X, y)
         let metrics = platform.obs().metrics.snapshot();
         assert!(metrics.counter("query.count").unwrap_or(0) >= 1);
         assert!(metrics.counter("bootstrap.triples").unwrap_or(0) > 100);
-    }
-
-    /// The ingest stages' retry: a transient failure is retried with the
-    /// policy's backoff on the injected clock until it succeeds or the
-    /// retries run out; a permanent one fails fast.
-    #[test]
-    fn quarantine_map_retries_transient_failures_with_backoff() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let clock = lids_exec::TestClock::new();
-        let opts = IngestOptions {
-            retry: RetryPolicy {
-                max_retries: 3,
-                base_delay: Duration::from_millis(10),
-                multiplier: 2.0,
-                max_delay: Duration::from_secs(1),
-            },
-            clock: clock.clone(),
-            ..IngestOptions::default()
-        };
-        let calls: Vec<AtomicU32> = (0..3).map(|_| AtomicU32::new(0)).collect();
-        // item 0 fails transiently every time, item 1 once, item 2 for good
-        let out = quarantine_map(&[0usize, 1, 2], &opts, |&i| {
-            let n = calls[i].fetch_add(1, Ordering::Relaxed);
-            match (i, n) {
-                (0, _) | (1, 0) => Err(LidsError::new(ErrorKind::WorkerPanic, "flaky")),
-                (1, _) => Ok(n),
-                _ => Err(LidsError::new(ErrorKind::CsvMalformed, "bad csv")),
-            }
-        });
-        let kinds: Vec<(Result<u32, ErrorKind>, u32)> =
-            out.into_iter().map(|(r, retries)| (r.map_err(|e| e.kind()), retries)).collect();
-        assert_eq!(
-            kinds,
-            [(Err(ErrorKind::WorkerPanic), 3), (Ok(1), 1), (Err(ErrorKind::CsvMalformed), 0)]
-        );
-        let ms = Duration::from_millis;
-        assert_eq!(clock.sleeps(), [ms(10), ms(20), ms(40), ms(10)]);
     }
 
     #[test]

@@ -288,7 +288,7 @@ impl KgLids {
     }
 
     /// [`Self::query`] with explicit evaluation options, e.g.
-    /// `EvalOptions::builder().deadline(..).memory_budget(..).build()`.
+    /// `EvalOptions { deadline: Some(..), memory_budget: Some(..), ..EvalOptions::default() }`.
     ///
     /// Runs under the platform's [`QueryGuardrails`]: per-call options
     /// win, guardrails fill unset limits. On a budget trip the query is
@@ -468,7 +468,7 @@ mod tests {
         let (platform, _) = KgLidsBuilder::new().with_dataset(titanic()).bootstrap();
         let q = "PREFIX k: <http://kglids.org/ontology/> \
                  SELECT ?c WHERE { ?t a k:Table . ?t k:hasColumn ?c . }";
-        let opts = EvalOptions::builder().reorder_joins(false).build();
+        let opts = EvalOptions { reorder_joins: false, ..EvalOptions::default() };
         let df = platform.query_with(q, opts).unwrap();
         assert_eq!(df.len(), 3);
         let report = platform.explain(q).unwrap();

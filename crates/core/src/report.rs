@@ -2,9 +2,8 @@
 //!
 //! Bootstrap never aborts on a bad artifact. Every damaged dataset table or
 //! pipeline script is *quarantined*: excluded from the graph, recorded here
-//! with its artifact id, typed error, and retry count, and (by default)
-//! written as provenance triples into the quarantine named graph (see
-//! `lids_kg::provenance`).
+//! with its artifact id and typed error, and written as provenance triples
+//! into the quarantine named graph (see `lids_kg::provenance`).
 
 use lids_exec::{ErrorKind, LidsError};
 
@@ -27,7 +26,7 @@ impl ArtifactKind {
     }
 }
 
-/// One quarantined artifact: id, typed error, retries spent.
+/// One quarantined artifact: id and typed error.
 #[derive(Debug, Clone)]
 pub struct QuarantineEntry {
     /// Stable artifact id: `"<dataset>/<table>"` for tables,
@@ -35,8 +34,6 @@ pub struct QuarantineEntry {
     pub artifact: String,
     pub kind: ArtifactKind,
     pub error: LidsError,
-    /// Retries performed before the artifact was given up on.
-    pub retries: u32,
 }
 
 /// What bootstrap quarantined, in ingestion order.
@@ -95,16 +92,11 @@ impl BootstrapReport {
         );
         for e in &self.quarantined {
             out.push_str(&format!(
-                "  - {} [{}] {}: {}{}\n",
+                "  - {} [{}] {}: {}\n",
                 e.artifact,
                 e.kind.name(),
                 e.error.kind(),
                 e.error.message(),
-                if e.retries > 0 {
-                    format!(" (after {} retries)", e.retries)
-                } else {
-                    String::new()
-                },
             ));
         }
         out.pop();
@@ -122,13 +114,8 @@ impl std::fmt::Display for BootstrapReport {
 mod tests {
     use super::*;
 
-    fn entry(artifact: &str, kind: ArtifactKind, ek: ErrorKind, retries: u32) -> QuarantineEntry {
-        QuarantineEntry {
-            artifact: artifact.to_string(),
-            kind,
-            error: LidsError::new(ek, "msg"),
-            retries,
-        }
+    fn entry(artifact: &str, kind: ArtifactKind, ek: ErrorKind) -> QuarantineEntry {
+        QuarantineEntry { artifact: artifact.to_string(), kind, error: LidsError::new(ek, "msg") }
     }
 
     #[test]
@@ -142,15 +129,14 @@ mod tests {
     fn summary_lists_artifacts_and_kinds() {
         let r = BootstrapReport {
             quarantined: vec![
-                entry("lake/t1", ArtifactKind::Table, ErrorKind::CsvMalformed, 0),
-                entry("p7", ArtifactKind::Pipeline, ErrorKind::PyParseError, 2),
+                entry("lake/t1", ArtifactKind::Table, ErrorKind::CsvMalformed),
+                entry("p7", ArtifactKind::Pipeline, ErrorKind::PyParseError),
             ],
         };
         let s = r.summary();
         assert!(s.contains("2 artifact(s)"));
         assert!(s.contains("lake/t1"));
         assert!(s.contains("CsvMalformed"));
-        assert!(s.contains("after 2 retries"));
         assert_eq!(r.of_kind(ArtifactKind::Table).count(), 1);
         assert!(r.entry("p7").is_some());
         assert!(r.entry("nope").is_none());
@@ -160,9 +146,9 @@ mod tests {
     fn by_error_kind_counts() {
         let r = BootstrapReport {
             quarantined: vec![
-                entry("a", ArtifactKind::Table, ErrorKind::CsvMalformed, 0),
-                entry("b", ArtifactKind::Table, ErrorKind::CsvMalformed, 0),
-                entry("c", ArtifactKind::Table, ErrorKind::EncodingError, 0),
+                entry("a", ArtifactKind::Table, ErrorKind::CsvMalformed),
+                entry("b", ArtifactKind::Table, ErrorKind::CsvMalformed),
+                entry("c", ArtifactKind::Table, ErrorKind::EncodingError),
             ],
         };
         assert_eq!(

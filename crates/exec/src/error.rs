@@ -3,11 +3,10 @@
 //! The KG Governor (Algorithm 1) consumes external artifacts — CSV files,
 //! JSON tables, Python scripts — that arrive malformed, truncated, or
 //! mis-encoded in practice. Every failure on the ingestion path is
-//! expressed as a [`LidsError`] carrying a machine-readable [`ErrorKind`],
-//! so the platform can decide *per kind* whether to retry (transient
-//! faults like a worker panic or a profiling-budget overrun) or to
-//! quarantine the artifact with provenance (permanent faults like a
-//! malformed file).
+//! expressed as a [`LidsError`] carrying a machine-readable [`ErrorKind`].
+//! Every ingest stage is a deterministic function of its input, so a
+//! failed artifact fails once: the platform quarantines it with its kind
+//! recorded as provenance.
 
 /// Machine-readable classification of an ingestion failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,8 +32,6 @@ pub enum ErrorKind {
     QueryBudgetExceeded,
     /// A caller-supplied argument was out of domain (NaN score, zero k).
     InvalidArgument,
-    /// A per-item processing budget was exceeded.
-    ProfileTimeout,
     /// A worker panicked while processing the item.
     WorkerPanic,
     /// Invariant violation inside the platform itself.
@@ -55,23 +52,9 @@ impl ErrorKind {
             ErrorKind::QueryCancelled => "QueryCancelled",
             ErrorKind::QueryBudgetExceeded => "QueryBudgetExceeded",
             ErrorKind::InvalidArgument => "InvalidArgument",
-            ErrorKind::ProfileTimeout => "ProfileTimeout",
             ErrorKind::WorkerPanic => "WorkerPanic",
             ErrorKind::Internal => "Internal",
         }
-    }
-
-    /// Whether failures of this kind may succeed on a retry. Malformed
-    /// input never fixes itself; a panic or budget overrun might have been
-    /// caused by transient conditions (memory pressure, scheduling). A
-    /// query timeout may clear once contention passes, but a cancelled
-    /// query was stopped on purpose and a budget-exceeded query will
-    /// exceed the same budget again.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            ErrorKind::ProfileTimeout | ErrorKind::WorkerPanic | ErrorKind::QueryTimeout
-        )
     }
 
     /// The HTTP status a network front end should answer with when a
@@ -91,8 +74,7 @@ impl ErrorKind {
             | ErrorKind::InvalidArgument => 400,
             ErrorKind::QueryTimeout
             | ErrorKind::QueryCancelled
-            | ErrorKind::QueryBudgetExceeded
-            | ErrorKind::ProfileTimeout => 503,
+            | ErrorKind::QueryBudgetExceeded => 503,
             ErrorKind::WorkerPanic | ErrorKind::Internal => 500,
         }
     }
@@ -135,11 +117,6 @@ impl LidsError {
     pub fn artifact(&self) -> Option<&str> {
         self.artifact.as_deref()
     }
-
-    /// Whether a retry could plausibly succeed (delegates to the kind).
-    pub fn is_transient(&self) -> bool {
-        self.kind.is_transient()
-    }
 }
 
 impl std::fmt::Display for LidsError {
@@ -171,27 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn transience_classification() {
-        assert!(ErrorKind::WorkerPanic.is_transient());
-        assert!(ErrorKind::ProfileTimeout.is_transient());
-        assert!(ErrorKind::QueryTimeout.is_transient());
-        for k in [
-            ErrorKind::CsvMalformed,
-            ErrorKind::EncodingError,
-            ErrorKind::JsonMalformed,
-            ErrorKind::EmptyInput,
-            ErrorKind::PyParseError,
-            ErrorKind::SparqlError,
-            ErrorKind::QueryCancelled,
-            ErrorKind::QueryBudgetExceeded,
-            ErrorKind::InvalidArgument,
-            ErrorKind::Internal,
-        ] {
-            assert!(!k.is_transient(), "{k} should be permanent");
-        }
-    }
-
-    #[test]
     fn kind_names_are_stable() {
         assert_eq!(ErrorKind::CsvMalformed.name(), "CsvMalformed");
         assert_eq!(ErrorKind::WorkerPanic.to_string(), "WorkerPanic");
@@ -216,7 +172,6 @@ mod tests {
             ErrorKind::QueryTimeout,
             ErrorKind::QueryCancelled,
             ErrorKind::QueryBudgetExceeded,
-            ErrorKind::ProfileTimeout,
         ] {
             assert_eq!(k.http_status(), 503, "{k}");
         }

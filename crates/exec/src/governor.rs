@@ -18,17 +18,17 @@
 //! exhaust themselves when it flips; the typed error is produced by the
 //! next boundary check.
 //!
-//! Time comes from the same injectable [`Clock`] the retry machinery uses,
-//! so deadline behaviour is deterministic under [`TestClock`].
+//! Time comes from an injectable [`Clock`], so deadline behaviour is
+//! deterministic under [`TestClock`].
 //!
-//! [`TestClock`]: crate::retry::TestClock
+//! [`TestClock`]: crate::clock::TestClock
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::clock::{Clock, SystemClock};
 use crate::error::{ErrorKind, LidsError};
-use crate::retry::{Clock, SystemClock};
 
 /// Shared cancellation handle: clone it, hand one side to the query, keep
 /// the other; [`cancel`](CancelToken::cancel) flips a flag every governed
@@ -337,7 +337,7 @@ impl std::fmt::Debug for QueryGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retry::TestClock;
+    use crate::clock::TestClock;
 
     #[test]
     fn unlimited_limits_do_not_arm() {

@@ -10,24 +10,25 @@
 //! the paper's process-level RSS measurements; see DESIGN.md).
 //!
 //! It also hosts the fault-tolerance substrate for ingestion: the
-//! [`LidsError`] taxonomy, the panic-isolating [`parallel_try_map_with`],
-//! and the exponential-backoff [`RetryPolicy`] over an injectable [`Clock`].
+//! [`LidsError`] taxonomy and the panic-isolating [`parallel_try_map_with`].
+//! Every ingest stage is a deterministic function of its input's bytes, so
+//! an item fails once and is quarantined; nothing is retried. The query
+//! governor reads deadlines through an injectable [`Clock`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod clock;
 pub mod error;
 pub mod governor;
 pub mod meter;
 pub mod pool;
-pub mod retry;
 pub mod timer;
 
+pub use clock::{Clock, SystemClock, TestClock};
 pub use error::{ErrorKind, LidsError, LidsResult};
 pub use governor::{CancelToken, GovernorTrip, QueryGovernor, QueryLimits, TripReason};
 pub use meter::MemoryMeter;
 pub use pool::{
-    parallel_blocks, parallel_map, parallel_map_with, parallel_try_map_with, IsolationConfig,
-    ParallelConfig,
+    parallel_blocks, parallel_map, parallel_map_with, parallel_try_map_with, ParallelConfig,
 };
-pub use retry::{Clock, RetryPolicy, SystemClock, TestClock};
 pub use timer::Stopwatch;

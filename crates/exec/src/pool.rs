@@ -5,14 +5,12 @@
 //! boolean column) is amortised without per-item synchronisation.
 //!
 //! [`parallel_map`] is the fast path: panics in the closure propagate and
-//! abort the whole map. [`parallel_try_map_with`] is the ingestion path: each
-//! item runs under `catch_unwind`, a panicking item becomes a per-item
-//! `Err(WorkerPanic)` while the remaining items complete, and an optional
-//! soft per-item budget converts slow items into `Err(ProfileTimeout)`.
+//! abort the whole map. [`parallel_try_map_with`] is the ingestion path: the
+//! same worker loop runs each item under `catch_unwind`, so a panicking item
+//! becomes a per-item `Err(WorkerPanic)` while the remaining items complete.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 use crate::error::{ErrorKind, LidsError, LidsResult};
 
@@ -53,6 +51,20 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    chunked_map(config, items, None, f)
+}
+
+/// The worker loop of both maps: workers claim `chunk` indices at a time
+/// from a shared cursor and write each result into its slot. With a
+/// `name`, every worker is a thread named `{name}-{w}` — one is spawned
+/// even when `threads == 1`, so the panic hook can tell isolated workers
+/// apart; without one, a single worker runs inline.
+fn chunked_map<T, R, F>(config: ParallelConfig, items: &[T], name: Option<&str>, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
     let n = items.len();
     if n == 0 {
         return Vec::new();
@@ -61,7 +73,7 @@ where
     // of chunks would find nothing to claim: it is not spawned
     let chunk = config.chunk.max(1);
     let threads = config.threads.max(1).min(n.div_ceil(chunk));
-    if threads == 1 {
+    if threads == 1 && name.is_none() {
         return items.iter().map(f).collect();
     }
 
@@ -71,11 +83,11 @@ where
     let out_ptr = SendPtr(out.as_mut_ptr());
 
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for w in 0..threads {
             let f = &f;
             let cursor = &cursor;
             let out_ptr = &out_ptr;
-            scope.spawn(move || loop {
+            let work = move || loop {
                 let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                 if start >= n {
                     break;
@@ -90,14 +102,26 @@ where
                         *out_ptr.0.add(start + i) = Some(r);
                     }
                 }
-            });
+            };
+            let mut builder = std::thread::Builder::new();
+            if let Some(name) = name {
+                builder = builder.name(format!("{name}-{w}"));
+            }
+            // a failed spawn (resource exhaustion) leaves the items to the
+            // workers that did start, or to the loop below if none did
+            if builder.spawn_scoped(scope, work).is_err() {
+                break;
+            }
         }
     });
 
-    // Invariant, not input-dependent: the cursor hands every index to
-    // exactly one worker, so every slot is filled.
-    #[allow(clippy::expect_used)]
-    out.into_iter().map(|r| r.expect("worker filled slot")).collect()
+    // the cursor hands every index to exactly one worker, so a slot is
+    // empty only when no worker could be spawned at all: those items run
+    // inline
+    out.into_iter()
+        .zip(items)
+        .map(|(slot, item)| slot.unwrap_or_else(|| f(item)))
+        .collect()
 }
 
 /// Raw pointer wrapper that is Sync: disjoint-index writes only.
@@ -119,18 +143,6 @@ where
     let block = block.max(1);
     let starts: Vec<usize> = (0..n).step_by(block).collect();
     parallel_map(&starts, |&start| f(start..(start + block).min(n)))
-}
-
-/// Configuration for [`parallel_try_map_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IsolationConfig {
-    /// Thread-pool shape (threads, chunk size).
-    pub parallel: ParallelConfig,
-    /// Soft per-item budget: an item whose closure takes longer than this
-    /// still runs to completion (threads cannot be interrupted safely) but
-    /// its result is replaced with `Err(ProfileTimeout)` so the caller can
-    /// quarantine or retry it.
-    pub item_budget: Option<Duration>,
 }
 
 /// Name prefix of isolated worker threads; the panic hook installed by
@@ -164,32 +176,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one item under panic isolation and the soft budget.
-fn run_isolated<T, R, F>(f: &F, item: &T, budget: Option<Duration>) -> LidsResult<R>
-where
-    F: Fn(&T) -> LidsResult<R>,
-{
-    let t0 = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| f(item)));
-    let elapsed = t0.elapsed();
-    match outcome {
-        Ok(Ok(value)) => match budget {
-            Some(limit) if elapsed > limit => Err(LidsError::new(
-                ErrorKind::ProfileTimeout,
-                format!("item took {elapsed:?}, budget {limit:?}"),
-            )),
-            _ => Ok(value),
-        },
-        Ok(Err(e)) => Err(e),
-        Err(payload) => Err(LidsError::new(
-            ErrorKind::WorkerPanic,
-            format!("worker panicked: {}", panic_message(payload)),
-        )),
-    }
-}
-
-/// Fault-isolating parallel map with an explicit thread-pool shape and
-/// per-item budget.
+/// Fault-isolating parallel map with an explicit thread-pool shape.
 ///
 /// Unlike [`parallel_map`], a panic in `f` aborts only the item that
 /// panicked: its slot becomes `Err(WorkerPanic)` carrying the panic
@@ -198,7 +185,7 @@ where
 /// `threads == 1`) so the process-global panic hook can suppress the
 /// default stderr backtrace for isolated panics.
 pub fn parallel_try_map_with<T, R, F>(
-    config: IsolationConfig,
+    config: ParallelConfig,
     items: &[T],
     f: F,
 ) -> Vec<LidsResult<R>>
@@ -207,63 +194,15 @@ where
     R: Send,
     F: Fn(&T) -> LidsResult<R> + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
     silence_isolated_panics();
-    let threads = config.parallel.threads.max(1).min(n);
-    let chunk = config.parallel.chunk.max(1);
-    let budget = config.item_budget;
-
-    let mut out: Vec<Option<LidsResult<R>>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let cursor = AtomicUsize::new(0);
-    let out_ptr = SendPtr(out.as_mut_ptr());
-
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let f = &f;
-            let cursor = &cursor;
-            let out_ptr = &out_ptr;
-            let builder =
-                std::thread::Builder::new().name(format!("{ISOLATED_THREAD_PREFIX}-{w}"));
-            let spawned = builder.spawn_scoped(scope, move || loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                for (i, item) in items[start..end].iter().enumerate() {
-                    let r = run_isolated(f, item, budget);
-                    // SAFETY: each index in 0..n is claimed by exactly one
-                    // worker (the cursor hands out disjoint ranges), and the
-                    // Vec outlives the scope.
-                    unsafe {
-                        *out_ptr.0.add(start + i) = Some(r);
-                    }
-                }
-            });
-            if spawned.is_err() {
-                // Thread spawn failed (resource exhaustion): remaining items
-                // are handled by the threads that did start, or by the
-                // fallback below if none did.
-                break;
-            }
-        }
-    });
-
-    out.into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.unwrap_or_else(|| {
-                // Only reachable if no worker thread could be spawned at
-                // all; run the stragglers inline (without stderr
-                // suppression, which is cosmetic).
-                run_isolated(&f, &items[i], budget)
-            })
+    chunked_map(config, items, Some(ISOLATED_THREAD_PREFIX), |item| {
+        catch_unwind(AssertUnwindSafe(|| f(item))).unwrap_or_else(|payload| {
+            Err(LidsError::new(
+                ErrorKind::WorkerPanic,
+                format!("worker panicked: {}", panic_message(payload)),
+            ))
         })
-        .collect()
+    })
 }
 
 #[cfg(test)]
@@ -335,7 +274,7 @@ mod tests {
             items: &[T],
             f: impl Fn(&T) -> LidsResult<R> + Sync,
         ) -> Vec<LidsResult<R>> {
-            parallel_try_map_with(IsolationConfig::default(), items, f)
+            parallel_try_map_with(ParallelConfig::default(), items, f)
         }
 
         #[test]
@@ -379,13 +318,10 @@ mod tests {
         #[test]
         fn ordering_preserved_under_contention() {
             let items: Vec<usize> = (0..513).collect();
-            let config = IsolationConfig {
-                parallel: ParallelConfig { threads: 8, chunk: 3 },
-                item_budget: None,
-            };
+            let config = ParallelConfig { threads: 8, chunk: 3 };
             let out = parallel_try_map_with(config, &items, |&x| {
                 // skewed work so chunks finish out of order
-                std::thread::sleep(Duration::from_micros((x % 7) as u64));
+                std::thread::sleep(std::time::Duration::from_micros((x % 7) as u64));
                 Ok(x)
             });
             for (i, r) in out.iter().enumerate() {
@@ -407,25 +343,6 @@ mod tests {
             assert_eq!(out[1].as_ref().unwrap_err().kind(), ErrorKind::CsvMalformed);
         }
 
-        #[test]
-        fn soft_budget_flags_slow_items() {
-            let items = [1u64, 50, 2];
-            let config = IsolationConfig {
-                parallel: ParallelConfig { threads: 2, chunk: 1 },
-                item_budget: Some(Duration::from_millis(20)),
-            };
-            let out = parallel_try_map_with(config, &items, |&ms| {
-                std::thread::sleep(Duration::from_millis(ms));
-                Ok(ms)
-            });
-            assert_eq!(*out[0].as_ref().unwrap(), 1);
-            assert_eq!(
-                out[1].as_ref().unwrap_err().kind(),
-                ErrorKind::ProfileTimeout
-            );
-            assert_eq!(*out[2].as_ref().unwrap(), 2);
-        }
-
         proptest! {
             /// With no fault firing, `parallel_try_map_with` matches sequential map.
             #[test]
@@ -434,11 +351,7 @@ mod tests {
                 threads in 1usize..9,
                 chunk in 1usize..33,
             ) {
-                let config = IsolationConfig {
-                    parallel: ParallelConfig { threads, chunk },
-                    item_budget: None,
-                };
-                let out = parallel_try_map_with(config, &items, |&x| {
+                let out = parallel_try_map_with(ParallelConfig { threads, chunk }, &items, |&x| {
                     Ok(x.wrapping_mul(3).wrapping_sub(7))
                 });
                 let expected: Vec<i64> =

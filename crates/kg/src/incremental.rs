@@ -113,6 +113,19 @@ const WINDOW_MARGIN: f64 = 1e-9;
 /// Fixed level-assignment seed so pruned runs are reproducible.
 const HNSW_SEED: u64 = 0x11d5;
 
+/// The HNSW index shape. ANN recall only shapes the candidate components
+/// (the triangle-inequality bound makes the filter lossless regardless),
+/// so it favours a cheap index over a high-recall one: `M` (max
+/// connections per node on upper layers), the construction and search
+/// beam widths, and the independent shards built in parallel.
+const HNSW_M: usize = 8;
+const HNSW_EF_CONSTRUCTION: usize = 32;
+const HNSW_EF_SEARCH: usize = 16;
+const HNSW_SHARDS: usize = 4;
+
+/// Rows (or pair groups) per worker task in the blocked passes.
+const BLOCK: usize = 64;
+
 /// Slack added to the Euclidean equivalent of the θ-ball (`√(2(1−θ))`) and
 /// to each cell radius in the triangle-inequality bound, absorbing f32
 /// rounding in centroid/radius computation; a pending row is a singleton
@@ -196,13 +209,13 @@ impl EmbedBucket {
         let (matrix, alive) = (&self.matrix, &self.row_alive);
         let hnsw: &ShardedHnsw = self.hnsw.get_or_insert_with(|| {
             let hnsw_config = HnswConfig {
-                m: lk.hnsw_m,
-                ef_construction: lk.hnsw_ef_construction,
-                ef_search: lk.hnsw_ef_search,
+                m: HNSW_M,
+                ef_construction: HNSW_EF_CONSTRUCTION,
+                ef_search: HNSW_EF_SEARCH,
                 metric: Metric::Cosine,
                 seed: HNSW_SEED,
             };
-            let mut h = ShardedHnsw::build(matrix, hnsw_config, lk.shards);
+            let mut h = ShardedHnsw::build(matrix, hnsw_config, HNSW_SHARDS);
             for (r, _) in alive.iter().enumerate().filter(|(_, alive)| !**alive) {
                 h.remove(r as u64);
             }
@@ -210,7 +223,7 @@ impl EmbedBucket {
         });
         let n = matrix.len();
         let radius = (1.0 - config.theta) + RADIUS_MARGIN;
-        let seeded = parallel_blocks(n, lk.block, |range| {
+        let seeded = parallel_blocks(n, BLOCK, |range| {
             let mut out = Vec::new();
             let mut ann = SearchStats::default();
             for i in range.filter(|&i| alive[i]) {
@@ -457,7 +470,7 @@ impl LinkIndex {
             classes.iter().map(|(&label, members)| (label, members.as_slice())).collect();
         let has_new: Vec<bool> =
             classes.iter().map(|(_, members)| members.last().is_some_and(|&c| c >= from)).collect();
-        let block = 1.max(self.config.linking.block / 8);
+        let block = BLOCK / 8;
         let found = group_pairs(&has_new, block, |a, b, out: &mut Vec<Edge>| {
             let ((la, ga), (lb, gb)) = (classes[a], classes[b]);
             let sim = self.cache.similarity(la, lb);
@@ -503,7 +516,7 @@ impl LinkIndex {
             f64::INFINITY
         };
         let fresh: Vec<usize> = (0..rows.len()).filter(|&k| rows[k].1 >= from).collect();
-        let found = parallel_blocks(fresh.len(), lk.block, |range| {
+        let found = parallel_blocks(fresh.len(), BLOCK, |range| {
             let (mut out, mut candidates) = (Vec::new(), 0usize);
             let mut score = |(ra, a): (f64, u32), (rb, b): (f64, u32)| {
                 if self.cols[a as usize].table == self.cols[b as usize].table {
@@ -579,8 +592,7 @@ impl LinkIndex {
             cells.iter().map(|cell| cell.members.last().is_some_and(|&r| r >= from_row)).collect();
         let theta = self.config.theta;
         let r_max = ((2.0 * (1.0 - theta as f64)).sqrt() + GEOM_MARGIN as f64) as f32;
-        let lk = &self.config.linking;
-        let block = if bounded { 1.max(lk.block / 8) } else { lk.block };
+        let block = if bounded { BLOCK / 8 } else { BLOCK };
         let found = group_pairs(&has_new, block, |a, b, acc: &mut (Vec<Edge>, usize)| {
             let (out, candidates) = acc;
             let (ca, cb) = (&cells[a], &cells[b]);

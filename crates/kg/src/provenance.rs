@@ -13,8 +13,7 @@
 //!     rdf:type        prov:QuarantinedArtifact ;
 //!     prov:artifactKind  "table" | "pipeline" ;
 //!     prov:errorKind     "CsvMalformed" | "EncodingError" | … ;
-//!     prov:errorMessage  "record 3 has 2 fields, header has 4" ;
-//!     prov:retryCount    2 .
+//!     prov:errorMessage  "record 3 has 2 fields, header has 4" .
 //! ```
 //!
 //! The provenance vocabulary lives under `http://kglids.org/provenance/`,
@@ -40,10 +39,9 @@ pub mod prop {
     pub const ARTIFACT_KIND: &str = "artifactKind";
     pub const ERROR_KIND: &str = "errorKind";
     pub const ERROR_MESSAGE: &str = "errorMessage";
-    pub const RETRY_COUNT: &str = "retryCount";
 
     /// All provenance property names (for conformance checks).
-    pub const ALL: [&str; 4] = [ARTIFACT_KIND, ERROR_KIND, ERROR_MESSAGE, RETRY_COUNT];
+    pub const ALL: [&str; 3] = [ARTIFACT_KIND, ERROR_KIND, ERROR_MESSAGE];
 }
 
 /// Build the full IRI of a provenance vocabulary name.
@@ -68,8 +66,6 @@ pub struct QuarantineRecord<'a> {
     pub artifact_kind: &'a str,
     /// The error that caused the quarantine.
     pub error: &'a LidsError,
-    /// Retries spent before giving up.
-    pub retries: u32,
 }
 
 /// Append the provenance quads of one quarantine record to a batch,
@@ -87,7 +83,6 @@ pub fn push_quarantine(out: &mut Vec<Quad>, record: &QuarantineRecord<'_>) -> St
     add(iri(prop::ARTIFACT_KIND), Term::string(record.artifact_kind));
     add(iri(prop::ERROR_KIND), Term::string(record.error.kind().name()));
     add(iri(prop::ERROR_MESSAGE), Term::string(record.error.message()));
-    add(iri(prop::RETRY_COUNT), Term::integer(record.retries as i64));
     node
 }
 
@@ -96,7 +91,7 @@ pub fn push_quarantine(out: &mut Vec<Quad>, record: &QuarantineRecord<'_>) -> St
 ///
 /// Convenience wrapper over [`push_quarantine`] for single records.
 pub fn emit_quarantine(store: &mut QuadStore, record: &QuarantineRecord<'_>) -> String {
-    let mut batch = Vec::with_capacity(5);
+    let mut batch = Vec::with_capacity(4);
     let node = push_quarantine(&mut batch, record);
     store.extend(batch);
     node
@@ -119,10 +114,9 @@ mod tests {
                 artifact_id: "lake/t3",
                 artifact_kind: "table",
                 error: &error,
-                retries: 1,
             },
         );
-        assert_eq!(store.len(), 5);
+        assert_eq!(store.len(), 4);
         assert!(node.starts_with(PROV));
         // every quad lives in the quarantine named graph
         for quad in store.iter() {

@@ -63,33 +63,15 @@ pub struct LinkingConfig {
     /// under [`LinkingMode::Pruned`] — below it the index build costs more
     /// than the pairs it saves.
     pub bucket_cutoff: usize,
-    /// Rows per worker task in the blocked passes.
-    pub block: usize,
-    /// HNSW `M` (max connections per node on upper layers).
-    pub hnsw_m: usize,
-    /// HNSW construction beam width.
-    pub hnsw_ef_construction: usize,
-    /// HNSW search beam width.
-    pub hnsw_ef_search: usize,
-    /// Independent HNSW shards built in parallel.
-    pub shards: usize,
     /// Initial `k` for the adaptive radius search over-fetch.
     pub init_k: usize,
 }
 
 impl Default for LinkingConfig {
-    /// ANN recall only shapes the candidate components (the
-    /// triangle-inequality bound makes the filter lossless regardless), so
-    /// the defaults favour a cheap index over a high-recall one.
     fn default() -> Self {
         LinkingConfig {
             mode: LinkingMode::Pruned,
             bucket_cutoff: 192,
-            block: 64,
-            hnsw_m: 8,
-            hnsw_ef_construction: 32,
-            hnsw_ef_search: 16,
-            shards: 4,
             init_k: 16,
         }
     }

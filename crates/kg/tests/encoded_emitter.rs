@@ -264,8 +264,7 @@ fn retraction_ids_decode_to_the_quad_level_collection() {
     assert!(link_pipelines(&mut store).tables_linked > 0);
     let error = LidsError::new(ErrorKind::CsvMalformed, "unterminated quote");
     for artifact_id in ["d0/broken.csv", "d0/p9", "d1/broken.csv"] {
-        let record =
-            QuarantineRecord { artifact_id, artifact_kind: "table", error: &error, retries: 1 };
+        let record = QuarantineRecord { artifact_id, artifact_kind: "table", error: &error };
         emit_quarantine(&mut store, &record);
     }
 

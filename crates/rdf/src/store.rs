@@ -525,10 +525,11 @@ impl StoreSnapshot {
         self.generation
     }
 
-    fn graph_term(graph: &GraphName) -> Term {
+    /// The IRI whose id fills the graph slot of a quad in `graph`.
+    fn graph_iri(graph: &GraphName) -> &str {
         match graph {
-            GraphName::Default => Term::iri(DEFAULT_GRAPH_IRI),
-            GraphName::Named(iri) => Term::iri(iri.clone()),
+            GraphName::Default => DEFAULT_GRAPH_IRI,
+            GraphName::Named(iri) => iri,
         }
     }
 
@@ -720,7 +721,7 @@ impl StoreSnapshot {
             object: resolve(&pattern.object)?,
             graph: match &pattern.graph {
                 None => None,
-                Some(g) => Some(self.dict.id_of(&Self::graph_term(g))?),
+                Some(g) => Some(self.graph_id(g)?),
             },
         })
     }
@@ -728,12 +729,12 @@ impl StoreSnapshot {
     /// Id of the sentinel IRI standing in for the default graph, if any
     /// default-graph quad has been inserted.
     pub fn default_graph_id(&self) -> Option<TermId> {
-        self.dict.id_of(&Term::iri(DEFAULT_GRAPH_IRI))
+        self.dict.id_of_iri(DEFAULT_GRAPH_IRI)
     }
 
     /// Id a [`GraphName`] occupies in the graph slot, if interned.
     pub fn graph_id(&self, graph: &GraphName) -> Option<TermId> {
-        self.dict.id_of(&Self::graph_term(graph))
+        self.dict.id_of_iri(Self::graph_iri(graph))
     }
 
     /// The four (index, permuted pattern, ordering) candidates for a
@@ -1184,18 +1185,18 @@ impl QuadStore {
     /// which is the order a term first met gets its id in. The probes read
     /// the shared snapshot; only a term it lacks is interned, on the
     /// writer's private copy, so a batch that names no new term copies
-    /// nothing.
+    /// nothing. The graph is probed by its borrowed IRI: its term is built
+    /// only to intern a graph the dictionary lacks.
     fn resolve(
         &mut self,
         quad: &Quad,
         quads: &mut Vec<EncodedQuad>,
         notes: &mut Vec<EncodedAnnotation>,
     ) {
-        let graph = StoreSnapshot::graph_term(&quad.graph);
-        let (p, o, g) = (&quad.predicate, &quad.object, &graph);
+        let (p, o) = (&quad.predicate, &quad.object);
         let terms: &[&Term] = match &quad.subject {
-            Term::Quoted(t) => &[&t.subject, &t.predicate, &t.object, p, o, g],
-            s => &[s, p, o, g],
+            Term::Quoted(t) => &[&t.subject, &t.predicate, &t.object, p, o],
+            s => &[s, p, o],
         };
         let mut ids = [0u32; 6];
         for (id, term) in ids.iter_mut().zip(terms) {
@@ -1204,8 +1205,13 @@ impl QuadStore {
                 None => self.write().dict.intern(term).0,
             };
         }
+        let graph = StoreSnapshot::graph_iri(&quad.graph);
+        ids[terms.len()] = match self.snap.dict.id_of_iri(graph) {
+            Some(id) => id.0,
+            None => self.write().dict.intern_owned(Term::iri(graph)).0,
+        };
         match (terms.len(), ids) {
-            (4, [s, p, o, g, ..]) => quads.push([s, p, o, g]),
+            (3, [s, p, o, g, ..]) => quads.push([s, p, o, g]),
             (_, note) => notes.push(note),
         }
     }

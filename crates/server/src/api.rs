@@ -11,7 +11,7 @@
 //! generation bump, so a client can detect torn reads without any
 //! server cooperation.
 
-use kglids::{DataFrame, EvalOptions, QueryLimits};
+use kglids::{DataFrame, ErrorKind, EvalOptions, LidsError, LidsResult, QueryLimits};
 use serde::{Deserialize, Serialize};
 use serde_json::write_escaped_str;
 use std::time::Duration;
@@ -22,6 +22,8 @@ pub const API_VERSION: &str = "lids-api/v1";
 /// Per-request resource-governance limits — the wire form of
 /// [`QueryLimits`] plus the graceful-degradation row cap. All fields
 /// optional; unset limits fall back to the server's platform guardrails.
+/// The row cap applies to ad-hoc queries only: a discovery answer is
+/// whole or an error, so a discovery request carrying one is refused.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WireLimits {
     /// Wall-clock deadline in milliseconds.
@@ -29,18 +31,27 @@ pub struct WireLimits {
     /// Logical memory budget in bytes.
     pub memory_budget_bytes: Option<u64>,
     /// Row cap: intermediate binding sets larger than this are truncated
-    /// (the response is marked `truncated`) rather than failed.
+    /// (the response is marked `truncated`) rather than failed. Ad-hoc
+    /// queries only.
     pub row_cap: Option<u64>,
 }
 
 impl WireLimits {
-    /// The in-process [`QueryLimits`] these wire limits express.
-    pub fn to_query_limits(&self) -> QueryLimits {
-        QueryLimits {
+    /// The in-process [`QueryLimits`] these wire limits express, for a
+    /// discovery request. A row cap is `InvalidArgument`: a discovery
+    /// ranking over a truncated answer would pass for a whole one.
+    pub fn to_query_limits(&self) -> LidsResult<QueryLimits> {
+        if self.row_cap.is_some() {
+            return Err(LidsError::new(
+                ErrorKind::InvalidArgument,
+                "limits.row_cap applies to /v1/query only: a discovery answer is whole or an error",
+            ));
+        }
+        Ok(QueryLimits {
             deadline: self.deadline_ms.map(Duration::from_millis),
             memory_budget_bytes: self.memory_budget_bytes,
             ..QueryLimits::default()
-        }
+        })
     }
 
     /// The [`EvalOptions`] these wire limits express (for the ad-hoc
@@ -295,7 +306,9 @@ mod tests {
         assert_eq!(sparse.deadline_ms, Some(5));
         assert_eq!(sparse.memory_budget_bytes, None);
         assert_eq!(sparse.row_cap, None);
-        let q = limits.to_query_limits();
+        let err = limits.to_query_limits().unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidArgument);
+        let q = WireLimits { row_cap: None, ..limits.clone() }.to_query_limits().unwrap();
         assert_eq!(q.deadline, Some(Duration::from_millis(250)));
         assert_eq!(q.memory_budget_bytes, None);
         let o = limits.to_eval_options();

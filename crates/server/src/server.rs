@@ -492,7 +492,10 @@ fn handle_table_hits(
         }
     }
     if let Some(limits) = &req.limits {
-        d = d.limits(limits.to_query_limits());
+        match limits.to_query_limits() {
+            Ok(limits) => d = d.limits(limits),
+            Err(e) => return lids_error_response(request_id, &e),
+        }
     }
     let generation = d.generation();
     let hits = if unionable {
@@ -529,7 +532,10 @@ fn handle_paths(backend: &LidsReader, body: &[u8], request_id: &str) -> (u16, St
         d = d.hops(hops as usize);
     }
     if let Some(limits) = &req.limits {
-        d = d.limits(limits.to_query_limits());
+        match limits.to_query_limits() {
+            Ok(limits) => d = d.limits(limits),
+            Err(e) => return lids_error_response(request_id, &e),
+        }
     }
     let generation = d.generation();
     let from = (req.from_dataset.as_str(), req.from_table.as_str());
@@ -562,7 +568,10 @@ fn handle_search(backend: &LidsReader, body: &[u8], request_id: &str) -> (u16, S
     };
     let mut d = backend.discovery();
     if let Some(limits) = &req.limits {
-        d = d.limits(limits.to_query_limits());
+        match limits.to_query_limits() {
+            Ok(limits) => d = d.limits(limits),
+            Err(e) => return lids_error_response(request_id, &e),
+        }
     }
     let generation = d.generation();
     let groups: Vec<Vec<&str>> =

@@ -81,11 +81,6 @@ impl Default for EvalOptions {
 }
 
 impl EvalOptions {
-    /// Fluent construction; the struct-literal form keeps working.
-    pub fn builder() -> EvalOptionsBuilder {
-        EvalOptionsBuilder { inner: EvalOptions::default() }
-    }
-
     /// The [`QueryLimits`] these options imply (deadline and memory
     /// budget; cancellation comes only from an external governor).
     pub fn limits(&self) -> QueryLimits {
@@ -94,43 +89,6 @@ impl EvalOptions {
             memory_budget_bytes: self.memory_budget,
             ..QueryLimits::default()
         }
-    }
-}
-
-/// Builder for [`EvalOptions`] (`EvalOptions::builder()`).
-#[derive(Debug, Clone, Copy)]
-pub struct EvalOptionsBuilder {
-    inner: EvalOptions,
-}
-
-impl EvalOptionsBuilder {
-    /// Enable/disable cardinality-based join reordering.
-    pub fn reorder_joins(mut self, on: bool) -> Self {
-        self.inner.reorder_joins = on;
-        self
-    }
-
-    /// Wall-clock ceiling for the evaluation.
-    pub fn deadline(mut self, limit: Duration) -> Self {
-        self.inner.deadline = Some(limit);
-        self
-    }
-
-    /// Ceiling on cumulative binding-table / answer allocation bytes.
-    pub fn memory_budget(mut self, bytes: u64) -> Self {
-        self.inner.memory_budget = Some(bytes);
-        self
-    }
-
-    /// Truncate intermediate binding sets to this many rows, marking
-    /// the result [`Solutions::truncated`] when the cap bites.
-    pub fn row_cap(mut self, rows: usize) -> Self {
-        self.inner.row_cap = Some(rows);
-        self
-    }
-
-    pub fn build(self) -> EvalOptions {
-        self.inner
     }
 }
 
@@ -1094,17 +1052,6 @@ mod tests {
     }
 
     #[test]
-    fn options_builder_matches_literal() {
-        let built = EvalOptions::builder().reorder_joins(false).row_cap(7).build();
-        assert!(!built.reorder_joins);
-        assert_eq!(built.row_cap, Some(7));
-        // defaults flow through untouched knobs
-        let default_built = EvalOptions::builder().build();
-        assert!(default_built.reorder_joins);
-        assert_eq!(default_built.row_cap, EvalOptions::default().row_cap);
-    }
-
-    #[test]
     fn explain_reports_est_and_actual_per_pattern() {
         let store = store();
         let query = parse_query(
@@ -1240,7 +1187,7 @@ mod tests {
     fn tiny_memory_budget_trips_budget_exceeded() {
         let store = store();
         let query = parse_query(JOIN_Q).unwrap();
-        let opts = EvalOptions::builder().memory_budget(8).build();
+        let opts = EvalOptions { memory_budget: Some(8), ..EvalOptions::default() };
         let err = evaluate_with(&store, &query, opts).unwrap_err();
         assert_eq!(trip_of(err), TripReason::BudgetExceeded);
     }
@@ -1262,7 +1209,7 @@ mod tests {
     fn governed_error_converts_to_typed_lids_error() {
         let store = store();
         let query = parse_query(JOIN_Q).unwrap();
-        let opts = EvalOptions::builder().memory_budget(8).build();
+        let opts = EvalOptions { memory_budget: Some(8), ..EvalOptions::default() };
         let err: LidsError = evaluate_with(&store, &query, opts).unwrap_err().into();
         assert_eq!(err.kind(), ErrorKind::QueryBudgetExceeded);
     }
@@ -1271,7 +1218,7 @@ mod tests {
     fn row_cap_truncates_and_flags() {
         let store = store();
         let query = parse_query(JOIN_Q).unwrap();
-        let opts = EvalOptions::builder().row_cap(1).build();
+        let opts = EvalOptions { row_cap: Some(1), ..EvalOptions::default() };
         let sols = evaluate_with(&store, &query, opts).unwrap();
         assert!(sols.truncated, "cap must latch the truncated flag");
         assert!(sols.len() <= 1, "capped run must not exceed the cap");
@@ -1297,10 +1244,11 @@ mod tests {
     fn generous_limits_leave_results_exact() {
         let store = store();
         let query = parse_query(JOIN_Q).unwrap();
-        let opts = EvalOptions::builder()
-            .deadline(Duration::from_secs(60))
-            .memory_budget(64 << 20)
-            .build();
+        let opts = EvalOptions {
+            deadline: Some(Duration::from_secs(60)),
+            memory_budget: Some(64 << 20),
+            ..EvalOptions::default()
+        };
         let governed = evaluate_with(&store, &query, opts).unwrap();
         let plain = evaluate(&store, &query).unwrap();
         assert_eq!(governed.rows, plain.rows);

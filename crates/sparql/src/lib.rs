@@ -44,8 +44,7 @@ pub mod results;
 
 pub use ast::Query;
 pub use eval::{
-    evaluate, evaluate_explained, evaluate_governed, evaluate_with, EvalOptions,
-    EvalOptionsBuilder, ExecStats,
+    evaluate, evaluate_explained, evaluate_governed, evaluate_with, EvalOptions, ExecStats,
 };
 pub use explain::{ExplainReport, PatternPlan};
 pub use parser::parse_query;

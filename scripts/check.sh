@@ -94,6 +94,15 @@ if grep -rnwE 'extend_batch|extend_stats|PendingGroup|PendingMembers|SlotRef|int
     echo "second term-to-id path under crates/*/src: extend probes the dictionary per occurrence, as insert does" >&2
     exit 1
 fi
+# Ingest fails once: every stage is a deterministic function of an
+# artifact's bytes, so the retry policy, the soft per-item budget, the
+# ingest options that carried them, the retry count in quarantine
+# provenance, the EvalOptions builder and the allocating graph-slot
+# helper stay deleted (whole words).
+if grep -rnwE 'RetryPolicy|IngestOptions|IsolationConfig|item_budget|is_transient|ProfileTimeout|RETRY_COUNT|EvalOptionsBuilder|graph_term' crates/*/src; then
+    echo "retired ingest-policy leftovers under crates/*/src: an artifact fails once and is quarantined" >&2
+    exit 1
+fi
 # Query-governance chaos suite under a hard external bound: adversarial
 # workloads must terminate with typed errors or truncated partials; a hang
 # here is a governance regression and the timeout turns it into a failure.

@@ -11,9 +11,7 @@ use kglids_repro::datagen::faults::{Corruptor, FaultKind};
 use kglids_repro::datagen::pipelines::{generate_corpus, CorpusSpec};
 use kglids_repro::datagen::LakeSpec;
 use kglids_repro::kg::provenance::{push_quarantine, QuarantineRecord, QUARANTINE_GRAPH};
-use kglids_repro::kglids::{
-    ArtifactKind, IngestOptions, KgLids, KgLidsBuilder, PipelineScript,
-};
+use kglids_repro::kglids::{ArtifactKind, KgLids, KgLidsBuilder, PipelineScript};
 use kglids_repro::profiler::{write_csv, RawDataset, RawTable};
 use kglids_repro::rdf::{GraphName, Quad, QuadStore};
 
@@ -35,14 +33,6 @@ fn artifacts() -> (String, Vec<RawTable>, Vec<PipelineScript>) {
     (lake.name, tables, scripts)
 }
 
-/// Deterministic test options: no real sleeping during retries.
-fn fast_opts() -> IngestOptions {
-    IngestOptions {
-        clock: kglids_repro::exec::TestClock::new(),
-        ..IngestOptions::default()
-    }
-}
-
 fn bootstrap(
     lake: &str,
     tables: Vec<RawTable>,
@@ -51,7 +41,6 @@ fn bootstrap(
     KgLidsBuilder::new()
         .with_raw_dataset(RawDataset::new(lake, tables))
         .with_pipelines(scripts)
-        .with_ingest_options(fast_opts())
         .bootstrap()
 }
 
@@ -172,11 +161,10 @@ fn quarantine_provenance_lands_batched_and_complete() {
                 artifact_id: &entry.artifact,
                 artifact_kind: entry.kind.name(),
                 error: &entry.error,
-                retries: entry.retries,
             },
         );
     }
-    assert_eq!(batch.len(), stats.report.quarantined.len() * 5);
+    assert_eq!(batch.len(), stats.report.quarantined.len() * 4);
     let mut reference = QuadStore::new();
     reference.extend(batch);
 

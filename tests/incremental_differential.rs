@@ -287,9 +287,9 @@ fn bootstrap_equals_one_delta_into_an_empty_platform() {
     assert_eq!(bootstrap.pipelines_failed, 1);
     assert_eq!(delta.pipelines_failed, 1);
 
-    let ledger = |p: &KgLids| -> Vec<(String, String, u32)> {
+    let ledger = |p: &KgLids| -> Vec<(String, String)> {
         let entries = &p.quarantine_report().quarantined;
-        entries.iter().map(|e| (e.artifact.clone(), e.error.to_string(), e.retries)).collect()
+        entries.iter().map(|e| (e.artifact.clone(), e.error.to_string())).collect()
     };
     assert_eq!(dump_platform(&built), dump_platform(&grown));
     assert_eq!(built.profiles(), grown.profiles());
@@ -482,7 +482,6 @@ fn any_chunk_schedule_equals_one_fill_equals_exact() {
             mode: LinkingMode::Pruned,
             bucket_cutoff: cutoff,
             init_k: 4,
-            ..Default::default()
         };
         let n = profiles.len();
         let doubling: Vec<usize> =

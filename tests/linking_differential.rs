@@ -78,7 +78,6 @@ fn pruned_emits_identical_edges_across_100_random_lakes() {
             mode: LinkingMode::Pruned,
             bucket_cutoff: 0,
             init_k: 2,
-            ..Default::default()
         };
         assert_pruned_matches_exact(&profiles, &we, pruned, &format!("seed {seed}"));
     }

@@ -262,6 +262,24 @@ fn typed_errors_over_the_wire() {
         other => panic!("expected typed API error, got {other:?}"),
     }
 
+    // a row cap on discovery → 400 InvalidArgument: a ranking over a
+    // truncated answer would pass for a whole one; without it, 200
+    let capped = TableHitsRequest {
+        dataset: "health".into(),
+        table: "patients".into(),
+        limits: Some(lids_server::WireLimits { row_cap: Some(1), ..Default::default() }),
+        ..TableHitsRequest::default()
+    };
+    match client.unionable_tables(&capped) {
+        Err(ClientError::Api(e)) => {
+            assert_eq!(e.status, 400);
+            assert_eq!(e.error, "InvalidArgument");
+        }
+        other => panic!("expected typed API error, got {other:?}"),
+    }
+    let uncapped = TableHitsRequest { limits: None, ..capped };
+    assert!(!client.unionable_tables(&uncapped).expect("answers 200").hits.is_empty());
+
     // impossible deadline → 503 QueryTimeout (governance, not failure)
     match client.query(
         TABLES_QUERY,
