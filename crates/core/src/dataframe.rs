@@ -12,7 +12,7 @@ use lids_sparql::Solutions;
 pub struct DataFrame {
     pub columns: Vec<String>,
     pub rows: Vec<Vec<String>>,
-    /// True when graceful degradation truncated the result: the rows are
+    /// True when an explicit row cap truncated the result: the rows are
     /// a valid subset of the exact answer, not the whole of it.
     pub truncated: bool,
 }
@@ -74,7 +74,7 @@ impl DataFrame {
 
     /// Build from SPARQL solutions (IRIs and literals rendered as text):
     /// the one place an in-process caller pays for a `String` per cell.
-    /// A truncated (gracefully degraded) result keeps its marker.
+    /// A result truncated by an explicit row cap keeps its marker.
     pub fn from_solutions(solutions: &Solutions) -> Self {
         let text = |&cell: &u32| solutions.text(cell).into_owned();
         DataFrame {

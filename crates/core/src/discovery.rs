@@ -229,22 +229,10 @@ impl<'a> Discovery<'a> {
     /// panic. This is what lets a network front end map a discovery
     /// failure to the right HTTP status. The answer stays ids over the
     /// snapshot's dictionary: a search groups and compares cells and
-    /// decodes only what it returns.
-    ///
-    /// A discovery answer is whole or an error: when a budget trip left
-    /// only a row-capped partial answer, the search fails with
-    /// `QueryBudgetExceeded` instead of ranking what was left as if it
-    /// were everything.
+    /// decodes only what it returns. No row cap is set, so an answer is
+    /// whole or an error.
     fn solutions(&self, sparql: &str) -> LidsResult<Solutions<'_>> {
-        let solutions =
-            self.env.query(&self.snapshot, sparql, EvalOptions::default(), Some(&self.limits))?;
-        if solutions.truncated {
-            return Err(LidsError::new(
-                ErrorKind::QueryBudgetExceeded,
-                "discovery query exceeded its memory budget; a partial answer is not ranked",
-            ));
-        }
-        Ok(solutions)
+        self.env.query(&self.snapshot, sparql, EvalOptions::default(), Some(&self.limits))
     }
 
     /// The dictionary id of a table's IRI, if the lake has ever named it.
@@ -619,7 +607,6 @@ fn short_name(iri: &str) -> String {
 mod tests {
     use super::*;
     use crate::platform::KgLidsBuilder;
-    use crate::query::QueryGuardrails;
     use lids_profiler::table::{Column, Dataset};
     use std::time::Duration;
 
@@ -816,27 +803,55 @@ mod tests {
         assert_eq!(governed, plain);
     }
 
-    /// A discovery answer is whole or an error: when the budget trips and
-    /// the degraded row cap is below the answer's size, a search fails
-    /// typed instead of ranking the partial answer, while the same trip on
-    /// the ad-hoc query path still answers a flagged partial.
+    /// A discovery answer is whole or an error: a budget the search's
+    /// limits set trips typed, never a ranking of part of the answer.
     #[test]
-    fn truncated_discovery_answer_is_a_typed_error() {
-        // people shares `age` with patients and `city` with trips: two
-        // tables to rank, each reached through its own answer row
-        let whole = platform().discovery().unionable_tables("census", "people").unwrap();
-        assert!(whole.len() >= 2, "{whole:?}");
-        let guardrails = QueryGuardrails {
-            memory_budget: Some(16),
-            degraded_row_cap: 1,
-            ..QueryGuardrails::default()
+    fn discovery_budget_trip_is_a_typed_error() {
+        let p = platform();
+        let tight = || {
+            p.discovery()
+                .limits(QueryLimits { memory_budget_bytes: Some(16), ..QueryLimits::default() })
         };
-        let p = lake().with_query_guardrails(guardrails).bootstrap().0;
-        let err = p.discovery().unionable_tables("census", "people").unwrap_err();
+        let err = tight().unionable_tables("census", "people").unwrap_err();
         assert_eq!(err.kind(), ErrorKind::QueryBudgetExceeded, "{err}");
-        let err = p.discovery().search(&[]).unwrap_err();
+        let err = tight().search(&[]).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::QueryBudgetExceeded, "{err}");
-        assert!(p.query(SEARCH_TABLES_QUERY).unwrap().truncated);
+    }
+
+    /// A caller's limits stay with the caller: searches that trip their own
+    /// expired deadline or cancelled token leave every later unlimited
+    /// search, on any table, and the ad-hoc path answering as a fresh
+    /// platform does.
+    #[test]
+    fn caller_limits_stay_with_the_caller() {
+        let fresh = platform();
+        let p = platform();
+        let expired = QueryLimits { deadline: Some(Duration::ZERO), ..QueryLimits::default() };
+        let cancel = lids_exec::CancelToken::new();
+        cancel.cancel();
+        let cancelled = QueryLimits { cancel: Some(cancel), ..QueryLimits::default() };
+        for _ in 0..3 {
+            let err = p
+                .discovery()
+                .limits(expired.clone())
+                .unionable_tables("health", "patients")
+                .unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::QueryTimeout);
+            let err = p.discovery().limits(cancelled.clone()).search(&[&["age"]]).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::QueryCancelled);
+        }
+        assert_eq!(
+            p.discovery().unionable_tables("census", "people").unwrap(),
+            fresh.discovery().unionable_tables("census", "people").unwrap()
+        );
+        assert_eq!(
+            p.discovery().search(&[&["age"]]).unwrap(),
+            fresh.discovery().search(&[&["age"]]).unwrap()
+        );
+        assert_eq!(
+            p.query(SEARCH_TABLES_QUERY).unwrap(),
+            fresh.query(SEARCH_TABLES_QUERY).unwrap()
+        );
     }
 
     #[test]

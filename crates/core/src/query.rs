@@ -4,8 +4,10 @@
 //! `QueryEnv::query` against one [`StoreSnapshot`]: [`KgLids`] passes its
 //! own store, a detached [`LidsReader`] the latest published snapshot, and
 //! both carry the same environment (plan cache, [`QueryGuardrails`],
-//! metrics registry), so a query text parses once, trips the same
-//! quarantine and counts in the same registry whichever handle ran it.
+//! metrics registry), so a query text parses once and counts in the same
+//! registry whichever handle ran it. A query runs once, under the limits
+//! its caller set and the guardrails fill; a trip is the caller's typed
+//! error and leaves nothing behind for the next query.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,7 +17,8 @@ use lids_kg::schema::SchemaConfig;
 use lids_obs::Obs;
 use lids_rdf::{QuadStore, StoreReader, StoreSnapshot};
 use lids_sparql::{
-    EvalOptions, ExecStats, ExplainReport, PlanCache, PlanCacheStats, Solutions, SparqlError,
+    EvalOptions, ExecStats, ExplainReport, PlanCache, PlanCacheStats, PreparedQuery, Solutions,
+    SparqlError,
 };
 
 use crate::dataframe::DataFrame;
@@ -25,35 +28,14 @@ use crate::platform::KgLids;
 ///
 /// Per-call [`EvalOptions`] win when set; these fill the gaps so every
 /// ad-hoc and discovery query runs under the same deadline/budget policy
-/// without callers having to thread options everywhere. Shapes that keep
-/// tripping the governor are quarantined in the plan cache and fail fast
-/// (typed `QueryBudgetExceeded`) until their TTL expires.
-#[derive(Debug, Clone)]
+/// without callers having to thread options everywhere. A query that
+/// trips either limit fails with its typed error.
+#[derive(Debug, Clone, Default)]
 pub struct QueryGuardrails {
     /// Default wall-clock deadline per query (`None` = unlimited).
     pub deadline: Option<Duration>,
     /// Default logical memory budget per query in bytes (`None` = unlimited).
     pub memory_budget: Option<u64>,
-    /// Row cap applied when a budget trip degrades a query: the retry runs
-    /// the same executor with this cap in place of the byte budget, and the
-    /// partial result is marked truncated.
-    pub degraded_row_cap: usize,
-    /// Governor trips of the same query shape before it is quarantined.
-    pub poison_threshold: u32,
-    /// How long a quarantined shape keeps failing fast.
-    pub poison_ttl: Duration,
-}
-
-impl Default for QueryGuardrails {
-    fn default() -> Self {
-        QueryGuardrails {
-            deadline: None,
-            memory_budget: None,
-            degraded_row_cap: 100_000,
-            poison_threshold: 3,
-            poison_ttl: Duration::from_secs(60),
-        }
-    }
 }
 
 /// What a governed query needs besides the snapshot it runs on. One per
@@ -62,8 +44,7 @@ impl Default for QueryGuardrails {
 #[derive(Debug, Clone)]
 pub(crate) struct QueryEnv {
     /// Parse cache: a query text is parsed once while it stays cached
-    /// (each execution compiles it against its own snapshot). Also holds
-    /// the shape quarantine.
+    /// (each execution compiles it against its own snapshot).
     pub(crate) plan_cache: Arc<PlanCache>,
     pub(crate) guardrails: QueryGuardrails,
     pub(crate) obs: Arc<Obs>,
@@ -84,60 +65,48 @@ impl QueryEnv {
         }
     }
 
-    /// Admission, the same for [`Self::query`] and [`Self::explain`]: a
-    /// quarantined shape fails fast (the text is lexed into its shape only
-    /// while some shape is quarantined), everything else gets its limits.
+    /// Admission, the same for [`Self::query`] and [`Self::explain`]: an
+    /// empty text is refused, then the limits are filled once. Per-call
+    /// [`EvalOptions`] win, then `extra` (a discovery's or a wire
+    /// request's limits) fills deadline and budget, then the
+    /// [`QueryGuardrails`] fill whatever is still unset.
     ///
-    /// Limit precedence: per-call [`EvalOptions`] win, then `extra` fills
-    /// deadline/budget, then the [`QueryGuardrails`] fill whatever is
-    /// still unset.
+    /// Returns the options with those limits in place and the
+    /// [`QueryLimits`] to arm, which add what options cannot carry: the
+    /// extra limits' cancellation token, fault-injection checkpoint and
+    /// clock.
     fn admit(
         &self,
         sparql: &str,
         options: EvalOptions,
         extra: Option<&QueryLimits>,
-    ) -> LidsResult<EvalOptions> {
-        non_empty(sparql)?;
-        if self.plan_cache.is_poisoned(sparql) {
-            self.obs.metrics.counter_add("query.quarantine_denials", 1);
+    ) -> LidsResult<(EvalOptions, QueryLimits)> {
+        if sparql.trim().is_empty() {
+            // fail typed (→ HTTP 400) before the plan cache, whose
+            // tokenizer would report it as a bare parse failure
             return Err(LidsError::new(
-                ErrorKind::QueryBudgetExceeded,
-                "query shape quarantined after repeated resource-limit violations",
+                ErrorKind::InvalidArgument,
+                "empty SPARQL query (no patterns to evaluate)",
             ));
         }
         let g = &self.guardrails;
-        let mut effective = options;
-        effective.deadline =
-            effective.deadline.or(extra.and_then(|e| e.deadline)).or(g.deadline);
-        effective.memory_budget = effective
-            .memory_budget
-            .or(extra.and_then(|e| e.memory_budget_bytes))
-            .or(g.memory_budget);
-        Ok(effective)
+        let mut limits = extra.cloned().unwrap_or_default();
+        limits.deadline = options.deadline.or(limits.deadline).or(g.deadline);
+        limits.memory_budget_bytes =
+            options.memory_budget.or(limits.memory_budget_bytes).or(g.memory_budget);
+        let options = EvalOptions {
+            deadline: limits.deadline,
+            memory_budget: limits.memory_budget_bytes,
+            ..options
+        };
+        Ok((options, limits))
     }
 
-    /// Count a governor trip under `query.*` and hold it against the
-    /// query's shape, which is quarantined once it has tripped too often.
-    fn record_trip(&self, sparql: &str, reason: TripReason) {
-        let g = &self.guardrails;
-        let metrics = &self.obs.metrics;
-        match reason {
-            TripReason::Timeout => metrics.counter_add("query.timeouts", 1),
-            TripReason::Cancelled => metrics.counter_add("query.cancelled", 1),
-            TripReason::BudgetExceeded => metrics.counter_add("query.budget_denials", 1),
-        }
-        if self.plan_cache.record_offense(sparql, g.poison_threshold, g.poison_ttl) {
-            metrics.counter_add("query.shapes_poisoned", 1);
-        }
-    }
-
-    /// The governed query path: quarantine fail-fast → governed execution
-    /// → graceful degradation on budget pressure, with `query.*`
-    /// governance counters throughout.
-    ///
-    /// Limits are filled as [`Self::admit`] describes. The extra limits
-    /// also contribute cancellation (token, fault-injection checkpoint,
-    /// clock) to the armed governor, which plain `EvalOptions` cannot carry.
+    /// The governed query path: admission, then one run under one armed
+    /// governor. A trip is returned as its typed error
+    /// (`QueryTimeout`, `QueryCancelled`, `QueryBudgetExceeded`); only an
+    /// explicit [`EvalOptions::row_cap`] yields a partial answer, flagged
+    /// [`Solutions::truncated`].
     pub(crate) fn query<'s>(
         &self,
         snapshot: &'s StoreSnapshot,
@@ -145,37 +114,15 @@ impl QueryEnv {
         options: EvalOptions,
         extra: Option<&QueryLimits>,
     ) -> LidsResult<Solutions<'s>> {
-        let effective = self.admit(sparql, options, extra)?;
+        let (options, limits) = self.admit(sparql, options, extra)?;
         let metrics = &self.obs.metrics;
-        self.timed(|| {
-            let prepared = self.plan_cache.prepare(sparql)?;
+        self.run(sparql, |prepared| {
             let stats = ExecStats::default();
-            let governor = merged_limits(&effective, extra).arm();
-            let mut result =
-                prepared.execute_governed(snapshot, effective, governor.as_ref(), Some(&stats));
+            let governor = limits.arm();
+            let result =
+                prepared.execute_governed(snapshot, options, governor.as_ref(), Some(&stats));
             if let Some(headroom) = governor.as_ref().and_then(|gov| gov.headroom_bytes()) {
                 metrics.gauge_set("query.budget_headroom_bytes", headroom as f64);
-            }
-            if let Err(SparqlError::Governed(trip)) = &result {
-                self.record_trip(sparql, trip.reason);
-                // graceful degradation: budget pressure → the same
-                // executor once more, with a row cap in place of the byte
-                // budget as the memory bound (operators stop producing at
-                // the cap; the deadline still applies); partial results
-                // beat no results
-                if trip.reason == TripReason::BudgetExceeded {
-                    metrics.counter_add("query.degraded", 1);
-                    let row_cap = effective.row_cap.unwrap_or(self.guardrails.degraded_row_cap);
-                    let degraded =
-                        EvalOptions { memory_budget: None, row_cap: Some(row_cap), ..effective };
-                    let governor = merged_limits(&degraded, extra).arm();
-                    result = prepared.execute_governed(
-                        snapshot,
-                        degraded,
-                        governor.as_ref(),
-                        Some(&stats),
-                    );
-                }
             }
             self.record_query_obs(&stats);
             if result.as_ref().is_ok_and(|solutions| solutions.truncated) {
@@ -186,24 +133,46 @@ impl QueryEnv {
     }
 
     /// Evaluate `sparql` with per-pattern instrumentation and return the
-    /// executed plan. Explaining a query runs it, so it is admitted and
-    /// governed as [`Self::query`] is — quarantine, guardrail deadline and
-    /// budget, trip accounting — short of the degraded retry: a plan of a
-    /// different run would explain nothing.
+    /// executed plan. Explaining a query runs it, so it is admitted,
+    /// governed and counted as [`Self::query`] is.
     pub(crate) fn explain(
         &self,
         snapshot: &StoreSnapshot,
         sparql: &str,
     ) -> LidsResult<ExplainReport> {
-        let effective = self.admit(sparql, EvalOptions::default(), None)?;
-        let (_, report) = self.timed(|| {
-            let result = self.plan_cache.prepare(sparql)?.execute_explained(snapshot, effective);
-            if let Err(SparqlError::Governed(trip)) = &result {
-                self.record_trip(sparql, trip.reason);
-            }
-            result
-        })?;
+        let (options, _) = self.admit(sparql, EvalOptions::default(), None)?;
+        let (_, report) = self.run(sparql, |prepared| prepared.execute_explained(snapshot, options))?;
         Ok(report)
+    }
+
+    /// Prepare `sparql` and run it once under the `query.*` metrics: every
+    /// call counts and records wall time, a failure also bumps
+    /// `query.errors`, and a governor trip counts under `query.timeouts`,
+    /// `query.cancelled` or `query.budget_denials`.
+    fn run<T>(
+        &self,
+        sparql: &str,
+        execute: impl FnOnce(PreparedQuery) -> Result<T, SparqlError>,
+    ) -> LidsResult<T> {
+        let metrics = &self.obs.metrics;
+        let start = Instant::now();
+        metrics.counter_add("query.count", 1);
+        let result = self.plan_cache.prepare(sparql).and_then(execute);
+        metrics.observe_duration("query.wall_us", start.elapsed());
+        result.map_err(|e| {
+            metrics.counter_add("query.errors", 1);
+            if let SparqlError::Governed(trip) = &e {
+                metrics.counter_add(
+                    match trip.reason {
+                        TripReason::Timeout => "query.timeouts",
+                        TripReason::Cancelled => "query.cancelled",
+                        TripReason::BudgetExceeded => "query.budget_denials",
+                    },
+                    1,
+                );
+            }
+            LidsError::from(e)
+        })
     }
 
     /// Fold per-query operator counts and the current plan-cache
@@ -222,47 +191,6 @@ impl QueryEnv {
         metrics.gauge_set("sparql.plan_cache.evictions", cache.evictions as f64);
         metrics.gauge_set("sparql.plan_cache.texts", cache.texts_len as f64);
     }
-
-    /// Run a query closure under the `query.*` metrics: every call counts
-    /// and records wall time; failures also bump `query.errors`.
-    fn timed<T>(&self, run: impl FnOnce() -> Result<T, SparqlError>) -> LidsResult<T> {
-        let metrics = &self.obs.metrics;
-        let start = Instant::now();
-        metrics.counter_add("query.count", 1);
-        let result = run();
-        metrics.observe_duration("query.wall_us", start.elapsed());
-        result.map_err(|e| {
-            metrics.counter_add("query.errors", 1);
-            LidsError::from(e)
-        })
-    }
-}
-
-/// An empty query can never be meant: fail typed (→ HTTP 400) before
-/// touching the plan cache, whose tokenizer would otherwise report it as
-/// a bare parse failure.
-fn non_empty(sparql: &str) -> LidsResult<()> {
-    if sparql.trim().is_empty() {
-        return Err(LidsError::new(
-            ErrorKind::InvalidArgument,
-            "empty SPARQL query (no patterns to evaluate)",
-        ));
-    }
-    Ok(())
-}
-
-/// The [`QueryLimits`] to arm for one governed execution: deadline and
-/// budget come from the (already-merged) [`EvalOptions`]; the extra limits
-/// contribute what options cannot carry — the cancellation token, the
-/// fault-injection checkpoint, and the clock.
-fn merged_limits(options: &EvalOptions, extra: Option<&QueryLimits>) -> QueryLimits {
-    let mut limits = options.limits();
-    if let Some(extra) = extra {
-        limits.cancel = extra.cancel.clone();
-        limits.cancel_after_checks = extra.cancel_after_checks;
-        limits.clock = extra.clock.clone();
-    }
-    limits
 }
 
 impl KgLids {
@@ -270,8 +198,8 @@ impl KgLids {
     /// other threads while a writer keeps mutating the platform's
     /// store. The handle shares the platform's query environment: a
     /// query text parses once across all readers and the platform
-    /// itself, runs under the same [`QueryGuardrails`] and shape
-    /// quarantine, and counts in the same `query.*` metrics.
+    /// itself, runs under the same [`QueryGuardrails`], and counts in the
+    /// same `query.*` metrics.
     ///
     /// Use this when one thread owns the `KgLids` mutably (live
     /// ingest); for a read-only platform, sharing `Arc<KgLids>` across
@@ -291,10 +219,9 @@ impl KgLids {
     /// `EvalOptions { deadline: Some(..), memory_budget: Some(..), ..EvalOptions::default() }`.
     ///
     /// Runs under the platform's [`QueryGuardrails`]: per-call options
-    /// win, guardrails fill unset limits. On a budget trip the query is
-    /// retried once under a row cap instead of the byte budget and the
-    /// partial result is surfaced with [`DataFrame::truncated`] set;
-    /// shapes that keep tripping are quarantined and fail fast.
+    /// win, guardrails fill unset limits. A trip fails the query with its
+    /// typed error; only an explicit [`EvalOptions::row_cap`] yields a
+    /// partial answer, with [`DataFrame::truncated`] set.
     pub fn query_with(&self, sparql: &str, options: EvalOptions) -> LidsResult<DataFrame> {
         let solutions = self.env.query(&self.store, sparql, options, None)?;
         Ok(DataFrame::from_solutions(&solutions))
@@ -303,8 +230,7 @@ impl KgLids {
     /// Evaluate `sparql` with per-pattern instrumentation and return the
     /// executed plan: join order, estimated vs actual rows and the join
     /// operator per triple pattern, decode counts. Governed like
-    /// [`Self::query`] (explaining a query runs it), without the degraded
-    /// retry.
+    /// [`Self::query`] (explaining a query runs it).
     pub fn explain(&self, sparql: &str) -> LidsResult<ExplainReport> {
         self.env.explain(&self.store, sparql)
     }
@@ -337,7 +263,7 @@ impl KgLids {
 /// nothing, never a torn intermediate. Queries run through the platform's
 /// own governed path and environment: the shared [`PlanCache`] (a query
 /// text parses once across every reader and the platform itself), its
-/// [`QueryGuardrails`] and shape quarantine, and its metrics registry.
+/// [`QueryGuardrails`], and its metrics registry.
 ///
 /// The handle is `Clone + Send + Sync`: clone it once per serving
 /// thread.
@@ -501,11 +427,10 @@ mod tests {
 
     /// Run `check` over both handles of the one query path — the platform
     /// itself, then a detached reader — each on a platform of its own
-    /// (quarantine state and metrics are shared between a platform and its
-    /// readers).
+    /// (metrics are shared between a platform and its readers).
     fn on_both_handles(
         guardrails: QueryGuardrails,
-        check: impl Fn(&dyn Fn(&str) -> LidsResult<DataFrame>, &KgLids),
+        check: impl Fn(&dyn Fn(&str, EvalOptions) -> LidsResult<DataFrame>, &KgLids),
     ) {
         for detached in [false, true] {
             let (platform, _) = KgLidsBuilder::new()
@@ -514,58 +439,34 @@ mod tests {
                 .bootstrap();
             let reader = platform.reader();
             if detached {
-                check(&|q| reader.query(q), &platform);
+                check(&|q, options| reader.query_with(q, options), &platform);
             } else {
-                check(&|q| platform.query(q), &platform);
+                check(&|q, options| platform.query_with(q, options), &platform);
             }
         }
     }
 
+    /// A budget trip is the caller's typed error after one run — no retry
+    /// under other limits, no partial answer passed off as whole — whether
+    /// the budget came with the call or from the guardrails.
     #[test]
-    fn budget_trip_degrades_to_truncated_partial_result() {
+    fn budget_trip_is_a_typed_error_after_one_run() {
         // three rows of two variables bind 36 logical bytes
-        let guardrails = QueryGuardrails {
-            memory_budget: Some(16),
-            degraded_row_cap: 1,
-            ..QueryGuardrails::default()
-        };
-        on_both_handles(guardrails, |query, platform| {
-            let df = query(COLUMNS_QUERY).unwrap();
-            assert!(df.truncated, "degraded result must be marked truncated");
-            assert!(df.len() <= 1, "degraded result must respect the row cap");
-            let metrics = platform.obs().metrics.snapshot();
-            assert!(metrics.counter("query.budget_denials").unwrap_or(0) >= 1);
-            assert!(metrics.counter("query.degraded").unwrap_or(0) >= 1);
-            assert!(metrics.counter("query.truncated").unwrap_or(0) >= 1);
-        });
-    }
-
-    #[test]
-    fn repeat_offender_shapes_fail_fast() {
-        let guardrails = QueryGuardrails {
-            deadline: Some(Duration::ZERO),
-            poison_threshold: 2,
-            poison_ttl: Duration::from_secs(3600),
-            ..QueryGuardrails::default()
-        };
-        on_both_handles(guardrails, |query, platform| {
-            assert_eq!(query(COLUMNS_QUERY).unwrap_err().kind(), ErrorKind::QueryTimeout);
-            assert_eq!(query(COLUMNS_QUERY).unwrap_err().kind(), ErrorKind::QueryTimeout);
-            // two trips crossed the threshold: the shape now fails fast
-            let err = query(COLUMNS_QUERY).unwrap_err();
-            assert_eq!(err.kind(), ErrorKind::QueryBudgetExceeded);
-            assert!(err.to_string().contains("quarantined"), "err: {err}");
-            let metrics = platform.obs().metrics.snapshot();
-            assert!(metrics.counter("query.shapes_poisoned").unwrap_or(0) >= 1);
-            assert!(metrics.counter("query.quarantine_denials").unwrap_or(0) >= 1);
-            // a different, well-behaved shape still runs normally
-            // (deadline 0 still times it out, but NOT as a quarantine)
-            let err = query(
-                "PREFIX k: <http://kglids.org/ontology/> SELECT ?t WHERE { ?t a k:Table . }",
-            )
-            .unwrap_err();
-            assert_eq!(err.kind(), ErrorKind::QueryTimeout);
-        });
+        let per_call = EvalOptions { memory_budget: Some(16), ..EvalOptions::default() };
+        let guardrail = QueryGuardrails { memory_budget: Some(16), ..QueryGuardrails::default() };
+        for (guardrails, options) in
+            [(QueryGuardrails::default(), per_call), (guardrail, EvalOptions::default())]
+        {
+            on_both_handles(guardrails, |query, platform| {
+                let counter = |name| platform.obs().metrics.snapshot().counter(name).unwrap_or(0);
+                let (count, denials) = (counter("query.count"), counter("query.budget_denials"));
+                let err = query(COLUMNS_QUERY, options).unwrap_err();
+                assert_eq!(err.kind(), ErrorKind::QueryBudgetExceeded, "{err}");
+                assert_eq!(counter("query.count"), count + 1, "one call, one run");
+                assert_eq!(counter("query.budget_denials"), denials + 1);
+                assert_eq!(counter("query.truncated"), 0);
+            });
+        }
     }
 
     #[test]
@@ -575,7 +476,6 @@ mod tests {
             .with_query_guardrails(QueryGuardrails {
                 deadline: Some(Duration::from_secs(60)),
                 memory_budget: Some(256 << 20),
-                ..QueryGuardrails::default()
             })
             .bootstrap();
         let df = platform
@@ -587,7 +487,6 @@ mod tests {
         assert_eq!(df.len(), 3);
         assert!(!df.truncated);
         let metrics = platform.obs().metrics.snapshot();
-        assert_eq!(metrics.counter("query.degraded").unwrap_or(0), 0);
         // headroom gauge was exported for the governed run
         assert!(metrics.gauge("query.budget_headroom_bytes").is_some());
     }

@@ -20,7 +20,7 @@ use std::time::Duration;
 pub const API_VERSION: &str = "lids-api/v1";
 
 /// Per-request resource-governance limits — the wire form of
-/// [`QueryLimits`] plus the graceful-degradation row cap. All fields
+/// [`QueryLimits`] plus an explicit row cap. All fields
 /// optional; unset limits fall back to the server's platform guardrails.
 /// The row cap applies to ad-hoc queries only: a discovery answer is
 /// whole or an error, so a discovery request carrying one is refused.
@@ -80,7 +80,7 @@ pub struct QueryResponse {
     pub request_id: String,
     pub columns: Vec<String>,
     pub rows: Vec<Vec<String>>,
-    /// True when graceful degradation truncated the result.
+    /// True when an explicit row cap truncated the result.
     pub truncated: bool,
     /// Store-snapshot generation the query executed against.
     pub generation: u64,
@@ -155,9 +155,9 @@ fn write_strings<S: AsRef<str>>(out: &mut String, items: impl Iterator<Item = S>
     out.push(']');
 }
 
-/// `POST /v1/explain` — instrumented evaluation. The query runs, under the
-/// platform's guardrails and shape quarantine like `POST /v1/query` (a trip
-/// is a typed 503; there is no degraded retry).
+/// `POST /v1/explain` — instrumented evaluation. The query runs under the
+/// platform's guardrails like `POST /v1/query`, and a trip is the same
+/// typed 503.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExplainRequest {
     pub query: String,

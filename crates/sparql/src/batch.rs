@@ -174,7 +174,7 @@ impl Batch {
         ((self.cols.len() as u64) + 1) * (self.len as u64) * 4
     }
 
-    /// Keep only the first `cap` rows (graceful-degradation row cap).
+    /// Keep only the first `cap` rows (an explicit row cap).
     pub(crate) fn truncate(&mut self, cap: usize) {
         for col in self.cols.iter_mut().chain(&mut self.prov) {
             col.truncate(cap);
@@ -516,10 +516,9 @@ impl Matcher<'_> {
             if Some(g) == self.default_graph {
                 return false;
             }
-            // as in `reference`, the graph wins over a binding the same
-            // quad gave ?g in another position
-            updates.retain(|(u, _)| *u != v);
-            updates.push((v, g));
+            // as in `reference`, a ?g the same quad bound in a node
+            // position must be the quad's graph
+            return bind(v, g, batch, i, updates);
         }
         true
     }

@@ -63,7 +63,7 @@ pub struct EvalOptions {
     /// logical bytes. Exceeding it returns [`SparqlError::Governed`]
     /// instead of allocating without bound.
     pub memory_budget: Option<u64>,
-    /// Graceful-degradation row cap: intermediate binding sets larger
+    /// An explicit row cap: intermediate binding sets larger
     /// than this are truncated (and the result marked
     /// [`Solutions::truncated`]) rather than failed. `None` = exact.
     pub row_cap: Option<usize>,
@@ -615,7 +615,7 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Apply the graceful-degradation row cap, latching the truncated
+    /// Apply an explicit row cap, latching the truncated
     /// flag when it bites.
     pub(crate) fn cap(&self, batch: &mut Batch) {
         if let Some(cap) = self.options.row_cap {

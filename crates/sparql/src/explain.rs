@@ -58,7 +58,7 @@ pub struct ExplainReport {
     pub probe_joins: u64,
     /// Leapfrog star-intersection steps executed.
     pub leapfrog_joins: u64,
-    /// True when a graceful-degradation row cap truncated intermediate
+    /// True when an explicit row cap truncated intermediate
     /// binding sets: the reported rows are a valid subset of the exact
     /// answer.
     pub truncated: bool,

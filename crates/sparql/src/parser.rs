@@ -12,6 +12,13 @@ use crate::results::SparqlError;
 /// RDF namespace for the `a` keyword.
 const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
 
+/// Deepest nesting the parser descends into: group patterns, expression
+/// levels (a parenthesis, a function call, a `!` or a unary `-`) and
+/// quoted triples, counted together. The parser recurses once per level,
+/// so a deeper text is refused as a parse error instead of overflowing
+/// the stack of the thread that parses it.
+const MAX_NESTING: usize = 64;
+
 /// Parse a query string into a [`Query`].
 pub fn parse_query(input: &str) -> Result<Query, SparqlError> {
     let tokens = tokenize(input)?;
@@ -20,6 +27,7 @@ pub fn parse_query(input: &str) -> Result<Query, SparqlError> {
         pos: 0,
         prefixes: HashMap::new(),
         variables: Vec::new(),
+        depth: 0,
     };
     parser.parse()
 }
@@ -29,6 +37,8 @@ struct Parser {
     pos: usize,
     prefixes: HashMap<String, String>,
     variables: Vec<String>,
+    /// Levels of [`Self::nested`] currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -81,6 +91,21 @@ impl Parser {
         } else {
             Err(self.err(format!("expected {kind:?}, found {:?}", self.peek())))
         }
+    }
+
+    /// Run `parse` one nesting level deeper, refusing a level past
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, SparqlError>,
+    ) -> Result<T, SparqlError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn var(&mut self, name: &str) -> VarId {
@@ -289,6 +314,10 @@ impl Parser {
     }
 
     fn parse_group(&mut self) -> Result<GroupPattern, SparqlError> {
+        self.nested(Self::parse_group_body)
+    }
+
+    fn parse_group_body(&mut self) -> Result<GroupPattern, SparqlError> {
         self.expect(TokenKind::LBrace)?;
         let mut elements: Vec<PatternElement> = Vec::new();
         loop {
@@ -420,11 +449,13 @@ impl Parser {
                 Ok(NodePattern::Term(Term::boolean(false)))
             }
             TokenKind::LQuote => {
-                let s = self.parse_node()?;
-                let p = self.parse_node()?;
-                let o = self.parse_node()?;
-                self.expect(TokenKind::RQuote)?;
-                let tp = TriplePattern { subject: s, predicate: p, object: o };
+                let tp = self.nested(|parser| {
+                    let subject = parser.parse_node()?;
+                    let predicate = parser.parse_node()?;
+                    let object = parser.parse_node()?;
+                    parser.expect(TokenKind::RQuote)?;
+                    Ok(TriplePattern { subject, predicate, object })
+                })?;
                 // fully ground quoted patterns collapse to a term
                 if tp.subject.is_ground() && tp.predicate.is_ground() && tp.object.is_ground() {
                     Ok(NodePattern::Term(quoted_to_term(&tp)))
@@ -531,7 +562,14 @@ impl Parser {
         Ok(left)
     }
 
+    /// One expression level: every parenthesis, function argument, `!`
+    /// and unary `-` passes through here, so it is where expression
+    /// nesting is counted.
     fn parse_unary(&mut self) -> Result<Expr, SparqlError> {
+        self.nested(Self::parse_unary_body)
+    }
+
+    fn parse_unary_body(&mut self) -> Result<Expr, SparqlError> {
         match self.peek() {
             TokenKind::Bang => {
                 self.advance();
@@ -781,5 +819,63 @@ mod tests {
         let PatternElement::Triples(t) = &s.pattern.elements[0] else { panic!() };
         let NodePattern::Term(Term::Literal(l)) = &t[0].object else { panic!() };
         assert_eq!(l.as_i64(), Some(42));
+    }
+
+    /// `levels` nesting levels of each kind the budget counts: group
+    /// patterns; expression levels (the group, the FILTER's expression and
+    /// the `!` are three of them); quoted triples (the group is one).
+    fn nested_texts(levels: usize) -> [String; 3] {
+        let (parens, quoted) = (levels - 3, levels - 1);
+        [
+            format!("SELECT ?x WHERE {}?x <urn:p> ?y {}", "{ ".repeat(levels), "}".repeat(levels)),
+            format!(
+                "SELECT ?x WHERE {{ ?x <urn:p> ?y FILTER({}!?y{}) }}",
+                "(".repeat(parens),
+                ")".repeat(parens)
+            ),
+            format!(
+                "SELECT ?x WHERE {{ {}?s{} <urn:p> ?x }}",
+                "<< ".repeat(quoted),
+                " <urn:p> ?o >>".repeat(quoted)
+            ),
+        ]
+    }
+
+    /// At the budget every kind of nesting parses and runs on a 2 MiB
+    /// thread — the default stack of a spawned thread, and so of a test or
+    /// a request worker — in an unoptimised build.
+    #[test]
+    fn nesting_at_the_budget_parses_and_runs_on_a_default_stack() {
+        let run = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut store = lids_rdf::QuadStore::default();
+                store.insert(&lids_rdf::Quad::new(
+                    Term::iri("urn:s"),
+                    Term::iri("urn:p"),
+                    Term::iri("urn:o"),
+                ));
+                for text in nested_texts(MAX_NESTING) {
+                    parse_query(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+                    crate::query(&store, &text).unwrap_or_else(|e| panic!("{e}: {text}"));
+                }
+            })
+            .unwrap();
+        run.join().unwrap();
+    }
+
+    #[test]
+    fn nesting_past_the_budget_is_a_parse_error() {
+        for text in nested_texts(MAX_NESTING + 1) {
+            match parse_query(&text) {
+                Err(SparqlError::Parse { offset, message }) => {
+                    assert!(offset > 0 && message.contains("nesting"), "{message}: {text}")
+                }
+                other => panic!("{other:?}: {text}"),
+            }
+        }
+        // far past it, the parser still refuses rather than recursing on
+        let bomb = format!("SELECT ?x WHERE {{ FILTER({}1{}) }}", "(".repeat(1000), ")".repeat(1000));
+        assert!(matches!(parse_query(&bomb), Err(SparqlError::Parse { .. })));
     }
 }

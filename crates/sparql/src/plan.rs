@@ -1,4 +1,4 @@
-//! Prepared queries, the parse cache and the shape quarantine.
+//! Prepared queries and the parse cache.
 //!
 //! The discovery interfaces in `lids-core` issue the same SPARQL texts
 //! over and over (`SEARCH_TABLES_QUERY`, the per-table similarity texts),
@@ -10,47 +10,27 @@
 //! and no compiled plan is kept — a plan cannot be stale, whichever
 //! generations its executions pin. A formatting variant of a cached text
 //! is a different text and parses again.
-//!
-//! The cache also holds the *shape quarantine*: query shapes (the token
-//! stream with every constant replaced by a slot) whose executions keep
-//! tripping the resource governor fail fast for a TTL. A text is lexed
-//! into its shape only when that can matter — after a trip, and at
-//! admission only while some shape is quarantined.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
-use lids_exec::{Clock, QueryGovernor, SystemClock};
+use lids_exec::QueryGovernor;
 use lids_rdf::StoreSnapshot;
 
 use crate::ast::Query;
 use crate::eval::{evaluate_explained, evaluate_governed, EvalOptions, ExecStats};
 use crate::explain::ExplainReport;
-use crate::lexer::{tokenize, TokenKind};
 use crate::parser::parse_query;
 use crate::results::{Solutions, SparqlError};
 
 /// Default maximum distinct query texts kept (LRU-evicted beyond this).
 const MAX_TEXTS: usize = 512;
-/// Most shapes the quarantine keeps a record of. A client sending distinct
-/// slow shapes pushes out the oldest records below the threshold first.
-const MAX_OFFENSE_RECORDS: usize = 1024;
 
 /// Recover a mutex guard even if a panicking holder poisoned it — the
 /// caches hold plain data, so the worst a mid-panic writer leaves behind
 /// is a stale-but-consistent entry.
 fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Remove the entry ranked lowest. An O(len) scan: both tables are capped
-/// at about a thousand entries and this runs only on an insert past the cap.
-fn evict_min<V, R: Ord>(map: &mut HashMap<String, V>, rank: impl Fn(&V) -> R) -> bool {
-    let lowest = map.iter().min_by_key(|(_, v)| rank(v)).map(|(k, _)| k.clone());
-    lowest.is_some_and(|key| map.remove(&key).is_some())
 }
 
 // --------------------------------------------------------------- prepared
@@ -118,34 +98,6 @@ impl PreparedQuery {
     }
 }
 
-// ------------------------------------------------------------- shape key
-
-/// Lex `text` into its *shape*: the token stream with every constant (IRI,
-/// prefixed name, string, number) replaced by a slot, keywords lowercased.
-/// Texts that differ only in whitespace, comments, formatting or constants
-/// share a shape. The quarantine's key, and nothing else.
-fn shape_of(text: &str) -> Result<String, SparqlError> {
-    let tokens = tokenize(text)?;
-    let mut key = String::with_capacity(text.len() / 2);
-    for token in &tokens {
-        match &token.kind {
-            TokenKind::Iri(_) => key.push_str("<>·"),
-            TokenKind::PName(..) => key.push_str("pn·"),
-            TokenKind::String(_) => key.push_str("\"\"·"),
-            TokenKind::Number(_) => key.push_str("#·"),
-            // keywords are case-insensitive
-            TokenKind::Word(w) => {
-                let _ = write!(key, "{}·", w.to_ascii_lowercase());
-            }
-            // variables, blank nodes, language tags, punctuation: verbatim
-            other => {
-                let _ = write!(key, "{other:?}·");
-            }
-        }
-    }
-    Ok(key)
-}
-
 // ------------------------------------------------------------- the cache
 
 /// One cached parse plus its last-touch tick for LRU eviction.
@@ -162,18 +114,6 @@ struct Texts {
     /// Every lookup counts here, under the lock it already holds
     /// (`texts_len` is filled in by [`PlanCache::stats`]).
     stats: PlanCacheStats,
-}
-
-/// One shape's resource-governance record. Shapes whose queries repeatedly
-/// trip the governor get quarantined: the platform can fail them fast
-/// instead of burning a full deadline every time.
-struct OffenseRecord {
-    offenses: u32,
-    /// Set once `offenses` reaches the threshold.
-    quarantined: bool,
-    /// The last offense plus the TTL; past it the record — quarantine
-    /// included — no longer counts.
-    expires: Instant,
 }
 
 /// Cache-effectiveness counters, snapshot by [`PlanCache::stats`].
@@ -203,18 +143,10 @@ impl PlanCacheStats {
 ///
 /// Bounded: an insert past capacity evicts the least-recently-used text
 /// (exact LRU via per-entry touch ticks), and the eviction count is
-/// exported through [`PlanCacheStats`]. The cache also tracks *poisoned
-/// shapes* — query shapes whose executions keep tripping the resource
-/// governor — so callers can fail repeat offenders fast instead of
-/// re-burning a deadline on every arrival.
+/// exported through [`PlanCacheStats`].
 pub struct PlanCache {
     texts: Mutex<Texts>,
     max_texts: usize,
-    offenders: Mutex<HashMap<String, OffenseRecord>>,
-    /// Records in `offenders` with `quarantined` set, written under its
-    /// lock: while it is zero admission reads this and lexes nothing.
-    quarantined: AtomicUsize,
-    clock: Arc<dyn Clock>,
 }
 
 impl std::fmt::Debug for PlanCache {
@@ -242,17 +174,7 @@ impl PlanCache {
         PlanCache {
             texts: Mutex::new(Texts::default()),
             max_texts: max_texts.max(1),
-            offenders: Mutex::new(HashMap::new()),
-            quarantined: AtomicUsize::new(0),
-            clock: Arc::new(SystemClock),
         }
-    }
-
-    /// Replace the clock used for poison TTLs (tests inject a virtual
-    /// clock so quarantine expiry is deterministic).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> PlanCache {
-        self.clock = clock;
-        self
     }
 
     /// Prepared query for `text`, parsing at most once while the text
@@ -270,8 +192,13 @@ impl PlanCache {
         texts.stats.misses += 1;
         let prepared = PreparedQuery::parse(text)?;
         texts.stats.parses += 1;
-        if texts.by_text.len() >= self.max_texts && evict_min(&mut texts.by_text, |e| e.tick) {
-            texts.stats.evictions += 1;
+        if texts.by_text.len() >= self.max_texts {
+            // An O(len) scan for the least recently used text: the map is
+            // capped and this runs only on an insert past the cap.
+            let lru = texts.by_text.iter().min_by_key(|(_, e)| e.tick).map(|(k, _)| k.clone());
+            if lru.is_some_and(|key| texts.by_text.remove(&key).is_some()) {
+                texts.stats.evictions += 1;
+            }
         }
         texts.by_text.insert(text.to_string(), Stamped { tick, prepared: prepared.clone() });
         Ok(prepared)
@@ -281,61 +208,6 @@ impl PlanCache {
     pub fn stats(&self) -> PlanCacheStats {
         let texts = relock(&self.texts);
         PlanCacheStats { texts_len: texts.by_text.len(), ..texts.stats }
-    }
-
-    // ------------------------------------------------- shape quarantine
-
-    /// Record that a query of this text's shape tripped the resource
-    /// governor. After `threshold` offenses the shape is quarantined for
-    /// `ttl`; returns `true` when this call reached the threshold.
-    /// Unlexable texts are never quarantined (they fail at parse anyway).
-    ///
-    /// A trip already cost a deadline or a budget, so this is where the
-    /// table is kept bounded: records whose last offense is older than
-    /// their TTL are dropped, and past `MAX_OFFENSE_RECORDS` the record
-    /// soonest to expire goes — one below the threshold before any
-    /// quarantined one.
-    pub fn record_offense(&self, text: &str, threshold: u32, ttl: Duration) -> bool {
-        let Ok(shape) = shape_of(text) else { return false };
-        let now = self.clock.now();
-        let mut offenders = relock(&self.offenders);
-        offenders.retain(|_, record| now < record.expires);
-        if !offenders.contains_key(&shape) && offenders.len() >= MAX_OFFENSE_RECORDS {
-            evict_min(&mut offenders, |record| (record.quarantined, record.expires));
-        }
-        let record = offenders
-            .entry(shape)
-            .or_insert(OffenseRecord { offenses: 0, quarantined: false, expires: now });
-        record.offenses = record.offenses.saturating_add(1);
-        record.expires = now + ttl;
-        record.quarantined = record.offenses >= threshold.max(1);
-        let crossed = record.quarantined;
-        self.quarantined.store(offenders.values().filter(|r| r.quarantined).count(), Relaxed);
-        crossed
-    }
-
-    /// Is this text's shape currently quarantined? Expired quarantines
-    /// are cleared on observation (offense count resets — the shape gets
-    /// a clean slate after serving its TTL). While no shape is quarantined
-    /// this is one atomic load: the text is not lexed.
-    pub fn is_poisoned(&self, text: &str) -> bool {
-        if self.quarantined.load(Relaxed) == 0 {
-            return false;
-        }
-        let Ok(shape) = shape_of(text) else { return false };
-        let mut offenders = relock(&self.offenders);
-        let Some(record) = offenders.get(&shape).filter(|r| r.quarantined) else { return false };
-        if self.clock.now() < record.expires {
-            return true;
-        }
-        offenders.remove(&shape);
-        self.quarantined.fetch_sub(1, Relaxed);
-        false
-    }
-
-    /// Number of shapes with at least one recorded offense.
-    pub fn poisoned_len(&self) -> usize {
-        relock(&self.offenders).len()
     }
 }
 
@@ -386,7 +258,6 @@ mod tests {
         let b = cache.prepare(variant).unwrap().execute(&store).unwrap();
         assert_eq!(a.to_terms(), b.to_terms());
         assert_eq!(cache.stats().parses, 2, "one tier: a variant parses for itself");
-        assert_eq!(shape_of(Q).unwrap(), shape_of(variant).unwrap(), "but shares the shape");
     }
 
     #[test]
@@ -464,49 +335,5 @@ mod tests {
         let stats = cache.stats();
         assert!(stats.texts_len <= 4);
         assert!(stats.evictions >= 60);
-    }
-
-    #[test]
-    fn repeat_offender_shape_is_quarantined_until_ttl() {
-        use lids_exec::TestClock;
-        let clock = TestClock::new();
-        let cache = PlanCache::with_capacity(8).with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
-        let ttl = Duration::from_secs(30);
-        assert!(!cache.record_offense(Q, 3, ttl));
-        assert!(!cache.is_poisoned(Q), "below threshold: not quarantined");
-        assert!(!cache.record_offense(Q, 3, ttl));
-        assert!(cache.record_offense(Q, 3, ttl), "third offense crosses threshold");
-        assert!(cache.is_poisoned(Q));
-        // formatting variant shares the shape, so it is quarantined too
-        let variant = Q.to_lowercase().replace(' ', "  ");
-        assert!(cache.is_poisoned(&variant));
-        // a different shape is unaffected
-        assert!(!cache.is_poisoned("SELECT ?x WHERE { ?x <urn:other> ?y }"));
-        clock.advance(Duration::from_secs(31));
-        assert!(!cache.is_poisoned(Q), "quarantine expires after TTL");
-        assert!(!cache.is_poisoned(Q), "expiry clears the record");
-    }
-
-    #[test]
-    fn offense_table_is_bounded_and_keeps_the_quarantined() {
-        use lids_exec::TestClock;
-        let clock = TestClock::new();
-        let cache = PlanCache::new().with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
-        let ttl = Duration::from_secs(30);
-        let shape = |i: usize| format!("SELECT ?v{i} WHERE {{ ?v{i} <urn:p> ?o }}");
-        for i in 0..10_000 {
-            if i == 5_000 {
-                assert!(cache.record_offense(Q, 1, ttl));
-            }
-            assert!(!cache.record_offense(&shape(i), 3, ttl));
-        }
-        assert!(cache.poisoned_len() <= MAX_OFFENSE_RECORDS, "{}", cache.poisoned_len());
-        assert!(cache.is_poisoned(Q), "a full table evicts records below the threshold first");
-        assert!(!cache.is_poisoned(&shape(9_999)));
-        // records older than the TTL go at the next offense, quarantined or not
-        clock.advance(Duration::from_secs(31));
-        assert!(!cache.record_offense(&shape(0), 3, ttl));
-        assert_eq!(cache.poisoned_len(), 1);
-        assert!(!cache.is_poisoned(Q), "quarantine expires after TTL");
     }
 }

@@ -207,7 +207,12 @@ fn match_one(
         }
         if let Some(v) = graph_var {
             match &quad.graph {
-                GraphName::Named(iri) => candidate[v.0 as usize] = Some(Term::iri(iri.clone())),
+                // a ?g this quad bound in a node position must be its graph
+                GraphName::Named(iri) => {
+                    if !unify(&NodePattern::Var(v), &Term::iri(iri.clone()), &mut candidate) {
+                        continue;
+                    }
+                }
                 // GRAPH ?g ranges over named graphs only
                 GraphName::Default => continue,
             }

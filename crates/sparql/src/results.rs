@@ -121,8 +121,8 @@ pub struct Solutions<'a> {
     /// For ASK queries: the boolean result. SELECTs leave this `None`.
     pub ask: Option<bool>,
     /// True when a row cap truncated the intermediate binding sets: the
-    /// rows present are valid solutions, but more may exist. Set only by
-    /// governed evaluation running in degraded (row-capped) mode.
+    /// rows present are valid solutions, but more may exist. Set only when
+    /// the caller asked for an explicit row cap.
     pub truncated: bool,
 }
 

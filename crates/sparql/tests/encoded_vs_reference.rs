@@ -139,122 +139,87 @@ fn var(idx: u8) -> String {
     format!("?v{}", idx % 4)
 }
 
-/// Renders query text. Inside `GRAPH ?g { … }` the node positions of
-/// patterns keep clear of `?g`: the reference (and the executor, which
-/// mirrors it) binds `?g` from the quad's graph *after* its node positions,
-/// overwriting what they bound, so a multi-pattern group that also uses `?g`
-/// as a node answers by pattern order — nothing to hold a second plan to.
-#[derive(Clone, Copy)]
-struct Render {
-    /// Variable index of the enclosing `GRAPH ?g` scope, if any.
-    scope: Option<u8>,
+fn subject_node((kind, idx): (u8, u8)) -> String {
+    match kind % 3 {
+        0 | 1 => var(idx),
+        _ => format!("<{}>", node(idx)),
+    }
 }
 
-impl Render {
-    /// A variable for a pattern's node position.
-    fn node_var(self, idx: u8) -> String {
-        match self.scope {
-            Some(g) if idx % 4 == g % 4 => var(idx + 1),
-            _ => var(idx),
-        }
+fn predicate_node((kind, idx): (u8, u8)) -> String {
+    match kind % 3 {
+        0 | 1 => format!("<p{}>", idx % 4),
+        _ => var(idx),
     }
+}
 
-    fn subject_node(self, (kind, idx): (u8, u8)) -> String {
-        match kind % 3 {
-            0 | 1 => self.node_var(idx),
-            _ => format!("<{}>", node(idx)),
-        }
+fn object_node((kind, idx): (u8, u8)) -> String {
+    match kind % 4 {
+        0 | 1 => var(idx),
+        2 => format!("<{}>", node(idx)),
+        _ => format!("{}", idx % 6),
     }
+}
 
-    fn predicate_node(self, (kind, idx): (u8, u8)) -> String {
-        match kind % 3 {
-            0 | 1 => format!("<p{}>", idx % 4),
-            _ => self.node_var(idx),
-        }
-    }
-
-    fn object_node(self, (kind, idx): (u8, u8)) -> String {
-        match kind % 4 {
-            0 | 1 => self.node_var(idx),
-            2 => format!("<{}>", node(idx)),
-            _ => format!("{}", idx % 6),
-        }
-    }
-
-    /// Const-or-var selector for quoted inner nodes: 0..8 a constant, 8..12
-    /// a variable.
-    fn inner_node(self, sel: u8) -> String {
-        let sel = sel % 12;
-        if sel < 8 {
-            format!("<{}>", node(sel))
-        } else {
-            self.node_var(sel)
-        }
-    }
-
-    fn triple(self, t: &TripleSpec) -> String {
-        format!(
-            "{} {} {} .",
-            self.subject_node(t.s),
-            self.predicate_node(t.p),
-            self.object_node(t.o)
-        )
-    }
-
-    fn group(self, elems: &[ElemSpec]) -> String {
-        elems.iter().map(|e| self.elem(e)).collect::<Vec<_>>().join(" ")
-    }
-
-    fn elem(self, elem: &ElemSpec) -> String {
-        let edge =
-            |a: u8, b: u8| format!("<< {} <sim> {} >>", self.inner_node(a), self.inner_node(b));
-        let v = |idx: &u8| self.node_var(*idx);
-        match elem {
-            ElemSpec::Triple(t) => self.triple(t),
-            ElemSpec::Sim(a, b) => format!("{} <sim> {} .", v(a), v(b)),
-            ElemSpec::Quoted(a, b, x) => format!("{} <score> {} .", edge(*a, *b), v(x)),
-            ElemSpec::Nested(a, b, c, x) => {
-                format!("<< {} <by> {} >> <conf> {} .", edge(*a, *b), self.inner_node(*c), v(x))
-            }
-            ElemSpec::About(x, a, b) => format!("{} <about> {} .", v(x), edge(*a, *b)),
-            ElemSpec::Annotated(kind, x, y) => {
-                format!("{} <{}> {} .", v(x), ["score", "conf"][usize::from(kind % 2)], v(y))
-            }
-            ElemSpec::Filter(kind, x, k) => match kind % 4 {
-                0 => format!("FILTER({} = {})", var(*x), var(*k)),
-                1 => format!("FILTER({} > {})", var(*x), k % 8),
-                2 => format!("FILTER(BOUND({}))", var(*x)),
-                _ => format!("FILTER(CONTAINS(STR({}), \"{}\"))", var(*x), k % 6),
-            },
-            ElemSpec::Optional(inner) => format!("OPTIONAL {{ {} }}", self.group(inner)),
-            ElemSpec::Graph(sel, inner) => match sel % 6 {
-                0 => format!("GRAPH <g1> {{ {} }}", self.group(inner)),
-                1 => format!("GRAPH <g2> {{ {} }}", self.group(inner)),
-                // No such graph: the executor answers nothing (SPARQL 18.5),
-                // the reference scopes each inner pattern to the missing
-                // graph and would keep a row through a group of OPTIONALs
-                // alone — so a pattern that must match comes first.
-                2 => format!("GRAPH <g9> {{ ?v0 ?v1 ?v2 . {} }}", self.group(inner)),
-                s => {
-                    let scoped = Render { scope: Some(s - 3) };
-                    format!("GRAPH {} {{ {} }}", var(s - 3), scoped.group(inner))
-                }
-            },
-            ElemSpec::Union(branches) => branches
-                .iter()
-                .map(|b| format!("{{ {} }}", self.group(b)))
-                .collect::<Vec<_>>()
-                .join(" UNION "),
-        }
+/// Const-or-var selector for quoted inner nodes: 0..8 a constant, 8..12
+/// a variable.
+fn inner_node(sel: u8) -> String {
+    let sel = sel % 12;
+    if sel < 8 {
+        format!("<{}>", node(sel))
+    } else {
+        var(sel)
     }
 }
 
 fn render_triple(t: &TripleSpec) -> String {
-    Render { scope: None }.triple(t)
+    format!("{} {} {} .", subject_node(t.s), predicate_node(t.p), object_node(t.o))
 }
 
+/// Renders a group's text. Inside `GRAPH ?g { … }` a pattern may use `?g`
+/// as a node too: both engines then require the quad's graph to be the
+/// node it bound.
 fn render_where(elems: &[ElemSpec]) -> String {
-    Render { scope: None }.group(elems)
+    elems.iter().map(render_elem).collect::<Vec<_>>().join(" ")
+}
+
+fn render_elem(elem: &ElemSpec) -> String {
+    let edge = |a: u8, b: u8| format!("<< {} <sim> {} >>", inner_node(a), inner_node(b));
+    let v = |idx: &u8| var(*idx);
+    match elem {
+        ElemSpec::Triple(t) => render_triple(t),
+        ElemSpec::Sim(a, b) => format!("{} <sim> {} .", v(a), v(b)),
+        ElemSpec::Quoted(a, b, x) => format!("{} <score> {} .", edge(*a, *b), v(x)),
+        ElemSpec::Nested(a, b, c, x) => {
+            format!("<< {} <by> {} >> <conf> {} .", edge(*a, *b), inner_node(*c), v(x))
+        }
+        ElemSpec::About(x, a, b) => format!("{} <about> {} .", v(x), edge(*a, *b)),
+        ElemSpec::Annotated(kind, x, y) => {
+            format!("{} <{}> {} .", v(x), ["score", "conf"][usize::from(kind % 2)], v(y))
+        }
+        ElemSpec::Filter(kind, x, k) => match kind % 4 {
+            0 => format!("FILTER({} = {})", var(*x), var(*k)),
+            1 => format!("FILTER({} > {})", var(*x), k % 8),
+            2 => format!("FILTER(BOUND({}))", var(*x)),
+            _ => format!("FILTER(CONTAINS(STR({}), \"{}\"))", var(*x), k % 6),
+        },
+        ElemSpec::Optional(inner) => format!("OPTIONAL {{ {} }}", render_where(inner)),
+        ElemSpec::Graph(sel, inner) => match sel % 6 {
+            0 => format!("GRAPH <g1> {{ {} }}", render_where(inner)),
+            1 => format!("GRAPH <g2> {{ {} }}", render_where(inner)),
+            // No such graph: the executor answers nothing (SPARQL 18.5),
+            // the reference scopes each inner pattern to the missing
+            // graph and would keep a row through a group of OPTIONALs
+            // alone — so a pattern that must match comes first.
+            2 => format!("GRAPH <g9> {{ ?v0 ?v1 ?v2 . {} }}", render_where(inner)),
+            s => format!("GRAPH {} {{ {} }}", var(s - 3), render_where(inner)),
+        },
+        ElemSpec::Union(branches) => branches
+            .iter()
+            .map(|b| format!("{{ {} }}", render_where(b)))
+            .collect::<Vec<_>>()
+            .join(" UNION "),
+    }
 }
 
 // ------------------------------------------------------------- modifiers

@@ -11,7 +11,11 @@ cargo build --release --workspace
 # decode and this 1 MB one would take hours — so it runs first and under a
 # timeout, before the suites that would hang on the same regression.
 timeout 60 cargo test -q --release -p serde_json megabyte_document_round_trips
-cargo test -q --workspace
+# `lids-bench`'s unit tests replay the paper's experiments (figure 9's
+# AutoML shape alone ran 100 s unoptimised), so they run in release: every
+# test still runs once.
+cargo test -q --workspace --exclude lids-bench
+cargo test -q --release -p lids-bench
 # Exact-vs-pruned linking must agree edge for edge, score for score — on
 # 100 small lakes with every bucket pruned, and under the shipped cutoff on
 # a 3,000-column lake whose edges need the component-pair bound.
@@ -57,8 +61,8 @@ cargo test -q --test observability
 cargo test -q --release -p lids-sparql --test encoded_vs_reference
 cargo test -q --release -p lids-sparql --test eval_edge_cases
 # The parse cache: an identical query text parses exactly once while it
-# stays cached, every execution sees the store it is handed, and the shape
-# quarantine holds its TTL and its bound.
+# stays cached, every execution sees the store it is handed, and the LRU
+# holds its bound.
 cargo test -q -p lids-sparql plan::
 # One cache tier, no compiled-plan slot: a parse is 2-5 us and a compile
 # under 1 us, so the shape tier and the per-generation plan stay deleted.
@@ -103,9 +107,17 @@ if grep -rnwE 'RetryPolicy|IngestOptions|IsolationConfig|item_budget|is_transien
     echo "retired ingest-policy leftovers under crates/*/src: an artifact fails once and is quarantined" >&2
     exit 1
 fi
+# A query runs once, under its caller's limits: a trip is the caller's
+# typed error, so the degraded retry and its row cap, and the shape
+# quarantine with its offence table, stay deleted (whole words).
+if grep -rnwE 'degraded_row_cap|poison_threshold|poison_ttl|record_offense|is_poisoned|poisoned_len|OffenseRecord|MAX_OFFENSE_RECORDS|shape_of' crates/*/src; then
+    echo "retired query-policy leftovers under crates/*/src: a query runs once and a trip is the caller's typed error" >&2
+    exit 1
+fi
 # Query-governance chaos suite under a hard external bound: adversarial
-# workloads must terminate with typed errors or truncated partials; a hang
-# here is a governance regression and the timeout turns it into a failure.
+# workloads must terminate with typed errors, in process and over the
+# socket, and `query` and `explain` refuse alike; a hang here is a
+# governance regression and the timeout turns it into a failure.
 timeout 600 cargo test -q --release --test query_chaos
 # Snapshot-isolation suite under a hard external bound: frozen-snapshot
 # proptests, the concurrent reader/writer stress loop (a deadlock or a

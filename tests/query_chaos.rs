@@ -2,9 +2,9 @@
 //! (cross-product stars, unbound-everything scans, deep OPTIONAL towers)
 //! against a governed platform and assert the robustness contract:
 //!
-//! - every adversarial query terminates within its deadline with either a
-//!   typed resource error or a truncated partial result — never a panic,
-//!   abort, or hang;
+//! - every adversarial query terminates within its deadline with a typed
+//!   resource error — never a panic, abort, hang, or a partial answer
+//!   passed off as whole;
 //! - the store and plan cache are left untouched (read path has no
 //!   side effects on data);
 //! - a concurrent stream of well-behaved queries completes with exact
@@ -36,20 +36,12 @@ const SEED: u64 = 41;
 const HARD_WALL: Duration = Duration::from_secs(60);
 
 fn governed_platform() -> KgLids {
-    // high threshold: quarantine behaviour has its own tests below
-    platform_quarantining_after(u32::MAX)
-}
-
-fn platform_quarantining_after(poison_threshold: u32) -> KgLids {
     let lake = LakeSpec::tus_small().scaled(0.15).generate();
     let (platform, _) = KgLidsBuilder::new()
         .with_dataset(Dataset::new(lake.name.clone(), lake.tables))
         .with_query_guardrails(QueryGuardrails {
             deadline: Some(Duration::from_millis(250)),
             memory_budget: Some(1 << 20),
-            degraded_row_cap: 500,
-            poison_threshold,
-            ..QueryGuardrails::default()
         })
         .bootstrap();
     platform
@@ -63,13 +55,12 @@ fn is_governed_kind(kind: ErrorKind) -> bool {
 }
 
 #[test]
-fn adversarial_queries_terminate_with_typed_errors_or_truncation() {
+fn adversarial_queries_terminate_with_typed_errors() {
     let platform = governed_platform();
     let gen_before = platform.store().generation();
     let len_before = platform.store().len();
 
     let queries = AdversarialSuite::new(SEED).generate(9);
-    let mut outcomes = Vec::new();
     for q in &queries {
         let start = Instant::now();
         let result = platform.query(&q.text);
@@ -79,25 +70,18 @@ fn adversarial_queries_terminate_with_typed_errors_or_truncation() {
             "{} ran {elapsed:?}, past the hard wall",
             q.name
         );
+        // a full answer would be astronomically large for these shapes,
+        // and nothing retries a trip under other limits: every one of
+        // them stops at the guardrails with a typed error
         match result {
-            Ok(df) => {
-                // a full answer would be astronomically large for these
-                // shapes, so an Ok must be a degraded, capped partial
-                assert!(df.truncated, "{} returned Ok without truncation", q.name);
-                assert!(df.len() <= 500, "{} exceeded the degraded row cap", q.name);
-                outcomes.push("truncated");
-            }
-            Err(e) => {
-                assert!(
-                    is_governed_kind(e.kind()),
-                    "{} failed with untyped error: {e}",
-                    q.name
-                );
-                outcomes.push("typed-error");
-            }
+            Ok(df) => panic!("{} ran ungoverned: {} rows", q.name, df.len()),
+            Err(e) => assert!(
+                is_governed_kind(e.kind()),
+                "{} failed with untyped error: {e}",
+                q.name
+            ),
         }
     }
-    assert_eq!(outcomes.len(), queries.len());
 
     // the read path must not have mutated the store
     assert_eq!(platform.store().generation(), gen_before);
@@ -108,8 +92,8 @@ fn adversarial_queries_terminate_with_typed_errors_or_truncation() {
     let trips = metrics.counter("query.timeouts").unwrap_or(0)
         + metrics.counter("query.budget_denials").unwrap_or(0)
         + metrics.counter("query.cancelled").unwrap_or(0);
-    assert!(trips >= 1, "no governor trips recorded in obs");
-    assert!(metrics.counter("query.count").unwrap_or(0) >= queries.len() as u64);
+    assert_eq!(trips, queries.len() as u64, "every trip is counted");
+    assert_eq!(metrics.counter("query.count"), Some(queries.len() as u64), "one run each");
 
     // the platform still answers well-behaved queries exactly afterwards
     let benign = platform
@@ -124,8 +108,8 @@ fn adversarial_queries_terminate_with_typed_errors_or_truncation() {
 
 /// Explaining a query runs it: every hostile query through `explain` — the
 /// platform's and a detached reader's by turns, one path behind both — stops
-/// at the guardrails with a typed error (there is no degraded retry to turn
-/// a trip into a partial answer), and the trips count where `query`'s do.
+/// at the guardrails with a typed error, and the trips count where
+/// `query`'s do.
 #[test]
 fn explain_of_adversarial_queries_terminates_typed_in_process() {
     let platform = governed_platform();
@@ -151,16 +135,15 @@ fn explain_of_adversarial_queries_terminates_typed_in_process() {
     let trips = metrics.counter("query.timeouts").unwrap_or(0)
         + metrics.counter("query.budget_denials").unwrap_or(0);
     assert_eq!(trips, queries.len() as u64, "every explain trip is counted");
-    assert_eq!(metrics.counter("query.degraded").unwrap_or(0), 0, "explain never degrades");
 }
 
-/// The same over the socket: `POST /v1/explain` answers a hostile query
-/// with the typed 503 a refusal on `/v1/query` carries, its trips count
-/// toward the shape's quarantine, and once the shape is quarantined both
-/// endpoints refuse it with the same status and error.
+/// The same over the socket: `POST /v1/explain` answers every hostile
+/// query, offence after offence, with the typed 503 that `/v1/query`
+/// answers it with, and a trip leaves nothing behind that would turn the
+/// next request's answer into something else.
 #[test]
 fn explain_of_adversarial_queries_terminates_typed_over_the_socket() {
-    let platform = Arc::new(platform_quarantining_after(2));
+    let platform = Arc::new(governed_platform());
     let server = LidsServer::start(
         Backend::Platform(Arc::clone(&platform)),
         "127.0.0.1:0",
@@ -179,34 +162,27 @@ fn explain_of_adversarial_queries_terminates_typed_over_the_socket() {
     for q in &queries {
         for offence in 1..=2 {
             let start = Instant::now();
-            let e = refusal(client.explain(&q.text), &q.name);
-            let elapsed = start.elapsed();
-            assert!(elapsed < HARD_WALL, "explain of {} ran {elapsed:?}", q.name);
-            assert_eq!(e.status, 503, "{} offence {offence}: {e:?}", q.name);
-            assert!(
-                matches!(e.error.as_str(), "QueryTimeout" | "QueryBudgetExceeded"),
-                "{} offence {offence}: {e:?}",
-                q.name
-            );
+            let by_explain = refusal(client.explain(&q.text), &q.name);
+            let by_query = refusal(client.query(&q.text, None), &q.name);
+            assert!(start.elapsed() < 2 * HARD_WALL, "{} ran {:?}", q.name, start.elapsed());
+            // which guardrail trips first is a race between the deadline
+            // and the budget, and explain's instrumented run is the slower
+            // one, so the two may name different limits
+            for e in [&by_explain, &by_query] {
+                assert_eq!(e.status, 503, "{} offence {offence}: {e:?}", q.name);
+                assert!(
+                    matches!(e.error.as_str(), "QueryTimeout" | "QueryBudgetExceeded"),
+                    "{} offence {offence}: {e:?}",
+                    q.name
+                );
+            }
         }
-        // two trips through explain alone quarantined the shape: the query
-        // endpoint refuses it, and explain answers exactly as it does
-        let by_query = refusal(client.query(&q.text, None), &q.name);
-        assert!(by_query.message.contains("quarantined"), "{}: {by_query:?}", q.name);
-        let by_explain = refusal(client.explain(&q.text), &q.name);
-        assert_eq!(
-            (by_explain.status, &by_explain.error, &by_explain.message),
-            (by_query.status, &by_query.error, &by_query.message),
-            "{}",
-            q.name
-        );
     }
     client.healthz().expect("the connection survived every refusal");
     let metrics = platform.obs().metrics.snapshot();
-    // (the nine texts share a handful of shapes, and a shape quarantined by
-    // an earlier text is refused from the first request on)
-    assert!(metrics.counter("query.shapes_poisoned").unwrap_or(0) >= 1);
-    assert!(metrics.counter("query.quarantine_denials").unwrap_or(0) >= 2 * queries.len() as u64);
+    let trips = metrics.counter("query.timeouts").unwrap_or(0)
+        + metrics.counter("query.budget_denials").unwrap_or(0);
+    assert_eq!(trips, 4 * queries.len() as u64, "every request ran and tripped");
 }
 
 #[test]
@@ -224,8 +200,8 @@ fn concurrent_benign_stream_is_unaffected_by_adversarial_load() {
         let adversary = scope.spawn(|| {
             let queries = AdversarialSuite::new(SEED + 1).generate(6);
             for q in &queries {
-                // typed error or truncated partial — both fine; a panic
-                // here fails the test via the join below
+                // a typed error is the expected outcome; a panic here
+                // fails the test via the join below
                 let _ = platform.query(&q.text);
             }
         });
@@ -239,51 +215,11 @@ fn concurrent_benign_stream_is_unaffected_by_adversarial_load() {
                 "benign query starved under adversarial load ({:?})",
                 start.elapsed()
             );
-            assert!(!df.truncated, "well-behaved query got degraded");
+            assert!(!df.truncated, "well-behaved query answered in part");
             assert_eq!(df.get_f64(0, "n"), Some(expected));
         }
         adversary.join().expect("adversarial thread panicked");
     });
-}
-
-#[test]
-fn repeat_offender_shape_is_quarantined_across_formatting_variants() {
-    let lake = LakeSpec::tus_small().scaled(0.1).generate();
-    let (platform, _) = KgLidsBuilder::new()
-        .with_dataset(Dataset::new(lake.name.clone(), lake.tables))
-        .with_query_guardrails(QueryGuardrails {
-            deadline: Some(Duration::from_millis(250)),
-            memory_budget: Some(4 << 10),
-            // cap 0: degraded retries return empty truncated results, but
-            // every budget trip still counts as an offense
-            degraded_row_cap: 0,
-            poison_threshold: 2,
-            ..QueryGuardrails::default()
-        })
-        .bootstrap();
-
-    let hostile = "SELECT * WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i . }";
-    // formatting variant of the same shape (extra whitespace)
-    let variant = "SELECT *  WHERE  { ?a ?b ?c .  ?d ?e ?f .  ?g ?h ?i . }";
-
-    let mut quarantined = false;
-    for _ in 0..4 {
-        if let Err(e) = platform.query(hostile) {
-            if e.to_string().contains("quarantined") {
-                quarantined = true;
-                break;
-            }
-        }
-    }
-    assert!(quarantined, "repeat offender was never quarantined");
-
-    let err = platform.query(variant).expect_err("variant should be fenced");
-    assert_eq!(err.kind(), ErrorKind::QueryBudgetExceeded);
-    assert!(err.to_string().contains("quarantined"), "got: {err}");
-
-    let metrics = platform.obs().metrics.snapshot();
-    assert!(metrics.counter("query.shapes_poisoned").unwrap_or(0) >= 1);
-    assert!(metrics.counter("query.quarantine_denials").unwrap_or(0) >= 1);
 }
 
 /// Small dense store for the proptest: adversarial shapes stay tractable
@@ -342,7 +278,6 @@ proptest! {
         prop_assert_eq!(store.generation(), gen_before);
         let stats = cache.stats();
         prop_assert!(stats.texts_len <= 8);
-        prop_assert_eq!(cache.poisoned_len(), 0);
 
         // a clean re-run through the same cached plan is still exact
         let rerun = prepared.execute(&store).expect("re-run after interrupt");

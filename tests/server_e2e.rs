@@ -301,6 +301,82 @@ fn typed_errors_over_the_wire() {
     client.healthz().expect("keep-alive connection still healthy");
 }
 
+/// A caller's limits stay with the caller over the wire too: a budget a
+/// request sets trips that request alone, typed, and requests whose own
+/// deadline expired leave the next unlimited request answering what a
+/// fresh server answers.
+#[test]
+fn caller_limits_stay_with_the_caller_over_the_wire() {
+    let p = platform();
+    let server = start(&p);
+    let mut client = Client::connect(server.addr().to_string());
+
+    let tight =
+        Some(lids_server::WireLimits { memory_budget_bytes: Some(16), ..Default::default() });
+    match client.query(TABLES_QUERY, tight) {
+        Err(ClientError::Api(e)) => {
+            assert_eq!(e.status, 503, "{e:?}");
+            assert_eq!(e.error, "QueryBudgetExceeded");
+        }
+        other => panic!("expected a typed 503, got {other:?}"),
+    }
+    let whole = client.query(TABLES_QUERY, None).expect("the same body without limits");
+    assert!(!whole.truncated && whole.rows.len() >= 2, "{whole:?}");
+
+    let request = TableHitsRequest {
+        dataset: "health".into(),
+        table: "patients".into(),
+        ..TableHitsRequest::default()
+    };
+    let baseline = client.unionable_tables(&request).expect("baseline").hits;
+    assert!(!baseline.is_empty());
+    let expired = TableHitsRequest {
+        limits: Some(lids_server::WireLimits { deadline_ms: Some(0), ..Default::default() }),
+        ..request.clone()
+    };
+    for _ in 0..3 {
+        match client.unionable_tables(&expired) {
+            Err(ClientError::Api(e)) => {
+                assert_eq!((e.status, e.error.as_str()), (503, "QueryTimeout"), "{e:?}")
+            }
+            other => panic!("expected a typed 503, got {other:?}"),
+        }
+    }
+    assert_eq!(client.unionable_tables(&request).expect("after the trips").hits, baseline);
+}
+
+/// Nesting bombs cost their request a typed 400, not the process: a FILTER
+/// of a thousand parentheses is a SPARQL parse error and a body of ten
+/// thousand `[` a JSON one, and the same server then answers.
+#[test]
+fn nesting_bombs_get_typed_400s_and_the_server_lives() {
+    let p = platform();
+    let server = start(&p);
+    let mut client = Client::connect(server.addr().to_string());
+
+    let deep = format!(
+        "SELECT ?t WHERE {{ ?t ?p ?o FILTER({}?o{}) }}",
+        "(".repeat(1000),
+        ")".repeat(1000)
+    );
+    match client.query(&deep, None) {
+        Err(ClientError::Api(e)) => {
+            assert_eq!((e.status, e.error.as_str()), (400, "SparqlError"), "{e:?}")
+        }
+        other => panic!("expected a typed 400, got {other:?}"),
+    }
+    let (status, body) =
+        client.request_raw("POST", "/v1/query", &"[".repeat(10_000)).expect("answered");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("JsonMalformed"), "{body}");
+
+    let mut client = Client::connect(server.addr().to_string());
+    assert_eq!(client.healthz().expect("healthz after the bombs").status, "ok");
+    let wire = client.query(TABLES_QUERY, None).expect("query after the bombs");
+    let local = p.query(TABLES_QUERY).expect("query in process");
+    assert_eq!(sorted(wire.to_dataframe().rows), sorted(local.rows));
+}
+
 /// A panicking handler costs its request a 500, not its worker: after
 /// more injected panics than the server has workers, `/healthz` and a
 /// query still answer.

@@ -154,6 +154,36 @@ fn named_graph_isolation() {
     assert_eq!(graphs.len(), 3);
 }
 
+/// `GRAPH ?g { ?g <p> ?o }`: a quad that binds `?g` in its subject
+/// matches only when that subject is the quad's own graph — on the
+/// executor and on the reference alike.
+#[test]
+fn graph_variable_agrees_with_its_node_binding() {
+    let mut store = QuadStore::new();
+    for (g, s, o) in [("g1", "g2", "o"), ("g3", "g3", "o3")] {
+        store.insert(&Quad::in_graph(
+            Term::iri(s),
+            Term::iri("p"),
+            Term::iri(o),
+            GraphName::named(g),
+        ));
+    }
+    let text = "SELECT ?g ?o WHERE { GRAPH ?g { ?g <p> ?o } }";
+    let rows = |s: &sparql::Solutions| -> Vec<(String, String)> {
+        (0..s.len())
+            .map(|i| {
+                let cell = |name| s.get_str(i, name).unwrap_or_default().into_owned();
+                (cell("g"), cell("o"))
+            })
+            .collect()
+    };
+    let expected = vec![("g3".to_string(), "o3".to_string())];
+    assert_eq!(rows(&sparql::query(&store, text).unwrap()), expected);
+    let oracle =
+        sparql::reference::evaluate(&store, &sparql::parse_query(text).unwrap()).unwrap();
+    assert_eq!(rows(&oracle), expected);
+}
+
 #[test]
 fn aggregate_group_ordering() {
     let mut store = QuadStore::new();
