@@ -4,11 +4,11 @@
 use kglids::DataFrame;
 use lids_baselines::graphgen4code::{G4cAspect, G4cStats, GraphGen4Code};
 use lids_datagen::pipelines::GeneratedPipeline;
-use lids_exec::Stopwatch;
 use lids_kg::abstraction::{AbstractionStats, Aspect};
 use lids_kg::docs::LibraryDocs;
 use lids_kg::library_graph::build_library_graph;
 use lids_rdf::QuadStore;
+use std::time::Instant;
 
 /// One system's abstraction of the corpus (a Table 3 column).
 #[derive(Debug, Clone)]
@@ -27,7 +27,7 @@ pub fn run_kglids_abstraction(pipelines: &[GeneratedPipeline]) -> AbstractionRun
     let docs = LibraryDocs::builtin();
     let mut store = QuadStore::new();
     let mut stats = AbstractionStats::default();
-    let mut sw = Stopwatch::started();
+    let start = Instant::now();
     build_library_graph(&mut store, &docs, &mut stats);
     for p in pipelines {
         let _ = lids_kg::abstraction::abstract_pipeline(
@@ -38,13 +38,13 @@ pub fn run_kglids_abstraction(pipelines: &[GeneratedPipeline]) -> AbstractionRun
             &p.source,
         );
     }
-    sw.stop();
+    let analysis_secs = start.elapsed().as_secs_f64();
     AbstractionRun {
         system: "KGLiDS".into(),
         triples: store.len(),
         unique_nodes: store.term_count(),
         size_mib: store.approx_bytes() as f64 / (1024.0 * 1024.0),
-        analysis_secs: sw.secs(),
+        analysis_secs,
         breakdown: Aspect::ALL
             .iter()
             .map(|a| (a.label().to_string(), stats.get(*a)))
@@ -56,18 +56,18 @@ pub fn run_kglids_abstraction(pipelines: &[GeneratedPipeline]) -> AbstractionRun
 pub fn run_g4c_abstraction(pipelines: &[GeneratedPipeline]) -> AbstractionRun {
     let mut store = QuadStore::new();
     let mut stats = G4cStats::default();
-    let mut sw = Stopwatch::started();
+    let start = Instant::now();
     for p in pipelines {
         let id = format!("{}_{}", p.metadata.dataset, p.metadata.id);
         let _ = GraphGen4Code::abstract_pipeline(&mut store, &mut stats, &id, &p.source);
     }
-    sw.stop();
+    let analysis_secs = start.elapsed().as_secs_f64();
     AbstractionRun {
         system: "GraphGen4Code".into(),
         triples: store.len(),
         unique_nodes: store.term_count(),
         size_mib: store.approx_bytes() as f64 / (1024.0 * 1024.0),
-        analysis_secs: sw.secs(),
+        analysis_secs,
         breakdown: G4cAspect::ALL
             .iter()
             .map(|a| (a.label().to_string(), stats.get(*a)))

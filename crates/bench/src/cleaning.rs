@@ -4,10 +4,11 @@
 use kglids::KgLids;
 use lids_baselines::holoclean::{HoloClean, HoloCleanConfig};
 use lids_datagen::tasks::{cleaning_datasets, TaskDataset};
-use lids_exec::{MemoryMeter, Stopwatch};
+use lids_exec::MemoryMeter;
 use lids_ml::metrics::f1_macro;
 use lids_ml::split::kfold_indices;
 use lids_ml::{Classifier, CleaningOp, MlFrame, RandomForest, RandomForestConfig};
+use std::time::Instant;
 
 /// One row of Table 5 / Figure 7.
 #[derive(Debug, Clone)]
@@ -92,25 +93,23 @@ fn run_one_cleaning(
 
     // HoloClean
     let hc_meter = MemoryMeter::new();
-    let mut sw = Stopwatch::started();
+    let start = Instant::now();
     let hc_config = HoloCleanConfig { memory_limit: holoclean_limit, ..Default::default() };
     let holoclean = HoloClean::clean(&frame, &hc_config, &hc_meter);
-    sw.stop();
-    let holoclean_secs = sw.secs();
+    let holoclean_secs = start.elapsed().as_secs_f64();
     let holoclean_f1 = holoclean.ok().map(|cleaned| downstream_f1(&cleaned, folds, seed));
 
     // KGLiDS: GNN-recommended operation, fixed-size embedding memory
     let kg_meter = MemoryMeter::new();
-    let mut sw = Stopwatch::started();
+    let start = Instant::now();
     let ranked = platform.recommend_cleaning_operations(&dataset.table);
     let op = ranked.first().map(|(op, _)| *op).unwrap_or(CleaningOp::SimpleImputer);
     let cleaned = platform.apply_cleaning_operations(op, &frame);
-    sw.stop();
+    let kglids_secs = start.elapsed().as_secs_f64();
     // the embedding + model context is the resident footprint (plus the
     // frame being cleaned in place)
     kg_meter.alloc((lids_embed::TABLE_EMBEDDING_DIM * 4) as u64);
     kg_meter.alloc((frame.rows() * frame.n_features() * 8) as u64 / 8);
-    let kglids_secs = sw.secs();
     let kglids_f1 = downstream_f1(&cleaned, folds, seed);
 
     CleaningRow {

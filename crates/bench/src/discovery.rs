@@ -3,6 +3,7 @@
 //! (embedding-model ablation).
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use kglids::discovery::UnionMode;
 use kglids::{KgLids, KgLidsBuilder};
@@ -10,7 +11,6 @@ use lids_baselines::starmie::StarmieConfig;
 use lids_baselines::{Santos, Starmie};
 use lids_datagen::Lake;
 use lids_embed::{ColrModels, CoarseModels, FineGrainedType, WordEmbeddings};
-use lids_exec::Stopwatch;
 use lids_ml::precision_recall_at_k;
 use lids_profiler::{profile_table, ColumnProfile, ProfilerConfig};
 
@@ -41,13 +41,13 @@ fn pr_curve(
 ) -> (Vec<(usize, f64, f64)>, f64) {
     let max_k = ks.iter().copied().max().unwrap_or(10);
     let mut per_k: HashMap<usize, (f64, f64)> = HashMap::new();
-    let mut sw = Stopwatch::new();
+    let mut querying = Duration::ZERO;
     for q in &lake.query_tables {
         let table = lake.tables.iter().find(|t| &t.name == q).expect("query table in lake");
         let truth = &lake.unionable[q];
-        sw.start();
+        let start = Instant::now();
         let retrieved = retrieve(table, max_k);
-        sw.stop();
+        querying += start.elapsed();
         for &k in ks {
             let (p, r) = precision_recall_at_k(&retrieved, truth, k);
             let entry = per_k.entry(k).or_insert((0.0, 0.0));
@@ -61,7 +61,7 @@ fn pr_curve(
         .map(|(k, (p, r))| (k, p / n, r / n))
         .collect();
     curve.sort_by_key(|(k, _, _)| *k);
-    (curve, sw.secs() / n)
+    (curve, querying.as_secs_f64() / n)
 }
 
 /// Run KGLiDS + Starmie + SANTOS on one lake (Figure 5 + Table 2 data).
@@ -75,12 +75,11 @@ pub fn run_discovery(lake: &Lake, ks: &[usize]) -> DiscoveryResult {
     let _ = ColrModels::pretrained();
 
     // ---- KGLiDS: profile + schema = preprocessing; SPARQL = query ----
-    let mut sw = Stopwatch::started();
+    let start = Instant::now();
     let (platform, _) = KgLidsBuilder::new()
         .with_dataset(lake_as_dataset(lake))
         .bootstrap();
-    sw.stop();
-    let preprocess = sw.secs();
+    let preprocess = start.elapsed().as_secs_f64();
     let (curve, avg_query) = pr_curve(lake, ks, |table, k| {
         platform
             .discovery()
@@ -100,10 +99,9 @@ pub fn run_discovery(lake: &Lake, ks: &[usize]) -> DiscoveryResult {
     });
 
     // ---- Starmie: per-lake training = preprocessing ----
-    let mut sw = Stopwatch::started();
+    let start = Instant::now();
     let starmie = Starmie::preprocess(lake, StarmieConfig::default());
-    sw.stop();
-    let preprocess = sw.secs();
+    let preprocess = start.elapsed().as_secs_f64();
     let (curve, avg_query) = pr_curve(lake, ks, |table, k| starmie.query(table, k));
     runs.push(SystemRun {
         system: "Starmie".into(),
@@ -113,10 +111,9 @@ pub fn run_discovery(lake: &Lake, ks: &[usize]) -> DiscoveryResult {
     });
 
     // ---- SANTOS: per-value KB matching = preprocessing ----
-    let mut sw = Stopwatch::started();
+    let start = Instant::now();
     let santos = Santos::preprocess(lake);
-    sw.stop();
-    let preprocess = sw.secs();
+    let preprocess = start.elapsed().as_secs_f64();
     let (curve, avg_query) = pr_curve(lake, ks, |table, k| santos.query(table, k));
     runs.push(SystemRun {
         system: "SANTOS".into(),

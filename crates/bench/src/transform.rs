@@ -8,12 +8,12 @@
 //! distance-based classifier (kNN), which exposes the benefit of scaling
 //! and unary transforms exactly as the paper's accuracy deltas intend.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use kglids::KgLids;
 use lids_baselines::autolearn::{AutoLearn, AutoLearnConfig, AutoLearnError};
 use lids_datagen::tasks::{transform_datasets, TaskDataset};
-use lids_exec::{MemoryMeter, Stopwatch};
+use lids_exec::MemoryMeter;
 use lids_ml::metrics::accuracy;
 use lids_ml::split::kfold_indices;
 use lids_ml::{Classifier, KnnClassifier, MlFrame};
@@ -93,15 +93,14 @@ fn run_one_transform(
 
     // AutoLearn
     let al_meter = MemoryMeter::new();
-    let mut sw = Stopwatch::started();
+    let start = Instant::now();
     let al_config = AutoLearnConfig {
         time_budget: autolearn_budget,
         memory_limit: autolearn_limit,
         ..Default::default()
     };
     let al_result = AutoLearn::transform(&frame, &al_config, &al_meter);
-    sw.stop();
-    let autolearn_secs = sw.secs();
+    let autolearn_secs = start.elapsed().as_secs_f64();
     let autolearn = match al_result {
         Ok(augmented) => AutoLearnOutcome::Accuracy(downstream_accuracy(&augmented, folds, seed)),
         Err(AutoLearnError::Timeout) => AutoLearnOutcome::Timeout,
@@ -110,13 +109,12 @@ fn run_one_transform(
 
     // KGLiDS on-demand recommendation
     let kg_meter = MemoryMeter::new();
-    let mut sw = Stopwatch::started();
+    let start = Instant::now();
     let rec = platform.recommend_transformations(&dataset.table);
     let transformed = platform.apply_transformations(&rec, &frame);
-    sw.stop();
+    let kglids_secs = start.elapsed().as_secs_f64();
     kg_meter.alloc((lids_embed::TABLE_EMBEDDING_DIM * 4) as u64);
     kg_meter.alloc((frame.rows() * frame.n_features() * 8) as u64 / 8);
-    let kglids_secs = sw.secs();
     let kglids_acc = downstream_accuracy(&transformed, folds, seed);
 
     TransformRow {

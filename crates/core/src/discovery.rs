@@ -232,7 +232,7 @@ impl<'a> Discovery<'a> {
     /// decodes only what it returns. No row cap is set, so an answer is
     /// whole or an error.
     fn solutions(&self, sparql: &str) -> LidsResult<Solutions<'_>> {
-        self.env.query(&self.snapshot, sparql, EvalOptions::default(), Some(&self.limits))
+        self.env.query(&self.snapshot, sparql, EvalOptions::default(), Some(&self.limits), None)
     }
 
     /// The dictionary id of a table's IRI, if the lake has ever named it.

@@ -1,11 +1,12 @@
 //! The one governed query path.
 //!
-//! Every SPARQL query — ad hoc, discovery, over the wire — runs through
-//! `QueryEnv::query` against one [`StoreSnapshot`]: [`KgLids`] passes its
-//! own store, a detached [`LidsReader`] the latest published snapshot, and
-//! both carry the same environment (plan cache, [`QueryGuardrails`],
-//! metrics registry), so a query text parses once and counts in the same
-//! registry whichever handle ran it. A query runs once, under the limits
+//! Every SPARQL query — ad hoc, discovery, over the wire, and every explain,
+//! which is a query that keeps its plan — runs through `QueryEnv::query`
+//! against one [`StoreSnapshot`]: [`KgLids`] passes its own store, a
+//! detached [`LidsReader`] the latest published snapshot, and both carry
+//! the same environment (plan cache, [`QueryGuardrails`], metrics
+//! registry), so a query text parses once and counts in the same registry
+//! whichever handle ran it. A query runs once, under the limits
 //! its caller set and the guardrails fill; a trip is the caller's typed
 //! error and leaves nothing behind for the next query.
 
@@ -17,8 +18,7 @@ use lids_kg::schema::SchemaConfig;
 use lids_obs::Obs;
 use lids_rdf::{QuadStore, StoreReader, StoreSnapshot};
 use lids_sparql::{
-    EvalOptions, ExecStats, ExplainReport, PlanCache, PlanCacheStats, PreparedQuery, Solutions,
-    SparqlError,
+    EvalOptions, ExecStats, ExplainReport, PlanCache, PlanCacheStats, Solutions, SparqlError,
 };
 
 use crate::dataframe::DataFrame;
@@ -65,10 +65,9 @@ impl QueryEnv {
         }
     }
 
-    /// Admission, the same for [`Self::query`] and [`Self::explain`]: an
-    /// empty text is refused, then the limits are filled once. Per-call
-    /// [`EvalOptions`] win, then `extra` (a discovery's or a wire
-    /// request's limits) fills deadline and budget, then the
+    /// Admission: an empty text is refused, then the limits are filled
+    /// once. Per-call [`EvalOptions`] win, then `extra` (a discovery's or a
+    /// wire request's limits) fills deadline and budget, then the
     /// [`QueryGuardrails`] fill whatever is still unset.
     ///
     /// Returns the options with those limits in place and the
@@ -102,25 +101,39 @@ impl QueryEnv {
         Ok((options, limits))
     }
 
-    /// The governed query path: admission, then one run under one armed
-    /// governor. A trip is returned as its typed error
-    /// (`QueryTimeout`, `QueryCancelled`, `QueryBudgetExceeded`); only an
-    /// explicit [`EvalOptions::row_cap`] yields a partial answer, flagged
-    /// [`Solutions::truncated`].
+    /// The governed query path, for answers and explains alike: admission,
+    /// then one run under one armed governor. A trip is returned as its
+    /// typed error (`QueryTimeout`, `QueryCancelled`,
+    /// `QueryBudgetExceeded`); only an explicit [`EvalOptions::row_cap`]
+    /// yields a partial answer, flagged [`Solutions::truncated`]. With
+    /// `report`, the executed plan of that same run is written there.
+    ///
+    /// Every call counts under the `query.*` metrics: `query.count` and
+    /// `query.wall_us`, the `query.ops.*` operator counts, and on failure
+    /// `query.errors` plus `query.timeouts`, `query.cancelled` or
+    /// `query.budget_denials` for a governor trip.
     pub(crate) fn query<'s>(
         &self,
         snapshot: &'s StoreSnapshot,
         sparql: &str,
         options: EvalOptions,
         extra: Option<&QueryLimits>,
+        report: Option<&mut ExplainReport>,
     ) -> LidsResult<Solutions<'s>> {
         let (options, limits) = self.admit(sparql, options, extra)?;
         let metrics = &self.obs.metrics;
-        self.run(sparql, |prepared| {
+        let start = Instant::now();
+        metrics.counter_add("query.count", 1);
+        let result = self.plan_cache.prepare(sparql).and_then(|prepared| {
             let stats = ExecStats::default();
             let governor = limits.arm();
-            let result =
-                prepared.execute_governed(snapshot, options, governor.as_ref(), Some(&stats));
+            let result = prepared.execute_governed(
+                snapshot,
+                options,
+                governor.as_ref(),
+                Some(&stats),
+                report,
+            );
             if let Some(headroom) = governor.as_ref().and_then(|gov| gov.headroom_bytes()) {
                 metrics.gauge_set("query.budget_headroom_bytes", headroom as f64);
             }
@@ -129,35 +142,7 @@ impl QueryEnv {
                 metrics.counter_add("query.truncated", 1);
             }
             result
-        })
-    }
-
-    /// Evaluate `sparql` with per-pattern instrumentation and return the
-    /// executed plan. Explaining a query runs it, so it is admitted,
-    /// governed and counted as [`Self::query`] is.
-    pub(crate) fn explain(
-        &self,
-        snapshot: &StoreSnapshot,
-        sparql: &str,
-    ) -> LidsResult<ExplainReport> {
-        let (options, _) = self.admit(sparql, EvalOptions::default(), None)?;
-        let (_, report) = self.run(sparql, |prepared| prepared.execute_explained(snapshot, options))?;
-        Ok(report)
-    }
-
-    /// Prepare `sparql` and run it once under the `query.*` metrics: every
-    /// call counts and records wall time, a failure also bumps
-    /// `query.errors`, and a governor trip counts under `query.timeouts`,
-    /// `query.cancelled` or `query.budget_denials`.
-    fn run<T>(
-        &self,
-        sparql: &str,
-        execute: impl FnOnce(PreparedQuery) -> Result<T, SparqlError>,
-    ) -> LidsResult<T> {
-        let metrics = &self.obs.metrics;
-        let start = Instant::now();
-        metrics.counter_add("query.count", 1);
-        let result = self.plan_cache.prepare(sparql).and_then(execute);
+        });
         metrics.observe_duration("query.wall_us", start.elapsed());
         result.map_err(|e| {
             metrics.counter_add("query.errors", 1);
@@ -223,21 +208,24 @@ impl KgLids {
     /// typed error; only an explicit [`EvalOptions::row_cap`] yields a
     /// partial answer, with [`DataFrame::truncated`] set.
     pub fn query_with(&self, sparql: &str, options: EvalOptions) -> LidsResult<DataFrame> {
-        let solutions = self.env.query(&self.store, sparql, options, None)?;
+        let solutions = self.env.query(&self.store, sparql, options, None, None)?;
         Ok(DataFrame::from_solutions(&solutions))
     }
 
     /// Evaluate `sparql` with per-pattern instrumentation and return the
     /// executed plan: join order, estimated vs actual rows and the join
-    /// operator per triple pattern, decode counts. Governed like
-    /// [`Self::query`] (explaining a query runs it).
+    /// operator per triple pattern, decode counts. Explaining a query runs
+    /// it: it is one [`Self::query`], admitted, governed and counted alike.
     pub fn explain(&self, sparql: &str) -> LidsResult<ExplainReport> {
-        self.env.explain(&self.store, sparql)
+        let mut report = ExplainReport::default();
+        self.env.query(&self.store, sparql, EvalOptions::default(), None, Some(&mut report))?;
+        Ok(report)
     }
 
     /// Ask query (governed like [`Self::query`]).
     pub fn ask(&self, sparql: &str) -> LidsResult<bool> {
-        let solutions = self.env.query(&self.store, sparql, EvalOptions::default(), None)?;
+        let solutions =
+            self.env.query(&self.store, sparql, EvalOptions::default(), None, None)?;
         Ok(solutions.ask.unwrap_or(false))
     }
 
@@ -325,22 +313,27 @@ impl LidsReader {
         sparql: &str,
         options: EvalOptions,
     ) -> LidsResult<Solutions<'s>> {
-        self.env.query(snapshot, sparql, options, None)
+        self.env.query(snapshot, sparql, options, None, None)
     }
 
     /// Evaluate `sparql` against the latest published snapshot with
     /// per-pattern instrumentation (the reader-side [`KgLids::explain`]).
     pub fn explain(&self, sparql: &str) -> LidsResult<ExplainReport> {
-        self.explain_at(&self.store.snapshot(), sparql)
+        self.explain_at(&self.store.snapshot(), sparql, EvalOptions::default())
     }
 
-    /// [`Self::explain`] against a pinned snapshot.
+    /// [`Self::explain`] against a pinned snapshot with explicit options:
+    /// the run [`Self::solutions_at`] makes with the same arguments, its
+    /// executed plan returned instead of its answer.
     pub fn explain_at(
         &self,
         snapshot: &StoreSnapshot,
         sparql: &str,
+        options: EvalOptions,
     ) -> LidsResult<ExplainReport> {
-        self.env.explain(snapshot, sparql)
+        let mut report = ExplainReport::default();
+        self.env.query(snapshot, sparql, options, None, Some(&mut report))?;
+        Ok(report)
     }
 
     /// Shared parse-cache counters (hits, misses, parses, evictions).
@@ -467,6 +460,51 @@ mod tests {
                 assert_eq!(counter("query.truncated"), 0);
             });
         }
+    }
+
+    /// Explaining a query is one run of it under the caller's options: a
+    /// 16-byte budget refuses it typed, the ablation arm and an explicit
+    /// row cap show in the plan, and the trip and the truncation count as
+    /// they would for the query.
+    #[test]
+    fn explain_runs_under_its_callers_options() {
+        let (platform, _) = KgLidsBuilder::new().with_dataset(titanic()).bootstrap();
+        let reader = platform.reader();
+        let snapshot = reader.snapshot();
+        let counter = |name| platform.obs().metrics.snapshot().counter(name).unwrap_or(0);
+        let tight = EvalOptions { memory_budget: Some(16), ..EvalOptions::default() };
+        let err = reader.explain_at(&snapshot, COLUMNS_QUERY, tight).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::QueryBudgetExceeded, "{err}");
+        assert_eq!(counter("query.budget_denials"), 1);
+        let textual = EvalOptions { reorder_joins: false, ..EvalOptions::default() };
+        let report = reader.explain_at(&snapshot, COLUMNS_QUERY, textual).unwrap();
+        assert!(!report.reorder_joins);
+        assert_eq!(report.rows, 3);
+        let capped = EvalOptions { row_cap: Some(1), ..EvalOptions::default() };
+        let report = reader.explain_at(&snapshot, COLUMNS_QUERY, capped).unwrap();
+        assert!(report.truncated && report.rows <= 1, "{report}");
+        assert_eq!(counter("query.truncated"), 1);
+    }
+
+    /// An explain advances the operator counters exactly as the same query
+    /// does: it is that query's run.
+    #[test]
+    fn explain_counts_operators_as_its_query_does() {
+        let (platform, _) = KgLidsBuilder::new().with_dataset(titanic()).bootstrap();
+        let ops = || {
+            let metrics = platform.obs().metrics.snapshot();
+            ["query.ops.merge", "query.ops.probe", "query.ops.leapfrog"]
+                .map(|name| metrics.counter(name).unwrap_or(0))
+        };
+        let delta = |before: [u64; 3], after: [u64; 3]| [0, 1, 2].map(|i| after[i] - before[i]);
+        let start = ops();
+        platform.query(COLUMNS_QUERY).unwrap();
+        let queried = ops();
+        let report = platform.explain(COLUMNS_QUERY).unwrap();
+        let by_query = delta(start, queried);
+        assert!(by_query.iter().sum::<u64>() > 0, "the query joins: {by_query:?}");
+        assert_eq!(delta(queried, ops()), by_query);
+        assert_eq!([report.merge_joins, report.probe_joins, report.leapfrog_joins], by_query);
     }
 
     #[test]

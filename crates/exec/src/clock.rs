@@ -1,12 +1,12 @@
-//! The clocks behind query deadlines and the plan cache's quarantine TTL.
+//! The clocks behind query deadlines.
 //!
-//! Time is read through an injectable [`Clock`] so tests run deadline and
-//! expiry behaviour deterministically, with zero wall-clock waiting.
+//! Time is read through an injectable [`Clock`] so tests run deadline
+//! behaviour deterministically, with zero wall-clock waiting.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Source of the current instant for query deadlines and cache expiry.
+/// Source of the current instant for query deadlines.
 pub trait Clock: Send + Sync {
     /// The current instant. Query governors read deadlines through this,
     /// so an injected clock makes timeout behaviour deterministic.

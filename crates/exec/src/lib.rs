@@ -4,10 +4,10 @@
 //! algorithms with PySpark (Algorithms 1–3 are all embarrassingly parallel
 //! `map`s over scripts, columns, or column pairs). This crate provides the
 //! single-machine equivalent: a chunked [`parallel_map`] over a slice, plus
-//! the instrumentation the evaluation section needs — a wall-clock
-//! [`Stopwatch`] and a logical-bytes [`MemoryMeter`] with which each system
-//! reports the peak size of its resident data structures (the substitute for
-//! the paper's process-level RSS measurements; see DESIGN.md).
+//! the logical-bytes [`MemoryMeter`] with which each system in the
+//! evaluation section reports the peak size of its resident data structures
+//! (the substitute for the paper's process-level RSS measurements; see
+//! DESIGN.md). Wall time is `std::time::Instant`.
 //!
 //! It also hosts the fault-tolerance substrate for ingestion: the
 //! [`LidsError`] taxonomy and the panic-isolating [`parallel_try_map_with`].
@@ -22,7 +22,6 @@ pub mod error;
 pub mod governor;
 pub mod meter;
 pub mod pool;
-pub mod timer;
 
 pub use clock::{Clock, SystemClock, TestClock};
 pub use error::{ErrorKind, LidsError, LidsResult};
@@ -31,4 +30,3 @@ pub use meter::MemoryMeter;
 pub use pool::{
     parallel_blocks, parallel_map, parallel_map_with, parallel_try_map_with, ParallelConfig,
 };
-pub use timer::Stopwatch;

@@ -4,7 +4,7 @@
 //! the store a standard interchange format and powers the round-trip
 //! property tests.
 
-use crate::term::{escape_literal, xsd, GraphName, Literal, Quad, Term, Triple};
+use crate::term::{xsd, GraphName, Literal, Quad, Term, Triple};
 
 /// Serialize one quad as an N-Quads line (without trailing newline).
 pub fn write_quad(quad: &Quad) -> String {
@@ -20,6 +20,12 @@ pub fn write_document<'a>(quads: impl Iterator<Item = &'a Quad>) -> String {
     }
     out
 }
+
+/// Deepest quoted-triple nesting a term may have: `<< << … >> … >>` past
+/// this many levels is refused as a [`ParseError`]. The parser recurses
+/// once per level, so a deeper line would otherwise overflow the stack of
+/// the thread that parses it.
+const MAX_NESTING: usize = 64;
 
 /// Error produced when parsing N-Quads input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +59,7 @@ pub fn parse_document(input: &str) -> Result<Vec<Quad>, ParseError> {
 }
 
 fn parse_line(line: &str, line_no: usize) -> Result<Quad, ParseError> {
-    let mut p = Cursor { input: line.as_bytes(), pos: 0, line: line_no };
+    let mut p = Cursor { input: line.as_bytes(), pos: 0, line: line_no, depth: 0 };
     let subject = p.parse_term()?;
     p.skip_ws();
     let predicate = p.parse_term()?;
@@ -85,6 +91,8 @@ struct Cursor<'a> {
     input: &'a [u8],
     pos: usize,
     line: usize,
+    /// Quoted triples open around the current position.
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
@@ -239,11 +247,16 @@ impl<'a> Cursor<'a> {
     }
 
     fn parse_quoted_triple(&mut self) -> Result<Term, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("quoted triples nest deeper than {MAX_NESTING} levels")));
+        }
         // consumes "<<"
         self.pos += 2;
+        self.depth += 1;
         let subject = self.parse_term()?;
         let predicate = self.parse_term()?;
         let object = self.parse_term()?;
+        self.depth -= 1;
         self.skip_ws();
         if self.peek() != Some(b'>') || self.input.get(self.pos + 1) != Some(&b'>') {
             return Err(self.err("expected '>>' closing quoted triple".into()));
@@ -252,11 +265,6 @@ impl<'a> Cursor<'a> {
         Ok(Term::Quoted(Box::new(Triple { subject, predicate, object })))
     }
 }
-
-// escape_literal is used by Display impls in term.rs; re-exported here for
-// serializer completeness.
-#[allow(unused_imports)]
-use escape_literal as _escape_for_docs;
 
 #[cfg(test)]
 mod tests {
@@ -334,6 +342,47 @@ mod tests {
         let doc = "<s> <p> <o> .\n<s> <p> .\n";
         let err = parse_document(doc).unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    /// A line whose subject is `levels` quoted triples, one inside the next.
+    fn nested_line(levels: usize) -> String {
+        let (open, close) = ("<< ".repeat(levels), " <urn:p> <urn:o> >>".repeat(levels));
+        format!("{open}<urn:a>{close} <urn:p> <urn:o> .")
+    }
+
+    /// At the budget a quoted triple parses, writes back and drops on a
+    /// 2 MiB thread — the default stack of a spawned thread — in an
+    /// unoptimised build.
+    #[test]
+    fn nesting_at_the_budget_round_trips_on_a_default_stack() {
+        let run = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let line = nested_line(MAX_NESTING);
+                let quads = parse_document(&line).unwrap();
+                assert_eq!(write_quad(&quads[0]), line);
+                assert_eq!(roundtrip(&quads[0]), quads[0]);
+            })
+            .unwrap();
+        run.join().unwrap();
+    }
+
+    /// One level past the budget is a parse error on its line, and so is a
+    /// line nested 100,000 deep, on the same 2 MiB thread.
+    #[test]
+    fn nesting_past_the_budget_is_a_parse_error() {
+        let run = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for levels in [MAX_NESTING + 1, 100_000] {
+                    let doc = format!("<s> <p> <o> .\n{}\n", nested_line(levels));
+                    let err = parse_document(&doc).unwrap_err();
+                    assert_eq!(err.line, 2, "{err}");
+                    assert!(err.message.contains("nest deeper"), "{err}");
+                }
+            })
+            .unwrap();
+        run.join().unwrap();
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl WireLimits {
     }
 
     /// The [`EvalOptions`] these wire limits express (for the ad-hoc
-    /// query path, which takes options rather than limits).
+    /// query and explain paths, which take options rather than limits).
     pub fn to_eval_options(&self) -> EvalOptions {
         EvalOptions {
             deadline: self.deadline_ms.map(Duration::from_millis),
@@ -66,7 +66,9 @@ impl WireLimits {
     }
 }
 
-/// `POST /v1/query` — ad-hoc SPARQL.
+/// `POST /v1/query` — ad-hoc SPARQL — and `POST /v1/explain`, which makes
+/// the same run under the same limits and answers its executed plan; a
+/// trip is the same typed 503 on both.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QueryRequest {
     pub query: String,
@@ -153,14 +155,6 @@ fn write_strings<S: AsRef<str>>(out: &mut String, items: impl Iterator<Item = S>
         write_escaped_str(out, item.as_ref());
     }
     out.push(']');
-}
-
-/// `POST /v1/explain` — instrumented evaluation. The query runs under the
-/// platform's guardrails like `POST /v1/query`, and a trip is the same
-/// typed 503.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ExplainRequest {
-    pub query: String,
 }
 
 /// One triple pattern of an explain plan.

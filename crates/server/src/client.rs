@@ -11,8 +11,8 @@
 //! keep-alive socket between requests).
 
 use crate::api::{
-    ErrorResponse, ExplainRequest, ExplainResponse, HealthResponse, PathsRequest, PathsResponse,
-    QueryRequest, QueryResponse, SearchRequest, TableHitsRequest, TableHitsResponse, WireLimits,
+    ErrorResponse, ExplainResponse, HealthResponse, PathsRequest, PathsResponse, QueryRequest,
+    QueryResponse, SearchRequest, TableHitsRequest, TableHitsResponse, WireLimits,
 };
 use crate::http;
 use serde::{Deserialize, Serialize};
@@ -133,9 +133,14 @@ impl Client {
         self.call("/v1/query", &QueryRequest { query: query.to_string(), limits })
     }
 
-    /// `POST /v1/explain`.
-    pub fn explain(&mut self, query: &str) -> Result<ExplainResponse, ClientError> {
-        self.call("/v1/explain", &ExplainRequest { query: query.to_string() })
+    /// `POST /v1/explain`: the run `POST /v1/query` makes with the same
+    /// arguments, its executed plan answered instead of its rows.
+    pub fn explain(
+        &mut self,
+        query: &str,
+        limits: Option<WireLimits>,
+    ) -> Result<ExplainResponse, ClientError> {
+        self.call("/v1/explain", &QueryRequest { query: query.to_string(), limits })
     }
 
     /// `POST /v1/discovery/unionable-tables`.

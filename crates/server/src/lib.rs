@@ -34,9 +34,8 @@ pub mod http;
 pub mod server;
 
 pub use api::{
-    ErrorResponse, ExplainRequest, ExplainResponse, HealthResponse, PathsRequest, PathsResponse,
-    QueryRequest, QueryResponse, SearchRequest, TableHitsRequest, TableHitsResponse, WireLimits,
-    API_VERSION,
+    ErrorResponse, ExplainResponse, HealthResponse, PathsRequest, PathsResponse, QueryRequest,
+    QueryResponse, SearchRequest, TableHitsRequest, TableHitsResponse, WireLimits, API_VERSION,
 };
 pub use client::{Client, ClientError};
 pub use server::{Backend, LidsServer, ServerConfig};

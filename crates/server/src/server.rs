@@ -17,9 +17,9 @@
 //! handler knows which it was.
 
 use crate::api::{
-    query_response_body, ErrorResponse, ExplainRequest, ExplainResponse, HealthResponse,
-    PathsRequest, PathsResponse, QueryRequest, SearchRequest, TableHitsRequest, TableHitsResponse,
-    WireJoinPath, WirePattern, WireTableHit, API_VERSION,
+    query_response_body, ErrorResponse, ExplainResponse, HealthResponse, PathsRequest,
+    PathsResponse, QueryRequest, SearchRequest, TableHitsRequest, TableHitsResponse, WireJoinPath,
+    WirePattern, WireTableHit, API_VERSION,
 };
 use crate::http::{self, HttpReadError, HttpRequest};
 use kglids::{ErrorKind, KgLids, LidsError, LidsReader, UnionMode};
@@ -419,12 +419,16 @@ fn handle_query(backend: &LidsReader, body: &[u8], request_id: &str) -> (u16, St
     }
 }
 
+/// `/v1/explain` takes the body `/v1/query` takes and makes the same run:
+/// the same limits, the same refusals; the plan is answered instead of
+/// the rows.
 fn handle_explain(backend: &LidsReader, body: &[u8], request_id: &str) -> (u16, String) {
-    let req: ExplainRequest = match parse_body(body, request_id) {
+    let req: QueryRequest = match parse_body(body, request_id) {
         Ok(req) => req,
         Err(err) => return err,
     };
-    match backend.explain(&req.query) {
+    let options = req.limits.unwrap_or_default().to_eval_options();
+    match backend.explain_at(&backend.snapshot(), &req.query, options) {
         Ok(report) => {
             let resp = ExplainResponse {
                 api: API_VERSION.to_string(),

@@ -51,12 +51,14 @@ pub fn evaluate<'a>(
 pub struct EvalOptions {
     /// Cardinality-based join ordering. Disabling it joins each BGP's
     /// patterns in textual order over the same operators — the ablation
-    /// arm of the `sparql/join_ordering` bench, and the second plan the
-    /// differential suites hold to [`crate::reference`].
+    /// arm an explain with `reorder_joins: false` reports per query, and
+    /// the second plan the differential suites hold to
+    /// [`crate::reference`].
     pub reorder_joins: bool,
-    /// Wall-clock ceiling for one evaluation. When set (and no external
-    /// governor is supplied) a local [`QueryGovernor`] is armed; past
-    /// the deadline the query returns [`SparqlError::Governed`] with
+    /// Wall-clock ceiling for one evaluation. [`evaluate_with`] arms a
+    /// [`QueryGovernor`] from it ([`evaluate_governed`] runs under the one
+    /// its caller armed); past the deadline the query returns
+    /// [`SparqlError::Governed`] with
     /// [`TripReason::Timeout`](lids_exec::TripReason::Timeout).
     pub deadline: Option<Duration>,
     /// Ceiling on cumulative binding-table / answer allocations in
@@ -148,19 +150,28 @@ impl Operator {
     }
 }
 
-/// Evaluate with explicit options.
+/// Evaluate with explicit options: a governor is armed from the options'
+/// deadline and budget when either is set (all-`None` arms nothing).
 pub fn evaluate_with<'a>(
     store: &'a StoreSnapshot,
     query: &Query,
     options: EvalOptions,
 ) -> Result<Solutions<'a>, SparqlError> {
-    evaluate_governed(store, query, options, None, None)
+    let governor = options.limits().arm();
+    evaluate_governed(store, query, options, governor.as_ref(), None, None)
 }
 
-/// Evaluate under an externally armed [`QueryGovernor`] (shared
-/// cancellation, cross-engine budgets), filling `stats` with per-operator
-/// execution counts. With `governor: None`, a local governor is armed from
-/// the options' deadline/budget fields when set.
+/// The one compile-and-execute entry point: compile `query` against
+/// `store` and run it once under `governor`, the caller's (shared
+/// cancellation, cross-engine budgets; `None` runs ungoverned — nothing is
+/// armed here from the options). `stats` is filled with per-operator
+/// execution counts.
+///
+/// Explain is an output of the same run: with `report`, the compile also
+/// keeps each pattern's text and estimate, the executor counts per pattern
+/// and the executed plan is written there, its operator counts read from
+/// `stats` (a fresh one is used when the caller keeps none). Without it no
+/// pattern metadata is kept and nothing is counted per pattern.
 ///
 /// The query is compiled against `store` here, on every call (0.3–0.6 µs
 /// on the lake's discovery texts): no plan outlives the snapshot it was
@@ -171,48 +182,38 @@ pub fn evaluate_governed<'a>(
     options: EvalOptions,
     governor: Option<&QueryGovernor>,
     stats: Option<&ExecStats>,
+    report: Option<&mut ExplainReport>,
 ) -> Result<Solutions<'a>, SparqlError> {
-    let mut compiler = Compiler::new(store, &query.variables, false);
+    let explain = report.is_some();
+    let start = explain.then(Instant::now);
+    let mut compiler = Compiler::new(store, &query.variables, explain);
     let compiled = compiler.compile_query(query);
-    eval_compiled(store, query, options, &compiled, None, stats, governor)
-}
-
-/// Evaluate with per-pattern instrumentation, returning the solutions
-/// plus an [`ExplainReport`] of the executed plan.
-pub fn evaluate_explained<'a>(
-    store: &'a StoreSnapshot,
-    query: &Query,
-    options: EvalOptions,
-) -> Result<(Solutions<'a>, ExplainReport), SparqlError> {
-    let start = Instant::now();
-    let mut compiler = Compiler::new(store, &query.variables, true);
-    let compiled = compiler.compile_query(query);
-    let metas = compiler.metas;
-    let instr = Instr::new(metas.len());
-    let stats = ExecStats::default();
+    let Some(report) = report else {
+        return eval_compiled(store, query, options, &compiled, None, stats, governor);
+    };
+    let instr = Instr::new(compiler.metas.len());
+    let own_stats = ExecStats::default();
+    let stats = stats.unwrap_or(&own_stats);
     let solutions =
-        eval_compiled(store, query, options, &compiled, Some(&instr), Some(&stats), None)?;
-    let wall_secs = start.elapsed().as_secs_f64();
-    let patterns = metas
+        eval_compiled(store, query, options, &compiled, Some(&instr), Some(stats), governor)?;
+    let patterns = compiler
+        .metas
         .into_iter()
-        .enumerate()
-        .map(|(i, meta)| {
-            let cell = &instr.cells[i];
-            PatternPlan {
-                pattern: meta.text,
-                estimated_rows: meta.estimated,
-                actual_rows: cell.actual.get(),
-                scans: cell.scans.get(),
-                order: cell.order.get(),
-                satisfiable: meta.satisfiable,
-                operator: cell.operator.get().map(Operator::label),
-            }
+        .zip(&instr.cells)
+        .map(|(meta, cell)| PatternPlan {
+            pattern: meta.text,
+            estimated_rows: meta.estimated,
+            actual_rows: cell.actual.get(),
+            scans: cell.scans.get(),
+            order: cell.order.get(),
+            satisfiable: meta.satisfiable,
+            operator: cell.operator.get().map(Operator::label),
         })
         .collect();
-    let report = ExplainReport {
+    *report = ExplainReport {
         reorder_joins: options.reorder_joins,
         rows: solutions.len(),
-        wall_secs,
+        wall_secs: start.map_or(0.0, |start| start.elapsed().as_secs_f64()),
         patterns,
         decoded_terms: instr.decoded.get(),
         merge_joins: stats.merge_joins(),
@@ -220,7 +221,7 @@ pub fn evaluate_explained<'a>(
         leapfrog_joins: stats.leapfrog_joins(),
         truncated: solutions.truncated,
     };
-    Ok((solutions, report))
+    Ok(solutions)
 }
 
 fn eval_compiled<'a>(
@@ -232,14 +233,6 @@ fn eval_compiled<'a>(
     stats: Option<&ExecStats>,
     governor: Option<&QueryGovernor>,
 ) -> Result<Solutions<'a>, SparqlError> {
-    // With no external governor, arm a local one from the options'
-    // deadline/budget. All-`None` limits arm nothing: the ungoverned
-    // fast path pays a single never-taken branch per checkpoint site.
-    let local = match governor {
-        Some(_) => None,
-        None => options.limits().arm(),
-    };
-    let governor = governor.or(local.as_ref());
     let ev = Evaluator {
         store,
         options,
@@ -531,8 +524,8 @@ fn triple_text(pattern: &TriplePattern, vars: &[String]) -> String {
 pub(crate) struct Evaluator<'a> {
     pub(crate) store: &'a StoreSnapshot,
     pub(crate) options: EvalOptions,
-    /// Present only under [`evaluate_explained`]; `None` costs one
-    /// predictable branch per counter site.
+    /// Present only when [`evaluate_governed`] is asked for a report;
+    /// `None` costs one predictable branch per counter site.
     pub(crate) instr: Option<&'a Instr>,
     /// Per-operator execution counters, when the caller asked for them.
     pub(crate) stats: Option<&'a ExecStats>,
@@ -1051,6 +1044,14 @@ mod tests {
         assert_eq!(s.len(), 0);
     }
 
+    /// Run `query` once, asking the one entry point for the report too.
+    fn explained<'a>(store: &'a StoreSnapshot, query: &Query) -> (Solutions<'a>, ExplainReport) {
+        let mut report = ExplainReport::default();
+        let opts = EvalOptions::default();
+        let sols = evaluate_governed(store, query, opts, None, None, Some(&mut report)).unwrap();
+        (sols, report)
+    }
+
     #[test]
     fn explain_reports_est_and_actual_per_pattern() {
         let store = store();
@@ -1058,7 +1059,7 @@ mod tests {
             "SELECT ?t ?n ?r WHERE { ?t <type> <Table> . ?t <name> ?n . ?t <rows> ?r . }",
         )
         .unwrap();
-        let (sols, report) = evaluate_explained(&store, &query, EvalOptions::default()).unwrap();
+        let (sols, report) = explained(&store, &query);
         assert_eq!(sols.len(), 2);
         assert_eq!(report.rows, 2);
         assert_eq!(report.patterns.len(), 3);
@@ -1087,7 +1088,7 @@ mod tests {
             "SELECT ?t ?n ?r WHERE { ?t <type> <Table> . ?t <name> ?n . ?t <rows> ?r . }",
         )
         .unwrap();
-        let (sols, report) = evaluate_explained(&store, &query, EvalOptions::default()).unwrap();
+        let (sols, report) = explained(&store, &query);
         assert_eq!(sols.len(), 2);
         // a root star over ?t with constant predicates runs leapfrog
         assert_eq!(report.leapfrog_joins, 1);
@@ -1105,7 +1106,7 @@ mod tests {
         let store = store();
         let query =
             parse_query("SELECT ?x WHERE { ?x <type> <Table> . ?x <never-seen> ?y . }").unwrap();
-        let (sols, report) = evaluate_explained(&store, &query, EvalOptions::default()).unwrap();
+        let (sols, report) = explained(&store, &query);
         assert_eq!(sols.len(), 0);
         assert_eq!(report.patterns.len(), 2);
         let dead: Vec<_> = report.patterns.iter().filter(|p| !p.satisfiable).collect();
@@ -1124,7 +1125,7 @@ mod tests {
              FILTER(BOUND(?c)) }",
         )
         .unwrap();
-        let (sols, report) = evaluate_explained(&store, &query, EvalOptions::default()).unwrap();
+        let (sols, report) = explained(&store, &query);
         assert_eq!(sols.len(), 1);
         // both the outer and the OPTIONAL pattern appear in the plan
         assert_eq!(report.patterns.len(), 2);
@@ -1178,8 +1179,9 @@ mod tests {
         };
         let governor = limits.arm().unwrap();
         clock.advance(Duration::from_millis(51));
-        let err = evaluate_governed(&store, &query, EvalOptions::default(), Some(&governor), None)
-            .unwrap_err();
+        let opts = EvalOptions::default();
+        let err =
+            evaluate_governed(&store, &query, opts, Some(&governor), None, None).unwrap_err();
         assert_eq!(trip_of(err), TripReason::Timeout);
     }
 
@@ -1200,8 +1202,9 @@ mod tests {
         token.cancel();
         let limits = QueryLimits { cancel: Some(token), ..QueryLimits::default() };
         let governor = limits.arm().unwrap();
-        let err = evaluate_governed(&store, &query, EvalOptions::default(), Some(&governor), None)
-            .unwrap_err();
+        let opts = EvalOptions::default();
+        let err =
+            evaluate_governed(&store, &query, opts, Some(&governor), None, None).unwrap_err();
         assert_eq!(trip_of(err), TripReason::Cancelled);
     }
 
@@ -1235,8 +1238,9 @@ mod tests {
         let limits =
             QueryLimits { cancel_after_checks: Some(1), ..QueryLimits::default() };
         let governor = limits.arm().unwrap();
-        let err = evaluate_governed(&store, &query, EvalOptions::default(), Some(&governor), None)
-            .unwrap_err();
+        let opts = EvalOptions::default();
+        let err =
+            evaluate_governed(&store, &query, opts, Some(&governor), None, None).unwrap_err();
         assert_eq!(trip_of(err), TripReason::Cancelled);
     }
 

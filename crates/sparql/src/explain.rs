@@ -1,7 +1,7 @@
 //! Query plan reports for instrumented evaluation.
 //!
-//! [`crate::evaluate_explained`] runs the executor with per-pattern
-//! counters and folds them into an [`ExplainReport`]: for every
+//! Asked for a report, [`crate::evaluate_governed`] runs the query with
+//! per-pattern counters and folds them into an [`ExplainReport`]: for every
 //! triple pattern the plan shows the store's `estimate_pattern` guess
 //! (the number the greedy join orderer actually ranked on), the rows the
 //! pattern really produced, how many operator executions joined it, its
@@ -36,7 +36,7 @@ pub struct PatternPlan {
 }
 
 /// Full instrumented-evaluation report.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExplainReport {
     /// Whether cardinality-based join reordering was enabled.
     pub reorder_joins: bool,

@@ -43,9 +43,7 @@ pub mod reference;
 pub mod results;
 
 pub use ast::Query;
-pub use eval::{
-    evaluate, evaluate_explained, evaluate_governed, evaluate_with, EvalOptions, ExecStats,
-};
+pub use eval::{evaluate, evaluate_governed, evaluate_with, EvalOptions, ExecStats};
 pub use explain::{ExplainReport, PatternPlan};
 pub use parser::parse_query;
 pub use plan::{PlanCache, PlanCacheStats, PreparedQuery};

@@ -46,11 +46,6 @@ impl Parser {
         &self.tokens[self.pos].kind
     }
 
-    #[allow(dead_code)]
-    fn peek2(&self) -> &TokenKind {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
-    }
-
     fn advance(&mut self) -> TokenKind {
         let t = self.tokens[self.pos].kind.clone();
         if self.pos < self.tokens.len() - 1 {

@@ -18,7 +18,7 @@ use lids_exec::QueryGovernor;
 use lids_rdf::StoreSnapshot;
 
 use crate::ast::Query;
-use crate::eval::{evaluate_explained, evaluate_governed, EvalOptions, ExecStats};
+use crate::eval::{evaluate_governed, EvalOptions, ExecStats};
 use crate::explain::ExplainReport;
 use crate::parser::parse_query;
 use crate::results::{Solutions, SparqlError};
@@ -63,38 +63,32 @@ impl PreparedQuery {
         self.execute_with(store, EvalOptions::default())
     }
 
-    /// Execute against `store` with explicit options.
+    /// Execute against `store` with explicit options, under a governor
+    /// armed from their deadline and budget when either is set.
     pub fn execute_with<'a>(
         &self,
         store: &'a StoreSnapshot,
         options: EvalOptions,
     ) -> Result<Solutions<'a>, SparqlError> {
-        self.execute_governed(store, options, None, None)
+        let governor = options.limits().arm();
+        self.execute_governed(store, options, governor.as_ref(), None, None)
     }
 
-    /// Execute under an externally armed [`QueryGovernor`]: deadline,
+    /// Execute once under the caller's [`QueryGovernor`]: deadline,
     /// cancellation, and memory budget are enforced at batch/row
     /// boundaries, sharing the governor's accounting with any other
     /// work charged against it. `stats` is filled with per-operator
-    /// execution counts.
+    /// execution counts; with `report`, the executed plan of this same
+    /// run is written there (see [`evaluate_governed`]).
     pub fn execute_governed<'a>(
         &self,
         store: &'a StoreSnapshot,
         options: EvalOptions,
         governor: Option<&QueryGovernor>,
         stats: Option<&ExecStats>,
+        report: Option<&mut ExplainReport>,
     ) -> Result<Solutions<'a>, SparqlError> {
-        evaluate_governed(store, &self.query, options, governor, stats)
-    }
-
-    /// Execute with per-pattern instrumentation, returning the solutions
-    /// plus an [`ExplainReport`] of the executed plan.
-    pub fn execute_explained<'a>(
-        &self,
-        store: &'a StoreSnapshot,
-        options: EvalOptions,
-    ) -> Result<(Solutions<'a>, ExplainReport), SparqlError> {
-        evaluate_explained(store, &self.query, options)
+        evaluate_governed(store, &self.query, options, governor, stats, report)
     }
 }
 

@@ -114,10 +114,19 @@ if grep -rnwE 'degraded_row_cap|poison_threshold|poison_ttl|record_offense|is_po
     echo "retired query-policy leftovers under crates/*/src: a query runs once and a trip is the caller's typed error" >&2
     exit 1
 fi
+# Explain is a query: one compile-and-execute entry point
+# (`evaluate_governed`) returns the plan when asked, and `/v1/explain`
+# decodes the `/v1/query` body, so the second explain entry points and
+# the explain-only request body stay deleted (whole words).
+if grep -rnwE 'evaluate_explained|execute_explained|ExplainRequest' crates/*/src; then
+    echo "second explain path under crates/*/src: explain is an output of the one governed run" >&2
+    exit 1
+fi
 # Query-governance chaos suite under a hard external bound: adversarial
 # workloads must terminate with typed errors, in process and over the
-# socket, and `query` and `explain` refuse alike; a hang here is a
-# governance regression and the timeout turns it into a failure.
+# socket. `query` and `explain` are one run — the same admission, the same
+# armed governor, the same metrics — so they refuse alike; a hang here is
+# a governance regression and the timeout turns it into a failure.
 timeout 600 cargo test -q --release --test query_chaos
 # Snapshot-isolation suite under a hard external bound: frozen-snapshot
 # proptests, the concurrent reader/writer stress loop (a deadlock or a
@@ -157,6 +166,21 @@ if ls BENCH_*.json >/dev/null 2>&1; then
 fi
 if [ "$(ls crates/bench/src/bin | tr '\n' ' ')" != "lids_serve.rs repro.rs " ]; then
     echo "crates/bench/src/bin holds more than repro.rs and lids_serve.rs: measure in benchmark/" >&2
+    exit 1
+fi
+# The criterion layer is retired with its stopwatch: `repro` prints the
+# paper's comparisons and `lids-e2e` measures, so no bench target, no
+# `criterion` dependency and no `Stopwatch` (whole word) come back.
+if [ -e crates/bench/benches ]; then
+    echo "crates/bench/benches exists: measure in benchmark/, not in criterion benches" >&2
+    exit 1
+fi
+if find . -name Cargo.toml -not -path '*/target/*' -print0 | xargs -0 grep -n 'criterion'; then
+    echo "a Cargo.toml names criterion: the criterion layer is retired" >&2
+    exit 1
+fi
+if grep -rnw 'Stopwatch' crates/*/src; then
+    echo "Stopwatch under crates/*/src: time with std::time::Instant" >&2
     exit 1
 fi
 

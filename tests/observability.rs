@@ -10,7 +10,7 @@ use kglids_repro::kg::abstraction::PipelineMetadata;
 use kglids_repro::obs::{AttrValue, SpanSnapshot};
 use kglids_repro::profiler::table::{Column, Dataset, Table};
 use kglids_repro::rdf::{Quad, QuadStore, Term};
-use kglids_repro::sparql::{evaluate_explained, evaluate_with, parse_query, EvalOptions};
+use kglids_repro::sparql::{evaluate_governed, parse_query, EvalOptions, ExplainReport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
@@ -448,11 +448,15 @@ fn instrumentation_overhead_within_budget() {
         "SELECT ?x ?y ?z WHERE { ?x <p0> ?y . ?y <p1> ?z . ?z <p2> ?w . }",
     )
     .unwrap();
-    let opts = EvalOptions::default();
+    // one entry point runs both legs; only the report request differs
+    let run = |report: Option<&mut ExplainReport>| {
+        evaluate_governed(&store, &query, EvalOptions::default(), None, None, report).unwrap()
+    };
     // warm up both paths once
-    let plain_rows = evaluate_with(&store, &query, opts).unwrap().len();
-    let (instr, _) = evaluate_explained(&store, &query, opts).unwrap();
-    assert_eq!(plain_rows, instr.len());
+    let plain_rows = run(None).len();
+    let mut report = ExplainReport::default();
+    assert_eq!(plain_rows, run(Some(&mut report)).len());
+    assert_eq!(report.rows, plain_rows);
     assert!(plain_rows > 5_000, "the chain must join: {plain_rows} rows");
 
     let mut best = f64::INFINITY;
@@ -465,12 +469,12 @@ fn instrumentation_overhead_within_budget() {
             for leg in 0..2 {
                 if (i + leg) % 2 == 0 {
                     let t = Instant::now();
-                    let s = evaluate_with(&store, &query, opts).unwrap();
+                    let s = run(None);
                     plain_min = plain_min.min(t.elapsed().as_secs_f64());
                     assert_eq!(s.len(), plain_rows);
                 } else {
                     let t = Instant::now();
-                    let (s, _) = evaluate_explained(&store, &query, opts).unwrap();
+                    let s = run(Some(&mut report));
                     instr_min = instr_min.min(t.elapsed().as_secs_f64());
                     assert_eq!(s.len(), plain_rows);
                 }

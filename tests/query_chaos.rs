@@ -162,7 +162,7 @@ fn explain_of_adversarial_queries_terminates_typed_over_the_socket() {
     for q in &queries {
         for offence in 1..=2 {
             let start = Instant::now();
-            let by_explain = refusal(client.explain(&q.text), &q.name);
+            let by_explain = refusal(client.explain(&q.text, None), &q.name);
             let by_query = refusal(client.query(&q.text, None), &q.name);
             assert!(start.elapsed() < 2 * HARD_WALL, "{} ran {:?}", q.name, start.elapsed());
             // which guardrail trips first is a race between the deadline
@@ -258,7 +258,7 @@ proptest! {
         let limits = QueryLimits { cancel_after_checks: Some(n), ..QueryLimits::default() };
         let governor = limits.arm().expect("fault injection arms the governor");
         let governed =
-            prepared.execute_governed(&store, EvalOptions::default(), Some(&governor), None);
+            prepared.execute_governed(&store, EvalOptions::default(), Some(&governor), None, None);
         match governed {
             Err(SparqlError::Governed(trip)) => {
                 prop_assert_eq!(trip.reason, TripReason::Cancelled);

@@ -89,7 +89,7 @@ fn query_over_http_matches_in_process() {
     assert!(wire.generation > 0);
 
     // explain rides the same socket and reports the same result size
-    let explain = client.explain(TABLES_QUERY).expect("explain over http");
+    let explain = client.explain(TABLES_QUERY, None).expect("explain over http");
     assert_eq!(explain.rows as usize, wire.rows.len());
     assert!(!explain.patterns.is_empty());
 }
@@ -343,6 +343,40 @@ fn caller_limits_stay_with_the_caller_over_the_wire() {
         }
     }
     assert_eq!(client.unionable_tables(&request).expect("after the trips").hits, baseline);
+}
+
+/// `/v1/explain` takes the body `/v1/query` takes and makes the same run:
+/// an expired deadline and a 16-byte budget are the typed 503s a query gets,
+/// and the same body without limits explains the whole answer.
+#[test]
+fn explain_takes_the_query_body_and_its_limits() {
+    let p = platform();
+    let server = start(&p);
+    let mut client = Client::connect(server.addr().to_string());
+    let mut explain = |limits: Option<lids_server::WireLimits>| {
+        let request = lids_server::QueryRequest { query: TABLES_QUERY.to_string(), limits };
+        let body = serde_json::to_string(&request).expect("serializes");
+        client.request_raw("POST", "/v1/explain", &body).expect("explain over http")
+    };
+    for (limits, kind) in [
+        (lids_server::WireLimits { deadline_ms: Some(0), ..Default::default() }, "QueryTimeout"),
+        (
+            lids_server::WireLimits { memory_budget_bytes: Some(16), ..Default::default() },
+            "QueryBudgetExceeded",
+        ),
+    ] {
+        let (status, body) = explain(Some(limits));
+        assert_eq!(status, 503, "{kind}: {body}");
+        let error: lids_server::ErrorResponse =
+            serde_json::from_str(&body).expect("a typed error");
+        assert_eq!(error.error, kind, "{body}");
+    }
+    let (status, body) = explain(None);
+    assert_eq!(status, 200, "{body}");
+    let plan: lids_server::ExplainResponse = serde_json::from_str(&body).expect("a plan");
+    let rows = client.query(TABLES_QUERY, None).expect("the same query").rows.len();
+    assert_eq!(plan.rows as usize, rows);
+    assert!(!plan.truncated && rows >= 2, "{plan:?}");
 }
 
 /// Nesting bombs cost their request a typed 400, not the process: a FILTER
