@@ -22,14 +22,16 @@ use lids_embed::{
     table_embedding, ColrModels, FineGrainedType, WordEmbeddings, TABLE_EMBEDDING_DIM,
 };
 use lids_exec::{parallel_try_map_with, LidsError, LidsResult, MemoryMeter, ParallelConfig};
-use lids_kg::abstraction::{emit_pipeline_quads, AbstractionStats, PipelineMetadata};
+use lids_kg::abstraction::{
+    emit_pipeline_quads, AbstractionStats, PipelineGraphInfo, PipelineMetadata,
+};
 use lids_kg::docs::LibraryDocs;
 use lids_kg::incremental::{retraction_ids, LinkIndex};
 use lids_kg::library_graph::library_graph_quads;
-use lids_kg::linker::{link_pipelines, LinkStats};
+use lids_kg::linker::{LinkStats, Linker};
 use lids_kg::ontology::Vocab;
 use lids_kg::provenance::{push_quarantine, QuarantineRecord};
-use lids_kg::schema::{EncodedBatch, LinkingConfig, SchemaConfig, SchemaStats};
+use lids_kg::schema::{EncodedBatch, SchemaConfig, SchemaStats};
 use lids_obs::{Obs, SpanId, TraceSnapshot};
 use lids_profiler::table::Dataset;
 use lids_profiler::{
@@ -209,7 +211,6 @@ pub struct KgLidsBuilder {
     raw_datasets: Vec<RawDataset>,
     pipelines: Vec<PipelineScript>,
     profiler_config: ProfilerConfig,
-    schema_config: SchemaConfig,
     custom_profiles: Option<Vec<ColumnProfile>>,
     guardrails: QueryGuardrails,
 }
@@ -227,7 +228,6 @@ impl KgLidsBuilder {
             raw_datasets: Vec::new(),
             pipelines: Vec::new(),
             profiler_config: ProfilerConfig::default(),
-            schema_config: SchemaConfig::default(),
             custom_profiles: None,
             guardrails: QueryGuardrails::default(),
         }
@@ -277,19 +277,6 @@ impl KgLidsBuilder {
         self
     }
 
-    /// Override similarity thresholds (`α`, `β`, `θ`).
-    pub fn with_schema_config(mut self, config: SchemaConfig) -> Self {
-        self.schema_config = config;
-        self
-    }
-
-    /// Override only the candidate-generation strategy of the schema pass
-    /// (exact vs index-pruned linking and its tuning knobs).
-    pub fn with_linking_config(mut self, linking: LinkingConfig) -> Self {
-        self.schema_config.linking = linking;
-        self
-    }
-
     /// Use pre-computed column profiles instead of profiling datasets —
     /// for ablations with alternative embedding models (Figure 6's
     /// coarse-grained arm).
@@ -307,8 +294,7 @@ impl KgLidsBuilder {
     /// quarantined into `stats.report` (and the provenance named graph)
     /// while the rest of the lake bootstraps normally.
     pub fn bootstrap(self) -> (KgLids, BootstrapStats) {
-        let mut platform =
-            KgLids::blank(self.profiler_config, self.schema_config, self.guardrails);
+        let mut platform = KgLids::blank(self.profiler_config, self.guardrails);
         // custom profiles stand in for profiling the datasets
         let (add_datasets, add_raw_datasets, add_profiles) = match self.custom_profiles {
             Some(profiles) => (Vec::new(), Vec::new(), profiles),
@@ -390,11 +376,8 @@ impl KgLids {
 
     /// A platform that holds nothing yet — not even the library graph,
     /// which its first [`Self::ingest`] run loads.
-    fn blank(
-        profiler_config: ProfilerConfig,
-        schema_config: SchemaConfig,
-        guardrails: QueryGuardrails,
-    ) -> Self {
+    fn blank(profiler_config: ProfilerConfig, guardrails: QueryGuardrails) -> Self {
+        let schema_config = SchemaConfig::default();
         KgLids {
             store: QuadStore::new(),
             docs: LibraryDocs::builtin(),
@@ -709,23 +692,21 @@ impl KgLids {
         }
         // analysis is the parallel worker phase (panic-isolated); emission
         // is serial
+        let mut abstracted: Vec<PipelineGraphInfo> = Vec::new();
         let analyzed: Vec<LidsResult<AnalyzedScript>> =
             parallel_try_map_with(ParallelConfig::default(), &add_pipelines, |p| {
                 lids_py::analyze(&p.source).map_err(LidsError::from)
             });
         for (pipeline, analysis) in add_pipelines.iter().zip(analyzed) {
             match analysis {
-                Ok(a) => {
-                    emit_pipeline_quads(
-                        &mut batch,
-                        &mut stats.abstraction,
-                        &self.docs,
-                        &pipeline.metadata,
-                        &a,
-                        &vocab,
-                    );
-                    stats.pipelines_abstracted += 1;
-                }
+                Ok(a) => abstracted.push(emit_pipeline_quads(
+                    &mut batch,
+                    &mut stats.abstraction,
+                    &self.docs,
+                    &pipeline.metadata,
+                    &a,
+                    &vocab,
+                )),
                 Err(error) => {
                     stats.pipelines_failed += 1;
                     // qualified by dataset: bare pipeline ids need not be
@@ -740,6 +721,7 @@ impl KgLids {
                 }
             }
         }
+        stats.pipelines_abstracted = abstracted.len();
         stats.quads_added +=
             ingest_quads(&mut self.store, obs, span, "abstract", |store| store.intern_quads(batch));
         tracer.set_attr(span, "pipelines", add_pipelines.len());
@@ -747,15 +729,23 @@ impl KgLids {
         tracer.add_count(span, "failed", stats.pipelines_failed as u64);
         stats.abstraction_secs = tracer.close(span).unwrap_or_default();
 
-        // ---- Graph Linker over the new pipelines' predictions ----
-        // Every pass consumes all `predictedRead` literals, so only a
-        // run that abstracted a pipeline can have left any to link.
+        // ---- Graph Linker over this run's pipelines' predicted reads ----
+        // each against its own dataset's schema, in memory: only the
+        // verified edges reach the store
         let span = tracer.child(root, "link.pipelines");
-        let scan = stats.pipelines_abstracted > 0;
-        if scan {
-            stats.links = link_pipelines(&mut self.store);
+        let mut linker = Linker::new(&self.store);
+        let mut edges: Vec<Quad> = Vec::new();
+        for pipeline in &abstracted {
+            linker.link(pipeline, &mut edges);
         }
-        tracer.set_attr(span, "scanned", scan);
+        stats.links = linker.stats().clone();
+        tracer.set_attr(span, "datasets", linker.datasets());
+        if !edges.is_empty() {
+            stats.quads_added +=
+                ingest_quads(&mut self.store, obs, span, "link.pipelines", |store| {
+                    store.intern_quads(edges)
+                });
+        }
         tracer.add_count(span, "tables_linked", stats.links.tables_linked as u64);
         tracer.add_count(span, "columns_linked", stats.links.columns_linked as u64);
         stats.pipeline_linking_secs = tracer.close(span).unwrap_or_default();

@@ -46,16 +46,6 @@ impl TrainConfig {
             seed: 0xBEEF,
         }
     }
-
-    /// A longer run for the ablation benches.
-    pub fn thorough() -> Self {
-        TrainConfig {
-            pairs_per_type: 120,
-            values_per_column: 24,
-            epochs: 4,
-            ..Self::fast()
-        }
-    }
 }
 
 /// One synthetic training pair.

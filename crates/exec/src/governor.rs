@@ -278,10 +278,6 @@ impl QueryGovernor {
         self.used.load(Ordering::Relaxed)
     }
 
-    pub fn budget_bytes(&self) -> Option<u64> {
-        self.budget
-    }
-
     /// Remaining budget, if one is set (saturates at zero).
     pub fn headroom_bytes(&self) -> Option<u64> {
         self.budget.map(|b| b.saturating_sub(self.used_bytes()))
@@ -290,11 +286,6 @@ impl QueryGovernor {
     /// Checkpoints evaluated so far (diagnostics and fault injection).
     pub fn checks(&self) -> u64 {
         self.checks.load(Ordering::Relaxed)
-    }
-
-    /// Time left before the deadline, if one is set (zero when past due).
-    pub fn remaining_time(&self) -> Option<Duration> {
-        self.deadline.map(|d| d.saturating_duration_since(self.clock.now()))
     }
 
     /// Why this governor tripped, if it has.

@@ -12,6 +12,7 @@ use lids_py::{analyze, AnalyzedScript, PyParseError};
 use lids_rdf::{GraphName, Quad, QuadStore, Term};
 
 use crate::docs::LibraryDocs;
+use crate::linker::Linker;
 use crate::ontology::{class, data_prop, object_prop, res, Vocab};
 
 /// The modelled aspects of Table 4 (KGLiDS column).
@@ -110,18 +111,38 @@ pub struct PipelineMetadata {
     pub task: String,
 }
 
+/// A table or column a statement is predicted to read (dataset-usage
+/// analysis, Algorithm 1 lines 14–17): a name as the script spells it,
+/// which the Graph Linker ([`crate::linker`]) verifies against the
+/// pipeline's dataset.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PredictedRead {
+    /// A table, by the file stem of the path the script reads.
+    Table(String),
+    /// A column, by the key the script subscripts a frame with.
+    Column(String),
+}
+
 /// Summary of one abstracted pipeline.
 #[derive(Debug, Clone)]
 pub struct PipelineGraphInfo {
     /// The pipeline IRI (= its named graph IRI).
     pub graph_iri: String,
+    /// The dataset the pipeline belongs to (its metadata's).
+    pub dataset: String,
     pub statements: usize,
     /// Root libraries used (`pandas`, `sklearn`, …).
     pub libraries: Vec<String>,
+    /// Each statement's distinct predicted reads, as `(statement index,
+    /// read)`. They stay in memory: the linker turns the verified ones
+    /// into `readsTable`/`readsColumn` edges and the rest never reach the
+    /// store.
+    pub reads: Vec<(usize, PredictedRead)>,
 }
 
 /// Abstract one pipeline script into the store (Algorithm 1's worker plus
-/// the metadata subgraph of the main node).
+/// the metadata subgraph of the main node), its predicted reads linked
+/// against the schema the store holds.
 pub fn abstract_pipeline(
     store: &mut QuadStore,
     stats: &mut AbstractionStats,
@@ -130,28 +151,17 @@ pub fn abstract_pipeline(
     source: &str,
 ) -> Result<PipelineGraphInfo, PyParseError> {
     let analyzed = analyze(source)?;
-    Ok(emit_pipeline(store, stats, docs, md, &analyzed))
-}
-
-/// Emit an already-analysed pipeline into the store.
-///
-/// Convenience wrapper over [`emit_pipeline_quads`] + [`QuadStore::extend`].
-pub fn emit_pipeline(
-    store: &mut QuadStore,
-    stats: &mut AbstractionStats,
-    docs: &LibraryDocs,
-    md: &PipelineMetadata,
-    analyzed: &AnalyzedScript,
-) -> PipelineGraphInfo {
     let mut batch = Vec::new();
-    let info = emit_pipeline_quads(&mut batch, stats, docs, md, analyzed, &Vocab::new());
+    let info = emit_pipeline_quads(&mut batch, stats, docs, md, &analyzed, &Vocab::new());
+    Linker::new(store).link(&info, &mut batch);
     store.extend(batch);
-    info
+    Ok(info)
 }
 
 /// Append an already-analysed pipeline's quads to a batch (lets callers
 /// parallelise analysis and bulk-load many pipelines in one
-/// [`QuadStore::extend`] call).
+/// [`QuadStore::extend`] call). Its predicted reads come back on the
+/// returned info, for [`Linker::link`].
 pub fn emit_pipeline_quads(
     out: &mut Vec<Quad>,
     stats: &mut AbstractionStats,
@@ -163,6 +173,7 @@ pub fn emit_pipeline_quads(
     let pipe_iri = res::pipeline(&md.dataset, &md.id);
     let graph = GraphName::named(pipe_iri.clone());
     let mut libraries: Vec<String> = Vec::new();
+    let mut reads: Vec<(usize, PredictedRead)> = Vec::new();
 
     // --- pipeline metadata subgraph (default graph) ---
     let p = Term::iri(pipe_iri.clone());
@@ -286,21 +297,20 @@ pub fn emit_pipeline_quads(
             }
         }
 
-        // --- dataset usage analysis (Algorithm 1 lines 14–17) ---
-        for path in &info.dataset_reads {
-            let table = table_name_from_path(path);
-            quad(
-                vocab.obj(object_prop::PREDICTED_READ),
-                Term::string(format!("table:{table}")),
-                Aspect::DatasetReads,
-            );
-        }
-        for (_receiver, column) in info.column_reads.iter().chain(&info.column_writes) {
-            quad(
-                vocab.obj(object_prop::PREDICTED_READ),
-                Term::string(format!("column:{column}")),
-                Aspect::ColumnReads,
-            );
+        // --- dataset usage analysis (Algorithm 1 lines 14–17): every
+        // mention counts toward Table 4, each distinct read is kept once
+        let tables = info.dataset_reads.iter().map(|path| {
+            (PredictedRead::Table(table_name_from_path(path)), Aspect::DatasetReads)
+        });
+        let columns = info.column_reads.iter().chain(&info.column_writes).map(|(_, column)| {
+            (PredictedRead::Column(column.clone()), Aspect::ColumnReads)
+        });
+        let first = reads.len();
+        for (read, aspect) in tables.chain(columns) {
+            stats.add(aspect, 1);
+            if !reads[first..].iter().any(|(_, seen)| *seen == read) {
+                reads.push((info.index, read));
+            }
         }
 
         for (pred, obj, aspect) in triples {
@@ -311,8 +321,10 @@ pub fn emit_pipeline_quads(
 
     PipelineGraphInfo {
         graph_iri: pipe_iri,
+        dataset: md.dataset.clone(),
         statements: analyzed.statements.len(),
         libraries,
+        reads,
     }
 }
 
@@ -397,18 +409,37 @@ clf.fit(X, y)
 
     #[test]
     fn dataset_and_column_reads_predicted() {
-        let (store, stats, _) = build();
-        let predicted: Vec<String> = store
-            .match_pattern(
-                &QuadPattern::any()
-                    .with_predicate(Term::iri(object_prop::iri(object_prop::PREDICTED_READ))),
-            )
-            .filter_map(|q| q.object.as_literal().map(|l| l.lexical.clone()))
-            .collect();
-        assert!(predicted.contains(&"table:train".to_string()));
-        assert!(predicted.contains(&"column:Survived".to_string()));
+        let (_, stats, info) = build();
+        // `df = pd.read_csv(..)` is statement 2, `y = df['Survived']` 4
+        assert!(info.reads.contains(&(2, PredictedRead::Table("train".into()))));
+        assert!(info.reads.contains(&(4, PredictedRead::Column("Survived".into()))));
         assert!(stats.get(Aspect::DatasetReads) >= 1);
         assert!(stats.get(Aspect::ColumnReads) >= 1);
+    }
+
+    /// A statement that names a column twice predicts it once, and Table 4
+    /// counts both mentions.
+    #[test]
+    fn reads_are_distinct_per_statement() {
+        let source = "import pandas as pd\n\
+                      df = pd.read_csv('t/a.csv')\n\
+                      df['x'] = df['x'] + 1\n\
+                      y = df['x']\n";
+        let analyzed = analyze(source).unwrap();
+        let mut stats = AbstractionStats::default();
+        let info = emit_pipeline_quads(
+            &mut Vec::new(),
+            &mut stats,
+            &LibraryDocs::builtin(),
+            &md(),
+            &analyzed,
+            &Vocab::new(),
+        );
+        let x = PredictedRead::Column("x".into());
+        let statements: Vec<usize> =
+            info.reads.iter().filter(|(_, read)| *read == x).map(|(i, _)| *i).collect();
+        assert_eq!(statements, [2, 3]);
+        assert_eq!(stats.get(Aspect::ColumnReads), 3);
     }
 
     #[test]

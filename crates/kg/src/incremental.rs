@@ -342,11 +342,6 @@ impl LinkIndex {
         seed
     }
 
-    /// Live (non-retracted) columns currently indexed.
-    pub fn live_columns(&self) -> usize {
-        self.alive.iter().filter(|a| **a).count()
-    }
-
     /// Link a batch of new column profiles against the lake: appends
     /// their metadata quads and every similarity edge involving a new
     /// column to `out`, and registers the columns for future batches.

@@ -5,8 +5,9 @@
 //! documentation and dataset-usage analysis), datasets are profiled into a
 //! *data global schema* with RDF-star-scored similarity edges (Algorithm
 //! 3), a library graph captures package hierarchies, and the Graph Linker
-//! verifies predicted table/column usages against the schema, connecting
-//! the pipeline and dataset sides of the graph.
+//! verifies each pipeline's predicted table/column reads, held in memory
+//! from abstraction, against its own dataset's schema, connecting the
+//! pipeline and dataset sides of the graph.
 
 pub mod abstraction;
 pub mod docs;
@@ -19,11 +20,12 @@ pub mod schema;
 
 pub use abstraction::{
     abstract_pipeline, emit_pipeline_quads, AbstractionStats, Aspect, PipelineMetadata,
+    PredictedRead,
 };
 pub use docs::{DocEntry, LibraryDocs};
 pub use incremental::{retraction_ids, retraction_quads, LinkIndex};
 pub use library_graph::{build_library_graph, library_graph_quads};
-pub use linker::link_pipelines;
+pub use linker::{LinkStats, Linker};
 pub use ontology::Vocab;
 pub use provenance::{emit_quarantine, push_quarantine, QuarantineRecord};
 pub use schema::{

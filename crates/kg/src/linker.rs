@@ -1,18 +1,28 @@
 //! The Global Graph Linker (Section 2.1 / 3.1).
 //!
-//! Pipeline abstraction emits *predicted* table/column reads as literals.
-//! The linker verifies each prediction against the Data Global Schema of
-//! the pipeline's dataset: verified tables/columns become `readsTable` /
-//! `readsColumn` edges into the dataset graph; unverified predictions
-//! (user-defined columns like `NormalizedAge` in Figure 3) are removed.
+//! Pipeline abstraction predicts the tables and columns each statement
+//! reads ([`PipelineGraphInfo::reads`]); the predictions stay in memory.
+//! The linker verifies each one against the Data Global Schema of the
+//! pipeline's own dataset: a verified table or column becomes a
+//! `readsTable` / `readsColumn` edge in the pipeline's graph; an
+//! unverified prediction (a user-defined column like `NormalizedAge` in
+//! Figure 3) is counted as dropped and never reaches the store.
+//!
+//! A read is looked up by the IRI the schema stage mints for it:
+//! [`res::table`] for a table, found among the dataset's tables
+//! (`<d> hasTable ?t`); a table IRI of the dataset plus `/` and the
+//! encoded column name for a column, confirmed by a quad probe
+//! (`<t> hasColumn <c>`). Hits are read off quads, never off the
+//! dictionary alone: it never forgets a term, so an interned IRI may
+//! belong to a retracted dataset. Nothing reads the lake beyond the
+//! dataset's own tables.
 
 use std::collections::HashMap;
 
 use lids_rdf::{GraphName, Quad, QuadPattern, QuadStore, Term};
 
-use crate::ontology::{class, object_prop, RDF_TYPE};
-#[cfg(test)]
-use crate::ontology::res;
+use crate::abstraction::{PipelineGraphInfo, PredictedRead};
+use crate::ontology::{encode_segment, object_prop, res};
 
 /// Linking statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -22,147 +32,100 @@ pub struct LinkStats {
     pub predictions_dropped: usize,
 }
 
-/// Link every abstracted pipeline in the store against the data global
-/// schema. Idempotent: consumes all `predictedRead` literals.
-///
-/// Mutations are batched: verified edges accumulate in a `Vec<Quad>` that
-/// is bulk-loaded once at the end ([`QuadStore::extend`]), and consumed
-/// predictions leave in one [`QuadStore::retract`] after it. The read
-/// side (schema index, pipeline metadata, per-graph predictions) only
-/// touches quads disjoint from both batches, so deferral preserves the
-/// per-quad semantics.
-pub fn link_pipelines(store: &mut QuadStore) -> LinkStats {
-    let mut stats = LinkStats::default();
+/// Resolves pipelines' predicted reads against the schema a store holds.
+/// Each dataset's live tables are read once (`<d> hasTable ?t`) and kept
+/// for the linker's life, which is one ingest run.
+pub struct Linker<'s> {
+    store: &'s QuadStore,
+    /// dataset → its live table IRIs
+    tables: HashMap<String, Vec<String>>,
+    stats: LinkStats,
+}
 
-    // dataset → (table name → table IRI, column name → column IRIs)
-    let mut schema_index: HashMap<String, DatasetSchema> = HashMap::new();
-    build_schema_index(store, &mut schema_index);
+impl<'s> Linker<'s> {
+    pub fn new(store: &'s QuadStore) -> Self {
+        Linker { store, tables: HashMap::new(), stats: LinkStats::default() }
+    }
 
-    // pipeline → dataset from the metadata subgraph
-    let pipelines: Vec<(String, String)> = store
-        .match_pattern(
-            &QuadPattern::any()
-                .with_predicate(Term::iri(object_prop::iri(object_prop::ABOUT_DATASET))),
-        )
-        .filter_map(|q| {
-            let p = q.subject.as_iri()?.to_string();
-            let d = q.object.as_iri()?.to_string();
-            Some((p, d))
-        })
-        .collect();
-
-    let reads_table = Term::iri(object_prop::iri(object_prop::READS_TABLE));
-    let reads_column = Term::iri(object_prop::iri(object_prop::READS_COLUMN));
-    let mut edges: Vec<Quad> = Vec::new();
-    let mut consumed: Vec<Quad> = Vec::new();
-    for (pipe_iri, dataset_iri) in pipelines {
-        let graph = GraphName::named(pipe_iri.clone());
-        let schema = schema_index.get(&dataset_iri);
-        let predictions: Vec<Quad> = store
-            .match_pattern(
-                &QuadPattern::any()
-                    .with_predicate(Term::iri(object_prop::iri(object_prop::PREDICTED_READ)))
-                    .with_graph(graph.clone()),
-            )
-            .collect();
-        for quad in predictions {
-            let Some(lit) = quad.object.as_literal() else { continue };
-            let mut linked = false;
-            if let Some(schema) = schema {
-                if let Some(table) = lit.lexical.strip_prefix("table:") {
-                    if let Some(table_iri) = schema.tables.get(table) {
-                        edges.push(Quad::in_graph(
-                            quad.subject.clone(),
-                            reads_table.clone(),
-                            Term::iri(table_iri.clone()),
-                            graph.clone(),
-                        ));
-                        stats.tables_linked += 1;
-                        linked = true;
+    /// Append the verified `readsTable`/`readsColumn` edges of one
+    /// abstracted pipeline to `out`, in the pipeline's graph.
+    pub fn link(&mut self, pipeline: &PipelineGraphInfo, out: &mut Vec<Quad>) {
+        let store = self.store;
+        let tables = self.tables.entry(pipeline.dataset.clone()).or_insert_with(|| {
+            let pattern = QuadPattern::any()
+                .with_subject(Term::iri(res::dataset(&pipeline.dataset)))
+                .with_predicate(Term::iri(object_prop::iri(object_prop::HAS_TABLE)));
+            let tables = store.match_pattern(&pattern);
+            tables.filter_map(|q| q.object.as_iri().map(str::to_string)).collect()
+        });
+        let graph = GraphName::named(pipeline.graph_iri.clone());
+        let reads_table = Term::iri(object_prop::iri(object_prop::READS_TABLE));
+        let reads_column = Term::iri(object_prop::iri(object_prop::READS_COLUMN));
+        let has_column = Term::iri(object_prop::iri(object_prop::HAS_COLUMN));
+        for (index, read) in &pipeline.reads {
+            let statement = Term::iri(res::statement(&pipeline.graph_iri, *index));
+            let mut edge = |predicate: &Term, target: String| {
+                out.push(Quad::in_graph(
+                    statement.clone(),
+                    predicate.clone(),
+                    Term::iri(target),
+                    graph.clone(),
+                ));
+            };
+            let linked = match read {
+                PredictedRead::Table(name) => {
+                    let table = res::table(&pipeline.dataset, name);
+                    let hit = tables.contains(&table);
+                    if hit {
+                        edge(&reads_table, table);
+                        self.stats.tables_linked += 1;
                     }
-                } else if let Some(column) = lit.lexical.strip_prefix("column:") {
-                    if let Some(col_iris) = schema.columns.get(column) {
-                        for col_iri in col_iris {
-                            edges.push(Quad::in_graph(
-                                quad.subject.clone(),
-                                reads_column.clone(),
-                                Term::iri(col_iri.clone()),
-                                graph.clone(),
-                            ));
-                            stats.columns_linked += 1;
-                        }
-                        linked = true;
-                    }
+                    hit
                 }
-            }
+                PredictedRead::Column(name) => {
+                    let segment = encode_segment(name);
+                    let mut hits = 0;
+                    for table in tables.iter() {
+                        let column = format!("{table}/{segment}");
+                        let probe = Quad::new(
+                            Term::iri(table.clone()),
+                            has_column.clone(),
+                            Term::iri(column.clone()),
+                        );
+                        if store.contains(&probe) {
+                            edge(&reads_column, column);
+                            hits += 1;
+                        }
+                    }
+                    self.stats.columns_linked += hits;
+                    hits > 0
+                }
+            };
             if !linked {
-                stats.predictions_dropped += 1;
+                self.stats.predictions_dropped += 1;
             }
-            consumed.push(quad);
         }
     }
-    store.extend(edges);
-    store.retract(consumed);
-    stats
-}
 
-struct DatasetSchema {
-    /// table name → table IRI
-    tables: HashMap<String, String>,
-    /// column name → column IRIs (a name can recur across tables)
-    columns: HashMap<String, Vec<String>>,
-}
+    /// How many datasets the linked pipelines belong to.
+    pub fn datasets(&self) -> usize {
+        self.tables.len()
+    }
 
-fn build_schema_index(store: &QuadStore, index: &mut HashMap<String, DatasetSchema>) {
-    // tables: ?t isPartOf ?d where ?t a Table
-    let tables: Vec<(String, String)> = store
-        .match_pattern(
-            &QuadPattern::any()
-                .with_predicate(Term::iri(RDF_TYPE))
-                .with_object(Term::iri(class::iri(class::TABLE))),
-        )
-        .filter_map(|q| {
-            let t_iri = q.subject.as_iri()?.to_string();
-            let d_iri = store
-                .match_pattern(
-                    &QuadPattern::any()
-                        .with_subject(q.subject.clone())
-                        .with_predicate(Term::iri(object_prop::iri(object_prop::IS_PART_OF))),
-                )
-                .next()?
-                .object
-                .as_iri()?
-                .to_string();
-            Some((t_iri, d_iri))
-        })
-        .collect();
-
-    for (t_iri, d_iri) in tables {
-        let t_name = t_iri.rsplit('/').next().unwrap_or("").to_string();
-        let entry = index.entry(d_iri).or_insert_with(|| DatasetSchema {
-            tables: HashMap::new(),
-            columns: HashMap::new(),
-        });
-        // columns of this table
-        for q in store.match_pattern(
-            &QuadPattern::any()
-                .with_subject(Term::iri(t_iri.clone()))
-                .with_predicate(Term::iri(object_prop::iri(object_prop::HAS_COLUMN))),
-        ) {
-            if let Some(c_iri) = q.object.as_iri() {
-                let c_name = c_iri.rsplit('/').next().unwrap_or("").to_string();
-                entry.columns.entry(c_name).or_default().push(c_iri.to_string());
-            }
-        }
-        entry.tables.insert(t_name, t_iri);
+    /// The outcome over every pipeline linked so far.
+    pub fn stats(&self) -> &LinkStats {
+        &self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abstraction::{abstract_pipeline, AbstractionStats, PipelineMetadata};
+    use crate::abstraction::{
+        abstract_pipeline, emit_pipeline_quads, AbstractionStats, PipelineMetadata,
+    };
     use crate::docs::LibraryDocs;
+    use crate::ontology::Vocab;
     use crate::schema::{build_data_global_schema, SchemaConfig};
     use lids_embed::{ColrModels, WordEmbeddings};
     use lids_profiler::table::{Column, Table};
@@ -176,9 +139,39 @@ age = df['Age']
 df['NormalizedAge'] = age
 "#;
 
-    fn build_linked() -> (QuadStore, LinkStats) {
-        let mut store = QuadStore::new();
-        // dataset side
+    fn metadata(dataset: &str) -> PipelineMetadata {
+        PipelineMetadata {
+            id: "p1".into(),
+            dataset: dataset.into(),
+            title: "t".into(),
+            author: "a".into(),
+            votes: 1,
+            score: 0.5,
+            task: "classification".into(),
+        }
+    }
+
+    /// Abstract `source` as a pipeline of `dataset` and link it against
+    /// `store`.
+    fn link(store: &QuadStore, dataset: &str, source: &str) -> (Vec<Quad>, LinkStats) {
+        let info = emit_pipeline_quads(
+            &mut Vec::new(),
+            &mut AbstractionStats::default(),
+            &LibraryDocs::builtin(),
+            &metadata(dataset),
+            &lids_py::analyze(source).unwrap(),
+            &Vocab::new(),
+        );
+        let mut linker = Linker::new(store);
+        let mut edges = Vec::new();
+        linker.link(&info, &mut edges);
+        assert_eq!(linker.datasets(), 1);
+        (edges, linker.stats().clone())
+    }
+
+    /// The schema of dataset `titanic`: table `train` with columns
+    /// `Survived` and `Age`.
+    fn titanic() -> QuadStore {
         let table = Table::new(
             "train",
             vec![
@@ -186,99 +179,59 @@ df['NormalizedAge'] = age
                 Column::new("Age", vec!["22".into(), "30".into()]),
             ],
         );
-        let profiles = profile_table(
-            "titanic",
-            &table,
-            &ColrModels::untrained(1),
-            &WordEmbeddings::new(),
-            &ProfilerConfig::default(),
-            None,
-        );
-        build_data_global_schema(
-            &mut store,
-            &profiles,
-            &SchemaConfig::default(),
-            &WordEmbeddings::new(),
-        );
-        // pipeline side
-        let md = PipelineMetadata {
-            id: "p1".into(),
-            dataset: "titanic".into(),
-            title: "t".into(),
-            author: "a".into(),
-            votes: 1,
-            score: 0.5,
-            task: "classification".into(),
-        };
-        let mut stats = AbstractionStats::default();
-        abstract_pipeline(&mut store, &mut stats, &LibraryDocs::builtin(), &md, SCRIPT).unwrap();
-        let link_stats = link_pipelines(&mut store);
-        (store, link_stats)
+        let we = WordEmbeddings::new();
+        let config = ProfilerConfig::default();
+        let profiles =
+            profile_table("titanic", &table, &ColrModels::untrained(1), &we, &config, None);
+        let mut store = QuadStore::new();
+        build_data_global_schema(&mut store, &profiles, &SchemaConfig::default(), &we);
+        store
     }
 
     #[test]
     fn verified_predictions_become_edges() {
-        let (store, stats) = build_linked();
-        assert_eq!(stats.tables_linked, 1);
+        let (edges, stats) = link(&titanic(), "titanic", SCRIPT);
         // Survived + Age verified; NormalizedAge dropped
-        assert_eq!(stats.columns_linked, 2);
-        assert_eq!(stats.predictions_dropped, 1);
-
-        let reads_col = store
-            .match_pattern(
-                &QuadPattern::any()
-                    .with_predicate(Term::iri(object_prop::iri(object_prop::READS_COLUMN))),
-            )
-            .count();
-        assert_eq!(reads_col, 2);
-        let reads_table: Vec<Quad> = store
-            .match_pattern(
-                &QuadPattern::any()
-                    .with_predicate(Term::iri(object_prop::iri(object_prop::READS_TABLE))),
-            )
-            .collect();
-        assert_eq!(reads_table.len(), 1);
         assert_eq!(
-            reads_table[0].object.as_iri().unwrap(),
-            res::table("titanic", "train")
+            stats,
+            LinkStats { tables_linked: 1, columns_linked: 2, predictions_dropped: 1 }
         );
+        let with = |predicate: &str| {
+            let predicate = Term::iri(object_prop::iri(predicate));
+            edges.iter().filter(move |q| q.predicate == predicate)
+        };
+        assert_eq!(with(object_prop::READS_COLUMN).count(), 2);
+        let tables: Vec<&Quad> = with(object_prop::READS_TABLE).collect();
+        assert_eq!(tables.len(), 1);
+        assert_eq!(tables[0].object.as_iri().unwrap(), res::table("titanic", "train"));
+        let graph = GraphName::named(res::pipeline("titanic", "p1"));
+        assert!(edges.iter().all(|q| q.graph == graph));
     }
 
     #[test]
-    fn predictions_are_consumed() {
-        let (store, _) = build_linked();
-        let leftover = store
-            .match_pattern(
-                &QuadPattern::any()
-                    .with_predicate(Term::iri(object_prop::iri(object_prop::PREDICTED_READ))),
-            )
-            .count();
-        assert_eq!(leftover, 0);
-    }
-
-    #[test]
-    fn linking_is_idempotent() {
-        let (mut store, _) = build_linked();
-        let again = link_pipelines(&mut store);
-        assert_eq!(again, LinkStats::default());
+    fn abstract_pipeline_links_against_its_store() {
+        let mut store = titanic();
+        let mut stats = AbstractionStats::default();
+        let md = metadata("titanic");
+        abstract_pipeline(&mut store, &mut stats, &LibraryDocs::builtin(), &md, SCRIPT).unwrap();
+        let reads = |predicate: &str| {
+            let predicate = Term::iri(object_prop::iri(predicate));
+            store.match_pattern(&QuadPattern::any().with_predicate(predicate)).count()
+        };
+        assert_eq!((reads(object_prop::READS_TABLE), reads(object_prop::READS_COLUMN)), (1, 2));
+        let literal = |q: &Quad| {
+            q.object.as_literal().is_some_and(|l| {
+                l.lexical.starts_with("table:") || l.lexical.starts_with("column:")
+            })
+        };
+        assert!(!store.iter().any(|q| literal(&q)), "a prediction reached the store");
     }
 
     #[test]
     fn pipeline_without_schema_drops_all() {
-        let mut store = QuadStore::new();
-        let md = PipelineMetadata {
-            id: "p9".into(),
-            dataset: "ghost".into(),
-            title: "t".into(),
-            author: "a".into(),
-            votes: 0,
-            score: 0.0,
-            task: "eda".into(),
-        };
-        let mut stats = AbstractionStats::default();
-        abstract_pipeline(&mut store, &mut stats, &LibraryDocs::builtin(), &md, SCRIPT).unwrap();
-        let link = link_pipelines(&mut store);
-        assert_eq!(link.tables_linked + link.columns_linked, 0);
-        assert!(link.predictions_dropped >= 3);
+        let (edges, stats) = link(&QuadStore::new(), "ghost", SCRIPT);
+        assert!(edges.is_empty());
+        assert_eq!(stats.tables_linked + stats.columns_linked, 0);
+        assert_eq!(stats.predictions_dropped, 4);
     }
 }

@@ -68,11 +68,6 @@ impl Table {
         self.columns.iter().find(|c| c.name == name)
     }
 
-    /// Mutable column by name.
-    pub fn column_mut(&mut self, name: &str) -> Option<&mut Column> {
-        self.columns.iter_mut().find(|c| c.name == name)
-    }
-
     /// Approximate payload bytes (for memory metering).
     pub fn approx_bytes(&self) -> u64 {
         self.columns

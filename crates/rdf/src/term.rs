@@ -156,11 +156,6 @@ impl Term {
             _ => None,
         }
     }
-
-    /// True for literals.
-    pub fn is_literal(&self) -> bool {
-        matches!(self, Term::Literal(_))
-    }
 }
 
 /// An RDF-star triple (subject may itself be a quoted triple).

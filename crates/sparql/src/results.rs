@@ -17,16 +17,6 @@ pub enum SparqlError {
     Governed(GovernorTrip),
 }
 
-impl SparqlError {
-    /// The governor trip behind this error, if it is a governed stop.
-    pub fn governor_trip(&self) -> Option<&GovernorTrip> {
-        match self {
-            SparqlError::Governed(trip) => Some(trip),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for SparqlError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -122,6 +122,18 @@ if grep -rnwE 'evaluate_explained|execute_explained|ExplainRequest' crates/*/src
     echo "second explain path under crates/*/src: explain is an output of the one governed run" >&2
     exit 1
 fi
+# Predicted reads stay in memory: the Graph Linker resolves each
+# pipeline's reads against its own dataset, so the pass that rescanned
+# the lake for `predictedRead` literals (whole word) stays deleted, and
+# `PREDICTED_READ` is named only where the ontology declares it.
+if grep -rnw 'link_pipelines' crates/*/src; then
+    echo "lake-rescanning linker under crates/*/src: Linker::link resolves one pipeline's reads" >&2
+    exit 1
+fi
+if grep -rnw 'PREDICTED_READ' crates/*/src | grep -v '^crates/kg/src/ontology.rs:'; then
+    echo "PREDICTED_READ outside crates/kg/src/ontology.rs: predicted reads never reach the store" >&2
+    exit 1
+fi
 # Query-governance chaos suite under a hard external bound: adversarial
 # workloads must terminate with typed errors, in process and over the
 # socket. `query` and `explain` are one run — the same admission, the same

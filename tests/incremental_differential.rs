@@ -70,14 +70,14 @@ fn gen_dataset(name: &str, seed: u64) -> Dataset {
     Dataset::new(name, tables)
 }
 
-/// Whether the delta's `link.pipelines` stage scanned the store for
-/// predictions (it reports so on its span).
-fn link_scanned(stats: &DeltaStats) -> bool {
+/// How many datasets the delta's `link.pipelines` stage resolved
+/// predicted reads against (it reports so on its span).
+fn linked_datasets(stats: &DeltaStats) -> u64 {
     let delta = stats.trace.roots.last().expect("delta root span");
     let span = delta.child("link.pipelines").expect("link.pipelines span");
-    match span.attr("scanned") {
-        Some(AttrValue::Bool(scanned)) => *scanned,
-        other => panic!("link.pipelines reports scanned = {other:?}"),
+    match span.attr("datasets") {
+        Some(AttrValue::U64(datasets)) => *datasets,
+        other => panic!("link.pipelines reports datasets = {other:?}"),
     }
 }
 
@@ -185,6 +185,33 @@ fn delta_interleavings_match_full_bootstrap() {
     assert!(missing_value_embeddings_differ, "no lake had a column with missing values");
 }
 
+/// The Graph Linker resolves a delta's pipelines against their own
+/// dataset, not the lake: one dataset's new pipelines in a lake of four
+/// resolve one dataset and link exactly what a bootstrap links for them.
+#[test]
+fn a_delta_resolves_only_its_pipelines_datasets() {
+    let ds: Vec<Dataset> = (0..4).map(|i| gen_dataset(&format!("ds{i}"), 40 + i)).collect();
+    let first = pipeline_for(&ds[1], "p1", 0.5);
+    let second = PipelineScript {
+        metadata: PipelineMetadata { id: "p1b".into(), ..first.metadata.clone() },
+        ..first.clone()
+    };
+    let (full, _) = KgLidsBuilder::new()
+        .with_datasets(ds.clone())
+        .with_pipelines([first.clone(), second.clone()])
+        .bootstrap();
+
+    let (mut platform, _) = KgLidsBuilder::new().with_datasets(ds.clone()).bootstrap();
+    let added = platform.apply_delta(DeltaBatch::new().add_pipelines([first, second]));
+    assert_eq!(added.pipelines_abstracted, 2);
+    assert_eq!(linked_datasets(&added), 1);
+    assert_eq!(
+        added.links,
+        LinkStats { tables_linked: 2, columns_linked: 2, predictions_dropped: 0 }
+    );
+    assert_eq!(dump_platform(&full), dump_platform(&platform));
+}
+
 /// Retraction leaves the store equal to a never-ingested baseline, and no
 /// ghost quarantine entries survive — including provenance of artifacts
 /// that were quarantined while the dataset was being added.
@@ -218,7 +245,7 @@ fn retraction_equals_never_ingested_baseline_including_quarantine() {
     );
     assert_eq!(added.pipelines_abstracted, 1);
     assert_eq!(added.pipelines_failed, 1, "broken script quarantined, batch kept");
-    assert!(link_scanned(&added), "an abstracted pipeline leaves predictions to link");
+    assert_eq!(linked_datasets(&added), 1, "the abstracted pipeline's dataset is resolved");
     assert!(added.links.tables_linked > 0);
     assert_eq!(platform.quarantine_report().len(), 1);
     assert_eq!(
@@ -226,11 +253,11 @@ fn retraction_equals_never_ingested_baseline_including_quarantine() {
         Some(1.0)
     );
 
-    // a removal-only delta abstracts no pipeline, and every earlier pass
-    // consumed its predictions: the Graph Linker has nothing to scan for
+    // a removal-only delta abstracts no pipeline: the Graph Linker has
+    // no dataset to resolve reads against
     let removed = platform.apply_delta(DeltaBatch::new().remove_dataset("gone"));
     assert!(removed.quads_retracted > 0);
-    assert!(!link_scanned(&removed), "removal-only delta scanned for predictions");
+    assert_eq!(linked_datasets(&removed), 0, "removal-only delta resolved predicted reads");
     assert_eq!(removed.links, LinkStats::default());
     assert_eq!(
         dump_platform(&baseline),

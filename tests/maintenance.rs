@@ -6,10 +6,10 @@
 
 use kglids_repro::kg::abstraction::PipelineMetadata;
 use kglids_repro::kg::linker::LinkStats;
-use kglids_repro::kg::ontology::object_prop;
+use kglids_repro::kg::ontology::{object_prop, res};
 use kglids_repro::kglids::{DeltaBatch, KgLids, KgLidsBuilder, PipelineScript};
 use kglids_repro::profiler::table::{Column, Dataset, Table};
-use kglids_repro::rdf::{QuadPattern, Term};
+use kglids_repro::rdf::Term;
 
 fn ages_dataset(name: &str, table: &str) -> Dataset {
     let values: Vec<String> = (20..60).map(|i| i.to_string()).collect();
@@ -75,12 +75,12 @@ fn incremental_pipeline_links_against_schema() {
         stats.links,
         LinkStats { tables_linked: 1, columns_linked: 1, predictions_dropped: 0 }
     );
-    // the consumed predictions left in one batch, exactly as they used to
-    // leave one by one: none remains, and the store is the size it was
+    // the predictions never reach the store: it holds the quads it held
+    // when they passed through it, and fewer terms
     let predicted = Term::iri(object_prop::iri(object_prop::PREDICTED_READ));
     let store = platform.store();
-    assert_eq!(store.match_pattern(&QuadPattern::any().with_predicate(predicted)).count(), 0);
-    assert_eq!((store.len(), store.term_count()), (290, 239));
+    assert_eq!(store.id_of(&predicted), None);
+    assert_eq!((store.len(), store.term_count()), (290, 236));
     // the pipeline shows up in library queries
     let libs = platform.get_top_k_libraries_used(3);
     assert_eq!(libs.get(0, "library"), Some("pandas"));
@@ -145,4 +145,60 @@ fn remove_dataset_restores_prior_graph() {
     assert_eq!(before, after, "retraction must restore the prior graph");
     assert!(platform.table_embedding("guest", "visitors").is_none());
     assert!(platform.dataset_embedding("guest").is_none());
+}
+
+/// A retracted dataset's IRIs stay in the dictionary, which never
+/// forgets; a pipeline added after the dataset is gone links nothing.
+#[test]
+fn pipeline_of_a_retracted_dataset_links_nothing() {
+    let (mut platform, _) = KgLidsBuilder::new()
+        .with_datasets([ages_dataset("titanic", "train"), ages_dataset("base", "people")])
+        .bootstrap();
+    platform.apply_delta(DeltaBatch::new().remove_dataset("titanic"));
+    let table = Term::iri(res::table("titanic", "train"));
+    assert!(platform.store().id_of(&table).is_some());
+    let late = PipelineScript {
+        metadata: metadata("late", "titanic"),
+        source: "import pandas as pd\ndf = pd.read_csv('titanic/train.csv')\nx = df['age']\n"
+            .into(),
+    };
+    let stats = platform.apply_delta(DeltaBatch::new().add_pipelines([late]));
+    assert_eq!(stats.pipelines_abstracted, 1);
+    assert_eq!(
+        stats.links,
+        LinkStats { tables_linked: 0, columns_linked: 0, predictions_dropped: 2 }
+    );
+    for predicate in [object_prop::READS_TABLE, object_prop::READS_COLUMN] {
+        let predicate = Term::iri(object_prop::iri(predicate));
+        assert!(!platform.store().iter().any(|q| q.predicate == predicate));
+    }
+}
+
+/// Table and column names that need IRI encoding link by the IRI the
+/// schema stage mints for them.
+#[test]
+fn names_that_need_encoding_link() {
+    let values = |n: usize| (0..20).map(|i| (i * n).to_string()).collect::<Vec<_>>();
+    let houses = Dataset::new(
+        "houses",
+        vec![Table::new(
+            "Sale Prices",
+            vec![Column::new("Sale Price", values(1000)), Column::new("Rooms", values(1))],
+        )],
+    );
+    let script = PipelineScript {
+        metadata: metadata("prices", "houses"),
+        source: "import pandas as pd\n\
+                 df = pd.read_csv('houses/Sale Prices.csv')\n\
+                 p = df['Sale Price']\n\
+                 r = df['Rooms']\n"
+            .into(),
+    };
+    let (_, stats) =
+        KgLidsBuilder::new().with_dataset(houses).with_pipelines([script]).bootstrap();
+    assert_eq!(stats.pipelines_abstracted, 1);
+    assert_eq!(
+        stats.links,
+        LinkStats { tables_linked: 1, columns_linked: 2, predictions_dropped: 0 }
+    );
 }
