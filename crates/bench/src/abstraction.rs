@@ -75,13 +75,8 @@ pub fn run_g4c_abstraction(pipelines: &[GeneratedPipeline]) -> AbstractionRun {
     }
 }
 
-/// Figure 4: top-10 libraries used across the corpus's pipelines, from the
-/// LiDS graph's library queries.
-pub fn top_libraries(platform: &kglids::KgLids, k: usize) -> DataFrame {
-    platform.get_top_k_libraries_used(k)
-}
-
-/// Render Figure 4 as a text bar chart.
+/// Render Figure 4 (the frame `KgLids::get_top_k_libraries_used` returns)
+/// as a text bar chart.
 pub fn library_bar_chart(df: &DataFrame) -> String {
     let max = df
         .rows

@@ -243,11 +243,14 @@ fn main() {
 
     if want("fig4") || want("table5") || want("fig7") || want("table6") || want("fig8") || want("fig9") {
         println!("(bootstrapping corpus platform: {corpus_size} datasets × {pipelines_per} pipelines)");
-        let mut cp = corpus_platform(corpus_size, pipelines_per, 42);
+        let cp = corpus_platform(corpus_size, pipelines_per, 42);
 
         if want("fig4") {
             println!("--- Figure 4: top-10 libraries in the corpus ---");
-            let libs = cp.platform.get_top_k_libraries_used(10);
+            let libs = cp
+                .platform
+                .get_top_k_libraries_used(10)
+                .expect("the corpus platform answers unlimited queries");
             println!("{}", library_bar_chart(&libs));
         }
 
@@ -255,7 +258,7 @@ fn main() {
             println!("--- Table 5 + Figure 7: data cleaning vs HoloClean ---");
             let folds = if scale < 0.4 { 5 } else { 10 };
             let limit = (10.0e6 * scale) as u64 + 500_000;
-            let rows = run_cleaning(&mut cp.platform, scale, folds, limit);
+            let rows = run_cleaning(&cp.platform, scale, folds, limit);
             let table: Vec<Vec<String>> = rows
                 .iter()
                 .map(|r| {
@@ -301,7 +304,7 @@ fn main() {
             println!("--- Table 6 + Figure 8: transformation vs AutoLearn ---");
             let budget = Duration::from_secs_f64(0.9 * scale * scale + 0.01);
             let limit = (8.0e6 * scale * scale) as u64 + 400_000;
-            let rows = run_transform(&mut cp.platform, scale, 5, budget, limit);
+            let rows = run_transform(&cp.platform, scale, 5, budget, limit);
             let table: Vec<Vec<String>> = rows
                 .iter()
                 .map(|r| {

@@ -61,7 +61,7 @@ pub fn downstream_f1(frame: &MlFrame, folds: usize, seed: u64) -> f64 {
 /// Run the Table 5 / Figure 7 experiment. `folds` is the CV fold count
 /// (paper: 10); `platform` supplies the trained cleaning GNN.
 pub fn run_cleaning(
-    platform: &mut KgLids,
+    platform: &KgLids,
     scale: f64,
     folds: usize,
     holoclean_limit: u64,
@@ -74,7 +74,7 @@ pub fn run_cleaning(
 }
 
 fn run_one_cleaning(
-    platform: &mut KgLids,
+    platform: &KgLids,
     dataset: &TaskDataset,
     folds: usize,
     holoclean_limit: u64,
@@ -102,7 +102,9 @@ fn run_one_cleaning(
     // KGLiDS: GNN-recommended operation, fixed-size embedding memory
     let kg_meter = MemoryMeter::new();
     let start = Instant::now();
-    let ranked = platform.recommend_cleaning_operations(&dataset.table);
+    let ranked = platform
+        .recommend_cleaning_operations(&dataset.table)
+        .expect("the corpus platform answers unlimited queries");
     let op = ranked.first().map(|(op, _)| *op).unwrap_or(CleaningOp::SimpleImputer);
     let cleaned = platform.apply_cleaning_operations(op, &frame);
     let kglids_secs = start.elapsed().as_secs_f64();
@@ -134,9 +136,9 @@ mod tests {
 
     #[test]
     fn cleaning_experiment_shapes() {
-        let mut cp = corpus_platform(6, 4, 3);
+        let cp = corpus_platform(6, 4, 3);
         // small scale + a memory limit that OOMs the biggest datasets
-        let rows = run_cleaning(&mut cp.platform, 0.15, 3, 2_000_000);
+        let rows = run_cleaning(&cp.platform, 0.15, 3, 2_000_000);
         assert_eq!(rows.len(), 13);
         // the large datasets hit OOM like the paper's #11–13
         assert!(rows.iter().any(|r| r.holoclean_f1.is_none()));

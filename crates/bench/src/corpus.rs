@@ -109,7 +109,7 @@ mod tests {
         assert_eq!(cp.pipelines.len(), 12);
         assert!(cp.platform.triple_count() > 500);
         // Figure 4 data available
-        let libs = cp.platform.get_top_k_libraries_used(10);
+        let libs = cp.platform.get_top_k_libraries_used(10).unwrap();
         assert_eq!(libs.get(0, "library"), Some("pandas"));
     }
 

@@ -66,7 +66,7 @@ pub fn downstream_accuracy(frame: &MlFrame, folds: usize, seed: u64) -> f64 {
 
 /// Run the Table 6 / Figure 8 experiment (paper: 5-fold CV).
 pub fn run_transform(
-    platform: &mut KgLids,
+    platform: &KgLids,
     scale: f64,
     folds: usize,
     autolearn_budget: Duration,
@@ -79,7 +79,7 @@ pub fn run_transform(
 }
 
 fn run_one_transform(
-    platform: &mut KgLids,
+    platform: &KgLids,
     dataset: &TaskDataset,
     folds: usize,
     autolearn_budget: Duration,
@@ -110,7 +110,9 @@ fn run_one_transform(
     // KGLiDS on-demand recommendation
     let kg_meter = MemoryMeter::new();
     let start = Instant::now();
-    let rec = platform.recommend_transformations(&dataset.table);
+    let rec = platform
+        .recommend_transformations(&dataset.table)
+        .expect("the corpus platform answers unlimited queries");
     let transformed = platform.apply_transformations(&rec, &frame);
     let kglids_secs = start.elapsed().as_secs_f64();
     kg_meter.alloc((lids_embed::TABLE_EMBEDDING_DIM * 4) as u64);
@@ -138,10 +140,10 @@ mod tests {
 
     #[test]
     fn transform_experiment_shapes() {
-        let mut cp = corpus_platform(6, 4, 5);
+        let cp = corpus_platform(6, 4, 5);
         // tight budget so the big datasets time out like the paper's TO rows
         let rows = run_transform(
-            &mut cp.platform,
+            &cp.platform,
             0.15,
             3,
             Duration::from_millis(120),

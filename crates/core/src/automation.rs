@@ -1,20 +1,28 @@
 //! On-demand automation interfaces (§4, §5): cleaning, transformation, and
 //! AutoML recommendations driven by GNN models trained on the LiDS graph.
 //!
-//! The models train lazily on examples *harvested from the knowledge
-//! graph*: each abstracted pipeline's cleaning/scaling/transformation and
-//! estimator calls, joined with its dataset's stored CoLR embeddings —
-//! "KGLiDS could be queried to fetch the cleaning or transformation
-//! operations and dataset nodes … used as input" (§4.1).
+//! The models train on examples *harvested from the knowledge graph*: each
+//! abstracted pipeline's cleaning/scaling/transformation and estimator
+//! calls, joined with its dataset's stored CoLR embeddings — "KGLiDS could
+//! be queried to fetch the cleaning or transformation operations and
+//! dataset nodes … used as input" (§4.1). A model belongs to one store
+//! generation: it trains on first use behind `&self`, and an ingest run
+//! that changes the lake drops it, so the next call answers for the lake
+//! as it is now. Every harvest is a governed query: a failed one is the
+//! caller's typed error, and nothing is cached from it.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use lids_automl::{AutoMl, Config, ModelKind, SeenDataset};
+use lids_exec::LidsResult;
 use lids_gnn::{CleaningModel, ColumnTransformModel, ScalingModel};
 use lids_ml::{CleaningOp, ColumnTransform, MlFrame, ScalingOp};
 use lids_profiler::Table;
+use lids_sparql::Solutions;
 
 use crate::dataframe::DataFrame;
+use crate::discovery::short_name;
 use crate::platform::KgLids;
 
 /// One harvested estimator call:
@@ -24,6 +32,35 @@ type EstimatorCall = (String, String, u32, f64, Vec<(String, String)>);
 type EstimatorUsage = (String, u32, Vec<(String, String)>);
 /// Per-pipeline accumulator: `(dataset, votes, score, parameters)`.
 type PipelineParams = (String, u32, f64, Vec<(String, String)>);
+
+/// Fewer harvested examples than this and a model is not trained: its
+/// recommender answers with the fallback.
+const MIN_EXAMPLES: usize = 4;
+
+/// The §4 models of one store generation. Each slot is filled on first
+/// use: with the model trained on the harvested examples, or with `None`
+/// (the fallback) when there are fewer than [`MIN_EXAMPLES`].
+#[derive(Default)]
+pub(crate) struct Models {
+    cleaning: OnceLock<Option<CleaningModel>>,
+    scaling: OnceLock<Option<ScalingModel>>,
+    column: OnceLock<Option<ColumnTransformModel>>,
+}
+
+/// The model in `slot`, trained by `train` on what `harvest` returns when
+/// the slot is still empty. A harvest error leaves the slot empty.
+fn trained<M, Op>(
+    slot: &OnceLock<Option<M>>,
+    harvest: impl FnOnce() -> LidsResult<Vec<(Vec<f32>, Op)>>,
+    train: impl FnOnce(&[(Vec<f32>, Op)]) -> M,
+) -> LidsResult<Option<&M>> {
+    if let Some(model) = slot.get() {
+        return Ok(model.as_ref());
+    }
+    let examples = harvest()?;
+    let model = (examples.len() >= MIN_EXAMPLES).then(|| train(&examples));
+    Ok(slot.get_or_init(|| model).as_ref())
+}
 
 /// A transformation recommendation: one table-level scaling operation plus
 /// per-column unary transforms (§4.3's two-step formulation).
@@ -39,15 +76,22 @@ impl KgLids {
 
     /// §5 `recommend_cleaning_operations(df)`: ranked cleaning operations
     /// for an unseen table. Trains the cleaning GNN from the LiDS graph on
-    /// first use; falls back to `SimpleImputer` when the graph holds no
-    /// cleaning examples.
-    pub fn recommend_cleaning_operations(&mut self, table: &Table) -> Vec<(CleaningOp, f32)> {
-        self.ensure_cleaning_model();
+    /// first use in a store generation; falls back to `SimpleImputer` when
+    /// the graph holds too few cleaning examples.
+    pub fn recommend_cleaning_operations(
+        &self,
+        table: &Table,
+    ) -> LidsResult<Vec<(CleaningOp, f32)>> {
+        let model = trained(
+            &self.models.cleaning,
+            || self.harvest_examples(&CLEANING_OPS, CleaningOp::from_label, true),
+            |examples| CleaningModel::train(examples, 0x11D5),
+        )?;
         let embedding = self.embed_table_missing(table);
-        match &self.cleaning_model {
+        Ok(match model {
             Some(model) => model.recommend_ranked(&embedding),
             None => vec![(CleaningOp::SimpleImputer, 1.0)],
-        }
+        })
     }
 
     /// §5 `apply_cleaning_operations(op, df)`: apply a cleaning operation,
@@ -56,26 +100,23 @@ impl KgLids {
         op.apply(frame)
     }
 
-    fn ensure_cleaning_model(&mut self) {
-        if self.cleaning_model.is_some() {
-            return;
-        }
-        let examples = self.harvest_examples_with(&CLEANING_OPS, |label| {
-            CleaningOp::from_label(label)
-        }, true);
-        if examples.len() >= 4 {
-            self.cleaning_model = Some(CleaningModel::train(&examples, 0x11D5));
-        }
-    }
-
     // ------------------------------------------------------- transformation
 
     /// §5 `recommend_transformations(dataset)`: a scaling operation for the
     /// whole table plus unary transforms per numeric column.
-    pub fn recommend_transformations(&mut self, table: &Table) -> TransformRecommendation {
-        self.ensure_transform_models();
+    pub fn recommend_transformations(&self, table: &Table) -> LidsResult<TransformRecommendation> {
+        let scaling_model = trained(
+            &self.models.scaling,
+            || self.harvest_examples(&SCALING_OPS, ScalingOp::from_label, false),
+            |examples| ScalingModel::train(examples, 0x5CA1),
+        )?;
+        let column_model = trained(
+            &self.models.column,
+            || self.harvest_column_transform_examples(),
+            |examples| ColumnTransformModel::train(examples, 0xC01),
+        )?;
         let table_emb = self.embed_table(table);
-        let scaling = match &self.scaling_model {
+        let scaling = match scaling_model {
             Some(m) => m.recommend(&table_emb),
             None => ScalingOp::StandardScaler,
         };
@@ -84,13 +125,13 @@ impl KgLids {
             if !fgt.is_numeric() || emb.is_empty() {
                 continue;
             }
-            let t = match &self.column_model {
+            let t = match column_model {
                 Some(m) => m.recommend(&emb),
                 None => ColumnTransform::None,
             };
             column_transforms.push((name, t));
         }
-        TransformRecommendation { scaling, column_transforms }
+        Ok(TransformRecommendation { scaling, column_transforms })
     }
 
     /// §5 apply-transformations: scaling first, then unary column
@@ -111,32 +152,14 @@ impl KgLids {
         out
     }
 
-    fn ensure_transform_models(&mut self) {
-        if self.scaling_model.is_none() {
-            let examples = self.harvest_examples(&SCALING_OPS, |label| {
-                ScalingOp::from_label(label)
-            });
-            if examples.len() >= 4 {
-                self.scaling_model = Some(ScalingModel::train(&examples, 0x5CA1));
-            }
-        }
-        if self.column_model.is_none() {
-            let examples = self.harvest_column_transform_examples();
-            if examples.len() >= 4 {
-                self.column_model = Some(ColumnTransformModel::train(&examples, 0xC01));
-            }
-        }
-    }
-
     // ------------------------------------------------------------- AutoML
 
     /// §5 `recommend_ml_models(dataset, task)`: estimators used on the
     /// given dataset by abstracted pipelines, with votes and scores.
-    pub fn recommend_ml_models(&self, dataset: &str) -> DataFrame {
+    pub fn recommend_ml_models(&self, dataset: &str) -> LidsResult<DataFrame> {
         let mut df = DataFrame::new(vec!["model".into(), "votes".into(), "score".into()]);
-        let rows = self.estimator_calls();
         let mut per_model: HashMap<String, (u32, f64)> = HashMap::new();
-        for (ds, model, votes, score, _params) in rows {
+        for (ds, model, votes, score, _params) in self.estimator_calls()? {
             if ds != dataset {
                 continue;
             }
@@ -149,15 +172,15 @@ impl KgLids {
         for (model, (votes, score)) in ranked {
             df.push(vec![model, votes.to_string(), format!("{score:.3}")]);
         }
-        df
+        Ok(df)
     }
 
     /// §5 `recommend_hyperparameters(model_info)`: the hyperparameters used
     /// with an estimator on a dataset, most-voted first.
-    pub fn recommend_hyperparameters(&self, dataset: &str, model: &str) -> DataFrame {
+    pub fn recommend_hyperparameters(&self, dataset: &str, model: &str) -> LidsResult<DataFrame> {
         let mut df = DataFrame::new(vec!["parameter".into(), "value".into(), "votes".into()]);
         let mut weights: HashMap<(String, String), u32> = HashMap::new();
-        for (ds, m, votes, _score, params) in self.estimator_calls() {
+        for (ds, m, votes, _score, params) in self.estimator_calls()? {
             if ds != dataset || m != model {
                 continue;
             }
@@ -170,16 +193,16 @@ impl KgLids {
         for ((name, value), votes) in ranked {
             df.push(vec![name, value, votes.to_string()]);
         }
-        df
+        Ok(df)
     }
 
     /// Build the KGpip-style AutoML knowledge base from the LiDS graph:
     /// per seen dataset, the most-voted estimator and its harvested
     /// configurations (XGBoost/LightGBM calls map to the random-forest
     /// family of the portfolio).
-    pub fn automl(&self) -> AutoMl {
+    pub fn automl(&self) -> LidsResult<AutoMl> {
         let mut per_dataset: HashMap<String, Vec<EstimatorUsage>> = HashMap::new();
-        for (ds, model, votes, _score, params) in self.estimator_calls() {
+        for (ds, model, votes, _score, params) in self.estimator_calls()? {
             per_dataset.entry(ds).or_default().push((model, votes, params));
         }
         let mut seen = Vec::new();
@@ -221,14 +244,14 @@ impl KgLids {
                 configs: configs.into_iter().map(|(_, c)| c).take(3).collect(),
             });
         }
-        AutoMl::new(seen)
+        Ok(AutoMl::new(seen))
     }
 
     // ----------------------------------------------------------- harvesting
 
     /// All estimator calls in the graph:
     /// `(dataset, estimator, votes, score, params)`.
-    fn estimator_calls(&self) -> Vec<EstimatorCall> {
+    fn estimator_calls(&self) -> LidsResult<Vec<EstimatorCall>> {
         let mut out = Vec::new();
         for est in ESTIMATORS {
             let q = format!(
@@ -240,21 +263,20 @@ impl KgLids {
                  }}",
                 lids_kg::ontology::res::library(est)
             );
-            let rows = self.internal_query(&q);
+            let rows = self.solutions(&q)?;
             // group parameter rows per pipeline
-            let mut per_pipeline: HashMap<String, PipelineParams> = HashMap::new();
-            for i in 0..rows.len() {
-                let g = rows.get(i, "g").unwrap_or_default().to_string();
+            let mut per_pipeline: HashMap<u32, PipelineParams> = HashMap::new();
+            for row in rows.rows.iter() {
+                let &[g, votes, score, ds, param] = row else { continue };
                 let entry = per_pipeline.entry(g).or_insert_with(|| {
                     (
-                        dataset_name(rows.get(i, "ds").unwrap_or_default()),
-                        rows.get_f64(i, "votes").unwrap_or(0.0) as u32,
-                        rows.get_f64(i, "score").unwrap_or(0.0),
+                        short_name(&rows.text(ds)),
+                        number(&rows, votes) as u32,
+                        number(&rows, score),
                         Vec::new(),
                     )
                 });
-                let param = rows.get(i, "param").unwrap_or("");
-                if let Some((name, value)) = param.split_once('=') {
+                if let Some((name, value)) = rows.text(param).split_once('=') {
                     let pair = (name.to_string(), value.to_string());
                     if !entry.3.contains(&pair) {
                         entry.3.push(pair);
@@ -266,27 +288,18 @@ impl KgLids {
                 out.push((ds, model.clone(), votes, score, params));
             }
         }
-        out
+        Ok(out)
     }
 
     /// Harvest `(dataset embedding, operation)` training examples for
-    /// table-level operations.
+    /// table-level operations; `missing_aware` selects the §4.2 cleaning
+    /// embeddings (averages over null-containing columns).
     fn harvest_examples<Op: Copy>(
         &self,
         ops: &[(&str, &str)],
         parse: impl Fn(&str) -> Option<Op>,
-    ) -> Vec<(Vec<f32>, Op)> {
-        self.harvest_examples_with(ops, parse, false)
-    }
-
-    /// Harvest examples; `missing_aware` selects the §4.2 cleaning
-    /// embeddings (averages over null-containing columns).
-    fn harvest_examples_with<Op: Copy>(
-        &self,
-        ops: &[(&str, &str)],
-        parse: impl Fn(&str) -> Option<Op>,
         missing_aware: bool,
-    ) -> Vec<(Vec<f32>, Op)> {
+    ) -> LidsResult<Vec<(Vec<f32>, Op)>> {
         let mut out = Vec::new();
         for (lib_path, label) in ops {
             let Some(op) = parse(label) else { continue };
@@ -298,9 +311,9 @@ impl KgLids {
                  }}",
                 lids_kg::ontology::res::library(lib_path)
             );
-            let rows = self.internal_query(&q);
-            for i in 0..rows.len() {
-                let ds = dataset_name(rows.get(i, "ds").unwrap_or_default());
+            let rows = self.solutions(&q)?;
+            for row in rows.rows.iter() {
+                let ds = short_name(&rows.text(row[0]));
                 let embedding = if missing_aware {
                     self.dataset_embedding_missing(&ds)
                 } else {
@@ -311,12 +324,12 @@ impl KgLids {
                 }
             }
         }
-        out
+        Ok(out)
     }
 
     /// Column-transform examples: `(column embedding, transform)` for
     /// columns of datasets whose pipelines apply `np.log1p` / `np.sqrt`.
-    fn harvest_column_transform_examples(&self) -> Vec<(Vec<f32>, ColumnTransform)> {
+    fn harvest_column_transform_examples(&self) -> LidsResult<Vec<(Vec<f32>, ColumnTransform)>> {
         let mut out = Vec::new();
         for (lib_path, label) in COLUMN_TRANSFORMS {
             let Some(op) = ColumnTransform::from_label(label) else { continue };
@@ -327,9 +340,9 @@ impl KgLids {
                  }}",
                 lids_kg::ontology::res::library(lib_path)
             );
-            let rows = self.internal_query(&q);
-            for i in 0..rows.len() {
-                let col_iri = rows.get(i, "col").unwrap_or_default();
+            let rows = self.solutions(&q)?;
+            for row in rows.rows.iter() {
+                let col_iri = rows.text(row[0]);
                 if let Some(profile) = self
                     .profiles
                     .iter()
@@ -347,8 +360,13 @@ impl KgLids {
                 }
             }
         }
-        out
+        Ok(out)
     }
+}
+
+/// A numeric cell's value (0 when it holds no number).
+fn number(rows: &Solutions, cell: u32) -> f64 {
+    rows.text(cell).parse().unwrap_or(0.0)
 }
 
 /// Cleaning operations and the library calls that mark them.
@@ -393,17 +411,15 @@ fn portfolio_kind(model: &str) -> Option<ModelKind> {
     })
 }
 
-/// Dataset name from its resource IRI.
-fn dataset_name(iri: &str) -> String {
-    iri.rsplit('/').next().unwrap_or(iri).to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::{KgLidsBuilder, PipelineScript};
+    use crate::platform::{DeltaBatch, KgLidsBuilder, PipelineScript};
+    use crate::query::QueryGuardrails;
+    use lids_exec::ErrorKind;
     use lids_kg::abstraction::PipelineMetadata;
     use lids_profiler::table::{Column, Dataset};
+    use std::time::Duration;
 
     fn dataset(name: &str, base: i64) -> Dataset {
         Dataset::new(
@@ -437,6 +453,10 @@ mod tests {
     }
 
     fn platform() -> KgLids {
+        lake().bootstrap().0
+    }
+
+    fn lake() -> KgLidsBuilder {
         let clean1 = "import pandas as pd\nfrom sklearn.impute import SimpleImputer\n\
                       df = pd.read_csv('ds1/train.csv')\nimp = SimpleImputer(strategy='mean')\n\
                       X = imp.fit_transform(df)\n";
@@ -464,18 +484,114 @@ mod tests {
                 script("p8", "ds1", 10, clean1),
                 script("p9", "ds2", 10, clean2),
             ])
-            .bootstrap()
-            .0
+    }
+
+    const IMPUTE: &str = "import pandas as pd\nfrom sklearn.impute import SimpleImputer\n\
+                          df = pd.read_csv('d/train.csv')\nX = SimpleImputer().fit_transform(df)\n";
+
+    /// One dataset per name, each with one `SimpleImputer` pipeline: one
+    /// cleaning example per dataset.
+    fn imputer_lake(names: &[String]) -> DeltaBatch {
+        let mut batch = DeltaBatch::new();
+        for (i, name) in names.iter().enumerate() {
+            batch = batch
+                .add_dataset(dataset(name, 100 * i as i64))
+                .add_pipelines([script(&format!("p{i}"), name, 1, IMPUTE)]);
+        }
+        batch
+    }
+
+    fn probe() -> Table {
+        Table::new("probe", vec![Column::new("a", (0..20).map(|i| i.to_string()).collect())])
+    }
+
+    fn queries_run(p: &KgLids) -> u64 {
+        p.obs().metrics.snapshot().counter("query.count").unwrap_or(0)
+    }
+
+    /// A model answers for the lake as it is now: once every example it
+    /// trained on is retracted, the answer is a fresh empty lake's.
+    #[test]
+    fn a_trained_model_goes_with_its_lake() {
+        let names: Vec<String> = (0..6).map(|i| format!("ds{i}")).collect();
+        let mut p = KgLids::empty();
+        p.apply_delta(imputer_lake(&names));
+        let trained = p.recommend_cleaning_operations(&probe()).unwrap();
+        assert_eq!(trained.len(), CleaningOp::ALL.len(), "six examples train the GNN");
+        p.apply_delta(DeltaBatch { remove_datasets: names, ..DeltaBatch::new() });
+        let fresh = KgLids::empty().recommend_cleaning_operations(&probe()).unwrap();
+        assert_eq!(fresh, vec![(CleaningOp::SimpleImputer, 1.0)]);
+        assert_eq!(p.recommend_cleaning_operations(&probe()).unwrap(), fresh);
+    }
+
+    /// Too few examples cache the fallback: the harvest runs once per
+    /// store generation, not once per call.
+    #[test]
+    fn a_thin_lake_is_harvested_once_per_generation() {
+        let mut p = KgLids::empty();
+        p.apply_delta(imputer_lake(&["ds0".to_string()]));
+        let start = queries_run(&p);
+        let first = p.recommend_cleaning_operations(&probe()).unwrap();
+        assert_eq!(first, vec![(CleaningOp::SimpleImputer, 1.0)]);
+        let harvest = queries_run(&p) - start;
+        assert_eq!(harvest, CLEANING_OPS.len() as u64);
+        assert_eq!(p.recommend_cleaning_operations(&probe()).unwrap(), first);
+        assert_eq!(queries_run(&p) - start, harvest, "the second call harvests nothing");
+        let stats = p.apply_delta(imputer_lake(&["ds1".to_string()]));
+        assert!(stats.generation > 0);
+        let before = queries_run(&p);
+        p.recommend_cleaning_operations(&probe()).unwrap();
+        assert_eq!(queries_run(&p) - before, harvest, "a new generation harvests again");
+    }
+
+    /// Every §4/§5 read of the lake runs the governed path: an expired
+    /// deadline is each method's typed error, never a panic or a zero.
+    #[test]
+    fn every_lake_read_fails_typed_under_an_expired_deadline() {
+        let expired = QueryGuardrails { deadline: Some(Duration::ZERO), ..Default::default() };
+        let (p, _) = lake().with_query_guardrails(expired).bootstrap();
+        let probe = probe();
+        let kinds = [
+            p.recommend_cleaning_operations(&probe).map(drop),
+            p.recommend_transformations(&probe).map(drop),
+            p.recommend_ml_models("ds1").map(drop),
+            p.recommend_hyperparameters("ds1", "RandomForestClassifier").map(drop),
+            p.automl().map(drop),
+            p.get_top_k_libraries_used(5).map(drop),
+            p.get_top_used_libraries(5, "classification").map(drop),
+            p.get_pipelines_calling_libraries(&["pandas.read_csv"]).map(drop),
+            p.statistics().map(drop),
+            p.statistics_frame().map(drop),
+            p.find_unionable_columns(("ds1", "train"), ("ds2", "train")).map(drop),
+        ]
+        .map(|result| result.map_err(|e| e.kind()));
+        assert_eq!(kinds, [Err(ErrorKind::QueryTimeout); 11]);
+    }
+
+    /// A dataset name that needs IRI encoding is found under the name its
+    /// pipelines give.
+    #[test]
+    fn names_that_need_encoding_are_harvested() {
+        let model = "import pandas as pd\nfrom sklearn.ensemble import RandomForestClassifier\n\
+                     df = pd.read_csv('heart failure/train.csv')\n\
+                     clf = RandomForestClassifier(n_estimators=40)\nclf.fit(df, df)\n";
+        let (p, _) = KgLidsBuilder::new()
+            .with_dataset(dataset("heart failure", 0))
+            .with_pipelines([script("p1", "heart failure", 5, model)])
+            .bootstrap();
+        let models = p.recommend_ml_models("heart failure").unwrap();
+        assert_eq!(models.get(0, "model"), Some("RandomForestClassifier"));
+        assert_eq!(p.automl().unwrap().len(), 1);
     }
 
     #[test]
     fn cleaning_recommendation_from_graph() {
-        let mut p = platform();
+        let p = platform();
         let probe = Table::new(
             "probe",
             vec![Column::new("a", (0..20).map(|i| i.to_string()).collect())],
         );
-        let ranked = p.recommend_cleaning_operations(&probe);
+        let ranked = p.recommend_cleaning_operations(&probe).unwrap();
         assert!(!ranked.is_empty());
         // probabilities sum to 1 when the GNN is trained
         if ranked.len() == CleaningOp::ALL.len() {
@@ -499,7 +615,7 @@ mod tests {
 
     #[test]
     fn transform_recommendation_and_application() {
-        let mut p = platform();
+        let p = platform();
         let probe = Table::new(
             "probe",
             vec![
@@ -507,7 +623,7 @@ mod tests {
                 Column::new("txt", (0..20).map(|i| format!("v{i}")).collect()),
             ],
         );
-        let rec = p.recommend_transformations(&probe);
+        let rec = p.recommend_transformations(&probe).unwrap();
         // only the numeric column gets a unary transform slot
         assert_eq!(rec.column_transforms.len(), 1);
         assert_eq!(rec.column_transforms[0].0, "num");
@@ -529,9 +645,9 @@ mod tests {
     #[test]
     fn ml_model_recommendation() {
         let p = platform();
-        let df = p.recommend_ml_models("ds1");
+        let df = p.recommend_ml_models("ds1").unwrap();
         assert_eq!(df.get(0, "model"), Some("RandomForestClassifier"));
-        let hp = p.recommend_hyperparameters("ds1", "RandomForestClassifier");
+        let hp = p.recommend_hyperparameters("ds1", "RandomForestClassifier").unwrap();
         let params: Vec<&str> = hp.column("parameter");
         assert!(params.contains(&"n_estimators"));
         assert!(params.contains(&"max_depth"));
@@ -542,7 +658,7 @@ mod tests {
     #[test]
     fn automl_kb_from_graph() {
         let p = platform();
-        let automl = p.automl();
+        let automl = p.automl().unwrap();
         assert_eq!(automl.len(), 2);
         let e1 = p.dataset_embedding("ds1").unwrap();
         assert_eq!(automl.recommend_model(e1), ModelKind::RandomForest);

@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use lids_exec::{ErrorKind, LidsError, LidsResult, QueryLimits};
-use lids_kg::ontology::{object_prop, res};
+use lids_kg::ontology::{decode_segment, object_prop, res};
 use lids_profiler::Table;
 use lids_rdf::{StoreSnapshot, Term, TermId};
 use lids_sparql::results::UNBOUND;
@@ -115,11 +115,12 @@ impl std::fmt::Display for JoinPath {
     }
 }
 
-/// Parse a `res/<dataset>/<table>` IRI into a scored [`TableHit`].
+/// Parse a `res/<dataset>/<table>` IRI into a scored [`TableHit`], its
+/// names decoded as the caller gave them.
 fn table_hit(iri: &str, score: f64) -> TableHit {
     let mut parts = iri.rsplit('/');
-    let table = parts.next().unwrap_or(iri).to_string();
-    let dataset = parts.next().unwrap_or("").to_string();
+    let table = decode_segment(parts.next().unwrap_or(iri));
+    let dataset = decode_segment(parts.next().unwrap_or(""));
     TableHit { dataset, table, score }
 }
 
@@ -432,7 +433,7 @@ impl<'a> Discovery<'a> {
         let adjacency = self.join_graph()?;
         // a table is at distance zero from itself, in the lake or not
         if from == to {
-            return Ok(Some(JoinPath { tables: vec![short_name(&res::table(to.0, to.1))] }));
+            return Ok(Some(JoinPath { tables: vec![to.1.to_string()] }));
         }
         let (Some(start), Some(goal)) = (self.table_id(from.0, from.1), self.table_id(to.0, to.1))
         else {
@@ -584,9 +585,13 @@ impl KgLids {
     }
 
     /// §5 "Discover Unionable Columns" (see
-    /// [`Discovery::unionable_columns`]); a failed query reads as no match.
-    pub fn find_unionable_columns(&self, a: (&str, &str), b: (&str, &str)) -> Vec<ColumnHit> {
-        self.discovery().unionable_columns(a, b).unwrap_or_default()
+    /// [`Discovery::unionable_columns`]).
+    pub fn find_unionable_columns(
+        &self,
+        a: (&str, &str),
+        b: (&str, &str),
+    ) -> LidsResult<Vec<ColumnHit>> {
+        self.discovery().unionable_columns(a, b)
     }
 }
 
@@ -599,8 +604,10 @@ impl LidsReader {
     }
 }
 
-fn short_name(iri: &str) -> String {
-    iri.rsplit('/').next().unwrap_or(iri).to_string()
+/// The name a resource IRI ends in (a table's, a dataset's), decoded as
+/// the caller gave it.
+pub(crate) fn short_name(iri: &str) -> String {
+    decode_segment(iri.rsplit('/').next().unwrap_or(iri))
 }
 
 #[cfg(test)]
@@ -677,7 +684,7 @@ mod tests {
     #[test]
     fn unionable_columns_between_tables() {
         let p = platform();
-        let hits = p.find_unionable_columns(("health", "patients"), ("census", "people"));
+        let hits = p.find_unionable_columns(("health", "patients"), ("census", "people")).unwrap();
         assert!(!hits.is_empty());
         assert!(hits
             .iter()
@@ -950,6 +957,30 @@ mod tests {
             .unionable_tables("health", "patients")
             .unwrap();
         assert!(ranked.iter().any(|h| h.table == "people"));
+    }
+
+    /// Names that need IRI encoding come back as the caller gave them, so
+    /// a hit fed back into a search finds its way home.
+    #[test]
+    fn names_that_need_encoding_come_back_as_given() {
+        let ages: Vec<String> = (20..60).map(|i| i.to_string()).collect();
+        let table = |dataset: &str, table: &str| {
+            let age = Column::new("age", ages.clone());
+            Dataset::new(dataset, vec![lids_profiler::Table::new(table, vec![age])])
+        };
+        let (p, _) = KgLidsBuilder::new()
+            .with_datasets([table("heart failure", "sale prices"), table("census", "people")])
+            .bootstrap();
+        let name = |hit: &TableHit| (hit.dataset.clone(), hit.table.clone());
+        let hits = p.discovery().unionable_tables("census", "people").unwrap();
+        assert_eq!(name(&hits[0]), ("heart failure".into(), "sale prices".into()));
+        let back = p.discovery().unionable_tables(&hits[0].dataset, &hits[0].table).unwrap();
+        assert_eq!(name(&back[0]), ("census".into(), "people".into()));
+        let paths = p.discovery().paths(("census", "people"), ("heart failure", "sale prices"));
+        assert_eq!(paths.unwrap()[0].tables, ["people", "sale prices"]);
+        let found = p.discovery().search(&[&["sale"]]).unwrap();
+        assert_eq!(found.get(0, "dataset"), Some("heart failure"));
+        assert_eq!(found.get(0, "table"), Some("sale prices"));
     }
 
     #[test]

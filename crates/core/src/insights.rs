@@ -3,7 +3,9 @@
 
 use std::collections::{HashMap, HashSet};
 
+use lids_exec::LidsResult;
 use lids_kg::ontology::res;
+use lids_rdf::Term;
 
 use crate::dataframe::DataFrame;
 use crate::platform::KgLids;
@@ -11,39 +13,34 @@ use crate::platform::KgLids;
 impl KgLids {
     /// §5 `get_top_k_library_used(k)`: the number of unique pipelines
     /// calling each root library, descending (Figure 4's bars).
-    pub fn get_top_k_libraries_used(&self, k: usize) -> DataFrame {
+    pub fn get_top_k_libraries_used(&self, k: usize) -> LidsResult<DataFrame> {
         self.top_libraries(k, None)
     }
 
     /// §5 `get_top_used_libraries(k, task)`: restricted to pipelines with
     /// the given task tag.
-    pub fn get_top_used_libraries(&self, k: usize, task: &str) -> DataFrame {
+    pub fn get_top_used_libraries(&self, k: usize, task: &str) -> LidsResult<DataFrame> {
         self.top_libraries(k, Some(task))
     }
 
-    fn top_libraries(&self, k: usize, task: Option<&str>) -> DataFrame {
-        // every call edge with its pipeline (named graph IRI = pipeline IRI)
-        let q = match task {
-            Some(task) => format!(
-                "PREFIX k: <http://kglids.org/ontology/> \
-                 SELECT ?g ?f WHERE {{ \
-                    ?g k:hasName \"{task}\" . \
-                    GRAPH ?g {{ ?s k:callsFunction ?f . }} \
-                 }}"
-            ),
-            None => "PREFIX k: <http://kglids.org/ontology/> \
-                     SELECT ?g ?f WHERE { GRAPH ?g { ?s k:callsFunction ?f . } }"
-                .to_string(),
+    fn top_libraries(&self, k: usize, task: Option<&str>) -> LidsResult<DataFrame> {
+        // every call edge with its pipeline (named graph IRI = pipeline IRI);
+        // the task enters the text as an escaped literal
+        let task_filter = match task {
+            Some(task) => format!("?g k:hasName {} . ", Term::string(task)),
+            None => String::new(),
         };
-        let rows = self.internal_query(&q);
+        let rows = self.solutions(&format!(
+            "PREFIX k: <http://kglids.org/ontology/> \
+             SELECT ?g ?f WHERE {{ {task_filter}GRAPH ?g {{ ?s k:callsFunction ?f . }} }}"
+        ))?;
         // count DISTINCT pipelines per root library; total calls break ties
-        let mut pipelines_per_lib: HashMap<String, (HashSet<String>, usize)> = HashMap::new();
-        for i in 0..rows.len() {
-            let pipeline = rows.get(i, "g").unwrap_or_default().to_string();
-            let f = rows.get(i, "f").unwrap_or_default();
-            if let Some(root) = library_root(f) {
+        let mut pipelines_per_lib: HashMap<String, (HashSet<u32>, usize)> = HashMap::new();
+        for row in rows.rows.iter() {
+            let &[pipeline, f] = row else { continue };
+            if let Some(root) = library_root(&rows.text(f)) {
                 let entry = pipelines_per_lib.entry(root).or_default();
-                entry.0.insert(pipeline.clone());
+                entry.0.insert(pipeline);
                 entry.1 += 1;
             }
         }
@@ -57,22 +54,17 @@ impl KgLids {
         for (lib, n, calls) in counts {
             df.push(vec![lib, n.to_string(), calls.to_string()]);
         }
-        df
+        Ok(df)
     }
 
     /// §5 `get_pipelines_calling_libraries(...)`: pipelines whose graph
     /// calls **all** the given dotted library paths, with their metadata,
     /// sorted by votes descending.
-    pub fn get_pipelines_calling_libraries(&self, paths: &[&str]) -> DataFrame {
-        let mut df = DataFrame::new(vec![
-            "pipeline".into(),
-            "title".into(),
-            "author".into(),
-            "votes".into(),
-            "score".into(),
-        ]);
+    pub fn get_pipelines_calling_libraries(&self, paths: &[&str]) -> LidsResult<DataFrame> {
         if paths.is_empty() {
-            return df;
+            return Ok(DataFrame::new(
+                ["pipeline", "title", "author", "votes", "score"].map(String::from).to_vec(),
+            ));
         }
         // single query: all call patterns share the graph variable
         let patterns: String = paths
@@ -80,26 +72,16 @@ impl KgLids {
             .enumerate()
             .map(|(i, p)| format!("?s{i} k:callsFunction <{}> . ", res::library(p)))
             .collect();
-        let q = format!(
+        let rows = self.solutions(&format!(
             "PREFIX k: <http://kglids.org/ontology/> \
              PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#> \
-             SELECT DISTINCT ?g ?title ?author ?votes ?score WHERE {{ \
-                GRAPH ?g {{ {patterns} }} \
-                ?g rdfs:label ?title ; k:hasAuthor ?author ; \
+             SELECT DISTINCT ?pipeline ?title ?author ?votes ?score WHERE {{ \
+                GRAPH ?pipeline {{ {patterns} }} \
+                ?pipeline rdfs:label ?title ; k:hasAuthor ?author ; \
                    k:hasVotes ?votes ; k:hasScore ?score . \
              }} ORDER BY DESC(?votes)"
-        );
-        let rows = self.internal_query(&q);
-        for i in 0..rows.len() {
-            df.push(vec![
-                rows.get(i, "g").unwrap_or_default().to_string(),
-                rows.get(i, "title").unwrap_or_default().to_string(),
-                rows.get(i, "author").unwrap_or_default().to_string(),
-                rows.get(i, "votes").unwrap_or_default().to_string(),
-                rows.get(i, "score").unwrap_or_default().to_string(),
-            ]);
-        }
-        df
+        ))?;
+        Ok(DataFrame::from_solutions(&rows))
     }
 }
 
@@ -161,7 +143,7 @@ mod tests {
     #[test]
     fn top_libraries_counts_distinct_pipelines() {
         let p = platform();
-        let df = p.get_top_k_libraries_used(10);
+        let df = p.get_top_k_libraries_used(10).unwrap();
         assert_eq!(df.get(0, "library"), Some("pandas"));
         assert_eq!(df.get_f64(0, "pipelines"), Some(3.0));
         let libs: Vec<&str> = df.column("library");
@@ -173,33 +155,36 @@ mod tests {
     #[test]
     fn task_filter_restricts() {
         let p = platform();
-        let df = p.get_top_used_libraries(10, "classification");
+        let df = p.get_top_used_libraries(10, "classification").unwrap();
         assert_eq!(df.get_f64(0, "pipelines"), Some(2.0)); // pandas in p1+p2
         assert!(!df.column("library").contains(&"seaborn"));
+        // the task is a literal, whatever it holds
+        assert!(p.get_top_used_libraries(5, "a\"b").unwrap().is_empty());
     }
 
     #[test]
     fn k_truncates() {
         let p = platform();
-        assert_eq!(p.get_top_k_libraries_used(2).len(), 2);
+        assert_eq!(p.get_top_k_libraries_used(2).unwrap().len(), 2);
     }
 
     #[test]
     fn pipelines_calling_all_libraries() {
         let p = platform();
-        let df = p.get_pipelines_calling_libraries(&[
-            "pandas.read_csv",
-            "xgboost.XGBClassifier",
-        ]);
+        let df = p
+            .get_pipelines_calling_libraries(&["pandas.read_csv", "xgboost.XGBClassifier"])
+            .unwrap();
         assert_eq!(df.len(), 1);
         assert!(df.get(0, "pipeline").unwrap().contains("p2"));
         assert_eq!(df.get(0, "author"), Some("alice"));
         // single library matches several, sorted by votes
-        let all = p.get_pipelines_calling_libraries(&["pandas.read_csv"]);
+        let all = p.get_pipelines_calling_libraries(&["pandas.read_csv"]).unwrap();
         assert_eq!(all.len(), 3);
         assert_eq!(all.get_f64(0, "votes"), Some(100.0));
         // empty input
-        assert!(p.get_pipelines_calling_libraries(&[]).is_empty());
+        let none = p.get_pipelines_calling_libraries(&[]).unwrap();
+        assert!(none.is_empty());
+        assert_eq!(none.columns, all.columns);
     }
 
     #[test]

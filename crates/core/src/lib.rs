@@ -19,12 +19,15 @@
 //!   `get_pipelines_calling_libraries` (Figure 4's data).
 //! - [`automation`]: `recommend_cleaning_operations`, `apply_cleaning_
 //!   operations`, `recommend_transformations`, `recommend_ml_models`,
-//!   `recommend_hyperparameters` (§4, §5).
+//!   `recommend_hyperparameters`, `automl` (§4, §5): GNNs trained on the
+//!   lake of the current store generation, on first use behind `&self`.
+//! - [`manager`]: the Statistics Manager (`statistics`) and Model Manager.
 //! - [`dataframe`]: query results materialise as a [`DataFrame`] ("KGLiDS
 //!   exports query results as Pandas DataFrame" — §2.2).
 //! - [`query`]: ad-hoc SPARQL ([`KgLids::query`], [`LidsReader::query`]) —
-//!   the one governed query path every handle and every discovery search
-//!   runs through.
+//!   the one governed query path every handle, every discovery search and
+//!   every read of the lake the §4/§5 interfaces make runs through; each of
+//!   them returns a typed [`LidsResult`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -8,6 +8,8 @@
 
 use std::collections::HashMap;
 
+use lids_exec::LidsResult;
+
 use crate::dataframe::DataFrame;
 use crate::platform::KgLids;
 
@@ -31,45 +33,36 @@ pub struct PlatformStatistics {
 impl KgLids {
     /// §2.2 Statistics Manager: counts of every entity kind in the LiDS
     /// graph plus storage/memory figures.
-    pub fn statistics(&self) -> PlatformStatistics {
-        let count_type = |class: &str| -> usize {
-            self.query(&format!(
+    pub fn statistics(&self) -> LidsResult<PlatformStatistics> {
+        let count = |pattern: String| -> LidsResult<usize> {
+            let rows = self.solutions(&format!(
                 "PREFIX k: <http://kglids.org/ontology/> \
-                 SELECT (COUNT(?x) AS ?n) WHERE {{ ?x a k:{class} . }}"
-            ))
-            .ok()
-            .and_then(|df| df.get_f64(0, "n"))
-            .unwrap_or(0.0) as usize
+                 SELECT (COUNT(?x) AS ?n) WHERE {{ {pattern} }}"
+            ))?;
+            Ok(rows.get_f64(0, "n").unwrap_or(0.0) as usize)
         };
-        let count_pred = |pred: &str| -> usize {
-            self.query(&format!(
-                "PREFIX k: <http://kglids.org/ontology/> \
-                 SELECT (COUNT(?s) AS ?n) WHERE {{ ?s k:{pred} ?o . }}"
-            ))
-            .ok()
-            .and_then(|df| df.get_f64(0, "n"))
-            .unwrap_or(0.0) as usize
-        };
-        PlatformStatistics {
+        let count_type = |class: &str| count(format!("?x a k:{class} ."));
+        let count_pred = |pred: &str| count(format!("?x k:{pred} ?o ."));
+        Ok(PlatformStatistics {
             triples: self.store.len(),
             unique_terms: self.store.term_count(),
-            datasets: count_type("Dataset"),
-            tables: count_type("Table"),
-            columns: count_type("Column"),
-            pipelines: count_type("Pipeline"),
-            statements: count_type("Statement"),
+            datasets: count_type("Dataset")?,
+            tables: count_type("Table")?,
+            columns: count_type("Column")?,
+            pipelines: count_type("Pipeline")?,
+            statements: count_type("Statement")?,
             // symmetric edges are stored in both directions
-            label_similarity_edges: count_pred("hasLabelSimilarity") / 2,
-            content_similarity_edges: count_pred("hasContentSimilarity") / 2,
-            reads_column_edges: count_pred("readsColumn"),
+            label_similarity_edges: count_pred("hasLabelSimilarity")? / 2,
+            content_similarity_edges: count_pred("hasContentSimilarity")? / 2,
+            reads_column_edges: count_pred("readsColumn")?,
             store_bytes: self.store.approx_bytes(),
             peak_memory_bytes: self.meter.peak(),
-        }
+        })
     }
 
     /// Statistics rendered as a DataFrame (the interactive view).
-    pub fn statistics_frame(&self) -> DataFrame {
-        let s = self.statistics();
+    pub fn statistics_frame(&self) -> LidsResult<DataFrame> {
+        let s = self.statistics()?;
         let mut df = DataFrame::new(vec!["statistic".into(), "value".into()]);
         for (name, value) in [
             ("triples", s.triples as u64),
@@ -87,7 +80,7 @@ impl KgLids {
         ] {
             df.push(vec![name.to_string(), value.to_string()]);
         }
-        df
+        Ok(df)
     }
 }
 
@@ -190,7 +183,7 @@ mod tests {
             .with_dataset(ds)
             .with_pipelines([script])
             .bootstrap();
-        let s = platform.statistics();
+        let s = platform.statistics().unwrap();
         assert_eq!(s.datasets, 1);
         assert_eq!(s.tables, 1);
         assert_eq!(s.columns, 2);
@@ -200,7 +193,7 @@ mod tests {
         assert!(s.triples > 50);
         assert!(s.store_bytes > 0);
 
-        let df = platform.statistics_frame();
+        let df = platform.statistics_frame().unwrap();
         assert_eq!(df.column_index("statistic"), Some(0));
         assert!(df.len() >= 12);
     }

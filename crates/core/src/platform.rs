@@ -41,6 +41,7 @@ use lids_py::analysis::AnalyzedScript;
 use lids_rdf::{EncodedAnnotation, EncodedQuad, Quad, QuadStore, StoreSnapshot};
 use lids_vector::{cosine_similarity, mean_vector};
 
+use crate::automation::Models;
 use crate::query::{QueryEnv, QueryGuardrails};
 #[cfg(doc)]
 use crate::query::LidsReader;
@@ -358,9 +359,9 @@ pub struct KgLids {
     /// What every query through this platform and its [`LidsReader`]s
     /// runs under; also owns the platform's [`Obs`].
     pub(crate) env: QueryEnv,
-    pub(crate) cleaning_model: Option<lids_gnn::CleaningModel>,
-    pub(crate) scaling_model: Option<lids_gnn::ScalingModel>,
-    pub(crate) column_model: Option<lids_gnn::ColumnTransformModel>,
+    /// The §4 models of the current store generation, each trained on
+    /// first use; an ingest run that changes the generation drops them.
+    pub(crate) models: Models,
 }
 
 /// Delta span trees the tracer keeps besides the `bootstrap` one: enough
@@ -389,9 +390,7 @@ impl KgLids {
             embeddings: EmbeddingStore::default(),
             meter: MemoryMeter::new(),
             env: QueryEnv::new(guardrails, &schema_config),
-            cleaning_model: None,
-            scaling_model: None,
-            column_model: None,
+            models: Models::default(),
         }
     }
 
@@ -553,6 +552,7 @@ impl KgLids {
         let tracer = &obs.tracer;
         let root = tracer.root(root_name);
         let cow_before = self.store.cow_stats();
+        let generation_before = self.store.generation();
         // a store that holds nothing yet lacks the library graph too
         let first_fill = self.store.is_empty();
         self.store.begin_delta();
@@ -564,6 +564,8 @@ impl KgLids {
             let (gone, kept): (Vec<ColumnProfile>, Vec<ColumnProfile>) =
                 std::mem::take(&mut self.profiles).into_iter().partition(|p| &p.meta.dataset == ds);
             self.profiles = kept;
+            // what profiling charged for them
+            self.meter.free(gone.iter().map(ColumnProfile::approx_bytes).sum());
             let t = Instant::now();
             let (victims, notes) = retraction_ids(&self.store, ds, &gone);
             collect_secs += t.elapsed().as_secs_f64();
@@ -640,6 +642,10 @@ impl KgLids {
                     error,
                 }),
             }
+        }
+        // charged as profiled ones are, so a retraction frees what it held
+        for p in &add_profiles {
+            self.meter.alloc(p.approx_bytes());
         }
         new_profiles.extend(add_profiles);
         stats.columns_profiled = new_profiles.len();
@@ -811,6 +817,9 @@ impl KgLids {
         stats.folds = cow.folds - cow_before.folds;
         stats.fold_secs = cow.fold_secs - cow_before.fold_secs;
         stats.generation = self.store.generation();
+        if stats.generation != generation_before {
+            self.models = Models::default();
+        }
         tracer.set_attr(root, "generation", stats.generation);
         tracer.set_attr(root, "triples", self.store.len());
         let _ = tracer.close(root);
@@ -1063,9 +1072,9 @@ clf.fit(X, y)
         let schema = root.child("link.schema").expect("schema span");
         assert!(!schema.children.is_empty(), "no bucket spans");
         // the platform keeps the live obs handle; queries feed it
-        platform.internal_query(
-            "PREFIX k: <http://kglids.org/ontology/> SELECT ?t WHERE { ?t a k:Table . }",
-        );
+        platform
+            .query("PREFIX k: <http://kglids.org/ontology/> SELECT ?t WHERE { ?t a k:Table . }")
+            .unwrap();
         let json = platform.obs_snapshot_json();
         assert!(json.contains("\"lids-obs/v1\""));
         assert!(json.contains("query.wall_us"));
@@ -1073,6 +1082,21 @@ clf.fit(X, y)
         let metrics = platform.obs().metrics.snapshot();
         assert!(metrics.counter("query.count").unwrap_or(0) >= 1);
         assert!(metrics.counter("bootstrap.triples").unwrap_or(0) > 100);
+    }
+
+    /// Retraction frees what profiling charged: a dataset added and
+    /// removed leaves the meter where it was.
+    #[test]
+    fn retraction_frees_the_removed_profiles() {
+        let (mut platform, _) = KgLidsBuilder::new().with_dataset(titanic()).bootstrap();
+        let settled = platform.meter().current();
+        for _ in 0..3 {
+            let other = Dataset::new("other", titanic().tables);
+            platform.apply_delta(DeltaBatch::new().add_dataset(other));
+            assert!(platform.meter().current() > settled);
+            platform.apply_delta(DeltaBatch::new().remove_dataset("other"));
+            assert_eq!(platform.meter().current(), settled);
+        }
     }
 
     #[test]

@@ -224,9 +224,7 @@ impl KgLids {
 
     /// Ask query (governed like [`Self::query`]).
     pub fn ask(&self, sparql: &str) -> LidsResult<bool> {
-        let solutions =
-            self.env.query(&self.store, sparql, EvalOptions::default(), None, None)?;
-        Ok(solutions.ask.unwrap_or(false))
+        Ok(self.solutions(sparql)?.ask.unwrap_or(false))
     }
 
     /// Parse-cache counters (hits, misses, parses, evictions).
@@ -234,12 +232,13 @@ impl KgLids {
         self.env.plan_cache.stats()
     }
 
-    /// Run one of the platform's own insight queries. These are
-    /// compile-time constants (modulo IRI interpolation), so a parse error
-    /// is a platform bug, not an input error.
-    #[allow(clippy::expect_used)]
-    pub(crate) fn internal_query(&self, sparql: &str) -> DataFrame {
-        self.query(sparql).expect("well-formed internal query")
+    /// [`Self::query`] without the [`DataFrame`]: the platform's own reads
+    /// of its lake (the §4 harvests, the §5 insights, the statistics) take
+    /// the answer in id space and decode only the cells they use. The
+    /// store cannot change under `&self`, so the reads of one call see one
+    /// generation.
+    pub(crate) fn solutions(&self, sparql: &str) -> LidsResult<Solutions<'_>> {
+        self.env.query(&self.store, sparql, EvalOptions::default(), None, None)
     }
 }
 

@@ -189,12 +189,4 @@ mod tests {
         assert!(lids_py::analyze(&bad).is_err());
         assert!(lids_py::analyze(src).is_ok());
     }
-
-    #[test]
-    fn lenient_mode_still_accepts_ragged_and_nul() {
-        for kind in [FaultKind::RaggedRow, FaultKind::NulBytes] {
-            let bad = Corruptor::new(5).corrupt_csv(CSV.as_bytes(), kind);
-            assert!(parse_csv_bytes("t", &bad, CsvMode::Lenient).is_ok(), "{kind}");
-        }
-    }
 }

@@ -27,8 +27,7 @@ pub enum ErrorKind {
     QueryTimeout,
     /// A governed query was cancelled by its caller.
     QueryCancelled,
-    /// A governed query exceeded its memory budget (or its shape is
-    /// quarantined for repeatedly doing so).
+    /// A governed query exceeded its memory budget.
     QueryBudgetExceeded,
     /// A caller-supplied argument was out of domain (NaN score, zero k).
     InvalidArgument,

@@ -179,6 +179,37 @@ pub fn encode_segment(s: &str) -> String {
     out
 }
 
+/// The name an [`encode_segment`] output stands for:
+/// `decode_segment(&encode_segment(s)) == s` for every `s`. A `%` that is
+/// not followed by two hex digits stays as it is.
+pub fn decode_segment(s: &str) -> String {
+    if !s.contains('%') {
+        return s.to_string();
+    }
+    let mut out = Vec::with_capacity(s.len());
+    let bytes = s.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        let escaped = match bytes.get(i + 1..i + 3) {
+            Some(hex) if bytes[i] == b'%' && hex.iter().all(u8::is_ascii_hexdigit) => {
+                std::str::from_utf8(hex).ok().and_then(|h| u8::from_str_radix(h, 16).ok())
+            }
+            _ => None,
+        };
+        match escaped {
+            Some(b) => {
+                out.push(b);
+                i += 3;
+            }
+            None => {
+                out.push(bytes[i]);
+                i += 1;
+            }
+        }
+    }
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
 /// Resource IRI builders for the LiDS graph.
 pub mod res {
     use super::{encode_segment, RES};
@@ -348,5 +379,17 @@ mod tests {
     fn segment_encoding() {
         assert_eq!(encode_segment("a b/c"), "a%20b%2Fc");
         assert_eq!(encode_segment("Age_1.csv"), "Age_1.csv");
+        assert_eq!(decode_segment("a%20b%2Fc"), "a b/c");
+        // a stray or short escape is text, not an error
+        assert_eq!(decode_segment("100%"), "100%");
+        assert_eq!(decode_segment("%zz%4"), "%zz%4");
+        assert_eq!(decode_segment("%+1"), "%+1");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_decode_inverts_encode(s in "\\PC{0,16}") {
+            proptest::prop_assert_eq!(decode_segment(&encode_segment(&s)), s);
+        }
     }
 }

@@ -1,35 +1,25 @@
-//! Minimal RFC-4180-style CSV reader/writer with strict and lenient modes.
+//! Minimal RFC-4180-style CSV reader/writer.
 //!
 //! Real data lakes deliver CSVs that are truncated, mis-quoted, or
-//! mis-encoded. [`parse_csv_with`] makes the failure semantics explicit:
-//!
-//! - **Strict** ([`CsvMode::Strict`]) — structural damage is a typed
-//!   [`LidsError`]: unterminated quote at EOF, ragged rows, embedded NUL
-//!   bytes (`EncodingError`), and empty or header-only input
-//!   (`EmptyInput`). This is the mode the KG Governor's raw ingestion uses
-//!   so that damaged artifacts are quarantined instead of silently mangled.
-//! - **Lenient** ([`CsvMode::Lenient`]) — documented coercions: an
-//!   unterminated quote is closed at EOF (the partial field is kept), NUL
-//!   bytes are stripped, short rows are padded with empty strings, long
-//!   rows are truncated, and empty or header-only input yields an empty
-//!   [`Table`].
-//!
-//! [`parse_csv_bytes`] is the byte-level entry point: invalid UTF-8 is an
-//! `EncodingError` in strict mode and is replaced with U+FFFD in lenient
-//! mode.
+//! mis-encoded. Parsing is strict: structural damage is a typed
+//! [`LidsError`] — unterminated quote at EOF, ragged rows, embedded NUL
+//! bytes or invalid UTF-8 (`EncodingError`), and empty or header-only
+//! input (`EmptyInput`) — so the KG Governor quarantines a damaged
+//! artifact instead of silently mangling it. [`parse_csv_bytes`] is the
+//! byte-level entry point, [`parse_csv_with`] the text-level one.
 
 use lids_exec::{ErrorKind, LidsError, LidsResult};
 
 use crate::table::{Column, Table};
 
-/// Failure semantics for CSV parsing (see module docs).
+/// Failure semantics for CSV parsing (see module docs). There is one; the
+/// type stays because callers name it (the benchmark harness passes
+/// `CsvMode::default()`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CsvMode {
     /// Typed errors on structural or encoding damage.
-    Strict,
-    /// Documented coercions; parsing is effectively infallible.
     #[default]
-    Lenient,
+    Strict,
 }
 
 /// Raw bytes of one not-yet-parsed table file.
@@ -59,44 +49,28 @@ impl RawDataset {
     }
 }
 
-/// Parse CSV text into a [`Table`] in lenient mode (see [`parse_csv_with`]).
-pub fn parse_csv(name: &str, text: &str) -> LidsResult<Table> {
-    parse_csv_with(name, text, CsvMode::Lenient)
-}
-
-/// Parse CSV bytes into a [`Table`]. Strict mode rejects invalid UTF-8 with
-/// an `EncodingError`; lenient mode substitutes U+FFFD.
+/// Parse CSV bytes into a [`Table`]; invalid UTF-8 is an `EncodingError`.
 pub fn parse_csv_bytes(name: &str, bytes: &[u8], mode: CsvMode) -> LidsResult<Table> {
-    match mode {
-        CsvMode::Strict => match std::str::from_utf8(bytes) {
-            Ok(text) => parse_csv_with(name, text, mode),
-            Err(e) => Err(LidsError::new(
-                ErrorKind::EncodingError,
-                format!("invalid UTF-8 at byte {}", e.valid_up_to()),
-            )
-            .with_artifact(name)),
-        },
-        CsvMode::Lenient => parse_csv_with(name, &String::from_utf8_lossy(bytes), mode),
+    match std::str::from_utf8(bytes) {
+        Ok(text) => parse_csv_with(name, text, mode),
+        Err(e) => Err(LidsError::new(
+            ErrorKind::EncodingError,
+            format!("invalid UTF-8 at byte {}", e.valid_up_to()),
+        )
+        .with_artifact(name)),
     }
 }
 
 /// Parse CSV text into a [`Table`]. The first record is the header. Handles
-/// quoted fields, embedded commas, doubled quotes, and embedded newlines.
-/// Structural-damage handling depends on `mode` (see module docs).
-pub fn parse_csv_with(name: &str, text: &str, mode: CsvMode) -> LidsResult<Table> {
+/// quoted fields, embedded commas, doubled quotes, and embedded newlines;
+/// structural damage is a typed error (see module docs).
+pub fn parse_csv_with(name: &str, text: &str, _mode: CsvMode) -> LidsResult<Table> {
     let err = |kind, message: String| Err(LidsError::new(kind, message).with_artifact(name));
-
-    let text = if text.contains('\0') {
-        if mode == CsvMode::Strict {
-            return err(ErrorKind::EncodingError, "input contains NUL bytes".into());
-        }
-        std::borrow::Cow::Owned(text.replace('\0', ""))
-    } else {
-        std::borrow::Cow::Borrowed(text)
-    };
-
-    let parsed = parse_records(&text);
-    if mode == CsvMode::Strict && parsed.unterminated_quote {
+    if text.contains('\0') {
+        return err(ErrorKind::EncodingError, "input contains NUL bytes".into());
+    }
+    let parsed = parse_records(text);
+    if parsed.unterminated_quote {
         return err(
             ErrorKind::CsvMalformed,
             "unterminated quoted field at end of input".into(),
@@ -104,19 +78,18 @@ pub fn parse_csv_with(name: &str, text: &str, mode: CsvMode) -> LidsResult<Table
     }
     let mut records = parsed.records.into_iter();
     let Some(header) = records.next() else {
-        return match mode {
-            CsvMode::Strict => err(ErrorKind::EmptyInput, "no records in input".into()),
-            CsvMode::Lenient => Ok(Table::new(name.to_string(), Vec::new())),
-        };
+        return err(ErrorKind::EmptyInput, "no records in input".into());
     };
+    if records.as_slice().is_empty() {
+        return err(ErrorKind::EmptyInput, "header-only input, no data rows".into());
+    }
     let ncols = header.len();
     let mut columns: Vec<Column> = header
         .into_iter()
         .map(|h| Column::new(h.trim().to_string(), Vec::new()))
         .collect();
-    let mut data_rows = 0usize;
-    for (i, mut record) in records.enumerate() {
-        if mode == CsvMode::Strict && record.len() != ncols {
+    for (i, record) in records.enumerate() {
+        if record.len() != ncols {
             return err(
                 ErrorKind::CsvMalformed,
                 format!(
@@ -126,14 +99,9 @@ pub fn parse_csv_with(name: &str, text: &str, mode: CsvMode) -> LidsResult<Table
                 ),
             );
         }
-        record.resize(ncols, String::new());
         for (col, value) in columns.iter_mut().zip(record) {
             col.values.push(value);
         }
-        data_rows += 1;
-    }
-    if mode == CsvMode::Strict && data_rows == 0 {
-        return err(ErrorKind::EmptyInput, "header-only input, no data rows".into());
     }
     Ok(Table::new(name.to_string(), columns))
 }
@@ -238,6 +206,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn parse_csv(name: &str, text: &str) -> LidsResult<Table> {
+        parse_csv_with(name, text, CsvMode::Strict)
+    }
+
     #[test]
     fn basic_parse() {
         let t = parse_csv("t", "a,b\n1,x\n2,y\n").unwrap();
@@ -257,13 +229,6 @@ mod tests {
     fn embedded_newline() {
         let t = parse_csv("t", "a\n\"line1\nline2\"\n").unwrap();
         assert_eq!(t.column("a").unwrap().values[0], "line1\nline2");
-    }
-
-    #[test]
-    fn ragged_rows_padded_and_truncated_lenient() {
-        let t = parse_csv("t", "a,b\n1\n2,3,4\n").unwrap();
-        assert_eq!(t.column("a").unwrap().values, vec!["1", "2"]);
-        assert_eq!(t.column("b").unwrap().values, vec!["", "3"]);
     }
 
     #[test]
@@ -290,64 +255,47 @@ mod tests {
     }
 
     #[test]
-    fn unterminated_quote_strict_vs_lenient() {
+    fn unterminated_quote_rejected() {
         let input = "a,b\n1,\"oops\n";
         let e = parse_csv_with("t", input, CsvMode::Strict).unwrap_err();
         assert_eq!(e.kind(), ErrorKind::CsvMalformed);
         assert!(e.message().contains("unterminated"), "{e}");
-        // lenient: the quote closes at EOF, the partial field is kept
-        let t = parse_csv_with("t", input, CsvMode::Lenient).unwrap();
-        assert_eq!(t.rows(), 1);
-        assert_eq!(t.column("b").unwrap().values[0], "oops\n");
     }
 
     #[test]
-    fn empty_input_strict_vs_lenient() {
+    fn empty_input_rejected() {
         let e = parse_csv_with("t", "", CsvMode::Strict).unwrap_err();
         assert_eq!(e.kind(), ErrorKind::EmptyInput);
-        let t = parse_csv_with("t", "", CsvMode::Lenient).unwrap();
-        assert!(t.columns.is_empty());
-        assert_eq!(t.rows(), 0);
     }
 
     #[test]
-    fn header_only_strict_vs_lenient() {
+    fn header_only_rejected() {
         let e = parse_csv_with("t", "a,b\n", CsvMode::Strict).unwrap_err();
         assert_eq!(e.kind(), ErrorKind::EmptyInput);
         assert!(e.message().contains("header-only"), "{e}");
-        let t = parse_csv_with("t", "a,b\n", CsvMode::Lenient).unwrap();
-        assert_eq!(t.columns.len(), 2);
-        assert_eq!(t.rows(), 0);
     }
 
     #[test]
-    fn nul_bytes_strict_vs_lenient() {
+    fn nul_bytes_rejected() {
         let input = "a,b\n1,x\u{0}y\n";
         let e = parse_csv_with("t", input, CsvMode::Strict).unwrap_err();
         assert_eq!(e.kind(), ErrorKind::EncodingError);
-        let t = parse_csv_with("t", input, CsvMode::Lenient).unwrap();
-        assert_eq!(t.column("b").unwrap().values[0], "xy");
     }
 
     #[test]
-    fn invalid_utf8_bytes_strict_vs_lenient() {
+    fn invalid_utf8_bytes_rejected() {
         let mut bytes = b"a,b\n1,x".to_vec();
         bytes.extend([0xFF, 0xFE]);
         bytes.extend(b"y\n");
         let e = parse_csv_bytes("t", &bytes, CsvMode::Strict).unwrap_err();
         assert_eq!(e.kind(), ErrorKind::EncodingError);
         assert!(e.message().contains("invalid UTF-8"), "{e}");
-        let t = parse_csv_bytes("t", &bytes, CsvMode::Lenient).unwrap();
-        assert!(t.column("b").unwrap().values[0].contains('\u{FFFD}'));
     }
 
     #[test]
-    fn valid_bytes_parse_in_both_modes() {
-        let bytes = b"a,b\n1,2\n";
-        for mode in [CsvMode::Strict, CsvMode::Lenient] {
-            let t = parse_csv_bytes("t", bytes, mode).unwrap();
-            assert_eq!(t.rows(), 1);
-        }
+    fn valid_bytes_parse() {
+        let t = parse_csv_bytes("t", b"a,b\n1,2\n", CsvMode::default()).unwrap();
+        assert_eq!(t.rows(), 1);
     }
 
     #[test]
@@ -373,14 +321,5 @@ mod tests {
             prop_assert_eq!(back.column("col").unwrap().values.clone(), values);
         }
 
-        /// A well-formed serialized table parses in strict mode too.
-        #[test]
-        fn prop_strict_accepts_written_tables(
-            values in proptest::collection::vec("[a-zA-Z0-9,\"\\n ]{0,12}", 1..20)
-        ) {
-            let t = Table::new("t", vec![Column::new("col", values.clone())]);
-            let back = parse_csv_with("t", &write_csv(&t), CsvMode::Strict).unwrap();
-            prop_assert_eq!(back.column("col").unwrap().values.clone(), values);
-        }
     }
 }

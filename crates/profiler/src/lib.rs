@@ -22,7 +22,7 @@ pub mod stats;
 pub mod table;
 pub mod types;
 
-pub use csv::{parse_csv, parse_csv_bytes, parse_csv_with, write_csv, CsvMode, RawDataset, RawTable};
+pub use csv::{parse_csv_bytes, parse_csv_with, write_csv, CsvMode, RawDataset, RawTable};
 pub use json::parse_json_table;
 pub use lids_exec::{ErrorKind, LidsError, LidsResult};
 pub use ner::{recognize_entity, EntityType};

@@ -117,7 +117,7 @@
 
 use std::borrow::Cow;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -354,12 +354,7 @@ pub struct StoreSnapshot {
     /// Live annotations per predicate id, ascending: a scan asks this
     /// before it looks at `notes`.
     note_predicates: Vec<(u32, usize)>,
-    /// Process-unique identity, so caches keyed on a store never confuse
-    /// two stores that happen to share an address. Shared by every
-    /// snapshot of one store lineage.
-    id: u64,
-    /// Bumped on every mutation; `(id, generation)` validates any state
-    /// derived from a snapshot of this store (compiled query plans).
+    /// Bumped on every mutation (collapsed to one bump per delta).
     generation: u64,
 }
 
@@ -460,14 +455,12 @@ impl Deref for QuadStore {
 
 impl Default for QuadStore {
     fn default() -> Self {
-        static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
         QuadStore {
             snap: Arc::new(StoreSnapshot {
                 dict: Dictionary::default(),
                 runs: Default::default(),
                 notes: Run::default(),
                 note_predicates: Vec::new(),
-                id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
                 generation: 0,
             }),
             published: Arc::new(SnapshotCell { slot: Mutex::new(None) }),
@@ -513,14 +506,8 @@ impl StoreSnapshot {
         &self.dict
     }
 
-    /// Process-unique store identity (stable for the store's lifetime).
-    pub fn store_id(&self) -> u64 {
-        self.id
-    }
-
-    /// Mutation counter: any insert/remove/bulk-load bumps it, so
-    /// `(store_id, generation)` keys cached state derived from the store
-    /// — a compiled query plan is valid exactly while the pair matches.
+    /// Mutation counter: any insert/remove/bulk-load bumps it, and a
+    /// delta collapses its bumps to one.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -1124,9 +1111,8 @@ impl QuadStore {
     }
 
     /// Commit the open delta: collapse every interim generation bump to
-    /// exactly `base + 1` (so `(store_id, generation)`-keyed caches are
-    /// invalidated once per delta, not once per internal batch) and
-    /// publish the result as one snapshot. A delta that mutated nothing
+    /// exactly `base + 1` (one generation per delta, not one per internal
+    /// batch) and publish the result as one snapshot. A delta that mutated nothing
     /// leaves the generation untouched. No-op when no delta is open.
     pub fn commit_delta(&mut self) {
         let Some(base) = self.delta.take() else {
@@ -1796,8 +1782,6 @@ mod tests {
         assert!(g2 > g1);
         store.remove(&q("s", "p", "o"));
         assert!(store.generation() > g2);
-        // distinct stores never share an identity
-        assert_ne!(QuadStore::new().store_id(), QuadStore::new().store_id());
     }
 
     #[test]

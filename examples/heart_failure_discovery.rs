@@ -93,7 +93,7 @@ fn main() {
         })
         .collect();
 
-    let (mut platform, stats) = KgLidsBuilder::new()
+    let (platform, stats) = KgLidsBuilder::new()
         .with_datasets([heart_failure_prediction, heart_failure_clinical, labs])
         .with_pipelines(pipelines)
         .bootstrap();
@@ -110,10 +110,13 @@ fn main() {
 
     // --- Discover Unionable Columns ---
     println!("== find_unionable_columns(heart, clinical) ==");
-    for hit in platform.find_unionable_columns(
-        ("heart-failure-prediction", "heart"),
-        ("heart-failure-clinical-data", "clinical"),
-    ) {
+    for hit in platform
+        .find_unionable_columns(
+            ("heart-failure-prediction", "heart"),
+            ("heart-failure-clinical-data", "clinical"),
+        )
+        .expect("discovery queries run")
+    {
         println!(
             "  {} ~ {}  ({} similarity {:.3})",
             hit.column_a, hit.column_b, hit.kind, hit.score
@@ -135,17 +138,21 @@ fn main() {
 
     // --- Library Discovery ---
     println!("== get_top_k_libraries_used(5) ==");
-    println!("{}", platform.get_top_k_libraries_used(5).to_text());
+    let top = platform.get_top_k_libraries_used(5).expect("insight queries run");
+    println!("{}", top.to_text());
     println!("== get_top_used_libraries(5, 'classification') ==");
-    println!("{}", platform.get_top_used_libraries(5, "classification").to_text());
+    let top = platform.get_top_used_libraries(5, "classification").expect("insight queries run");
+    println!("{}", top.to_text());
 
     // --- Pipeline Discovery ---
     println!("== get_pipelines_calling_libraries(read_csv, XGBClassifier, f1_score) ==");
-    let pipes = platform.get_pipelines_calling_libraries(&[
-        "pandas.read_csv",
-        "xgboost.XGBClassifier",
-        "sklearn.metrics.f1_score",
-    ]);
+    let pipes = platform
+        .get_pipelines_calling_libraries(&[
+            "pandas.read_csv",
+            "xgboost.XGBClassifier",
+            "sklearn.metrics.f1_score",
+        ])
+        .expect("insight queries run");
     println!("{}", pipes.to_text());
 
     // --- Transformation Recommendation ---
@@ -156,7 +163,7 @@ fn main() {
             col("cholesterol", &["233", "250", "204", "236"]),
         ],
     );
-    let rec = platform.recommend_transformations(&probe);
+    let rec = platform.recommend_transformations(&probe).expect("harvest queries run");
     println!("== recommend_transformations(heart-failure-prediction) ==");
     println!("  scaling: {}", rec.scaling.label());
     for (column, t) in &rec.column_transforms {
@@ -166,18 +173,17 @@ fn main() {
 
     // --- Classifier Recommendation ---
     println!("== recommend_ml_models('heart-failure-prediction') ==");
-    let models = platform.recommend_ml_models("heart-failure-prediction");
+    let models =
+        platform.recommend_ml_models("heart-failure-prediction").expect("harvest queries run");
     println!("{}", models.to_text());
 
     // --- Hyperparameter Recommendation ---
     if let Some(best) = models.get(0, "model") {
         let best = best.to_string();
         println!("== recommend_hyperparameters({best}) ==");
-        println!(
-            "{}",
-            platform
-                .recommend_hyperparameters("heart-failure-prediction", &best)
-                .to_text()
-        );
+        let params = platform
+            .recommend_hyperparameters("heart-failure-prediction", &best)
+            .expect("harvest queries run");
+        println!("{}", params.to_text());
     }
 }

@@ -15,7 +15,7 @@ use lids_ml::MlFrame;
 fn main() {
     // a platform bootstrapped over a synthetic Kaggle-style corpus
     println!("bootstrapping corpus platform (12 datasets × 5 pipelines)...");
-    let mut cp = corpus_platform(12, 5, 2026);
+    let cp = corpus_platform(12, 5, 2026);
     println!("LiDS graph: {} triples\n", cp.platform.triple_count());
 
     // ---- cleaning an unseen dataset ----
@@ -27,7 +27,10 @@ fn main() {
         frame.rows(),
         frame.missing_count()
     );
-    let ranked = cp.platform.recommend_cleaning_operations(&dataset.table);
+    let ranked = cp
+        .platform
+        .recommend_cleaning_operations(&dataset.table)
+        .expect("harvest queries run");
     println!("cleaning recommendations (GNN ranking):");
     for (op, p) in &ranked {
         println!("  {:<18} {:.3}", op.label(), p);
@@ -46,7 +49,10 @@ fn main() {
     // ---- transforming an unseen dataset ----
     let dataset = &transform_datasets(0.4)[2]; // "wine" (mixed scales)
     let frame = MlFrame::from_table(&dataset.table, &dataset.target).unwrap();
-    let rec = cp.platform.recommend_transformations(&dataset.table);
+    let rec = cp
+        .platform
+        .recommend_transformations(&dataset.table)
+        .expect("harvest queries run");
     println!(
         "unseen dataset '{}': recommended scaling = {}",
         dataset.name,

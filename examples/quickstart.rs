@@ -91,7 +91,9 @@ print(accuracy_score(y_test, clf.predict(X_test)))
 
     // 5. The implicit hyperparameter the documentation analysis recovered
     //    (`RandomForestClassifier(50, …)` → `n_estimators=50`).
-    let hp = platform.recommend_hyperparameters("titanic", "RandomForestClassifier");
+    let hp = platform
+        .recommend_hyperparameters("titanic", "RandomForestClassifier")
+        .expect("harvest queries run");
     println!("hyperparameters harvested for RandomForestClassifier:");
     println!("{}", hp.to_text());
 

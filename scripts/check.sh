@@ -134,6 +134,23 @@ if grep -rnw 'PREDICTED_READ' crates/*/src | grep -v '^crates/kg/src/ontology.rs
     echo "PREDICTED_READ outside crates/kg/src/ontology.rs: predicted reads never reach the store" >&2
     exit 1
 fi
+# The §4/§5 interfaces read the lake through the one governed query path
+# and return its typed errors: the panicking side path (`internal_query`,
+# whole word) stays deleted, the recommenders train their models behind
+# `&self` (non-test code of automation.rs takes no `&mut self`), and CSV
+# parses one way, strictly (no `Lenient`, whole word).
+if grep -rnw 'internal_query' crates/*/src; then
+    echo "internal_query under crates/*/src: the platform reads its lake through QueryEnv::query" >&2
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/automation.rs | grep -nE '&mut self([,)]|$)'; then
+    echo "&mut self in crates/core/src/automation.rs: the recommenders answer behind &self" >&2
+    exit 1
+fi
+if grep -rnw 'Lenient' crates/*/src; then
+    echo "Lenient under crates/*/src: CSV parses one way, strictly" >&2
+    exit 1
+fi
 # Query-governance chaos suite under a hard external bound: adversarial
 # workloads must terminate with typed errors, in process and over the
 # socket. `query` and `explain` are one run — the same admission, the same

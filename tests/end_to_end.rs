@@ -133,7 +133,7 @@ fn corpus_bootstrap_links_pipelines_to_datasets() {
     assert_eq!(platform.store().named_graphs().len(), 12);
 
     // the Figure 4 query works and pandas dominates
-    let libs = platform.get_top_k_libraries_used(10);
+    let libs = platform.get_top_k_libraries_used(10).unwrap();
     assert_eq!(libs.get(0, "library"), Some("pandas"));
     assert_eq!(libs.get_f64(0, "pipelines"), Some(12.0));
 }
@@ -182,7 +182,7 @@ fn automation_round_trip_on_unseen_data() {
         .iter()
         .map(|p| PipelineScript { metadata: p.metadata.clone(), source: p.source.clone() })
         .collect();
-    let (mut platform, _) = KgLidsBuilder::new()
+    let (platform, _) = KgLidsBuilder::new()
         .with_datasets(datasets)
         .with_pipelines(scripts)
         .bootstrap();
@@ -190,17 +190,17 @@ fn automation_round_trip_on_unseen_data() {
     let task = &kglids_repro::datagen::tasks::cleaning_datasets(0.1)[1];
     let frame = MlFrame::from_table(&task.table, &task.target).unwrap();
     assert!(frame.has_missing());
-    let ranked = platform.recommend_cleaning_operations(&task.table);
+    let ranked = platform.recommend_cleaning_operations(&task.table).unwrap();
     assert!(!ranked.is_empty());
     let cleaned = platform.apply_cleaning_operations(ranked[0].0, &frame);
     assert!(!cleaned.has_missing());
 
-    let rec = platform.recommend_transformations(&task.table);
+    let rec = platform.recommend_transformations(&task.table).unwrap();
     let transformed = platform.apply_transformations(&rec, &cleaned);
     assert_eq!(transformed.rows(), cleaned.rows());
 
     // AutoML knowledge base harvests estimators from the corpus
-    let automl = platform.automl();
+    let automl = platform.automl().unwrap();
     assert!(!automl.is_empty());
     let emb = platform.embed_table(&task.table);
     let result = automl.fit_with_budget(&frame.drop_missing(), &emb, 2, true, 5);

@@ -82,7 +82,7 @@ fn incremental_pipeline_links_against_schema() {
     assert_eq!(store.id_of(&predicted), None);
     assert_eq!((store.len(), store.term_count()), (290, 236));
     // the pipeline shows up in library queries
-    let libs = platform.get_top_k_libraries_used(3);
+    let libs = platform.get_top_k_libraries_used(3).unwrap();
     assert_eq!(libs.get(0, "library"), Some("pandas"));
 }
 
