@@ -21,7 +21,7 @@ use std::time::Instant;
 use lids_embed::{
     table_embedding, ColrModels, FineGrainedType, WordEmbeddings, TABLE_EMBEDDING_DIM,
 };
-use lids_exec::{parallel_try_map_with, LidsError, LidsResult, MemoryMeter, ParallelConfig};
+use lids_exec::{parallel_try_map_with, LidsError, LidsResult, MemoryMeter};
 use lids_kg::abstraction::{
     emit_pipeline_quads, AbstractionStats, PipelineGraphInfo, PipelineMetadata,
 };
@@ -593,7 +593,7 @@ impl KgLids {
         let span = tracer.child(root, "parse");
         let mut datasets = add_datasets;
         for raw in &add_raw_datasets {
-            let outcomes = parallel_try_map_with(ParallelConfig::default(), &raw.tables, |t| {
+            let outcomes = parallel_try_map_with(&raw.tables, |t| {
                 parse_csv_bytes(&t.name, &t.bytes, CsvMode::Strict)
             });
             let mut tables = Vec::new();
@@ -621,7 +621,7 @@ impl KgLids {
             .iter()
             .flat_map(|d| d.tables.iter().map(move |t| (d.name.as_str(), t)))
             .collect();
-        let outcomes = parallel_try_map_with(ParallelConfig::default(), &units, |unit| {
+        let outcomes = parallel_try_map_with(&units, |unit| {
             let (dataset, table) = *unit;
             Ok(profile_table(
                 dataset,
@@ -700,7 +700,7 @@ impl KgLids {
         // is serial
         let mut abstracted: Vec<PipelineGraphInfo> = Vec::new();
         let analyzed: Vec<LidsResult<AnalyzedScript>> =
-            parallel_try_map_with(ParallelConfig::default(), &add_pipelines, |p| {
+            parallel_try_map_with(&add_pipelines, |p| {
                 lids_py::analyze(&p.source).map_err(LidsError::from)
             });
         for (pipeline, analysis) in add_pipelines.iter().zip(analyzed) {

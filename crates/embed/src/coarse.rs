@@ -6,11 +6,9 @@
 //! three models cover numeric, string, and other columns — the ablation
 //! shows the fine-grained CoLR models beat them on precision and recall.
 
-use crate::colr::EMBEDDING_DIM;
-use crate::features::extract;
+use crate::colr::{embed_values, EMBEDDING_DIM};
 use crate::mlp::Mlp;
 use crate::types::FineGrainedType;
-use lids_vector::ops::{mean_vector, normalize};
 
 /// The three coarse buckets of Mueller & Smola-style models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,14 +79,7 @@ impl CoarseModels {
         values: impl Iterator<Item = &'a str>,
     ) -> Vec<f32> {
         let bucket = CoarseBucket::of(fgt);
-        let net = &self.nets[bucket.index()];
-        let feature_type = bucket.feature_type();
-        let embeddings: Vec<Vec<f32>> = values
-            .map(|v| net.embed(&extract(feature_type, v)))
-            .collect();
-        let mut mean = mean_vector(embeddings.iter().map(|e| e.as_slice()), EMBEDDING_DIM);
-        normalize(&mut mean);
-        mean
+        embed_values(&self.nets[bucket.index()], bucket.feature_type(), values)
     }
 }
 
@@ -112,6 +103,24 @@ mod tests {
         let ne = coarse.embed_column(FineGrainedType::NamedEntity, ["London"].into_iter());
         let st = coarse.embed_column(FineGrainedType::String, ["London"].into_iter());
         assert_eq!(ne, st);
+    }
+
+    proptest::proptest! {
+        /// The coarse models pool through the same kernel: the mean of the
+        /// per-value embeddings of the bucket's network, bit for bit.
+        #[test]
+        fn embed_column_is_the_mean_of_value_embeddings_bit_for_bit(
+            type_index in 0usize..FineGrainedType::ALL.len(),
+            values in proptest::collection::vec(crate::mlp::tests::cell(), 0..300),
+        ) {
+            use crate::mlp::tests::{bits, reference_column};
+            let fgt = FineGrainedType::ALL[type_index];
+            let coarse = CoarseModels::new(5);
+            let bucket = CoarseBucket::of(fgt);
+            let got = coarse.embed_column(fgt, values.iter().map(String::as_str));
+            let want = reference_column(&coarse.nets[bucket.index()], bucket.feature_type(), &values);
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]

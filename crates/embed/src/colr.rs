@@ -3,7 +3,10 @@
 //! One network per fine-grained type maps a value's features to a
 //! 300-dimensional embedding; a column's embedding is the average over a
 //! value sample (Algorithm 2, lines 8–10), L2-normalised so cosine
-//! similarity is an inner product. Table embeddings concatenate per-type
+//! similarity is an inner product. The average is one pass per value with
+//! no allocation: each value's output is added into one running sum in
+//! value order (`Mlp::mean_output`), which is bit for bit the mean of the
+//! per-value embeddings. Table embeddings concatenate per-type
 //! averages of column embeddings (Equation 1) over the six embeddable
 //! types, giving the 1800-dimensional vectors the GNN models consume.
 
@@ -71,8 +74,7 @@ impl ColrModels {
 
     /// Embed one value.
     pub fn embed_value(&self, fgt: FineGrainedType, value: &str) -> Vec<f32> {
-        let feats = extract(fgt, value);
-        self.net(fgt).embed(&feats)
+        self.net(fgt).forward(&extract(fgt, value)).1
     }
 
     /// Embed a column: mean of value embeddings, L2-normalised.
@@ -82,11 +84,21 @@ impl ColrModels {
         fgt: FineGrainedType,
         values: impl Iterator<Item = &'a str>,
     ) -> Vec<f32> {
-        let embeddings: Vec<Vec<f32>> = values.map(|v| self.embed_value(fgt, v)).collect();
-        let mut mean = mean_vector(embeddings.iter().map(|e| e.as_slice()), EMBEDDING_DIM);
-        normalize(&mut mean);
-        mean
+        embed_values(self.net(fgt), fgt, values)
     }
+}
+
+/// A column's embedding under `net`, with the feature extractor of
+/// `features`: the mean of the values' outputs, L2-normalised (the zero
+/// vector for no values). Shared by the CoLR and the coarse models.
+pub(crate) fn embed_values<'a>(
+    net: &Mlp,
+    features: FineGrainedType,
+    values: impl Iterator<Item = &'a str>,
+) -> Vec<f32> {
+    let mut mean = net.mean_output(values.map(|v| extract(features, v)), |_, _| {});
+    normalize(&mut mean);
+    mean
 }
 
 /// Equation 1: a table embedding is the concatenation, over the six
@@ -178,6 +190,26 @@ mod tests {
         }
         let moved = "CoLR pre-trained embeddings moved";
         assert_eq!(fingerprint, 0xe685_abd0_66ef_a02f, "{moved}: {fingerprint:#018x}");
+    }
+
+    proptest::proptest! {
+        /// The column kernel is the mean of the per-value embeddings, bit
+        /// for bit, under every type's trained model.
+        #[test]
+        fn embed_column_is_the_mean_of_value_embeddings_bit_for_bit(
+            type_index in 0usize..FineGrainedType::ALL.len(),
+            values in proptest::collection::vec(crate::mlp::tests::cell(), 0..300),
+        ) {
+            use crate::mlp::tests::{bits, reference_column};
+            let fgt = FineGrainedType::ALL[type_index];
+            let models = ColrModels::pretrained();
+            let got = models.embed_column(fgt, values.iter().map(String::as_str));
+            let want = reference_column(models.net(fgt), fgt, &values);
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+            if values.is_empty() {
+                proptest::prop_assert!(got.iter().all(|x| x.to_bits() == 0));
+            }
+        }
     }
 
     #[test]

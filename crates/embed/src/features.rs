@@ -161,20 +161,20 @@ pub fn parse_date_parts(value: &str) -> Option<(i32, u32, u32, bool)> {
     } else {
         return None;
     };
-    let parts: Vec<&str> = date_part.split(sep).collect();
-    if parts.len() != 3 {
+    let mut split = date_part.split(sep);
+    let (Some(a), Some(b), Some(c), None) = (split.next(), split.next(), split.next(), split.next())
+    else {
         return None;
-    }
-    let nums: Option<Vec<i64>> = parts.iter().map(|p| p.parse::<i64>().ok()).collect();
-    let nums = nums?;
-    let (y, m, d) = if parts[0].len() == 4 {
-        (nums[0], nums[1], nums[2])
-    } else if parts[2].len() == 4 {
+    };
+    let [p, q, r] = [a.parse::<i64>().ok()?, b.parse::<i64>().ok()?, c.parse::<i64>().ok()?];
+    let (y, m, d) = if a.len() == 4 {
+        (p, q, r)
+    } else if c.len() == 4 {
         // ambiguous DD-MM vs MM-DD: treat first>12 as day
-        if nums[0] > 12 {
-            (nums[2], nums[1], nums[0])
+        if p > 12 {
+            (r, q, p)
         } else {
-            (nums[2], nums[0], nums[1])
+            (r, p, q)
         }
     } else {
         return None;

@@ -175,24 +175,15 @@ fn generate_value(fgt: FineGrainedType, gen: usize, scale: f64, rng: &mut SmallR
 fn train_step(models: &mut ColrModels, pair: &Pair, config: &TrainConfig) -> f32 {
     let net = models.net(pair.fgt);
 
-    // Forward: per-value features, pre-activations, outputs; mean-pool.
+    // Forward: mean-pool, keeping per-value features and pre-activations.
     let forward_column = |values: &[String]| {
         let mut feats = Vec::with_capacity(values.len());
         let mut pre = Vec::with_capacity(values.len());
-        let mut mean = vec![0.0f32; net.out_dim];
-        for v in values {
-            let f = extract(pair.fgt, v);
-            let (z1, out) = net.forward(&f);
-            for (m, o) in mean.iter_mut().zip(&out) {
-                *m += o;
-            }
+        let inputs = values.iter().map(|v| extract(pair.fgt, v));
+        let mean = net.mean_output(inputs, |f, z1| {
             feats.push(f);
-            pre.push(z1);
-        }
-        let inv = 1.0 / values.len().max(1) as f32;
-        for m in &mut mean {
-            *m *= inv;
-        }
+            pre.push(z1.to_vec());
+        });
         (feats, pre, mean)
     };
 

@@ -3,14 +3,16 @@
 //! The KGLiDS paper distributes its profiling and graph-construction
 //! algorithms with PySpark (Algorithms 1–3 are all embarrassingly parallel
 //! `map`s over scripts, columns, or column pairs). This crate provides the
-//! single-machine equivalent: a chunked [`parallel_map`] over a slice, plus
+//! single-machine equivalent: a chunked [`parallel_map`] over a slice on
+//! std scoped threads, plus
 //! the logical-bytes [`MemoryMeter`] with which each system in the
 //! evaluation section reports the peak size of its resident data structures
 //! (the substitute for the paper's process-level RSS measurements; see
 //! DESIGN.md). Wall time is `std::time::Instant`.
 //!
 //! It also hosts the fault-tolerance substrate for ingestion: the
-//! [`LidsError`] taxonomy and the panic-isolating [`parallel_try_map_with`].
+//! [`LidsError`] taxonomy and the panic-isolating [`parallel_try_map_with`],
+//! whose workers claim one artifact at a time.
 //! Every ingest stage is a deterministic function of its input's bytes, so
 //! an item fails once and is quarantined; nothing is retried. The query
 //! governor reads deadlines through an injectable [`Clock`].

@@ -1,13 +1,17 @@
-//! Chunked parallel map over slices, with a fault-isolating variant.
+//! Chunked parallel map over slices on std scoped threads, with a
+//! fault-isolating variant.
 //!
-//! Workers pull fixed-size chunks of indices from a shared atomic cursor, so
-//! load imbalance between items (e.g. profiling a wide text column vs. a
-//! boolean column) is amortised without per-item synchronisation.
+//! Workers claim indices from a shared atomic cursor and write each result
+//! into its slot, so results come back in input order and a slow item holds
+//! up only the worker that claimed it.
 //!
-//! [`parallel_map`] is the fast path: panics in the closure propagate and
-//! abort the whole map. [`parallel_try_map_with`] is the ingestion path: the
-//! same worker loop runs each item under `catch_unwind`, so a panicking item
-//! becomes a per-item `Err(WorkerPanic)` while the remaining items complete.
+//! [`parallel_map`] is the fast path for fine-grained items: a worker
+//! claims a chunk of 16 indices per cursor increment ([`parallel_map_with`]
+//! takes another shape), and panics in the closure propagate and abort the
+//! whole map. [`parallel_try_map_with`] is the ingestion path: its items
+//! are whole artifacts (tables, scripts), so a worker claims one at a time,
+//! and each runs under `catch_unwind`, so a panicking item becomes a
+//! per-item `Err(WorkerPanic)` while the remaining items complete.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -176,26 +180,25 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Fault-isolating parallel map with an explicit thread-pool shape.
+/// Fault-isolating parallel map over whole artifacts.
 ///
 /// Unlike [`parallel_map`], a panic in `f` aborts only the item that
 /// panicked: its slot becomes `Err(WorkerPanic)` carrying the panic
 /// message, and every other item still completes. Result order matches
-/// input order. Items always run on dedicated named worker threads (even when
-/// `threads == 1`) so the process-global panic hook can suppress the
-/// default stderr backtrace for isolated panics.
-pub fn parallel_try_map_with<T, R, F>(
-    config: ParallelConfig,
-    items: &[T],
-    f: F,
-) -> Vec<LidsResult<R>>
+/// input order. One worker per core (at most one per item) claims one item
+/// at a time: an artifact is coarse work, so a delta of two tables runs on
+/// two cores. Items always run on dedicated named worker threads (even for
+/// one item) so the process-global panic hook can suppress the default
+/// stderr backtrace for isolated panics.
+pub fn parallel_try_map_with<T, R, F>(items: &[T], f: F) -> Vec<LidsResult<R>>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> LidsResult<R> + Sync,
 {
     silence_isolated_panics();
-    chunked_map(config, items, Some(ISOLATED_THREAD_PREFIX), |item| {
+    let one_per_claim = ParallelConfig { chunk: 1, ..ParallelConfig::default() };
+    chunked_map(one_per_claim, items, Some(ISOLATED_THREAD_PREFIX), |item| {
         catch_unwind(AssertUnwindSafe(|| f(item))).unwrap_or_else(|payload| {
             Err(LidsError::new(
                 ErrorKind::WorkerPanic,
@@ -270,17 +273,10 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        fn isolated<T: Sync, R: Send>(
-            items: &[T],
-            f: impl Fn(&T) -> LidsResult<R> + Sync,
-        ) -> Vec<LidsResult<R>> {
-            parallel_try_map_with(ParallelConfig::default(), items, f)
-        }
-
         #[test]
         fn panicking_item_mid_batch_is_isolated() {
             let items: Vec<u32> = (0..100).collect();
-            let out = isolated(&items, |&x| {
+            let out = parallel_try_map_with(&items, |&x| {
                 if x == 57 {
                     panic!("boom on {x}");
                 }
@@ -301,7 +297,7 @@ mod tests {
         #[test]
         fn all_items_panic() {
             let items: Vec<u32> = (0..20).collect();
-            let out = isolated(&items, |_| -> LidsResult<u32> { panic!("all down") });
+            let out = parallel_try_map_with(&items, |_| -> LidsResult<u32> { panic!("all down") });
             assert_eq!(out.len(), 20);
             assert!(out
                 .iter()
@@ -311,16 +307,15 @@ mod tests {
         #[test]
         fn empty_slice() {
             let items: Vec<u32> = vec![];
-            let out = isolated(&items, |&x| Ok(x));
+            let out = parallel_try_map_with(&items, |&x| Ok(x));
             assert!(out.is_empty());
         }
 
         #[test]
         fn ordering_preserved_under_contention() {
             let items: Vec<usize> = (0..513).collect();
-            let config = ParallelConfig { threads: 8, chunk: 3 };
-            let out = parallel_try_map_with(config, &items, |&x| {
-                // skewed work so chunks finish out of order
+            let out = parallel_try_map_with(&items, |&x| {
+                // skewed work so items finish out of order
                 std::thread::sleep(std::time::Duration::from_micros((x % 7) as u64));
                 Ok(x)
             });
@@ -332,7 +327,7 @@ mod tests {
         #[test]
         fn error_results_pass_through() {
             let items = [1u32, 2, 3];
-            let out = isolated(&items, |&x| {
+            let out = parallel_try_map_with(&items, |&x| {
                 if x == 2 {
                     Err(LidsError::new(ErrorKind::CsvMalformed, "bad"))
                 } else {
@@ -348,10 +343,8 @@ mod tests {
             #[test]
             fn prop_matches_sequential_map(
                 items in proptest::collection::vec(any::<i64>(), 0..200),
-                threads in 1usize..9,
-                chunk in 1usize..33,
             ) {
-                let out = parallel_try_map_with(ParallelConfig { threads, chunk }, &items, |&x| {
+                let out = parallel_try_map_with(&items, |&x| {
                     Ok(x.wrapping_mul(3).wrapping_sub(7))
                 });
                 let expected: Vec<i64> =

@@ -1,10 +1,10 @@
 //! `lids-profiler` — embedding-based data profiling (Section 3.2).
 //!
 //! Algorithm 2 of the paper: datasets are decomposed into columns; each
-//! column is profiled independently (and in parallel) into a *column
-//! profile* holding metadata, an inferred fine-grained type, statistics,
-//! and a CoLR embedding averaged over a value sample of
-//! `max(0.1·|col|, 1000)` values.
+//! column is profiled independently into a *column profile* holding
+//! metadata, an inferred fine-grained type, statistics, and a CoLR
+//! embedding averaged over a value sample of `max(0.1·|col|, 1000)` values.
+//! [`profile_table`] is serial; the caller maps it over tables in parallel.
 //!
 //! The NER model (spaCy/OntoNotes 5 in the paper) is substituted by a
 //! deterministic gazetteer + pattern recogniser covering the same 18

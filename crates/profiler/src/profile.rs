@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use lids_embed::features::fxhash;
 use lids_embed::{ColrModels, FineGrainedType, WordEmbeddings};
-use lids_exec::{parallel_map, MemoryMeter};
+use lids_exec::MemoryMeter;
 
 use crate::stats::{collect_stats, ColumnStats};
 use crate::table::{Column, Table};
@@ -115,8 +115,12 @@ pub fn profile_column(
     ColumnProfile { meta, fgt, stats, embedding }
 }
 
-/// Profile all columns of a table in parallel (Algorithm 2's worker map).
-/// Charges profile footprints to `meter` when provided.
+/// Profile all columns of a table, in column order. Charges profile
+/// footprints to `meter` when provided.
+///
+/// This is serial: Algorithm 2's worker map is the caller's, one table per
+/// claim (the platform's isolated map), so a table is one unit of work and
+/// its columns never spread threads of their own.
 pub fn profile_table(
     dataset: &str,
     table: &Table,
@@ -125,19 +129,23 @@ pub fn profile_table(
     config: &ProfilerConfig,
     meter: Option<&MemoryMeter>,
 ) -> Vec<ColumnProfile> {
-    let profiles = parallel_map(&table.columns, |column| {
-        profile_column(
-            ColumnMeta {
-                dataset: dataset.to_string(),
-                table: table.name.clone(),
-                column: column.name.clone(),
-            },
-            column,
-            models,
-            we,
-            config,
-        )
-    });
+    let profiles: Vec<ColumnProfile> = table
+        .columns
+        .iter()
+        .map(|column| {
+            profile_column(
+                ColumnMeta {
+                    dataset: dataset.to_string(),
+                    table: table.name.clone(),
+                    column: column.name.clone(),
+                },
+                column,
+                models,
+                we,
+                config,
+            )
+        })
+        .collect();
     if let Some(m) = meter {
         for p in &profiles {
             m.alloc(p.approx_bytes());

@@ -39,7 +39,10 @@ pub fn infer_fine_grained_type(column: &Column, we: &WordEmbeddings) -> FineGrai
 
     let bool_hits = sample
         .iter()
-        .filter(|v| BOOLEAN_TOKENS.contains(&v.trim().to_ascii_lowercase().as_str()))
+        .filter(|v| {
+            let v = v.trim();
+            BOOLEAN_TOKENS.iter().any(|t| t.eq_ignore_ascii_case(v))
+        })
         .count();
     if bool_hits as f64 / n >= PARSE_THRESHOLD {
         return FineGrainedType::Boolean;
@@ -83,16 +86,17 @@ pub fn infer_fine_grained_type(column: &Column, we: &WordEmbeddings) -> FineGrai
     let mut tokens_known = 0usize;
     let mut multiword = 0usize;
     for v in &sample {
-        let toks: Vec<&str> = v.split_whitespace().collect();
-        if toks.len() >= 3 {
-            multiword += 1;
-        }
-        for t in &toks {
-            tokens_total += 1;
+        let mut tokens = 0usize;
+        for t in v.split_whitespace() {
+            tokens += 1;
             if we.knows(t.trim_matches(|c: char| c.is_ascii_punctuation())) {
                 tokens_known += 1;
             }
         }
+        if tokens >= 3 {
+            multiword += 1;
+        }
+        tokens_total += tokens;
     }
     if multiword as f64 / n >= 0.5
         && tokens_total > 0

@@ -33,7 +33,8 @@ pub fn parse_module(source: &str) -> Result<Module, PyParseError> {
 }
 
 /// Maximum expression/suite nesting depth (prevents stack overflow on
-/// pathological input; real pipelines nest a handful of levels).
+/// pathological input; real pipelines nest a handful of levels). One
+/// budget counts suites, expressions and unary operators together.
 const MAX_DEPTH: usize = 64;
 
 /// Positional arguments plus keyword arguments of one call.
@@ -125,8 +126,12 @@ impl Parser {
         Ok(body)
     }
 
-    /// Parse an indented suite following a `:`.
+    /// Parse an indented suite following a `:`, one nesting level deeper.
     fn parse_suite(&mut self) -> Result<Vec<Stmt>, PyParseError> {
+        self.nested(Self::parse_suite_body)
+    }
+
+    fn parse_suite_body(&mut self) -> Result<Vec<Stmt>, PyParseError> {
         self.expect(TokKind::Colon)?;
         // inline suite: `if x: y = 1`
         if *self.peek() != TokKind::Newline {
@@ -406,13 +411,21 @@ impl Parser {
 
     // ---- expressions ----
 
-    fn enter(&mut self) -> Result<(), PyParseError> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            Err(self.err("expression nesting too deep"))
-        } else {
-            Ok(())
+    /// Run `f` one nesting level deeper. Every recursion that follows the
+    /// input's nesting (a suite, an expression, a unary operator) goes
+    /// through here, so the parser's stack depth is bounded by
+    /// [`MAX_DEPTH`] and a deeper script is a typed error.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, PyParseError>,
+    ) -> Result<T, PyParseError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
         }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
     }
 
     /// Expression possibly followed by `, expr, ...` (a bare tuple).
@@ -436,10 +449,7 @@ impl Parser {
     }
 
     fn parse_expr(&mut self) -> Result<Expr, PyParseError> {
-        self.enter()?;
-        let result = self.parse_ternary();
-        self.depth -= 1;
-        result
+        self.nested(Self::parse_ternary)
     }
 
     fn parse_ternary(&mut self) -> Result<Expr, PyParseError> {
@@ -484,7 +494,7 @@ impl Parser {
 
     fn parse_not(&mut self) -> Result<Expr, PyParseError> {
         if self.eat_name("not") {
-            let operand = self.parse_not()?;
+            let operand = self.nested(Self::parse_not)?;
             return Ok(Expr::UnaryOp { op: "not".into(), operand: Box::new(operand) });
         }
         self.parse_comparison()
@@ -561,12 +571,12 @@ impl Parser {
         match self.peek() {
             TokKind::Minus => {
                 self.advance();
-                let operand = self.parse_unary()?;
+                let operand = self.nested(Self::parse_unary)?;
                 Ok(Expr::UnaryOp { op: "-".into(), operand: Box::new(operand) })
             }
             TokKind::Plus => {
                 self.advance();
-                self.parse_unary()
+                self.nested(Self::parse_unary)
             }
             _ => self.parse_postfix(),
         }
@@ -732,6 +742,49 @@ fn flatten_tuple(e: Expr) -> Vec<Expr> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `depth` nested `if` suites around a `pass`, one space of indent
+    /// per level.
+    fn nested_suites(depth: usize) -> String {
+        let mut src = String::new();
+        for level in 0..depth {
+            src.push_str(&" ".repeat(level));
+            src.push_str("if x:\n");
+        }
+        src.push_str(&" ".repeat(depth));
+        src.push_str("pass\n");
+        src
+    }
+
+    /// Parse on a thread with the 2 MiB stack of a spawned worker.
+    fn parse_on_worker(src: String) -> Result<Module, PyParseError> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse_module(&src))
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn suite_nesting_is_bounded_by_the_depth_budget() {
+        assert!(parse_on_worker(nested_suites(MAX_DEPTH)).is_ok());
+        let err = parse_on_worker(nested_suites(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting too deep"), "{err}");
+        // the depth that overflowed a worker's stack: a typed error now
+        let err = parse_on_worker(nested_suites(1_500)).unwrap_err();
+        assert!(err.message.contains("nesting too deep"), "{err}");
+    }
+
+    #[test]
+    fn unary_chains_share_the_depth_budget() {
+        for op in ["not ", "-", "+"] {
+            let ok = format!("y = {}x\n", op.repeat(MAX_DEPTH - 1));
+            assert!(parse_on_worker(ok).is_ok(), "{op}");
+            let deep = format!("y = {}x\n", op.repeat(100_000));
+            assert!(parse_on_worker(deep).is_err(), "{op}");
+        }
+    }
 
     #[test]
     fn parses_figure3_pipeline() {

@@ -5,27 +5,41 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Each step prints its wall seconds as `step <name>: <s> s`, so one run
+# shows where the gate's time goes.
+step_start=$SECONDS
+step() {
+  echo "step $1: $((SECONDS - step_start)) s"
+  step_start=$SECONDS
+}
+
 cargo build --release --workspace
+step build
 # The vendored JSON parser reads a string in one pass. When it re-validated
 # the rest of the document per character a 136 kB answer took 0.2 s to
 # decode and this 1 MB one would take hours — so it runs first and under a
 # timeout, before the suites that would hang on the same regression.
 timeout 60 cargo test -q --release -p serde_json megabyte_document_round_trips
+step json_megabyte
 # `lids-bench`'s unit tests replay the paper's experiments (figure 9's
 # AutoML shape alone ran 100 s unoptimised), so they run in release: every
 # test still runs once.
 cargo test -q --workspace --exclude lids-bench
+step workspace_tests
 cargo test -q --release -p lids-bench
+step bench_unit_tests
 # Exact-vs-pruned linking must agree edge for edge, score for score — on
 # 100 small lakes with every bucket pruned, and under the shipped cutoff on
 # a 3,000-column lake whose edges need the component-pair bound.
 cargo test -q --release --test linking_differential
+step linking_differential
 # Incremental maintenance must be exact: any interleaving of apply_delta
 # adds/removals equals a from-scratch bootstrap of the surviving lake,
 # retraction restores the never-ingested baseline, and live readers see
 # whole deltas or nothing (a reader spinning on torn state would hang,
 # which the timeout turns into a failure).
 timeout 600 cargo test -q --release --test incremental_differential
+step incremental_differential
 # Bulk loading must be indistinguishable from sequential insertion:
 # identical quad sets, identical insert-order-dense TermId assignment —
 # nested and object-position quoted triples included, which the dictionary
@@ -34,12 +48,14 @@ timeout 600 cargo test -q --release --test incremental_differential
 # to each other and to `intern_quads` + `extend_encoded`, the platform's
 # two-step load. The suite raises its own case count in release.
 cargo test -q --release -p lids-rdf --test bulk_load_differential
+step bulk_load_differential
 # The sorted-run store against the representation it replaced: every write
 # path (single, batch, encoded, in and out of a delta, under pins and a
 # reader, on both sides of the fold threshold) mirrored on a BTreeSet
 # oracle, every read path compared after every operation. The suite raises
 # its own case count in release.
 cargo test -q --release -p lids-rdf --test store_properties
+step store_properties
 # The oracle stays in the tests: one representation in the store itself.
 for module in crates/rdf/src/store.rs crates/rdf/src/run.rs; do
     if sed '/^#\[cfg(test)\]/,$d' "$module" | grep -n 'BTreeSet'; then
@@ -49,6 +65,7 @@ for module in crates/rdf/src/store.rs crates/rdf/src/run.rs; do
 done
 # Span tree, explain cardinalities, and the <10% instrumentation budget.
 cargo test -q --test observability
+step observability
 # The one executor (probe/merge/leapfrog over columnar batches) must answer
 # what the reference evaluator answers, as a multiset, under both join plans
 # and with a row cap as a flagged sub-multiset — over generated UNION,
@@ -59,11 +76,14 @@ cargo test -q --test observability
 # cases hold the hand-written answers (ORDER BY on an unprojected variable
 # among them).
 cargo test -q --release -p lids-sparql --test encoded_vs_reference
+step encoded_vs_reference
 cargo test -q --release -p lids-sparql --test eval_edge_cases
+step eval_edge_cases
 # The parse cache: an identical query text parses exactly once while it
 # stays cached, every execution sees the store it is handed, and the LRU
 # holds its bound.
 cargo test -q -p lids-sparql plan::
+step plan_cache
 # One cache tier, no compiled-plan slot: a parse is 2-5 us and a compile
 # under 1 us, so the shape tier and the per-generation plan stay deleted.
 if grep -rnwE 'by_shape|ShapeVariants|MAX_SHAPES|MAX_VARIANTS|hits_shape|shapes_len|CachedPlan|plan_for' crates/*/src; then
@@ -157,11 +177,13 @@ fi
 # armed governor, the same metrics — so they refuse alike; a hang here is
 # a governance regression and the timeout turns it into a failure.
 timeout 600 cargo test -q --release --test query_chaos
+step query_chaos
 # Snapshot-isolation suite under a hard external bound: frozen-snapshot
 # proptests, the concurrent reader/writer stress loop (a deadlock or a
 # reader spinning on torn state would hang, which the timeout turns into
 # a failure), and the stale-generation plan-cache regression.
 timeout 300 cargo test -q --release --test snapshot_isolation
+step snapshot_isolation
 # Server end-to-end suite on real ephemeral-port sockets: a query body read
 # off the socket is byte for byte the serialized in-process answer (the
 # server writes it from ids, never building that answer), discovery answers
@@ -170,7 +192,9 @@ timeout 300 cargo test -q --release --test snapshot_isolation
 # batches. A hung connection would hang the suite; the timeout turns it
 # into a failure.
 timeout 300 cargo test -q --release --test server_e2e
+step server_e2e
 cargo clippy --workspace --all-targets -- -D warnings
+step clippy
 # Rustdoc gate over the repo's own crates (vendored path dependencies are
 # workspace members too, hence the package list): a doc comment that links
 # to a deleted or private item fails here, not on docs.rs.
@@ -180,6 +204,7 @@ packages = json.load(sys.stdin)["packages"]
 print(" ".join("-p " + p["name"] for p in packages if "/vendor/" not in p["manifest_path"]))')"
 # shellcheck disable=SC2086
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline $own_crates
+step rustdoc
 # Dead public surface is deleted, not deprecated. (`! grep` would not trip
 # `set -e`: an inverted status never does.)
 if grep -rn '#\[deprecated' crates/*/src; then
@@ -251,6 +276,7 @@ EOF
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 rm -f "$serve_log"
+step server_smoke
 
 # The end-to-end benchmark is a workspace of its own, so nothing above
 # builds it: its unit tests (order statistics, deck determinism, catalogue
@@ -265,11 +291,14 @@ rm -f "$serve_log"
 # or writer trips the timeout (the binary is built first, so the timeout
 # bounds the run and not the compile).
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+step e2e_unit_tests
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+step e2e_build
 for workload in churn ingest_serve; do
   timeout 120 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --smoke --seconds 6 >/dev/null
   echo "lids-e2e $workload smoke ok"
+  step "e2e_smoke_$workload"
 done
 
 # The ingestion-path and query-path crates deny unwrap/expect outside tests;

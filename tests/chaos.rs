@@ -11,7 +11,8 @@ use kglids_repro::datagen::faults::{Corruptor, FaultKind};
 use kglids_repro::datagen::pipelines::{generate_corpus, CorpusSpec};
 use kglids_repro::datagen::LakeSpec;
 use kglids_repro::kg::provenance::{push_quarantine, QuarantineRecord, QUARANTINE_GRAPH};
-use kglids_repro::kglids::{ArtifactKind, KgLids, KgLidsBuilder, PipelineScript};
+use kglids_repro::exec::ErrorKind;
+use kglids_repro::kglids::{ArtifactKind, DeltaBatch, KgLids, KgLidsBuilder, PipelineScript};
 use kglids_repro::profiler::{write_csv, RawDataset, RawTable};
 use kglids_repro::rdf::{GraphName, Quad, QuadStore};
 
@@ -247,4 +248,42 @@ fn every_fault_kind_alone_never_panics_and_quarantines_one_artifact() {
         let entry = stats.report.entry(&artifact).expect("quarantined");
         assert_eq!(entry.error.kind(), kind.expected_error(), "{kind}");
     }
+}
+
+/// A script nested past the Python parser's depth budget is a typed parse
+/// error: one delta carrying it quarantines that script, and the batch's
+/// other scripts land as a bootstrap would have loaded them. 1,500 nested
+/// blocks (1.1 MB, mostly indentation) overflowed the isolated worker's
+/// stack and aborted the whole process while suites did not count toward
+/// the budget; `catch_unwind` cannot catch a stack overflow.
+#[test]
+fn a_delta_with_a_deeply_nested_script_quarantines_it_and_lands_the_rest() {
+    let (lake, tables, scripts) = artifacts();
+    let depth = 1_500;
+    let mut source = String::new();
+    for level in 0..depth {
+        source.push_str(&" ".repeat(level));
+        source.push_str("if x:\n");
+    }
+    source.push_str(&" ".repeat(depth));
+    source.push_str("pass\n");
+    let mut bomb = scripts[0].clone();
+    bomb.metadata.id = "nested_bomb".into();
+    bomb.source = source;
+    let artifact = format!("{}/{}", bomb.metadata.dataset, bomb.metadata.id);
+
+    let (mut platform, _) = bootstrap(&lake, tables.clone(), Vec::new());
+    let mut batch = scripts.clone();
+    batch.insert(batch.len() / 2, bomb);
+    let delta = platform.apply_delta(DeltaBatch::new().add_pipelines(batch));
+
+    assert_eq!(delta.pipelines_failed, 1);
+    assert_eq!(delta.pipelines_abstracted, scripts.len());
+    assert_eq!(delta.report.len(), 1, "{}", delta.report);
+    let entry = delta.report.entry(&artifact).expect("the nested script is quarantined");
+    assert_eq!(entry.error.kind(), ErrorKind::PyParseError);
+    assert!(entry.error.message().contains("nesting too deep"), "{}", entry.error);
+
+    let (reference, _) = bootstrap(&lake, tables, scripts);
+    assert_eq!(content_quads(&platform), content_quads(&reference));
 }
